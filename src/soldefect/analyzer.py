@@ -16,11 +16,11 @@ from .config import RunConfig
 from .detectors import (AnalysisContext, BytecodeFacts, ContractFacts,
                         SourceFacts, run_detectors)
 from .evm.cfg import build_cfg
-from .evm.disasm import BytecodeError, disassemble
+from .evm.disasm import disassemble
 from .evm.loops import detect_loops
 from .evm.selectors import extract_selectors
-from .parser import parse_source
-from .lexer import LexerError
+from .lexer import tokenize
+from .parser import ParseResult, parse, parse_source
 from .report import Finding, InputRecord, Report
 from .semantic import build_call_graph, compute_def_use, flatten_contract
 from .spans import Diagnostic
@@ -39,7 +39,11 @@ class FileOutcome:
 
 
 def build_source_facts(text: str, file_id: str) -> SourceFacts:
-    result = parse_source(text, file_id)
+    return source_facts(parse_source(text, file_id), file_id)
+
+
+def source_facts(result: ParseResult, file_id: str) -> SourceFacts:
+    """Semantic facts over a parsed unit."""
     diagnostics = list(result.diagnostics)
     contracts: list[ContractFacts] = []
     for contract in result.unit.contracts:
@@ -66,7 +70,7 @@ def analyze_source_text(text: str, file_id: str,
     config = config or RunConfig()
     facts = build_source_facts(text, file_id)
     ctx = AnalysisContext(source=facts, config=config.detectors)
-    return run_detectors(ctx), facts.diagnostics
+    return run_detectors(ctx), facts.diagnostics + ctx.diagnostics
 
 
 def analyze_bytecode(data: bytes | str, file_id: str,
@@ -110,6 +114,7 @@ def analyze_file(path: str, config: RunConfig) -> FileOutcome:
         return outcome
     outcome.digest = hashlib.sha256(raw).hexdigest()
     mode = file_mode(path, config.mode)
+    phase = "decode"
     try:
         if mode == "bytecode":
             data: bytes | str = raw
@@ -119,14 +124,26 @@ def analyze_file(path: str, config: RunConfig) -> FileOutcome:
                     data = text
             except UnicodeDecodeError:
                 pass
-            outcome.findings = analyze_bytecode(data, path, config,
-                                                config.creation_code)
+            phase = "bytecode facts"
+            ctx = AnalysisContext(
+                bytecode=build_bytecode_facts(data, path, config.creation_code),
+                config=config.detectors)
+            diagnostics = []
         else:
             text = raw.decode("utf-8")
-            outcome.findings, outcome.diagnostics = analyze_source_text(
-                text, path, config)
-    except (LexerError, BytecodeError, UnicodeDecodeError) as exc:
-        outcome.error = f"{path}: {exc}"
+            phase = "lex"
+            tokens = tokenize(text, path)
+            phase = "parse"
+            parsed = parse(tokens, path)
+            phase = "semantic"
+            facts = source_facts(parsed, path)
+            ctx = AnalysisContext(source=facts, config=config.detectors)
+            diagnostics = facts.diagnostics
+        phase = "detectors"
+        outcome.findings = run_detectors(ctx)
+        outcome.diagnostics = diagnostics + ctx.diagnostics
+    except Exception as exc:  # a bad input fails its own file, not the run
+        outcome.error = f"{path}: {phase} failed: {type(exc).__name__}: {exc}"
     return outcome
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from ..config import DetectorConfig
 from ..report import Finding
+from ..spans import Diagnostic, Span
 from . import availability, bytecode, maintainability, performance  # noqa: F401
 from . import reusability, security  # noqa: F401
 from .base import (AnalysisContext, BytecodeFacts, ContractFacts,
@@ -54,21 +55,28 @@ def resolve_detector_id(name: str) -> str | None:
 def run_detectors(ctx: AnalysisContext) -> list[Finding]:
     """Run every enabled detector whose facts are present; never raises.
 
-    Pure with respect to the context: running twice yields identical
-    findings in identical order.
+    A detector that raises contributes no findings and an error in
+    ``ctx.diagnostics`` naming it; the others still run. Pure with respect
+    to the facts: running twice yields identical findings in identical
+    order.
     """
     findings: list[Finding] = []
     for desc in REGISTRY:
         if not ctx.config.is_enabled(desc.id):
             continue
+        runs = []
         if ctx.source is not None:
-            fn = _SOURCE_DETECTORS.get(desc.id)
-            if fn is not None:
-                findings.extend(fn(ctx))
+            runs.append((_SOURCE_DETECTORS.get(desc.id), ctx.source.unit.span))
         if ctx.bytecode is not None and "bytecode" in desc.frontends:
-            fn = _BYTECODE_DETECTORS.get(desc.id)
-            if fn is not None:
-                findings.extend(fn(ctx))
+            runs.append((_BYTECODE_DETECTORS.get(desc.id),
+                         Span(ctx.bytecode.file_id, 1, 1, 0, 0)))
+        for fn, span in runs:
+            try:
+                findings.extend(fn(ctx) if fn is not None else ())
+            except Exception as exc:  # one detector's fault must not cost the others
+                ctx.diagnostics.append(Diagnostic(
+                    "error", f"detector {desc.id} ({desc.code}) failed: "
+                             f"{type(exc).__name__}: {exc}", span))
     return findings
 
 

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from ..evm.keccak import function_selector
-from ..nodes import (EmitStatement, ExpressionStatement, IfStatement,
-                     ThrowStatement, walk)
+from ..nodes import (CallExpression, EmitStatement, ExpressionStatement,
+                     IfStatement, ThrowStatement)
 from ..report import Finding
-from .base import (AnalysisContext, DetectorDescriptor, register,
-                   source_finding)
-from .common import (ETHER_SENDING_KINDS, builtin_call_name,
-                     external_call_kind, has_state_write, is_guard_call,
-                     iter_statements, returns_on_all_paths, unwrap)
+from .base import (AnalysisContext, ContractFacts, DetectorDescriptor,
+                   register, source_finding)
+from .common import (ETHER_SENDING_KINDS, builtin_call_name, is_guard_call,
+                     returns_on_all_paths, unwrap)
+from .index import FunctionIndex
 
 # ---------------------------------------------------------------------------
 # ERC-20 interface tables
@@ -126,37 +126,28 @@ MISSING_REMINDER = DetectorDescriptor(
 def detect_missing_reminder(ctx: AnalysisContext) -> list[Finding]:
     findings = []
     src = ctx.source
-    for cf in src.contracts:
-        event_names = set(cf.table.events)
-        for fn in cf.contract.functions:
-            if not fn.is_payable or fn.body is None:
-                continue
-            if not (has_state_write(fn, cf.table) or _has_conditional_revert(fn)):
-                continue
-            if _emits_event(fn, event_names):
-                continue
-            label = fn.name or "fallback function"
-            findings.append(source_finding(
-                MISSING_REMINDER, src.file_id, fn.span,
-                f"payable function {label} gives callers no event to "
-                f"observe its outcome"))
+    for index in src.bodies(modifiers=False):
+        fn = index.fn
+        if not fn.is_payable:
+            continue
+        if not (index.state_writes or _has_conditional_revert(index)):
+            continue
+        if _emits_event(index):
+            continue
+        label = fn.name or "fallback function"
+        findings.append(source_finding(
+            MISSING_REMINDER, src.file_id, fn.span,
+            f"payable function {label} gives callers no event to "
+            f"observe its outcome"))
     return findings
 
 
-def _has_conditional_revert(fn) -> bool:
-    for stmt in iter_statements(fn.body):
-        if isinstance(stmt, IfStatement):
-            for inner in iter_statements(stmt.then_branch):
-                if _is_revert_statement(inner):
-                    return True
-            if stmt.else_branch is not None:
-                for inner in iter_statements(stmt.else_branch):
-                    if _is_revert_statement(inner):
-                        return True
-        elif isinstance(stmt, ExpressionStatement) \
-                and is_guard_call(unwrap(stmt.expression)):
-            return True
-    return False
+def _has_conditional_revert(index: FunctionIndex) -> bool:
+    return any(_is_revert_statement(inner) for stmt in index.of(IfStatement)
+               for inner in index.within(stmt, ThrowStatement,
+                                         ExpressionStatement)) \
+        or any(is_guard_call(unwrap(stmt.expression))
+               for stmt in index.of(ExpressionStatement))
 
 
 def _is_revert_statement(stmt) -> bool:
@@ -166,15 +157,10 @@ def _is_revert_statement(stmt) -> bool:
             and builtin_call_name(unwrap(stmt.expression)) == "revert")
 
 
-def _emits_event(fn, event_names: set[str]) -> bool:
-    for stmt in iter_statements(fn.body):
-        if isinstance(stmt, EmitStatement):
-            return True
-        if isinstance(stmt, ExpressionStatement):
-            name = builtin_call_name(unwrap(stmt.expression))
-            if name is not None and name in event_names:
-                return True
-    return False
+def _emits_event(index: FunctionIndex) -> bool:
+    return bool(index.of(EmitStatement)) or any(
+        builtin_call_name(unwrap(stmt.expression)) in index.table.events
+        for stmt in index.of(ExpressionStatement))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +220,7 @@ def detect_greedy_contract(ctx: AnalysisContext) -> list[Finding]:
         functions = cf.table.all_functions()
         if not any(f.is_payable for f in functions):
             continue
-        if _can_move_ether_out(functions, cf.table):
+        if _can_move_ether_out(cf):
             continue
         findings.append(source_finding(
             GREEDY_CONTRACT, src.file_id, cf.contract.span,
@@ -243,14 +229,9 @@ def detect_greedy_contract(ctx: AnalysisContext) -> list[Finding]:
     return findings
 
 
-def _can_move_ether_out(functions, table) -> bool:
-    callables = list(functions) + list(table.modifiers.values())
-    for fn in callables:
-        if fn.body is None:
-            continue
-        for node in walk(fn.body):
-            if external_call_kind(node) in ETHER_SENDING_KINDS:
-                return True
-            if builtin_call_name(node) in ("selfdestruct", "suicide"):
-                return True
-    return False
+def _can_move_ether_out(cf: ContractFacts) -> bool:
+    return any(index.kind(node) in ETHER_SENDING_KINDS
+               or builtin_call_name(node) in ("selfdestruct", "suicide")
+               for index in cf.indexes(cf.table.all_functions()
+                                       + list(cf.table.modifiers.values()))
+               for node in index.of(CallExpression))

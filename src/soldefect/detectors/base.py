@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from ..config import DetectorConfig
-from ..nodes import ContractDefinition, FunctionDefinition, SourceUnit
+from ..nodes import (ContractDefinition, FunctionDefinition,
+                     ModifierDefinition, SourceUnit)
 from ..report import Finding
 from ..semantic import CallGraph, DefUseFacts, SymbolTable
 from ..spans import Diagnostic, Span
+from .index import FunctionIndex, NodeIndex
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,28 @@ class ContractFacts:
     table: SymbolTable
     call_graph: CallGraph
     defuse: list[tuple[FunctionDefinition, DefUseFacts]]
+    _indexes: dict[int, FunctionIndex] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def tree(self) -> NodeIndex:
+        """The contract's nodes in pre-order, built on first use."""
+        return NodeIndex(self.contract)
+
+    def index(self, fn: FunctionDefinition | ModifierDefinition) -> FunctionIndex:
+        """The fact index of a function or modifier with a body that this
+        contract can run (its own or an inherited one), built on first use."""
+        index = self._indexes.get(id(fn))
+        if index is None:
+            tree = self.tree
+            if id(fn.body) not in tree.pos:  # inherited from another contract
+                tree = NodeIndex(fn.body)
+            index = self._indexes[id(fn)] = FunctionIndex(fn, self.table, tree)
+        return index
+
+    def indexes(self, fns) -> list[FunctionIndex]:
+        """The indexes of those of fns that have a body, in order."""
+        return [self.index(fn) for fn in fns if fn.body is not None]
 
 
 @dataclass
@@ -41,6 +66,12 @@ class SourceFacts:
     unit: SourceUnit
     contracts: list[ContractFacts]
     diagnostics: list[Diagnostic] = field(default_factory=list)
+
+    def bodies(self, modifiers: bool = True) -> list[FunctionIndex]:
+        """The indexes of each contract's own functions, then its modifiers
+        unless told not to, that have a body, in source order."""
+        return [index for cf in self.contracts for index in cf.indexes(
+            cf.contract.functions + (cf.contract.modifiers if modifiers else []))]
 
 
 @dataclass
@@ -61,6 +92,8 @@ class AnalysisContext:
     source: Optional[SourceFacts] = None
     bytecode: Optional[BytecodeFacts] = None
     config: DetectorConfig = field(default_factory=DetectorConfig)
+    # errors of detectors that raised, recorded by run_detectors
+    diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
 DetectorFn = Callable[[AnalysisContext], list[Finding]]

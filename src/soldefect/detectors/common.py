@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
-from ..nodes import (Assignment, BinaryOperation, Block, CallExpression,
-                     Conditional, Expression, ExpressionStatement,
-                     ForStatement, FunctionDefinition, HexLiteral, Identifier,
-                     IfStatement, IndexAccess, MemberAccess, NumberLiteral,
-                     ReturnStatement, Statement, ThrowStatement,
-                     TupleExpression, UnaryOperation,
-                     VariableDeclarationStatement, WhileStatement, walk)
+from ..nodes import (BinaryOperation, Block, CallExpression, Expression,
+                     ExpressionStatement, HexLiteral, Identifier, IfStatement,
+                     IndexAccess, MemberAccess, NumberLiteral, ReturnStatement,
+                     Statement, ThrowStatement, TupleExpression, UnaryOperation)
 from ..semantic import SymbolTable
 
 
@@ -109,59 +106,7 @@ def is_guard_call(expr: Expression) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Statement iteration with context
-
-
-def iter_statements(stmt: Statement | None) -> Iterator[Statement]:
-    """Yield stmt and all nested statements."""
-    if stmt is None:
-        return
-    stack = [stmt]
-    while stack:
-        s = stack.pop()
-        yield s
-        if isinstance(s, Block):
-            stack.extend(reversed(s.statements))
-        elif isinstance(s, IfStatement):
-            if s.else_branch is not None:
-                stack.append(s.else_branch)
-            stack.append(s.then_branch)
-        elif isinstance(s, (ForStatement, WhileStatement)):
-            if isinstance(s, ForStatement) and s.init is not None:
-                stack.append(s.init)
-            stack.append(s.body)
-    return
-
-
-def function_expressions(fn: FunctionDefinition) -> Iterator[Expression]:
-    if fn.body is None:
-        return
-    for node in walk(fn.body):
-        yield node
-
-
-def condition_expressions(fn: FunctionDefinition) -> Iterator[Expression]:
-    """Branch conditions: if/while/for/ternary conditions plus require and
-    assert arguments."""
-    if fn.body is None:
-        return
-    for stmt in iter_statements(fn.body):
-        if isinstance(stmt, IfStatement):
-            yield stmt.condition
-        elif isinstance(stmt, WhileStatement):
-            yield stmt.condition
-        elif isinstance(stmt, ForStatement) and stmt.condition is not None:
-            yield stmt.condition
-    for node in walk(fn.body):
-        if isinstance(node, Conditional):
-            yield node.condition
-        elif isinstance(node, CallExpression) and is_guard_call(node):
-            for arg in node.arguments:
-                yield arg
-
-
-# ---------------------------------------------------------------------------
-# Loop bounds
+# Loop bounds, stores and other patterns
 
 
 def bound_is_constant(condition: Optional[Expression],
@@ -193,129 +138,12 @@ def _is_compile_time_constant(expr: Expression, table: SymbolTable) -> bool:
     return False
 
 
-def loops_with_nonconstant_bound(fn: FunctionDefinition, table: SymbolTable
-                                 ) -> Iterator[tuple[Statement, Statement]]:
-    """Yield (loop, body) for each for/while loop whose bound is not a
-    compile-time constant, including loops nested under one."""
-
-    def visit(stmt: Statement, enclosing_nonconst: bool) -> None:
-        if isinstance(stmt, (ForStatement, WhileStatement)):
-            nonconst = (enclosing_nonconst
-                        or not bound_is_constant(stmt.condition, table))
-            if nonconst:
-                found.append((stmt, stmt.body))
-            visit(stmt.body, nonconst)
-        elif isinstance(stmt, Block):
-            for s in stmt.statements:
-                visit(s, enclosing_nonconst)
-        elif isinstance(stmt, IfStatement):
-            visit(stmt.then_branch, enclosing_nonconst)
-            if stmt.else_branch is not None:
-                visit(stmt.else_branch, enclosing_nonconst)
-
-    found: list[tuple[Statement, Statement]] = []
-    if fn.body is not None:
-        visit(fn.body, False)
-    return iter(found)
-
-
-# ---------------------------------------------------------------------------
-# State writes and local scopes
-
-
-def local_names(fn: FunctionDefinition) -> set[str]:
-    names = {p.name for p in fn.parameters if p.name}
-    names |= {r.name for r in fn.returns_ if r.name}
-    if fn.body is not None:
-        for stmt in iter_statements(fn.body):
-            if isinstance(stmt, VariableDeclarationStatement) and stmt.declaration.name:
-                names.add(stmt.declaration.name)
-    return names
-
-
-def _store_base(expr: Expression) -> Optional[Identifier]:
+def store_base(expr: Expression) -> Optional[Identifier]:
     expr = unwrap(expr)
     while isinstance(expr, (IndexAccess, MemberAccess)):
         expr = expr.base if isinstance(expr, IndexAccess) else expr.object
         expr = unwrap(expr)
     return expr if isinstance(expr, Identifier) else None
-
-
-def state_write_targets(fn: FunctionDefinition,
-                        table: SymbolTable) -> list[tuple[str, Expression]]:
-    """(state variable name, writing expression) pairs within fn's body."""
-    if fn.body is None:
-        return []
-    shadowed = local_names(fn)
-    writes: list[tuple[str, Expression]] = []
-
-    def record(expr: Expression) -> None:
-        base = _store_base(expr)
-        if base is None:
-            return
-        name = base.name
-        if name not in shadowed and table.lookup_state(name) is not None:
-            writes.append((name, expr))
-
-    for node in walk(fn.body):
-        if isinstance(node, Assignment):
-            record(node.target)
-        elif isinstance(node, UnaryOperation) and node.operator in ("++", "--", "delete"):
-            record(node.operand)
-        elif isinstance(node, CallExpression):
-            callee = unwrap(node.callee)
-            if isinstance(callee, MemberAccess) and callee.member in ("push", "pop"):
-                record(callee.object)
-    return writes
-
-
-def has_state_write(fn: FunctionDefinition, table: SymbolTable) -> bool:
-    return bool(state_write_targets(fn, table))
-
-
-def state_reads_in(expr: Expression, table: SymbolTable,
-                   shadowed: set[str]) -> set[str]:
-    names: set[str] = set()
-    for node in walk(expr):
-        if isinstance(node, Identifier) and node.name not in shadowed \
-                and table.lookup_state(node.name) is not None:
-            names.add(node.name)
-    return names
-
-
-def local_storage_dependencies(fn: FunctionDefinition, table: SymbolTable
-                               ) -> dict[str, set[str]]:
-    """For each local, the state variables its value was derived from
-    (through chains of local assignments, two propagation passes)."""
-    shadowed = local_names(fn)
-    deps: dict[str, set[str]] = {}
-    if fn.body is None:
-        return deps
-
-    def rhs_deps(expr: Expression) -> set[str]:
-        found = set(state_reads_in(expr, table, shadowed))
-        for node in walk(expr):
-            if isinstance(node, Identifier) and node.name in deps:
-                found |= deps[node.name]
-        return found
-
-    for _ in range(2):
-        for stmt in iter_statements(fn.body):
-            if isinstance(stmt, VariableDeclarationStatement):
-                decl = stmt.declaration
-                if decl.name and decl.initializer is not None:
-                    deps[decl.name] = deps.get(decl.name, set()) | rhs_deps(decl.initializer)
-            elif isinstance(stmt, ExpressionStatement):
-                expr = unwrap(stmt.expression)
-                if isinstance(expr, Assignment) and isinstance(expr.target, Identifier):
-                    name = expr.target.name
-                    if name in shadowed:
-                        deps[name] = deps.get(name, set()) | rhs_deps(expr.value)
-    return deps
-
-
-# ---------------------------------------------------------------------------
-# Misc
 
 
 def is_balance_expression(expr: Expression) -> bool:
@@ -359,8 +187,3 @@ def returns_on_all_paths(stmt: Statement | None) -> bool:
                 and returns_on_all_paths(stmt.then_branch)
                 and returns_on_all_paths(stmt.else_branch))
     return False
-
-
-def payable_functions(contract_functions: list[FunctionDefinition]
-                      ) -> list[FunctionDefinition]:
-    return [f for f in contract_functions if f.is_payable]

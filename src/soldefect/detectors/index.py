@@ -1,0 +1,232 @@
+"""The facts the source detectors query instead of walking the tree: each
+contract's nodes in pre-order, and per body its statements in context."""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Optional
+
+from ..nodes import (Assignment, Block, CallExpression, Conditional,
+                     Expression, ExpressionStatement, ForStatement,
+                     FunctionDefinition, Identifier, IfStatement, MemberAccess,
+                     ModifierDefinition, Statement, UnaryOperation,
+                     VariableDeclarationStatement, WhileStatement, children)
+from ..semantic import SymbolTable
+from .common import (bound_is_constant, external_call_kind, is_guard_call,
+                     store_base, unwrap)
+
+
+class NodeIndex:
+    """The pre-order of a subtree (what ``walk(root)`` yields) and, per
+    position i, ``ends[i]``: one past the end of that node's subtree. So a
+    subtree is a slice, containment a range check, and a subtree's nodes of
+    one type a bisection of that type's positions."""
+
+    def __init__(self, root) -> None:
+        self.nodes: list = []
+        self.ends: list[int] = []
+        self._by_type: dict[type, list[int]] = {}
+        nodes, ends, by_type = self.nodes, self.ends, self._by_type
+        stack: list = [root]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is int:  # every node of that subtree is listed
+                ends[node] = len(nodes)
+                continue
+            i = len(nodes)
+            nodes.append(node)
+            by_type.setdefault(node.__class__, []).append(i)
+            kids = children(node)
+            if kids:
+                ends.append(0)
+                stack.append(i)
+                kids.reverse()
+                stack.extend(kids)
+            else:
+                ends.append(i + 1)
+        self.pos: dict[int, int] = {id(node): i for i, node in enumerate(nodes)}
+
+    def select(self, types: tuple[type, ...], start: int, end: int) -> list:
+        """Nodes of the given types at positions [start, end), in pre-order."""
+        positions: list[int] = []
+        for t in types:
+            found = self._by_type.get(t, ())
+            positions += found[bisect_left(found, start):bisect_left(found, end)]
+        if len(types) > 1:
+            positions.sort()
+        nodes = self.nodes
+        return [nodes[p] for p in positions]
+
+    def of(self, *types: type) -> list:
+        """Nodes of the given types, in pre-order."""
+        return self.select(types, 0, len(self.nodes))
+
+    def within(self, node, *types: type) -> list:
+        """Nodes of the given types in node's subtree, node included."""
+        start = self.pos[id(node)]
+        return self.select(types, start, self.ends[start])
+
+    def contains(self, outer, inner) -> bool:
+        start = self.pos[id(outer)]
+        return start <= self.pos[id(inner)] < self.ends[start]
+
+
+@dataclass(slots=True)
+class StatementFacts:
+    node: Statement
+    conditions: tuple  # enclosing if/while/for conditions, outermost first
+    guards: tuple      # conditions, then require/assert arguments so far
+    for_init: bool     # the init statement of a for loop
+    end: int           # one past this statement's subtree in ``statements``
+
+
+class FunctionIndex:
+    """Facts about one function or modifier body, held in ``tree``.
+
+    ``statements`` lists every statement with its context; a for loop's
+    body comes before its init statement, the order the detectors have
+    always used. Facts that need the symbol table are built on first use.
+    """
+
+    def __init__(self, fn: FunctionDefinition | ModifierDefinition,
+                 table: SymbolTable, tree: NodeIndex) -> None:
+        self.fn = fn
+        self.table = table
+        self.tree = tree
+        self.within = tree.within
+        self.contains = tree.contains
+        self.start = tree.pos[id(fn.body)]
+        self.end = tree.ends[self.start]
+        self._kinds = {id(call): kind for call in self.of(CallExpression)
+                       if (kind := external_call_kind(call)) is not None}
+        self.locals: set[str] = {p.name for p in fn.parameters if p.name}
+        if isinstance(fn, FunctionDefinition):
+            self.locals |= {r.name for r in fn.returns_ if r.name}
+        self.statements: list[StatementFacts] = []
+        # (assigned local or state name, value), in statement order
+        self.assignments: list[tuple[str, Expression]] = []
+        prior: tuple = ()  # require/assert arguments of the statements so far
+        stack: list = [(fn.body, (), False)]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is int:  # every statement of that subtree is listed
+                self.statements[item].end = len(self.statements)
+                continue
+            stmt, conditions, for_init = item
+            k = len(self.statements)
+            if isinstance(stmt, (ExpressionStatement, VariableDeclarationStatement)):
+                prior += self._note(stmt, for_init)
+            self.statements.append(StatementFacts(
+                stmt, conditions, conditions + prior, for_init, k + 1))
+            if isinstance(stmt, Block):
+                pushed = [(s, conditions, False) for s in reversed(stmt.statements)]
+            elif isinstance(stmt, IfStatement):
+                inner = conditions + (stmt.condition,)
+                pushed = [(branch, inner, False) for branch
+                          in (stmt.else_branch, stmt.then_branch) if branch is not None]
+            elif isinstance(stmt, (ForStatement, WhileStatement)):
+                init = stmt.init if isinstance(stmt, ForStatement) else None
+                pushed = [(init, conditions, True)] if init is not None else []
+                if stmt.condition is not None:
+                    conditions += (stmt.condition,)
+                pushed.append((stmt.body, conditions, False))
+            else:
+                continue
+            stack.append(k)
+            stack += pushed
+
+    def _note(self, stmt, for_init: bool) -> tuple:
+        """Record locals and assignments; return the statement's guards."""
+        if isinstance(stmt, VariableDeclarationStatement):
+            decl = stmt.declaration
+            if decl.name:
+                self.locals.add(decl.name)
+                if decl.initializer is not None:
+                    self.assignments.append((decl.name, decl.initializer))
+            expr = decl.initializer
+        else:
+            expr = unwrap(stmt.expression)
+            if isinstance(expr, Assignment) and isinstance(expr.target, Identifier):
+                self.assignments.append((expr.target.name, expr.value))
+        if not for_init and expr is not None and is_guard_call(unwrap(expr)):
+            return tuple(unwrap(expr).arguments)
+        return ()
+
+    def of(self, *types: type) -> list:
+        """Body nodes of the given types, in pre-order."""
+        return self.tree.select(types, self.start, self.end)
+
+    def kind(self, expr) -> Optional[str]:
+        """``external_call_kind(expr)``, for a node of this body."""
+        return self._kinds.get(id(expr))
+
+    @cached_property
+    def conditions(self) -> list[Expression]:
+        """Branch conditions: if/while/for conditions in statement order,
+        then ternary conditions and require/assert arguments in pre-order."""
+        found = [st.node.condition for st in self.statements
+                 if isinstance(st.node, (IfStatement, WhileStatement, ForStatement))
+                 and st.node.condition is not None]
+        for node in self.of(Conditional, CallExpression):
+            if isinstance(node, Conditional):
+                found.append(node.condition)
+            elif is_guard_call(node):
+                found += node.arguments
+        return found
+
+    @cached_property
+    def unbounded_loops(self) -> list[tuple[Statement, list[StatementFacts]]]:
+        """(loop, statements of its body) for each for/while loop whose bound
+        is not a compile-time constant, or that is nested in such a loop."""
+        found = []
+        covered = 0  # statements before this one lie in such a loop's body
+        for k, st in enumerate(self.statements):
+            loop = st.node
+            if isinstance(loop, (ForStatement, WhileStatement)) and (
+                    k < covered or not bound_is_constant(loop.condition, self.table)):
+                body_end = self.statements[k + 1].end
+                found.append((loop, self.statements[k + 1:body_end]))
+                covered = max(covered, body_end)
+        return found
+
+    @cached_property
+    def state_writes(self) -> list[tuple[str, Expression]]:
+        """(state variable name, written expression) pairs, in pre-order."""
+        stores = []
+        for node in self.of(Assignment, UnaryOperation, CallExpression):
+            if isinstance(node, Assignment):
+                stores.append(node.target)
+            elif isinstance(node, UnaryOperation):
+                if node.operator in ("++", "--", "delete"):
+                    stores.append(node.operand)
+            else:  # a push or pop writes the array
+                callee = unwrap(node.callee)
+                if isinstance(callee, MemberAccess) and callee.member in ("push", "pop"):
+                    stores.append(callee.object)
+        return [(base.name, expr) for expr in stores
+                if (base := store_base(expr)) is not None
+                and base.name not in self.locals
+                and self.table.lookup_state(base.name) is not None]
+
+    def propagate(self, sources: Callable[[Expression], list],
+                  locals_only: bool) -> dict[str, list]:
+        """Assignment propagation, two passes over the statements: each
+        assigned name collects ``sources(value)`` plus what the names read in
+        the value collected before, skipping assignments to non-locals when
+        ``locals_only``. Returns name -> facts in first-seen order."""
+        facts: dict[str, list] = {}
+        for _ in range(2):
+            for name, value in self.assignments:
+                if locals_only and name not in self.locals:
+                    continue
+                found = list(sources(value))
+                if facts:
+                    for node in self.within(value, Identifier):
+                        found += facts.get(node.name, ())
+                if found:
+                    existing = facts.setdefault(name, [])
+                    existing += [item for item in dict.fromkeys(found)
+                                 if item not in existing]
+        return facts

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from ..evm.eip55 import is_mixed_case, is_valid_address
-from ..nodes import HexLiteral, Identifier, MemberAccess, walk
+from ..nodes import (Assignment, CallExpression, HexLiteral, Identifier,
+                     MemberAccess)
 from ..report import Finding
-from .base import (AnalysisContext, DetectorDescriptor, register,
-                   source_finding)
-from .common import (builtin_call_name, condition_expressions,
-                     local_names, unwrap)
+from .base import (AnalysisContext, ContractFacts, DetectorDescriptor,
+                   register, source_finding)
+from .common import builtin_call_name, unwrap
+from .index import FunctionIndex
 
 HARD_CODE_ADDRESS = DetectorDescriptor(
     code="D17", id="hard-code-address", name="Hard Code Address",
@@ -27,18 +28,19 @@ HARD_CODE_ADDRESS = DetectorDescriptor(
 def detect_hard_code_address(ctx: AnalysisContext) -> list[Finding]:
     findings = []
     src = ctx.source
-    for node in walk(src.unit):
-        if not isinstance(node, HexLiteral) or not node.is_address:
-            continue
-        if node.value == 0:
-            continue  # address(0) comparisons are not configuration
-        if is_mixed_case(node.text) and not is_valid_address(node.text):
-            message = (f"illegal address: hard-coded literal {node.text} "
-                       f"fails the EIP-55 checksum")
-        else:
-            message = f"hard-coded address {node.text}"
-        findings.append(source_finding(HARD_CODE_ADDRESS, src.file_id,
-                                       node.span, message))
+    for cf in src.contracts:
+        for node in cf.tree.of(HexLiteral):
+            if not node.is_address:
+                continue
+            if node.value == 0:
+                continue  # address(0) comparisons are not configuration
+            if is_mixed_case(node.text) and not is_valid_address(node.text):
+                message = (f"illegal address: hard-coded literal {node.text} "
+                           f"fails the EIP-55 checksum")
+            else:
+                message = f"hard-coded address {node.text}"
+            findings.append(source_finding(HARD_CODE_ADDRESS, src.file_id,
+                                           node.span, message))
     return findings
 
 
@@ -65,9 +67,9 @@ def detect_missing_interrupter(ctx: AnalysisContext) -> list[Finding]:
         functions = cf.table.all_functions()
         if not any(f.is_payable for f in functions):
             continue  # cannot accumulate ether through calls
-        if _has_selfdestruct(functions, cf.table):
+        if _has_selfdestruct(cf):
             continue
-        if _has_circuit_breaker(functions, cf.table):
+        if _has_circuit_breaker(cf):
             continue
         findings.append(source_finding(
             MISSING_INTERRUPTER, src.file_id, cf.contract.span,
@@ -76,21 +78,18 @@ def detect_missing_interrupter(ctx: AnalysisContext) -> list[Finding]:
     return findings
 
 
-def _has_selfdestruct(functions, table) -> bool:
-    for fn in list(functions) + list(table.modifiers.values()):
-        if fn.body is None:
-            continue
-        for node in walk(fn.body):
-            if builtin_call_name(node) in ("selfdestruct", "suicide"):
-                return True
-    return False
+def _has_selfdestruct(cf: ContractFacts) -> bool:
+    return any(builtin_call_name(node) in ("selfdestruct", "suicide")
+               for index in cf.indexes(cf.table.all_functions()
+                                       + list(cf.table.modifiers.values()))
+               for node in index.of(CallExpression))
 
 
-def _has_circuit_breaker(functions, table) -> bool:
+def _has_circuit_breaker(cf: ContractFacts) -> bool:
     """An owner-gated boolean: a bool state variable checked by require/if
     in at least one externally callable function and written by an
     access-controlled function."""
-    bool_states = {name for name, decl in table.state_variables.items()
+    bool_states = {name for name, decl in cf.table.state_variables.items()
                    if decl.type_name.kind == "elementary"
                    and decl.type_name.name == "bool"}
     if not bool_states:
@@ -98,36 +97,26 @@ def _has_circuit_breaker(functions, table) -> bool:
 
     checked: set[str] = set()
     written_controlled: set[str] = set()
-    for fn in functions:
-        if fn.body is None:
-            continue
-        shadowed = local_names(fn)
-        if fn.visibility in ("public", "default", "external"):
-            for cond in condition_expressions(fn):
-                for node in walk(cond):
-                    if isinstance(node, Identifier) and node.name in bool_states \
-                            and node.name not in shadowed:
-                        checked.add(node.name)
-        if _is_access_controlled(fn):
-            from ..nodes import Assignment
-            for node in walk(fn.body):
-                if isinstance(node, Assignment):
-                    target = unwrap(node.target)
-                    if isinstance(target, Identifier) \
-                            and target.name in bool_states \
-                            and target.name not in shadowed:
-                        written_controlled.add(target.name)
+    for index in cf.indexes(cf.table.all_functions()):
+        unshadowed = bool_states - index.locals
+        if index.fn.visibility in ("public", "default", "external"):
+            checked.update(node.name for cond in index.conditions
+                           for node in index.within(cond, Identifier)
+                           if node.name in unshadowed)
+        if _is_access_controlled(index):
+            for node in index.of(Assignment):
+                target = unwrap(node.target)
+                if isinstance(target, Identifier) and target.name in unshadowed:
+                    written_controlled.add(target.name)
     return bool(checked & written_controlled)
 
 
-def _is_access_controlled(fn) -> bool:
-    if fn.modifiers_invoked:
+def _is_access_controlled(index: FunctionIndex) -> bool:
+    if index.fn.modifiers_invoked:
         return True
-    if fn.body is None:
-        return False
-    for cond in condition_expressions(fn):
-        for node in walk(cond):
-            if isinstance(node, MemberAccess) and node.member in ("sender", "origin"):
+    for cond in index.conditions:
+        for node in index.within(cond, MemberAccess):
+            if node.member in ("sender", "origin"):
                 obj = unwrap(node.object)
                 if isinstance(obj, Identifier) and obj.name in ("msg", "tx"):
                     return True

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..nodes import VariableDeclaration, walk
+from ..nodes import VariableDeclaration
 from ..report import Finding
 from ..semantic import _node_key
 from .base import (AnalysisContext, DetectorDescriptor, register,
@@ -108,10 +108,11 @@ def _is_byte_array(type_name) -> bool:
 def detect_high_gas_data_type(ctx: AnalysisContext) -> list[Finding]:
     findings = []
     src = ctx.source
-    for node in walk(src.unit):
-        if isinstance(node, VariableDeclaration) and _is_byte_array(node.type_name):
-            findings.append(source_finding(
-                HIGH_GAS_DATA_TYPE, src.file_id, node.span,
-                f"declaration {node.name or '<unnamed>'} uses byte[]; bytes "
-                f"is cheaper"))
+    for cf in src.contracts:
+        for node in cf.tree.of(VariableDeclaration):
+            if _is_byte_array(node.type_name):
+                findings.append(source_finding(
+                    HIGH_GAS_DATA_TYPE, src.file_id, node.span,
+                    f"declaration {node.name or '<unnamed>'} uses byte[]; "
+                    f"bytes is cheaper"))
     return findings

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from ..nodes import (CallExpression, Identifier, MemberAccess, ThrowStatement,
-                     walk)
+from ..nodes import CallExpression, Identifier, MemberAccess, ThrowStatement
 from ..report import Finding
 from .base import (AnalysisContext, DetectorDescriptor, register,
                    source_finding)
@@ -51,10 +50,8 @@ def detect_deprecated_apis(ctx: AnalysisContext) -> list[Finding]:
         for fn in cf.contract.functions:
             if fn.mutability == "constant":
                 report(fn.span, "`constant` function mutability", "view or pure")
-        for fn in cf.contract.functions + cf.contract.modifiers:
-            if fn.body is None:
-                continue
-            for node in walk(fn.body):
+        for index in cf.indexes(cf.contract.functions + cf.contract.modifiers):
+            for node in index.of(ThrowStatement, CallExpression, MemberAccess):
                 if isinstance(node, ThrowStatement):
                     report(node.span, "throw", "revert()")
                 elif isinstance(node, CallExpression):

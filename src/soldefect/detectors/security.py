@@ -5,8 +5,8 @@ from __future__ import annotations
 from ..nodes import (Assignment, BinaryOperation, CallExpression,
                      ExpressionStatement, ForStatement, Identifier,
                      IfStatement, IndexAccess, MemberAccess, ModifierDefinition,
-                     NumberLiteral, Statement, ThrowStatement, TypeName,
-                     VariableDeclarationStatement, WhileStatement, walk)
+                     NumberLiteral, Statement, ThrowStatement, TupleExpression,
+                     TypeName, VariableDeclarationStatement, WhileStatement)
 from ..report import Finding
 from ..semantic import infer_var_type
 from ..spans import Span
@@ -14,11 +14,8 @@ from .base import (AnalysisContext, DetectorDescriptor, register,
                    source_finding)
 from .common import (CHECKABLE_CALL_KINDS, ETHER_SENDING_KINDS,
                      builtin_call_name, call_chain_arguments, call_target,
-                     condition_expressions, external_call_kind,
-                     is_balance_expression, is_guard_call, is_tx_origin,
-                     iter_statements, local_names, local_storage_dependencies,
-                     loops_with_nonconstant_bound, state_reads_in,
-                     state_write_targets, unwrap)
+                     is_balance_expression, is_tx_origin, unwrap)
+from .index import FunctionIndex
 
 # ---------------------------------------------------------------------------
 
@@ -39,19 +36,16 @@ UNCHECKED_EXTERNAL_CALLS = DetectorDescriptor(
 def detect_unchecked_external_calls(ctx: AnalysisContext) -> list[Finding]:
     findings = []
     src = ctx.source
-    for cf in src.contracts:
-        for fn in cf.contract.functions + cf.contract.modifiers:
-            if fn.body is None:
+    for index in src.bodies():
+        for st in index.statements:
+            stmt = st.node
+            if not isinstance(stmt, ExpressionStatement):
                 continue
-            for stmt in iter_statements(fn.body):
-                if not isinstance(stmt, ExpressionStatement):
-                    continue
-                expr = unwrap(stmt.expression)
-                kind = external_call_kind(expr)
-                if kind in CHECKABLE_CALL_KINDS:
-                    findings.append(source_finding(
-                        UNCHECKED_EXTERNAL_CALLS, src.file_id, stmt.span,
-                        f"result of .{_kind_spelling(kind)} is not checked"))
+            kind = index.kind(unwrap(stmt.expression))
+            if kind in CHECKABLE_CALL_KINDS:
+                findings.append(source_finding(
+                    UNCHECKED_EXTERNAL_CALLS, src.file_id, stmt.span,
+                    f"result of .{_kind_spelling(kind)} is not checked"))
     return findings
 
 
@@ -78,20 +72,19 @@ DOS_UNDER_EXTERNAL_INFLUENCE = DetectorDescriptor(
 def detect_dos_under_external_influence(ctx: AnalysisContext) -> list[Finding]:
     findings = []
     src = ctx.source
-    for cf in src.contracts:
-        for fn in cf.contract.functions + cf.contract.modifiers:
-            for _loop, body in loops_with_nonconstant_bound(fn, cf.table):
-                for stmt in iter_statements(body):
-                    reason = _reverting_statement(stmt)
-                    if reason is not None:
-                        findings.append(source_finding(
-                            DOS_UNDER_EXTERNAL_INFLUENCE, src.file_id, stmt.span,
-                            f"{reason} can revert the whole transaction inside "
-                            f"a loop without a constant bound"))
+    for index in src.bodies():
+        for _loop, body in index.unbounded_loops:
+            for st in body:
+                reason = _reverting_statement(st.node, index)
+                if reason is not None:
+                    findings.append(source_finding(
+                        DOS_UNDER_EXTERNAL_INFLUENCE, src.file_id, st.node.span,
+                        f"{reason} can revert the whole transaction inside "
+                        f"a loop without a constant bound"))
     return findings
 
 
-def _reverting_statement(stmt: Statement) -> str | None:
+def _reverting_statement(stmt: Statement, index: FunctionIndex) -> str | None:
     if isinstance(stmt, ThrowStatement):
         return "throw"
     if not isinstance(stmt, ExpressionStatement):
@@ -100,7 +93,7 @@ def _reverting_statement(stmt: Statement) -> str | None:
     name = builtin_call_name(expr)
     if name in ("require", "assert", "revert"):
         return f"{name}()"
-    if external_call_kind(expr) == "transfer":
+    if index.kind(expr) == "transfer":
         return ".transfer()"
     return None
 
@@ -126,20 +119,16 @@ def detect_strict_balance_equality(ctx: AnalysisContext) -> list[Finding]:
     operators = {"=="}
     if ctx.config.strict_balance_neq:
         operators.add("!=")
-    for cf in src.contracts:
-        for fn in cf.contract.functions + cf.contract.modifiers:
-            if fn.body is None:
-                continue
-            for cond in condition_expressions(fn):
-                for node in walk(cond):
-                    if (isinstance(node, BinaryOperation)
-                            and node.operator in operators
-                            and (is_balance_expression(node.left)
-                                 or is_balance_expression(node.right))):
-                        findings.append(source_finding(
-                            STRICT_BALANCE_EQUALITY, src.file_id, node.span,
-                            f"branch condition compares the contract balance "
-                            f"with {node.operator}"))
+    for index in src.bodies():
+        for cond in index.conditions:
+            for node in index.within(cond, BinaryOperation):
+                if (node.operator in operators
+                        and (is_balance_expression(node.left)
+                             or is_balance_expression(node.right))):
+                    findings.append(source_finding(
+                        STRICT_BALANCE_EQUALITY, src.file_id, node.span,
+                        f"branch condition compares the contract balance "
+                        f"with {node.operator}"))
     return findings
 
 
@@ -161,41 +150,35 @@ UNMATCHED_TYPE_ASSIGNMENT = DetectorDescriptor(
 def detect_unmatched_type_assignment(ctx: AnalysisContext) -> list[Finding]:
     findings = []
     src = ctx.source
-    for cf in src.contracts:
-        state_types = {v.name: v.type_name for v in cf.table.state_variables.values()}
-
-        def lookup(name: str) -> TypeName | None:
-            return state_types.get(name)
-
-        for fn in cf.contract.functions + cf.contract.modifiers:
-            if fn.body is None:
+    for index in src.bodies():
+        for stmt in index.of(ForStatement):
+            if stmt.condition is None:
                 continue
-            for stmt in iter_statements(fn.body):
-                if not isinstance(stmt, ForStatement) or stmt.condition is None:
-                    continue
-                counter = _loop_counter(stmt)
-                if counter is None:
-                    continue
-                counter_name, counter_type = counter
-                if counter_type is not None and counter_type.kind == "var":
-                    try:
-                        counter_type = infer_var_type(
-                            _counter_initializer(stmt, counter_name), lookup)
-                    except Exception:
-                        counter_type = None
-                if counter_type is None:
-                    continue
-                bits = counter_type.int_bits()
-                if bits is None:
-                    continue
-                problem = _bound_exceeds(stmt.condition, counter_name, bits,
-                                         cf.table, fn)
-                if problem:
-                    findings.append(source_finding(
-                        UNMATCHED_TYPE_ASSIGNMENT, src.file_id, stmt.span,
-                        f"loop counter {counter_name} is "
-                        f"{counter_type.canonical()} but the loop bound "
-                        f"{problem}"))
+            counter = _loop_counter(stmt)
+            if counter is None:
+                continue
+            counter_name, counter_type = counter
+            if counter_type is not None and counter_type.kind == "var":
+                try:
+                    counter_type = infer_var_type(
+                        _counter_initializer(stmt, counter_name),
+                        lambda name: getattr(index.table.lookup_state(name),
+                                             "type_name", None))
+                except Exception:
+                    counter_type = None
+            if counter_type is None:
+                continue
+            bits = counter_type.int_bits()
+            if bits is None:
+                continue
+            problem = _bound_exceeds(stmt.condition, counter_name, bits,
+                                     index.table, index.fn)
+            if problem:
+                findings.append(source_finding(
+                    UNMATCHED_TYPE_ASSIGNMENT, src.file_id, stmt.span,
+                    f"loop counter {counter_name} is "
+                    f"{counter_type.canonical()} but the loop bound "
+                    f"{problem}"))
     return findings
 
 
@@ -275,31 +258,33 @@ TRANSACTION_STATE_DEPENDENCY = DetectorDescriptor(
 )
 
 
+# is_tx_origin holds only for these (a parenthesized tx.origin is a tuple)
+_ORIGIN_TYPES = (MemberAccess, TupleExpression)
+
+
 @register(TRANSACTION_STATE_DEPENDENCY)
 def detect_transaction_state_dependency(ctx: AnalysisContext) -> list[Finding]:
     findings = []
     src = ctx.source
-    for cf in src.contracts:
-        for fn in cf.contract.functions + cf.contract.modifiers:
-            if fn.body is None:
-                continue
-            if ctx.config.strict_tx_origin_all_uses:
-                spots = [node for node in walk(fn.body) if is_tx_origin(node)]
-            else:
-                spots = []
-                for cond in condition_expressions(fn):
-                    spots.extend(n for n in walk(cond) if is_tx_origin(n))
-                if isinstance(fn, ModifierDefinition):
-                    for node in walk(fn.body):
-                        if (isinstance(node, BinaryOperation)
-                                and node.operator in ("==", "!=")
-                                and (is_tx_origin(node.left)
-                                     or is_tx_origin(node.right))):
-                            spots.append(node)
-            for node in spots:
-                findings.append(source_finding(
-                    TRANSACTION_STATE_DEPENDENCY, src.file_id, node.span,
-                    "tx.origin used in a permission check"))
+    for index in src.bodies():
+        if ctx.config.strict_tx_origin_all_uses:
+            spots = [node for node in index.of(*_ORIGIN_TYPES)
+                     if is_tx_origin(node)]
+        else:
+            spots = []
+            for cond in index.conditions:
+                spots.extend(n for n in index.within(cond, *_ORIGIN_TYPES)
+                             if is_tx_origin(n))
+            if isinstance(index.fn, ModifierDefinition):
+                for node in index.of(BinaryOperation):
+                    if (node.operator in ("==", "!=")
+                            and (is_tx_origin(node.left)
+                                 or is_tx_origin(node.right))):
+                        spots.append(node)
+        for node in spots:
+            findings.append(source_finding(
+                TRANSACTION_STATE_DEPENDENCY, src.file_id, node.span,
+                "tx.origin used in a permission check"))
     return findings
 
 
@@ -322,88 +307,62 @@ _BLOCK_MEMBERS = frozenset({"blockhash", "timestamp", "number", "difficulty",
                             "coinbase"})
 
 
-def _block_info_sources(expr) -> list[Span]:
-    spans = []
-    for node in walk(expr):
-        if isinstance(node, MemberAccess) and node.member in _BLOCK_MEMBERS \
-                and isinstance(unwrap(node.object), Identifier) \
-                and unwrap(node.object).name == "block":
-            spans.append(node.span)
-        elif isinstance(node, Identifier) and node.name == "now":
-            spans.append(node.span)
-        elif isinstance(node, CallExpression) \
-                and builtin_call_name(node) == "blockhash":
-            spans.append(node.span)
-    return spans
+# _is_block_info holds only for these
+_BLOCK_SOURCE_TYPES = (MemberAccess, Identifier, CallExpression)
+
+
+def _is_block_info(node) -> bool:
+    if isinstance(node, MemberAccess):
+        return (node.member in _BLOCK_MEMBERS
+                and isinstance(unwrap(node.object), Identifier)
+                and unwrap(node.object).name == "block")
+    if isinstance(node, Identifier):
+        return node.name == "now"
+    return builtin_call_name(node) == "blockhash"
+
+
+def _block_info_sources(index: FunctionIndex, expr) -> list[Span]:
+    return [node.span for node in index.within(expr, *_BLOCK_SOURCE_TYPES)
+            if _is_block_info(node)]
 
 
 @register(BLOCK_INFO_DEPENDENCY)
 def detect_block_info_dependency(ctx: AnalysisContext) -> list[Finding]:
     findings = []
     src = ctx.source
-    for cf in src.contracts:
-        for fn in cf.contract.functions + cf.contract.modifiers:
-            if fn.body is None:
-                continue
-            taint = _block_taint_map(fn)
+    for index in src.bodies():
+        if not any(_is_block_info(node)
+                   for node in index.of(*_BLOCK_SOURCE_TYPES)):
+            continue  # every finding starts at some block info
+        # local name -> source spans of block info flowing into it
+        taint = index.propagate(
+            lambda value: _block_info_sources(index, value),
+            locals_only=False)
 
-            def origins(expr) -> list[Span]:
-                found = list(_block_info_sources(expr))
-                for node in walk(expr):
-                    if isinstance(node, Identifier) and node.name in taint:
+        def origins(expr) -> list[Span]:
+            found = _block_info_sources(index, expr)
+            if taint:
+                for node in index.within(expr, Identifier):
+                    if node.name in taint:
                         found.extend(taint[node.name])
-                return found
+            return found
 
-            sinks: list = list(condition_expressions(fn))
-            for node in walk(fn.body):
-                if isinstance(node, IndexAccess) and node.index is not None:
+        sinks: list = list(index.conditions)
+        for node in index.of(IndexAccess, CallExpression):
+            if isinstance(node, IndexAccess):
+                if node.index is not None:
                     sinks.append(node.index)
-                kind = external_call_kind(node)
-                if kind in ETHER_SENDING_KINDS:
-                    sinks.extend(call_chain_arguments(node))
-                    target = call_target(node)
-                    if target is not None:
-                        sinks.append(target)
-            for sink in sinks:
-                for span in origins(sink):
-                    findings.append(source_finding(
-                        BLOCK_INFO_DEPENDENCY, src.file_id, span,
-                        "block information influences contract logic"))
+            elif index.kind(node) in ETHER_SENDING_KINDS:
+                sinks.extend(call_chain_arguments(node))
+                target = call_target(node)
+                if target is not None:
+                    sinks.append(target)
+        for sink in sinks:
+            for span in origins(sink):
+                findings.append(source_finding(
+                    BLOCK_INFO_DEPENDENCY, src.file_id, span,
+                    "block information influences contract logic"))
     return findings
-
-
-def _block_taint_map(fn) -> dict[str, list[Span]]:
-    """local name -> source spans of block info flowing into it."""
-    taint: dict[str, list[Span]] = {}
-    body = fn.body
-    if body is None:
-        return taint
-    for _ in range(2):  # two passes to close simple chains
-        for stmt in iter_statements(body):
-            target = None
-            value = None
-            if isinstance(stmt, VariableDeclarationStatement) \
-                    and stmt.declaration.name and stmt.declaration.initializer is not None:
-                target = stmt.declaration.name
-                value = stmt.declaration.initializer
-            elif isinstance(stmt, ExpressionStatement):
-                expr = unwrap(stmt.expression)
-                if isinstance(expr, Assignment) and isinstance(expr.target, Identifier):
-                    target = expr.target.name
-                    value = expr.value
-            if target is None or value is None:
-                continue
-            spans = list(_block_info_sources(value))
-            for node in walk(value):
-                if isinstance(node, Identifier) and node.name in taint \
-                        and node.name != target:
-                    spans.extend(taint[node.name])
-            if spans:
-                existing = taint.setdefault(target, [])
-                for s in spans:
-                    if s not in existing:
-                        existing.append(s)
-    return taint
 
 
 # ---------------------------------------------------------------------------
@@ -424,85 +383,64 @@ REENTRANCY = DetectorDescriptor(
 def detect_reentrancy(ctx: AnalysisContext) -> list[Finding]:
     findings = []
     src = ctx.source
-    for cf in src.contracts:
-        for fn in cf.contract.functions:
-            if fn.body is None:
+    for index in src.bodies(modifiers=False):
+        calls = _guarded_value_calls(index)
+        if not calls:
+            continue
+        # local -> the state variables its value was derived from
+        deps = index.propagate(lambda value: _state_reads(index, value),
+                               locals_only=True)
+        for call, guards in calls:
+            guarded_state: set[str] = set()
+            for guard in guards:
+                guarded_state.update(_state_reads(index, guard))
+                for node in index.within(guard, Identifier):
+                    guarded_state.update(deps.get(node.name, ()))
+            if not guarded_state:
                 continue
-            shadowed = local_names(fn)
-            deps = local_storage_dependencies(fn, cf.table)
-            writes = state_write_targets(fn, cf.table)
-            for call, guards in _guarded_calls(fn):
-                if external_call_kind(call) != "callvalue":
-                    continue
-                guarded_state: set[str] = set()
-                for guard in guards:
-                    guarded_state |= state_reads_in(guard, cf.table, shadowed)
-                    for node in walk(guard):
-                        if isinstance(node, Identifier) and node.name in deps:
-                            guarded_state |= deps[node.name]
-                if not guarded_state:
-                    continue
-                call_offset = call.span.offset
-                for name, write_expr in writes:
-                    if name in guarded_state and write_expr.span.offset > call_offset:
-                        findings.append(source_finding(
-                            REENTRANCY, src.file_id, call.span,
-                            f"external call precedes the update of "
-                            f"{name}, which its guard reads"))
-                        break
+            call_offset = call.span.offset
+            for name, write_expr in index.state_writes:
+                if name in guarded_state and write_expr.span.offset > call_offset:
+                    findings.append(source_finding(
+                        REENTRANCY, src.file_id, call.span,
+                        f"external call precedes the update of "
+                        f"{name}, which its guard reads"))
+                    break
     return findings
 
 
-def _guarded_calls(fn):
-    """Yield (call expression, guard condition list) for every call in the
-    body; guards are the enclosing if/while conditions plus require/assert
-    arguments that appear earlier in the function."""
+def _state_reads(index: FunctionIndex, expr) -> list[str]:
+    return [node.name for node in index.within(expr, Identifier)
+            if node.name not in index.locals
+            and index.table.lookup_state(node.name) is not None]
+
+
+def _guarded_value_calls(index: FunctionIndex) -> list[tuple]:
+    """(call.value call, guard conditions) for each such call in the body.
+    Guards are the enclosing if/while/for conditions, plus, for calls in
+    expression and declaration statements, the require/assert arguments
+    of statements up to and including their own; guards that contain the
+    call are left out. Calls in for-loop init and post expressions, return
+    values and emits are not considered."""
     calls: list[tuple] = []
-    prior_guards: list = []
-
-    def visit(stmt, conditions: tuple) -> None:
-        if isinstance(stmt, IfStatement):
-            _collect_calls(stmt.condition, conditions, calls)
-            visit(stmt.then_branch, conditions + (stmt.condition,))
-            if stmt.else_branch is not None:
-                visit(stmt.else_branch, conditions + (stmt.condition,))
-        elif isinstance(stmt, WhileStatement):
-            _collect_calls(stmt.condition, conditions, calls)
-            visit(stmt.body, conditions + (stmt.condition,))
-        elif isinstance(stmt, ForStatement):
-            if stmt.condition is not None:
-                _collect_calls(stmt.condition, conditions, calls)
-            visit(stmt.body, conditions + ((stmt.condition,) if stmt.condition else ()))
-        elif hasattr(stmt, "statements"):
-            for s in stmt.statements:
-                visit(s, conditions)
+    for st in index.statements:
+        stmt = st.node
+        guards = st.guards
+        if isinstance(stmt, (IfStatement, WhileStatement, ForStatement)):
+            expr, guards = stmt.condition, st.conditions
+        elif isinstance(stmt, ExpressionStatement):
+            expr = stmt.expression
+        elif isinstance(stmt, VariableDeclarationStatement):
+            expr = stmt.declaration.initializer
         else:
-            exprs = []
-            if isinstance(stmt, ExpressionStatement):
-                exprs = [stmt.expression]
-            elif isinstance(stmt, VariableDeclarationStatement) \
-                    and stmt.declaration.initializer is not None:
-                exprs = [stmt.declaration.initializer]
-            for expr in exprs:
-                if is_guard_call(unwrap(expr)):
-                    prior_guards.extend(unwrap(expr).arguments)
-                _collect_calls(expr, conditions + tuple(prior_guards), calls)
-
-    if fn.body is not None:
-        visit(fn.body, ())
+            continue
+        if expr is None or st.for_init:
+            continue
+        for node in index.within(expr, CallExpression):
+            if index.kind(node) == "callvalue":
+                calls.append((node, [c for c in guards
+                                     if not index.contains(c, node)]))
     return calls
-
-
-def _collect_calls(expr, conditions, out) -> None:
-    for node in walk(expr):
-        if isinstance(node, CallExpression) and external_call_kind(node) is not None:
-            guards = [c for c in conditions if c is not None
-                      and not _contains(c, node)]
-            out.append((node, guards))
-
-
-def _contains(container, node) -> bool:
-    return any(n is node for n in walk(container))
 
 
 # ---------------------------------------------------------------------------
@@ -523,17 +461,15 @@ NESTED_CALL = DetectorDescriptor(
 def detect_nested_call(ctx: AnalysisContext) -> list[Finding]:
     findings = []
     src = ctx.source
-    for cf in src.contracts:
-        for fn in cf.contract.functions + cf.contract.modifiers:
-            for loop, body in loops_with_nonconstant_bound(fn, cf.table):
-                for node in walk(body):
-                    kind = external_call_kind(node)
-                    if kind in ("call", "callvalue", "send", "transfer"):
-                        findings.append(source_finding(
-                            NESTED_CALL, src.file_id, loop.span,
-                            "external call inside a loop without a constant "
-                            "bound"))
-                        break
+    for index in src.bodies():
+        for loop, _body in index.unbounded_loops:
+            for node in index.within(loop.body, CallExpression):
+                if index.kind(node) in ("call", "callvalue", "send", "transfer"):
+                    findings.append(source_finding(
+                        NESTED_CALL, src.file_id, loop.span,
+                        "external call inside a loop without a constant "
+                        "bound"))
+                    break
     return findings
 
 
@@ -555,19 +491,17 @@ MISLEADING_DATA_LOCATION = DetectorDescriptor(
 def detect_misleading_data_location(ctx: AnalysisContext) -> list[Finding]:
     findings = []
     src = ctx.source
-    for cf in src.contracts:
-        for fn in cf.contract.functions + cf.contract.modifiers:
-            if fn.body is None:
+    for index in src.bodies():
+        for st in index.statements:
+            stmt = st.node
+            if not isinstance(stmt, VariableDeclarationStatement):
                 continue
-            for stmt in iter_statements(fn.body):
-                if not isinstance(stmt, VariableDeclarationStatement):
-                    continue
-                decl = stmt.declaration
-                if decl.data_location == "unspecified" \
-                        and decl.type_name.is_reference_type():
-                    findings.append(source_finding(
-                        MISLEADING_DATA_LOCATION, src.file_id, stmt.span,
-                        f"local {decl.type_name.canonical()} "
-                        f"{decl.name or '<unnamed>'} has no data location and "
-                        f"points at storage"))
+            decl = stmt.declaration
+            if decl.data_location == "unspecified" \
+                    and decl.type_name.is_reference_type():
+                findings.append(source_finding(
+                    MISLEADING_DATA_LOCATION, src.file_id, stmt.span,
+                    f"local {decl.type_name.canonical()} "
+                    f"{decl.name or '<unnamed>'} has no data location and "
+                    f"points at storage"))
     return findings

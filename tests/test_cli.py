@@ -60,6 +60,26 @@ def test_parse_error_in_one_file_does_not_abort(tmp_path, capsys):
     assert "unterminated string" in err
 
 
+# 200 nested parentheses exceed the parser's recursion depth
+DEEP_CONTRACT = ("contract Deep {\n    function f() returns (uint) {\n"
+                 "        return " + "(" * 200 + "1" + ")" * 200 + ";\n    }\n}\n")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_deeply_nested_file_fails_alone(tmp_path, capsys, jobs):
+    (tmp_path / "deep.sol").write_text(DEEP_CONTRACT)
+    (tmp_path / "listing2.sol").write_text(read_listing("listing2.sol"))
+    code = main(["analyze", str(tmp_path), "--format", "json", "--jobs", jobs])
+    assert code == 1  # findings from listing2
+    captured = capsys.readouterr()
+    assert "deep.sol: parse failed: RecursionError" in captured.err
+    data = json.loads(captured.out)
+    assert [os.path.basename(i["path"]) for i in data["inputs"]] == ["listing2.sol"]
+    assert any(f["detector"] == "reentrancy" for f in data["findings"])
+
+    assert main(["analyze", str(tmp_path / "deep.sol"), "--jobs", jobs]) == 2
+
+
 def test_min_impact_filter(corpus_copy, capsys):
     main(["analyze", str(corpus_copy / "listing1.sol"), "--min-impact", "IP1",
           "--format", "json"])

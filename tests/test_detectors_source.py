@@ -783,3 +783,21 @@ def test_enable_subset_keeps_only_those():
     config.detectors.enable = {"reentrancy", "strict-balance-equality"}
     subset = findings_for(text, config)
     assert {f.detector for f in subset} <= {"reentrancy", "strict-balance-equality"}
+
+
+def test_failing_detector_is_isolated(monkeypatch):
+    from soldefect.detectors.base import _SOURCE_DETECTORS
+
+    def broken(ctx):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    text = read_listing("listing1.sol")
+    baseline = run_detectors(
+        AnalysisContext(source=build_source_facts(text, "listing1.sol")))
+    monkeypatch.setitem(_SOURCE_DETECTORS, "hard-code-address", broken)
+    ctx = AnalysisContext(source=build_source_facts(text, "listing1.sol"))
+    assert run_detectors(ctx) == [f for f in baseline
+                                  if f.detector != "hard-code-address"]
+    assert [d.severity for d in ctx.diagnostics] == ["error"]
+    assert "detector hard-code-address (D17) failed: RecursionError" \
+        in ctx.diagnostics[0].message
