@@ -16,11 +16,11 @@ from .config import RunConfig
 from .detectors import (AnalysisContext, BytecodeFacts, ContractFacts,
                         SourceFacts, run_detectors)
 from .evm.cfg import build_cfg
-from .evm.disasm import disassemble
+from .evm.disasm import decode_bytecode_input, disassemble
 from .evm.loops import detect_loops
 from .evm.selectors import extract_selectors
 from .lexer import tokenize
-from .parser import ParseResult, parse, parse_source
+from .parser import ParseResult, parse
 from .report import Finding, InputRecord, Report
 from .semantic import build_call_graph, compute_def_use, flatten_contract
 from .spans import Diagnostic
@@ -38,10 +38,6 @@ class FileOutcome:
     error: str | None = None  # I/O or fatal per-file failure
 
 
-def build_source_facts(text: str, file_id: str) -> SourceFacts:
-    return source_facts(parse_source(text, file_id), file_id)
-
-
 def source_facts(result: ParseResult, file_id: str) -> SourceFacts:
     """Semantic facts over a parsed unit."""
     diagnostics = list(result.diagnostics)
@@ -54,32 +50,12 @@ def source_facts(result: ParseResult, file_id: str) -> SourceFacts:
     return SourceFacts(file_id, result.unit, contracts, diagnostics)
 
 
-def build_bytecode_facts(data: bytes | str, file_id: str,
-                         is_creation: bool = False) -> BytecodeFacts:
-    instructions = disassemble(data)
+def build_bytecode_facts(data: bytes | str, file_id: str) -> BytecodeFacts:
+    code = decode_bytecode_input(data)
+    instructions = disassemble(code)
     cfg = build_cfg(instructions)
-    loops = detect_loops(cfg)
-    selectors = extract_selectors(cfg)
-    from .evm.disasm import decode_bytecode_input
-    return BytecodeFacts(file_id, decode_bytecode_input(data), instructions,
-                         cfg, loops, selectors, is_creation)
-
-
-def analyze_source_text(text: str, file_id: str,
-                        config: RunConfig | None = None) -> tuple[list[Finding], list[Diagnostic]]:
-    config = config or RunConfig()
-    facts = build_source_facts(text, file_id)
-    ctx = AnalysisContext(source=facts, config=config.detectors)
-    return run_detectors(ctx), facts.diagnostics + ctx.diagnostics
-
-
-def analyze_bytecode(data: bytes | str, file_id: str,
-                     config: RunConfig | None = None,
-                     is_creation: bool = False) -> list[Finding]:
-    config = config or RunConfig()
-    facts = build_bytecode_facts(data, file_id, is_creation)
-    ctx = AnalysisContext(bytecode=facts, config=config.detectors)
-    return run_detectors(ctx)
+    return BytecodeFacts(file_id, code, instructions, cfg, detect_loops(cfg),
+                         extract_selectors(cfg))
 
 
 def file_mode(path: str, mode: str) -> str:
@@ -105,18 +81,20 @@ def collect_inputs(paths: list[str], mode: str) -> list[str]:
 
 
 def analyze_file(path: str, config: RunConfig) -> FileOutcome:
-    outcome = FileOutcome(path)
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        outcome.error = f"cannot read {path}: {exc.strerror or exc}"
-        return outcome
-    outcome.digest = hashlib.sha256(raw).hexdigest()
-    mode = file_mode(path, config.mode)
+        return FileOutcome(path, error=f"cannot read {path}: {exc.strerror or exc}")
+    return analyze_input(raw, path, config)
+
+
+def analyze_input(raw: bytes, path: str, config: RunConfig) -> FileOutcome:
+    """Analyze one input's bytes; ``path`` names it and picks its frontend."""
+    outcome = FileOutcome(path, hashlib.sha256(raw).hexdigest())
     phase = "decode"
     try:
-        if mode == "bytecode":
+        if file_mode(path, config.mode) == "bytecode":
             data: bytes | str = raw
             try:
                 text = raw.decode("ascii")
@@ -125,9 +103,8 @@ def analyze_file(path: str, config: RunConfig) -> FileOutcome:
             except UnicodeDecodeError:
                 pass
             phase = "bytecode facts"
-            ctx = AnalysisContext(
-                bytecode=build_bytecode_facts(data, path, config.creation_code),
-                config=config.detectors)
+            ctx = AnalysisContext(bytecode=build_bytecode_facts(data, path),
+                                  config=config.detectors)
             diagnostics = []
         else:
             text = raw.decode("utf-8")

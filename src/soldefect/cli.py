@@ -16,7 +16,6 @@ from .config import ConfigError, RunConfig, load_config_file
 from .corpus import (ManifestError, load_manifest, render_scorecard_text,
                      score, scorecard_to_obj)
 from .detectors import REGISTRY, resolve_detector_id
-from .fetch import AddressFormatError, FetchError, fetch_contract
 from .report import IMPACT_LEVELS, filter_by_impact, render
 
 EXIT_CLEAN = 0
@@ -65,8 +64,6 @@ def _add_run_flags(cmd: argparse.ArgumentParser) -> None:
                      metavar="ID", help="run only these detectors (repeatable)")
     cmd.add_argument("--disable", action="append", default=None, metavar="ID")
     cmd.add_argument("--mode", choices=("auto", "source", "bytecode"), default=None)
-    cmd.add_argument("--creation-code", action="store_true",
-                     help="treat bytecode inputs as creation (constructor) code")
     cmd.add_argument("--output", default=None, help="write the report here "
                                                     "instead of stdout")
     cmd.add_argument("--config", default=None, help="flat INI-style config file")
@@ -88,8 +85,6 @@ def _make_run_config(args: argparse.Namespace) -> RunConfig:
         config.jobs = args.jobs
     if getattr(args, "output", None):
         config.output = args.output
-    if getattr(args, "creation_code", False):
-        config.creation_code = True
     for flag, attr in (("enable", "enable"), ("disable", "disable")):
         raw = getattr(args, flag, None)
         if raw is not None:
@@ -148,6 +143,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_fetch(args: argparse.Namespace) -> int:
+    from .fetch import AddressFormatError, FetchError, fetch_contract
     config = RunConfig()
     try:
         if args.config:

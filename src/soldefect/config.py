@@ -64,7 +64,6 @@ class RunConfig:
     jobs: int = 0  # 0 = number of CPUs
     detectors: DetectorConfig = field(default_factory=DetectorConfig)
     fetch: FetchConfig = field(default_factory=FetchConfig)
-    creation_code: bool = False  # bytecode inputs are creation (constructor) code
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "on": True,

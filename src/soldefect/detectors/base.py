@@ -82,7 +82,6 @@ class BytecodeFacts:
     cfg: object
     loops: list
     selectors: dict
-    is_creation: bool = False
 
 
 @dataclass

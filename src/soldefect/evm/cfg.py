@@ -99,9 +99,6 @@ class BasicBlock:
         last = self.instructions[-1]
         return last.pc + last.size
 
-    def mnemonics(self) -> list[str]:
-        return [i.mnemonic for i in self.instructions]
-
 
 @dataclass
 class ControlFlowGraph:

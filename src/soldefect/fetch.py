@@ -12,12 +12,14 @@ never re-fetched. The API key comes from the environment only
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass, field
-
-import requests
 
 from .config import FetchConfig
 
@@ -51,6 +53,39 @@ class FetchResult:
         return [p for p in (self.source_path, self.bytecode_path) if p]
 
 
+@dataclass
+class HttpResponse:
+    status_code: int
+    headers: object  # a mapping with .get(name, default)
+    body: bytes = b""
+
+    def json(self):
+        return json.loads(self.body)
+
+
+class UrllibSession:
+    """GET with query parameters over ``urllib.request``.
+
+    Only the part of a ``requests`` session that ``fetch_contract`` uses.
+    An HTTP error status comes back as a response; a transport failure
+    raises ``FetchError``.
+    """
+
+    def get(self, url: str, params: dict | None = None,
+            timeout: float | None = None) -> HttpResponse:
+        if params:
+            sep = "&" if urllib.parse.urlsplit(url).query else "?"
+            url += sep + urllib.parse.urlencode(params)
+        try:
+            with urllib.request.urlopen(url, timeout=timeout) as resp:
+                return HttpResponse(resp.status, resp.headers, resp.read())
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            return HttpResponse(exc.code, exc.headers)
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            raise FetchError(f"fetch failed: {exc}") from exc
+
+
 def normalize_address(address: str) -> str:
     if not _ADDRESS_RE.match(address):
         raise AddressFormatError(
@@ -59,7 +94,7 @@ def normalize_address(address: str) -> str:
 
 
 def fetch_contract(address: str, config: FetchConfig,
-                   session: requests.Session | None = None) -> FetchResult:
+                   session=None) -> FetchResult:
     """Download (or reuse cached) source and runtime bytecode for an address."""
     address = normalize_address(address)
     if not config.api_base_url:
@@ -74,7 +109,7 @@ def fetch_contract(address: str, config: FetchConfig,
                              notices=meta.get("notices", []))
         return result
 
-    session = session or requests.Session()
+    session = session or UrllibSession()
     result = FetchResult(address)
 
     source_payload = _api_get(session, config, {
@@ -108,14 +143,10 @@ def fetch_contract(address: str, config: FetchConfig,
     return result
 
 
-def _api_get(session: requests.Session, config: FetchConfig,
-             params: dict) -> dict:
+def _api_get(session, config: FetchConfig, params: dict) -> dict:
     if config.api_key:
         params = dict(params, apikey=config.api_key)
-    try:
-        response = session.get(config.api_base_url, params=params, timeout=30)
-    except requests.RequestException as exc:
-        raise FetchError(f"fetch failed: {exc}") from exc
+    response = session.get(config.api_base_url, params=params, timeout=30)
     if response.status_code == 429:
         retry = response.headers.get("Retry-After", "a while")
         raise FetchError(f"rate limited by the API; retry after {retry}",

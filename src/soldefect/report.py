@@ -8,7 +8,7 @@ and rendering the same report twice yields identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import TOOL_NAME, __version__
@@ -89,20 +89,11 @@ class Report:
             "by_category": dict(sorted(by_category.items())),
         }
 
-    def merge(self, other: "Report") -> "Report":
-        return Report(self.inputs + other.inputs, self.findings + other.findings,
-                      self.tool, self.version)
-
 
 def filter_by_impact(report: Report, min_impact: str) -> Report:
     """Keep findings at least as severe as ``min_impact`` (IP1 strongest)."""
     cutoff = impact_rank(min_impact)
     kept = [f for f in report.findings if impact_rank(f.impact) <= cutoff]
-    return Report(list(report.inputs), kept, report.tool, report.version)
-
-
-def filter_by_detectors(report: Report, enabled: set[str]) -> Report:
-    kept = [f for f in report.findings if f.detector in enabled]
     return Report(list(report.inputs), kept, report.tool, report.version)
 
 
@@ -161,39 +152,25 @@ def render_json(report: Report) -> bytes:
             + "\n").encode("utf-8")
 
 
-def report_from_json(data: bytes | str) -> Report:
-    obj = json.loads(data)
-    inputs = [InputRecord(i["path"], i["sha256"]) for i in obj["inputs"]]
-    findings = [
-        Finding(detector=f["detector"], category=f["category"],
-                impact=f["impact"], file=f["file"], message=f["message"],
-                advice=f["advice"], line=f["line"], column=f["column"],
-                pc=f["pc"])
-        for f in obj["findings"]
-    ]
-    return Report(inputs, findings, obj["tool"], obj["version"])
-
-
 _SARIF_LEVELS = {"IP1": "error", "IP2": "error", "IP3": "warning",
                  "IP4": "warning", "IP5": "note"}
 
 
-def render_sarif(report: Report, rules: Optional[list[dict]] = None) -> bytes:
+def render_sarif(report: Report) -> bytes:
     """SARIF 2.1.0 with one rule per detector and one result per finding."""
-    if rules is None:
-        from .detectors import REGISTRY  # late import to avoid a cycle
-        rules = [
-            {
-                "id": d.id,
-                "name": d.name.replace(" ", ""),
-                "shortDescription": {"text": d.name},
-                "fullDescription": {"text": d.description},
-                "help": {"text": d.advice},
-                "properties": {"category": d.category, "impact": d.impact,
-                               "impactNote": d.impact_note},
-            }
-            for d in REGISTRY
-        ]
+    from .detectors import REGISTRY  # late import to avoid a cycle
+    rules = [
+        {
+            "id": d.id,
+            "name": d.name.replace(" ", ""),
+            "shortDescription": {"text": d.name},
+            "fullDescription": {"text": d.description},
+            "help": {"text": d.advice},
+            "properties": {"category": d.category, "impact": d.impact,
+                           "impactNote": d.impact_note},
+        }
+        for d in REGISTRY
+    ]
     results = []
     for f in report.findings:
         region = {}

@@ -140,3 +140,25 @@ def dispatcher(selector_targets: dict[int, str],
     for label in selector_targets.values():
         program += [f"{label}:", "JUMPDEST", *(bodies or []), "STOP"]
     return assemble(program)
+
+
+# if (address(this).balance == 10) { ... }
+BALANCE_EQ = assemble([
+    "ADDRESS",
+    "BALANCE",
+    "PUSH1 10",
+    "EQ",
+    "PUSH2 @yes",
+    "JUMPI",
+    "STOP",
+    "yes:",
+    "JUMPDEST",
+    "STOP",
+])
+
+# a hard-coded nonzero address literal
+PUSH20_LITERAL = assemble([
+    "PUSH20 0x05f400000000000000000000aaaaaaaaaaaaad27",
+    "POP",
+    "STOP",
+])

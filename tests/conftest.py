@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from soldefect.analyzer import analyze_source_text
+from soldefect.analyzer import FileOutcome, analyze_input
+from soldefect.config import RunConfig
 from soldefect.report import Report
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus", "listings")
@@ -20,10 +21,27 @@ def read_listing(name: str) -> str:
         return fh.read()
 
 
+def clean_outcome(raw: bytes, name: str, config=None) -> FileOutcome:
+    """Analyze one input as the CLI would; a per-file error or an error
+    diagnostic (a parse error, a detector that raised) fails the caller."""
+    outcome = analyze_input(raw, name, config or RunConfig())
+    if outcome.error is not None:
+        raise AssertionError(outcome.error)
+    errors = [str(d) for d in outcome.diagnostics if d.severity == "error"]
+    if errors:
+        raise AssertionError("; ".join(errors))
+    return outcome
+
+
 def findings_for(source: str, config=None) -> list:
     """Analyze a source snippet and return deduplicated, sorted findings."""
-    findings, _diags = analyze_source_text(source, "snippet.sol", config)
-    return Report([], findings).findings
+    outcome = clean_outcome(source.encode("utf-8"), "snippet.sol", config)
+    return Report([], outcome.findings).findings
+
+
+def bytecode_findings(code: bytes, config=None) -> list:
+    """Analyze bytecode as the hex text a `.hex` file holds."""
+    return clean_outcome(("0x" + code.hex()).encode(), "probe.hex", config).findings
 
 
 def hits(source: str, config=None) -> set[tuple[str, int]]:

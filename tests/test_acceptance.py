@@ -11,7 +11,7 @@ import os
 import random
 import time
 
-from soldefect.analyzer import analyze_paths, analyze_bytecode
+from soldefect.analyzer import analyze_paths
 from soldefect.cli import main
 from soldefect.config import RunConfig
 from soldefect.corpus import load_manifest, score
@@ -21,7 +21,7 @@ from soldefect.evm.eip55 import checksum_address, is_valid_address
 from soldefect.evm.keccak import function_selector
 from soldefect.evm.loops import detect_loops
 from asm import CALL_BODY, assemble, counted_loop, dispatcher, storage_bound_loop
-from conftest import findings_for, read_listing
+from conftest import bytecode_findings, findings_for, read_listing
 from test_evm_core import brute_force_dominators
 
 
@@ -262,9 +262,9 @@ def test_criterion_4_cfg_and_loop_properties():
     # bytecode nested-call: fires on the unbounded CALL loop, silent on the
     # PUSH-bounded one
     unbounded = {f.detector
-                 for f in analyze_bytecode(storage_bound_loop(CALL_BODY), "u.hex")}
+                 for f in bytecode_findings(storage_bound_loop(CALL_BODY))}
     bounded = {f.detector
-               for f in analyze_bytecode(counted_loop(5, CALL_BODY), "b.hex")}
+               for f in bytecode_findings(counted_loop(5, CALL_BODY))}
     assert "nested-call" in unbounded
     assert "nested-call" not in bounded
 

@@ -198,11 +198,11 @@ def test_usage_error_exits_two(capsys):
 
 
 def test_analyze_never_touches_the_network(corpus_copy, monkeypatch):
-    import requests
+    import socket
 
     def explode(*args, **kwargs):
         raise AssertionError("network access during analyze")
 
-    monkeypatch.setattr(requests.Session, "get", explode)
-    monkeypatch.setattr(requests, "get", explode)
+    monkeypatch.setattr(socket.socket, "connect", explode)
+    monkeypatch.setattr(socket, "create_connection", explode)
     assert main(["analyze", str(corpus_copy / "listing4.sol")]) == 0

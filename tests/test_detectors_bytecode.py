@@ -3,36 +3,22 @@ dual-mode defects (hand-assembled bytecode standing in for compiled probes)."""
 
 from __future__ import annotations
 
-from soldefect.analyzer import analyze_bytecode
 from soldefect.evm.keccak import function_selector
 
-from asm import CALL_BODY, assemble, counted_loop, dispatcher, storage_bound_loop
-from conftest import detectors_fired
+from asm import (BALANCE_EQ, CALL_BODY, PUSH20_LITERAL, assemble, counted_loop,
+                 dispatcher, storage_bound_loop)
+from conftest import bytecode_findings, detectors_fired
 
 
 def bc_detectors(code: bytes) -> set[str]:
-    return {f.detector for f in analyze_bytecode(code, "probe.hex")}
+    return {f.detector for f in bytecode_findings(code)}
 
 
 # -- strict balance equality ----------------------------------------------------
 
 
-BALANCE_EQ = assemble([
-    "ADDRESS",
-    "BALANCE",
-    "PUSH1 10",
-    "EQ",
-    "PUSH2 @yes",
-    "JUMPI",
-    "STOP",
-    "yes:",
-    "JUMPDEST",
-    "STOP",
-])
-
-
 def test_balance_eq_jumpi_fires():
-    findings = [f for f in analyze_bytecode(BALANCE_EQ, "probe.hex")
+    findings = [f for f in bytecode_findings(BALANCE_EQ)
                 if f.detector == "strict-balance-equality"]
     assert len(findings) == 1
     assert findings[0].pc == 4  # the EQ instruction
@@ -74,12 +60,7 @@ def test_unbounded_loop_without_call_quiet():
 
 
 def test_push20_nonzero_fires():
-    code = assemble([
-        "PUSH20 0x05f400000000000000000000aaaaaaaaaaaaad27",
-        "POP",
-        "STOP",
-    ])
-    findings = [f for f in analyze_bytecode(code, "probe.hex")
+    findings = [f for f in bytecode_findings(PUSH20_LITERAL)
                 if f.detector == "hard-code-address"]
     assert len(findings) == 1
     assert findings[0].pc == 0
@@ -115,7 +96,7 @@ _SELECTORS = {
 def test_partial_erc20_dispatcher_fires():
     partial = dispatcher({_SELECTORS["transfer"]: "t1",
                           _SELECTORS["balanceOf"]: "t2"})
-    findings = [f for f in analyze_bytecode(partial, "probe.hex")
+    findings = [f for f in bytecode_findings(partial)
                 if f.detector == "unmatched-erc20"]
     assert len(findings) == 1
     assert "transferFrom(address,address,uint256)" in findings[0].message
@@ -159,10 +140,8 @@ def test_agreement_hard_code_address():
     source = """contract C {
     function f() { address r = 0x05f400000000000000000000aaaaaaaaaaaaad27; r.transfer(1); }
 }"""
-    bytecode = assemble([
-        "PUSH20 0x05f400000000000000000000aaaaaaaaaaaaad27", "POP", "STOP"])
     assert "hard-code-address" in detectors_fired(source)
-    assert "hard-code-address" in bc_detectors(bytecode)
+    assert "hard-code-address" in bc_detectors(PUSH20_LITERAL)
 
 
 def test_agreement_unmatched_erc20():

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
-from soldefect.analyzer import build_source_facts
+import pytest
+
+from soldefect.analyzer import source_facts
 from soldefect.config import DetectorConfig, RunConfig
 from soldefect.detectors import AnalysisContext, run_detectors
+from soldefect.parser import parse_source
 
 from conftest import detectors_fired, findings_for, hits, read_listing
+
+
+def listing_facts(name: str):
+    return source_facts(parse_source(read_listing(name), name), name)
 
 
 def config_with(**kwargs) -> RunConfig:
@@ -760,9 +767,8 @@ def test_range_pragma_fires():
 
 
 def test_detectors_are_pure():
-    text = read_listing("listing1.sol")
-    facts = build_source_facts(text, "listing1.sol")
-    ctx = AnalysisContext(source=facts, config=DetectorConfig())
+    ctx = AnalysisContext(source=listing_facts("listing1.sol"),
+                          config=DetectorConfig())
     first = run_detectors(ctx)
     second = run_detectors(ctx)
     assert first == second
@@ -791,13 +797,22 @@ def test_failing_detector_is_isolated(monkeypatch):
     def broken(ctx):
         raise RecursionError("maximum recursion depth exceeded")
 
-    text = read_listing("listing1.sol")
-    baseline = run_detectors(
-        AnalysisContext(source=build_source_facts(text, "listing1.sol")))
+    baseline = run_detectors(AnalysisContext(source=listing_facts("listing1.sol")))
     monkeypatch.setitem(_SOURCE_DETECTORS, "hard-code-address", broken)
-    ctx = AnalysisContext(source=build_source_facts(text, "listing1.sol"))
+    ctx = AnalysisContext(source=listing_facts("listing1.sol"))
     assert run_detectors(ctx) == [f for f in baseline
                                   if f.detector != "hard-code-address"]
     assert [d.severity for d in ctx.diagnostics] == ["error"]
     assert "detector hard-code-address (D17) failed: RecursionError" \
         in ctx.diagnostics[0].message
+
+
+def test_findings_for_fails_on_a_detector_that_raises(monkeypatch):
+    from soldefect.detectors.base import _SOURCE_DETECTORS
+
+    def broken(ctx):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(_SOURCE_DETECTORS, "hard-code-address", broken)
+    with pytest.raises(AssertionError, match="hard-code-address.*boom"):
+        findings_for(read_listing("listing1.sol"))

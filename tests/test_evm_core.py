@@ -227,7 +227,7 @@ def test_dispatcher_blocks_guarded_by_push4_eq():
     jumpi_blocks = [b for b in cfg.blocks.values() if b.terminator == "jumpi"]
     assert len(jumpi_blocks) >= 2
     for block in jumpi_blocks:
-        mnemonics = block.mnemonics()
+        mnemonics = [i.mnemonic for i in block.instructions]
         assert "PUSH4" in mnemonics and "EQ" in mnemonics
 
 

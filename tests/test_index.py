@@ -8,10 +8,11 @@ import os
 
 import pytest
 
-from soldefect.analyzer import build_source_facts
+from soldefect.analyzer import source_facts
 from soldefect.detectors.index import NodeIndex
 from soldefect.nodes import (Block, CallExpression, ForStatement, Identifier,
                              IfStatement, MemberAccess, WhileStatement, walk)
+from soldefect.parser import parse_source
 from conftest import CORPUS_DIR
 from synth import generate_contract_file
 
@@ -38,7 +39,7 @@ def _sources():
 
 def _bodies():
     for name, text in _sources():
-        for cf in build_source_facts(text, name).contracts:
+        for cf in source_facts(parse_source(text, name), name).contracts:
             for fn in cf.contract.functions + cf.contract.modifiers:
                 if fn.body is not None:
                     yield f"{name}:{fn.name}", cf.index(fn)
@@ -106,7 +107,7 @@ def test_statement_ends_and_loop_context():
 
 
 def test_node_index_of_a_whole_contract():
-    facts = build_source_facts(LOOPS, "loops.sol")
+    facts = source_facts(parse_source(LOOPS, "loops.sol"), "loops.sol")
     contract = facts.contracts[0].contract
     tree = NodeIndex(contract)
     assert ids(tree.nodes) == ids(walk(contract))

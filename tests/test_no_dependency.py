@@ -1,0 +1,62 @@
+"""The analysis path needs nothing outside the standard library: with
+`requests` unimportable the CLI still analyzes, scores and lists, the
+fetch tests still pass, and importing the CLI loads no HTTP code."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+from conftest import CORPUS_DIR
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(TESTS, "..", "src")
+
+BLOCK_REQUESTS = 'import sys; sys.modules["requests"] = None\n'
+
+RUN_CLI = BLOCK_REQUESTS + '''import json, os
+import soldefect.cli
+loaded = [m for m in ("soldefect.fetch", "urllib.request", "http.client")
+          if m in sys.modules]
+listings, out = sys.argv[1], sys.argv[2]
+codes = [
+    soldefect.cli.main(["analyze", listings, "--jobs", "1", "--format", "json",
+                        "--output", os.path.join(out, "report.json")]),
+    soldefect.cli.main(["score", "--manifest",
+                        os.path.join(listings, "manifest.txt"), "--jobs", "1",
+                        "--output", os.path.join(out, "score.txt")]),
+    soldefect.cli.main(["detectors", "--format", "json"]),
+]
+print(json.dumps({"loaded": loaded, "codes": codes}), file=sys.stderr)
+'''
+
+RUN_FETCH_TESTS = BLOCK_REQUESTS + '''import pytest
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[1:]]))
+'''
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_cli_runs_without_requests_and_loads_no_http(tmp_path):
+    proc = _python(RUN_CLI, os.path.abspath(CORPUS_DIR), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stderr.splitlines()[-1])
+    assert result["loaded"] == []
+    assert result["codes"] == [1, 0, 0]  # findings, perfect score, catalog
+    assert len(json.loads(proc.stdout)) == 20
+    assert json.loads((tmp_path / "report.json").read_text())["findings"]
+    assert "precision" in (tmp_path / "score.txt").read_text()
+
+
+def test_fetch_tests_pass_without_requests():
+    proc = _python(RUN_FETCH_TESTS, os.path.join(TESTS, "test_fetch.py"),
+                   os.path.join(TESTS, "test_fetch_http.py"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,7 +1,10 @@
 """Findings snapshot: refactors of the facts or the detectors must leave the
 rendered JSON report byte-identical.
 
-The corpus is 40 synthetic 80-function contracts plus the golden listings.
+Two corpora. The source corpus is 40 synthetic 80-function contracts plus
+the golden listings. The mixed corpus holds the hand-assembled bytecode
+programs of `asm.py` as `.hex` files and one contract whose balance `!=`
+check and unconditioned `tx.origin` only the strict configuration flags.
 Each hash is the sha256 of the JSON report with the corpus directory
 prefix removed from every path, so it does not depend on where the
 temporary directory lives.
@@ -19,6 +22,8 @@ import pytest
 from soldefect.analyzer import analyze_paths
 from soldefect.config import DetectorConfig, RunConfig
 from soldefect.report import render
+from asm import (BALANCE_EQ, CALL_BODY, PUSH20_LITERAL, counted_loop,
+                 dispatcher, storage_bound_loop)
 from conftest import CORPUS_DIR
 from synth import write_corpus
 
@@ -26,6 +31,34 @@ SNAPSHOTS = {
     "default": "2ac9ce13800db88b27ddf479a2243a3cac3b8a649368ca396507faea772c8dfc",
     "strict": "2ac9ce13800db88b27ddf479a2243a3cac3b8a649368ca396507faea772c8dfc",
 }
+
+MIXED_SNAPSHOTS = {
+    "default": "27edb5ca389ccc39cf9550b2dc17c278a54994f8507e84a2fd17bbe015c7a616",
+    "strict": "c0f28e995e945e45eb0126313986aa648d32facccf14e56b6c68dc28629cef90",
+}
+
+# transfer(address,uint256) and balanceOf(address): a partial ERC-20
+TRANSFER, BALANCE_OF = 0xa9059cbb, 0x70a08231
+
+MIXED_PROGRAMS = {
+    "nested_call.hex": storage_bound_loop(CALL_BODY),
+    "counted_loop.hex": counted_loop(5, CALL_BODY),
+    "dispatcher.hex": dispatcher({TRANSFER: "t1", BALANCE_OF: "t2"}),
+    "balance_eq.hex": BALANCE_EQ,
+    "push20.hex": PUSH20_LITERAL,
+}
+
+STRICT_ONLY_SOURCE = """contract Vault {
+    address owner;
+    function sweep() public {
+        if (this.balance != 0) { owner.transfer(this.balance); }
+    }
+    function origin() public returns (address) {
+        address who = tx.origin;
+        return who;
+    }
+}
+"""
 
 CONFIGS = {
     "default": DetectorConfig(),
@@ -46,6 +79,16 @@ def snapshot_corpus(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def mixed_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("snapshot") / "mixed"
+    root.mkdir()
+    for name, code in MIXED_PROGRAMS.items():
+        (root / name).write_text("0x" + code.hex() + "\n", encoding="ascii")
+    (root / "strict.sol").write_text(STRICT_ONLY_SOURCE, encoding="utf-8")
+    return root
+
+
 def snapshot_hash(root, detectors: DetectorConfig) -> str:
     report, outcomes = analyze_paths(
         [str(root)], RunConfig(jobs=1, detectors=detectors))
@@ -58,3 +101,8 @@ def snapshot_hash(root, detectors: DetectorConfig) -> str:
 @pytest.mark.parametrize("name", sorted(SNAPSHOTS))
 def test_findings_snapshot(snapshot_corpus, name):
     assert snapshot_hash(snapshot_corpus, CONFIGS[name]) == SNAPSHOTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_SNAPSHOTS))
+def test_mixed_findings_snapshot(mixed_corpus, name):
+    assert snapshot_hash(mixed_corpus, CONFIGS[name]) == MIXED_SNAPSHOTS[name]
