@@ -16,7 +16,7 @@ from .config import RunConfig
 from .detectors import (AnalysisContext, BytecodeFacts, ContractFacts,
                         SourceFacts, run_detectors)
 from .evm.cfg import build_cfg
-from .evm.disasm import decode_bytecode_input, disassemble
+from .evm.disasm import BytecodeError, decode_bytecode_input, disassemble
 from .evm.loops import detect_loops
 from .evm.selectors import extract_selectors
 from .lexer import tokenize
@@ -95,15 +95,9 @@ def analyze_input(raw: bytes, path: str, config: RunConfig) -> FileOutcome:
     phase = "decode"
     try:
         if file_mode(path, config.mode) == "bytecode":
-            data: bytes | str = raw
-            try:
-                text = raw.decode("ascii")
-                if _looks_like_hex_text(text):
-                    data = text
-            except UnicodeDecodeError:
-                pass
+            code = decode_bytecode_input(_bytecode_input(raw, path))
             phase = "bytecode facts"
-            ctx = AnalysisContext(bytecode=build_bytecode_facts(data, path),
+            ctx = AnalysisContext(bytecode=build_bytecode_facts(code, path),
                                   config=config.detectors)
             diagnostics = []
         else:
@@ -122,6 +116,25 @@ def analyze_input(raw: bytes, path: str, config: RunConfig) -> FileOutcome:
     except Exception as exc:  # a bad input fails its own file, not the run
         outcome.error = f"{path}: {phase} failed: {type(exc).__name__}: {exc}"
     return outcome
+
+
+def _bytecode_input(raw: bytes, path: str) -> bytes | str:
+    """A bytecode input's hex text, or its raw bytes when it is not hex.
+
+    A `.hex` input must be hex text; any other input (`.bin`, or any file
+    under `--mode bytecode`) may be either.
+    """
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError:
+        text = None
+    if text is not None and _looks_like_hex_text(text):
+        return text
+    if not path.endswith(".hex"):
+        return raw
+    if text is not None and not text.strip():
+        return ""  # an empty .hex file holds no code
+    raise BytecodeError("a .hex input must hold hex text")
 
 
 def _looks_like_hex_text(text: str) -> bool:

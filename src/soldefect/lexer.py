@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from .spans import Span
+from .spans import Span, new_span
 
 # Token kinds
 IDENTIFIER = "identifier"
@@ -35,9 +35,15 @@ KEYWORDS = frozenset({
     "address", "bool", "string", "bytes", "byte", "uint", "int",
 })
 
-_SIZED_TYPE_RE = re.compile(r"^(?:u?int(?:8|16|24|32|40|48|56|64|72|80|88|96|104|"
-                            r"112|120|128|136|144|152|160|168|176|184|192|200|208|"
-                            r"216|224|232|240|248|256)|bytes(?:[1-9]|[12][0-9]|3[0-2]))$")
+_SIZED_TYPES = frozenset(
+    [f"{sign}int{bits}" for sign in ("u", "") for bits in range(8, 257, 8)]
+    + [f"bytes{size}" for size in range(1, 33)])
+
+# Type names that may start a declaration or a cast; all are keywords.
+_ELEMENTARY = _SIZED_TYPES | {"address", "bool", "string", "bytes", "byte",
+                              "uint", "int"}
+
+_KEYWORD_TEXTS = KEYWORDS | _SIZED_TYPES
 
 ETHER_UNITS = {
     "wei": 1,
@@ -52,22 +58,24 @@ ETHER_UNITS = {
     "years": 31536000,
 }
 
-# Longest-match-first alternation; one compiled pass over the file.
+# One compiled pass over the file. The groups are tried in order, so a
+# comment wins over the `/` operator and a hex literal over the number 0.
+# A token's kind is its group's index in _KINDS (whitespace has none).
 _TOKEN_RE = re.compile(
     r"""
-    (?P<comment>//[^\n]*|/\*(?:[^*]|\*(?!/))*\*/)
-  | (?P<hex>0[xX][0-9a-fA-F]+)
-  | (?P<number>[0-9]+(?:\.[0-9]+)*)
-  | (?P<identifier>[A-Za-z_$][A-Za-z0-9_$]*)
-  | (?P<string>"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
-  | (?P<op>\*\*|<<=?|>>=?|<=|>=|==|!=|&&|\|\||\+\+|--|\+=|-=|\*=|/=|%=|\|=|&=|\^=|=>|[-+*/%=<>!&|^~?:.])
-  | (?P<punct>[(){}\[\];,])
-  | (?P<ws>[ \t\r\n]+)
+    ([ \t\r\n]+)
+  | ([A-Za-z_$][A-Za-z0-9_$]*)
+  | ([(){}\[\];,])
+  | (//[^\n]*|/\*(?:[^*]|\*(?!/))*\*/)
+  | (\*\*|<<=?|>>=?|<=|>=|==|!=|&&|\|\||\+\+|--|\+=|-=|\*=|/=|%=|\|=|&=|\^=|=>|[-+*/%=<>!&|^~?:.])
+  | (0[xX][0-9a-fA-F]+)
+  | ([0-9]+(?:\.[0-9]+)*)
+  | ("(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
     """,
     re.VERBOSE,
 )
-
-_UNTERMINATED_RE = re.compile(r"/\*|\"|'")
+_WS, _IDENTIFIER, _COMMENT, _OP = 1, 2, 4, 5
+_KINDS = (None, None, IDENTIFIER, PUNCT, COMMENT, OP, HEX, NUMBER, STRING)
 
 
 class LexerError(Exception):
@@ -93,9 +101,7 @@ class Token:
 
 
 def is_elementary_type_name(text: str) -> bool:
-    if text in ("address", "bool", "string", "bytes", "byte", "uint", "int"):
-        return True
-    return bool(_SIZED_TYPE_RE.match(text))
+    return text in _ELEMENTARY
 
 
 def tokenize(source_text: str, file_id: str) -> list[Token]:
@@ -105,49 +111,53 @@ def tokenize(source_text: str, file_id: str) -> list[Token]:
     grammar; the caller is expected to keep going with its other inputs.
     """
     tokens: list[Token] = []
+    append = tokens.append
+    keyword_texts = _KEYWORD_TEXTS
+    kinds = _KINDS
     pos = 0
     line = 1
     line_start = 0
-    n = len(source_text)
-    while pos < n:
-        m = _TOKEN_RE.match(source_text, pos)
-        if m is None:
-            span = Span(file_id, line, pos - line_start + 1, pos, 1)
-            ch = source_text[pos]
-            if _UNTERMINATED_RE.match(source_text, pos):
-                what = "comment" if ch == "/" else "string"
-                raise LexerError(f"unterminated {what}", span)
-            raise LexerError(f"unexpected character {ch!r}", span)
-        kind = m.lastgroup
+    for m in _TOKEN_RE.finditer(source_text):
+        start, end = m.span()
+        if start != pos:
+            _fail(source_text, file_id, pos, line, line_start)
+        pos = end
+        group = m.lastindex
+        if group == _WS:
+            nl = source_text.count("\n", start, end)
+            if nl:
+                line += nl
+                line_start = source_text.rindex("\n", start, end) + 1
+            continue
         text = m.group()
-        if kind == "op" and text == "/" and source_text.startswith("/*", pos):
-            # the comment alternation only matches terminated comments
-            span = Span(file_id, line, pos - line_start + 1, pos, 2)
-            raise LexerError("unterminated comment", span)
-        if kind != "ws":
-            span = Span(file_id, line, m.start() - line_start + 1,
-                        m.start(), len(text))
-            if kind == "identifier" and text in KEYWORDS:
-                kind = KEYWORD
-            elif kind == "identifier" and _SIZED_TYPE_RE.match(text):
-                kind = KEYWORD
-            else:
-                kind = _KIND_MAP[kind]
-            tokens.append(Token(kind, text, span))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            line_start = m.start() + text.rindex("\n") + 1
-        pos = m.end()
+        if group == _IDENTIFIER:
+            kind = KEYWORD if text in keyword_texts else IDENTIFIER
+        else:
+            kind = kinds[group]
+        column = start - line_start + 1
+        append(Token(kind, text,
+                     new_span(Span, (file_id, line, column, start, end - start))))
+        if group == _COMMENT:
+            nl = text.count("\n")
+            if nl:
+                line += nl
+                line_start = start + text.rindex("\n") + 1
+        elif group == _OP and text == "/" and source_text.startswith("/*", start):
+            # the comment alternative only matches terminated comments
+            raise LexerError("unterminated comment",
+                             Span(file_id, line, column, start, 2))
+    if pos != len(source_text):
+        _fail(source_text, file_id, pos, line, line_start)
     return tokens
 
 
-_KIND_MAP = {
-    "comment": COMMENT,
-    "hex": HEX,
-    "number": NUMBER,
-    "identifier": IDENTIFIER,
-    "string": STRING,
-    "op": OP,
-    "punct": PUNCT,
-}
+def _fail(source_text: str, file_id: str, pos: int, line: int,
+          line_start: int) -> None:
+    """Raise the LexerError for the unlexable input at ``pos``. A `/` always
+    lexes (as the operator at worst), so only a quote opens an unterminated
+    token here."""
+    span = Span(file_id, line, pos - line_start + 1, pos, 1)
+    ch = source_text[pos]
+    if ch in "\"'":
+        raise LexerError("unterminated string", span)
+    raise LexerError(f"unexpected character {ch!r}", span)

@@ -409,19 +409,27 @@ _CHILD_FIELDS = {
 
 
 def children(node) -> list:
-    """Direct child nodes, in source order."""
+    """Direct child nodes, in source order; none for a node of any type
+    not listed in _CHILD_FIELDS."""
+    cls = node.__class__
+    fields = _CHILD_FIELDS.get(cls)
+    if not fields:
+        return []
     out = []
-    for name in _CHILD_FIELDS.get(type(node), ()):
+    append = out.append
+    for name in fields:
         value = getattr(node, name)
         if value is None:
             continue
-        if isinstance(value, list):
-            out.extend(v for v in value if v is not None)
+        if value.__class__ is list:
+            for item in value:
+                if item is not None:
+                    append(item)
         else:
-            out.append(value)
-    if isinstance(node, FunctionDefinition):
+            append(value)
+    if cls is FunctionDefinition:
         for _, args in node.modifiers_invoked:
-            out.extend(args)
+            out += args
     return out
 
 

@@ -7,9 +7,10 @@ modifiers with `_;`, events, the statement/expression families, `var`
 declarations, ether units, and address/number/hex/string literals.
 
 Syntax errors recover at statement level (skip to the next `;` or `}`),
-so an error in one function never hides its siblings. Unsupported
-member kinds (struct/enum/using) are skipped with a "partial analysis"
-warning instead of failing the file.
+so an error in one function never hides its siblings. Nesting deeper
+than MAX_NESTING levels is such an error, which bounds the parser's
+recursion. Unsupported member kinds (struct/enum/using) are skipped with
+a "partial analysis" warning instead of failing the file.
 """
 
 from __future__ import annotations
@@ -50,7 +51,18 @@ _BINARY_OPS = {
 
 _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="})
 
-_UNARY_PREFIX = frozenset({"!", "~", "-", "+", "++", "--"})
+_UNARY_PREFIX = frozenset({"!", "~", "-", "+", "++", "--", "delete", "new"})
+
+_POSTFIX_OPS = frozenset({".", "(", "[", "++", "--"})
+
+# Statements, expressions, unary and `**` operands, postfix chains and
+# type names nested deeper than this are a syntax error. A level costs the
+# parser at most five Python frames, so it and the recursive passes over
+# the tree it builds stay well inside the default recursion limit of 1000.
+MAX_NESTING = 128
+
+# The statements that hold statements, each a nesting level.
+_COMPOUND_STATEMENTS = frozenset({"{", "if", "for", "while"})
 
 
 class ParseError(Exception):
@@ -83,7 +95,9 @@ def parse(tokens: list[Token], file_id: str = "<input>") -> ParseResult:
 class _Parser:
     def __init__(self, tokens: list[Token], file_id: str):
         self.tokens = [t for t in tokens if t.kind != COMMENT]
+        self.n = len(self.tokens)
         self.pos = 0
+        self.depth = 0
         self.file_id = file_id
         self.diagnostics: list[Diagnostic] = []
         self._eof_span = (self.tokens[-1].span if self.tokens
@@ -93,30 +107,33 @@ class _Parser:
 
     def peek(self, offset: int = 0) -> Token | None:
         i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else None
+        return self.tokens[i] if i < self.n else None
 
     def at(self, text: str, offset: int = 0) -> bool:
-        t = self.peek(offset)
-        return t is not None and t.text == text
+        i = self.pos + offset
+        return i < self.n and self.tokens[i].text == text
 
     def at_kind(self, kind: str) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == kind
+        i = self.pos
+        return i < self.n and self.tokens[i].kind == kind
 
     def advance(self) -> Token:
-        t = self.peek()
-        if t is None:
+        i = self.pos
+        if i >= self.n:
             raise ParseError("unexpected end of input", self._eof_span)
-        self.pos += 1
-        return t
+        self.pos = i + 1
+        return self.tokens[i]
 
     def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t is None or t.text != text:
-            got = t.text if t else "end of input"
-            raise ParseError(f"expected {text!r}, found {got!r}",
-                             t.span if t else self._eof_span)
-        return self.advance()
+        i = self.pos
+        if i < self.n:
+            t = self.tokens[i]
+            if t.text == text:
+                self.pos = i + 1
+                return t
+            raise ParseError(f"expected {text!r}, found {t.text!r}", t.span)
+        raise ParseError(f"expected {text!r}, found 'end of input'",
+                         self._eof_span)
 
     def expect_identifier(self) -> Token:
         t = self.peek()
@@ -131,6 +148,18 @@ class _Parser:
 
     def warn(self, message: str, span: Span) -> None:
         self.diagnostics.append(Diagnostic("warning", message, span))
+
+    def _too_deep(self) -> None:
+        """Raise the error for a level past MAX_NESTING.
+
+        A level is entered with ``depth = self.depth + 1``, checked against
+        MAX_NESTING and left by storing ``depth - 1`` back. A ParseError
+        skips the leaving: each recovery point restores the depth it
+        started at.
+        """
+        t = self.peek()
+        raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                         t.span if t is not None else self._eof_span)
 
     def _span_from(self, start: Span) -> Span:
         last = self.tokens[self.pos - 1].span if self.pos else start
@@ -175,6 +204,7 @@ class _Parser:
         contracts: list[ContractDefinition] = []
         while self.peek() is not None:
             t = self.peek()
+            depth = self.depth
             try:
                 if t.text == "pragma":
                     pragmas.append(self.parse_pragma())
@@ -190,6 +220,7 @@ class _Parser:
                     self.error(f"unexpected {t.text!r} at top level", t.span)
                     self.advance()
             except ParseError as exc:
+                self.depth = depth
                 self.error(exc.message, exc.span)
                 self._skip_balanced_braces()
         unit = SourceUnit(pragmas, contracts, self._span_from(start))
@@ -228,6 +259,7 @@ class _Parser:
 
     def parse_contract_member(self, contract: ContractDefinition) -> None:
         t = self.peek()
+        depth = self.depth
         try:
             if t.text == "function" or (t.text == "constructor" and self.at("(", 1)):
                 contract.functions.append(self.parse_function())
@@ -251,6 +283,7 @@ class _Parser:
             else:
                 contract.state_variables.append(self.parse_state_variable())
         except ParseError as exc:
+            self.depth = depth
             self.error(exc.message, exc.span)
             self._recover_member()
 
@@ -411,6 +444,10 @@ class _Parser:
         t = self.peek()
         if t is None:
             raise ParseError("expected a type", self._eof_span)
+        depth = self.depth + 1
+        if depth > MAX_NESTING:
+            self._too_deep()
+        self.depth = depth
         if t.text == "mapping":
             start = self.advance().span
             self.expect("(")
@@ -439,6 +476,7 @@ class _Parser:
             end = self.expect("]")
             base = TypeName("array", join_spans(base.span, end.span),
                             element=base, length=length)
+        self.depth = depth - 1
         return base
 
     # -- statements ----------------------------------------------------------
@@ -446,28 +484,39 @@ class _Parser:
     def parse_block(self) -> Block:
         start = self.expect("{").span
         statements: list[Statement] = []
-        while self.peek() is not None and not self.at("}"):
+        depth = self.depth
+        tokens = self.tokens
+        while self.pos < self.n and tokens[self.pos].text != "}":
             try:
                 statements.append(self.parse_statement())
             except ParseError as exc:
+                self.depth = depth
                 self.error(exc.message, exc.span)
                 self._recover_statement()
         end = self.expect("}")
         return Block(statements, join_spans(start, end.span))
 
     def parse_statement(self) -> Statement:
-        t = self.peek()
-        if t is None:
+        i = self.pos
+        if i >= self.n:
             raise ParseError("unexpected end of input", self._eof_span)
+        t = self.tokens[i]
         text = t.text
-        if text == "{":
-            return self.parse_block()
-        if text == "if":
-            return self.parse_if()
-        if text == "for":
-            return self.parse_for()
-        if text == "while":
-            return self.parse_while()
+        if text in _COMPOUND_STATEMENTS:
+            depth = self.depth + 1
+            if depth > MAX_NESTING:
+                self._too_deep()
+            self.depth = depth
+            if text == "{":
+                statement = self.parse_block()
+            elif text == "if":
+                statement = self.parse_if()
+            elif text == "for":
+                statement = self.parse_for()
+            else:
+                statement = self.parse_while()
+            self.depth = depth - 1
+            return statement
         if text == "return":
             start = self.advance().span
             value = None
@@ -599,132 +648,158 @@ class _Parser:
     # -- expressions ----------------------------------------------------------
 
     def parse_expression(self) -> Expression:
-        return self.parse_assignment()
-
-    def parse_assignment(self) -> Expression:
-        left = self.parse_conditional()
-        t = self.peek()
-        if t is not None and t.text in _ASSIGN_OPS:
-            op = self.advance().text
-            value = self.parse_assignment()  # right-associative
-            return Assignment(op, left, value, join_spans(left.span, value.span))
-        return left
-
-    def parse_conditional(self) -> Expression:
-        condition = self.parse_binary(0)
-        if self.at("?"):
-            self.advance()
-            true_expr = self.parse_expression()
-            self.expect(":")
-            false_expr = self.parse_expression()
-            return Conditional(condition, true_expr, false_expr,
-                               join_spans(condition.span, false_expr.span))
-        return condition
+        """An assignment (right-associative), a conditional or a binary
+        expression."""
+        depth = self.depth + 1
+        if depth > MAX_NESTING:
+            self._too_deep()
+        self.depth = depth
+        expr = self.parse_binary(0)
+        i = self.pos
+        if i < self.n:
+            text = self.tokens[i].text
+            if text == "?":
+                self.pos = i + 1
+                true_expr = self.parse_expression()
+                self.expect(":")
+                # the false branch takes any assignment that follows
+                false_expr = self.parse_expression()
+                expr = Conditional(expr, true_expr, false_expr,
+                                   join_spans(expr.span, false_expr.span))
+            elif text in _ASSIGN_OPS:
+                self.pos = i + 1
+                value = self.parse_expression()
+                expr = Assignment(text, expr, value,
+                                  join_spans(expr.span, value.span))
+        self.depth = depth - 1
+        return expr
 
     def parse_binary(self, min_prec: int) -> Expression:
         left = self.parse_unary()
+        tokens = self.tokens
         while True:
-            t = self.peek()
-            if t is None or t.text not in _BINARY_OPS:
+            i = self.pos
+            if i >= self.n:
                 return left
-            prec, right_assoc = _BINARY_OPS[t.text]
-            if prec < min_prec:
+            t = tokens[i]
+            op = _BINARY_OPS.get(t.text)
+            if op is None or op[0] < min_prec:
                 return left
-            self.advance()
-            right = self.parse_binary(prec if right_assoc else prec + 1)
+            self.pos = i + 1
+            prec, right_assoc = op
+            if right_assoc:  # `a ** b ** c` nests to the right
+                depth = self.depth + 1
+                if depth > MAX_NESTING:
+                    self._too_deep()
+                self.depth = depth
+                right = self.parse_binary(prec)
+                self.depth = depth - 1
+            else:
+                right = self.parse_binary(prec + 1)
             left = BinaryOperation(t.text, left, right,
                                    join_spans(left.span, right.span))
 
     def parse_unary(self) -> Expression:
-        t = self.peek()
-        if t is not None and (t.text in _UNARY_PREFIX or t.text in ("delete", "new")):
-            self.advance()
+        i = self.pos
+        if i < self.n and self.tokens[i].text in _UNARY_PREFIX:
+            t = self.tokens[i]
+            self.pos = i + 1
+            depth = self.depth + 1
+            if depth > MAX_NESTING:
+                self._too_deep()
+            self.depth = depth
             operand = self.parse_unary()
+            self.depth = depth - 1
             return UnaryOperation(t.text, operand, True,
                                   join_spans(t.span, operand.span))
         return self.parse_postfix()
 
     def parse_postfix(self) -> Expression:
         expr = self.parse_primary()
+        tokens = self.tokens
+        outer = depth = self.depth
         while True:
-            t = self.peek()
-            if t is None:
+            i = self.pos
+            if i >= self.n or tokens[i].text not in _POSTFIX_OPS:
+                self.depth = outer
                 return expr
-            if t.text == ".":
-                self.advance()
+            # each operator nests the expression so far one level deeper
+            depth += 1
+            if depth > MAX_NESTING:
+                self._too_deep()
+            self.depth = depth
+            t = tokens[i]
+            text = t.text
+            self.pos = i + 1
+            if text == ".":
                 member = self.advance()
                 if member.kind not in (IDENTIFIER, KEYWORD, NUMBER):
                     raise ParseError(f"expected member name, found {member.text!r}",
                                      member.span)
                 expr = MemberAccess(expr, member.text,
                                     join_spans(expr.span, member.span))
-            elif t.text == "(":
-                self.advance()
+            elif text == "(":
                 args: list[Expression] = []
                 if not self.at(")"):
                     args.append(self.parse_expression())
                     while self.at(","):
-                        self.advance()
+                        self.pos += 1
                         args.append(self.parse_expression())
                 end = self.expect(")")
                 expr = CallExpression(expr, args, join_spans(expr.span, end.span))
-            elif t.text == "[":
-                self.advance()
+            elif text == "[":
                 index = None
                 if not self.at("]"):
                     index = self.parse_expression()
                 end = self.expect("]")
                 expr = IndexAccess(expr, index, join_spans(expr.span, end.span))
-            elif t.text in ("++", "--"):
-                self.advance()
-                expr = UnaryOperation(t.text, expr, False,
+            else:  # ++ or --
+                expr = UnaryOperation(text, expr, False,
                                       join_spans(expr.span, t.span))
-            else:
-                return expr
 
     def parse_primary(self) -> Expression:
-        t = self.peek()
-        if t is None:
+        i = self.pos
+        if i >= self.n:
             raise ParseError("unexpected end of input", self._eof_span)
-        if t.kind == NUMBER:
-            self.advance()
-            unit = None
+        t = self.tokens[i]
+        kind = t.kind
+        # the cases are disjoint: type names and true/false are keywords
+        if kind == IDENTIFIER:
+            self.pos = i + 1
+            return Identifier(t.text, t.span)
+        if kind == NUMBER:
+            self.pos = i + 1
             nxt = self.peek()
             if nxt is not None and nxt.text in ETHER_UNITS:
-                unit = self.advance().text
-                return NumberLiteral(t.text, unit, join_spans(t.span, nxt.span))
+                self.pos += 1
+                return NumberLiteral(t.text, nxt.text, join_spans(t.span, nxt.span))
             return NumberLiteral(t.text, None, t.span)
-        if t.kind == HEX:
-            self.advance()
+        if kind == HEX:
+            self.pos = i + 1
             return HexLiteral(t.text, t.span)
-        if t.kind == STRING:
-            self.advance()
+        if kind == STRING:
+            self.pos = i + 1
             return StringLiteral(t.text, t.span)
-        if t.text in ("true", "false"):
-            self.advance()
-            return BoolLiteral(t.text == "true", t.span)
-        if is_elementary_type_name(t.text):
-            self.advance()
+        text = t.text
+        if text == "true" or text == "false":
+            self.pos = i + 1
+            return BoolLiteral(text == "true", t.span)
+        if is_elementary_type_name(text):
+            self.pos = i + 1
             return ElementaryTypeExpression(
-                TypeName("elementary", t.span, name=t.text), t.span)
-        if t.kind == IDENTIFIER:
-            self.advance()
-            return Identifier(t.text, t.span)
-        if t.text == "(":
-            start = self.advance().span
+                TypeName("elementary", t.span, name=text), t.span)
+        if text == "(":
+            self.pos = i + 1
+            start = t.span
             components: list[Expression] = []
             if not self.at(")"):
                 components.append(self.parse_expression())
                 while self.at(","):
-                    self.advance()
+                    self.pos += 1
                     components.append(self.parse_expression())
             end = self.expect(")")
-            span = join_spans(start, end.span)
-            if len(components) == 1:
-                inner = components[0]
-                return TupleExpression([inner], span)
-            return TupleExpression(components, span)
-        raise ParseError(f"unexpected {t.text!r} in expression", t.span)
+            return TupleExpression(components, join_spans(start, end.span))
+        raise ParseError(f"unexpected {text!r} in expression", t.span)
 
 
 def _classify_pragma(name: str, parts: list[Token]) -> str:

@@ -56,6 +56,21 @@ def test_analyze_file_bytecode_raw_binary(tmp_path):
     assert {f.detector for f in outcome.findings} == {"nested-call"}
 
 
+def test_hex_file_must_hold_hex_text(tmp_path):
+    for name, data in [("bad.hex", b"not hex at all"),
+                       ("binary.hex", storage_bound_loop(CALL_BODY)),
+                       ("odd.hex", b"0x600")]:
+        (tmp_path / name).write_bytes(data)
+        outcome = analyze_file(str(tmp_path / name), RunConfig())
+        assert outcome.error.startswith(f"{tmp_path / name}: decode failed: "
+                                        "BytecodeError: ")
+    # an empty .hex file holds no code; a .bin file may hold raw bytes
+    (tmp_path / "empty.hex").write_bytes(b"\n")
+    (tmp_path / "text.bin").write_bytes(b"not hex at all")
+    for name in ("empty.hex", "text.bin"):
+        assert analyze_file(str(tmp_path / name), RunConfig()).error is None
+
+
 def test_unreadable_file_reports_io_error(tmp_path):
     outcome = analyze_file(str(tmp_path / "nope.sol"), RunConfig())
     assert outcome.error is not None and "cannot read" in outcome.error

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from soldefect.cli import main
+from soldefect.parser import MAX_NESTING
 
 from conftest import read_listing
 
@@ -65,19 +66,42 @@ DEEP_CONTRACT = ("contract Deep {\n    function f() returns (uint) {\n"
                  "        return " + "(" * 200 + "1" + ")" * 200 + ";\n    }\n}\n")
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_deeply_nested_file_fails_alone(tmp_path, capsys, jobs):
+def test_deeply_nested_file_is_a_recovered_parse_error(tmp_path, capsys):
     (tmp_path / "deep.sol").write_text(DEEP_CONTRACT)
     (tmp_path / "listing2.sol").write_text(read_listing("listing2.sol"))
-    code = main(["analyze", str(tmp_path), "--format", "json", "--jobs", jobs])
-    assert code == 1  # findings from listing2
-    captured = capsys.readouterr()
-    assert "deep.sol: parse failed: RecursionError" in captured.err
+    runs = {}
+    for jobs in ("1", "2"):
+        code = main(["analyze", str(tmp_path), "--format", "json", "--jobs", jobs])
+        assert code == 1  # findings from listing2
+        runs[jobs] = capsys.readouterr()
+    assert runs["1"] == runs["2"]
+    captured = runs["1"]
+    assert captured.err == (f"soldefect: {tmp_path / 'deep.sol'}:3:{16 + MAX_NESTING}: "
+                            f"error: nesting deeper than {MAX_NESTING} levels\n")
     data = json.loads(captured.out)
-    assert [os.path.basename(i["path"]) for i in data["inputs"]] == ["listing2.sol"]
+    assert [os.path.basename(i["path"]) for i in data["inputs"]] == \
+        ["deep.sol", "listing2.sol"]
     assert any(f["detector"] == "reentrancy" for f in data["findings"])
 
-    assert main(["analyze", str(tmp_path / "deep.sol"), "--jobs", jobs]) == 2
+    # alone it is analyzed, not failed; with its return statement dropped,
+    # f() is reported as missing one
+    assert main(["analyze", str(tmp_path / "deep.sol"), "--format", "json"]) == 1
+    findings = json.loads(capsys.readouterr().out)["findings"]
+    assert {f["detector"] for f in findings} == {"missing-return-statement",
+                                                  "unspecified-compiler-version"}
+
+
+def test_hex_file_that_is_not_hex_fails_alone(tmp_path, capsys):
+    (tmp_path / "bad.hex").write_text("not hex at all")
+    (tmp_path / "listing2.sol").write_text(read_listing("listing2.sol"))
+    assert main(["analyze", str(tmp_path), "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert f"soldefect: {tmp_path / 'bad.hex'}: decode failed: BytecodeError" \
+        in captured.err
+    data = json.loads(captured.out)
+    assert [os.path.basename(i["path"]) for i in data["inputs"]] == ["listing2.sol"]
+
+    assert main(["analyze", str(tmp_path / "bad.hex")]) == 2
 
 
 def test_min_impact_filter(corpus_copy, capsys):

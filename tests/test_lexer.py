@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from soldefect.lexer import (COMMENT, HEX, IDENTIFIER, KEYWORD, NUMBER, OP,
-                             PUNCT, LexerError, tokenize)
+from soldefect.lexer import (_ELEMENTARY, COMMENT, HEX, IDENTIFIER, KEYWORD,
+                             NUMBER, OP, PUNCT, LexerError,
+                             is_elementary_type_name, tokenize)
+from soldefect.spans import Span
 
 from conftest import read_listing
 
@@ -102,3 +104,79 @@ def test_unterminated_comment_errors():
 def test_unexpected_character_errors():
     with pytest.raises(LexerError):
         tokenize("uint π;", "t.sol")
+
+
+# -- the token stream, pinned without a reference lexer ----------------------
+
+_LISTINGS = [read_listing(f"listing{i}.sol") for i in range(1, 5)]
+
+_SOURCE_CHARS = st.sampled_from(list(
+    "abcxyzAZ_$0123456789 \t\r\n\n(){}[];,.=+-*/%<>!&|^~?:'\"\\#π"))
+
+
+@st.composite
+def _mutated_listing(draw):
+    text = draw(st.sampled_from(_LISTINGS))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 20))
+        insert = draw(st.text(_SOURCE_CHARS, max_size=6))
+        text = text[:at] + insert + text[at + cut:]
+    return text
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(st.text(_SOURCE_CHARS, max_size=80), _mutated_listing()))
+def test_tokens_rebuild_the_input_at_their_positions(text):
+    try:
+        tokens = tokenize(text, "t.sol")
+    except LexerError:
+        return
+    pos = 0
+    rebuilt = []
+    for t in tokens:
+        gap = text[pos:t.span.offset]
+        assert gap.strip(" \t\r\n") == ""
+        rebuilt += [gap, t.text]
+        assert t.span.length == len(t.text)
+        before = text[:t.span.offset]
+        assert t.span.line == before.count("\n") + 1
+        assert t.span.column == len(before) - (before.rfind("\n") + 1) + 1
+        pos = t.span.offset + t.span.length
+    assert text[pos:].strip(" \t\r\n") == ""
+    assert "".join(rebuilt) + text[pos:] == text
+
+
+@pytest.mark.parametrize("text, message, span", [
+    ('x = "abc', "unterminated string", (1, 5, 4, 1)),
+    ("a;\n  b = 'x\n", "unterminated string", (2, 7, 9, 1)),
+    ('f("ok", "no', "unterminated string", (1, 9, 8, 1)),
+    ("/* never closed", "unterminated comment", (1, 1, 0, 2)),
+    ("x\n /* a\n b", "unterminated comment", (2, 2, 3, 2)),
+    ("y /*", "unterminated comment", (1, 3, 2, 2)),
+    ("uint π;", "unexpected character 'π'", (1, 6, 5, 1)),
+    ("a\n\tb # c", "unexpected character '#'", (2, 4, 5, 1)),
+])
+def test_lexer_error_message_and_span(text, message, span):
+    with pytest.raises(LexerError) as err:
+        tokenize(text, "t.sol")
+    line, column, offset, length = span
+    assert err.value.span == Span("t.sol", line, column, offset, length)
+    assert str(err.value) == f"t.sol:{line}:{column}: {message}"
+
+
+def test_elementary_type_names():
+    sized = ([f"uint{n}" for n in range(8, 257, 8)]
+             + [f"int{n}" for n in range(8, 257, 8)]
+             + [f"bytes{n}" for n in range(1, 33)])
+    assert set(sized) <= _ELEMENTARY
+    assert len(_ELEMENTARY) == len(sized) + 7
+    for name in ("address", "bool", "string", "bytes", "byte", "uint", "int"):
+        assert name in _ELEMENTARY
+    for name in ("uint7", "uint264", "uint08", "int0", "bytes0", "bytes33",
+                 "bytes01", "Uint8", "uint8 "):
+        assert name not in _ELEMENTARY
+        assert not is_elementary_type_name(name)
+    kinds = {t.text: t.kind for t in tokenize("uint7 uint264 bytes33 int16", "t")}
+    assert kinds == {"uint7": IDENTIFIER, "uint264": IDENTIFIER,
+                     "bytes33": IDENTIFIER, "int16": KEYWORD}

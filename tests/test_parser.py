@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from soldefect.nodes import (CallExpression, ForStatement, HexLiteral,
                              children, walk)
 from soldefect.parser import parse_source
@@ -199,3 +201,77 @@ def test_mutated_listing_never_crashes(start, width, mutation):
     except LexerError:
         return  # fatal per file, reported by the driver
     assert result.unit is not None
+
+
+# -- bounded nesting ---------------------------------------------------------
+
+from soldefect.analyzer import analyze_input
+from soldefect.config import RunConfig
+from soldefect.parser import MAX_NESTING
+
+# Each shape nests n levels deep; the statement ones go in g()'s body.
+# A nested call or index takes two levels: its argument is an expression,
+# and the call or index extends a postfix chain.
+_NESTED_SHAPES = {
+    "parens": lambda n: "x = " + "(" * n + "1" + ")" * n + ";",
+    "not": lambda n: "b = " + "!" * n + "b;",
+    "power": lambda n: "x = " + "x ** " * n + "x;",
+    "assign": lambda n: "x = " * n + "1;",
+    "conditional": lambda n: "x = " + "b ? 1 : " * n + "2;",
+    "blocks": lambda n: "{" * n + "x = 1;" + "}" * n,
+    "ifs": lambda n: "if (b) " * n + "x = 1;",
+    "calls": lambda n: "x = " + "f(" * (n // 2) + "1" + ")" * (n // 2) + ";",
+    "index": lambda n: "x = " + "xs[" * (n // 2) + "0" + "]" * (n // 2) + ";",
+    "mapping": lambda n: "mapping(uint => " * n + "uint" + ")" * n + " m;",
+    "member chain": lambda n: "x = xs" + ".length" * n + ";",
+    "call chain": lambda n: "f" + "()" * n + ";",
+    "index chain": lambda n: "xs" + "[0]" * n + " = 1;",
+}
+
+
+def _nested_contract(shape: str, n: int) -> str:
+    text = _NESTED_SHAPES[shape](n)
+    state, body = (text, "x = 0;") if shape == "mapping" else ("", text)
+    return ("contract Deep {\n    uint x;\n    bool b;\n    uint[] xs;\n"
+            f"    {state}\n"
+            "    function f(uint v) returns (uint) { return v; }\n"
+            f"    function g() {{\n        {body}\n    }}\n"
+            "    function after() { x = 2; }\n}\n")
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTED_SHAPES))
+def test_nesting_past_the_limit_is_a_recovered_parse_error(shape):
+    text = _nested_contract(shape, 2000)  # 1000 nested calls or indexes
+    result = parse_source(text, "t.sol")
+    errors = [d for d in result.diagnostics if d.severity == "error"]
+    assert [d.message for d in errors] == [f"nesting deeper than {MAX_NESTING} levels"]
+    assert errors[0].span.line == (5 if shape == "mapping" else 8)
+    contract = result.unit.contracts[0]
+    assert [fn.name for fn in contract.functions] == ["f", "g", "after"]
+    outcome = analyze_input(text.encode(), "t.sol", RunConfig())
+    assert outcome.error is None
+    assert [str(d) for d in outcome.diagnostics if d.severity == "error"] == \
+        [str(errors[0])]
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTED_SHAPES))
+def test_nesting_up_to_the_limit_parses_and_analyzes(shape):
+    # `x = e` takes two levels before e's own nesting starts
+    text = _nested_contract(shape, MAX_NESTING - 2)
+    result = parse_source(text, "t.sol")
+    assert not result.diagnostics, [str(d) for d in result.diagnostics]
+    outcome = analyze_input(text.encode(), "t.sol", RunConfig())
+    assert outcome.error is None
+    assert not [d for d in outcome.diagnostics if d.severity == "error"]
+
+
+def test_nesting_depth_is_restored_after_an_error():
+    # a too-deep statement must not count against the statements after it
+    deep = "x = " + "(" * 1000 + "1" + ")" * 1000 + ";"
+    ok = "x = " + "(" * (MAX_NESTING - 2) + "1" + ")" * (MAX_NESTING - 2) + ";"
+    text = ("contract C {\n    uint x;\n    function g() {\n"
+            f"        {deep}\n        {ok}\n        {deep}\n        {ok}\n"
+            "    }\n}\n")
+    result = parse_source(text, "t.sol")
+    assert [d.span.line for d in result.diagnostics] == [4, 6]
+    assert len(result.unit.contracts[0].functions[0].body.statements) == 2
