@@ -66,16 +66,19 @@ DEEP_CONTRACT = ("contract Deep {\n    function f() returns (uint) {\n"
                  "        return " + "(" * 200 + "1" + ")" * 200 + ";\n    }\n}\n")
 
 
-def test_deeply_nested_file_is_a_recovered_parse_error(tmp_path, capsys):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_deeply_nested_file_fails_alone(tmp_path, capsys, jobs):
+    # the too-deep expression is a parse error confined to deep.sol: the
+    # parser recovers, and the other file and job counts are unaffected
     (tmp_path / "deep.sol").write_text(DEEP_CONTRACT)
     (tmp_path / "listing2.sol").write_text(read_listing("listing2.sol"))
     runs = {}
-    for jobs in ("1", "2"):
-        code = main(["analyze", str(tmp_path), "--format", "json", "--jobs", jobs])
+    for n in sorted({"1", jobs}):
+        code = main(["analyze", str(tmp_path), "--format", "json", "--jobs", n])
         assert code == 1  # findings from listing2
-        runs[jobs] = capsys.readouterr()
-    assert runs["1"] == runs["2"]
-    captured = runs["1"]
+        runs[n] = capsys.readouterr()
+    assert runs[jobs] == runs["1"]
+    captured = runs[jobs]
     assert captured.err == (f"soldefect: {tmp_path / 'deep.sol'}:3:{16 + MAX_NESTING}: "
                             f"error: nesting deeper than {MAX_NESTING} levels\n")
     data = json.loads(captured.out)
@@ -85,7 +88,8 @@ def test_deeply_nested_file_is_a_recovered_parse_error(tmp_path, capsys):
 
     # alone it is analyzed, not failed; with its return statement dropped,
     # f() is reported as missing one
-    assert main(["analyze", str(tmp_path / "deep.sol"), "--format", "json"]) == 1
+    assert main(["analyze", str(tmp_path / "deep.sol"), "--format", "json",
+                 "--jobs", jobs]) == 1
     findings = json.loads(capsys.readouterr().out)["findings"]
     assert {f["detector"] for f in findings} == {"missing-return-statement",
                                                   "unspecified-compiler-version"}
