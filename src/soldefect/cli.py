@@ -12,10 +12,11 @@ import sys
 
 from . import __version__
 from .analyzer import analyze_paths
-from .config import ConfigError, RunConfig, load_config_file
+from .config import (ConfigError, RunConfig, load_config_file,
+                     parse_detector_ids)
 from .corpus import (ManifestError, load_manifest, render_scorecard_text,
                      score, scorecard_to_obj)
-from .detectors import REGISTRY, resolve_detector_id
+from .detectors import REGISTRY
 from .report import IMPACT_LEVELS, filter_by_impact, render
 
 EXIT_CLEAN = 0
@@ -85,23 +86,10 @@ def _make_run_config(args: argparse.Namespace) -> RunConfig:
         config.jobs = args.jobs
     if getattr(args, "output", None):
         config.output = args.output
-    for flag, attr in (("enable", "enable"), ("disable", "disable")):
-        raw = getattr(args, flag, None)
-        if raw is not None:
-            ids = set()
-            for chunk in raw:
-                for name in chunk.split(","):
-                    name = name.strip()
-                    if not name:
-                        continue
-                    resolved = resolve_detector_id(name)
-                    if resolved is None:
-                        raise ConfigError(f"unknown detector id {name!r}")
-                    ids.add(resolved)
-            if attr == "enable":
-                config.detectors.enable = ids
-            else:
-                config.detectors.disable = ids
+    if getattr(args, "enable", None) is not None:
+        config.detectors.enable = parse_detector_ids(",".join(args.enable))
+    if getattr(args, "disable", None) is not None:
+        config.detectors.disable = parse_detector_ids(",".join(args.disable))
     return config
 
 

@@ -8,7 +8,7 @@ only in the SOLDEFECT_API_KEY environment variable):
     mode = auto | source | bytecode
     min_impact = IP1..IP5
     jobs = <int>
-    enable = detector-id, detector-id, ...
+    enable = detector-id, detector-id, ...   (slugs or D-codes)
     disable = detector-id, ...
     strict.tx_origin_all_uses = true|false
     strict.balance_neq = true|false
@@ -81,6 +81,18 @@ def _parse_list(value: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
+def parse_detector_ids(value: str) -> set[str]:
+    """Comma-separated detector slugs or D-codes, resolved to slugs."""
+    from .detectors import resolve_detector_id
+    ids = set()
+    for name in _parse_list(value):
+        resolved = resolve_detector_id(name)
+        if resolved is None:
+            raise ConfigError(f"unknown detector id {name!r}")
+        ids.add(resolved)
+    return ids
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     """Flat `key = value` lines; `#` and `;` start comments."""
     values: dict[str, str] = {}
@@ -118,9 +130,9 @@ def apply_config_values(config: RunConfig, values: dict[str, str]) -> None:
             except ValueError:
                 raise ConfigError(f"jobs: expected an integer, got {value!r}") from None
         elif key == "enable":
-            config.detectors.enable = set(_parse_list(value))
+            config.detectors.enable = parse_detector_ids(value)
         elif key == "disable":
-            config.detectors.disable = set(_parse_list(value))
+            config.detectors.disable = parse_detector_ids(value)
         elif key == "strict.tx_origin_all_uses":
             config.detectors.strict_tx_origin_all_uses = _parse_bool(value, key)
         elif key == "strict.balance_neq":

@@ -14,30 +14,10 @@ from . import availability, bytecode, maintainability, performance  # noqa: F401
 from . import reusability, security  # noqa: F401
 from .base import (AnalysisContext, BytecodeFacts, ContractFacts,
                    DetectorDescriptor, SourceFacts, _BYTECODE_DETECTORS,
-                   _SOURCE_DETECTORS)
+                   _DESCRIPTORS, _SOURCE_DETECTORS)
 
-REGISTRY: list[DetectorDescriptor] = [
-    security.UNCHECKED_EXTERNAL_CALLS,
-    security.DOS_UNDER_EXTERNAL_INFLUENCE,
-    security.STRICT_BALANCE_EQUALITY,
-    security.UNMATCHED_TYPE_ASSIGNMENT,
-    security.TRANSACTION_STATE_DEPENDENCY,
-    security.BLOCK_INFO_DEPENDENCY,
-    security.REENTRANCY,
-    security.NESTED_CALL,
-    security.MISLEADING_DATA_LOCATION,
-    availability.UNMATCHED_ERC20,
-    availability.MISSING_REMINDER,
-    availability.MISSING_RETURN_STATEMENT,
-    availability.GREEDY_CONTRACT,
-    performance.UNUSED_STATEMENT,
-    performance.HIGH_GAS_FUNCTION_TYPE,
-    performance.HIGH_GAS_DATA_TYPE,
-    maintainability.HARD_CODE_ADDRESS,
-    maintainability.MISSING_INTERRUPTER,
-    reusability.DEPRECATED_APIS,
-    reusability.UNSPECIFIED_COMPILER_VERSION,
-]
+REGISTRY: list[DetectorDescriptor] = sorted(_DESCRIPTORS.values(),
+                                            key=lambda d: d.code)
 
 BY_ID: dict[str, DetectorDescriptor] = {d.id: d for d in REGISTRY}
 BY_CODE: dict[str, DetectorDescriptor] = {d.code: d for d in REGISTRY}
@@ -55,28 +35,44 @@ def resolve_detector_id(name: str) -> str | None:
 def run_detectors(ctx: AnalysisContext) -> list[Finding]:
     """Run every enabled detector whose facts are present; never raises.
 
-    A detector that raises contributes no findings and an error in
+    Each (where, message) hit a detector yields becomes a Finding with the
+    detector's catalog entry: a source hit's span gives line and column, a
+    bytecode hit is a program counter. A detector that raises contributes
+    no findings, not even the hits it yielded first, and an error in
     ``ctx.diagnostics`` naming it; the others still run. Pure with respect
     to the facts: running twice yields identical findings in identical
     order.
     """
+    frontends = []
+    if ctx.source is not None:
+        source_id = ctx.source.file_id
+        frontends.append((_SOURCE_DETECTORS, ctx.source.unit.span,
+                          lambda d, span, message: Finding(
+                              d.id, d.category, d.impact, source_id, message,
+                              d.advice, line=span.line, column=span.column)))
+    if ctx.bytecode is not None:
+        bytecode_id = ctx.bytecode.file_id
+        frontends.append((_BYTECODE_DETECTORS, Span(bytecode_id, 1, 1, 0, 0),
+                          lambda d, pc, message: Finding(
+                              d.id, d.category, d.impact, bytecode_id, message,
+                              d.advice, pc=pc)))
     findings: list[Finding] = []
     for desc in REGISTRY:
         if not ctx.config.is_enabled(desc.id):
             continue
-        runs = []
-        if ctx.source is not None:
-            runs.append((_SOURCE_DETECTORS.get(desc.id), ctx.source.unit.span))
-        if ctx.bytecode is not None and "bytecode" in desc.frontends:
-            runs.append((_BYTECODE_DETECTORS.get(desc.id),
-                         Span(ctx.bytecode.file_id, 1, 1, 0, 0)))
-        for fn, span in runs:
+        for detectors, span, finding in frontends:
+            fn = detectors.get(desc.id)
+            if fn is None:
+                continue
             try:
-                findings.extend(fn(ctx) if fn is not None else ())
+                found = [finding(desc, where, message)
+                         for where, message in fn(ctx)]
             except Exception as exc:  # one detector's fault must not cost the others
                 ctx.diagnostics.append(Diagnostic(
                     "error", f"detector {desc.id} ({desc.code}) failed: "
                              f"{type(exc).__name__}: {exc}", span))
+            else:
+                findings += found
     return findings
 
 

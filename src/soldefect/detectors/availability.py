@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from ..evm.keccak import function_selector
 from ..nodes import (CallExpression, EmitStatement, ExpressionStatement,
                      IfStatement, ThrowStatement)
-from ..report import Finding
-from .base import (AnalysisContext, ContractFacts, DetectorDescriptor,
-                   register, source_finding)
+from .base import (AnalysisContext, ContractFacts, DetectorDescriptor, Hit,
+                   register)
 from .common import (ETHER_SENDING_KINDS, builtin_call_name, is_guard_call,
                      returns_on_all_paths, unwrap)
 from .index import FunctionIndex
@@ -58,10 +59,8 @@ UNMATCHED_ERC20 = DetectorDescriptor(
 
 
 @register(UNMATCHED_ERC20)
-def detect_unmatched_erc20(ctx: AnalysisContext) -> list[Finding]:
-    findings = []
-    src = ctx.source
-    for cf in src.contracts:
+def detect_unmatched_erc20(ctx: AnalysisContext) -> Iterator[Hit]:
+    for cf in ctx.source.contracts:
         functions = [f for f in cf.table.all_functions() if not f.is_constructor]
         by_sig = {}
         for fn in functions:
@@ -100,11 +99,9 @@ def detect_unmatched_erc20(ctx: AnalysisContext) -> list[Finding]:
                     problems.append(
                         f"event {event_name} must take ({','.join(params)})")
         if problems:
-            findings.append(source_finding(
-                UNMATCHED_ERC20, src.file_id, cf.contract.span,
-                f"contract {cf.contract.name} deviates from ERC-20: "
-                + "; ".join(sorted(problems))))
-    return findings
+            yield (cf.contract.span,
+                   f"contract {cf.contract.name} deviates from ERC-20: "
+                   + "; ".join(sorted(problems)))
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +120,8 @@ MISSING_REMINDER = DetectorDescriptor(
 
 
 @register(MISSING_REMINDER)
-def detect_missing_reminder(ctx: AnalysisContext) -> list[Finding]:
-    findings = []
-    src = ctx.source
-    for index in src.bodies(modifiers=False):
+def detect_missing_reminder(ctx: AnalysisContext) -> Iterator[Hit]:
+    for index in ctx.source.bodies(modifiers=False):
         fn = index.fn
         if not fn.is_payable:
             continue
@@ -135,11 +130,8 @@ def detect_missing_reminder(ctx: AnalysisContext) -> list[Finding]:
         if _emits_event(index):
             continue
         label = fn.name or "fallback function"
-        findings.append(source_finding(
-            MISSING_REMINDER, src.file_id, fn.span,
-            f"payable function {label} gives callers no event to "
-            f"observe its outcome"))
-    return findings
+        yield (fn.span, f"payable function {label} gives callers no event to "
+                        f"observe its outcome")
 
 
 def _has_conditional_revert(index: FunctionIndex) -> bool:
@@ -178,10 +170,8 @@ MISSING_RETURN_STATEMENT = DetectorDescriptor(
 
 
 @register(MISSING_RETURN_STATEMENT)
-def detect_missing_return_statement(ctx: AnalysisContext) -> list[Finding]:
-    findings = []
-    src = ctx.source
-    for cf in src.contracts:
+def detect_missing_return_statement(ctx: AnalysisContext) -> Iterator[Hit]:
+    for cf in ctx.source.contracts:
         for fn in cf.contract.functions:
             if fn.body is None or not fn.returns_:
                 continue
@@ -189,11 +179,9 @@ def detect_missing_return_statement(ctx: AnalysisContext) -> list[Finding]:
                 continue  # named returns are implicitly returned
             if returns_on_all_paths(fn.body):
                 continue
-            findings.append(source_finding(
-                MISSING_RETURN_STATEMENT, src.file_id, fn.span,
-                f"function {fn.name or 'fallback'} declares return values "
-                f"but does not return on every path"))
-    return findings
+            yield (fn.span,
+                   f"function {fn.name or 'fallback'} declares return values "
+                   f"but does not return on every path")
 
 
 # ---------------------------------------------------------------------------
@@ -213,20 +201,16 @@ GREEDY_CONTRACT = DetectorDescriptor(
 
 
 @register(GREEDY_CONTRACT)
-def detect_greedy_contract(ctx: AnalysisContext) -> list[Finding]:
-    findings = []
-    src = ctx.source
-    for cf in src.contracts:
+def detect_greedy_contract(ctx: AnalysisContext) -> Iterator[Hit]:
+    for cf in ctx.source.contracts:
         functions = cf.table.all_functions()
         if not any(f.is_payable for f in functions):
             continue
         if _can_move_ether_out(cf):
             continue
-        findings.append(source_finding(
-            GREEDY_CONTRACT, src.file_id, cf.contract.span,
-            f"contract {cf.contract.name} can receive ether but has no way "
-            f"to send it out"))
-    return findings
+        yield (cf.contract.span,
+               f"contract {cf.contract.name} can receive ether but has no way "
+               f"to send it out")
 
 
 def _can_move_ether_out(cf: ContractFacts) -> bool:

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from ..config import DetectorConfig
 from ..nodes import (ContractDefinition, FunctionDefinition,
                      ModifierDefinition, SourceUnit)
-from ..report import Finding
 from ..semantic import CallGraph, DefUseFacts, SymbolTable
 from ..spans import Diagnostic, Span
 from .index import FunctionIndex, NodeIndex
@@ -95,15 +94,15 @@ class AnalysisContext:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
-DetectorFn = Callable[[AnalysisContext], list[Finding]]
+# A detector yields (where, message) hits: where is a Span in source mode
+# and a program counter in bytecode mode. run_detectors turns each hit into
+# a Finding carrying the detector's catalog entry.
+Hit = tuple[Span | int, str]
+DetectorFn = Callable[[AnalysisContext], Iterable[Hit]]
 
 _SOURCE_DETECTORS: dict[str, DetectorFn] = {}
 _BYTECODE_DETECTORS: dict[str, DetectorFn] = {}
 _DESCRIPTORS: dict[str, DetectorDescriptor] = {}
-
-
-def descriptor(detector_id: str) -> DetectorDescriptor:
-    return _DESCRIPTORS[detector_id]
 
 
 def register(desc: DetectorDescriptor) -> Callable[[DetectorFn], DetectorFn]:
@@ -125,16 +124,3 @@ def register_bytecode(detector_id: str) -> Callable[[DetectorFn], DetectorFn]:
         return fn
 
     return wrap
-
-
-def source_finding(desc: DetectorDescriptor, file_id: str, span: Span,
-                   message: str) -> Finding:
-    return Finding(detector=desc.id, category=desc.category, impact=desc.impact,
-                   file=file_id, message=message, advice=desc.advice,
-                   line=span.line, column=span.column)
-
-
-def bytecode_finding(desc: DetectorDescriptor, file_id: str, pc: int,
-                     message: str) -> Finding:
-    return Finding(detector=desc.id, category=desc.category, impact=desc.impact,
-                   file=file_id, message=message, advice=desc.advice, pc=pc)

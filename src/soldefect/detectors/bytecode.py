@@ -7,21 +7,20 @@ visibility) does not survive compilation.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from ..evm.cfg import unwrap_iszero, value_tags
-from ..report import Finding
 from .availability import UNMATCHED_ERC20, erc20_selector_table
-from .base import AnalysisContext, bytecode_finding, register_bytecode
+from .base import AnalysisContext, Hit, register_bytecode
 from .maintainability import HARD_CODE_ADDRESS
 from .security import NESTED_CALL, STRICT_BALANCE_EQUALITY
 
 
 @register_bytecode(STRICT_BALANCE_EQUALITY.id)
-def detect_strict_balance_equality_bc(ctx: AnalysisContext) -> list[Finding]:
+def detect_strict_balance_equality_bc(ctx: AnalysisContext) -> Iterator[Hit]:
     """BALANCE read by EQ, where the comparison feeds a conditional jump."""
-    bc = ctx.bytecode
-    findings = []
     seen: set[int] = set()
-    for event in bc.cfg.jumpi_events:
+    for event in ctx.bytecode.cfg.jumpi_events:
         cond = unwrap_iszero(event.condition)
         if cond[0] != "cmp" or cond[1] != "EQ":
             continue
@@ -30,17 +29,13 @@ def detect_strict_balance_equality_bc(ctx: AnalysisContext) -> list[Finding]:
             continue
         if "BALANCE" in value_tags(a) or "BALANCE" in value_tags(b):
             seen.add(eq_pc)
-            findings.append(bytecode_finding(
-                STRICT_BALANCE_EQUALITY, bc.file_id, eq_pc,
-                "BALANCE compared with EQ feeds a conditional jump"))
-    return findings
+            yield eq_pc, "BALANCE compared with EQ feeds a conditional jump"
 
 
 @register_bytecode(NESTED_CALL.id)
-def detect_nested_call_bc(ctx: AnalysisContext) -> list[Finding]:
+def detect_nested_call_bc(ctx: AnalysisContext) -> Iterator[Hit]:
     """A loop with no constant bound whose body executes CALL."""
     bc = ctx.bytecode
-    findings = []
     for loop in bc.loops:
         if loop.is_bounded:
             continue
@@ -49,43 +44,29 @@ def detect_nested_call_bc(ctx: AnalysisContext) -> list[Finding]:
             call = next((i for i in block.instructions if i.mnemonic == "CALL"),
                         None)
             if call is not None:
-                findings.append(bytecode_finding(
-                    NESTED_CALL, bc.file_id, call.pc,
-                    f"CALL at {call.pc:#x} inside an unbounded loop headed "
-                    f"at block {loop.header:#x}"))
+                yield (call.pc, f"CALL at {call.pc:#x} inside an unbounded "
+                                f"loop headed at block {loop.header:#x}")
                 break
-    return findings
 
 
 @register_bytecode(HARD_CODE_ADDRESS.id)
-def detect_hard_code_address_bc(ctx: AnalysisContext) -> list[Finding]:
+def detect_hard_code_address_bc(ctx: AnalysisContext) -> Iterator[Hit]:
     """PUSH20 of a nonzero constant is an embedded address."""
-    bc = ctx.bytecode
-    findings = []
-    for ins in bc.instructions:
+    for ins in ctx.bytecode.instructions:
         if ins.mnemonic == "PUSH20" and ins.valid and ins.push_value != 0:
-            findings.append(bytecode_finding(
-                HARD_CODE_ADDRESS, bc.file_id, ins.pc,
-                f"hard-coded address 0x{ins.push_bytes.hex()}"))
-    return findings
+            yield ins.pc, f"hard-coded address 0x{ins.push_bytes.hex()}"
 
 
 @register_bytecode(UNMATCHED_ERC20.id)
-def detect_unmatched_erc20_bc(ctx: AnalysisContext) -> list[Finding]:
+def detect_unmatched_erc20_bc(ctx: AnalysisContext) -> Iterator[Hit]:
     """Dispatcher carries some mandatory ERC-20 selectors but not all six.
 
     Return types are not visible at this level; only selector presence is
     checked."""
-    bc = ctx.bytecode
-    table = {f"{sel:08x}" for sel in bc.selectors}
+    table = {f"{sel:08x}" for sel in ctx.bytecode.selectors}
     expected = erc20_selector_table()  # signature -> selector hex
     present = {sig for sig, sel in expected.items() if sel in table}
-    if not present:
-        return []
     missing = sorted(sig for sig, sel in expected.items() if sel not in table)
-    if not missing:
-        return []
-    return [bytecode_finding(
-        UNMATCHED_ERC20, bc.file_id, 0,
-        "dispatcher exposes some ERC-20 selectors but is missing "
-        + ", ".join(missing))]
+    if present and missing:
+        yield 0, ("dispatcher exposes some ERC-20 selectors but is missing "
+                  + ", ".join(missing))

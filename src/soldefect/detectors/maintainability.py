@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from ..evm.eip55 import is_mixed_case, is_valid_address
 from ..nodes import (Assignment, CallExpression, HexLiteral, Identifier,
                      MemberAccess)
-from ..report import Finding
-from .base import (AnalysisContext, ContractFacts, DetectorDescriptor,
-                   register, source_finding)
+from .base import (AnalysisContext, ContractFacts, DetectorDescriptor, Hit,
+                   register)
 from .common import builtin_call_name, unwrap
 from .index import FunctionIndex
 
@@ -25,23 +26,18 @@ HARD_CODE_ADDRESS = DetectorDescriptor(
 
 
 @register(HARD_CODE_ADDRESS)
-def detect_hard_code_address(ctx: AnalysisContext) -> list[Finding]:
-    findings = []
-    src = ctx.source
-    for cf in src.contracts:
+def detect_hard_code_address(ctx: AnalysisContext) -> Iterator[Hit]:
+    for cf in ctx.source.contracts:
         for node in cf.tree.of(HexLiteral):
             if not node.is_address:
                 continue
             if node.value == 0:
                 continue  # address(0) comparisons are not configuration
             if is_mixed_case(node.text) and not is_valid_address(node.text):
-                message = (f"illegal address: hard-coded literal {node.text} "
-                           f"fails the EIP-55 checksum")
+                yield (node.span, f"illegal address: hard-coded literal "
+                                  f"{node.text} fails the EIP-55 checksum")
             else:
-                message = f"hard-coded address {node.text}"
-            findings.append(source_finding(HARD_CODE_ADDRESS, src.file_id,
-                                           node.span, message))
-    return findings
+                yield node.span, f"hard-coded address {node.text}"
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +56,8 @@ MISSING_INTERRUPTER = DetectorDescriptor(
 
 
 @register(MISSING_INTERRUPTER)
-def detect_missing_interrupter(ctx: AnalysisContext) -> list[Finding]:
-    findings = []
-    src = ctx.source
-    for cf in src.contracts:
+def detect_missing_interrupter(ctx: AnalysisContext) -> Iterator[Hit]:
+    for cf in ctx.source.contracts:
         functions = cf.table.all_functions()
         if not any(f.is_payable for f in functions):
             continue  # cannot accumulate ether through calls
@@ -71,11 +65,9 @@ def detect_missing_interrupter(ctx: AnalysisContext) -> list[Finding]:
             continue
         if _has_circuit_breaker(cf):
             continue
-        findings.append(source_finding(
-            MISSING_INTERRUPTER, src.file_id, cf.contract.span,
-            f"contract {cf.contract.name} can hold ether but has no "
-            f"emergency stop mechanism"))
-    return findings
+        yield (cf.contract.span,
+               f"contract {cf.contract.name} can hold ether but has no "
+               f"emergency stop mechanism")
 
 
 def _has_selfdestruct(cf: ContractFacts) -> bool:

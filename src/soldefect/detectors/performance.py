@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from ..nodes import VariableDeclaration
-from ..report import Finding
 from ..semantic import _node_key
-from .base import (AnalysisContext, DetectorDescriptor, register,
-                   source_finding)
+from .base import AnalysisContext, DetectorDescriptor, Hit, register
 
 UNUSED_STATEMENT = DetectorDescriptor(
     code="D14", id="unused-statement", name="Unused Statement",
@@ -20,20 +20,16 @@ UNUSED_STATEMENT = DetectorDescriptor(
 
 
 @register(UNUSED_STATEMENT)
-def detect_unused_statement(ctx: AnalysisContext) -> list[Finding]:
-    findings = []
-    src = ctx.source
-    for cf in src.contracts:
+def detect_unused_statement(ctx: AnalysisContext) -> Iterator[Hit]:
+    for cf in ctx.source.contracts:
         for fn, facts in cf.defuse:
             if fn.body is None:
                 continue
             for var in facts.dead_variables():
                 role = "parameter" if var.is_parameter else "local variable"
-                findings.append(source_finding(
-                    UNUSED_STATEMENT, src.file_id, var.declaration.span,
-                    f"{role} {var.declaration.name} never affects contract "
-                    f"statements or return values"))
-    return findings
+                yield (var.declaration.span,
+                       f"{role} {var.declaration.name} never affects contract "
+                       f"statements or return values")
 
 
 # ---------------------------------------------------------------------------
@@ -63,10 +59,8 @@ def _has_array_parameter(fn) -> bool:
 
 
 @register(HIGH_GAS_FUNCTION_TYPE)
-def detect_high_gas_function_type(ctx: AnalysisContext) -> list[Finding]:
-    findings = []
-    src = ctx.source
-    for cf in src.contracts:
+def detect_high_gas_function_type(ctx: AnalysisContext) -> Iterator[Hit]:
+    for cf in ctx.source.contracts:
         for fn in cf.contract.functions:
             if fn.body is None or fn.is_constructor or fn.is_fallback:
                 continue
@@ -76,11 +70,9 @@ def detect_high_gas_function_type(ctx: AnalysisContext) -> list[Finding]:
                 continue
             if cf.call_graph.callers_of(_node_key(fn)):
                 continue
-            findings.append(source_finding(
-                HIGH_GAS_FUNCTION_TYPE, src.file_id, fn.span,
-                f"public function {fn.name} takes array arguments and has no "
-                f"internal callers; declare it external"))
-    return findings
+            yield (fn.span,
+                   f"public function {fn.name} takes array arguments and has "
+                   f"no internal callers; declare it external")
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +97,10 @@ def _is_byte_array(type_name) -> bool:
 
 
 @register(HIGH_GAS_DATA_TYPE)
-def detect_high_gas_data_type(ctx: AnalysisContext) -> list[Finding]:
-    findings = []
-    src = ctx.source
-    for cf in src.contracts:
+def detect_high_gas_data_type(ctx: AnalysisContext) -> Iterator[Hit]:
+    for cf in ctx.source.contracts:
         for node in cf.tree.of(VariableDeclaration):
             if _is_byte_array(node.type_name):
-                findings.append(source_finding(
-                    HIGH_GAS_DATA_TYPE, src.file_id, node.span,
-                    f"declaration {node.name or '<unnamed>'} uses byte[]; "
-                    f"bytes is cheaper"))
-    return findings
+                yield (node.span,
+                       f"declaration {node.name or '<unnamed>'} uses byte[]; "
+                       f"bytes is cheaper")

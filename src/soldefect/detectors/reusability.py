@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from ..nodes import CallExpression, Identifier, MemberAccess, ThrowStatement
-from ..report import Finding
-from .base import (AnalysisContext, DetectorDescriptor, register,
-                   source_finding)
+from .base import AnalysisContext, DetectorDescriptor, Hit, register
 from .common import unwrap
 
 DEPRECATED_APIS = DetectorDescriptor(
@@ -31,52 +31,49 @@ _DEPRECATED_MEMBERS = {
 }
 
 
+def _deprecated(old: str, new: str | None) -> str:
+    return f"deprecated {old}; use {new}" if new else f"deprecated {old}"
+
+
 @register(DEPRECATED_APIS)
-def detect_deprecated_apis(ctx: AnalysisContext) -> list[Finding]:
-    findings = []
-    src = ctx.source
+def detect_deprecated_apis(ctx: AnalysisContext) -> Iterator[Hit]:
     extra = set(ctx.config.deprecated_extra)
     extra_members = {tuple(name.split(".", 1)) for name in extra if "." in name}
     extra_calls = {name for name in extra if "." not in name}
-
-    def report(span, old: str, new: str | None) -> None:
-        message = f"deprecated {old}"
-        if new:
-            message += f"; use {new}"
-        findings.append(source_finding(DEPRECATED_APIS, src.file_id, span,
-                                       message))
-
-    for cf in src.contracts:
+    for cf in ctx.source.contracts:
         for fn in cf.contract.functions:
             if fn.mutability == "constant":
-                report(fn.span, "`constant` function mutability", "view or pure")
+                yield fn.span, _deprecated("`constant` function mutability",
+                                           "view or pure")
         for index in cf.indexes(cf.contract.functions + cf.contract.modifiers):
             for node in index.of(ThrowStatement, CallExpression, MemberAccess):
                 if isinstance(node, ThrowStatement):
-                    report(node.span, "throw", "revert()")
+                    yield node.span, _deprecated("throw", "revert()")
                 elif isinstance(node, CallExpression):
                     callee = unwrap(node.callee)
                     if isinstance(callee, Identifier):
                         name = callee.name
                         if name in _DEPRECATED_CALLS:
-                            report(node.span, f"{name}()", f"{_DEPRECATED_CALLS[name]}()")
+                            yield node.span, _deprecated(
+                                f"{name}()", f"{_DEPRECATED_CALLS[name]}()")
                         elif name in extra_calls:
-                            report(node.span, f"{name}()", None)
+                            yield node.span, _deprecated(f"{name}()", None)
                 elif isinstance(node, MemberAccess):
                     obj = unwrap(node.object)
                     if not isinstance(obj, Identifier):
                         if node.member == "callcode":
-                            report(node.span, ".callcode", "delegatecall")
+                            yield node.span, _deprecated(".callcode",
+                                                         "delegatecall")
                         continue
                     pair = (obj.name, node.member)
                     if pair in _DEPRECATED_MEMBERS:
-                        report(node.span, f"{obj.name}.{node.member}",
-                               _DEPRECATED_MEMBERS[pair])
+                        yield node.span, _deprecated(
+                            f"{obj.name}.{node.member}", _DEPRECATED_MEMBERS[pair])
                     elif pair in extra_members:
-                        report(node.span, f"{obj.name}.{node.member}", None)
+                        yield node.span, _deprecated(
+                            f"{obj.name}.{node.member}", None)
                     elif node.member == "callcode":
-                        report(node.span, ".callcode", "delegatecall")
-    return findings
+                        yield node.span, _deprecated(".callcode", "delegatecall")
 
 
 # ---------------------------------------------------------------------------
@@ -95,19 +92,12 @@ UNSPECIFIED_COMPILER_VERSION = DetectorDescriptor(
 
 
 @register(UNSPECIFIED_COMPILER_VERSION)
-def detect_unspecified_compiler_version(ctx: AnalysisContext) -> list[Finding]:
-    findings = []
-    src = ctx.source
-    solidity_pragmas = [p for p in src.unit.pragmas if p.name == "solidity"]
+def detect_unspecified_compiler_version(ctx: AnalysisContext) -> Iterator[Hit]:
+    unit = ctx.source.unit
+    solidity_pragmas = [p for p in unit.pragmas if p.name == "solidity"]
     if not solidity_pragmas:
-        findings.append(source_finding(
-            UNSPECIFIED_COMPILER_VERSION, src.file_id, src.unit.span,
-            "no compiler version pragma"))
-        return findings
+        yield unit.span, "no compiler version pragma"
     for pragma in solidity_pragmas:
         if pragma.constraint_kind != "exact":
-            findings.append(source_finding(
-                UNSPECIFIED_COMPILER_VERSION, src.file_id, pragma.span,
-                f"pragma solidity {pragma.version_text} accepts multiple "
-                f"compiler versions"))
-    return findings
+            yield (pragma.span, f"pragma solidity {pragma.version_text} "
+                                f"accepts multiple compiler versions")

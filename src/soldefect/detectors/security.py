@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from ..nodes import (Assignment, BinaryOperation, CallExpression,
                      ExpressionStatement, ForStatement, Identifier,
                      IfStatement, IndexAccess, MemberAccess, ModifierDefinition,
                      NumberLiteral, Statement, ThrowStatement, TupleExpression,
                      TypeName, VariableDeclarationStatement, WhileStatement)
-from ..report import Finding
-from ..semantic import infer_var_type
+from ..semantic import InferenceError, infer_var_type
 from ..spans import Span
-from .base import (AnalysisContext, DetectorDescriptor, register,
-                   source_finding)
+from .base import AnalysisContext, DetectorDescriptor, Hit, register
 from .common import (CHECKABLE_CALL_KINDS, ETHER_SENDING_KINDS,
                      builtin_call_name, call_chain_arguments, call_target,
                      is_balance_expression, is_tx_origin, unwrap)
@@ -33,20 +33,16 @@ UNCHECKED_EXTERNAL_CALLS = DetectorDescriptor(
 
 
 @register(UNCHECKED_EXTERNAL_CALLS)
-def detect_unchecked_external_calls(ctx: AnalysisContext) -> list[Finding]:
-    findings = []
-    src = ctx.source
-    for index in src.bodies():
+def detect_unchecked_external_calls(ctx: AnalysisContext) -> Iterator[Hit]:
+    for index in ctx.source.bodies():
         for st in index.statements:
             stmt = st.node
             if not isinstance(stmt, ExpressionStatement):
                 continue
             kind = index.kind(unwrap(stmt.expression))
             if kind in CHECKABLE_CALL_KINDS:
-                findings.append(source_finding(
-                    UNCHECKED_EXTERNAL_CALLS, src.file_id, stmt.span,
-                    f"result of .{_kind_spelling(kind)} is not checked"))
-    return findings
+                yield (stmt.span,
+                       f"result of .{_kind_spelling(kind)} is not checked")
 
 
 def _kind_spelling(kind: str) -> str:
@@ -69,19 +65,15 @@ DOS_UNDER_EXTERNAL_INFLUENCE = DetectorDescriptor(
 
 
 @register(DOS_UNDER_EXTERNAL_INFLUENCE)
-def detect_dos_under_external_influence(ctx: AnalysisContext) -> list[Finding]:
-    findings = []
-    src = ctx.source
-    for index in src.bodies():
+def detect_dos_under_external_influence(ctx: AnalysisContext) -> Iterator[Hit]:
+    for index in ctx.source.bodies():
         for _loop, body in index.unbounded_loops:
             for st in body:
                 reason = _reverting_statement(st.node, index)
                 if reason is not None:
-                    findings.append(source_finding(
-                        DOS_UNDER_EXTERNAL_INFLUENCE, src.file_id, st.node.span,
-                        f"{reason} can revert the whole transaction inside "
-                        f"a loop without a constant bound"))
-    return findings
+                    yield (st.node.span,
+                           f"{reason} can revert the whole transaction inside "
+                           f"a loop without a constant bound")
 
 
 def _reverting_statement(stmt: Statement, index: FunctionIndex) -> str | None:
@@ -113,23 +105,19 @@ STRICT_BALANCE_EQUALITY = DetectorDescriptor(
 
 
 @register(STRICT_BALANCE_EQUALITY)
-def detect_strict_balance_equality(ctx: AnalysisContext) -> list[Finding]:
-    findings = []
-    src = ctx.source
+def detect_strict_balance_equality(ctx: AnalysisContext) -> Iterator[Hit]:
     operators = {"=="}
     if ctx.config.strict_balance_neq:
         operators.add("!=")
-    for index in src.bodies():
+    for index in ctx.source.bodies():
         for cond in index.conditions:
             for node in index.within(cond, BinaryOperation):
                 if (node.operator in operators
                         and (is_balance_expression(node.left)
                              or is_balance_expression(node.right))):
-                    findings.append(source_finding(
-                        STRICT_BALANCE_EQUALITY, src.file_id, node.span,
-                        f"branch condition compares the contract balance "
-                        f"with {node.operator}"))
-    return findings
+                    yield (node.span,
+                           f"branch condition compares the contract balance "
+                           f"with {node.operator}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +135,8 @@ UNMATCHED_TYPE_ASSIGNMENT = DetectorDescriptor(
 
 
 @register(UNMATCHED_TYPE_ASSIGNMENT)
-def detect_unmatched_type_assignment(ctx: AnalysisContext) -> list[Finding]:
-    findings = []
-    src = ctx.source
-    for index in src.bodies():
+def detect_unmatched_type_assignment(ctx: AnalysisContext) -> Iterator[Hit]:
+    for index in ctx.source.bodies():
         for stmt in index.of(ForStatement):
             if stmt.condition is None:
                 continue
@@ -164,7 +150,7 @@ def detect_unmatched_type_assignment(ctx: AnalysisContext) -> list[Finding]:
                         _counter_initializer(stmt, counter_name),
                         lambda name: getattr(index.table.lookup_state(name),
                                              "type_name", None))
-                except Exception:
+                except InferenceError:
                     counter_type = None
             if counter_type is None:
                 continue
@@ -174,12 +160,10 @@ def detect_unmatched_type_assignment(ctx: AnalysisContext) -> list[Finding]:
             problem = _bound_exceeds(stmt.condition, counter_name, bits,
                                      index.table, index.fn)
             if problem:
-                findings.append(source_finding(
-                    UNMATCHED_TYPE_ASSIGNMENT, src.file_id, stmt.span,
-                    f"loop counter {counter_name} is "
-                    f"{counter_type.canonical()} but the loop bound "
-                    f"{problem}"))
-    return findings
+                yield (stmt.span,
+                       f"loop counter {counter_name} is "
+                       f"{counter_type.canonical()} but the loop bound "
+                       f"{problem}")
 
 
 def _loop_counter(stmt: ForStatement) -> tuple[str, TypeName | None] | None:
@@ -263,10 +247,8 @@ _ORIGIN_TYPES = (MemberAccess, TupleExpression)
 
 
 @register(TRANSACTION_STATE_DEPENDENCY)
-def detect_transaction_state_dependency(ctx: AnalysisContext) -> list[Finding]:
-    findings = []
-    src = ctx.source
-    for index in src.bodies():
+def detect_transaction_state_dependency(ctx: AnalysisContext) -> Iterator[Hit]:
+    for index in ctx.source.bodies():
         if ctx.config.strict_tx_origin_all_uses:
             spots = [node for node in index.of(*_ORIGIN_TYPES)
                      if is_tx_origin(node)]
@@ -282,10 +264,7 @@ def detect_transaction_state_dependency(ctx: AnalysisContext) -> list[Finding]:
                                  or is_tx_origin(node.right))):
                         spots.append(node)
         for node in spots:
-            findings.append(source_finding(
-                TRANSACTION_STATE_DEPENDENCY, src.file_id, node.span,
-                "tx.origin used in a permission check"))
-    return findings
+            yield node.span, "tx.origin used in a permission check"
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +306,8 @@ def _block_info_sources(index: FunctionIndex, expr) -> list[Span]:
 
 
 @register(BLOCK_INFO_DEPENDENCY)
-def detect_block_info_dependency(ctx: AnalysisContext) -> list[Finding]:
-    findings = []
-    src = ctx.source
-    for index in src.bodies():
+def detect_block_info_dependency(ctx: AnalysisContext) -> Iterator[Hit]:
+    for index in ctx.source.bodies():
         if not any(_is_block_info(node)
                    for node in index.of(*_BLOCK_SOURCE_TYPES)):
             continue  # every finding starts at some block info
@@ -359,10 +336,7 @@ def detect_block_info_dependency(ctx: AnalysisContext) -> list[Finding]:
                     sinks.append(target)
         for sink in sinks:
             for span in origins(sink):
-                findings.append(source_finding(
-                    BLOCK_INFO_DEPENDENCY, src.file_id, span,
-                    "block information influences contract logic"))
-    return findings
+                yield span, "block information influences contract logic"
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +354,8 @@ REENTRANCY = DetectorDescriptor(
 
 
 @register(REENTRANCY)
-def detect_reentrancy(ctx: AnalysisContext) -> list[Finding]:
-    findings = []
-    src = ctx.source
-    for index in src.bodies(modifiers=False):
+def detect_reentrancy(ctx: AnalysisContext) -> Iterator[Hit]:
+    for index in ctx.source.bodies(modifiers=False):
         calls = _guarded_value_calls(index)
         if not calls:
             continue
@@ -401,12 +373,10 @@ def detect_reentrancy(ctx: AnalysisContext) -> list[Finding]:
             call_offset = call.span.offset
             for name, write_expr in index.state_writes:
                 if name in guarded_state and write_expr.span.offset > call_offset:
-                    findings.append(source_finding(
-                        REENTRANCY, src.file_id, call.span,
-                        f"external call precedes the update of "
-                        f"{name}, which its guard reads"))
+                    yield (call.span,
+                           f"external call precedes the update of "
+                           f"{name}, which its guard reads")
                     break
-    return findings
 
 
 def _state_reads(index: FunctionIndex, expr) -> list[str]:
@@ -458,19 +428,15 @@ NESTED_CALL = DetectorDescriptor(
 
 
 @register(NESTED_CALL)
-def detect_nested_call(ctx: AnalysisContext) -> list[Finding]:
-    findings = []
-    src = ctx.source
-    for index in src.bodies():
+def detect_nested_call(ctx: AnalysisContext) -> Iterator[Hit]:
+    for index in ctx.source.bodies():
         for loop, _body in index.unbounded_loops:
             for node in index.within(loop.body, CallExpression):
                 if index.kind(node) in ("call", "callvalue", "send", "transfer"):
-                    findings.append(source_finding(
-                        NESTED_CALL, src.file_id, loop.span,
-                        "external call inside a loop without a constant "
-                        "bound"))
+                    yield (loop.span,
+                           "external call inside a loop without a constant "
+                           "bound")
                     break
-    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +454,8 @@ MISLEADING_DATA_LOCATION = DetectorDescriptor(
 
 
 @register(MISLEADING_DATA_LOCATION)
-def detect_misleading_data_location(ctx: AnalysisContext) -> list[Finding]:
-    findings = []
-    src = ctx.source
-    for index in src.bodies():
+def detect_misleading_data_location(ctx: AnalysisContext) -> Iterator[Hit]:
+    for index in ctx.source.bodies():
         for st in index.statements:
             stmt = st.node
             if not isinstance(stmt, VariableDeclarationStatement):
@@ -499,9 +463,7 @@ def detect_misleading_data_location(ctx: AnalysisContext) -> list[Finding]:
             decl = stmt.declaration
             if decl.data_location == "unspecified" \
                     and decl.type_name.is_reference_type():
-                findings.append(source_finding(
-                    MISLEADING_DATA_LOCATION, src.file_id, stmt.span,
-                    f"local {decl.type_name.canonical()} "
-                    f"{decl.name or '<unnamed>'} has no data location and "
-                    f"points at storage"))
-    return findings
+                yield (stmt.span,
+                       f"local {decl.type_name.canonical()} "
+                       f"{decl.name or '<unnamed>'} has no data location and "
+                       f"points at storage")

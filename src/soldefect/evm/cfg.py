@@ -91,10 +91,6 @@ class BasicBlock:
     terminator: str = "fallthrough"
 
     @property
-    def start(self) -> int:
-        return self.id
-
-    @property
     def end(self) -> int:
         last = self.instructions[-1]
         return last.pc + last.size

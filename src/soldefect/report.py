@@ -15,9 +15,6 @@ from . import TOOL_NAME, __version__
 
 IMPACT_LEVELS = ("IP1", "IP2", "IP3", "IP4", "IP5")
 
-CATEGORIES = ("security", "availability", "performance", "maintainability",
-              "reusability")
-
 
 def impact_rank(impact: str) -> int:
     """1 for IP1 (most severe) ... 5 for IP5."""

@@ -370,6 +370,9 @@ def smallest_int_type(value: int, span: Span) -> TypeName:
     return TypeName("elementary", span, name=f"int{bits}")
 
 
+_BOOL_OPERATORS = frozenset({"==", "!=", "<", ">", "<=", ">=", "&&", "||"})
+
+
 def _infer(expr: Expression, lookup) -> Optional[TypeName]:
     if isinstance(expr, NumberLiteral):
         value = expr.value
@@ -423,15 +426,25 @@ def _infer(expr: Expression, lookup) -> Optional[TypeName]:
             return expr.callee.type_name
         return None
     if isinstance(expr, BinaryOperation):
-        if expr.operator in ("==", "!=", "<", ">", "<=", ">=", "&&", "||"):
+        if expr.operator in _BOOL_OPERATORS:
             return TypeName("elementary", expr.span, name="bool")
-        left = _infer(expr.left, lookup)
-        right = _infer(expr.right, lookup)
-        lb = left.int_bits() if left is not None else None
-        rb = right.int_bits() if right is not None else None
-        if lb is not None and rb is not None:
-            return left if lb >= rb else right
-        return left if left is not None else right
+        # The parser builds `a + b + ...` in a loop, so its nesting limit does
+        # not bound this left spine: walk it without recursing.
+        rights = []
+        while isinstance(expr, BinaryOperation) \
+                and expr.operator not in _BOOL_OPERATORS:
+            rights.append(expr.right)
+            expr = expr.left
+        left = _infer(expr, lookup)
+        for right_expr in reversed(rights):
+            right = _infer(right_expr, lookup)
+            lb = left.int_bits() if left is not None else None
+            rb = right.int_bits() if right is not None else None
+            if lb is not None and rb is not None:
+                left = left if lb >= rb else right
+            elif left is None:
+                left = right
+        return left
     if isinstance(expr, Conditional):
         return _infer(expr.true_expression, lookup)
     return None

@@ -154,6 +154,19 @@ def test_flag_overrides_config(corpus_copy, tmp_path, capsys):
     assert "finding(s)" in out  # text footer, not JSON
 
 
+def test_config_enable_accepts_a_d_code(corpus_copy, tmp_path, capsys):
+    config = tmp_path / "soldefect.ini"
+    config.write_text("format = json\nenable = D07\n")
+    assert main(["analyze", str(corpus_copy), "--config", str(config)]) == 1
+    from_config = capsys.readouterr().out
+    assert [(os.path.basename(f["file"]), f["detector"])
+            for f in json.loads(from_config)["findings"]] == \
+        [("listing2.sol", "reentrancy")]
+    assert main(["analyze", str(corpus_copy), "--format", "json",
+                 "--enable", "D07"]) == 1
+    assert capsys.readouterr().out == from_config
+
+
 def test_bad_config_is_usage_error(corpus_copy, tmp_path):
     config = tmp_path / "bad.ini"
     config.write_text("nonsense_key = 1\n")

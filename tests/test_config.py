@@ -44,6 +44,7 @@ def test_inline_comment_stripped():
     ("jobs = many", "jobs"),
     ("strict.balance_neq = maybe", "boolean"),
     ("no_such_key = 1", "unknown configuration key"),
+    ("enable = bogus", "unknown detector id"),
 ])
 def test_bad_values_rejected(line, match):
     config = RunConfig()

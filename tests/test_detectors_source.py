@@ -150,12 +150,15 @@ def test_balance_outside_condition_quiet():
 
 
 def test_var_counter_against_length_fires():
-    assert ("unmatched-type-assignment", 4) in hits("""contract C {
+    # a 1,500-term sum is a left spine deeper than the interpreter's stack
+    for init in ("0", " + ".join(["x"] * 1500)):
+        assert ("unmatched-type-assignment", 5) in hits(f"""contract C {{
+    uint8 x;
     address[] members;
-    function f() {
-        for (var i = 0; i < members.length; i++) { }
-    }
-}""")
+    function f() {{
+        for (var i = {init}; i < members.length; i++) {{ }}
+    }}
+}}""")
 
 
 def test_uint256_counter_quiet():
@@ -791,11 +794,19 @@ def test_enable_subset_keeps_only_those():
     assert {f.detector for f in subset} <= {"reentrancy", "strict-balance-equality"}
 
 
-def test_failing_detector_is_isolated(monkeypatch):
-    from soldefect.detectors.base import _SOURCE_DETECTORS
+def _raises_at_once(ctx):
+    raise RecursionError("maximum recursion depth exceeded")
 
-    def broken(ctx):
-        raise RecursionError("maximum recursion depth exceeded")
+
+def _raises_after_a_hit(ctx):
+    yield ctx.source.unit.span, "a hit that must not be kept"
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("broken", [_raises_at_once, _raises_after_a_hit],
+                         ids=["at-once", "after-a-hit"])
+def test_failing_detector_is_isolated(monkeypatch, broken):
+    from soldefect.detectors.base import _SOURCE_DETECTORS
 
     baseline = run_detectors(AnalysisContext(source=listing_facts("listing1.sol")))
     monkeypatch.setitem(_SOURCE_DETECTORS, "hard-code-address", broken)
