@@ -37,11 +37,12 @@ def run_detectors(ctx: AnalysisContext) -> list[Finding]:
 
     Each (where, message) hit a detector yields becomes a Finding with the
     detector's catalog entry: a source hit's span gives line and column, a
-    bytecode hit is a program counter. A detector that raises contributes
-    no findings, not even the hits it yielded first, and an error in
-    ``ctx.diagnostics`` naming it; the others still run. Pure with respect
-    to the facts: running twice yields identical findings in identical
-    order.
+    bytecode hit is a program counter. Of a detector's findings with the
+    same ``Finding.identity()``, only the first is kept. A detector that
+    raises contributes no findings, not even the hits it yielded first,
+    and an error in ``ctx.diagnostics`` naming it; the others still run.
+    Pure with respect to the facts: running twice yields identical
+    findings in identical order.
     """
     frontends = []
     if ctx.source is not None:
@@ -65,14 +66,16 @@ def run_detectors(ctx: AnalysisContext) -> list[Finding]:
             if fn is None:
                 continue
             try:
-                found = [finding(desc, where, message)
-                         for where, message in fn(ctx)]
+                found: dict[tuple, Finding] = {}
+                for where, message in fn(ctx):
+                    f = finding(desc, where, message)
+                    found.setdefault(f.identity(), f)
             except Exception as exc:  # one detector's fault must not cost the others
                 ctx.diagnostics.append(Diagnostic(
                     "error", f"detector {desc.id} ({desc.code}) failed: "
                              f"{type(exc).__name__}: {exc}", span))
             else:
-                findings += found
+                findings += found.values()
     return findings
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..nodes import VariableDeclaration
-from ..semantic import _node_key
 from .base import AnalysisContext, DetectorDescriptor, Hit, register
 
 UNUSED_STATEMENT = DetectorDescriptor(
@@ -68,7 +67,7 @@ def detect_high_gas_function_type(ctx: AnalysisContext) -> Iterator[Hit]:
                 continue
             if not _has_array_parameter(fn):
                 continue
-            if cf.call_graph.callers_of(_node_key(fn)):
+            if cf.call_graph.callers_of(fn.name):
                 continue
             yield (fn.span,
                    f"public function {fn.name} takes array arguments and has "

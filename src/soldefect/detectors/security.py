@@ -147,7 +147,7 @@ def detect_unmatched_type_assignment(ctx: AnalysisContext) -> Iterator[Hit]:
             if counter_type is not None and counter_type.kind == "var":
                 try:
                     counter_type = infer_var_type(
-                        _counter_initializer(stmt, counter_name),
+                        _counter_initializer(stmt),
                         lambda name: getattr(index.table.lookup_state(name),
                                              "type_name", None))
                 except InferenceError:
@@ -177,7 +177,7 @@ def _loop_counter(stmt: ForStatement) -> tuple[str, TypeName | None] | None:
     return None
 
 
-def _counter_initializer(stmt: ForStatement, name: str):
+def _counter_initializer(stmt: ForStatement):
     init = stmt.init
     if isinstance(init, VariableDeclarationStatement):
         return init.declaration.initializer

@@ -90,11 +90,6 @@ class BasicBlock:
     successors: list[int] = field(default_factory=list)
     terminator: str = "fallthrough"
 
-    @property
-    def end(self) -> int:
-        last = self.instructions[-1]
-        return last.pc + last.size
-
 
 @dataclass
 class ControlFlowGraph:

@@ -14,11 +14,11 @@ from typing import Iterable, Optional
 
 from .nodes import (Assignment, BinaryOperation, Block, BoolLiteral,
                     CallExpression, Conditional, ContractDefinition,
-                    ElementaryTypeExpression, EventDefinition, Expression,
-                    ExpressionStatement, ForStatement, FunctionDefinition,
-                    HexLiteral, Identifier, IfStatement, IndexAccess,
-                    MemberAccess, ModifierDefinition, NumberLiteral,
-                    ReturnStatement, SourceUnit, StringLiteral,
+                    ElementaryTypeExpression, EmitStatement, EventDefinition,
+                    Expression, ExpressionStatement, ForStatement,
+                    FunctionDefinition, HexLiteral, Identifier, IfStatement,
+                    IndexAccess, MemberAccess, ModifierDefinition,
+                    NumberLiteral, ReturnStatement, SourceUnit, StringLiteral,
                     TupleExpression, TypeName, UnaryOperation,
                     VariableDeclaration, VariableDeclarationStatement,
                     WhileStatement, walk)
@@ -96,9 +96,7 @@ class CallGraph:
     """Internal call edges of one contract: f calls g by plain name, or f
     invokes modifier g. External member calls are not edges."""
 
-    nodes: set[str] = field(default_factory=set)
     edges: set[tuple[str, str]] = field(default_factory=set)
-    unresolved: set[tuple[str, str]] = field(default_factory=set)
 
     def callers_of(self, name: str) -> set[str]:
         return {src for src, dst in self.edges if dst == name}
@@ -116,7 +114,6 @@ def build_call_graph(table: SymbolTable) -> CallGraph:
     callables.extend(table.all_functions())
     callables.extend(table.modifiers.values())
     known = {_node_key(c) for c in callables}
-    graph.nodes = set(known)
 
     for fn in callables:
         src = _node_key(fn)
@@ -124,25 +121,13 @@ def build_call_graph(table: SymbolTable) -> CallGraph:
             for mod_name, _args in fn.modifiers_invoked:
                 if mod_name in known:
                     graph.edges.add((src, mod_name))
-                else:
-                    graph.unresolved.add((src, mod_name))
         if fn.body is None:
             continue
         for node in walk(fn.body):
-            if isinstance(node, CallExpression) and isinstance(node.callee, Identifier):
-                callee = node.callee.name
-                if callee in known:
-                    graph.edges.add((src, callee))
-                elif callee not in _BUILTIN_FUNCTIONS and callee not in table.events:
-                    graph.unresolved.add((src, callee))
+            if isinstance(node, CallExpression) and isinstance(node.callee, Identifier) \
+                    and node.callee.name in known:
+                graph.edges.add((src, node.callee.name))
     return graph
-
-
-_BUILTIN_FUNCTIONS = frozenset({
-    "require", "assert", "revert", "selfdestruct", "suicide", "keccak256",
-    "sha3", "sha256", "ripemd160", "ecrecover", "addmod", "mulmod",
-    "blockhash",
-})
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +138,8 @@ _BUILTIN_FUNCTIONS = frozenset({
 class VarFacts:
     declaration: VariableDeclaration
     is_parameter: bool
-    writes: list[Span] = field(default_factory=list)
-    consuming_reads: list[Span] = field(default_factory=list)
     flows_into: set[str] = field(default_factory=set)
-    live: bool = True
+    live: bool = False
 
 
 @dataclass
@@ -168,7 +151,7 @@ class DefUseFacts:
 
 
 def compute_def_use(function: FunctionDefinition) -> DefUseFacts:
-    """Per-variable write/read sites with transitive liveness.
+    """Transitive liveness of each parameter and local.
 
     A variable is live iff some read of it (directly or through a chain
     of local-to-local assignments) reaches anything other than another
@@ -177,132 +160,95 @@ def compute_def_use(function: FunctionDefinition) -> DefUseFacts:
     are exempt (implicitly read by the return machinery).
     """
     facts = DefUseFacts()
+    variables = facts.variables
     for param in function.parameters:
         if param.name:
-            facts.variables[param.name] = VarFacts(param, True)
-    locals_seen: dict[str, VarFacts] = dict(facts.variables)
+            variables[param.name] = VarFacts(param, True)
 
     named_returns = {r.name for r in function.returns_ if r.name}
 
-    def var(name: str) -> Optional[VarFacts]:
-        v = locals_seen.get(name)
-        if v is None or name in named_returns:
-            return None
-        return v
-
-    def consume_reads(expr: Optional[Expression]) -> None:
+    def reads(expr: Optional[Expression]) -> list[VarFacts]:
+        """The parameters and locals in scope that `expr` reads."""
         if expr is None:
-            return
-        for node in walk(expr):
-            if isinstance(node, Identifier):
-                v = var(node.name)
-                if v is not None:
-                    v.consuming_reads.append(node.span)
+            return []
+        return [variables[node.name] for node in walk(expr)
+                if isinstance(node, Identifier) and node.name in variables
+                and node.name not in named_returns]
 
-    def flow_reads(expr: Optional[Expression], target: str) -> None:
-        if expr is None:
-            return
-        for node in walk(expr):
-            if isinstance(node, Identifier):
-                v = var(node.name)
-                if v is not None:
-                    v.flows_into.add(target)
+    def consume(expr: Optional[Expression]) -> None:
+        for v in reads(expr):
+            v.live = True
 
     def visit_statement(stmt) -> None:
         if isinstance(stmt, VariableDeclarationStatement):
             decl = stmt.declaration
             if decl.name:
-                vf = VarFacts(decl, False)
-                vf.writes.append(decl.span)
-                locals_seen[decl.name] = vf
-                facts.variables[decl.name] = vf
-                if decl.initializer is not None:
-                    flow_reads(decl.initializer, decl.name)
-            elif decl.initializer is not None:
-                consume_reads(decl.initializer)
+                variables[decl.name] = VarFacts(decl, False)
+                for v in reads(decl.initializer):
+                    v.flows_into.add(decl.name)
+            else:
+                consume(decl.initializer)
         elif isinstance(stmt, ExpressionStatement):
             visit_expression_statement(stmt.expression)
         elif isinstance(stmt, Block):
             for s in stmt.statements:
                 visit_statement(s)
         elif isinstance(stmt, IfStatement):
-            consume_reads(stmt.condition)
+            consume(stmt.condition)
             visit_statement(stmt.then_branch)
             if stmt.else_branch is not None:
                 visit_statement(stmt.else_branch)
         elif isinstance(stmt, WhileStatement):
-            consume_reads(stmt.condition)
+            consume(stmt.condition)
             visit_statement(stmt.body)
         elif isinstance(stmt, ForStatement):
             if stmt.init is not None:
                 visit_statement(stmt.init)
-            consume_reads(stmt.condition)
+            consume(stmt.condition)
             if stmt.post is not None:
                 visit_expression_statement(stmt.post)
             visit_statement(stmt.body)
         elif isinstance(stmt, ReturnStatement):
-            consume_reads(stmt.value)
-        else:
-            for child in _statement_expressions(stmt):
-                consume_reads(child)
+            consume(stmt.value)
+        elif isinstance(stmt, EmitStatement):
+            consume(stmt.call)
 
     def visit_expression_statement(expr: Expression) -> None:
         if isinstance(expr, Assignment):
             target = expr.target
-            if isinstance(target, Identifier):
-                v = var(target.name)
-                if v is not None:
-                    v.writes.append(target.span)
-                    flow_reads(expr.value, target.name)
-                    return
-                consume_reads(expr.value)  # state or unresolved target
+            if isinstance(target, Identifier) and reads(target):  # a local
+                for v in reads(expr.value):
+                    v.flows_into.add(target.name)
                 return
-            # container/member stores: the written-through base is a write
-            # site, everything read stays conservatively live
-            base = _assignment_base(target)
-            if base is not None:
-                v = var(base.name)
-                if v is not None:
-                    v.writes.append(base.span)
+            # state, member and container stores: everything read stays
+            # conservatively live; the variable written through is not read
             for part in _assignment_reads(target):
-                consume_reads(part)
-            consume_reads(expr.value)
-        elif isinstance(expr, UnaryOperation) and expr.operator in ("++", "--"):
-            if isinstance(expr.operand, Identifier):
-                v = var(expr.operand.name)
-                if v is not None:
-                    v.writes.append(expr.operand.span)
-                    return
-            consume_reads(expr.operand)
+                consume(part)
+            consume(expr.value)
+        elif isinstance(expr, UnaryOperation) and expr.operator in ("++", "--") \
+                and isinstance(expr.operand, Identifier):
+            pass  # bumping a variable is not a read of it
         else:
-            consume_reads(expr)
+            consume(expr)
 
     if function.body is not None:
         for stmt in function.body.statements:
             visit_statement(stmt)
 
     # liveness fixpoint over local assignment chains
-    for vf in facts.variables.values():
-        vf.live = bool(vf.consuming_reads)
     changed = True
     while changed:
         changed = False
-        for name, vf in facts.variables.items():
+        for vf in variables.values():
             if vf.live:
                 continue
             for target in vf.flows_into:
-                tf = facts.variables.get(target)
+                tf = variables.get(target)
                 if tf is not None and tf.live:
                     vf.live = True
                     changed = True
                     break
     return facts
-
-
-def _assignment_base(target: Expression) -> Optional[Identifier]:
-    while isinstance(target, (IndexAccess, MemberAccess)):
-        target = target.base if isinstance(target, IndexAccess) else target.object
-    return target if isinstance(target, Identifier) else None
 
 
 def _assignment_reads(target: Expression) -> Iterable[Expression]:
@@ -312,13 +258,6 @@ def _assignment_reads(target: Expression) -> Iterable[Expression]:
         yield from _assignment_reads(target.base)
     elif isinstance(target, MemberAccess):
         yield from _assignment_reads(target.object)
-
-
-def _statement_expressions(stmt) -> list[Expression]:
-    from .nodes import EmitStatement
-    if isinstance(stmt, EmitStatement):
-        return [stmt.call]
-    return []
 
 
 # ---------------------------------------------------------------------------

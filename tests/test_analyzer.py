@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import os
 
-from soldefect.analyzer import (analyze_file, analyze_paths, collect_inputs,
-                                file_mode)
+import pytest
+
+from soldefect.analyzer import (analyze_file, analyze_input, analyze_paths,
+                                collect_inputs, file_mode)
 from soldefect.config import RunConfig
 
 from asm import CALL_BODY, storage_bound_loop
 from conftest import read_listing
+from synth import generate_contract_file
 
 
 def test_file_mode_auto_by_extension():
@@ -92,3 +95,14 @@ def test_mixed_corpus_source_and_bytecode(tmp_path):
     by_detector = {f.detector for f in report.findings}
     assert "reentrancy" in by_detector      # from the source file
     assert "nested-call" in by_detector     # from the bytecode file
+
+
+@pytest.mark.parametrize("name", ["listing1.sol", "synth.sol"])
+def test_findings_have_distinct_identities(name):
+    # a detector that flags one line twice (a block-info read and the
+    # expression around it, a condition and a modifier) reports it once
+    text = (read_listing(name) if name.startswith("listing")
+            else generate_contract_file(70_001, 80))
+    outcome = analyze_input(text.encode("utf-8"), name, RunConfig())
+    identities = [f.identity() for f in outcome.findings]
+    assert identities and len(identities) == len(set(identities))

@@ -16,8 +16,12 @@ import glob
 import hashlib
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
+
+import soldefect
 
 from soldefect.analyzer import analyze_paths
 from soldefect.config import DetectorConfig, RunConfig
@@ -106,3 +110,20 @@ def test_findings_snapshot(snapshot_corpus, name):
 @pytest.mark.parametrize("name", sorted(MIXED_SNAPSHOTS))
 def test_mixed_findings_snapshot(mixed_corpus, name):
     assert snapshot_hash(mixed_corpus, CONFIGS[name]) == MIXED_SNAPSHOTS[name]
+
+
+def test_report_bytes_do_not_depend_on_the_hash_seed(mixed_corpus):
+    # in-process and forked runs share one hash seed; fresh interpreters
+    # with different seeds would expose set or dict order reaching the report
+    src = os.path.dirname(os.path.dirname(os.path.abspath(soldefect.__file__)))
+    command = [sys.executable, "-m", "soldefect.cli", "analyze", "--format",
+               "json", "--jobs", "1", os.path.abspath(CORPUS_DIR),
+               str(mixed_corpus)]
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        run = subprocess.run(command, env=env, capture_output=True, check=False)
+        assert run.returncode == 1, run.stderr.decode()  # 1 = findings present
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
