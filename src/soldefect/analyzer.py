@@ -50,8 +50,7 @@ def source_facts(result: ParseResult, file_id: str) -> SourceFacts:
     return SourceFacts(file_id, result.unit, contracts, diagnostics)
 
 
-def build_bytecode_facts(data: bytes | str, file_id: str) -> BytecodeFacts:
-    code = decode_bytecode_input(data)
+def build_bytecode_facts(code: bytes, file_id: str) -> BytecodeFacts:
     instructions = disassemble(code)
     cfg = build_cfg(instructions)
     return BytecodeFacts(file_id, code, instructions, cfg, detect_loops(cfg),

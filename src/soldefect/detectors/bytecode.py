@@ -19,16 +19,12 @@ from .security import NESTED_CALL, STRICT_BALANCE_EQUALITY
 @register_bytecode(STRICT_BALANCE_EQUALITY.id)
 def detect_strict_balance_equality_bc(ctx: AnalysisContext) -> Iterator[Hit]:
     """BALANCE read by EQ, where the comparison feeds a conditional jump."""
-    seen: set[int] = set()
     for event in ctx.bytecode.cfg.jumpi_events:
         cond = unwrap_iszero(event.condition)
         if cond[0] != "cmp" or cond[1] != "EQ":
             continue
         _, _op, eq_pc, a, b = cond
-        if eq_pc in seen:
-            continue
         if "BALANCE" in value_tags(a) or "BALANCE" in value_tags(b):
-            seen.add(eq_pc)
             yield eq_pc, "BALANCE compared with EQ feeds a conditional jump"
 
 

@@ -95,17 +95,13 @@ class BasicBlock:
 class ControlFlowGraph:
     blocks: dict[int, BasicBlock]
     entry: int
-    dominators: dict[int, int] = field(default_factory=dict)  # block -> idom
+    next_block: dict[int, int] = field(default_factory=dict)  # pc order
+    predecessors: dict[int, list[int]] = field(default_factory=dict)
+    # block -> idom; its keys are exactly the blocks reachable from the entry
+    dominators: dict[int, int] = field(default_factory=dict)
     unresolved_jumps: list[tuple[int, int]] = field(default_factory=list)
     jumpi_events: list[JumpiEvent] = field(default_factory=list)
     capped_blocks: set[int] = field(default_factory=set)
-
-    def predecessors(self) -> dict[int, list[int]]:
-        preds: dict[int, list[int]] = {b: [] for b in self.blocks}
-        for b in self.blocks.values():
-            for s in b.successors:
-                preds[s].append(b.id)
-        return preds
 
     def reachable(self) -> set[int]:
         seen = set()
@@ -165,33 +161,31 @@ def build_cfg(instructions: list[Instruction] | bytes | str) -> ControlFlowGraph
     blocks = split_blocks(instructions)
     if not blocks:
         return ControlFlowGraph({}, 0)
-    entry = min(blocks)
-    cfg = ControlFlowGraph(blocks, entry)
-    edges: set[tuple[int, int]] = set()
-    unresolved: set[tuple[int, int]] = set()
-
     order = sorted(blocks)
-    next_block = {order[i]: order[i + 1] for i in range(len(order) - 1)}
-
+    cfg = ControlFlowGraph(blocks, order[0], dict(zip(order, order[1:])),
+                           {bid: [] for bid in order})
     # structural fallthrough edges (always valid regardless of stack state)
-    for bid, block in blocks.items():
-        if block.terminator in ("fallthrough", "jumpi") and bid in next_block:
-            edges.add((bid, next_block[bid]))
+    edges = {(bid, cfg.next_block[bid]) for bid, block in blocks.items()
+             if block.terminator in ("fallthrough", "jumpi")
+             and bid in cfg.next_block}
+    unresolved: set[tuple[int, int]] = set()
+    _emulate(cfg, edges, unresolved)
 
-    _emulate(cfg, edges, unresolved, next_block)
-
-    for src, dst in edges:
-        if dst in blocks:
-            blocks[src].successors.append(dst)
-    for block in blocks.values():
-        block.successors = sorted(set(block.successors))
+    # every edge ends at a block: jumps are kept only when their target is one
+    for src, dst in sorted(edges):
+        blocks[src].successors.append(dst)
+        cfg.predecessors[dst].append(src)
     cfg.unresolved_jumps = sorted(unresolved)
     cfg.dominators = compute_dominators(cfg)
     return cfg
 
 
-def _emulate(cfg: ControlFlowGraph, edges: set, unresolved: set,
-             next_block: dict[int, int]) -> None:
+def _emulate(cfg: ControlFlowGraph, edges: set, unresolved: set) -> None:
+    """Walk the blocks from the entry over abstract stacks.
+
+    `split_blocks` ends a block at every terminator and invalid instruction,
+    so only JUMP and JUMPI need handling here: any other instruction that
+    ends a path is the last of a block that has no fallthrough."""
     blocks = cfg.blocks
     worklist: list[tuple[int, tuple]] = [(cfg.entry, ())]
     seen: dict[int, set[tuple]] = {}
@@ -209,98 +203,60 @@ def _emulate(cfg: ControlFlowGraph, edges: set, unresolved: set,
 
         stack = list(entry_stack)
         block = blocks[bid]
-        path_dead = False
         for ins in block.instructions:
             steps += 1
             if steps > STEP_BUDGET:
                 return
-            op = ins.mnemonic
-            if not ins.valid or op == "INVALID":
-                path_dead = True
-                break
             if is_push(ins.opcode):
                 stack.append(("const", ins.push_value))
                 continue
-            if op == "JUMPDEST":
-                continue
+            op = ins.mnemonic
             if op == "JUMP":
-                if not stack:
-                    path_dead = True
-                    break
-                target = stack.pop()
-                if target[0] == "const" and target[1] in blocks:
-                    edges.add((bid, target[1]))
-                    worklist.append((target[1], _snap(stack)))
-                else:
-                    unresolved.add((bid, ins.pc))
-                path_dead = True
+                if stack:
+                    target = stack.pop()
+                    if target[0] == "const" and target[1] in blocks:
+                        edges.add((bid, target[1]))
+                        worklist.append((target[1], tuple(stack)))
+                    else:
+                        unresolved.add((bid, ins.pc))
                 break
             if op == "JUMPI":
-                if len(stack) < 2:
-                    path_dead = True
-                    break
-                target = stack.pop()
-                cond = stack.pop()
-                taken: Optional[int] = None
-                if target[0] == "const" and target[1] in blocks:
-                    taken = target[1]
-                    edges.add((bid, taken))
-                elif target[0] != "const":
-                    unresolved.add((bid, ins.pc))
-                cfg.jumpi_events.append(JumpiEvent(bid, ins.pc, cond, taken))
-                concrete = _concrete_bool(cond)
-                fall = next_block.get(bid)
-                if concrete is True or concrete is None:
-                    if taken is not None:
-                        worklist.append((taken, _snap(stack)))
-                if concrete is False or concrete is None:
-                    if fall is not None:
-                        worklist.append((fall, _snap(stack)))
-                path_dead = True
+                if len(stack) >= 2:
+                    target = stack.pop()
+                    cond = stack.pop()
+                    taken: Optional[int] = None
+                    if target[0] == "const" and target[1] in blocks:
+                        taken = target[1]
+                        edges.add((bid, taken))
+                    elif target[0] != "const":
+                        unresolved.add((bid, ins.pc))
+                    cfg.jumpi_events.append(JumpiEvent(bid, ins.pc, cond, taken))
+                    concrete = _concrete_bool(cond)
+                    fall = cfg.next_block.get(bid)
+                    if concrete is not False and taken is not None:
+                        worklist.append((taken, tuple(stack)))
+                    if concrete is not True and fall is not None:
+                        worklist.append((fall, tuple(stack)))
                 break
-            if op in ("STOP", "RETURN", "REVERT", "SELFDESTRUCT"):
-                path_dead = True
+            if not _step(stack, ins) or len(stack) > MAX_STACK_DEPTH:
                 break
-            if not _step(stack, ins):
-                path_dead = True
-                break
-            if len(stack) > MAX_STACK_DEPTH:
-                path_dead = True
-                break
-
-        if not path_dead and block.terminator == "fallthrough":
-            fall = next_block.get(bid)
-            if fall is not None:
-                worklist.append((fall, _snap(stack)))
-
-
-def _snap(stack: list) -> tuple:
-    return tuple(stack)
+        else:
+            fall = cfg.next_block.get(bid)
+            if block.terminator == "fallthrough" and fall is not None:
+                worklist.append((fall, tuple(stack)))
 
 
 def _concrete_bool(cond) -> Optional[bool]:
-    cond = unwrap_iszero_concrete(cond)
-    if isinstance(cond, bool):
-        return cond
-    return None
-
-
-def unwrap_iszero_concrete(value):
     """Evaluate const and const-comparison conditions to a Python bool."""
     negate = False
-    while value[0] == "iszero":
+    while cond[0] == "iszero":
         negate = not negate
-        value = value[1]
-    result: Optional[bool] = None
-    if value[0] == "const":
-        result = value[1] != 0
-    elif value[0] == "cmp":
-        _, op, _pc, a, b = value
-        if a[0] == "const" and b[0] == "const":
-            result = _eval_cmp(op, a[1], b[1])
-    if result is None:
-        return value
-    return result != negate if negate else result
+        cond = cond[1]
+    if cond[0] == "const":
+        return (cond[1] != 0) != negate
+    if cond[0] == "cmp" and cond[3][0] == "const" and cond[4][0] == "const":
+        return _eval_cmp(cond[1], cond[3][1], cond[4][1]) != negate
+    return None
 
 
 def _to_signed(v: int) -> int:
@@ -435,11 +391,9 @@ def _join_taints(args: list) -> tuple:
 
 
 def compute_dominators(cfg: ControlFlowGraph) -> dict[int, int]:
-    reachable = cfg.reachable()
-    if not reachable:
+    if not cfg.blocks:
         return {}
-    preds_all = cfg.predecessors()
-    order = _reverse_postorder(cfg, reachable)
+    order = _reverse_postorder(cfg)
     index = {b: i for i, b in enumerate(order)}
     idom: dict[int, Optional[int]] = {b: None for b in order}
     idom[cfg.entry] = cfg.entry
@@ -452,43 +406,38 @@ def compute_dominators(cfg: ControlFlowGraph) -> dict[int, int]:
                 b = idom[b]
         return a
 
+    # a block comes after its DFS parent in reverse postorder, so each pass
+    # finds a processed predecessor for every block but the entry
     changed = True
     while changed:
         changed = False
         for b in order:
             if b == cfg.entry:
                 continue
-            preds = [p for p in preds_all[b] if p in reachable and idom[p] is not None]
-            if not preds:
-                continue
+            preds = [p for p in cfg.predecessors[b] if idom.get(p) is not None]
             new = preds[0]
             for p in preds[1:]:
                 new = intersect(new, p)
             if idom[b] != new:
                 idom[b] = new
                 changed = True
-    return {b: d for b, d in idom.items() if d is not None}
+    return idom
 
 
-def _reverse_postorder(cfg: ControlFlowGraph, reachable: set[int]) -> list[int]:
-    visited: set[int] = set()
+def _reverse_postorder(cfg: ControlFlowGraph) -> list[int]:
+    """The blocks reachable from the entry, in DFS reverse postorder."""
+    visited = {cfg.entry}
     post: list[int] = []
-
-    def dfs(start: int) -> None:
-        stack = [(start, iter(sorted(cfg.blocks[start].successors)))]
-        visited.add(start)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for succ in it:
-                if succ in reachable and succ not in visited:
-                    visited.add(succ)
-                    stack.append((succ, iter(sorted(cfg.blocks[succ].successors))))
-                    advanced = True
-                    break
-            if not advanced:
-                post.append(node)
-                stack.pop()
-
-    dfs(cfg.entry)
-    return list(reversed(post))
+    stack = [(cfg.entry, iter(cfg.blocks[cfg.entry].successors))]
+    while stack:
+        node, successors = stack[-1]
+        for succ in successors:
+            if succ not in visited:
+                visited.add(succ)
+                stack.append((succ, iter(cfg.blocks[succ].successors)))
+                break
+        else:
+            post.append(node)
+            stack.pop()
+    post.reverse()
+    return post

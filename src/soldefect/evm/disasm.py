@@ -27,15 +27,6 @@ class Instruction:
     def push_value(self) -> int:
         return int.from_bytes(self.push_bytes, "big") if self.push_bytes else 0
 
-    @property
-    def size(self) -> int:
-        return 1 + len(self.push_bytes)
-
-    def __str__(self) -> str:
-        if self.push_bytes:
-            return f"{self.pc:#06x} {self.mnemonic} 0x{self.push_bytes.hex()}"
-        return f"{self.pc:#06x} {self.mnemonic}"
-
 
 def decode_bytecode_input(data: bytes | str) -> bytes:
     """Accept raw bytes or (possibly 0x-prefixed, whitespace-padded) hex."""

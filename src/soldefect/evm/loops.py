@@ -1,12 +1,12 @@
 """Natural-loop detection over the recovered CFG.
 
 A back edge is an edge u->h where h dominates u; the loop body is every
-block that reaches u without passing through h. A loop is classified
-``constant(c)`` only when its exit comparison was observed (during stack
-emulation) with concrete operands on both sides across iterations: the
-operand that stays fixed while the other advances is the bound. Anything
-else — storage- or calldata-derived bounds, conditions that never fold —
-is ``unbounded``.
+reachable block that reaches u without passing through h. A loop is
+classified ``constant(c)`` only when its exit comparison was observed
+(during stack emulation) with concrete operands on both sides across
+iterations: the operand that stays fixed while the other advances is the
+bound. Anything else — storage- or calldata-derived bounds, conditions
+that never fold — is ``unbounded``.
 """
 
 from __future__ import annotations
@@ -31,13 +31,10 @@ class Loop:
 def detect_loops(cfg: ControlFlowGraph) -> list[Loop]:
     loops: list[Loop] = []
     seen_headers: dict[int, set[int]] = {}
-    reachable = cfg.reachable()
-    for block in cfg.blocks.values():
-        if block.id not in reachable:
-            continue
-        for succ in block.successors:
-            if succ in reachable and cfg.dominates(succ, block.id):
-                seen_headers.setdefault(succ, set()).add(block.id)
+    for bid in cfg.dominators:  # the reachable blocks
+        for succ in cfg.blocks[bid].successors:
+            if cfg.dominates(succ, bid):
+                seen_headers.setdefault(succ, set()).add(bid)
     for header in sorted(seen_headers):
         body = _natural_loop_body(cfg, header, seen_headers[header])
         bound = _classify_bound(cfg, header, body)
@@ -47,7 +44,6 @@ def detect_loops(cfg: ControlFlowGraph) -> list[Loop]:
 
 def _natural_loop_body(cfg: ControlFlowGraph, header: int,
                        tails: set[int]) -> set[int]:
-    preds = cfg.predecessors()
     body = {header}
     stack = [t for t in tails if t != header]
     while stack:
@@ -55,7 +51,8 @@ def _natural_loop_body(cfg: ControlFlowGraph, header: int,
         if node in body:
             continue
         body.add(node)
-        stack.extend(p for p in preds[node] if p not in body)
+        stack.extend(p for p in cfg.predecessors[node]
+                     if p in cfg.dominators and p not in body)
     return body
 
 

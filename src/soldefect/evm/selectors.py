@@ -38,17 +38,13 @@ def _selector_operand(a, b) -> int | None:
 
 def _dispatcher_region(cfg: ControlFlowGraph) -> set[int]:
     """Blocks reachable from the entry without taking a conditional jump."""
-    order = sorted(cfg.blocks)
-    next_of = {order[i]: order[i + 1] for i in range(len(order) - 1)}
     region: set[int] = set()
     node = cfg.entry if cfg.blocks else None
     while node is not None and node not in region:
         region.add(node)
-        block = cfg.blocks.get(node)
-        if block is None:
-            break
+        block = cfg.blocks[node]
         if block.terminator in ("jumpi", "fallthrough"):
-            node = next_of.get(node)
+            node = cfg.next_block.get(node)
         elif block.terminator == "jump" and len(block.successors) == 1:
             # tolerate one unconditional hop inside the ladder
             node = block.successors[0]

@@ -111,6 +111,33 @@ CALL_BODY = [
     "POP",
 ]
 
+# a storage-bound loop whose latch block is also the fallthrough of a CALL
+# block that nothing reaches: the dead block is not part of the loop
+DEAD_CALL_INTO_LOOP = assemble([
+    "PUSH1 0",
+    "head:",
+    "JUMPDEST",
+    "PUSH1 0",
+    "SLOAD",
+    "DUP2",
+    "LT",
+    "ISZERO",
+    "PUSH2 @exit",
+    "JUMPI",
+    "PUSH1 1",
+    "ADD",
+    "PUSH2 @tail",
+    "JUMP",
+    *CALL_BODY,  # unreachable: it follows a JUMP and no jump targets it
+    "tail:",
+    "JUMPDEST",
+    "PUSH2 @head",
+    "JUMP",
+    "exit:",
+    "JUMPDEST",
+    "STOP",
+])
+
 
 def dispatcher(selector_targets: dict[int, str],
                bodies: list[str] | None = None) -> bytes:

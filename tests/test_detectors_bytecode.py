@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from soldefect.evm.keccak import function_selector
 
-from asm import (BALANCE_EQ, CALL_BODY, PUSH20_LITERAL, assemble, counted_loop,
-                 dispatcher, storage_bound_loop)
+from asm import (BALANCE_EQ, CALL_BODY, DEAD_CALL_INTO_LOOP, PUSH20_LITERAL,
+                 assemble, counted_loop, dispatcher, storage_bound_loop)
 from conftest import bytecode_findings, detectors_fired
 
 
@@ -54,6 +54,10 @@ def test_bounded_call_loop_quiet():
 
 def test_unbounded_loop_without_call_quiet():
     assert "nested-call" not in bc_detectors(storage_bound_loop())
+
+
+def test_unreachable_call_falling_into_loop_quiet():
+    assert "nested-call" not in bc_detectors(DEAD_CALL_INTO_LOOP)
 
 
 # -- hard code address ---------------------------------------------------------------

@@ -8,7 +8,8 @@ from soldefect.evm.disasm import (BytecodeError, disassemble, reassemble)
 from soldefect.evm.loops import detect_loops
 from soldefect.evm.selectors import extract_selectors
 
-from asm import CALL_BODY, assemble, counted_loop, dispatcher, storage_bound_loop
+from asm import (CALL_BODY, DEAD_CALL_INTO_LOOP, assemble, counted_loop,
+                 dispatcher, storage_bound_loop)
 
 # -- disassembly --------------------------------------------------------------
 
@@ -157,6 +158,45 @@ def test_dominator_tree_matches_brute_force():
             assert chain == oracle[block], f"block {block:#x}"
 
 
+_FILLER = (0x80, 0x90, 0x15, 0x14, 0x10, 0x01, 0x50, 0x00, 0xFE)
+
+
+def _jumpy(parts: list[tuple[int, int]]) -> bytes:
+    """Parts: 0 JUMPDEST, 1 jump, 2 calldata-conditioned jumpi, 3 a filler
+    opcode, 4 a raw push. Jumps target the JUMPDEST numbered by the part's
+    argument, so most jumps resolve and the programs have loops."""
+    sizes = (1, 3, 6, 1, 2)
+    dests, pc = [], 0
+    for kind, _arg in parts:
+        if kind == 0:
+            dests.append(pc)
+        pc += sizes[kind]
+    out = bytearray()
+    for kind, arg in parts:
+        target = dests[arg % len(dests)] if dests else arg
+        out += (bytes([0x5B]), bytes([0x60, target, 0x56]),
+                bytes([0x60, 0, 0x35, 0x60, target, 0x57]),
+                bytes([_FILLER[arg % len(_FILLER)]]), bytes([0x60, arg]))[kind]
+    return bytes(out)
+
+
+# 40 parts of at most 6 bytes keep every jump target within a PUSH1
+jump_heavy_programs = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 255)), max_size=40).map(_jumpy)
+
+
+@given(st.one_of(st.binary(max_size=200), jump_heavy_programs))
+def test_graph_facts_are_consistent(code):
+    cfg = build_cfg(code)
+    assert set(cfg.dominators) == cfg.reachable()
+    inverse: dict[int, list[int]] = {b: [] for b in cfg.blocks}
+    for block in cfg.blocks.values():
+        assert block.successors == sorted(set(block.successors))
+        for succ in block.successors:
+            inverse[succ].append(block.id)
+    assert cfg.predecessors == inverse
+
+
 # -- loops ---------------------------------------------------------------------
 
 
@@ -180,7 +220,8 @@ def test_storage_bound_loop_unbounded():
 
 
 def test_loop_header_dominates_body():
-    for code in (counted_loop(3), storage_bound_loop(CALL_BODY)):
+    for code in (counted_loop(3), storage_bound_loop(CALL_BODY),
+                 DEAD_CALL_INTO_LOOP):
         cfg = build_cfg(code)
         for loop in detect_loops(cfg):
             for block in loop.body:

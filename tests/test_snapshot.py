@@ -8,12 +8,16 @@ check and unconditioned `tx.origin` only the strict configuration flags.
 Each hash is the sha256 of the JSON report with the corpus directory
 prefix removed from every path, so it does not depend on where the
 temporary directory lives.
+
+A third hash pins the EVM frontend's facts for the `asm.py` programs:
+blocks, dominators, emulation events, loops and selectors.
 """
 
 from __future__ import annotations
 
 import glob
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -25,6 +29,9 @@ import soldefect
 
 from soldefect.analyzer import analyze_paths
 from soldefect.config import DetectorConfig, RunConfig
+from soldefect.evm.cfg import build_cfg
+from soldefect.evm.loops import detect_loops
+from soldefect.evm.selectors import extract_selectors
 from soldefect.report import render
 from asm import (BALANCE_EQ, CALL_BODY, PUSH20_LITERAL, counted_loop,
                  dispatcher, storage_bound_loop)
@@ -41,6 +48,8 @@ MIXED_SNAPSHOTS = {
     "strict": "c0f28e995e945e45eb0126313986aa648d32facccf14e56b6c68dc28629cef90",
 }
 
+EVM_FACTS_SNAPSHOT = "e77a15805383b9cadaded325287f7f4be047cd157da52f32e997ea98258aec5c"
+
 # transfer(address,uint256) and balanceOf(address): a partial ERC-20
 TRANSFER, BALANCE_OF = 0xa9059cbb, 0x70a08231
 
@@ -50,6 +59,18 @@ MIXED_PROGRAMS = {
     "dispatcher.hex": dispatcher({TRANSFER: "t1", BALANCE_OF: "t2"}),
     "balance_eq.hex": BALANCE_EQ,
     "push20.hex": PUSH20_LITERAL,
+}
+
+EVM_PROGRAMS = {
+    "counted_loop": counted_loop(5),
+    "counted_call_loop": counted_loop(5, CALL_BODY),
+    "storage_call_loop": storage_bound_loop(CALL_BODY),
+    "dispatcher_2": dispatcher({0x11111111: "one", 0x22222222: "two"}),
+    "dispatcher_20": dispatcher({0x10000000 + i: f"f{i}" for i in range(20)},
+                                CALL_BODY),
+    "partial_erc20": dispatcher({TRANSFER: "t1", BALANCE_OF: "t2"}),
+    "balance_eq": BALANCE_EQ,
+    "push20": PUSH20_LITERAL,
 }
 
 STRICT_ONLY_SOURCE = """contract Vault {
@@ -127,3 +148,40 @@ def test_report_bytes_do_not_depend_on_the_hash_seed(mixed_corpus):
         assert run.returncode == 1, run.stderr.decode()  # 1 = findings present
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
+
+
+def render_value(value) -> str:
+    """An abstract value as text, taint tags sorted so no set order leaks."""
+    kind = value[0]
+    if kind == "const":
+        return hex(value[1])
+    if kind == "taint":
+        return "taint(" + ",".join(sorted(value[1])) + ")"
+    if kind == "cmp":
+        _, op, pc, a, b = value
+        return f"{op}@{pc}({render_value(a)},{render_value(b)})"
+    if kind == "iszero":
+        return f"iszero({render_value(value[1])})"
+    return "unknown"
+
+
+def evm_facts(code: bytes) -> dict:
+    cfg = build_cfg(code)
+    return {
+        "blocks": [[b.id, b.terminator, b.successors] for b in cfg.blocks.values()],
+        "dominators": sorted(cfg.dominators.items()),
+        "reachable": sorted(cfg.reachable()),
+        "capped": sorted(cfg.capped_blocks),
+        "unresolved": cfg.unresolved_jumps,
+        "jumpi": [[e.block, e.pc, render_value(e.condition), e.target]
+                  for e in cfg.jumpi_events],
+        "loops": [[loop.header, sorted(loop.body), loop.bound]
+                  for loop in detect_loops(cfg)],
+        "selectors": sorted(extract_selectors(cfg).items()),
+    }
+
+
+def test_evm_facts_snapshot():
+    facts = {name: evm_facts(code) for name, code in EVM_PROGRAMS.items()}
+    blob = json.dumps(facts, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == EVM_FACTS_SNAPSHOT
