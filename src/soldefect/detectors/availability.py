@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..evm.keccak import function_selector
 from ..nodes import (CallExpression, EmitStatement, ExpressionStatement,
                      IfStatement, ThrowStatement)
 from .base import (AnalysisContext, ContractFacts, DetectorDescriptor, Hit,
@@ -37,13 +36,16 @@ ERC20_EVENTS: tuple[tuple[str, tuple[str, ...]], ...] = (
 )
 
 
-def erc20_selector_table() -> dict[str, str]:
-    """Mandatory signature -> 4-byte hex selector, derived via keccak."""
-    return {
-        f"{name}({','.join(params)})":
-            function_selector(f"{name}({','.join(params)})").hex()
-        for name, params, _returns in ERC20_MANDATORY
-    }
+# Mandatory signature -> 4-byte selector hex: the first four bytes of the
+# keccak256 of the signature, written out so that no run has to hash them.
+ERC20_SELECTORS: dict[str, str] = {
+    "totalSupply()": "18160ddd",
+    "balanceOf(address)": "70a08231",
+    "transfer(address,uint256)": "a9059cbb",
+    "transferFrom(address,address,uint256)": "23b872dd",
+    "approve(address,uint256)": "095ea7b3",
+    "allowance(address,address)": "dd62ed3e",
+}
 
 
 UNMATCHED_ERC20 = DetectorDescriptor(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..evm.cfg import unwrap_iszero, value_tags
-from .availability import UNMATCHED_ERC20, erc20_selector_table
+from .availability import ERC20_SELECTORS, UNMATCHED_ERC20
 from .base import AnalysisContext, Hit, register_bytecode
 from .maintainability import HARD_CODE_ADDRESS
 from .security import NESTED_CALL, STRICT_BALANCE_EQUALITY
@@ -60,9 +60,9 @@ def detect_unmatched_erc20_bc(ctx: AnalysisContext) -> Iterator[Hit]:
     Return types are not visible at this level; only selector presence is
     checked."""
     table = {f"{sel:08x}" for sel in ctx.bytecode.selectors}
-    expected = erc20_selector_table()  # signature -> selector hex
-    present = {sig for sig, sel in expected.items() if sel in table}
-    missing = sorted(sig for sig, sel in expected.items() if sel not in table)
+    present = {sig for sig, sel in ERC20_SELECTORS.items() if sel in table}
+    missing = sorted(sig for sig, sel in ERC20_SELECTORS.items()
+                     if sel not in table)
     if present and missing:
         yield 0, ("dispatcher exposes some ERC-20 selectors but is missing "
                   + ", ".join(missing))

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .disasm import Instruction, disassemble
-from .opcodes import JUMPDEST, OPCODES, TERMINATORS, is_push
+from .opcodes import (DUP1, DUP16, JUMP, JUMPDEST, JUMPI, MNEMONICS, OPCODES,
+                      POP, PUSH1, PUSH32, SWAP1, SWAP16, TERMINATORS)
 
 MAX_VISITS_PER_BLOCK = 4
 MAX_STACK_DEPTH = 1024
@@ -32,7 +33,8 @@ _WORD = (1 << 256) - 1
 
 UNKNOWN = ("unknown",)
 
-_TAINT_SOURCES = {
+# opcode -> the taint tags of the value it pushes
+_TAINT_SOURCES = {MNEMONICS[op]: frozenset({tag}) for op, tag in {
     "BALANCE": "BALANCE",
     "CALLER": "CALLER",
     "ORIGIN": "CALLER",
@@ -48,12 +50,16 @@ _TAINT_SOURCES = {
     "CALLVALUE": "ENV",
     "GASPRICE": "ENV",
     "GAS": "ENV",
-}
+}.items()}
 
-_CMP_OPS = {"LT", "GT", "SLT", "SGT", "EQ"}
-
-_FOLDABLE = {"ADD", "SUB", "MUL", "DIV", "SDIV", "MOD", "EXP", "AND", "OR",
-             "XOR", "BYTE", "SIGNEXTEND"}
+# opcode -> mnemonic, which comparison values and `_fold` take
+_CMP_OPS = {MNEMONICS[op]: op for op in ("LT", "GT", "SLT", "SGT", "EQ")}
+_FOLDABLE = {MNEMONICS[op]: op for op in (
+    "ADD", "SUB", "MUL", "DIV", "SDIV", "MOD", "EXP", "AND", "OR", "XOR",
+    "BYTE", "SIGNEXTEND")}
+_ISZERO = MNEMONICS["ISZERO"]
+_NOT = MNEMONICS["NOT"]
+_PC = MNEMONICS["PC"]
 
 
 def value_tags(value) -> frozenset:
@@ -99,6 +105,9 @@ class ControlFlowGraph:
     predecessors: dict[int, list[int]] = field(default_factory=dict)
     # block -> idom; its keys are exactly the blocks reachable from the entry
     dominators: dict[int, int] = field(default_factory=dict)
+    # block -> (preorder number, last preorder number of its subtree) in the
+    # dominator tree: a dominates b iff b's number falls in a's span
+    dominator_spans: dict[int, tuple[int, int]] = field(default_factory=dict)
     unresolved_jumps: list[tuple[int, int]] = field(default_factory=list)
     jumpi_events: list[JumpiEvent] = field(default_factory=list)
     capped_blocks: set[int] = field(default_factory=set)
@@ -115,43 +124,36 @@ class ControlFlowGraph:
         return seen
 
     def dominates(self, a: int, b: int) -> bool:
-        """True iff a dominates b (via the immediate-dominator tree)."""
-        node = b
-        while True:
-            if node == a:
-                return True
-            idom = self.dominators.get(node)
-            if idom is None or idom == node:
-                return False
-            node = idom
+        """True iff a dominates b; a block dominates itself, and no other
+        block dominates or is dominated by an unreachable one."""
+        if a == b:
+            return True
+        span_a = self.dominator_spans.get(a)
+        span_b = self.dominator_spans.get(b)
+        return (span_a is not None and span_b is not None
+                and span_a[0] <= span_b[0] <= span_a[1])
 
 
 def split_blocks(instructions: list[Instruction]) -> dict[int, BasicBlock]:
     """Partition at JUMPDESTs and after terminators."""
-    if not instructions:
-        return {}
-    leaders = {instructions[0].pc}
-    for i, ins in enumerate(instructions):
-        if ins.opcode == JUMPDEST:
-            leaders.add(ins.pc)
-        is_end = ins.opcode in TERMINATORS or not ins.valid
-        if is_end and i + 1 < len(instructions):
-            leaders.add(instructions[i + 1].pc)
     blocks: dict[int, BasicBlock] = {}
     current: list[Instruction] = []
     for ins in instructions:
-        if ins.pc in leaders and current:
+        op = ins.opcode
+        if op == JUMPDEST and current:
             blocks[current[0].pc] = BasicBlock(current[0].pc, current)
             current = []
         current.append(ins)
+        if not ins.valid:
+            blocks[current[0].pc] = BasicBlock(current[0].pc, current,
+                                               terminator="invalid")
+            current = []
+        elif op in TERMINATORS:
+            blocks[current[0].pc] = BasicBlock(current[0].pc, current,
+                                               terminator=TERMINATORS[op])
+            current = []
     if current:
         blocks[current[0].pc] = BasicBlock(current[0].pc, current)
-    for block in blocks.values():
-        last = block.instructions[-1]
-        if not last.valid:
-            block.terminator = "invalid"
-        else:
-            block.terminator = TERMINATORS.get(last.opcode, "fallthrough")
     return blocks
 
 
@@ -161,7 +163,7 @@ def build_cfg(instructions: list[Instruction] | bytes | str) -> ControlFlowGraph
     blocks = split_blocks(instructions)
     if not blocks:
         return ControlFlowGraph({}, 0)
-    order = sorted(blocks)
+    order = list(blocks)  # split_blocks fills it in pc order
     cfg = ControlFlowGraph(blocks, order[0], dict(zip(order, order[1:])),
                            {bid: [] for bid in order})
     # structural fallthrough edges (always valid regardless of stack state)
@@ -177,6 +179,7 @@ def build_cfg(instructions: list[Instruction] | bytes | str) -> ControlFlowGraph
         cfg.predecessors[dst].append(src)
     cfg.unresolved_jumps = sorted(unresolved)
     cfg.dominators = compute_dominators(cfg)
+    cfg.dominator_spans = _dominator_spans(cfg.dominators, cfg.entry)
     return cfg
 
 
@@ -185,7 +188,9 @@ def _emulate(cfg: ControlFlowGraph, edges: set, unresolved: set) -> None:
 
     `split_blocks` ends a block at every terminator and invalid instruction,
     so only JUMP and JUMPI need handling here: any other instruction that
-    ends a path is the last of a block that has no fallthrough."""
+    ends a path is the last of a block that has no fallthrough. A path halts,
+    as the EVM does, once an instruction leaves more than MAX_STACK_DEPTH
+    values on the stack."""
     blocks = cfg.blocks
     worklist: list[tuple[int, tuple]] = [(cfg.entry, ())]
     seen: dict[int, set[tuple]] = {}
@@ -207,11 +212,26 @@ def _emulate(cfg: ControlFlowGraph, edges: set, unresolved: set) -> None:
             steps += 1
             if steps > STEP_BUDGET:
                 return
-            if is_push(ins.opcode):
+            op = ins.opcode
+            if PUSH1 <= op <= PUSH32:
                 stack.append(("const", ins.push_value))
+            elif DUP1 <= op <= DUP16:
+                if len(stack) < op - DUP1 + 1:
+                    break
+                stack.append(stack[DUP1 - 1 - op])
+            elif SWAP1 <= op <= SWAP16:
+                if len(stack) < op - SWAP1 + 2:
+                    break
+                stack[-1], stack[SWAP1 - 2 - op] = stack[SWAP1 - 2 - op], stack[-1]
                 continue
-            op = ins.mnemonic
-            if op == "JUMP":
+            elif op == JUMPDEST:
+                continue
+            elif op == POP:
+                if not stack:
+                    break
+                stack.pop()
+                continue
+            elif op == JUMP:
                 if stack:
                     target = stack.pop()
                     if target[0] == "const" and target[1] in blocks:
@@ -220,7 +240,7 @@ def _emulate(cfg: ControlFlowGraph, edges: set, unresolved: set) -> None:
                     else:
                         unresolved.add((bid, ins.pc))
                 break
-            if op == "JUMPI":
+            elif op == JUMPI:
                 if len(stack) >= 2:
                     target = stack.pop()
                     cond = stack.pop()
@@ -238,7 +258,9 @@ def _emulate(cfg: ControlFlowGraph, edges: set, unresolved: set) -> None:
                     if concrete is not True and fall is not None:
                         worklist.append((fall, tuple(stack)))
                 break
-            if not _step(stack, ins) or len(stack) > MAX_STACK_DEPTH:
+            elif not _step(stack, ins):
+                break
+            if len(stack) > MAX_STACK_DEPTH:
                 break
         else:
             fall = cfg.next_block.get(bid)
@@ -315,62 +337,54 @@ def _fold(op: str, a: int, b: int) -> int:
 
 
 def _step(stack: list, ins: Instruction) -> bool:
-    """Execute one non-control instruction; False on stack underflow."""
-    op = ins.mnemonic
-    entry = OPCODES.get(ins.opcode)
+    """Execute one instruction the emulator does not handle inline;
+    False on stack underflow or an unknown opcode."""
+    op = ins.opcode
+    entry = OPCODES.get(op)
     if entry is None:
         return False
     _, pops, pushes = entry
-
-    if op.startswith("DUP"):
-        n = int(op[3:])
-        if len(stack) < n:
-            return False
-        stack.append(stack[-n])
-        return True
-    if op.startswith("SWAP"):
-        n = int(op[4:])
-        if len(stack) < n + 1:
-            return False
-        stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
-        return True
-
     if len(stack) < pops:
         return False
-    args = [stack.pop() for _ in range(pops)]
+    if pops:
+        args = stack[:-pops - 1:-1]  # the top of the stack first
+        del stack[-pops:]
+    else:
+        args = []
 
-    if op in _TAINT_SOURCES:
-        tags = frozenset({_TAINT_SOURCES[op]})
+    tags = _TAINT_SOURCES.get(op)
+    if tags is not None:
         for a in args:
             tags |= value_tags(a)
         stack.append(("taint", tags))
         return True
-    if op in _CMP_OPS:
-        a, b = args[0], args[1]
-        stack.append(("cmp", op, ins.pc, a, b))
+    name = _CMP_OPS.get(op)
+    if name is not None:
+        stack.append(("cmp", name, ins.pc, args[0], args[1]))
         return True
-    if op == "ISZERO":
+    if op == _ISZERO:
         a = args[0]
         if a[0] == "const":
             stack.append(("const", 0 if a[1] else 1))
         else:
             stack.append(("iszero", a))
         return True
-    if op == "NOT":
+    if op == _NOT:
         a = args[0]
         if a[0] == "const":
             stack.append(("const", a[1] ^ _WORD))
         else:
             stack.append(_join_taints(args))
         return True
-    if op in _FOLDABLE:
+    name = _FOLDABLE.get(op)
+    if name is not None:
         a, b = args[0], args[1]
         if a[0] == "const" and b[0] == "const":
-            stack.append(("const", _fold(op, a[1], b[1])))
+            stack.append(("const", _fold(name, a[1], b[1])))
         else:
             stack.append(_join_taints(args))
         return True
-    if op == "PC":
+    if op == _PC:
         stack.append(("const", ins.pc))
         return True
 
@@ -422,6 +436,29 @@ def compute_dominators(cfg: ControlFlowGraph) -> dict[int, int]:
                 idom[b] = new
                 changed = True
     return idom
+
+
+def _dominator_spans(idom: dict[int, int],
+                     entry: int) -> dict[int, tuple[int, int]]:
+    """Number the dominator tree in preorder; each block's span runs from its
+    own number to the last number in its subtree."""
+    if not idom:
+        return {}
+    children: dict[int, list[int]] = {b: [] for b in idom}
+    for b, parent in idom.items():
+        if b != entry:
+            children[parent].append(b)
+    preorder: list[int] = []
+    stack = [entry]
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        stack.extend(children[node])
+    size = dict.fromkeys(preorder, 1)
+    for node in reversed(preorder):
+        if node != entry:
+            size[idom[node]] += size[node]
+    return {node: (i, i + size[node] - 1) for i, node in enumerate(preorder)}
 
 
 def _reverse_postorder(cfg: ControlFlowGraph) -> list[int]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .opcodes import OPCODES, is_push, push_width
+from .opcodes import OPCODES, PUSH1, PUSH32
 
 
 class BytecodeError(ValueError):
@@ -22,10 +22,7 @@ class Instruction:
     mnemonic: str
     push_bytes: bytes = b""
     valid: bool = True  # False for unknown opcodes and truncated pushes
-
-    @property
-    def push_value(self) -> int:
-        return int.from_bytes(self.push_bytes, "big") if self.push_bytes else 0
+    push_value: int = 0  # push_bytes as a big-endian integer
 
 
 def decode_bytecode_input(data: bytes | str) -> bytes:
@@ -47,25 +44,23 @@ def decode_bytecode_input(data: bytes | str) -> bytes:
 def disassemble(bytecode: bytes | str) -> list[Instruction]:
     code = decode_bytecode_input(bytecode)
     out: list[Instruction] = []
+    append = out.append
     pc = 0
     n = len(code)
     while pc < n:
         op = code[pc]
         entry = OPCODES.get(op)
         if entry is None:
-            out.append(Instruction(pc, op, "INVALID", valid=False))
+            append(Instruction(pc, op, "INVALID", valid=False))
             pc += 1
-            continue
-        mnemonic = entry[0]
-        if is_push(op):
-            width = push_width(op)
-            data = code[pc + 1:pc + 1 + width]
-            truncated = len(data) < width
-            out.append(Instruction(pc, op, mnemonic, bytes(data),
-                                   valid=not truncated))
-            pc += 1 + len(data)
+        elif PUSH1 <= op <= PUSH32:
+            end = pc + 2 + op - PUSH1
+            data = code[pc + 1:end]
+            append(Instruction(pc, op, entry[0], data, end <= n,
+                               int.from_bytes(data, "big")))
+            pc = end
         else:
-            out.append(Instruction(pc, op, mnemonic))
+            append(Instruction(pc, op, entry[0]))
             pc += 1
     return out
 

@@ -8,6 +8,7 @@ canonical checksum exactly.
 from __future__ import annotations
 
 import string
+from functools import lru_cache
 
 from .keccak import keccak256
 
@@ -31,12 +32,18 @@ def checksum_address(address: str) -> str:
     A hex letter is uppercased iff the corresponding nibble of
     keccak256(lowercase ascii address body) is >= 8.
     """
-    body = _strip_prefix(address).lower()
+    return "0x" + _checksum_body(_strip_prefix(address).lower())
+
+
+@lru_cache(maxsize=1024)
+def _checksum_body(body: str) -> str:
+    """The checksummed spelling of a lowercase body; memoised, since every
+    case spelling of one address hashes the same lowercase body."""
     digest = keccak256(body.encode("ascii")).hex()
     out = []
     for ch, nibble in zip(body, digest):
         out.append(ch.upper() if ch.isalpha() and int(nibble, 16) >= 8 else ch)
-    return "0x" + "".join(out)
+    return "".join(out)
 
 
 def is_valid_address(literal: str) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cfg import ControlFlowGraph, unwrap_iszero
+from .cfg import ControlFlowGraph, JumpiEvent, unwrap_iszero
 
 
 @dataclass
@@ -35,9 +35,12 @@ def detect_loops(cfg: ControlFlowGraph) -> list[Loop]:
         for succ in cfg.blocks[bid].successors:
             if cfg.dominates(succ, bid):
                 seen_headers.setdefault(succ, set()).add(bid)
+    events_at: dict[int, list[JumpiEvent]] = {}  # JUMPI pc -> its executions
+    for event in cfg.jumpi_events:
+        events_at.setdefault(event.pc, []).append(event)
     for header in sorted(seen_headers):
         body = _natural_loop_body(cfg, header, seen_headers[header])
-        bound = _classify_bound(cfg, header, body)
+        bound = _classify_bound(cfg, body, events_at)
         loops.append(Loop(header, frozenset(body), bound))
     return loops
 
@@ -56,8 +59,8 @@ def _natural_loop_body(cfg: ControlFlowGraph, header: int,
     return body
 
 
-def _classify_bound(cfg: ControlFlowGraph, header: int,
-                    body: set[int]) -> Optional[int]:
+def _classify_bound(cfg: ControlFlowGraph, body: set[int],
+                    events_at: dict[int, list[JumpiEvent]]) -> Optional[int]:
     exit_pcs = set()
     for bid in body:
         block = cfg.blocks[bid]
@@ -65,22 +68,18 @@ def _classify_bound(cfg: ControlFlowGraph, header: int,
             continue
         if any(succ not in body for succ in block.successors):
             exit_pcs.add(block.instructions[-1].pc)
-    if not exit_pcs:
-        return None
 
     observations: dict[int, list[tuple]] = {pc: [] for pc in sorted(exit_pcs)}
-    for event in cfg.jumpi_events:
-        if event.pc not in exit_pcs:
-            continue
-        cond = unwrap_iszero(event.condition)
-        if cond[0] != "cmp":
-            return None
-        _, _op, _pc, a, b = cond
-        if a[0] != "const" or b[0] != "const":
-            return None  # bound involves storage/calldata/env data
-        pair = (a[1], b[1])
-        if pair not in observations[event.pc]:
-            observations[event.pc].append(pair)
+    for pc, pairs in observations.items():
+        for event in events_at.get(pc, ()):
+            cond = unwrap_iszero(event.condition)
+            if cond[0] != "cmp":
+                return None
+            _, _op, _pc, a, b = cond
+            if a[0] != "const" or b[0] != "const":
+                return None  # bound involves storage/calldata/env data
+            if (a[1], b[1]) not in pairs:
+                pairs.append((a[1], b[1]))
 
     for pairs in observations.values():
         bound = _stable_operand(pairs)

@@ -86,9 +86,14 @@ for _n in range(5):
 
 PUSH1 = 0x60
 PUSH32 = 0x7F
+DUP1 = 0x80
+DUP16 = 0x8F
+SWAP1 = 0x90
+SWAP16 = 0x9F
 JUMP = 0x56
 JUMPI = 0x57
 JUMPDEST = 0x5B
+POP = 0x50
 
 # opcodes that end a basic block
 TERMINATORS: dict[int, str] = {
@@ -104,9 +109,5 @@ TERMINATORS: dict[int, str] = {
 MNEMONICS = {name: op for op, (name, _, _) in OPCODES.items()}
 
 
-def is_push(opcode: int) -> bool:
-    return PUSH1 <= opcode <= PUSH32
-
-
 def push_width(opcode: int) -> int:
-    return opcode - PUSH1 + 1 if is_push(opcode) else 0
+    return opcode - PUSH1 + 1 if PUSH1 <= opcode <= PUSH32 else 0

@@ -139,6 +139,20 @@ DEAD_CALL_INTO_LOOP = assemble([
 ])
 
 
+# 1,025 pushes overflow the EVM's 1,024-slot stack at the last one, so the
+# jump after them must never be taken. The pushes and the jump share a
+# block: a block that starts with a JUMPDEST already halted the old check.
+STACK_OVERFLOW = assemble([
+    *["PUSH1 0"] * 1025,
+    "POP",
+    "PUSH2 @t",
+    "JUMP",
+    "t:",
+    "JUMPDEST",
+    "STOP",
+])
+
+
 def dispatcher(selector_targets: dict[int, str],
                bodies: list[str] | None = None) -> bytes:
     """A solc-0.4-style selector ladder:

@@ -3,6 +3,8 @@ dual-mode defects (hand-assembled bytecode standing in for compiled probes)."""
 
 from __future__ import annotations
 
+import soldefect.evm.keccak
+from soldefect.detectors.availability import ERC20_MANDATORY, ERC20_SELECTORS
 from soldefect.evm.keccak import function_selector
 
 from asm import (BALANCE_EQ, CALL_BODY, DEAD_CALL_INTO_LOOP, PUSH20_LITERAL,
@@ -114,6 +116,24 @@ def test_full_erc20_dispatcher_quiet():
 def test_non_token_dispatcher_quiet():
     other = dispatcher({0x12345678: "t1", 0xCAFEBABE: "t2"})
     assert "unmatched-erc20" not in bc_detectors(other)
+
+
+def test_literal_selector_table_matches_keccak():
+    assert set(ERC20_SELECTORS) == {f"{name}({','.join(params)})"
+                                    for name, params, _r in ERC20_MANDATORY}
+    for signature, selector in ERC20_SELECTORS.items():
+        assert function_selector(signature).hex() == selector
+
+
+def test_bytecode_path_computes_no_keccak(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("keccak on the bytecode path")
+
+    monkeypatch.setattr(soldefect.evm.keccak, "keccak256", refuse)
+    monkeypatch.setattr(soldefect.evm.keccak, "_keccak_f", refuse)
+    partial = dispatcher({_SELECTORS["transfer"]: "t1",
+                          _SELECTORS["balanceOf"]: "t2"})
+    assert "unmatched-erc20" in bc_detectors(partial)
 
 
 # -- source/bytecode agreement for the dual-mode detectors ----------------------------

@@ -8,8 +8,8 @@ from soldefect.evm.disasm import (BytecodeError, disassemble, reassemble)
 from soldefect.evm.loops import detect_loops
 from soldefect.evm.selectors import extract_selectors
 
-from asm import (CALL_BODY, DEAD_CALL_INTO_LOOP, assemble, counted_loop,
-                 dispatcher, storage_bound_loop)
+from asm import (CALL_BODY, DEAD_CALL_INTO_LOOP, STACK_OVERFLOW, assemble,
+                 counted_loop, dispatcher, storage_bound_loop)
 
 # -- disassembly --------------------------------------------------------------
 
@@ -77,6 +77,12 @@ def test_unresolved_dynamic_jump_recorded():
     cfg = build_cfg(assemble(["PUSH1 0", "CALLDATALOAD", "JUMP",
                               "JUMPDEST", "STOP"]))
     assert cfg.unresolved_jumps, "dynamic jump target should be edge-to-unknown"
+
+
+def test_stack_overflow_halts_the_path():
+    cfg = build_cfg(STACK_OVERFLOW)
+    assert cfg.blocks[cfg.entry].successors == []
+    assert set(cfg.dominators) == {cfg.entry}
 
 
 def test_block_partition_invariants():
@@ -185,6 +191,18 @@ jump_heavy_programs = st.lists(
     st.tuples(st.integers(0, 4), st.integers(0, 255)), max_size=40).map(_jumpy)
 
 
+def idom_chain_dominates(cfg, a: int, b: int) -> bool:
+    """Whether a dominates b, by walking b's immediate-dominator chain."""
+    node = b
+    while True:
+        if node == a:
+            return True
+        idom = cfg.dominators.get(node)
+        if idom is None or idom == node:
+            return False
+        node = idom
+
+
 @given(st.one_of(st.binary(max_size=200), jump_heavy_programs))
 def test_graph_facts_are_consistent(code):
     cfg = build_cfg(code)
@@ -195,6 +213,10 @@ def test_graph_facts_are_consistent(code):
         for succ in block.successors:
             inverse[succ].append(block.id)
     assert cfg.predecessors == inverse
+    # every pair, unreachable blocks and a == b included
+    for a in cfg.blocks:
+        for b in cfg.blocks:
+            assert cfg.dominates(a, b) == idom_chain_dominates(cfg, a, b)
 
 
 # -- loops ---------------------------------------------------------------------
