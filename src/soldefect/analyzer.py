@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .config import RunConfig
@@ -162,6 +161,9 @@ def analyze_paths(paths: list[str], config: RunConfig) -> tuple[Report, list[Fil
     if jobs <= 1 or len(files) <= 1:
         outcomes = [analyze_file(path, config) for path in files]
     else:
+        # imported here: concurrent.futures loads multiprocessing and
+        # logging, which a serial run and the CLI's start never need
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(config,)) as pool:
             outcomes = list(pool.map(_worker, files, chunksize=8))

@@ -8,6 +8,7 @@ and rendering the same report twice yields identical bytes.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -47,6 +48,14 @@ class Finding:
     def sort_key(self) -> tuple:
         return (self.file, self.position, self.detector,
                 self.column if self.column is not None else 0)
+
+    def __reduce__(self):
+        # A worker pool sends every finding to the main process; rebuilding
+        # one from its field tuple skips the Python-level __getstate__ and
+        # __setstate__ that dataclass(slots=True) generates.
+        return (Finding, (self.detector, self.category, self.impact,
+                          self.file, self.message, self.advice, self.line,
+                          self.column, self.pc))
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,36 +130,100 @@ def render_text(report: Report) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def report_to_obj(report: Report) -> dict:
-    return {
-        "tool": report.tool,
-        "version": report.version,
-        "inputs": [{"path": i.path, "sha256": i.sha256} for i in report.inputs],
-        "findings": [
-            {
-                "detector": f.detector,
-                "category": f.category,
-                "impact": f.impact,
-                "file": f.file,
-                "line": f.line,
-                "column": f.column,
-                "pc": f.pc,
-                "message": f.message,
-                "advice": f.advice,
-            }
-            for f in report.findings
-        ],
-        "summary": report.summary(),
-    }
+# The findings array is the only part of a report that grows with the
+# input, and json.dumps with an indent never uses the C encoder. So each
+# finding is rendered by a template that writes, byte for byte, what
+# json.dumps(indent=2) writes for it, its strings escaped by the C escaper
+# json.dumps itself uses; the fixed parts still go through json.dumps.
+# tests/test_report.py holds the json.dumps rendering as the reference.
+
+_FINDING_JSON = """\
+    {
+      "detector": %s,
+      "category": %s,
+      "impact": %s,
+      "file": %s,
+      "line": %s,
+      "column": %s,
+      "pc": %s,
+      "message": %s,
+      "advice": %s
+    }"""
+
+
+def _number(value: Optional[int]) -> str:
+    return "null" if value is None else int.__repr__(value)
+
+
+def _with_array(doc: dict, key: str, depth: int, items: list[str]) -> str:
+    """``json.dumps(doc, indent=2)``, with the empty list that ``doc`` holds
+    under ``key``, ``depth`` levels deep, replaced by ``items``: JSON values
+    already rendered one level deeper.
+
+    No other line of the text can match: json.dumps escapes every newline
+    inside a string, so the key's line is told apart by its indent.
+    """
+    text = json.dumps(doc, indent=2) + "\n"
+    if not items:
+        return text
+    indent = "\n" + "  " * depth
+    empty = f'{indent}"{key}": []'
+    return text.replace(empty, f'{indent}"{key}": [\n'
+                        + ",\n".join(items) + f"{indent}]", 1)
 
 
 def render_json(report: Report) -> bytes:
-    return (json.dumps(report_to_obj(report), indent=2, sort_keys=False)
-            + "\n").encode("utf-8")
+    q = encode_basestring_ascii
+    findings = [
+        _FINDING_JSON % (q(f.detector), q(f.category), q(f.impact), q(f.file),
+                         _number(f.line), _number(f.column), _number(f.pc),
+                         q(f.message), q(f.advice))
+        for f in report.findings
+    ]
+    doc = {
+        "tool": report.tool,
+        "version": report.version,
+        "inputs": [{"path": i.path, "sha256": i.sha256} for i in report.inputs],
+        "findings": [],
+        "summary": report.summary(),
+    }
+    return _with_array(doc, "findings", 1, findings).encode("utf-8")
 
 
 _SARIF_LEVELS = {"IP1": "error", "IP2": "error", "IP3": "warning",
                  "IP4": "warning", "IP5": "note"}
+
+_SARIF_RESULT = """\
+        {
+          "ruleId": %s,
+          "level": "%s",
+          "message": {
+            "text": %s
+          },
+          "locations": [
+            {
+              "physicalLocation": {
+                "artifactLocation": {
+                  "uri": %s
+                },
+                "region": {
+                  %s
+                }
+              }
+            }
+          ]
+        }"""
+
+_SARIF_REGION_SEP = ",\n" + " " * 18
+
+
+def _sarif_region(f: Finding) -> str:
+    if f.line is None:
+        return f'"byteOffset": {_number(f.pc)}'
+    if f.column is None:
+        return f'"startLine": {_number(f.line)}'
+    return (f'"startLine": {_number(f.line)}{_SARIF_REGION_SEP}'
+            f'"startColumn": {_number(f.column)}')
 
 
 def render_sarif(report: Report) -> bytes:
@@ -168,26 +241,12 @@ def render_sarif(report: Report) -> bytes:
         }
         for d in REGISTRY
     ]
-    results = []
-    for f in report.findings:
-        region = {}
-        if f.line is not None:
-            region["startLine"] = f.line
-            if f.column is not None:
-                region["startColumn"] = f.column
-        else:
-            region["byteOffset"] = f.pc
-        results.append({
-            "ruleId": f.detector,
-            "level": _SARIF_LEVELS[f.impact],
-            "message": {"text": f.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": f.file},
-                    "region": region,
-                },
-            }],
-        })
+    q = encode_basestring_ascii
+    results = [
+        _SARIF_RESULT % (q(f.detector), _SARIF_LEVELS[f.impact], q(f.message),
+                         q(f.file), _sarif_region(f))
+        for f in report.findings
+    ]
     doc = {
         "$schema": "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
                    "master/Schemata/sarif-schema-2.1.0.json",
@@ -199,7 +258,7 @@ def render_sarif(report: Report) -> bytes:
                 "informationUri": "",
                 "rules": rules,
             }},
-            "results": results,
+            "results": [],
         }],
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return _with_array(doc, "results", 3, results).encode("utf-8")

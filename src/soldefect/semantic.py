@@ -54,37 +54,45 @@ def flatten_contract(unit: SourceUnit, contract: ContractDefinition,
     more than once through different paths (diamond) is merged once and a
     warning is recorded.
     """
-    by_name = {c.name: c for c in unit.contracts}
     table = SymbolTable(contract)
-    seen: set[str] = set()
-
-    def absorb(c: ContractDefinition) -> None:
-        if c.name in seen:
-            if diagnostics is not None:
-                diagnostics.append(Diagnostic(
-                    "warning",
-                    f"contract {contract.name}: base {c.name} inherited more "
-                    f"than once; flat-union merge applied", contract.span))
-            return
-        seen.add(c.name)
-        for base_name in c.bases:
-            base = by_name.get(base_name)
-            if base is not None:
-                absorb(base)
-        for var in c.state_variables:
-            table.state_variables[var.name] = var
-        for fn in c.functions:
-            overloads = table.functions.setdefault(fn.name, [])
-            key = fn.signature()
-            overloads[:] = [f for f in overloads if f.signature() != key]
-            overloads.append(fn)
-        for mod in c.modifiers:
-            table.modifiers[mod.name] = mod
-        for event in c.events:
-            table.events[event.name] = event
-
-    absorb(contract)
+    _absorb(contract, table, {c.name: c for c in unit.contracts}, set(),
+            diagnostics)
     return table
+
+
+def _absorb(c: ContractDefinition, table: SymbolTable,
+            by_name: dict[str, ContractDefinition], seen: set[str],
+            diagnostics: Optional[list[Diagnostic]]) -> None:
+    """Merge ``c``'s bases, then ``c`` itself, into ``table``.
+
+    A module-level function, not a closure over the table: a closure that
+    calls itself is a reference cycle, which would keep the file's whole
+    tree alive until the cyclic garbage collector runs.
+    """
+    contract = table.contract
+    if c.name in seen:
+        if diagnostics is not None:
+            diagnostics.append(Diagnostic(
+                "warning",
+                f"contract {contract.name}: base {c.name} inherited more "
+                f"than once; flat-union merge applied", contract.span))
+        return
+    seen.add(c.name)
+    for base_name in c.bases:
+        base = by_name.get(base_name)
+        if base is not None:
+            _absorb(base, table, by_name, seen, diagnostics)
+    for var in c.state_variables:
+        table.state_variables[var.name] = var
+    for fn in c.functions:
+        overloads = table.functions.setdefault(fn.name, [])
+        key = fn.signature()
+        overloads[:] = [f for f in overloads if f.signature() != key]
+        overloads.append(fn)
+    for mod in c.modifiers:
+        table.modifiers[mod.name] = mod
+    for event in c.events:
+        table.events[event.name] = event
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +146,18 @@ def build_call_graph(table: SymbolTable) -> CallGraph:
 class VarFacts:
     declaration: VariableDeclaration
     is_parameter: bool
-    flows_into: set[str] = field(default_factory=set)
+    # positions in DefUseFacts.variables of the locals assigned from this one
+    flows_into: set[int] = field(default_factory=set)
     live: bool = False
 
 
 @dataclass
 class DefUseFacts:
-    variables: dict[str, VarFacts] = field(default_factory=dict)
+    # one entry per declaration: the parameters, then the locals in order
+    variables: list[VarFacts] = field(default_factory=list)
 
     def dead_variables(self) -> list[VarFacts]:
-        return [v for v in self.variables.values() if not v.live]
+        return [v for v in self.variables if not v.live]
 
 
 def compute_def_use(function: FunctionDefinition) -> DefUseFacts:
@@ -158,97 +168,131 @@ def compute_def_use(function: FunctionDefinition) -> DefUseFacts:
     dead local: a state write, return value, condition, call argument,
     event argument, index expression, and so on. Named return variables
     are exempt (implicitly read by the return machinery).
+
+    Each name read resolves to the declaration in scope at that point: a
+    local hides a parameter or an earlier local of its name from its
+    declaration on.
     """
-    facts = DefUseFacts()
-    variables = facts.variables
-    for param in function.parameters:
-        if param.name:
-            variables[param.name] = VarFacts(param, True)
-
-    named_returns = {r.name for r in function.returns_ if r.name}
-
-    def reads(expr: Optional[Expression]) -> list[VarFacts]:
-        """The parameters and locals in scope that `expr` reads."""
-        if expr is None:
-            return []
-        return [variables[node.name] for node in walk(expr)
-                if isinstance(node, Identifier) and node.name in variables
-                and node.name not in named_returns]
-
-    def consume(expr: Optional[Expression]) -> None:
-        for v in reads(expr):
-            v.live = True
-
-    def visit_statement(stmt) -> None:
-        if isinstance(stmt, VariableDeclarationStatement):
-            decl = stmt.declaration
-            if decl.name:
-                variables[decl.name] = VarFacts(decl, False)
-                for v in reads(decl.initializer):
-                    v.flows_into.add(decl.name)
-            else:
-                consume(decl.initializer)
-        elif isinstance(stmt, ExpressionStatement):
-            visit_expression_statement(stmt.expression)
-        elif isinstance(stmt, Block):
-            for s in stmt.statements:
-                visit_statement(s)
-        elif isinstance(stmt, IfStatement):
-            consume(stmt.condition)
-            visit_statement(stmt.then_branch)
-            if stmt.else_branch is not None:
-                visit_statement(stmt.else_branch)
-        elif isinstance(stmt, WhileStatement):
-            consume(stmt.condition)
-            visit_statement(stmt.body)
-        elif isinstance(stmt, ForStatement):
-            if stmt.init is not None:
-                visit_statement(stmt.init)
-            consume(stmt.condition)
-            if stmt.post is not None:
-                visit_expression_statement(stmt.post)
-            visit_statement(stmt.body)
-        elif isinstance(stmt, ReturnStatement):
-            consume(stmt.value)
-        elif isinstance(stmt, EmitStatement):
-            consume(stmt.call)
-
-    def visit_expression_statement(expr: Expression) -> None:
-        if isinstance(expr, Assignment):
-            target = expr.target
-            if isinstance(target, Identifier) and reads(target):  # a local
-                for v in reads(expr.value):
-                    v.flows_into.add(target.name)
-                return
-            # state, member and container stores: everything read stays
-            # conservatively live; the variable written through is not read
-            for part in _assignment_reads(target):
-                consume(part)
-            consume(expr.value)
-        elif isinstance(expr, UnaryOperation) and expr.operator in ("++", "--") \
-                and isinstance(expr.operand, Identifier):
-            pass  # bumping a variable is not a read of it
-        else:
-            consume(expr)
-
+    visitor = _DefUseWalk(function)
     if function.body is not None:
         for stmt in function.body.statements:
-            visit_statement(stmt)
+            visitor.statement(stmt)
+    variables = visitor.facts.variables
 
     # liveness fixpoint over local assignment chains
     changed = True
     while changed:
         changed = False
-        for vf in variables.values():
+        for vf in variables:
             if vf.live:
                 continue
             for target in vf.flows_into:
-                tf = variables.get(target)
-                if tf is not None and tf.live:
+                if variables[target].live:
                     vf.live = True
                     changed = True
                     break
-    return facts
+    return visitor.facts
+
+
+class _DefUseWalk:
+    """One pass over a function's statements, recording reads and flows.
+
+    Its methods reach the walk's state through ``self``, and nothing here
+    refers back to the walk, so no reference cycle keeps the tree alive
+    once the facts are dropped.
+    """
+
+    __slots__ = ("facts", "scope")
+
+    def __init__(self, function: FunctionDefinition) -> None:
+        self.facts = DefUseFacts()
+        # name -> position of its declaration in facts.variables, or None
+        # for a named return, whose reads are not tracked
+        self.scope: dict[str, Optional[int]] = {}
+        for param in function.parameters:
+            if param.name:
+                self.declare(param, True)
+        for ret in function.returns_:
+            if ret.name:
+                self.scope[ret.name] = None
+
+    def declare(self, decl: VariableDeclaration, is_parameter: bool) -> int:
+        variables = self.facts.variables
+        self.scope[decl.name] = len(variables)
+        variables.append(VarFacts(decl, is_parameter))
+        return len(variables) - 1
+
+    def reads(self, expr: Optional[Expression]) -> list[int]:
+        """The parameters and locals in scope that `expr` reads."""
+        if expr is None:
+            return []
+        scope = self.scope
+        return [v for node in walk(expr) if isinstance(node, Identifier)
+                and (v := scope.get(node.name)) is not None]
+
+    def consume(self, expr: Optional[Expression]) -> None:
+        variables = self.facts.variables
+        for v in self.reads(expr):
+            variables[v].live = True
+
+    def flow(self, sources: list[int], target: int) -> None:
+        variables = self.facts.variables
+        for v in sources:
+            variables[v].flows_into.add(target)
+
+    def statement(self, stmt) -> None:
+        if isinstance(stmt, VariableDeclarationStatement):
+            decl = stmt.declaration
+            if decl.name:
+                # the initializer reads what was in scope before this name
+                sources = self.reads(decl.initializer)
+                self.flow(sources, self.declare(decl, False))
+            else:
+                self.consume(decl.initializer)
+        elif isinstance(stmt, ExpressionStatement):
+            self.expression_statement(stmt.expression)
+        elif isinstance(stmt, Block):
+            for s in stmt.statements:
+                self.statement(s)
+        elif isinstance(stmt, IfStatement):
+            self.consume(stmt.condition)
+            self.statement(stmt.then_branch)
+            if stmt.else_branch is not None:
+                self.statement(stmt.else_branch)
+        elif isinstance(stmt, WhileStatement):
+            self.consume(stmt.condition)
+            self.statement(stmt.body)
+        elif isinstance(stmt, ForStatement):
+            if stmt.init is not None:
+                self.statement(stmt.init)
+            self.consume(stmt.condition)
+            if stmt.post is not None:
+                self.expression_statement(stmt.post)
+            self.statement(stmt.body)
+        elif isinstance(stmt, ReturnStatement):
+            self.consume(stmt.value)
+        elif isinstance(stmt, EmitStatement):
+            self.consume(stmt.call)
+
+    def expression_statement(self, expr: Expression) -> None:
+        if isinstance(expr, Assignment):
+            target = expr.target
+            if isinstance(target, Identifier):
+                written = self.scope.get(target.name)
+                if written is not None:  # a parameter or local
+                    self.flow(self.reads(expr.value), written)
+                    return
+            # state, member and container stores: everything read stays
+            # conservatively live; the variable written through is not read
+            for part in _assignment_reads(target):
+                self.consume(part)
+            self.consume(expr.value)
+        elif isinstance(expr, UnaryOperation) \
+                and expr.operator in ("++", "--", "delete") \
+                and isinstance(expr.operand, Identifier):
+            pass  # bumping or deleting a variable writes it, not reads it
+        else:
+            self.consume(expr)
 
 
 def _assignment_reads(target: Expression) -> Iterable[Expression]:

@@ -10,6 +10,10 @@ from soldefect.report import Report
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus", "listings")
 
+# 200 nested parentheses exceed the parser's nesting limit
+DEEP_CONTRACT = ("contract Deep {\n    function f() returns (uint) {\n"
+                 "        return " + "(" * 200 + "1" + ")" * 200 + ";\n    }\n}\n")
+
 
 @pytest.fixture(scope="session")
 def corpus_dir() -> str:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import os
+import pathlib
 
 import pytest
 
@@ -8,8 +10,9 @@ from soldefect.analyzer import (analyze_file, analyze_input, analyze_paths,
                                 collect_inputs, file_mode)
 from soldefect.config import RunConfig
 
-from asm import CALL_BODY, storage_bound_loop
-from conftest import read_listing
+from asm import (BALANCE_EQ, CALL_BODY, DEAD_CALL_INTO_LOOP, STACK_OVERFLOW,
+                 counted_loop, dispatcher, storage_bound_loop)
+from conftest import CORPUS_DIR, DEEP_CONTRACT, read_listing
 from synth import generate_contract_file
 
 
@@ -106,3 +109,35 @@ def test_findings_have_distinct_identities(name):
     outcome = analyze_input(text.encode("utf-8"), name, RunConfig())
     identities = [f.identity() for f in outcome.findings]
     assert identities and len(identities) == len(set(identities))
+
+
+NO_CYCLE_INPUTS = {
+    **{path.name: path.read_bytes()
+       for path in sorted(pathlib.Path(CORPUS_DIR).glob("*.sol"))},
+    "parse_error.sol": b"contract C { function f( { } uint x; }",
+    "lex_error.sol": b'contract C { string s = "oops; }',
+    "deep.sol": DEEP_CONTRACT.encode("utf-8"),
+    **{name + ".hex": ("0x" + code.hex()).encode("ascii") for name, code in {
+        "counted_loop": counted_loop(5, CALL_BODY),
+        "storage_loop": storage_bound_loop(CALL_BODY),
+        "dispatcher": dispatcher({0x11111111: "one", 0x22222222: "two"}),
+        "balance_eq": BALANCE_EQ,
+        "stack_overflow": STACK_OVERFLOW,
+        "dead_call": DEAD_CALL_INTO_LOOP,
+    }.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_CYCLE_INPUTS))
+def test_analysis_leaves_no_reference_cycles(name):
+    # reference counting alone must free a file's tree and facts once it is
+    # done: a cycle would keep them until the cyclic collector runs
+    raw, config = NO_CYCLE_INPUTS[name], RunConfig()
+    analyze_input(raw, name, config)  # lazy one-time set-up happens here
+    gc.collect()
+    gc.disable()
+    try:
+        analyze_input(raw, name, config)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

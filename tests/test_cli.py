@@ -8,7 +8,7 @@ import pytest
 from soldefect.cli import main
 from soldefect.parser import MAX_NESTING
 
-from conftest import read_listing
+from conftest import DEEP_CONTRACT, read_listing
 
 CLEAN_CONTRACT = """pragma solidity 0.4.25;
 contract Clean {
@@ -59,11 +59,6 @@ def test_parse_error_in_one_file_does_not_abort(tmp_path, capsys):
     assert code == 1  # findings from the good file
     err = capsys.readouterr().err
     assert "unterminated string" in err
-
-
-# 200 nested parentheses exceed the parser's recursion depth
-DEEP_CONTRACT = ("contract Deep {\n    function f() returns (uint) {\n"
-                 "        return " + "(" * 200 + "1" + ")" * 200 + ";\n    }\n}\n")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

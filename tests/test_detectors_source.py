@@ -579,6 +579,22 @@ def test_dead_chain_two_findings():
     assert len(findings) == 2
 
 
+def test_shadowed_parameter_and_deleted_local_fire():
+    found = hits("""contract C {
+    uint s;
+    function f(uint x) {
+        uint x = 1;
+        s = x;
+    }
+    function g(uint a) {
+        uint b = a;
+        delete b;
+    }
+}""")
+    # the shadowed parameter x, the parameter a and the deleted local b
+    assert {line for d, line in found if d == "unused-statement"} == {3, 7, 8}
+
+
 # -- D15 high gas consumption function type -------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """The analysis path needs nothing outside the standard library: with
 `requests` unimportable the CLI still analyzes, scores and lists, the
-fetch tests still pass, and importing the CLI loads no HTTP code."""
+fetch tests still pass, and importing the CLI loads no HTTP code and no
+process pool."""
 
 from __future__ import annotations
 
@@ -60,3 +61,13 @@ def test_fetch_tests_pass_without_requests():
     proc = _python(RUN_FETCH_TESTS, os.path.join(TESTS, "test_fetch.py"),
                    os.path.join(TESTS, "test_fetch_http.py"))
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_cli_import_loads_no_process_pool():
+    # only a run with --jobs above 1 starts a pool; every CLI start pays
+    # for what importing the CLI loads
+    proc = _python("import sys, soldefect.cli\n"
+                   "print([m for m in ('concurrent.futures', 'multiprocessing')"
+                   " if m in sys.modules])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

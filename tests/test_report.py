@@ -3,12 +3,14 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from soldefect.report import (Finding, InputRecord, Report, filter_by_impact,
-                              impact_rank, render, render_json, render_sarif,
-                              render_text)
+from soldefect.detectors import REGISTRY
+from soldefect.report import (IMPACT_LEVELS, Finding, InputRecord, Report,
+                              filter_by_impact, impact_rank, render,
+                              render_json, render_sarif, render_text)
 
-from conftest import findings_for, read_listing
+from conftest import clean_outcome, findings_for, read_listing
 
 
 def _finding(detector="reentrancy", impact="IP1", file="a.sol", line=3,
@@ -140,3 +142,146 @@ def test_merge_is_order_insensitive_after_sort():
         return Report(x.inputs + y.inputs, x.findings + y.findings)
 
     assert merge(a, b) == merge(b, a)
+
+
+# -- the renderers against json.dumps ------------------------------------------
+#
+# The reference: each report's object form rendered by the standard library.
+# The JSON and SARIF renderers must write exactly these bytes.
+
+
+def reference_json(report: Report) -> dict:
+    return {
+        "tool": report.tool,
+        "version": report.version,
+        "inputs": [{"path": i.path, "sha256": i.sha256} for i in report.inputs],
+        "findings": [
+            {
+                "detector": f.detector,
+                "category": f.category,
+                "impact": f.impact,
+                "file": f.file,
+                "line": f.line,
+                "column": f.column,
+                "pc": f.pc,
+                "message": f.message,
+                "advice": f.advice,
+            }
+            for f in report.findings
+        ],
+        "summary": report.summary(),
+    }
+
+
+SARIF_LEVELS = {"IP1": "error", "IP2": "error", "IP3": "warning",
+                "IP4": "warning", "IP5": "note"}
+
+
+def reference_sarif(report: Report) -> dict:
+    rules = [
+        {
+            "id": d.id,
+            "name": d.name.replace(" ", ""),
+            "shortDescription": {"text": d.name},
+            "fullDescription": {"text": d.description},
+            "help": {"text": d.advice},
+            "properties": {"category": d.category, "impact": d.impact,
+                           "impactNote": d.impact_note},
+        }
+        for d in REGISTRY
+    ]
+    results = []
+    for f in report.findings:
+        region = {}
+        if f.line is not None:
+            region["startLine"] = f.line
+            if f.column is not None:
+                region["startColumn"] = f.column
+        else:
+            region["byteOffset"] = f.pc
+        results.append({
+            "ruleId": f.detector,
+            "level": SARIF_LEVELS[f.impact],
+            "message": {"text": f.message},
+            "locations": [{
+                "physicalLocation": {
+                    "artifactLocation": {"uri": f.file},
+                    "region": region,
+                },
+            }],
+        })
+    return {
+        "$schema": "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
+                   "master/Schemata/sarif-schema-2.1.0.json",
+        "version": "2.1.0",
+        "runs": [{
+            "tool": {"driver": {
+                "name": report.tool,
+                "version": report.version,
+                "informationUri": "",
+                "rules": rules,
+            }},
+            "results": results,
+        }],
+    }
+
+
+def reference_bytes(doc: dict) -> bytes:
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def assert_renders_as_reference(report: Report) -> None:
+    assert render_json(report) == reference_bytes(reference_json(report))
+    assert render_sarif(report) == reference_bytes(reference_sarif(report))
+
+
+# strings that need escaping: quotes, backslashes, control characters,
+# U+2028/U+2029, non-ASCII, astral and lone surrogate code points, and keys
+# the renderers look for
+awkward_text = st.lists(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from(['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f",
+                     "\u2028", "\u2029", "\u00e9", "\U0001f600", "\ud800",
+                     '\n  "findings": []', '\n      "results": []'])),
+    max_size=8).map("".join)
+positions = st.none() | st.integers(min_value=-1, max_value=2**70)
+
+findings = st.builds(
+    Finding, detector=awkward_text, category=awkward_text,
+    impact=st.sampled_from(IMPACT_LEVELS), file=awkward_text,
+    message=awkward_text, advice=awkward_text, line=positions,
+    column=positions, pc=positions)
+
+reports = st.builds(
+    Report,
+    inputs=st.lists(st.builds(InputRecord, awkward_text, awkward_text),
+                    max_size=3),
+    findings=st.lists(findings, max_size=6),
+    tool=awkward_text, version=awkward_text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(reports)
+def test_renderers_match_json_dumps(report):
+    assert_renders_as_reference(report)
+
+
+@pytest.mark.parametrize("report", [
+    Report([], []),
+    Report([InputRecord("a.sol", "0" * 64)], []),
+    Report([], [_finding(line=None, pc=64, detector="nested-call",
+                         impact="IP2")]),
+    Report([], [_finding(line=None, pc=None)]),
+    Report([], [Finding("d", "c", "IP3", "a.sol", "m", "a", line=7)]),
+], ids=["empty", "no-findings", "pc-only", "no-position", "no-column"])
+def test_renderers_match_json_dumps_on_edge_cases(report):
+    assert_renders_as_reference(report)
+
+
+def test_renderers_match_json_dumps_on_the_listings():
+    outcomes = [clean_outcome(read_listing(name).encode("utf-8"), name)
+                for name in ("listing1.sol", "listing2.sol", "listing3.sol",
+                             "listing4.sol")]
+    report = Report([InputRecord(o.path, o.digest) for o in outcomes],
+                    [f for o in outcomes for f in o.findings])
+    assert_renders_as_reference(report)

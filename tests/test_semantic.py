@@ -105,16 +105,28 @@ def _defuse(text: str, fn_name: str):
     return compute_def_use(fn)
 
 
+def _var(facts, name: str):
+    """The one declaration of `name` in a function's def-use facts."""
+    [var] = [v for v in facts.variables if v.declaration.name == name]
+    return var
+
+
+def _live(facts) -> set[str]:
+    """The live declarations, each as "param NAME" or "local NAME"."""
+    return {("param " if v.is_parameter else "local ") + v.declaration.name
+            for v in facts.variables if v.live}
+
+
 def test_listing3_change_variable():
     facts = _defuse(read_listing("listing3.sol"), "changeVariable")
-    assert facts.variables["newValue"].live is False
-    assert facts.variables["value1"].live is False  # read only into newValue
-    assert facts.variables["value2"].live is True   # reaches a state write
+    assert _var(facts, "newValue").live is False
+    assert _var(facts, "value1").live is False  # read only into newValue
+    assert _var(facts, "value2").live is True   # reaches a state write
 
 
 def test_unread_parameter_is_dead():
     facts = _defuse("contract C { function f(uint a) { return; } }", "f")
-    assert facts.variables["a"].live is False
+    assert _var(facts, "a").live is False
 
 
 def test_chain_to_state_write_is_live():
@@ -128,8 +140,8 @@ contract C {
     }
 }
 """, "f")
-    assert facts.variables["x"].live is True
-    assert facts.variables["y"].live is True
+    assert _var(facts, "x").live is True
+    assert _var(facts, "y").live is True
 
 
 def test_dead_chain_two_findings():
@@ -141,20 +153,20 @@ contract C {
     }
 }
 """, "f")
-    assert facts.variables["x"].live is False
-    assert facts.variables["y"].live is False
+    assert _var(facts, "x").live is False
+    assert _var(facts, "y").live is False
 
 
 def test_call_argument_is_live():
     facts = _defuse(
         "contract C { function f(address a) { selfdestruct(a); } }", "f")
-    assert facts.variables["a"].live is True
+    assert _var(facts, "a").live is True
 
 
 def test_named_returns_are_exempt():
     facts = _defuse(
         "contract C { function f() returns (bool ok) { ok = true; } }", "f")
-    assert "ok" not in facts.variables
+    assert facts.variables == []
 
 
 def test_liveness_is_monotone_under_added_reads():
@@ -162,9 +174,10 @@ def test_liveness_is_monotone_under_added_reads():
     base = "contract C {{ uint s; function f(uint a) {{ uint m = a; {extra} }} }}"
     without = _defuse(base.format(extra=""), "f")
     with_read = _defuse(base.format(extra="s = m;"), "f")
-    for name, facts in without.variables.items():
-        if facts.live:
-            assert with_read.variables[name].live
+    assert len(without.variables) == len(with_read.variables)
+    for before, after in zip(without.variables, with_read.variables):
+        if before.live:
+            assert after.live
 
 
 LIVENESS_CONTRACT = "contract C {{ uint s; uint[] xs; event E(uint v); {} }}"
@@ -174,26 +187,28 @@ LIVENESS_CONTRACT = "contract C {{ uint s; uint[] xs; event E(uint v); {} }}"
     # a store through a local array reads its index and value; the array
     # itself is only written
     ("function f(uint i, uint v) { uint[] memory a = new uint[](3); "
-     "a[i] = v; }", {"i", "v"}),
+     "a[i] = v; }", {"param i", "param v"}),
     ("function f(uint i) { i++; }", set()),
-    ("function f(uint x) { emit E(x); }", {"x"}),
+    ("function f(uint x) { emit E(x); }", {"param x"}),
     ("function f(uint n, uint k) { for (uint j = 0; j < n; j += k) { } }",
-     {"j", "n", "k"}),
+     {"local j", "param n", "param k"}),
     ("function f(uint n, uint k) { for (uint j = 0; j < 10; j++) { } }",
-     {"j"}),
-    ("function f(uint i) { delete xs[i]; }", {"i"}),
-    ("function f(uint x) { uint y = x; delete y; }", {"x", "y"}),
-    ("function f(uint x, uint y) { s = x; uint z = y; }", {"x"}),
-    ("function f(uint x) { s += x; }", {"x"}),
-    # a local replaces the parameter it shadows, from its declaration on
-    ("function f(uint x) { uint x = 1; s = x; }", {"x"}),
-    ("function f(uint x) { s = x; uint x = 1; }", set()),
+     {"local j"}),
+    ("function f(uint i) { delete xs[i]; }", {"param i"}),
+    # deleting a local writes it; nothing reads y, so x flows nowhere live
+    ("function f(uint x) { uint y = x; delete y; }", set()),
+    ("function f(uint x, uint y) { s = x; uint z = y; }", {"param x"}),
+    ("function f(uint x) { s += x; }", {"param x"}),
+    # a local hides the parameter it shadows from its declaration on; each
+    # declaration keeps its own facts
+    ("function f(uint x) { uint x = 1; s = x; }", {"local x"}),
+    ("function f(uint x) { s = x; uint x = 1; }", {"param x"}),
 ], ids=["index-store", "increment", "emit", "for-post-and-condition",
         "for-counter", "delete-element", "delete-local", "state-assignment",
         "compound-state-assignment", "shadow-read-after", "shadow-read-before"])
 def test_liveness_by_statement_kind(function, live):
     facts = _defuse(LIVENESS_CONTRACT.format(function), "f")
-    assert {name for name, v in facts.variables.items() if v.live} == live
+    assert _live(facts) == live
 
 
 # -- inheritance flattening ---------------------------------------------------

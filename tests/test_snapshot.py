@@ -1,12 +1,12 @@
-"""Findings snapshot: refactors of the facts or the detectors must leave the
-rendered JSON report byte-identical.
+"""Findings snapshot: refactors of the facts, the detectors or the renderers
+must leave the rendered JSON and SARIF reports byte-identical.
 
 Two corpora. The source corpus is 40 synthetic 80-function contracts plus
 the golden listings. The mixed corpus holds the hand-assembled bytecode
 programs of `asm.py` as `.hex` files and one contract whose balance `!=`
 check and unconditioned `tx.origin` only the strict configuration flags.
-Each hash is the sha256 of the JSON report with the corpus directory
-prefix removed from every path, so it does not depend on where the
+Each hash is the sha256 of the JSON or SARIF report with the corpus
+directory prefix removed from every path, so it does not depend on where the
 temporary directory lives.
 
 A third hash pins the EVM frontend's facts for the `asm.py` programs:
@@ -46,6 +46,13 @@ SNAPSHOTS = {
 MIXED_SNAPSHOTS = {
     "default": "27edb5ca389ccc39cf9550b2dc17c278a54994f8507e84a2fd17bbe015c7a616",
     "strict": "c0f28e995e945e45eb0126313986aa648d32facccf14e56b6c68dc28629cef90",
+}
+
+SARIF_SNAPSHOTS = {
+    ("source", "default"): "3eee03d764545f57d466d6cd5d13641d955a7e4de4e0dc04ab55b5aec6b51970",
+    ("source", "strict"): "3eee03d764545f57d466d6cd5d13641d955a7e4de4e0dc04ab55b5aec6b51970",
+    ("mixed", "default"): "c026be36b5ca383bbb788fe15031669c86519fdfdb8ba6811bb2535e952bb579",
+    ("mixed", "strict"): "adad4ba2795ddcf88cacddc8b66ee41cca855b749b245ebf2c0056669890b753",
 }
 
 EVM_FACTS_SNAPSHOT = "e77a15805383b9cadaded325287f7f4be047cd157da52f32e997ea98258aec5c"
@@ -114,23 +121,42 @@ def mixed_corpus(tmp_path_factory):
     return root
 
 
-def snapshot_hash(root, detectors: DetectorConfig) -> str:
-    report, outcomes = analyze_paths(
-        [str(root)], RunConfig(jobs=1, detectors=detectors))
-    assert all(o.error is None for o in outcomes)
-    rendered = render(report, "json").replace(
+@pytest.fixture(scope="module")
+def reports():
+    """The report of each (corpus, configuration), analyzed once for every
+    format that renders it."""
+    return {}
+
+
+def snapshot_hash(root, name: str, reports: dict, format: str = "json") -> str:
+    key = (str(root), name)
+    if key not in reports:
+        report, outcomes = analyze_paths(
+            [str(root)], RunConfig(jobs=1, detectors=CONFIGS[name]))
+        assert all(o.error is None for o in outcomes)
+        reports[key] = report
+    rendered = render(reports[key], format).replace(
         (str(root) + os.sep).encode("utf-8"), b"")
     return hashlib.sha256(rendered).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(SNAPSHOTS))
-def test_findings_snapshot(snapshot_corpus, name):
-    assert snapshot_hash(snapshot_corpus, CONFIGS[name]) == SNAPSHOTS[name]
+def test_findings_snapshot(snapshot_corpus, reports, name):
+    assert snapshot_hash(snapshot_corpus, name, reports) == SNAPSHOTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(MIXED_SNAPSHOTS))
-def test_mixed_findings_snapshot(mixed_corpus, name):
-    assert snapshot_hash(mixed_corpus, CONFIGS[name]) == MIXED_SNAPSHOTS[name]
+def test_mixed_findings_snapshot(mixed_corpus, reports, name):
+    assert snapshot_hash(mixed_corpus, name, reports) == MIXED_SNAPSHOTS[name]
+
+
+@pytest.mark.parametrize("corpus,name", sorted(SARIF_SNAPSHOTS),
+                         ids=lambda value: value)
+def test_sarif_snapshot(request, reports, corpus, name):
+    root = request.getfixturevalue(
+        {"source": "snapshot_corpus", "mixed": "mixed_corpus"}[corpus])
+    assert snapshot_hash(root, name, reports, "sarif") == \
+        SARIF_SNAPSHOTS[corpus, name]
 
 
 def test_report_bytes_do_not_depend_on_the_hash_seed(mixed_corpus):
