@@ -35,6 +35,7 @@ class FileOutcome:
     findings: list[Finding] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
     error: str | None = None  # I/O or fatal per-file failure
+    phase: str | None = None  # where `error` arose: "read", "lex", ...
 
 
 def source_facts(result: ParseResult, file_id: str) -> SourceFacts:
@@ -83,7 +84,8 @@ def analyze_file(path: str, config: RunConfig) -> FileOutcome:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        return FileOutcome(path, error=f"cannot read {path}: {exc.strerror or exc}")
+        return FileOutcome(path, error=f"cannot read {path}: {exc.strerror or exc}",
+                           phase="read")
     return analyze_input(raw, path, config)
 
 
@@ -113,6 +115,7 @@ def analyze_input(raw: bytes, path: str, config: RunConfig) -> FileOutcome:
         outcome.diagnostics = diagnostics + ctx.diagnostics
     except Exception as exc:  # a bad input fails its own file, not the run
         outcome.error = f"{path}: {phase} failed: {type(exc).__name__}: {exc}"
+        outcome.phase = phase
     return outcome
 
 

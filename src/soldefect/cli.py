@@ -74,21 +74,21 @@ def _add_run_flags(cmd: argparse.ArgumentParser) -> None:
 
 def _make_run_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         load_config_file(config, args.config)
-    if getattr(args, "format", None):
+    if args.format:
         config.format = args.format
-    if getattr(args, "min_impact", None):
+    if args.min_impact:
         config.min_impact = args.min_impact
-    if getattr(args, "mode", None):
+    if args.mode:
         config.mode = args.mode
-    if getattr(args, "jobs", None) is not None:
+    if args.jobs is not None:
         config.jobs = args.jobs
-    if getattr(args, "output", None):
+    if args.output:
         config.output = args.output
-    if getattr(args, "enable", None) is not None:
+    if args.enable is not None:
         config.detectors.enable = parse_detector_ids(",".join(args.enable))
-    if getattr(args, "disable", None) is not None:
+    if args.disable is not None:
         config.detectors.disable = parse_detector_ids(",".join(args.disable))
     return config
 
@@ -108,8 +108,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except (ConfigError, OSError) as exc:
         print(f"soldefect: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    config.inputs = args.inputs
-    report, outcomes = analyze_paths(config.inputs, config)
+    report, outcomes = analyze_paths(args.inputs, config)
     if not outcomes:
         print("soldefect: no inputs found", file=sys.stderr)
         return EXIT_IO
@@ -125,7 +124,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     _emit(render(filtered, config.format), config.output)
 
     if len(failed) == len(outcomes):
-        all_io = all("cannot read" in (o.error or "") for o in failed)
+        all_io = all(o.phase == "read" for o in failed)
         return EXIT_IO if all_io else EXIT_USAGE
     return EXIT_FINDINGS if filtered.findings else EXIT_CLEAN
 

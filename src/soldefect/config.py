@@ -56,7 +56,6 @@ class FetchConfig:
 
 @dataclass
 class RunConfig:
-    inputs: list[str] = field(default_factory=list)
     mode: str = "auto"  # auto | source | bytecode
     format: str = "text"
     min_impact: str = "IP5"

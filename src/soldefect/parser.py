@@ -6,11 +6,18 @@ functions (fallback, `function constructor()` and `constructor()`),
 modifiers with `_;`, events, the statement/expression families, `var`
 declarations, ether units, and address/number/hex/string literals.
 
-Syntax errors recover at statement level (skip to the next `;` or `}`),
-so an error in one function never hides its siblings. Nesting deeper
-than MAX_NESTING levels is such an error, which bounds the parser's
-recursion. Unsupported member kinds (struct/enum/using) are skipped with
-a "partial analysis" warning instead of failing the file.
+Every syntax error is one diagnostic and one skip by one rule
+(`_Parser._skip`): a skip that starts at `{` ends after the matching `}`;
+any other skip stops at the first `;` outside braces (consumed), at a `}`
+it did not open, at a stop word outside braces, or at the end of input.
+The stop words are `function`/`modifier`/`event`/`constructor` in a
+contract, `pragma`/`contract`/`interface`/`library`/`import` at the top
+level, and none in a block. So an error never hides its sibling
+statements or functions, and a contract cut off by the end of the file
+keeps its complete members. Nesting deeper than MAX_NESTING levels is such
+an error, which bounds the parser's recursion. Unsupported constructs
+(import, struct/enum, using) are skipped by the same rule with a "partial
+analysis" warning instead of failing the file.
 """
 
 from __future__ import annotations
@@ -63,6 +70,12 @@ MAX_NESTING = 128
 
 # The statements that hold statements, each a nesting level.
 _COMPOUND_STATEMENTS = frozenset({"{", "if", "for", "while"})
+
+# The words a skip stops before: those that start a contract member, and
+# those that start a top-level unit.
+_MEMBER_STOPS = frozenset({"function", "modifier", "event", "constructor"})
+_UNIT_STARTS = frozenset({"pragma", "contract", "interface", "library"})
+_TOP_LEVEL_STOPS = _UNIT_STARTS | {"import"}
 
 
 class ParseError(Exception):
@@ -167,34 +180,41 @@ class _Parser:
             last = start
         return join_spans(start, last)
 
-    def _skip_balanced_braces(self) -> None:
+    def _skip(self, stops: frozenset[str] = frozenset()) -> None:
+        """Skip past a syntax error by the one recovery rule of the module
+        docstring; ``stops`` are the stop words, which it does not consume."""
+        tokens = self.tokens
+        i = self.pos
+        from_brace = i < self.n and tokens[i].text == "{"
         depth = 0
-        while self.peek() is not None:
-            t = self.advance()
-            if t.text == "{":
+        while i < self.n:
+            text = tokens[i].text
+            if text == "{":
                 depth += 1
-            elif t.text == "}":
-                depth -= 1
-                if depth <= 0:
-                    return
-            elif t.text == ";" and depth == 0:
-                return
-
-    def _recover_statement(self) -> None:
-        """Skip to just past the next `;`, or stop before a brace boundary."""
-        depth = 0
-        while self.peek() is not None:
-            t = self.peek()
-            if t.text == ";" and depth == 0:
-                self.advance()
-                return
-            if t.text == "{":
-                depth += 1
-            elif t.text == "}":
+            elif text == "}":
                 if depth == 0:
-                    return
+                    break
                 depth -= 1
-            self.advance()
+                if depth == 0 and from_brace:
+                    i += 1
+                    break
+            elif depth == 0 and text == ";":
+                i += 1
+                break
+            elif depth == 0 and text in stops:
+                break
+            i += 1
+        self.pos = i
+
+    def _list(self, parse_item) -> tuple[list, Token]:
+        """The comma-separated items after a `(`, and the closing `)`."""
+        items = []
+        if not self.at(")"):
+            items.append(parse_item())
+            while self.at(","):
+                self.pos += 1
+                items.append(parse_item())
+        return items, self.expect(")")
 
     # -- top level ---------------------------------------------------------
 
@@ -212,17 +232,15 @@ class _Parser:
                     contracts.append(self.parse_contract())
                 elif t.text == "import":
                     self.warn("import directives are ignored (partial analysis)", t.span)
-                    while self.peek() is not None and not self.at(";"):
-                        self.advance()
-                    if self.at(";"):
-                        self.advance()
+                    self._skip(_UNIT_STARTS)  # from `import`, not a stop here
                 else:
                     self.error(f"unexpected {t.text!r} at top level", t.span)
-                    self.advance()
+                    self.pos += 1
+                    self._skip(_TOP_LEVEL_STOPS)
             except ParseError as exc:
                 self.depth = depth
                 self.error(exc.message, exc.span)
-                self._skip_balanced_braces()
+                self._skip(_TOP_LEVEL_STOPS)
         unit = SourceUnit(pragmas, contracts, self._span_from(start))
         return ParseResult(unit, self.diagnostics)
 
@@ -230,7 +248,9 @@ class _Parser:
         start = self.expect("pragma").span
         name = self.expect_identifier()
         parts: list[Token] = []
-        while self.peek() is not None and not self.at(";"):
+        # a pragma missing its `;` ends before the next unit
+        while (self.pos < self.n and not self.at(";")
+               and self.tokens[self.pos].text not in _TOP_LEVEL_STOPS):
             parts.append(self.advance())
         end = self.expect(";")
         version_text = "".join(t.text for t in parts)
@@ -253,8 +273,11 @@ class _Parser:
                                       kw.span)
         while self.peek() is not None and not self.at("}"):
             self.parse_contract_member(contract)
-        end = self.expect("}")
-        contract.span = join_spans(kw.span, end.span)
+        if self.pos < self.n:
+            self.pos += 1
+        else:  # keep the members of a file cut short
+            self.error("expected '}', found 'end of input'", self._eof_span)
+        contract.span = self._span_from(kw.span)
         return contract
 
     def parse_contract_member(self, contract: ContractDefinition) -> None:
@@ -273,37 +296,16 @@ class _Parser:
                 self.advance()
                 if self.at_kind(IDENTIFIER):
                     self.advance()
-                self._skip_balanced_braces()
+                self._skip(_MEMBER_STOPS)
             elif t.text == "using":
                 self.warn("using-for directives are ignored (partial analysis)", t.span)
-                while self.peek() is not None and not self.at(";"):
-                    self.advance()
-                if self.at(";"):
-                    self.advance()
+                self._skip(_MEMBER_STOPS)
             else:
                 contract.state_variables.append(self.parse_state_variable())
         except ParseError as exc:
             self.depth = depth
             self.error(exc.message, exc.span)
-            self._recover_member()
-
-    def _recover_member(self) -> None:
-        """Skip to the start of the next member so siblings still parse."""
-        depth = 0
-        while self.peek() is not None:
-            t = self.peek()
-            if depth == 0 and t.text in ("function", "modifier", "event", "constructor"):
-                return
-            if t.text == "{":
-                depth += 1
-            elif t.text == "}":
-                if depth == 0:
-                    return
-                depth -= 1
-            elif t.text == ";" and depth == 0:
-                self.advance()
-                return
-            self.advance()
+            self._skip(_MEMBER_STOPS)
 
     def parse_state_variable(self) -> VariableDeclaration:
         start = self.peek().span
@@ -367,12 +369,7 @@ class _Parser:
                 args: list[Expression] = []
                 if self.at("("):
                     self.advance()
-                    if not self.at(")"):
-                        args.append(self.parse_expression())
-                        while self.at(","):
-                            self.advance()
-                            args.append(self.parse_expression())
-                    self.expect(")")
+                    args, _ = self._list(self.parse_expression)
                 modifiers.append((t.text, args))
             else:
                 raise ParseError(f"unexpected {t.text!r} in function header", t.span)
@@ -409,13 +406,7 @@ class _Parser:
 
     def parse_parameter_list(self) -> list[VariableDeclaration]:
         self.expect("(")
-        params: list[VariableDeclaration] = []
-        if not self.at(")"):
-            params.append(self.parse_parameter())
-            while self.at(","):
-                self.advance()
-                params.append(self.parse_parameter())
-        self.expect(")")
+        params, _ = self._list(self.parse_parameter)
         return params
 
     def parse_parameter(self) -> VariableDeclaration:
@@ -492,7 +483,7 @@ class _Parser:
             except ParseError as exc:
                 self.depth = depth
                 self.error(exc.message, exc.span)
-                self._recover_statement()
+                self._skip()
         end = self.expect("}")
         return Block(statements, join_spans(start, end.span))
 
@@ -739,13 +730,7 @@ class _Parser:
                 expr = MemberAccess(expr, member.text,
                                     join_spans(expr.span, member.span))
             elif text == "(":
-                args: list[Expression] = []
-                if not self.at(")"):
-                    args.append(self.parse_expression())
-                    while self.at(","):
-                        self.pos += 1
-                        args.append(self.parse_expression())
-                end = self.expect(")")
+                args, end = self._list(self.parse_expression)
                 expr = CallExpression(expr, args, join_spans(expr.span, end.span))
             elif text == "[":
                 index = None
@@ -790,15 +775,8 @@ class _Parser:
                 TypeName("elementary", t.span, name=text), t.span)
         if text == "(":
             self.pos = i + 1
-            start = t.span
-            components: list[Expression] = []
-            if not self.at(")"):
-                components.append(self.parse_expression())
-                while self.at(","):
-                    self.pos += 1
-                    components.append(self.parse_expression())
-            end = self.expect(")")
-            return TupleExpression(components, join_spans(start, end.span))
+            components, end = self._list(self.parse_expression)
+            return TupleExpression(components, join_spans(t.span, end.span))
         raise ParseError(f"unexpected {text!r} in expression", t.span)
 
 

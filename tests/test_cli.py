@@ -52,6 +52,23 @@ def test_all_inputs_unparseable_exits_two(tmp_path, capsys):
     assert main(["analyze", str(bad)]) == 2
 
 
+def test_exit_code_follows_the_failed_phase_not_the_file_name(tmp_path, capsys):
+    # the lex error's message holds the path, and the path reads "cannot read"
+    bad = tmp_path / "cannot read.sol"
+    bad.write_text('contract C { string s = "unterminated; }')
+    assert main(["analyze", str(bad)]) == 2
+    assert "lex failed" in capsys.readouterr().err
+
+
+def test_stray_brace_is_analyzed_with_few_errors(tmp_path, capsys):
+    lines = read_listing("listing2.sol").splitlines(True)
+    path = tmp_path / "stray.sol"
+    path.write_text("".join(lines[:3] + ["}\n"] + lines[3:]))
+    assert main(["analyze", str(path)]) in (0, 1)
+    err = capsys.readouterr().err
+    assert 1 <= err.count("error:") <= 3
+
+
 def test_parse_error_in_one_file_does_not_abort(tmp_path, capsys):
     (tmp_path / "bad.sol").write_text('contract C { string s = "oops; }')
     (tmp_path / "good.sol").write_text(read_listing("listing1.sol"))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from soldefect.nodes import (CallExpression, ForStatement, HexLiteral,
@@ -178,24 +180,31 @@ def test_all_listings_parse_without_errors():
 
 from hypothesis import given, settings, strategies as st
 
+from soldefect.analyzer import analyze_input
+from soldefect.config import RunConfig
 from soldefect.lexer import LexerError
 
 _LISTING1 = read_listing("listing1.sol")
 
 
+_LISTINGS = ("listing1.sol", "listing2.sol", "listing3.sol", "listing4.sol")
+_MUTATIONS = ("delete", "duplicate", "brace", "semicolon")
+
+
+def _mutate(text: str, mutation: str, start: int, width: int) -> str:
+    end = min(start + width, len(text))
+    if mutation == "delete":
+        return text[:start] + text[end:]
+    if mutation == "duplicate":
+        return text[:end] + text[start:end] + text[end:]
+    return text[:start] + ("}" if mutation == "brace" else ";") + text[start:]
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, len(_LISTING1) - 1), st.integers(1, 40),
-       st.sampled_from(["delete", "duplicate", "brace", "semicolon"]))
+       st.sampled_from(_MUTATIONS))
 def test_mutated_listing_never_crashes(start, width, mutation):
-    end = min(start + width, len(_LISTING1))
-    if mutation == "delete":
-        text = _LISTING1[:start] + _LISTING1[end:]
-    elif mutation == "duplicate":
-        text = _LISTING1[:end] + _LISTING1[start:end] + _LISTING1[end:]
-    elif mutation == "brace":
-        text = _LISTING1[:start] + "}" + _LISTING1[start:]
-    else:
-        text = _LISTING1[:start] + ";" + _LISTING1[start:]
+    text = _mutate(_LISTING1, mutation, start, width)
     try:
         result = parse_source(text, "mutant.sol")
     except LexerError:
@@ -203,10 +212,60 @@ def test_mutated_listing_never_crashes(start, width, mutation):
     assert result.unit is not None
 
 
+def seeded_mutants(seed: int = 20191, per_listing: int = 300):
+    """A fixed set of mutated listings: (listing, mutation, text), the four
+    mutations in turn, each a 1-40 character span at a random offset."""
+    rng = random.Random(seed)
+    for name in _LISTINGS:
+        text = read_listing(name)
+        for k in range(per_listing):
+            mutation = _MUTATIONS[k % len(_MUTATIONS)]
+            yield name, mutation, _mutate(text, mutation, rng.randrange(len(text)),
+                                          rng.randint(1, 40))
+
+
+def test_seeded_mutants_cost_few_error_diagnostics():
+    # one skip per syntax error: a damaged region is one diagnostic, not
+    # one per token (the parser before the single recovery rule averaged
+    # 13.5 errors per mutant here, 228 at worst)
+    counts = []
+    for name, mutation, text in seeded_mutants():
+        try:
+            result = parse_source(text, "mutant.sol")
+        except LexerError:
+            continue
+        errors = sum(d.severity == "error" for d in result.diagnostics)
+        assert errors <= 10, (name, mutation, text)
+        counts.append(errors)
+    assert len(counts) >= 1000
+    assert sum(counts) / len(counts) <= 2.0
+
+
+@pytest.mark.parametrize("line", range(1, 9))
+def test_stray_brace_in_victim_keeps_attacker(line):
+    # listing2's Victim spans lines 2-8; the `}` closes it early
+    lines = read_listing("listing2.sol").splitlines(True)
+    result = parse_source("".join(lines[:line] + ["}\n"] + lines[line:]), "t.sol")
+    errors = [d for d in result.diagnostics if d.severity == "error"]
+    assert 1 <= len(errors) <= 3, [str(d) for d in errors]
+    attacker = result.unit.contracts[-1]
+    assert attacker.name == "Attacker"
+    assert [f.name for f in attacker.functions] == ["", "reentrancy", "sweep"]
+
+
+def test_contract_cut_before_its_closing_brace_keeps_its_members():
+    text = read_listing("listing1.sol")
+    cut = text[:text.rindex("}")]
+    result = parse_source(cut, "t.sol")
+    assert [(d.severity, d.message) for d in result.diagnostics] == \
+        [("error", "expected '}', found 'end of input'")]
+    config = RunConfig()
+    assert analyze_input(cut.encode(), "l.sol", config).findings == \
+        analyze_input(text.encode(), "l.sol", config).findings
+
+
 # -- bounded nesting ---------------------------------------------------------
 
-from soldefect.analyzer import analyze_input
-from soldefect.config import RunConfig
 from soldefect.parser import MAX_NESTING
 
 # Each shape nests n levels deep; the statement ones go in g()'s body.
