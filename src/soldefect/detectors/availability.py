@@ -51,7 +51,6 @@ ERC20_SELECTORS: dict[str, str] = {
 UNMATCHED_ERC20 = DetectorDescriptor(
     code="D10", id="unmatched-erc20", name="Unmatched ERC-20 Standard",
     category="availability", impact="IP4",
-    frontends=frozenset({"source", "bytecode"}),
     description="A token-like contract deviates from the ERC-20 interface: "
                 "missing mandatory functions, wrong return types, or missing "
                 "Transfer/Approval events.",
@@ -112,7 +111,6 @@ def detect_unmatched_erc20(ctx: AnalysisContext) -> Iterator[Hit]:
 MISSING_REMINDER = DetectorDescriptor(
     code="D11", id="missing-reminder", name="Missing Reminder",
     category="availability", impact="IP4",
-    frontends=frozenset({"source"}),
     description="A payable function changes state or conditionally reverts "
                 "but never emits an event, so callers cannot observe the "
                 "outcome.",
@@ -163,7 +161,6 @@ def _emits_event(index: FunctionIndex) -> bool:
 MISSING_RETURN_STATEMENT = DetectorDescriptor(
     code="D12", id="missing-return-statement", name="Missing Return Statement",
     category="availability", impact="IP4",
-    frontends=frozenset({"source"}),
     description="A function declares return values but some path reaches the "
                 "end without returning, so callers observe the zero default.",
     advice="Return an explicit value on every path; callers otherwise "
@@ -194,7 +191,6 @@ GREEDY_CONTRACT = DetectorDescriptor(
     category="availability", impact="IP3",
     impact_note="IP3 type 1: critical unwanted behavior, not externally "
                 "triggerable",
-    frontends=frozenset({"source"}),
     description="The contract can receive ether (payable function) but has "
                 "no transfer/send/call.value/selfdestruct to move it out.",
     advice="Add a withdrawal path (transfer/send/call.value or selfdestruct) "

@@ -21,12 +21,18 @@ class DetectorDescriptor:
     name: str
     category: str    # security | availability | performance | maintainability | reusability
     impact: str      # IP1..IP5
-    frontends: frozenset[str]  # {"source"} or {"source", "bytecode"}
     description: str
     advice: str
     # IP3 splits into two informational sub-types (critical-but-internal vs
     # major-and-triggerable); carried as a note, never as a distinct level.
     impact_note: str = ""
+
+    @property
+    def frontends(self) -> frozenset[str]:
+        """{"source"}, plus "bytecode" if register_bytecode gave it one."""
+        if self.id in _BYTECODE_DETECTORS:
+            return frozenset({"source", "bytecode"})
+        return frozenset({"source"})
 
 
 @dataclass

@@ -16,7 +16,6 @@ HARD_CODE_ADDRESS = DetectorDescriptor(
     code="D17", id="hard-code-address", name="Hard Code Address",
     category="maintainability", impact="IP3",
     impact_note="IP3 type 2: major unwanted behavior (partial ether loss)",
-    frontends=frozenset({"source", "bytecode"}),
     description="An address literal is baked into the code; it cannot be "
                 "corrected after deployment and may not even pass the "
                 "EIP-55 checksum.",
@@ -46,7 +45,6 @@ def detect_hard_code_address(ctx: AnalysisContext) -> Iterator[Hit]:
 MISSING_INTERRUPTER = DetectorDescriptor(
     code="D18", id="missing-interrupter", name="Missing Interrupter",
     category="maintainability", impact="IP4",
-    frontends=frozenset({"source"}),
     description="A contract that can hold ether has neither a selfdestruct "
                 "escape hatch nor an owner-gated circuit breaker to stop it "
                 "in an emergency.",

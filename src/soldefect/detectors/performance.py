@@ -10,7 +10,6 @@ from .base import AnalysisContext, DetectorDescriptor, Hit, register
 UNUSED_STATEMENT = DetectorDescriptor(
     code="D14", id="unused-statement", name="Unused Statement",
     category="performance", impact="IP5",
-    frontends=frozenset({"source"}),
     description="A parameter or local variable never affects contract state, "
                 "conditions, or return values.",
     advice="Remove parameters and locals that never affect state or return "
@@ -38,7 +37,6 @@ HIGH_GAS_FUNCTION_TYPE = DetectorDescriptor(
     code="D15", id="high-gas-function-type",
     name="High Gas Consumption Function Type",
     category="performance", impact="IP5",
-    frontends=frozenset({"source"}),
     description="A public function with array parameters is never called "
                 "internally; external would read calldata instead of copying "
                 "to memory.",
@@ -80,7 +78,6 @@ def detect_high_gas_function_type(ctx: AnalysisContext) -> Iterator[Hit]:
 HIGH_GAS_DATA_TYPE = DetectorDescriptor(
     code="D16", id="high-gas-data-type", name="High Gas Consumption Data Type",
     category="performance", impact="IP5",
-    frontends=frozenset({"source"}),
     description="byte[] pads every element to a 32-byte slot; bytes packs "
                 "tightly and is cheaper.",
     advice="Use bytes instead of byte[]; byte[] wastes 31 bytes of storage "

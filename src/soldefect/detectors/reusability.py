@@ -11,7 +11,6 @@ from .common import unwrap
 DEPRECATED_APIS = DetectorDescriptor(
     code="D19", id="deprecated-apis", name="Deprecated APIs",
     category="reusability", impact="IP5",
-    frontends=frozenset({"source"}),
     description="The code uses constructs the language has replaced (throw, "
                 "suicide, sha3, callcode, msg.gas, constant mutability).",
     advice="Replace deprecated constructs (throw, suicide, sha3, callcode, "
@@ -83,7 +82,6 @@ UNSPECIFIED_COMPILER_VERSION = DetectorDescriptor(
     code="D20", id="unspecified-compiler-version",
     name="Unspecified Compiler Version",
     category="reusability", impact="IP5",
-    frontends=frozenset({"source"}),
     description="The file has no solidity pragma, or the pragma accepts a "
                 "range of compiler versions instead of pinning one.",
     advice="Pin the pragma to one compiler version (pragma solidity 0.4.25;) "

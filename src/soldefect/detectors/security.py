@@ -24,7 +24,6 @@ UNCHECKED_EXTERNAL_CALLS = DetectorDescriptor(
     code="D01", id="unchecked-external-calls", name="Unchecked External Calls",
     category="security", impact="IP3",
     impact_note="IP3 type 2: major unwanted behavior (partial ether loss)",
-    frontends=frozenset({"source"}),
     description="The boolean result of a low-level external call "
                 "(send/call/call.value/delegatecall) is ignored.",
     advice="Check the boolean result of send/call/delegatecall, or use "
@@ -56,7 +55,6 @@ DOS_UNDER_EXTERNAL_INFLUENCE = DetectorDescriptor(
     code="D02", id="dos-under-external-influence",
     name="DoS Under External Influence",
     category="security", impact="IP2",
-    frontends=frozenset({"source"}),
     description="A statement that can revert the whole transaction sits "
                 "inside a loop whose bound is not a compile-time constant.",
     advice="Avoid statements that can revert inside unbounded loops; check a "
@@ -96,7 +94,6 @@ def _reverting_statement(stmt: Statement, index: FunctionIndex) -> str | None:
 STRICT_BALANCE_EQUALITY = DetectorDescriptor(
     code="D03", id="strict-balance-equality", name="Strict Balance Equality",
     category="security", impact="IP2",
-    frontends=frozenset({"source", "bytecode"}),
     description="The contract balance is compared with == in a branch "
                 "condition; forced ether transfers break exact checks.",
     advice="Compare the balance with a range (>= and <) instead of strict "
@@ -126,7 +123,6 @@ def detect_strict_balance_equality(ctx: AnalysisContext) -> Iterator[Hit]:
 UNMATCHED_TYPE_ASSIGNMENT = DetectorDescriptor(
     code="D04", id="unmatched-type-assignment", name="Unmatched Type Assignment",
     category="security", impact="IP2",
-    frontends=frozenset({"source"}),
     description="A loop counter is narrower than its bound, so incrementing "
                 "it can overflow and the loop never terminates.",
     advice="Declare the loop counter as uint256 (or match the bound's type) "
@@ -234,7 +230,6 @@ TRANSACTION_STATE_DEPENDENCY = DetectorDescriptor(
     code="D05", id="transaction-state-dependency",
     name="Transaction State Dependency",
     category="security", impact="IP1",
-    frontends=frozenset({"source"}),
     description="tx.origin is used for a permission check; intermediary "
                 "contracts can make the check pass for an attacker.",
     advice="Use msg.sender for permission checks; tx.origin names the "
@@ -274,7 +269,6 @@ BLOCK_INFO_DEPENDENCY = DetectorDescriptor(
     code="D06", id="block-info-dependency", name="Block Info Dependency",
     category="security", impact="IP3",
     impact_note="IP3 type 2: major unwanted behavior, externally triggerable",
-    frontends=frozenset({"source"}),
     description="Miner-controllable block data (blockhash, timestamp, "
                 "number, ...) flows into a branch condition, array index, "
                 "or ether transfer.",
@@ -345,7 +339,6 @@ def detect_block_info_dependency(ctx: AnalysisContext) -> Iterator[Hit]:
 REENTRANCY = DetectorDescriptor(
     code="D07", id="reentrancy", name="Reentrancy",
     category="security", impact="IP1",
-    frontends=frozenset({"source"}),
     description="A call.value external call runs before the storage the "
                 "call was guarded by is updated, so the callee can re-enter.",
     advice="Update state before making the external call, or use "
@@ -419,7 +412,6 @@ def _guarded_value_calls(index: FunctionIndex) -> list[tuple]:
 NESTED_CALL = DetectorDescriptor(
     code="D08", id="nested-call", name="Nested Call",
     category="security", impact="IP2",
-    frontends=frozenset({"source", "bytecode"}),
     description="An external call executes inside a loop whose iteration "
                 "count is not bounded by a constant; gas use is unbounded.",
     advice="Bound the number of loop iterations before performing external "
@@ -445,7 +437,6 @@ def detect_nested_call(ctx: AnalysisContext) -> Iterator[Hit]:
 MISLEADING_DATA_LOCATION = DetectorDescriptor(
     code="D09", id="misleading-data-location", name="Misleading Data Location",
     category="security", impact="IP2",
-    frontends=frozenset({"source"}),
     description="A reference-typed local (array/mapping/bytes/string) has no "
                 "explicit data location and silently aliases storage slot 0.",
     advice="Declare the data location (memory) explicitly for array, struct "

@@ -14,10 +14,23 @@ The stop words are `function`/`modifier`/`event`/`constructor` in a
 contract, `pragma`/`contract`/`interface`/`library`/`import` at the top
 level, and none in a block. So an error never hides its sibling
 statements or functions, and a contract cut off by the end of the file
-keeps its complete members. Nesting deeper than MAX_NESTING levels is such
-an error, which bounds the parser's recursion. Unsupported constructs
-(import, struct/enum, using) are skipped by the same rule with a "partial
-analysis" warning instead of failing the file.
+keeps its complete members. An error that several levels of recovery see
+in turn, such as the end of a file cut inside nested blocks, is reported
+once. Unsupported constructs (import, struct/enum, using) are skipped by
+the same rule with a "partial analysis" warning instead of failing the file.
+
+The token list ends with an end token whose text, "end of input", is what
+an error at the end of the file names ("expected ';', found 'end of
+input'"). Nothing consumes it or looks past it, so no lookahead
+bounds-checks. Only the loops that must stop at the end (the skip, and the
+unit, contract, block, function-header and pragma loops) test for it,
+besides the three errors worded "unexpected end of input" or "expected a
+type" there.
+
+One nesting rule bounds the parser's recursion: a type name, a compound
+statement, an expression, a `**` or prefix operand and each postfix
+operator enter a level (`_Parser._enter`), and a level past MAX_NESTING is a
+syntax error.
 """
 
 from __future__ import annotations
@@ -41,6 +54,18 @@ from .spans import Diagnostic, Span, join_spans
 _VISIBILITY = ("public", "private", "internal", "external")
 _MUTABILITY = ("constant", "view", "pure")
 
+# The kind of the token that ends the parser's token list.
+_END = "end"
+
+# The modifier words a variable declaration takes after its type, by context.
+_LOCAL_WORDS = frozenset({"memory", "storage", "calldata"})
+_PARAMETER_WORDS = _LOCAL_WORDS | {"indexed"}
+_STATE_WORDS = frozenset(_VISIBILITY) | {"constant"}
+
+# The statements that are one word and a `;`.
+_WORD_STATEMENTS = {"throw": ThrowStatement, "break": BreakStatement,
+                    "continue": ContinueStatement, "_": PlaceholderStatement}
+
 # (precedence, right-associative); higher binds tighter
 _BINARY_OPS = {
     "||": (1, False),
@@ -62,10 +87,9 @@ _UNARY_PREFIX = frozenset({"!", "~", "-", "+", "++", "--", "delete", "new"})
 
 _POSTFIX_OPS = frozenset({".", "(", "[", "++", "--"})
 
-# Statements, expressions, unary and `**` operands, postfix chains and
-# type names nested deeper than this are a syntax error. A level costs the
-# parser at most five Python frames, so it and the recursive passes over
-# the tree it builds stay well inside the default recursion limit of 1000.
+# The nesting limit of the module docstring. A level costs the parser at
+# most five Python frames, so it and the recursive passes over the tree it
+# builds stay well inside the default recursion limit of 1000.
 MAX_NESTING = 128
 
 # The statements that hold statements, each a nesting level.
@@ -108,71 +132,61 @@ def parse(tokens: list[Token], file_id: str = "<input>") -> ParseResult:
 class _Parser:
     def __init__(self, tokens: list[Token], file_id: str):
         self.tokens = [t for t in tokens if t.kind != COMMENT]
-        self.n = len(self.tokens)
+        self.tokens.append(Token(_END, "end of input", self.tokens[-1].span
+                                 if self.tokens else Span(file_id, 1, 1, 0, 0)))
         self.pos = 0
         self.depth = 0
-        self.file_id = file_id
         self.diagnostics: list[Diagnostic] = []
-        self._eof_span = (self.tokens[-1].span if self.tokens
-                          else Span(file_id, 1, 1, 0, 0))
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token | None:
-        i = self.pos + offset
-        return self.tokens[i] if i < self.n else None
+    def peek(self, offset: int = 0) -> Token:
+        return self.tokens[self.pos + offset]
 
     def at(self, text: str, offset: int = 0) -> bool:
-        i = self.pos + offset
-        return i < self.n and self.tokens[i].text == text
+        return self.tokens[self.pos + offset].text == text
 
     def at_kind(self, kind: str) -> bool:
-        i = self.pos
-        return i < self.n and self.tokens[i].kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def advance(self) -> Token:
-        i = self.pos
-        if i >= self.n:
-            raise ParseError("unexpected end of input", self._eof_span)
-        self.pos = i + 1
-        return self.tokens[i]
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
     def expect(self, text: str) -> Token:
-        i = self.pos
-        if i < self.n:
-            t = self.tokens[i]
-            if t.text == text:
-                self.pos = i + 1
-                return t
+        t = self.tokens[self.pos]
+        if t.text != text:
             raise ParseError(f"expected {text!r}, found {t.text!r}", t.span)
-        raise ParseError(f"expected {text!r}, found 'end of input'",
-                         self._eof_span)
+        self.pos += 1
+        return t
 
     def expect_identifier(self) -> Token:
-        t = self.peek()
-        if t is None or t.kind != IDENTIFIER:
-            got = t.text if t else "end of input"
-            raise ParseError(f"expected identifier, found {got!r}",
-                             t.span if t else self._eof_span)
-        return self.advance()
+        t = self.tokens[self.pos]
+        if t.kind != IDENTIFIER:
+            raise ParseError(f"expected identifier, found {t.text!r}", t.span)
+        self.pos += 1
+        return t
 
     def error(self, message: str, span: Span) -> None:
-        self.diagnostics.append(Diagnostic("error", message, span))
+        """Record an error, unless it repeats the one just recorded: an
+        error raised through several recovery points is reported once."""
+        diagnostic = Diagnostic("error", message, span)
+        if not self.diagnostics or self.diagnostics[-1] != diagnostic:
+            self.diagnostics.append(diagnostic)
 
     def warn(self, message: str, span: Span) -> None:
         self.diagnostics.append(Diagnostic("warning", message, span))
 
-    def _too_deep(self) -> None:
-        """Raise the error for a level past MAX_NESTING.
+    def _enter(self) -> None:
+        """Enter one nesting level; leave it with ``self.depth -= 1``.
 
-        A level is entered with ``depth = self.depth + 1``, checked against
-        MAX_NESTING and left by storing ``depth - 1`` back. A ParseError
-        skips the leaving: each recovery point restores the depth it
-        started at.
+        A level past MAX_NESTING raises. A ParseError skips the leaving:
+        each recovery point restores the depth it started at.
         """
-        t = self.peek()
-        raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
-                         t.span if t is not None else self._eof_span)
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             self.tokens[self.pos].span)
 
     def _span_from(self, start: Span) -> Span:
         last = self.tokens[self.pos - 1].span if self.pos else start
@@ -185,9 +199,9 @@ class _Parser:
         docstring; ``stops`` are the stop words, which it does not consume."""
         tokens = self.tokens
         i = self.pos
-        from_brace = i < self.n and tokens[i].text == "{"
+        from_brace = tokens[i].text == "{"
         depth = 0
-        while i < self.n:
+        while tokens[i].kind != _END:
             text = tokens[i].text
             if text == "{":
                 depth += 1
@@ -219,10 +233,10 @@ class _Parser:
     # -- top level ---------------------------------------------------------
 
     def parse_source_unit(self) -> ParseResult:
-        start = self.peek().span if self.peek() else self._eof_span
+        start = self.peek().span
         pragmas: list[PragmaDirective] = []
         contracts: list[ContractDefinition] = []
-        while self.peek() is not None:
+        while not self.at_kind(_END):
             t = self.peek()
             depth = self.depth
             try:
@@ -249,8 +263,8 @@ class _Parser:
         name = self.expect_identifier()
         parts: list[Token] = []
         # a pragma missing its `;` ends before the next unit
-        while (self.pos < self.n and not self.at(";")
-               and self.tokens[self.pos].text not in _TOP_LEVEL_STOPS):
+        while (not self.at(";") and not self.at_kind(_END)
+               and self.peek().text not in _TOP_LEVEL_STOPS):
             parts.append(self.advance())
         end = self.expect(";")
         version_text = "".join(t.text for t in parts)
@@ -271,12 +285,12 @@ class _Parser:
         self.expect("{")
         contract = ContractDefinition(name.text, kw.text, bases, [], [], [], [],
                                       kw.span)
-        while self.peek() is not None and not self.at("}"):
+        while not self.at("}") and not self.at_kind(_END):
             self.parse_contract_member(contract)
-        if self.pos < self.n:
+        if self.at_kind(_END):  # keep the members of a file cut short
+            self.error("expected '}', found 'end of input'", self.peek().span)
+        else:
             self.pos += 1
-        else:  # keep the members of a file cut short
-            self.error("expected '}', found 'end of input'", self._eof_span)
         contract.span = self._span_from(kw.span)
         return contract
 
@@ -301,36 +315,13 @@ class _Parser:
                 self.warn("using-for directives are ignored (partial analysis)", t.span)
                 self._skip(_MEMBER_STOPS)
             else:
-                contract.state_variables.append(self.parse_state_variable())
+                decl = self.parse_variable(_STATE_WORDS)
+                decl.span = join_spans(decl.span, self.expect(";").span)
+                contract.state_variables.append(decl)
         except ParseError as exc:
             self.depth = depth
             self.error(exc.message, exc.span)
             self._skip(_MEMBER_STOPS)
-
-    def parse_state_variable(self) -> VariableDeclaration:
-        start = self.peek().span
-        type_name = self.parse_type_name()
-        visibility = "default"
-        is_constant = False
-        while True:
-            if self.peek() is not None and self.peek().text in _VISIBILITY:
-                visibility = self.advance().text
-            elif self.at("constant"):
-                is_constant = True
-                self.advance()
-            else:
-                break
-        name = self.expect_identifier()
-        initializer = None
-        if self.at("="):
-            self.advance()
-            initializer = self.parse_expression()
-        end = self.expect(";")
-        return VariableDeclaration(name.text, type_name,
-                                   join_spans(start, end.span),
-                                   initializer=initializer,
-                                   visibility=visibility,
-                                   is_constant=is_constant)
 
     def parse_function(self) -> FunctionDefinition:
         start = self.peek().span
@@ -341,8 +332,7 @@ class _Parser:
             is_constructor = True
         else:
             self.expect("function")
-            if self.at_kind(IDENTIFIER) or (self.peek() is not None
-                                            and self.peek().text == "constructor"):
+            if self.at_kind(IDENTIFIER) or self.at("constructor"):
                 name = self.advance().text
                 if name == "constructor":
                     is_constructor = True
@@ -352,7 +342,7 @@ class _Parser:
         mutability = None
         modifiers: list[tuple[str, list[Expression]]] = []
         returns_: list[VariableDeclaration] = []
-        while self.peek() is not None and not self.at("{") and not self.at(";"):
+        while not self.at("{") and not self.at(";") and not self.at_kind(_END):
             t = self.peek()
             if t.text in _VISIBILITY:
                 visibility = self.advance().text
@@ -406,39 +396,42 @@ class _Parser:
 
     def parse_parameter_list(self) -> list[VariableDeclaration]:
         self.expect("(")
-        params, _ = self._list(self.parse_parameter)
+        params, _ = self._list(lambda: self.parse_variable(_PARAMETER_WORDS))
         return params
 
-    def parse_parameter(self) -> VariableDeclaration:
-        start = self.peek().span if self.peek() else self._eof_span
-        type_name = self.parse_type_name()
-        location = "unspecified"
-        is_indexed = False
-        while True:
-            t = self.peek()
-            if t is not None and t.text in ("memory", "storage", "calldata"):
-                location = self.advance().text
-            elif t is not None and t.text == "indexed":
-                is_indexed = True
-                self.advance()
+    def parse_variable(self, words: frozenset[str]) -> VariableDeclaration:
+        """A state variable, parameter or local, up to its `;` or `,`: the
+        type, any of ``words`` (the modifiers the context allows), the name,
+        and an initializer. A parameter's name is optional and it has no
+        initializer."""
+        start = self.peek().span
+        decl = VariableDeclaration("", self.parse_type_name(), start)
+        while self.peek().text in words:
+            word = self.advance().text
+            if word == "constant":
+                decl.is_constant = True
+            elif word == "indexed":
+                decl.is_indexed = True
+            elif word in _VISIBILITY:
+                decl.visibility = word
             else:
-                break
-        name = ""
-        if self.at_kind(IDENTIFIER):
-            name = self.advance().text
-        return VariableDeclaration(name, type_name, self._span_from(start),
-                                   data_location=location, is_indexed=is_indexed)
+                decl.data_location = word
+        if words is _PARAMETER_WORDS:
+            if self.at_kind(IDENTIFIER):
+                decl.name = self.advance().text
+        else:
+            decl.name = self.expect_identifier().text
+            if self.at("="):
+                self.advance()
+                decl.initializer = self.parse_expression()
+        decl.span = self._span_from(start)
+        return decl
 
     # -- types --------------------------------------------------------------
 
     def parse_type_name(self) -> TypeName:
         t = self.peek()
-        if t is None:
-            raise ParseError("expected a type", self._eof_span)
-        depth = self.depth + 1
-        if depth > MAX_NESTING:
-            self._too_deep()
-        self.depth = depth
+        self._enter()
         if t.text == "mapping":
             start = self.advance().span
             self.expect("(")
@@ -457,6 +450,8 @@ class _Parser:
         elif t.kind == IDENTIFIER:
             self.advance()
             base = TypeName("user", t.span, name=t.text)
+        elif t.kind == _END:
+            raise ParseError("expected a type", t.span)
         else:
             raise ParseError(f"expected a type, found {t.text!r}", t.span)
         while self.at("["):
@@ -467,7 +462,7 @@ class _Parser:
             end = self.expect("]")
             base = TypeName("array", join_spans(base.span, end.span),
                             element=base, length=length)
-        self.depth = depth - 1
+        self.depth -= 1
         return base
 
     # -- statements ----------------------------------------------------------
@@ -476,8 +471,7 @@ class _Parser:
         start = self.expect("{").span
         statements: list[Statement] = []
         depth = self.depth
-        tokens = self.tokens
-        while self.pos < self.n and tokens[self.pos].text != "}":
+        while not self.at("}") and not self.at_kind(_END):
             try:
                 statements.append(self.parse_statement())
             except ParseError as exc:
@@ -488,16 +482,10 @@ class _Parser:
         return Block(statements, join_spans(start, end.span))
 
     def parse_statement(self) -> Statement:
-        i = self.pos
-        if i >= self.n:
-            raise ParseError("unexpected end of input", self._eof_span)
-        t = self.tokens[i]
+        t = self.peek()
         text = t.text
         if text in _COMPOUND_STATEMENTS:
-            depth = self.depth + 1
-            if depth > MAX_NESTING:
-                self._too_deep()
-            self.depth = depth
+            self._enter()
             if text == "{":
                 statement = self.parse_block()
             elif text == "if":
@@ -506,7 +494,7 @@ class _Parser:
                 statement = self.parse_for()
             else:
                 statement = self.parse_while()
-            self.depth = depth - 1
+            self.depth -= 1
             return statement
         if text == "return":
             start = self.advance().span
@@ -522,24 +510,14 @@ class _Parser:
             if not isinstance(call, CallExpression):
                 raise ParseError("emit expects an event call", start)
             return EmitStatement(call, join_spans(start, end.span))
-        if text == "throw":
-            start = self.advance().span
+        if text in _WORD_STATEMENTS and (text != "_" or self.at(";", 1)):
+            self.advance()
             end = self.expect(";")
-            return ThrowStatement(join_spans(start, end.span))
-        if text == "break":
-            start = self.advance().span
-            end = self.expect(";")
-            return BreakStatement(join_spans(start, end.span))
-        if text == "continue":
-            start = self.advance().span
-            end = self.expect(";")
-            return ContinueStatement(join_spans(start, end.span))
-        if text == "_" and self.at(";", 1):
-            start = self.advance().span
-            end = self.expect(";")
-            return PlaceholderStatement(join_spans(start, end.span))
+            return _WORD_STATEMENTS[text](join_spans(t.span, end.span))
         if self._looks_like_declaration():
-            return self.parse_declaration_statement()
+            decl = self.parse_variable(_LOCAL_WORDS)
+            end = self.expect(";")
+            return VariableDeclarationStatement(decl, join_spans(decl.span, end.span))
         start = t.span
         expr = self.parse_expression()
         end = self.expect(";")
@@ -547,8 +525,6 @@ class _Parser:
 
     def _looks_like_declaration(self) -> bool:
         t = self.peek()
-        if t is None:
-            return False
         if t.text in ("var", "mapping"):
             return True
         if t.kind == KEYWORD and is_elementary_type_name(t.text):
@@ -557,40 +533,20 @@ class _Parser:
             return False
         # `Foo bar ...` or `Foo[...] bar ...` declares a user-typed local.
         nxt = self.peek(1)
-        if nxt is not None and nxt.kind == IDENTIFIER:
+        if nxt.kind == IDENTIFIER:
             return True
-        if nxt is not None and nxt.text == "[":
+        if nxt.text == "[":
+            tokens = self.tokens
             i = self.pos + 2
             depth = 1
-            while i < len(self.tokens) and depth:
-                if self.tokens[i].text == "[":
+            while depth and tokens[i].kind != _END:
+                if tokens[i].text == "[":
                     depth += 1
-                elif self.tokens[i].text == "]":
+                elif tokens[i].text == "]":
                     depth -= 1
                 i += 1
-            return i < len(self.tokens) and self.tokens[i].kind == IDENTIFIER
+            return tokens[i].kind == IDENTIFIER
         return False
-
-    def parse_declaration_statement(self) -> VariableDeclarationStatement:
-        decl = self.parse_local_declaration()
-        end = self.expect(";")
-        span = join_spans(decl.span, end.span)
-        return VariableDeclarationStatement(decl, span)
-
-    def parse_local_declaration(self) -> VariableDeclaration:
-        start = self.peek().span
-        type_name = self.parse_type_name()
-        location = "unspecified"
-        if self.peek() is not None and self.peek().text in ("memory", "storage", "calldata"):
-            location = self.advance().text
-        name = self.expect_identifier()
-        initializer = None
-        if self.at("="):
-            self.advance()
-            initializer = self.parse_expression()
-        return VariableDeclaration(name.text, type_name, self._span_from(start),
-                                   data_location=location,
-                                   initializer=initializer)
 
     def parse_if(self) -> IfStatement:
         start = self.expect("if").span
@@ -611,7 +567,7 @@ class _Parser:
         init: Statement | None = None
         if not self.at(";"):
             if self._looks_like_declaration():
-                decl = self.parse_local_declaration()
+                decl = self.parse_variable(_LOCAL_WORDS)
                 init = VariableDeclarationStatement(decl, decl.span)
             else:
                 expr = self.parse_expression()
@@ -641,66 +597,51 @@ class _Parser:
     def parse_expression(self) -> Expression:
         """An assignment (right-associative), a conditional or a binary
         expression."""
-        depth = self.depth + 1
-        if depth > MAX_NESTING:
-            self._too_deep()
-        self.depth = depth
+        self._enter()
         expr = self.parse_binary(0)
-        i = self.pos
-        if i < self.n:
-            text = self.tokens[i].text
-            if text == "?":
-                self.pos = i + 1
-                true_expr = self.parse_expression()
-                self.expect(":")
-                # the false branch takes any assignment that follows
-                false_expr = self.parse_expression()
-                expr = Conditional(expr, true_expr, false_expr,
-                                   join_spans(expr.span, false_expr.span))
-            elif text in _ASSIGN_OPS:
-                self.pos = i + 1
-                value = self.parse_expression()
-                expr = Assignment(text, expr, value,
-                                  join_spans(expr.span, value.span))
-        self.depth = depth - 1
+        text = self.peek().text
+        if text == "?":
+            self.pos += 1
+            true_expr = self.parse_expression()
+            self.expect(":")
+            # the false branch takes any assignment that follows
+            false_expr = self.parse_expression()
+            expr = Conditional(expr, true_expr, false_expr,
+                               join_spans(expr.span, false_expr.span))
+        elif text in _ASSIGN_OPS:
+            self.pos += 1
+            value = self.parse_expression()
+            expr = Assignment(text, expr, value,
+                              join_spans(expr.span, value.span))
+        self.depth -= 1
         return expr
 
     def parse_binary(self, min_prec: int) -> Expression:
         left = self.parse_unary()
         tokens = self.tokens
         while True:
-            i = self.pos
-            if i >= self.n:
-                return left
-            t = tokens[i]
+            t = tokens[self.pos]
             op = _BINARY_OPS.get(t.text)
             if op is None or op[0] < min_prec:
                 return left
-            self.pos = i + 1
+            self.pos += 1
             prec, right_assoc = op
             if right_assoc:  # `a ** b ** c` nests to the right
-                depth = self.depth + 1
-                if depth > MAX_NESTING:
-                    self._too_deep()
-                self.depth = depth
+                self._enter()
                 right = self.parse_binary(prec)
-                self.depth = depth - 1
+                self.depth -= 1
             else:
                 right = self.parse_binary(prec + 1)
             left = BinaryOperation(t.text, left, right,
                                    join_spans(left.span, right.span))
 
     def parse_unary(self) -> Expression:
-        i = self.pos
-        if i < self.n and self.tokens[i].text in _UNARY_PREFIX:
-            t = self.tokens[i]
-            self.pos = i + 1
-            depth = self.depth + 1
-            if depth > MAX_NESTING:
-                self._too_deep()
-            self.depth = depth
+        t = self.peek()
+        if t.text in _UNARY_PREFIX:
+            self.pos += 1
+            self._enter()
             operand = self.parse_unary()
-            self.depth = depth - 1
+            self.depth -= 1
             return UnaryOperation(t.text, operand, True,
                                   join_spans(t.span, operand.span))
         return self.parse_postfix()
@@ -708,22 +649,21 @@ class _Parser:
     def parse_postfix(self) -> Expression:
         expr = self.parse_primary()
         tokens = self.tokens
-        outer = depth = self.depth
+        outer = self.depth
         while True:
-            i = self.pos
-            if i >= self.n or tokens[i].text not in _POSTFIX_OPS:
+            t = tokens[self.pos]
+            text = t.text
+            if text not in _POSTFIX_OPS:
                 self.depth = outer
                 return expr
             # each operator nests the expression so far one level deeper
-            depth += 1
-            if depth > MAX_NESTING:
-                self._too_deep()
-            self.depth = depth
-            t = tokens[i]
-            text = t.text
-            self.pos = i + 1
+            self._enter()
+            self.pos += 1
             if text == ".":
-                member = self.advance()
+                member = tokens[self.pos]
+                if member.kind == _END:
+                    raise ParseError("unexpected end of input", member.span)
+                self.pos += 1
                 if member.kind not in (IDENTIFIER, KEYWORD, NUMBER):
                     raise ParseError(f"expected member name, found {member.text!r}",
                                      member.span)
@@ -744,8 +684,6 @@ class _Parser:
 
     def parse_primary(self) -> Expression:
         i = self.pos
-        if i >= self.n:
-            raise ParseError("unexpected end of input", self._eof_span)
         t = self.tokens[i]
         kind = t.kind
         # the cases are disjoint: type names and true/false are keywords
@@ -755,7 +693,7 @@ class _Parser:
         if kind == NUMBER:
             self.pos = i + 1
             nxt = self.peek()
-            if nxt is not None and nxt.text in ETHER_UNITS:
+            if nxt.text in ETHER_UNITS:
                 self.pos += 1
                 return NumberLiteral(t.text, nxt.text, join_spans(t.span, nxt.span))
             return NumberLiteral(t.text, None, t.span)
@@ -777,6 +715,8 @@ class _Parser:
             self.pos = i + 1
             components, end = self._list(self.parse_expression)
             return TupleExpression(components, join_spans(t.span, end.span))
+        if kind == _END:
+            raise ParseError("unexpected end of input", t.span)
         raise ParseError(f"unexpected {text!r} in expression", t.span)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 
@@ -23,6 +24,31 @@ def corpus_dir() -> str:
 def read_listing(name: str) -> str:
     with open(os.path.join(CORPUS_DIR, name), "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+LISTINGS = ("listing1.sol", "listing2.sol", "listing3.sol", "listing4.sol")
+MUTATIONS = ("delete", "duplicate", "brace", "semicolon")
+
+
+def mutate(text: str, mutation: str, start: int, width: int) -> str:
+    end = min(start + width, len(text))
+    if mutation == "delete":
+        return text[:start] + text[end:]
+    if mutation == "duplicate":
+        return text[:end] + text[start:end] + text[end:]
+    return text[:start] + ("}" if mutation == "brace" else ";") + text[start:]
+
+
+def seeded_mutants(seed: int = 20191, per_listing: int = 300):
+    """A fixed set of mutated listings: (listing, mutation, text), the four
+    mutations in turn, each a 1-40 character span at a random offset."""
+    rng = random.Random(seed)
+    for name in LISTINGS:
+        text = read_listing(name)
+        for k in range(per_listing):
+            mutation = MUTATIONS[k % len(MUTATIONS)]
+            yield name, mutation, mutate(text, mutation, rng.randrange(len(text)),
+                                         rng.randint(1, 40))
 
 
 def clean_outcome(raw: bytes, name: str, config=None) -> FileOutcome:

@@ -228,6 +228,18 @@ def test_detectors_catalog_json(capsys):
                           "maintainability": 2, "reusability": 2}
 
 
+def test_detectors_catalog_frontends(capsys):
+    # a detector has the bytecode frontend exactly when it has a bytecode
+    # implementation; the rest are source-only
+    main(["detectors", "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    both = [entry["code"] for entry in data
+            if entry["frontends"] == ["bytecode", "source"]]
+    assert both == ["D03", "D08", "D10", "D17"]
+    assert all(entry["frontends"] == ["source"] for entry in data
+               if entry["code"] not in both)
+
+
 def test_bytecode_mode_by_extension(tmp_path, capsys):
     import sys
     sys.path.insert(0, os.path.dirname(__file__))

@@ -1,14 +1,12 @@
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from soldefect.nodes import (CallExpression, ForStatement, HexLiteral,
                              children, walk)
 from soldefect.parser import parse_source
 
-from conftest import read_listing
+from conftest import MUTATIONS, mutate, read_listing, seeded_mutants
 
 
 def parse_ok(text: str):
@@ -187,24 +185,11 @@ from soldefect.lexer import LexerError
 _LISTING1 = read_listing("listing1.sol")
 
 
-_LISTINGS = ("listing1.sol", "listing2.sol", "listing3.sol", "listing4.sol")
-_MUTATIONS = ("delete", "duplicate", "brace", "semicolon")
-
-
-def _mutate(text: str, mutation: str, start: int, width: int) -> str:
-    end = min(start + width, len(text))
-    if mutation == "delete":
-        return text[:start] + text[end:]
-    if mutation == "duplicate":
-        return text[:end] + text[start:end] + text[end:]
-    return text[:start] + ("}" if mutation == "brace" else ";") + text[start:]
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, len(_LISTING1) - 1), st.integers(1, 40),
-       st.sampled_from(_MUTATIONS))
+       st.sampled_from(MUTATIONS))
 def test_mutated_listing_never_crashes(start, width, mutation):
-    text = _mutate(_LISTING1, mutation, start, width)
+    text = mutate(_LISTING1, mutation, start, width)
     try:
         result = parse_source(text, "mutant.sol")
     except LexerError:
@@ -212,33 +197,36 @@ def test_mutated_listing_never_crashes(start, width, mutation):
     assert result.unit is not None
 
 
-def seeded_mutants(seed: int = 20191, per_listing: int = 300):
-    """A fixed set of mutated listings: (listing, mutation, text), the four
-    mutations in turn, each a 1-40 character span at a random offset."""
-    rng = random.Random(seed)
-    for name in _LISTINGS:
-        text = read_listing(name)
-        for k in range(per_listing):
-            mutation = _MUTATIONS[k % len(_MUTATIONS)]
-            yield name, mutation, _mutate(text, mutation, rng.randrange(len(text)),
-                                          rng.randint(1, 40))
-
-
 def test_seeded_mutants_cost_few_error_diagnostics():
     # one skip per syntax error: a damaged region is one diagnostic, not
     # one per token (the parser before the single recovery rule averaged
-    # 13.5 errors per mutant here, 228 at worst)
+    # 13.5 errors per mutant here, 228 at worst), and an error raised
+    # through several levels of recovery is reported once
     counts = []
     for name, mutation, text in seeded_mutants():
         try:
             result = parse_source(text, "mutant.sol")
         except LexerError:
             continue
-        errors = sum(d.severity == "error" for d in result.diagnostics)
+        diagnostics = result.diagnostics
+        assert all(a != b for a, b in zip(diagnostics, diagnostics[1:])), \
+            (name, mutation, text)
+        errors = sum(d.severity == "error" for d in diagnostics)
         assert errors <= 10, (name, mutation, text)
         counts.append(errors)
     assert len(counts) >= 1000
     assert sum(counts) / len(counts) <= 2.0
+
+
+@pytest.mark.parametrize("text", [
+    "contract C { function f() { if (x) { while (y) { y = 1;",
+    "contract C { function f() { " + "{" * 120 + "y = 1;",
+], ids=["four levels", "120 blocks"])
+def test_file_cut_inside_nested_blocks_is_one_error(text):
+    result = parse_source(text, "t.sol")
+    assert [(d.severity, d.message) for d in result.diagnostics] == \
+        [("error", "expected '}', found 'end of input'")]
+    assert result.unit.contracts[0].name == "C"
 
 
 @pytest.mark.parametrize("line", range(1, 9))

@@ -11,6 +11,10 @@ temporary directory lives.
 
 A third hash pins the EVM frontend's facts for the `asm.py` programs:
 blocks, dominators, emulation events, loops and selectors.
+
+A fourth pins the parser's trees, every node with its span, over the golden
+listings, a few synthetic contracts and the 1,200 seeded mutants, so a
+refactor of the parser or its recovery cannot change a tree unseen.
 """
 
 from __future__ import annotations
@@ -32,11 +36,13 @@ from soldefect.config import DetectorConfig, RunConfig
 from soldefect.evm.cfg import build_cfg
 from soldefect.evm.loops import detect_loops
 from soldefect.evm.selectors import extract_selectors
+from soldefect.lexer import LexerError
+from soldefect.parser import parse_source
 from soldefect.report import render
 from asm import (BALANCE_EQ, CALL_BODY, PUSH20_LITERAL, counted_loop,
                  dispatcher, storage_bound_loop)
-from conftest import CORPUS_DIR
-from synth import write_corpus
+from conftest import CORPUS_DIR, LISTINGS, read_listing, seeded_mutants
+from synth import generate_contract_file, write_corpus
 
 SNAPSHOTS = {
     "default": "2ac9ce13800db88b27ddf479a2243a3cac3b8a649368ca396507faea772c8dfc",
@@ -56,6 +62,8 @@ SARIF_SNAPSHOTS = {
 }
 
 EVM_FACTS_SNAPSHOT = "e77a15805383b9cadaded325287f7f4be047cd157da52f32e997ea98258aec5c"
+
+TREE_SNAPSHOT = "5b54ed4a5e83507b49a2b6d1d40b14afc3a0f8a3f903f981cf181187f938ccd8"
 
 # transfer(address,uint256) and balanceOf(address): a partial ERC-20
 TRANSFER, BALANCE_OF = 0xa9059cbb, 0x70a08231
@@ -211,3 +219,17 @@ def test_evm_facts_snapshot():
     facts = {name: evm_facts(code) for name, code in EVM_PROGRAMS.items()}
     blob = json.dumps(facts, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == EVM_FACTS_SNAPSHOT
+
+
+def test_tree_snapshot():
+    texts = [read_listing(name) for name in LISTINGS]
+    texts += [generate_contract_file(seed) for seed in range(1, 6)]
+    texts += [text for _, _, text in seeded_mutants()]
+    digest = hashlib.sha256()
+    for text in texts:
+        try:
+            unit = parse_source(text, "t.sol").unit
+        except LexerError:
+            continue  # fatal per file, before the parser runs
+        digest.update(repr(unit).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == TREE_SNAPSHOT
