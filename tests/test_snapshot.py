@@ -15,6 +15,10 @@ blocks, dominators, emulation events, loops and selectors.
 A fourth pins the parser's trees, every node with its span, over the golden
 listings, a few synthetic contracts and the 1,200 seeded mutants, so a
 refactor of the parser or its recovery cannot change a tree unseen.
+
+A fifth pins every diagnostic and per-file error over the same inputs, as
+`analyze_input` reports them: the positions of syntax errors, of lexer
+errors and of warnings, and the words of each.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import pytest
 
 import soldefect
 
-from soldefect.analyzer import analyze_paths
+from soldefect.analyzer import analyze_input, analyze_paths
 from soldefect.config import DetectorConfig, RunConfig
 from soldefect.evm.cfg import build_cfg
 from soldefect.evm.loops import detect_loops
@@ -62,6 +66,8 @@ SARIF_SNAPSHOTS = {
 }
 
 EVM_FACTS_SNAPSHOT = "e77a15805383b9cadaded325287f7f4be047cd157da52f32e997ea98258aec5c"
+
+DIAGNOSTICS_SNAPSHOT = "d453c08a4c906a614142149493f0cf455dc9ac56280410590e4e0337f3d575be"
 
 TREE_SNAPSHOT = "5b54ed4a5e83507b49a2b6d1d40b14afc3a0f8a3f903f981cf181187f938ccd8"
 
@@ -221,12 +227,26 @@ def test_evm_facts_snapshot():
     assert hashlib.sha256(blob).hexdigest() == EVM_FACTS_SNAPSHOT
 
 
-def test_tree_snapshot():
+def parser_inputs() -> list[str]:
+    """The golden listings, five synthetic contracts and the seeded mutants."""
     texts = [read_listing(name) for name in LISTINGS]
     texts += [generate_contract_file(seed) for seed in range(1, 6)]
     texts += [text for _, _, text in seeded_mutants()]
+    return texts
+
+
+def test_diagnostics_snapshot():
     digest = hashlib.sha256()
-    for text in texts:
+    for text in parser_inputs():
+        outcome = analyze_input(text.encode("utf-8"), "t.sol", RunConfig())
+        for line in [str(d) for d in outcome.diagnostics] + [str(outcome.error)]:
+            digest.update(line.encode("utf-8") + b"\n")
+    assert digest.hexdigest() == DIAGNOSTICS_SNAPSHOT
+
+
+def test_tree_snapshot():
+    digest = hashlib.sha256()
+    for text in parser_inputs():
         try:
             unit = parse_source(text, "t.sol").unit
         except LexerError:
