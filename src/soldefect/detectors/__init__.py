@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..config import DetectorConfig
 from ..report import Finding
-from ..spans import Diagnostic, Span
+from ..spans import Diagnostic, Span, position
 from . import availability, bytecode, maintainability, performance  # noqa: F401
 from . import reusability, security  # noqa: F401
 from .base import (AnalysisContext, BytecodeFacts, ContractFacts,
@@ -36,24 +36,27 @@ def run_detectors(ctx: AnalysisContext) -> list[Finding]:
     """Run every enabled detector whose facts are present; never raises.
 
     Each (where, message) hit a detector yields becomes a Finding with the
-    detector's catalog entry: a source hit's span gives line and column, a
-    bytecode hit is a program counter. Of a detector's findings with the
-    same ``Finding.identity()``, only the first is kept. A detector that
-    raises contributes no findings, not even the hits it yielded first,
-    and an error in ``ctx.diagnostics`` naming it; the others still run.
+    detector's catalog entry: a source hit's span gives line and column
+    through the file's line starts, a bytecode hit is a program counter.
+    Of a detector's findings with the same ``Finding.identity()``, only the
+    first is kept. A detector that raises contributes no findings, not even
+    the hits it yielded first, and an error in ``ctx.diagnostics`` naming
+    it; the others still run.
     Pure with respect to the facts: running twice yields identical
     findings in identical order.
     """
     frontends = []
     if ctx.source is not None:
         source_id = ctx.source.file_id
-        frontends.append((_SOURCE_DETECTORS, ctx.source.unit.span,
+        unit = ctx.source.unit
+        frontends.append((_SOURCE_DETECTORS,
+                          (unit.span, *position(unit.line_starts, unit.span.offset)),
                           lambda d, span, message: Finding(
                               d.id, d.category, d.impact, source_id, message,
-                              d.advice, line=span.line, column=span.column)))
+                              d.advice, *position(unit.line_starts, span.offset))))
     if ctx.bytecode is not None:
         bytecode_id = ctx.bytecode.file_id
-        frontends.append((_BYTECODE_DETECTORS, Span(bytecode_id, 1, 1, 0, 0),
+        frontends.append((_BYTECODE_DETECTORS, (Span(bytecode_id, 0, 0), 1, 1),
                           lambda d, pc, message: Finding(
                               d.id, d.category, d.impact, bytecode_id, message,
                               d.advice, pc=pc)))
@@ -61,7 +64,7 @@ def run_detectors(ctx: AnalysisContext) -> list[Finding]:
     for desc in REGISTRY:
         if not ctx.config.is_enabled(desc.id):
             continue
-        for detectors, span, finding in frontends:
+        for detectors, where_failed, finding in frontends:
             fn = detectors.get(desc.id)
             if fn is None:
                 continue
@@ -73,7 +76,7 @@ def run_detectors(ctx: AnalysisContext) -> list[Finding]:
             except Exception as exc:  # one detector's fault must not cost the others
                 ctx.diagnostics.append(Diagnostic(
                     "error", f"detector {desc.id} ({desc.code}) failed: "
-                             f"{type(exc).__name__}: {exc}", span))
+                             f"{type(exc).__name__}: {exc}", *where_failed))
             else:
                 findings += found.values()
     return findings

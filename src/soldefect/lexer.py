@@ -1,15 +1,16 @@
 """Tokenizer for the supported Solidity subset.
 
-Lossless: comments are emitted as ordinary tokens and every token carries
-an exact source span, so the input can be reconstructed byte-for-byte from
-the token stream plus the whitespace gaps between spans.
+Lossless: comments are emitted as ordinary tokens and every token is a
+``(kind, text, offset, length)`` tuple, so the input can be reconstructed
+from the tokens plus the whitespace gaps between them. No lines are counted:
+the token list carries the file's line starts (``spans.line_starts``).
 """
 
 from __future__ import annotations
 
 import re
 
-from .spans import Span, new_span
+from .spans import Span, line_starts, position
 
 # Token kinds
 IDENTIFIER = "identifier"
@@ -58,106 +59,80 @@ ETHER_UNITS = {
     "years": 31536000,
 }
 
-# One compiled pass over the file. The groups are tried in order, so a
-# comment wins over the `/` operator and a hex literal over the number 0.
-# A token's kind is its group's index in _KINDS (whitespace has none).
+# One compiled pass over the file. Each match is the whitespace before a
+# token and the token. The groups are tried in order, so a comment wins over
+# the `/` operator and a hex literal over the number 0. The last group takes
+# any one character the others do not, which is an error; it takes no
+# whitespace, so whitespace at the end of the file matches nothing. A
+# token's kind is its group's index in _KINDS.
 _TOKEN_RE = re.compile(
     r"""
-    ([ \t\r\n]+)
-  | ([A-Za-z_$][A-Za-z0-9_$]*)
+    [ \t\r\n]*(?:
+    ([A-Za-z_$][A-Za-z0-9_$]*)
   | ([(){}\[\];,])
   | (//[^\n]*|/\*(?:[^*]|\*(?!/))*\*/)
   | (\*\*|<<=?|>>=?|<=|>=|==|!=|&&|\|\||\+\+|--|\+=|-=|\*=|/=|%=|\|=|&=|\^=|=>|[-+*/%=<>!&|^~?:.])
   | (0[xX][0-9a-fA-F]+)
-  | ([0-9]+(?:\.[0-9]+)*)
+  | ([0-9]+(?:\.[0-9]+)*(?:[eE]-?[0-9]+)?)
   | ("(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
+  | ([^ \t\r\n]))
     """,
     re.VERBOSE,
 )
-_WS, _IDENTIFIER, _COMMENT, _OP = 1, 2, 4, 5
-_KINDS = (None, None, IDENTIFIER, PUNCT, COMMENT, OP, HEX, NUMBER, STRING)
+_IDENTIFIER, _OP, _OTHER = 1, 4, 8
+_KINDS = (None, None, PUNCT, COMMENT, OP, HEX, NUMBER, STRING)
 
 
 class LexerError(Exception):
-    def __init__(self, message: str, span: Span):
-        super().__init__(f"{span}: {message}")
+    """Input the lexer cannot take, at ``span`` in ``source_text``."""
+
+    def __init__(self, message: str, span: Span, source_text: str):
+        self.line, self.column = position(line_starts(source_text), span.offset)
+        super().__init__(f"{span.file_id}:{self.line}:{self.column}: {message}")
         self.span = span
 
 
-class Token:
-    __slots__ = ("kind", "text", "span")
+# A token: (kind, text, offset, length), in `str` indices.
+Token = tuple[str, str, int, int]
 
-    def __init__(self, kind: str, text: str, span: Span):
-        self.kind = kind
-        self.text = text
-        self.span = span
 
-    def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.text!r})"
+class Tokens(list):
+    """One file's tokens, and its ``spans.line_starts`` as ``line_starts``."""
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Token) and self.kind == other.kind
-                and self.text == other.text and self.span == other.span)
+    __slots__ = ("line_starts",)
 
 
 def is_elementary_type_name(text: str) -> bool:
     return text in _ELEMENTARY
 
 
-def tokenize(source_text: str, file_id: str) -> list[Token]:
+def tokenize(source_text: str, file_id: str) -> Tokens:
     """Lex ``source_text`` into a lossless token stream (comments included).
 
-    Raises LexerError on unterminated strings/comments or bytes outside the
-    grammar; the caller is expected to keep going with its other inputs.
+    Raises LexerError on unterminated strings/comments or characters outside
+    the grammar; the caller is expected to keep going with its other inputs.
     """
-    tokens: list[Token] = []
+    tokens = Tokens()
     append = tokens.append
     keyword_texts = _KEYWORD_TEXTS
     kinds = _KINDS
-    pos = 0
-    line = 1
-    line_start = 0
     for m in _TOKEN_RE.finditer(source_text):
-        start, end = m.span()
-        if start != pos:
-            _fail(source_text, file_id, pos, line, line_start)
-        pos = end
         group = m.lastindex
-        if group == _WS:
-            nl = source_text.count("\n", start, end)
-            if nl:
-                line += nl
-                line_start = source_text.rindex("\n", start, end) + 1
-            continue
-        text = m.group()
+        start, end = m.span(group)
+        text = m.group(group)
         if group == _IDENTIFIER:
-            kind = KEYWORD if text in keyword_texts else IDENTIFIER
+            append((KEYWORD if text in keyword_texts else IDENTIFIER,
+                    text, start, end - start))
+        elif group == _OTHER:
+            # a `/` always lexes, so only a quote opens an unterminated token
+            raise LexerError("unterminated string" if text in "\"'"
+                             else f"unexpected character {text!r}",
+                             Span(file_id, start, 1), source_text)
         else:
-            kind = kinds[group]
-        column = start - line_start + 1
-        append(Token(kind, text,
-                     new_span(Span, (file_id, line, column, start, end - start))))
-        if group == _COMMENT:
-            nl = text.count("\n")
-            if nl:
-                line += nl
-                line_start = start + text.rindex("\n") + 1
-        elif group == _OP and text == "/" and source_text.startswith("/*", start):
-            # the comment alternative only matches terminated comments
-            raise LexerError("unterminated comment",
-                             Span(file_id, line, column, start, 2))
-    if pos != len(source_text):
-        _fail(source_text, file_id, pos, line, line_start)
+            if group == _OP and text == "/" and source_text.startswith("/*", start):
+                # the comment alternative only matches terminated comments
+                raise LexerError("unterminated comment", Span(file_id, start, 2),
+                                 source_text)
+            append((kinds[group], text, start, end - start))
+    tokens.line_starts = line_starts(source_text)
     return tokens
-
-
-def _fail(source_text: str, file_id: str, pos: int, line: int,
-          line_start: int) -> None:
-    """Raise the LexerError for the unlexable input at ``pos``. A `/` always
-    lexes (as the operator at worst), so only a quote opens an unterminated
-    token here."""
-    span = Span(file_id, line, pos - line_start + 1, pos, 1)
-    ch = source_text[pos]
-    if ch in "\"'":
-        raise LexerError("unterminated string", span)
-    raise LexerError(f"unexpected character {ch!r}", span)

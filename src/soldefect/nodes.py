@@ -6,7 +6,7 @@ parses of the same bytes compare structurally equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -140,8 +140,12 @@ class NumberLiteral:
 
     @property
     def value(self) -> Optional[int]:
-        """Exact integer value (unit applied), or None when non-integral."""
+        """Exact integer value (unit applied), or None when non-integral or
+        past an exponent of 4096, which no type holds and is costly to build."""
+        _, _, exponent = self.text.lower().partition("e")
         try:
+            if exponent and abs(int(exponent)) > 4096:
+                return None
             magnitude = Fraction(self.text)
         except (ValueError, ZeroDivisionError):
             return None
@@ -365,6 +369,7 @@ class SourceUnit:
     pragmas: list[PragmaDirective]
     contracts: list[ContractDefinition]
     span: Span
+    line_starts: list[int] = field(repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------

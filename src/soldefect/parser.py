@@ -19,13 +19,16 @@ in turn, such as the end of a file cut inside nested blocks, is reported
 once. Unsupported constructs (import, struct/enum, using) are skipped by
 the same rule with a "partial analysis" warning instead of failing the file.
 
-The token list ends with an end token whose text, "end of input", is what
-an error at the end of the file names ("expected ';', found 'end of
-input'"). Nothing consumes it or looks past it, so no lookahead
-bounds-checks. Only the loops that must stop at the end (the skip, and the
-unit, contract, block, function-header and pragma loops) test for it,
-besides the three errors worded "unexpected end of input" or "expected a
-type" there.
+The parser indexes the lexer's ``(kind, text, offset, length)`` token
+tuples. A node's span ends at the end of the last token it consumed.
+
+The token list ends with an end token, at the last token's span (offset 0
+in a file of no tokens), whose text, "end of input", is what an error at
+the end of the file names ("expected ';', found 'end of input'"). Nothing
+consumes it or looks past it, so no lookahead bounds-checks. Only the
+loops that must stop at the end (the skip, and the unit, contract, block,
+function-header and pragma loops) test for it, besides the three errors
+worded "unexpected end of input" or "expected a type" there.
 
 One nesting rule bounds the parser's recursion: a type name, a compound
 statement, an expression, a `**` or prefix operand and each postfix
@@ -36,7 +39,8 @@ syntax error.
 from __future__ import annotations
 
 from .lexer import (COMMENT, ETHER_UNITS, HEX, IDENTIFIER, KEYWORD,
-                    NUMBER, STRING, Token, is_elementary_type_name, tokenize)
+                    NUMBER, STRING, Token, Tokens, is_elementary_type_name,
+                    tokenize)
 from .nodes import (Assignment, BinaryOperation, Block, BoolLiteral,
                     BreakStatement, CallExpression, Conditional,
                     ContinueStatement, ContractDefinition,
@@ -49,7 +53,7 @@ from .nodes import (Assignment, BinaryOperation, Block, BoolLiteral,
                     ThrowStatement, TupleExpression, TypeName, UnaryOperation,
                     VariableDeclaration, VariableDeclarationStatement,
                     WhileStatement)
-from .spans import Diagnostic, Span, join_spans
+from .spans import Diagnostic, Span, join_spans, new_span, position
 
 _VISIBILITY = ("public", "private", "internal", "external")
 _MUTABILITY = ("constant", "view", "pure")
@@ -103,10 +107,12 @@ _TOP_LEVEL_STOPS = _UNIT_STARTS | {"import"}
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, span: Span):
-        super().__init__(f"{span}: {message}")
+    """A syntax error at ``token``; the recovery point that catches it records it."""
+
+    def __init__(self, message: str, token: Token):
+        super().__init__(message)
         self.message = message
-        self.span = span
+        self.token = token
 
 
 class ParseResult:
@@ -125,15 +131,17 @@ def parse_source(source_text: str, file_id: str) -> ParseResult:
     return parse(tokenize(source_text, file_id), file_id)
 
 
-def parse(tokens: list[Token], file_id: str = "<input>") -> ParseResult:
+def parse(tokens: Tokens, file_id: str = "<input>") -> ParseResult:
     return _Parser(tokens, file_id).parse_source_unit()
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file_id: str):
-        self.tokens = [t for t in tokens if t.kind != COMMENT]
-        self.tokens.append(Token(_END, "end of input", self.tokens[-1].span
-                                 if self.tokens else Span(file_id, 1, 1, 0, 0)))
+    def __init__(self, tokens: Tokens, file_id: str):
+        self.file_id = file_id
+        self.line_starts = tokens.line_starts
+        self.tokens = [t for t in tokens if t[0] != COMMENT]
+        _, _, offset, length = self.tokens[-1] if self.tokens else (_END, "", 0, 0)
+        self.tokens.append((_END, "end of input", offset, length))
         self.pos = 0
         self.depth = 0
         self.diagnostics: list[Diagnostic] = []
@@ -144,10 +152,10 @@ class _Parser:
         return self.tokens[self.pos + offset]
 
     def at(self, text: str, offset: int = 0) -> bool:
-        return self.tokens[self.pos + offset].text == text
+        return self.tokens[self.pos + offset][1] == text
 
     def at_kind(self, kind: str) -> bool:
-        return self.tokens[self.pos].kind == kind
+        return self.tokens[self.pos][0] == kind
 
     def advance(self) -> Token:
         self.pos += 1
@@ -155,27 +163,29 @@ class _Parser:
 
     def expect(self, text: str) -> Token:
         t = self.tokens[self.pos]
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.span)
+        if t[1] != text:
+            raise ParseError(f"expected {text!r}, found {t[1]!r}", t)
         self.pos += 1
         return t
 
     def expect_identifier(self) -> Token:
         t = self.tokens[self.pos]
-        if t.kind != IDENTIFIER:
-            raise ParseError(f"expected identifier, found {t.text!r}", t.span)
+        if t[0] != IDENTIFIER:
+            raise ParseError(f"expected identifier, found {t[1]!r}", t)
         self.pos += 1
         return t
 
-    def error(self, message: str, span: Span) -> None:
-        """Record an error, unless it repeats the one just recorded: an
-        error raised through several recovery points is reported once."""
-        diagnostic = Diagnostic("error", message, span)
+    def error(self, message: str, t: Token, severity: str = "error") -> None:
+        """Record a diagnostic at token ``t``, unless it repeats the one just
+        recorded: an error raised through several recovery points is
+        reported once."""
+        diagnostic = Diagnostic(severity, message, Span(self.file_id, t[2], t[3]),
+                                *position(self.line_starts, t[2]))
         if not self.diagnostics or self.diagnostics[-1] != diagnostic:
             self.diagnostics.append(diagnostic)
 
-    def warn(self, message: str, span: Span) -> None:
-        self.diagnostics.append(Diagnostic("warning", message, span))
+    def warn(self, message: str, t: Token) -> None:
+        self.error(message, t, "warning")
 
     def _enter(self) -> None:
         """Enter one nesting level; leave it with ``self.depth -= 1``.
@@ -186,23 +196,23 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
-                             self.tokens[self.pos].span)
+                             self.tokens[self.pos])
 
-    def _span_from(self, start: Span) -> Span:
-        last = self.tokens[self.pos - 1].span if self.pos else start
-        if last.offset < start.offset:
-            last = start
-        return join_spans(start, last)
+    def _span_from(self, start: int) -> Span:
+        """The span from offset ``start`` to the end of the last token
+        consumed (at first, the end token: offset 0 in a file of no tokens)."""
+        _, _, offset, length = self.tokens[self.pos - 1]
+        return new_span(Span, (self.file_id, start, offset + length - start))
 
     def _skip(self, stops: frozenset[str] = frozenset()) -> None:
         """Skip past a syntax error by the one recovery rule of the module
         docstring; ``stops`` are the stop words, which it does not consume."""
         tokens = self.tokens
         i = self.pos
-        from_brace = tokens[i].text == "{"
+        from_brace = tokens[i][1] == "{"
         depth = 0
-        while tokens[i].kind != _END:
-            text = tokens[i].text
+        while tokens[i][0] != _END:
+            text = tokens[i][1]
             if text == "{":
                 depth += 1
             elif text == "}":
@@ -220,111 +230,114 @@ class _Parser:
             i += 1
         self.pos = i
 
-    def _list(self, parse_item) -> tuple[list, Token]:
-        """The comma-separated items after a `(`, and the closing `)`."""
+    def _list(self, parse_item) -> list:
+        """The comma-separated items after a `(`, up to the closing `)`."""
         items = []
         if not self.at(")"):
             items.append(parse_item())
             while self.at(","):
                 self.pos += 1
                 items.append(parse_item())
-        return items, self.expect(")")
+        self.expect(")")
+        return items
 
     # -- top level ---------------------------------------------------------
 
     def parse_source_unit(self) -> ParseResult:
-        start = self.peek().span
+        start = self.peek()[2]
         pragmas: list[PragmaDirective] = []
         contracts: list[ContractDefinition] = []
         while not self.at_kind(_END):
-            t = self.peek()
+            text = self.peek()[1]
             depth = self.depth
             try:
-                if t.text == "pragma":
+                if text == "pragma":
                     pragmas.append(self.parse_pragma())
-                elif t.text in ("contract", "interface", "library"):
+                elif text in ("contract", "interface", "library"):
                     contracts.append(self.parse_contract())
-                elif t.text == "import":
-                    self.warn("import directives are ignored (partial analysis)", t.span)
+                elif text == "import":
+                    self.warn("import directives are ignored (partial analysis)",
+                              self.peek())
                     self._skip(_UNIT_STARTS)  # from `import`, not a stop here
                 else:
-                    self.error(f"unexpected {t.text!r} at top level", t.span)
+                    self.error(f"unexpected {text!r} at top level", self.peek())
                     self.pos += 1
                     self._skip(_TOP_LEVEL_STOPS)
             except ParseError as exc:
                 self.depth = depth
-                self.error(exc.message, exc.span)
+                self.error(exc.message, exc.token)
                 self._skip(_TOP_LEVEL_STOPS)
-        unit = SourceUnit(pragmas, contracts, self._span_from(start))
+        unit = SourceUnit(pragmas, contracts, self._span_from(start), self.line_starts)
         return ParseResult(unit, self.diagnostics)
 
     def parse_pragma(self) -> PragmaDirective:
-        start = self.expect("pragma").span
-        name = self.expect_identifier()
+        start = self.expect("pragma")[2]
+        name = self.expect_identifier()[1]
         parts: list[Token] = []
         # a pragma missing its `;` ends before the next unit
         while (not self.at(";") and not self.at_kind(_END)
-               and self.peek().text not in _TOP_LEVEL_STOPS):
+               and self.peek()[1] not in _TOP_LEVEL_STOPS):
             parts.append(self.advance())
-        end = self.expect(";")
-        version_text = "".join(t.text for t in parts)
-        kind = _classify_pragma(name.text, parts)
-        return PragmaDirective(name.text, kind, version_text,
-                               join_spans(start, end.span))
+        self.expect(";")
+        version_text = "".join(t[1] for t in parts)
+        return PragmaDirective(name, _classify_pragma(name, parts), version_text,
+                               self._span_from(start))
 
     def parse_contract(self) -> ContractDefinition:
         kw = self.advance()  # contract | interface | library
-        name = self.expect_identifier()
+        name = self.expect_identifier()[1]
         bases: list[str] = []
         if self.at("is"):
             self.advance()
-            bases.append(self.expect_identifier().text)
+            bases.append(self.expect_identifier()[1])
             while self.at(","):
                 self.advance()
-                bases.append(self.expect_identifier().text)
+                bases.append(self.expect_identifier()[1])
         self.expect("{")
-        contract = ContractDefinition(name.text, kw.text, bases, [], [], [], [],
-                                      kw.span)
+        contract = ContractDefinition(name, kw[1], bases, [], [], [], [],
+                                      self._span_from(kw[2]))
         while not self.at("}") and not self.at_kind(_END):
             self.parse_contract_member(contract)
         if self.at_kind(_END):  # keep the members of a file cut short
-            self.error("expected '}', found 'end of input'", self.peek().span)
+            self.error("expected '}', found 'end of input'", self.peek())
         else:
             self.pos += 1
-        contract.span = self._span_from(kw.span)
+        contract.span = self._span_from(kw[2])
         return contract
 
     def parse_contract_member(self, contract: ContractDefinition) -> None:
-        t = self.peek()
+        text = self.peek()[1]
         depth = self.depth
         try:
-            if t.text == "function" or (t.text == "constructor" and self.at("(", 1)):
+            if text == "function" or (text == "constructor" and self.at("(", 1)):
                 contract.functions.append(self.parse_function())
-            elif t.text == "modifier":
+            elif text == "modifier":
                 contract.modifiers.append(self.parse_modifier())
-            elif t.text == "event":
+            elif text == "event":
                 contract.events.append(self.parse_event())
-            elif t.text in ("struct", "enum"):
-                self.warn(f"{t.text} definitions are not analyzed (partial analysis)",
-                          t.span)
+            elif text in ("struct", "enum"):
+                self.warn(f"{text} definitions are not analyzed (partial analysis)",
+                          self.peek())
                 self.advance()
                 if self.at_kind(IDENTIFIER):
                     self.advance()
                 self._skip(_MEMBER_STOPS)
-            elif t.text == "using":
-                self.warn("using-for directives are ignored (partial analysis)", t.span)
+            elif text == "using":
+                self.warn("using-for directives are ignored (partial analysis)",
+                          self.peek())
                 self._skip(_MEMBER_STOPS)
             else:
                 decl = self.parse_variable(_STATE_WORDS)
-                decl.span = join_spans(decl.span, self.expect(";").span)
+                self.expect(";")
+                decl.span = self._span_from(decl.span.offset)
                 contract.state_variables.append(decl)
         except ParseError as exc:
             self.depth = depth
-            self.error(exc.message, exc.span)
+            self.error(exc.message, exc.token)
             self._skip(_MEMBER_STOPS)
 
     def parse_function(self) -> FunctionDefinition:
-        start = self.peek().span
+        start = self.peek()[2]
         is_constructor = False
         name = ""
         if self.at("constructor"):
@@ -333,7 +346,7 @@ class _Parser:
         else:
             self.expect("function")
             if self.at_kind(IDENTIFIER) or self.at("constructor"):
-                name = self.advance().text
+                name = self.advance()[1]
                 if name == "constructor":
                     is_constructor = True
         parameters = self.parse_parameter_list()
@@ -343,26 +356,27 @@ class _Parser:
         modifiers: list[tuple[str, list[Expression]]] = []
         returns_: list[VariableDeclaration] = []
         while not self.at("{") and not self.at(";") and not self.at_kind(_END):
-            t = self.peek()
-            if t.text in _VISIBILITY:
-                visibility = self.advance().text
-            elif t.text == "payable":
+            text = self.peek()[1]
+            if text in _VISIBILITY:
+                visibility = self.advance()[1]
+            elif text == "payable":
                 is_payable = True
                 self.advance()
-            elif t.text in _MUTABILITY:
-                mutability = self.advance().text
-            elif t.text == "returns":
+            elif text in _MUTABILITY:
+                mutability = self.advance()[1]
+            elif text == "returns":
                 self.advance()
                 returns_ = self.parse_parameter_list()
-            elif t.kind == IDENTIFIER:
+            elif self.at_kind(IDENTIFIER):
                 self.advance()
                 args: list[Expression] = []
                 if self.at("("):
                     self.advance()
-                    args, _ = self._list(self.parse_expression)
-                modifiers.append((t.text, args))
+                    args = self._list(self.parse_expression)
+                modifiers.append((text, args))
             else:
-                raise ParseError(f"unexpected {t.text!r} in function header", t.span)
+                raise ParseError(f"unexpected {text!r} in function header",
+                                 self.peek())
         body = None
         if self.at("{"):
             body = self.parse_block()
@@ -373,41 +387,38 @@ class _Parser:
                                   is_constructor, self._span_from(start))
 
     def parse_modifier(self) -> ModifierDefinition:
-        start = self.expect("modifier").span
-        name = self.expect_identifier()
+        start = self.expect("modifier")[2]
+        name = self.expect_identifier()[1]
         parameters: list[VariableDeclaration] = []
         if self.at("("):
             parameters = self.parse_parameter_list()
         body = self.parse_block()
-        return ModifierDefinition(name.text, parameters, body,
-                                  self._span_from(start))
+        return ModifierDefinition(name, parameters, body, self._span_from(start))
 
     def parse_event(self) -> EventDefinition:
-        start = self.expect("event").span
-        name = self.expect_identifier()
+        start = self.expect("event")[2]
+        name = self.expect_identifier()[1]
         parameters = self.parse_parameter_list()
         anonymous = False
         if self.at("anonymous"):
             anonymous = True
             self.advance()
-        end = self.expect(";")
-        return EventDefinition(name.text, parameters, anonymous,
-                               join_spans(start, end.span))
+        self.expect(";")
+        return EventDefinition(name, parameters, anonymous, self._span_from(start))
 
     def parse_parameter_list(self) -> list[VariableDeclaration]:
         self.expect("(")
-        params, _ = self._list(lambda: self.parse_variable(_PARAMETER_WORDS))
-        return params
+        return self._list(lambda: self.parse_variable(_PARAMETER_WORDS))
 
     def parse_variable(self, words: frozenset[str]) -> VariableDeclaration:
         """A state variable, parameter or local, up to its `;` or `,`: the
         type, any of ``words`` (the modifiers the context allows), the name,
         and an initializer. A parameter's name is optional and it has no
         initializer."""
-        start = self.peek().span
-        decl = VariableDeclaration("", self.parse_type_name(), start)
-        while self.peek().text in words:
-            word = self.advance().text
+        type_name = self.parse_type_name()
+        decl = VariableDeclaration("", type_name, type_name.span)
+        while self.peek()[1] in words:
+            word = self.advance()[1]
             if word == "constant":
                 decl.is_constant = True
             elif word == "indexed":
@@ -418,49 +429,50 @@ class _Parser:
                 decl.data_location = word
         if words is _PARAMETER_WORDS:
             if self.at_kind(IDENTIFIER):
-                decl.name = self.advance().text
+                decl.name = self.advance()[1]
         else:
-            decl.name = self.expect_identifier().text
+            decl.name = self.expect_identifier()[1]
             if self.at("="):
                 self.advance()
                 decl.initializer = self.parse_expression()
-        decl.span = self._span_from(start)
+        decl.span = self._span_from(type_name.span.offset)
         return decl
 
     # -- types --------------------------------------------------------------
 
     def parse_type_name(self) -> TypeName:
-        t = self.peek()
+        kind, text, offset, length = t = self.peek()
+        span = new_span(Span, (self.file_id, offset, length))
         self._enter()
-        if t.text == "mapping":
-            start = self.advance().span
+        if text == "mapping":
+            self.advance()
             self.expect("(")
             key = self.parse_type_name()
             self.expect("=>")
             value = self.parse_type_name()
-            end = self.expect(")")
-            base = TypeName("mapping", join_spans(start, end.span),
+            self.expect(")")
+            base = TypeName("mapping", self._span_from(offset),
                             key_type=key, value_type=value)
-        elif t.text == "var":
+        elif text == "var":
             self.advance()
-            base = TypeName("var", t.span)
-        elif is_elementary_type_name(t.text):
+            base = TypeName("var", span)
+        elif is_elementary_type_name(text):
             self.advance()
-            base = TypeName("elementary", t.span, name=t.text)
-        elif t.kind == IDENTIFIER:
+            base = TypeName("elementary", span, name=text)
+        elif kind == IDENTIFIER:
             self.advance()
-            base = TypeName("user", t.span, name=t.text)
-        elif t.kind == _END:
-            raise ParseError("expected a type", t.span)
+            base = TypeName("user", span, name=text)
+        elif kind == _END:
+            raise ParseError("expected a type", t)
         else:
-            raise ParseError(f"expected a type, found {t.text!r}", t.span)
+            raise ParseError(f"expected a type, found {text!r}", t)
         while self.at("["):
             self.advance()
             length = None
             if not self.at("]"):
                 length = self.parse_expression()
-            end = self.expect("]")
-            base = TypeName("array", join_spans(base.span, end.span),
+            self.expect("]")
+            base = TypeName("array", self._span_from(base.span.offset),
                             element=base, length=length)
         self.depth -= 1
         return base
@@ -468,7 +480,7 @@ class _Parser:
     # -- statements ----------------------------------------------------------
 
     def parse_block(self) -> Block:
-        start = self.expect("{").span
+        start = self.expect("{")[2]
         statements: list[Statement] = []
         depth = self.depth
         while not self.at("}") and not self.at_kind(_END):
@@ -476,14 +488,14 @@ class _Parser:
                 statements.append(self.parse_statement())
             except ParseError as exc:
                 self.depth = depth
-                self.error(exc.message, exc.span)
+                self.error(exc.message, exc.token)
                 self._skip()
-        end = self.expect("}")
-        return Block(statements, join_spans(start, end.span))
+        self.expect("}")
+        return Block(statements, self._span_from(start))
 
     def parse_statement(self) -> Statement:
         t = self.peek()
-        text = t.text
+        text = t[1]
         if text in _COMPOUND_STATEMENTS:
             self._enter()
             if text == "{":
@@ -496,60 +508,60 @@ class _Parser:
                 statement = self.parse_while()
             self.depth -= 1
             return statement
+        start = t[2]
         if text == "return":
-            start = self.advance().span
+            self.advance()
             value = None
             if not self.at(";"):
                 value = self.parse_expression()
-            end = self.expect(";")
-            return ReturnStatement(value, join_spans(start, end.span))
+            self.expect(";")
+            return ReturnStatement(value, self._span_from(start))
         if text == "emit":
-            start = self.advance().span
+            self.advance()
             call = self.parse_expression()
-            end = self.expect(";")
+            self.expect(";")
             if not isinstance(call, CallExpression):
-                raise ParseError("emit expects an event call", start)
-            return EmitStatement(call, join_spans(start, end.span))
+                raise ParseError("emit expects an event call", t)
+            return EmitStatement(call, self._span_from(start))
         if text in _WORD_STATEMENTS and (text != "_" or self.at(";", 1)):
             self.advance()
-            end = self.expect(";")
-            return _WORD_STATEMENTS[text](join_spans(t.span, end.span))
+            self.expect(";")
+            return _WORD_STATEMENTS[text](self._span_from(start))
         if self._looks_like_declaration():
             decl = self.parse_variable(_LOCAL_WORDS)
-            end = self.expect(";")
-            return VariableDeclarationStatement(decl, join_spans(decl.span, end.span))
-        start = t.span
+            self.expect(";")
+            return VariableDeclarationStatement(decl, self._span_from(decl.span.offset))
         expr = self.parse_expression()
-        end = self.expect(";")
-        return ExpressionStatement(expr, join_spans(start, end.span))
+        self.expect(";")
+        return ExpressionStatement(expr, self._span_from(start))
 
     def _looks_like_declaration(self) -> bool:
-        t = self.peek()
-        if t.text in ("var", "mapping"):
+        kind, text, _, _ = self.peek()
+        if text in ("var", "mapping"):
             return True
-        if t.kind == KEYWORD and is_elementary_type_name(t.text):
+        if kind == KEYWORD and is_elementary_type_name(text):
             return True
-        if t.kind != IDENTIFIER:
+        if kind != IDENTIFIER:
             return False
         # `Foo bar ...` or `Foo[...] bar ...` declares a user-typed local.
         nxt = self.peek(1)
-        if nxt.kind == IDENTIFIER:
+        if nxt[0] == IDENTIFIER:
             return True
-        if nxt.text == "[":
+        if nxt[1] == "[":
             tokens = self.tokens
             i = self.pos + 2
             depth = 1
-            while depth and tokens[i].kind != _END:
-                if tokens[i].text == "[":
+            while depth and tokens[i][0] != _END:
+                if tokens[i][1] == "[":
                     depth += 1
-                elif tokens[i].text == "]":
+                elif tokens[i][1] == "]":
                     depth -= 1
                 i += 1
-            return tokens[i].kind == IDENTIFIER
+            return tokens[i][0] == IDENTIFIER
         return False
 
     def parse_if(self) -> IfStatement:
-        start = self.expect("if").span
+        start = self.expect("if")[2]
         self.expect("(")
         condition = self.parse_expression()
         self.expect(")")
@@ -562,7 +574,7 @@ class _Parser:
                            self._span_from(start))
 
     def parse_for(self) -> ForStatement:
-        start = self.expect("for").span
+        start = self.expect("for")[2]
         self.expect("(")
         init: Statement | None = None
         if not self.at(";"):
@@ -585,7 +597,7 @@ class _Parser:
         return ForStatement(init, condition, post, body, self._span_from(start))
 
     def parse_while(self) -> WhileStatement:
-        start = self.expect("while").span
+        start = self.expect("while")[2]
         self.expect("(")
         condition = self.parse_expression()
         self.expect(")")
@@ -599,7 +611,7 @@ class _Parser:
         expression."""
         self._enter()
         expr = self.parse_binary(0)
-        text = self.peek().text
+        text = self.peek()[1]
         if text == "?":
             self.pos += 1
             true_expr = self.parse_expression()
@@ -611,8 +623,7 @@ class _Parser:
         elif text in _ASSIGN_OPS:
             self.pos += 1
             value = self.parse_expression()
-            expr = Assignment(text, expr, value,
-                              join_spans(expr.span, value.span))
+            expr = Assignment(text, expr, value, join_spans(expr.span, value.span))
         self.depth -= 1
         return expr
 
@@ -620,8 +631,8 @@ class _Parser:
         left = self.parse_unary()
         tokens = self.tokens
         while True:
-            t = tokens[self.pos]
-            op = _BINARY_OPS.get(t.text)
+            text = tokens[self.pos][1]
+            op = _BINARY_OPS.get(text)
             if op is None or op[0] < min_prec:
                 return left
             self.pos += 1
@@ -632,27 +643,25 @@ class _Parser:
                 self.depth -= 1
             else:
                 right = self.parse_binary(prec + 1)
-            left = BinaryOperation(t.text, left, right,
-                                   join_spans(left.span, right.span))
+            left = BinaryOperation(text, left, right, join_spans(left.span, right.span))
 
     def parse_unary(self) -> Expression:
         t = self.peek()
-        if t.text in _UNARY_PREFIX:
+        if t[1] in _UNARY_PREFIX:
             self.pos += 1
             self._enter()
             operand = self.parse_unary()
             self.depth -= 1
-            return UnaryOperation(t.text, operand, True,
-                                  join_spans(t.span, operand.span))
+            return UnaryOperation(t[1], operand, True, self._span_from(t[2]))
         return self.parse_postfix()
 
     def parse_postfix(self) -> Expression:
         expr = self.parse_primary()
+        start = expr.span.offset
         tokens = self.tokens
         outer = self.depth
         while True:
-            t = tokens[self.pos]
-            text = t.text
+            text = tokens[self.pos][1]
             if text not in _POSTFIX_OPS:
                 self.depth = outer
                 return expr
@@ -661,72 +670,69 @@ class _Parser:
             self.pos += 1
             if text == ".":
                 member = tokens[self.pos]
-                if member.kind == _END:
-                    raise ParseError("unexpected end of input", member.span)
+                if member[0] == _END:
+                    raise ParseError("unexpected end of input", member)
                 self.pos += 1
-                if member.kind not in (IDENTIFIER, KEYWORD, NUMBER):
-                    raise ParseError(f"expected member name, found {member.text!r}",
-                                     member.span)
-                expr = MemberAccess(expr, member.text,
-                                    join_spans(expr.span, member.span))
+                if member[0] not in (IDENTIFIER, KEYWORD, NUMBER):
+                    raise ParseError(f"expected member name, found {member[1]!r}",
+                                     member)
+                expr = MemberAccess(expr, member[1], self._span_from(start))
             elif text == "(":
-                args, end = self._list(self.parse_expression)
-                expr = CallExpression(expr, args, join_spans(expr.span, end.span))
+                args = self._list(self.parse_expression)
+                expr = CallExpression(expr, args, self._span_from(start))
             elif text == "[":
                 index = None
                 if not self.at("]"):
                     index = self.parse_expression()
-                end = self.expect("]")
-                expr = IndexAccess(expr, index, join_spans(expr.span, end.span))
+                self.expect("]")
+                expr = IndexAccess(expr, index, self._span_from(start))
             else:  # ++ or --
-                expr = UnaryOperation(text, expr, False,
-                                      join_spans(expr.span, t.span))
+                expr = UnaryOperation(text, expr, False, self._span_from(start))
 
     def parse_primary(self) -> Expression:
         i = self.pos
-        t = self.tokens[i]
-        kind = t.kind
+        kind, text, offset, length = t = self.tokens[i]
+        span = new_span(Span, (self.file_id, offset, length))
         # the cases are disjoint: type names and true/false are keywords
         if kind == IDENTIFIER:
             self.pos = i + 1
-            return Identifier(t.text, t.span)
+            return Identifier(text, span)
         if kind == NUMBER:
             self.pos = i + 1
-            nxt = self.peek()
-            if nxt.text in ETHER_UNITS:
+            unit = self.peek()[1]
+            if unit in ETHER_UNITS:
                 self.pos += 1
-                return NumberLiteral(t.text, nxt.text, join_spans(t.span, nxt.span))
-            return NumberLiteral(t.text, None, t.span)
+                return NumberLiteral(text, unit, self._span_from(offset))
+            return NumberLiteral(text, None, span)
         if kind == HEX:
             self.pos = i + 1
-            return HexLiteral(t.text, t.span)
+            return HexLiteral(text, span)
         if kind == STRING:
             self.pos = i + 1
-            return StringLiteral(t.text, t.span)
-        text = t.text
+            return StringLiteral(text, span)
         if text == "true" or text == "false":
             self.pos = i + 1
-            return BoolLiteral(text == "true", t.span)
+            return BoolLiteral(text == "true", span)
         if is_elementary_type_name(text):
             self.pos = i + 1
             return ElementaryTypeExpression(
-                TypeName("elementary", t.span, name=text), t.span)
+                TypeName("elementary", span, name=text), span)
         if text == "(":
             self.pos = i + 1
-            components, end = self._list(self.parse_expression)
-            return TupleExpression(components, join_spans(t.span, end.span))
+            components = self._list(self.parse_expression)
+            return TupleExpression(components, self._span_from(offset))
         if kind == _END:
-            raise ParseError("unexpected end of input", t.span)
-        raise ParseError(f"unexpected {text!r} in expression", t.span)
+            raise ParseError("unexpected end of input", t)
+        raise ParseError(f"unexpected {text!r} in expression", t)
 
 
 def _classify_pragma(name: str, parts: list[Token]) -> str:
     if name != "solidity":
         return "other"
-    if len(parts) == 1 and parts[0].kind == NUMBER:
+    if len(parts) == 1 and parts[0][0] == NUMBER:
         return "exact"
-    if parts and parts[0].text == "^":
+    if parts and parts[0][1] == "^":
         return "caret"
-    if any(p.text in ("<", ">", "<=", ">=", "~") for p in parts):
+    if any(p[1] in ("<", ">", "<=", ">=", "~") for p in parts):
         return "range"
     return "other"

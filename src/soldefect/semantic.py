@@ -22,7 +22,7 @@ from .nodes import (Assignment, BinaryOperation, Block, BoolLiteral,
                     TupleExpression, TypeName, UnaryOperation,
                     VariableDeclaration, VariableDeclarationStatement,
                     WhileStatement, walk)
-from .spans import Diagnostic, Span
+from .spans import Diagnostic, Span, position
 
 # ---------------------------------------------------------------------------
 # Inheritance flattening and symbol tables
@@ -55,33 +55,34 @@ def flatten_contract(unit: SourceUnit, contract: ContractDefinition,
     warning is recorded.
     """
     table = SymbolTable(contract)
-    _absorb(contract, table, {c.name: c for c in unit.contracts}, set(),
-            diagnostics)
+    repeated: list[str] = []
+    _absorb(contract, table, {c.name: c for c in unit.contracts}, set(), repeated)
+    if diagnostics is not None:
+        diagnostics += [Diagnostic(
+            "warning", f"contract {contract.name}: base {name} inherited more "
+                       f"than once; flat-union merge applied", contract.span,
+            *position(unit.line_starts, contract.span.offset)) for name in repeated]
     return table
 
 
 def _absorb(c: ContractDefinition, table: SymbolTable,
             by_name: dict[str, ContractDefinition], seen: set[str],
-            diagnostics: Optional[list[Diagnostic]]) -> None:
-    """Merge ``c``'s bases, then ``c`` itself, into ``table``.
+            repeated: list[str]) -> None:
+    """Merge ``c``'s bases, then ``c`` itself, into ``table``; a base met
+    again is added to ``repeated`` instead.
 
     A module-level function, not a closure over the table: a closure that
     calls itself is a reference cycle, which would keep the file's whole
     tree alive until the cyclic garbage collector runs.
     """
-    contract = table.contract
     if c.name in seen:
-        if diagnostics is not None:
-            diagnostics.append(Diagnostic(
-                "warning",
-                f"contract {contract.name}: base {c.name} inherited more "
-                f"than once; flat-union merge applied", contract.span))
+        repeated.append(c.name)
         return
     seen.add(c.name)
     for base_name in c.bases:
         base = by_name.get(base_name)
         if base is not None:
-            _absorb(base, table, by_name, seen, diagnostics)
+            _absorb(base, table, by_name, seen, repeated)
     for var in c.state_variables:
         table.state_variables[var.name] = var
     for fn in c.functions:

@@ -39,6 +39,12 @@ def mutate(text: str, mutation: str, start: int, width: int) -> str:
     return text[:start] + ("}" if mutation == "brace" else ";") + text[start:]
 
 
+def span_contains(outer, inner) -> bool:
+    """Whether span ``inner`` lies within span ``outer``."""
+    return (outer.file_id == inner.file_id and outer.offset <= inner.offset
+            and inner.offset + inner.length <= outer.offset + outer.length)
+
+
 def seeded_mutants(seed: int = 20191, per_listing: int = 300):
     """A fixed set of mutated listings: (listing, mutation, text), the four
     mutations in turn, each a 1-40 character span at a random offset."""

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from soldefect.lexer import (_ELEMENTARY, COMMENT, HEX, IDENTIFIER, KEYWORD,
                              NUMBER, OP, PUNCT, LexerError,
                              is_elementary_type_name, tokenize)
-from soldefect.spans import Span
+from soldefect.spans import Span, position
 
 from conftest import read_listing
 
@@ -15,7 +15,7 @@ def test_pragma_line_tokens():
     # hand-tokenized per the grammar: keyword, identifier, operator,
     # one multi-dot number, punctuation
     tokens = tokenize("pragma solidity ^0.4.25;", "t.sol")
-    assert [(t.kind, t.text) for t in tokens] == [
+    assert [t[:2] for t in tokens] == [
         (KEYWORD, "pragma"),
         (IDENTIFIER, "solidity"),
         (OP, "^"),
@@ -30,25 +30,30 @@ def test_empty_input():
 
 def test_single_comment_token():
     tokens = tokenize("/*Hard Code Address*/", "t.sol")
-    assert len(tokens) == 1
-    assert tokens[0].kind == COMMENT
-    assert tokens[0].text == "/*Hard Code Address*/"
+    assert tokens == [(COMMENT, "/*Hard Code Address*/", 0, 21)]
 
 
 def test_line_comment_and_spans():
     tokens = tokenize("x = 1; // note\ny", "t.sol")
-    assert [t.text for t in tokens] == ["x", "=", "1", ";", "// note", "y"]
+    assert [t[1] for t in tokens] == ["x", "=", "1", ";", "// note", "y"]
     y = tokens[-1]
-    assert (y.span.line, y.span.column) == (2, 1)
+    assert position(tokens.line_starts, y[2]) == (2, 1)
+
+
+def test_scientific_notation_is_one_number():
+    tokens = tokenize("1e18 2.5e1 2e-10 1E3 1ether 2e", "t.sol")
+    assert [t[:2] for t in tokens] == [
+        (NUMBER, "1e18"), (NUMBER, "2.5e1"), (NUMBER, "2e-10"), (NUMBER, "1E3"),
+        (NUMBER, "1"), (KEYWORD, "ether"), (NUMBER, "2"), (IDENTIFIER, "e")]
 
 
 def test_hex_and_address_literals():
     tokens = tokenize("0xdead 0x05f400000000000000000000aaaaaaaaaaaaad27", "t")
-    assert all(t.kind == HEX for t in tokens)
+    assert [t[0] for t in tokens] == [HEX, HEX]
 
 
 def test_sized_types_are_keywords():
-    kinds = {t.text: t.kind for t in tokenize("uint8 uint256 bytes32 myvar", "t")}
+    kinds = {text: kind for kind, text, _, _ in tokenize("uint8 uint256 bytes32 myvar", "t")}
     assert kinds["uint8"] == KEYWORD
     assert kinds["uint256"] == KEYWORD
     assert kinds["bytes32"] == KEYWORD
@@ -59,11 +64,11 @@ def _reconstruct(text: str) -> str:
     tokens = tokenize(text, "t.sol")
     out = []
     pos = 0
-    for t in tokens:
-        out.append(text[pos:t.span.offset])  # whitespace gap
-        out.append(t.text)
-        assert text[t.span.offset:t.span.offset + t.span.length] == t.text
-        pos = t.span.offset + t.span.length
+    for _, token_text, offset, length in tokens:
+        out.append(text[pos:offset])  # whitespace gap
+        out.append(token_text)
+        assert text[offset:offset + length] == token_text
+        pos = offset + length
     out.append(text[pos:])
     return "".join(out)
 
@@ -91,7 +96,7 @@ def test_lossless_round_trip_random(parts):
 def test_unterminated_string_errors_with_span():
     with pytest.raises(LexerError) as err:
         tokenize('x = "abc', "t.sol")
-    assert err.value.span.line == 1
+    assert err.value.line == 1
     assert "unterminated string" in str(err.value)
 
 
@@ -134,15 +139,15 @@ def test_tokens_rebuild_the_input_at_their_positions(text):
         return
     pos = 0
     rebuilt = []
-    for t in tokens:
-        gap = text[pos:t.span.offset]
+    for _, token_text, offset, length in tokens:
+        gap = text[pos:offset]
         assert gap.strip(" \t\r\n") == ""
-        rebuilt += [gap, t.text]
-        assert t.span.length == len(t.text)
-        before = text[:t.span.offset]
-        assert t.span.line == before.count("\n") + 1
-        assert t.span.column == len(before) - (before.rfind("\n") + 1) + 1
-        pos = t.span.offset + t.span.length
+        rebuilt += [gap, token_text]
+        assert length == len(token_text)
+        before = text[:offset]
+        assert position(tokens.line_starts, offset) == (
+            before.count("\n") + 1, len(before) - (before.rfind("\n") + 1) + 1)
+        pos = offset + length
     assert text[pos:].strip(" \t\r\n") == ""
     assert "".join(rebuilt) + text[pos:] == text
 
@@ -161,7 +166,8 @@ def test_lexer_error_message_and_span(text, message, span):
     with pytest.raises(LexerError) as err:
         tokenize(text, "t.sol")
     line, column, offset, length = span
-    assert err.value.span == Span("t.sol", line, column, offset, length)
+    assert err.value.span == Span("t.sol", offset, length)
+    assert (err.value.line, err.value.column) == (line, column)
     assert str(err.value) == f"t.sol:{line}:{column}: {message}"
 
 
@@ -177,6 +183,6 @@ def test_elementary_type_names():
                  "bytes01", "Uint8", "uint8 "):
         assert name not in _ELEMENTARY
         assert not is_elementary_type_name(name)
-    kinds = {t.text: t.kind for t in tokenize("uint7 uint264 bytes33 int16", "t")}
+    kinds = {text: kind for kind, text, _, _ in tokenize("uint7 uint264 bytes33 int16", "t")}
     assert kinds == {"uint7": IDENTIFIER, "uint264": IDENTIFIER,
                      "bytes33": IDENTIFIER, "int16": KEYWORD}

@@ -3,10 +3,11 @@ from __future__ import annotations
 import pytest
 
 from soldefect.nodes import (CallExpression, ForStatement, HexLiteral,
-                             children, walk)
+                             NumberLiteral, children, walk)
 from soldefect.parser import parse_source
 
-from conftest import MUTATIONS, mutate, read_listing, seeded_mutants
+from conftest import (MUTATIONS, mutate, read_listing, seeded_mutants,
+                      span_contains)
 
 
 def parse_ok(text: str):
@@ -104,6 +105,26 @@ contract C { function f() { uint a = 8 ether; uint b = 0.1 ether; uint c = 10; }
     assert values == [8 * 10 ** 18, 10 ** 17, 10]
 
 
+def test_scientific_notation_literals():
+    result = parse_source("""contract C {
+    uint constant X = 1e18;
+    function f() { uint y = 2.5e1; uint z = 2e-10; y = 1E3 wei; }
+}
+""", "sci.sol")
+    assert [str(d) for d in result.diagnostics] == []
+    values = [(n.text, n.value) for n in walk(result.unit)
+              if isinstance(n, NumberLiteral)]
+    # 2e-10 is not an integer
+    assert values == [("1e18", 10 ** 18), ("2.5e1", 25), ("2e-10", None),
+                      ("1E3", 1000)]
+    # past an exponent of 4096 no value is built
+    span = result.unit.span
+    assert NumberLiteral("1e4096", None, span).value == 10 ** 4096
+    assert NumberLiteral("1e4097", None, span).value is None
+    assert NumberLiteral("1e-4097", None, span).value is None
+    assert NumberLiteral("1e" + "9" * 5000, None, span).value is None
+
+
 def test_var_for_loop():
     unit = parse_ok("contract C { function f() { for(var i = 0; i < 10; i++){} } }")
     loop = unit.contracts[0].functions[0].body.statements[0]
@@ -122,7 +143,7 @@ def test_span_containment():
             child_span = getattr(child, "span", None)
             if child_span is None:
                 continue
-            assert parent_span.contains(child_span), (node, child)
+            assert span_contains(parent_span, child_span), (node, child)
 
 
 def test_parse_is_deterministic():
@@ -292,7 +313,7 @@ def test_nesting_past_the_limit_is_a_recovered_parse_error(shape):
     result = parse_source(text, "t.sol")
     errors = [d for d in result.diagnostics if d.severity == "error"]
     assert [d.message for d in errors] == [f"nesting deeper than {MAX_NESTING} levels"]
-    assert errors[0].span.line == (5 if shape == "mapping" else 8)
+    assert errors[0].line == (5 if shape == "mapping" else 8)
     contract = result.unit.contracts[0]
     assert [fn.name for fn in contract.functions] == ["f", "g", "after"]
     outcome = analyze_input(text.encode(), "t.sol", RunConfig())
@@ -320,5 +341,5 @@ def test_nesting_depth_is_restored_after_an_error():
             f"        {deep}\n        {ok}\n        {deep}\n        {ok}\n"
             "    }\n}\n")
     result = parse_source(text, "t.sol")
-    assert [d.span.line for d in result.diagnostics] == [4, 6]
+    assert [d.line for d in result.diagnostics] == [4, 6]
     assert len(result.unit.contracts[0].functions[0].body.statements) == 2
