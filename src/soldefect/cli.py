@@ -12,8 +12,8 @@ import sys
 
 from . import __version__
 from .analyzer import analyze_paths
-from .config import (ConfigError, RunConfig, load_config_file,
-                     parse_detector_ids)
+from .config import (FORMATS, MODES, ConfigError, RunConfig, load_config_file,
+                     parse_detector_ids, parse_jobs)
 from .corpus import (ManifestError, load_manifest, render_scorecard_text,
                      score, scorecard_to_obj)
 from .detectors import REGISTRY
@@ -23,6 +23,9 @@ EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+# the formats of the score card and the catalog, which have no SARIF form
+TABLE_FORMATS = ("text", "json")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -36,7 +39,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="analyze .sol/.hex files or directories")
     analyze.add_argument("inputs", nargs="+", help="files or directories")
-    _add_run_flags(analyze)
+    analyze.add_argument("--min-impact", choices=IMPACT_LEVELS, default=None)
+    _add_run_flags(analyze, FORMATS)
 
     fetch = sub.add_parser("fetch", help="fetch contract source/bytecode by address")
     fetch.add_argument("address", help="0x-prefixed 20-byte contract address")
@@ -51,25 +55,25 @@ def build_arg_parser() -> argparse.ArgumentParser:
                            help="corpus root (defaults to the manifest's directory)")
     score_cmd.add_argument("--wildcard", action="store_true",
                            help="ignore manifest line numbers (per-contract labels)")
-    _add_run_flags(score_cmd)
+    _add_run_flags(score_cmd, TABLE_FORMATS)
 
     detectors = sub.add_parser("detectors", help="print the 20-detector catalog")
-    detectors.add_argument("--format", choices=("text", "json"), default="text")
+    detectors.add_argument("--format", choices=TABLE_FORMATS, default="text")
     return parser
 
 
-def _add_run_flags(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--format", choices=("text", "json", "sarif"), default=None)
-    cmd.add_argument("--min-impact", choices=IMPACT_LEVELS, default=None)
+def _add_run_flags(cmd: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    cmd.add_argument("--format", choices=formats, default=None)
     cmd.add_argument("--enable", action="append", default=None,
                      metavar="ID", help="run only these detectors (repeatable)")
     cmd.add_argument("--disable", action="append", default=None, metavar="ID")
-    cmd.add_argument("--mode", choices=("auto", "source", "bytecode"), default=None)
+    cmd.add_argument("--mode", choices=MODES, default=None)
     cmd.add_argument("--output", default=None, help="write the report here "
                                                     "instead of stdout")
     cmd.add_argument("--config", default=None, help="flat INI-style config file")
     cmd.add_argument("--jobs", type=int, default=None,
-                     help="worker processes (default: logical CPUs)")
+                     help="worker processes, 0 or more (default and 0: "
+                          "logical CPUs)")
 
 
 def _make_run_config(args: argparse.Namespace) -> RunConfig:
@@ -78,12 +82,12 @@ def _make_run_config(args: argparse.Namespace) -> RunConfig:
         load_config_file(config, args.config)
     if args.format:
         config.format = args.format
-    if args.min_impact:
+    if getattr(args, "min_impact", None):  # score scores every label
         config.min_impact = args.min_impact
     if args.mode:
         config.mode = args.mode
     if args.jobs is not None:
-        config.jobs = args.jobs
+        config.jobs = parse_jobs(args.jobs)
     if args.output:
         config.output = args.output
     if args.enable is not None:

@@ -7,7 +7,7 @@ only in the SOLDEFECT_API_KEY environment variable):
     format = text | json | sarif
     mode = auto | source | bytecode
     min_impact = IP1..IP5
-    jobs = <int>
+    jobs = <int, 0 or more>
     enable = detector-id, detector-id, ...   (slugs or D-codes)
     disable = detector-id, ...
     strict.tx_origin_all_uses = true|false
@@ -22,6 +22,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from typing import Optional
+
+
+FORMATS = ("text", "json", "sarif")
+MODES = ("auto", "source", "bytecode")
 
 
 class ConfigError(ValueError):
@@ -80,6 +84,17 @@ def _parse_list(value: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
+def parse_jobs(value: str | int) -> int:
+    """A worker count from a flag or the config: 0 (one per CPU) or more."""
+    try:
+        jobs = int(value)
+    except ValueError:
+        raise ConfigError(f"jobs: expected an integer, got {value!r}") from None
+    if jobs < 0:
+        raise ConfigError(f"jobs: expected 0 or more, got {jobs}")
+    return jobs
+
+
 def parse_detector_ids(value: str) -> set[str]:
     """Comma-separated detector slugs or D-codes, resolved to slugs."""
     from .detectors import resolve_detector_id
@@ -112,11 +127,11 @@ def apply_config_values(config: RunConfig, values: dict[str, str]) -> None:
     from .report import IMPACT_LEVELS
     for key, value in values.items():
         if key == "format":
-            if value not in ("text", "json", "sarif"):
+            if value not in FORMATS:
                 raise ConfigError(f"format: unknown value {value!r}")
             config.format = value
         elif key == "mode":
-            if value not in ("auto", "source", "bytecode"):
+            if value not in MODES:
                 raise ConfigError(f"mode: unknown value {value!r}")
             config.mode = value
         elif key == "min_impact":
@@ -124,10 +139,7 @@ def apply_config_values(config: RunConfig, values: dict[str, str]) -> None:
                 raise ConfigError(f"min_impact: unknown level {value!r}")
             config.min_impact = value
         elif key == "jobs":
-            try:
-                config.jobs = int(value)
-            except ValueError:
-                raise ConfigError(f"jobs: expected an integer, got {value!r}") from None
+            config.jobs = parse_jobs(value)
         elif key == "enable":
             config.detectors.enable = parse_detector_ids(value)
         elif key == "disable":

@@ -9,7 +9,7 @@ from ..nodes import (CallExpression, EmitStatement, ExpressionStatement,
 from .base import (AnalysisContext, ContractFacts, DetectorDescriptor, Hit,
                    register)
 from .common import (ETHER_SENDING_KINDS, builtin_call_name, is_guard_call,
-                     returns_on_all_paths, unwrap)
+                     is_revert, is_selfdestruct, returns_on_all_paths, unwrap)
 from .index import FunctionIndex
 
 # ---------------------------------------------------------------------------
@@ -72,23 +72,19 @@ def detect_unmatched_erc20(ctx: AnalysisContext) -> Iterator[Hit]:
         if not matches_any:
             continue
         problems: list[str] = []
-        for name, params, expected_returns in ERC20_MANDATORY:
-            fn = by_sig.get((name, params))
-            if fn is None:
-                problems.append(f"missing function {name}({','.join(params)})")
-                continue
-            actual = tuple(r.type_name.canonical() for r in fn.returns_)
-            if actual != expected_returns:
-                problems.append(
-                    f"{name} must return ({','.join(expected_returns)}), "
-                    f"found ({','.join(actual)})")
-        for name, params, expected_returns in ERC20_OPTIONAL:
-            fn = by_sig.get((name, params))
-            if fn is not None:
+        for prefix, entries in (("", ERC20_MANDATORY),
+                                ("optional ", ERC20_OPTIONAL)):
+            for name, params, expected_returns in entries:
+                fn = by_sig.get((name, params))
+                if fn is None:
+                    if not prefix:  # only the mandatory ones must exist
+                        problems.append(
+                            f"missing function {name}({','.join(params)})")
+                    continue
                 actual = tuple(r.type_name.canonical() for r in fn.returns_)
                 if actual != expected_returns:
                     problems.append(
-                        f"optional {name} must return "
+                        f"{prefix}{name} must return "
                         f"({','.join(expected_returns)}), found ({','.join(actual)})")
         for event_name, params in ERC20_EVENTS:
             event = cf.table.events.get(event_name)
@@ -135,18 +131,11 @@ def detect_missing_reminder(ctx: AnalysisContext) -> Iterator[Hit]:
 
 
 def _has_conditional_revert(index: FunctionIndex) -> bool:
-    return any(_is_revert_statement(inner) for stmt in index.of(IfStatement)
+    return any(is_revert(inner) for stmt in index.of(IfStatement)
                for inner in index.within(stmt, ThrowStatement,
                                          ExpressionStatement)) \
         or any(is_guard_call(unwrap(stmt.expression))
                for stmt in index.of(ExpressionStatement))
-
-
-def _is_revert_statement(stmt) -> bool:
-    if isinstance(stmt, ThrowStatement):
-        return True
-    return (isinstance(stmt, ExpressionStatement)
-            and builtin_call_name(unwrap(stmt.expression)) == "revert")
 
 
 def _emits_event(index: FunctionIndex) -> bool:
@@ -212,8 +201,5 @@ def detect_greedy_contract(ctx: AnalysisContext) -> Iterator[Hit]:
 
 
 def _can_move_ether_out(cf: ContractFacts) -> bool:
-    return any(index.kind(node) in ETHER_SENDING_KINDS
-               or builtin_call_name(node) in ("selfdestruct", "suicide")
-               for index in cf.indexes(cf.table.all_functions()
-                                       + list(cf.table.modifiers.values()))
-               for node in index.of(CallExpression))
+    return any(index.kind(node) in ETHER_SENDING_KINDS or is_selfdestruct(node)
+               for index in cf.callables() for node in index.of(CallExpression))

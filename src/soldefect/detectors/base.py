@@ -64,6 +64,12 @@ class ContractFacts:
         """The indexes of those of fns that have a body, in order."""
         return [self.index(fn) for fn in fns if fn.body is not None]
 
+    def callables(self) -> list[FunctionIndex]:
+        """The indexes of every function, then every modifier, with a body
+        that this contract can run, inherited ones included."""
+        return self.indexes(self.table.all_functions()
+                            + list(self.table.modifiers.values()))
+
 
 @dataclass
 class SourceFacts:

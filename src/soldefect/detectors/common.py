@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..nodes import (BinaryOperation, Block, CallExpression, Expression,
-                     ExpressionStatement, HexLiteral, Identifier, IfStatement,
-                     IndexAccess, MemberAccess, NumberLiteral, ReturnStatement,
-                     Statement, ThrowStatement, TupleExpression, UnaryOperation)
+from ..nodes import (BinaryOperation, Block, CallExpression,
+                     ElementaryTypeExpression, Expression, ExpressionStatement,
+                     HexLiteral, Identifier, IfStatement, IndexAccess,
+                     MemberAccess, NumberLiteral, ReturnStatement, Statement,
+                     ThrowStatement, TupleExpression, UnaryOperation)
 from ..semantic import SymbolTable
 
 
@@ -24,73 +25,58 @@ ETHER_SENDING_KINDS = frozenset({"send", "transfer", "callvalue"})
 CHECKABLE_CALL_KINDS = frozenset({"send", "call", "callvalue", "delegatecall"})
 
 
-def external_call_kind(expr: Expression) -> Optional[str]:
-    """Classify `x.send(..)`, `x.call(..)`, `x.call.value(..)(..)`,
-    `x.delegatecall(..)`, `x.transfer(..)` style call expressions.
+# the members a low-level call chain is built from, and of them the ones
+# that take a `.value`/`.gas` builder
+_CHAIN_MEMBERS = frozenset({"send", "transfer", "call", "delegatecall",
+                            "callcode", "value", "gas"})
+_BUILDABLE = frozenset({"call", "delegatecall", "callcode"})
 
-    Returns one of send/transfer/call/callvalue/delegatecall/callcode,
-    or None when the expression is not a low-level external call. Both
-    the invoked form `.call.value(x)()` and the bare builder form
-    `.call.value(x)` classify as "callvalue".
+
+def external_call(expr: Expression) -> tuple[Optional[str], Expression,
+                                            list[Expression]]:
+    """Decode a call chain such as `x.send(..)`, `x.call(..)`,
+    `x.call.value(..)(..)` or `x.delegatecall.gas(..)(..)` in one walk down
+    its callees and member objects: (kind, receiver, arguments).
+
+    kind is one of send/transfer/call/callvalue/delegatecall/callcode, or
+    None when expr is not a low-level external call; both the invoked form
+    `.call.value(x)()` and the bare builder form `.call.value(x)` are
+    "callvalue". The receiver is the first node of the walk that is neither
+    a call nor a chain member (`f(y).call()` gives `f`). The arguments are
+    those of every call on the walk, outermost first: the final
+    invocation's, then the value and gas amounts.
     """
-    if not isinstance(expr, CallExpression):
-        return None
-    callee = unwrap(expr.callee)
-    if isinstance(callee, CallExpression):
-        return external_call_kind(callee)
-    if not isinstance(callee, MemberAccess):
-        return None
-    member = callee.member
-    if member in ("send", "transfer", "delegatecall", "callcode"):
-        return member
-    if member == "call":
-        return "call"
-    if member in ("value", "gas"):
-        inner = unwrap(callee.object)
-        if isinstance(inner, MemberAccess):
-            if inner.member == "call":
-                return "callvalue" if member == "value" else "call"
-            if inner.member in ("delegatecall", "callcode"):
-                return inner.member
-        if isinstance(inner, CallExpression):
-            kind = external_call_kind(inner)
-            if kind in ("call", "callvalue"):
-                return "callvalue" if member == "value" else kind
-            return kind
-    return None
-
-
-def call_target(expr: Expression) -> Optional[Expression]:
-    """Leftmost object of an external-call chain (the callee address)."""
-    node = expr
+    kind = None
+    deciding = isinstance(expr, CallExpression)  # only chain members so far
+    values = False   # a `.value` builder lies above the member deciding it
+    called = False   # a call lies between this member and the one above
+    receiver = None
+    arguments: list[Expression] = []
+    node: Expression = expr
     while True:
         node = unwrap(node)
         if isinstance(node, CallExpression):
+            arguments += node.arguments
+            called = True
             node = node.callee
         elif isinstance(node, MemberAccess):
-            if node.member in ("send", "transfer", "call", "delegatecall",
-                               "callcode", "value", "gas"):
-                node = node.object
-            else:
-                return node
+            member = node.member
+            if receiver is None and member not in _CHAIN_MEMBERS:
+                receiver = node
+            if deciding:
+                if called and member in ("value", "gas"):
+                    values |= member == "value"
+                else:
+                    deciding = False
+                    if member in (_CHAIN_MEMBERS if called else _BUILDABLE):
+                        kind = member
+            called = False
+            node = node.object
         else:
-            return node
-
-
-def call_chain_arguments(expr: Expression) -> list[Expression]:
-    """All argument expressions of a call chain, e.g. the value and gas
-    amounts plus the final invocation arguments."""
-    args: list[Expression] = []
-    node: Expression = expr
-    while isinstance(node, CallExpression):
-        args.extend(node.arguments)
-        node = unwrap(node.callee)
-        while isinstance(node, MemberAccess):
-            obj = unwrap(node.object)
-            node = obj
-            if isinstance(obj, CallExpression):
-                break
-    return args
+            break
+    if kind == "call" and values:
+        kind = "callvalue"
+    return kind, node if receiver is None else receiver, arguments
 
 
 def builtin_call_name(expr: Expression) -> Optional[str]:
@@ -146,16 +132,26 @@ def store_base(expr: Expression) -> Optional[Identifier]:
     return expr if isinstance(expr, Identifier) else None
 
 
+def global_member(expr: Expression) -> Optional[tuple[str, str]]:
+    """(name, member) for a member of a bare name, such as `tx.origin`,
+    `msg.sender`, `block.number` or `this.balance`; None otherwise."""
+    expr = unwrap(expr)
+    if isinstance(expr, MemberAccess):
+        obj = unwrap(expr.object)
+        if isinstance(obj, Identifier):
+            return obj.name, expr.member
+    return None
+
+
 def is_balance_expression(expr: Expression) -> bool:
     """Matches this.balance and address(this).balance."""
+    if global_member(expr) == ("this", "balance"):
+        return True
     expr = unwrap(expr)
     if not isinstance(expr, MemberAccess) or expr.member != "balance":
         return False
     obj = unwrap(expr.object)
-    if isinstance(obj, Identifier) and obj.name == "this":
-        return True
     if isinstance(obj, CallExpression):
-        from ..nodes import ElementaryTypeExpression
         callee = unwrap(obj.callee)
         if (isinstance(callee, ElementaryTypeExpression)
                 and callee.type_name.name == "address"
@@ -166,20 +162,26 @@ def is_balance_expression(expr: Expression) -> bool:
 
 
 def is_tx_origin(expr: Expression) -> bool:
-    expr = unwrap(expr)
-    return (isinstance(expr, MemberAccess) and expr.member == "origin"
-            and isinstance(unwrap(expr.object), Identifier)
-            and unwrap(expr.object).name == "tx")
+    return global_member(expr) == ("tx", "origin")
+
+
+def is_selfdestruct(expr: Expression) -> bool:
+    return builtin_call_name(expr) in ("selfdestruct", "suicide")
+
+
+def is_revert(stmt: Statement) -> bool:
+    """`throw;` or `revert(...);`."""
+    return isinstance(stmt, ThrowStatement) or (
+        isinstance(stmt, ExpressionStatement)
+        and builtin_call_name(unwrap(stmt.expression)) == "revert")
 
 
 def returns_on_all_paths(stmt: Statement | None) -> bool:
     """Conservatively: does every path through stmt end in return/throw/revert?"""
     if stmt is None:
         return False
-    if isinstance(stmt, (ReturnStatement, ThrowStatement)):
+    if isinstance(stmt, ReturnStatement) or is_revert(stmt):
         return True
-    if isinstance(stmt, ExpressionStatement):
-        return builtin_call_name(unwrap(stmt.expression)) == "revert"
     if isinstance(stmt, Block):
         return any(returns_on_all_paths(s) for s in stmt.statements)
     if isinstance(stmt, IfStatement):

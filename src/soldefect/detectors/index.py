@@ -14,7 +14,7 @@ from ..nodes import (Assignment, Block, CallExpression, Conditional,
                      ModifierDefinition, Statement, UnaryOperation,
                      VariableDeclarationStatement, WhileStatement, children)
 from ..semantic import SymbolTable
-from .common import (bound_is_constant, external_call_kind, is_guard_call,
+from .common import (bound_is_constant, external_call, is_guard_call,
                      store_base, unwrap)
 
 
@@ -99,8 +99,9 @@ class FunctionIndex:
         self.contains = tree.contains
         self.start = tree.pos[id(fn.body)]
         self.end = tree.ends[self.start]
-        self._kinds = {id(call): kind for call in self.of(CallExpression)
-                       if (kind := external_call_kind(call)) is not None}
+        # id(call) -> external_call(call), for the low-level external calls
+        self._calls = {id(call): decoded for call in self.of(CallExpression)
+                       if (decoded := external_call(call))[0] is not None}
         self.locals: set[str] = {p.name for p in fn.parameters if p.name}
         if isinstance(fn, FunctionDefinition):
             self.locals |= {r.name for r in fn.returns_ if r.name}
@@ -159,8 +160,12 @@ class FunctionIndex:
         return self.tree.select(types, self.start, self.end)
 
     def kind(self, expr) -> Optional[str]:
-        """``external_call_kind(expr)``, for a node of this body."""
-        return self._kinds.get(id(expr))
+        """The kind of ``external_call(expr)``, for a node of this body."""
+        return self._calls.get(id(expr), (None,))[0]
+
+    def call(self, expr) -> Optional[tuple]:
+        """``external_call(expr)`` for an external call of this body, or None."""
+        return self._calls.get(id(expr))
 
     @cached_property
     def conditions(self) -> list[Expression]:
@@ -175,6 +180,12 @@ class FunctionIndex:
             elif is_guard_call(node):
                 found += node.arguments
         return found
+
+    def in_conditions(self, *types: type) -> list:
+        """Nodes of the given types in the branch conditions, condition by
+        condition, each in pre-order."""
+        within = self.within
+        return [node for cond in self.conditions for node in within(cond, *types)]
 
     @cached_property
     def unbounded_loops(self) -> list[tuple[Statement, list[StatementFacts]]]:

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..evm.eip55 import is_mixed_case, is_valid_address
+from ..evm.eip55 import is_valid_address
 from ..nodes import (Assignment, CallExpression, HexLiteral, Identifier,
                      MemberAccess)
 from .base import (AnalysisContext, ContractFacts, DetectorDescriptor, Hit,
                    register)
-from .common import builtin_call_name, unwrap
+from .common import global_member, is_selfdestruct, unwrap
 from .index import FunctionIndex
 
 HARD_CODE_ADDRESS = DetectorDescriptor(
@@ -32,7 +32,7 @@ def detect_hard_code_address(ctx: AnalysisContext) -> Iterator[Hit]:
                 continue
             if node.value == 0:
                 continue  # address(0) comparisons are not configuration
-            if is_mixed_case(node.text) and not is_valid_address(node.text):
+            if not is_valid_address(node.text):
                 yield (node.span, f"illegal address: hard-coded literal "
                                   f"{node.text} fails the EIP-55 checksum")
             else:
@@ -69,9 +69,7 @@ def detect_missing_interrupter(ctx: AnalysisContext) -> Iterator[Hit]:
 
 
 def _has_selfdestruct(cf: ContractFacts) -> bool:
-    return any(builtin_call_name(node) in ("selfdestruct", "suicide")
-               for index in cf.indexes(cf.table.all_functions()
-                                       + list(cf.table.modifiers.values()))
+    return any(is_selfdestruct(node) for index in cf.callables()
                for node in index.of(CallExpression))
 
 
@@ -90,8 +88,7 @@ def _has_circuit_breaker(cf: ContractFacts) -> bool:
     for index in cf.indexes(cf.table.all_functions()):
         unshadowed = bool_states - index.locals
         if index.fn.visibility in ("public", "default", "external"):
-            checked.update(node.name for cond in index.conditions
-                           for node in index.within(cond, Identifier)
+            checked.update(node.name for node in index.in_conditions(Identifier)
                            if node.name in unshadowed)
         if _is_access_controlled(index):
             for node in index.of(Assignment):
@@ -101,13 +98,11 @@ def _has_circuit_breaker(cf: ContractFacts) -> bool:
     return bool(checked & written_controlled)
 
 
+_CALLER_READS = frozenset((name, member) for name in ("msg", "tx")
+                          for member in ("sender", "origin"))
+
+
 def _is_access_controlled(index: FunctionIndex) -> bool:
-    if index.fn.modifiers_invoked:
-        return True
-    for cond in index.conditions:
-        for node in index.within(cond, MemberAccess):
-            if node.member in ("sender", "origin"):
-                obj = unwrap(node.object)
-                if isinstance(obj, Identifier) and obj.name in ("msg", "tx"):
-                    return True
-    return False
+    return bool(index.fn.modifiers_invoked) or any(
+        global_member(node) in _CALLER_READS
+        for node in index.in_conditions(MemberAccess))

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..nodes import CallExpression, Identifier, MemberAccess, ThrowStatement
+from ..nodes import CallExpression, MemberAccess, ThrowStatement
 from .base import AnalysisContext, DetectorDescriptor, Hit, register
-from .common import unwrap
+from .common import builtin_call_name, global_member
 
 DEPRECATED_APIS = DetectorDescriptor(
     code="D19", id="deprecated-apis", name="Deprecated APIs",
@@ -49,28 +49,19 @@ def detect_deprecated_apis(ctx: AnalysisContext) -> Iterator[Hit]:
                 if isinstance(node, ThrowStatement):
                     yield node.span, _deprecated("throw", "revert()")
                 elif isinstance(node, CallExpression):
-                    callee = unwrap(node.callee)
-                    if isinstance(callee, Identifier):
-                        name = callee.name
-                        if name in _DEPRECATED_CALLS:
-                            yield node.span, _deprecated(
-                                f"{name}()", f"{_DEPRECATED_CALLS[name]}()")
-                        elif name in extra_calls:
-                            yield node.span, _deprecated(f"{name}()", None)
-                elif isinstance(node, MemberAccess):
-                    obj = unwrap(node.object)
-                    if not isinstance(obj, Identifier):
-                        if node.member == "callcode":
-                            yield node.span, _deprecated(".callcode",
-                                                         "delegatecall")
-                        continue
-                    pair = (obj.name, node.member)
+                    name = builtin_call_name(node)
+                    if name in _DEPRECATED_CALLS:
+                        yield node.span, _deprecated(
+                            f"{name}()", f"{_DEPRECATED_CALLS[name]}()")
+                    elif name in extra_calls:
+                        yield node.span, _deprecated(f"{name}()", None)
+                else:
+                    pair = global_member(node)
                     if pair in _DEPRECATED_MEMBERS:
-                        yield node.span, _deprecated(
-                            f"{obj.name}.{node.member}", _DEPRECATED_MEMBERS[pair])
+                        yield node.span, _deprecated(".".join(pair),
+                                                     _DEPRECATED_MEMBERS[pair])
                     elif pair in extra_members:
-                        yield node.span, _deprecated(
-                            f"{obj.name}.{node.member}", None)
+                        yield node.span, _deprecated(".".join(pair), None)
                     elif node.member == "callcode":
                         yield node.span, _deprecated(".callcode", "delegatecall")
 

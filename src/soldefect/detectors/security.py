@@ -13,8 +13,8 @@ from ..semantic import InferenceError, infer_var_type
 from ..spans import Span
 from .base import AnalysisContext, DetectorDescriptor, Hit, register
 from .common import (CHECKABLE_CALL_KINDS, ETHER_SENDING_KINDS,
-                     builtin_call_name, call_chain_arguments, call_target,
-                     is_balance_expression, is_tx_origin, unwrap)
+                     builtin_call_name, global_member, is_balance_expression,
+                     is_tx_origin, unwrap)
 from .index import FunctionIndex
 
 # ---------------------------------------------------------------------------
@@ -107,14 +107,13 @@ def detect_strict_balance_equality(ctx: AnalysisContext) -> Iterator[Hit]:
     if ctx.config.strict_balance_neq:
         operators.add("!=")
     for index in ctx.source.bodies():
-        for cond in index.conditions:
-            for node in index.within(cond, BinaryOperation):
-                if (node.operator in operators
-                        and (is_balance_expression(node.left)
-                             or is_balance_expression(node.right))):
-                    yield (node.span,
-                           f"branch condition compares the contract balance "
-                           f"with {node.operator}")
+        for node in index.in_conditions(BinaryOperation):
+            if (node.operator in operators
+                    and (is_balance_expression(node.left)
+                         or is_balance_expression(node.right))):
+                yield (node.span,
+                       f"branch condition compares the contract balance "
+                       f"with {node.operator}")
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +247,8 @@ def detect_transaction_state_dependency(ctx: AnalysisContext) -> Iterator[Hit]:
             spots = [node for node in index.of(*_ORIGIN_TYPES)
                      if is_tx_origin(node)]
         else:
-            spots = []
-            for cond in index.conditions:
-                spots.extend(n for n in index.within(cond, *_ORIGIN_TYPES)
-                             if is_tx_origin(n))
+            spots = [node for node in index.in_conditions(*_ORIGIN_TYPES)
+                     if is_tx_origin(node)]
             if isinstance(index.fn, ModifierDefinition):
                 for node in index.of(BinaryOperation):
                     if (node.operator in ("==", "!=")
@@ -276,8 +273,8 @@ BLOCK_INFO_DEPENDENCY = DetectorDescriptor(
            "block data; use commit-reveal schemes or oracle input.",
 )
 
-_BLOCK_MEMBERS = frozenset({"blockhash", "timestamp", "number", "difficulty",
-                            "coinbase"})
+_BLOCK_GLOBALS = frozenset(("block", member) for member in (
+    "blockhash", "timestamp", "number", "difficulty", "coinbase"))
 
 
 # _is_block_info holds only for these
@@ -286,9 +283,7 @@ _BLOCK_SOURCE_TYPES = (MemberAccess, Identifier, CallExpression)
 
 def _is_block_info(node) -> bool:
     if isinstance(node, MemberAccess):
-        return (node.member in _BLOCK_MEMBERS
-                and isinstance(unwrap(node.object), Identifier)
-                and unwrap(node.object).name == "block")
+        return global_member(node) in _BLOCK_GLOBALS
     if isinstance(node, Identifier):
         return node.name == "now"
     return builtin_call_name(node) == "blockhash"
@@ -324,10 +319,9 @@ def detect_block_info_dependency(ctx: AnalysisContext) -> Iterator[Hit]:
                 if node.index is not None:
                     sinks.append(node.index)
             elif index.kind(node) in ETHER_SENDING_KINDS:
-                sinks.extend(call_chain_arguments(node))
-                target = call_target(node)
-                if target is not None:
-                    sinks.append(target)
+                _, receiver, arguments = index.call(node)
+                sinks += arguments
+                sinks.append(receiver)
         for sink in sinks:
             for span in origins(sink):
                 yield span, "block information influences contract logic"

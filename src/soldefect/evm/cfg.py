@@ -173,7 +173,7 @@ def build_cfg(instructions: list[Instruction] | bytes | str) -> ControlFlowGraph
     unresolved: set[tuple[int, int]] = set()
     _emulate(cfg, edges, unresolved)
 
-    # every edge ends at a block: jumps are kept only when their target is one
+    # every edge ends at a block: a jump's ends at one that starts with a JUMPDEST
     for src, dst in sorted(edges):
         blocks[src].successors.append(dst)
         cfg.predecessors[dst].append(src)
@@ -188,10 +188,15 @@ def _emulate(cfg: ControlFlowGraph, edges: set, unresolved: set) -> None:
 
     `split_blocks` ends a block at every terminator and invalid instruction,
     so only JUMP and JUMPI need handling here: any other instruction that
-    ends a path is the last of a block that has no fallthrough. A path halts,
-    as the EVM does, once an instruction leaves more than MAX_STACK_DEPTH
-    values on the stack."""
+    ends a path is the last of a block that has no fallthrough. Both jumps
+    follow one rule: a target that is not a constant is unresolved, a
+    constant that starts a JUMPDEST block is an edge, and any other constant
+    is an invalid jump, which ends the path (JUMPI still falls through). A
+    path halts, as the EVM does, once an instruction leaves more than
+    MAX_STACK_DEPTH values on the stack."""
     blocks = cfg.blocks
+    jumpdests = {bid for bid, block in blocks.items()
+                 if block.instructions[0].opcode == JUMPDEST}
     worklist: list[tuple[int, tuple]] = [(cfg.entry, ())]
     seen: dict[int, set[tuple]] = {}
     steps = 0
@@ -231,32 +236,28 @@ def _emulate(cfg: ControlFlowGraph, edges: set, unresolved: set) -> None:
                     break
                 stack.pop()
                 continue
-            elif op == JUMP:
-                if stack:
-                    target = stack.pop()
-                    if target[0] == "const" and target[1] in blocks:
-                        edges.add((bid, target[1]))
-                        worklist.append((target[1], tuple(stack)))
-                    else:
-                        unresolved.add((bid, ins.pc))
-                break
-            elif op == JUMPI:
-                if len(stack) >= 2:
-                    target = stack.pop()
-                    cond = stack.pop()
-                    taken: Optional[int] = None
-                    if target[0] == "const" and target[1] in blocks:
-                        taken = target[1]
-                        edges.add((bid, taken))
-                    elif target[0] != "const":
-                        unresolved.add((bid, ins.pc))
-                    cfg.jumpi_events.append(JumpiEvent(bid, ins.pc, cond, taken))
-                    concrete = _concrete_bool(cond)
-                    fall = cfg.next_block.get(bid)
-                    if concrete is not False and taken is not None:
+            elif op == JUMP or op == JUMPI:
+                if len(stack) < (1 if op == JUMP else 2):
+                    break
+                target = stack.pop()
+                taken: Optional[int] = None
+                if target[0] != "const":
+                    unresolved.add((bid, ins.pc))
+                elif target[1] in jumpdests:
+                    taken = target[1]
+                    edges.add((bid, taken))
+                if op == JUMP:
+                    if taken is not None:
                         worklist.append((taken, tuple(stack)))
-                    if concrete is not True and fall is not None:
-                        worklist.append((fall, tuple(stack)))
+                    break
+                cond = stack.pop()
+                cfg.jumpi_events.append(JumpiEvent(bid, ins.pc, cond, taken))
+                concrete = _concrete_bool(cond)
+                fall = cfg.next_block.get(bid)
+                if concrete is not False and taken is not None:
+                    worklist.append((taken, tuple(stack)))
+                if concrete is not True and fall is not None:
+                    worklist.append((fall, tuple(stack)))
                 break
             elif not _step(stack, ins):
                 break

@@ -56,13 +56,3 @@ def is_valid_address(literal: str) -> bool:
     if all(ch.islower() for ch in letters) or all(ch.isupper() for ch in letters):
         return True  # checksum-agnostic spellings (includes all-digit addresses)
     return checksum_address(body) == "0x" + body
-
-
-def is_mixed_case(literal: str) -> bool:
-    """True when the literal uses both upper and lower hex letters."""
-    try:
-        body = _strip_prefix(literal)
-    except AddressError:
-        return False
-    letters = [ch for ch in body if ch.isalpha()]
-    return any(ch.islower() for ch in letters) and any(ch.isupper() for ch in letters)

@@ -13,11 +13,12 @@ it did not open, at a stop word outside braces, or at the end of input.
 The stop words are `function`/`modifier`/`event`/`constructor` in a
 contract, `pragma`/`contract`/`interface`/`library`/`import` at the top
 level, and none in a block. So an error never hides its sibling
-statements or functions, and a contract cut off by the end of the file
-keeps its complete members. An error that several levels of recovery see
-in turn, such as the end of a file cut inside nested blocks, is reported
-once. Unsupported constructs (import, struct/enum, using) are skipped by
-the same rule with a "partial analysis" warning instead of failing the file.
+statements or functions, and a contract or `{...}` block that the file
+ends inside keeps its complete members or statements. An error that
+several levels of recovery see in turn, such as the end of a file cut
+inside nested blocks, is reported once. Unsupported constructs (import,
+struct/enum, using) are skipped by the same rule with a "partial analysis"
+warning instead of failing the file.
 
 The parser indexes the lexer's ``(kind, text, offset, length)`` token
 tuples. A node's span ends at the end of the last token it consumed.
@@ -230,6 +231,14 @@ class _Parser:
             i += 1
         self.pos = i
 
+    def _close(self) -> None:
+        """Consume the `}` that ends a contract or block. At the end of input
+        it is missing: record that, and the caller keeps what it parsed."""
+        if self.at_kind(_END):
+            self.error("expected '}', found 'end of input'", self.peek())
+        else:
+            self.pos += 1
+
     def _list(self, parse_item) -> list:
         """The comma-separated items after a `(`, up to the closing `)`."""
         items = []
@@ -298,10 +307,7 @@ class _Parser:
                                       self._span_from(kw[2]))
         while not self.at("}") and not self.at_kind(_END):
             self.parse_contract_member(contract)
-        if self.at_kind(_END):  # keep the members of a file cut short
-            self.error("expected '}', found 'end of input'", self.peek())
-        else:
-            self.pos += 1
+        self._close()
         contract.span = self._span_from(kw[2])
         return contract
 
@@ -490,7 +496,7 @@ class _Parser:
                 self.depth = depth
                 self.error(exc.message, exc.token)
                 self._skip()
-        self.expect("}")
+        self._close()
         return Block(statements, self._span_from(start))
 
     def parse_statement(self) -> Statement:

@@ -153,6 +153,12 @@ STACK_OVERFLOW = assemble([
 ])
 
 
+# constant jumps to a block that does not start with a JUMPDEST, which the
+# EVM rejects: JUMP to pc 3 and JUMPI to pc 6 both name a STOP
+JUMP_TO_STOP = assemble(["PUSH1 3", "JUMP", "STOP"])
+JUMPI_TO_STOP = assemble(["PUSH1 1", "PUSH1 6", "JUMPI", "STOP", "STOP"])
+
+
 def dispatcher(selector_targets: dict[int, str],
                bodies: list[str] | None = None) -> bytes:
     """A solc-0.4-style selector ladder:

@@ -211,6 +211,25 @@ def test_score_json_format(corpus_copy, capsys):
     assert data["overall"]["recall"] == 1.0
 
 
+@pytest.mark.parametrize("flags", [["--format", "sarif"], ["--min-impact", "IP1"]],
+                         ids=["sarif", "min-impact"])
+def test_score_rejects_flags_it_cannot_honour(corpus_copy, capsys, flags):
+    # a score card has no SARIF form, and score scores every label
+    assert main(["score", "--manifest", str(corpus_copy / "manifest.txt"),
+                 *flags]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_negative_jobs_is_a_usage_error(corpus_copy, tmp_path, capsys):
+    config = tmp_path / "jobs.ini"
+    config.write_text("jobs = -3\n")
+    listing = str(corpus_copy / "listing3.sol")
+    assert main(["analyze", listing, "--jobs", "-3"]) == 2
+    assert main(["analyze", listing, "--config", str(config)]) == 2
+    assert capsys.readouterr().err.count("jobs: expected 0 or more, got -3") == 2
+    assert main(["analyze", listing, "--jobs", "0", "--format", "json"]) == 1
+
+
 def test_detectors_catalog(capsys):
     assert main(["detectors"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]

@@ -42,6 +42,7 @@ def test_inline_comment_stripped():
     ("format = yaml", "format"),
     ("min_impact = IP7", "min_impact"),
     ("jobs = many", "jobs"),
+    ("jobs = -1", "jobs: expected 0 or more"),
     ("strict.balance_neq = maybe", "boolean"),
     ("no_such_key = 1", "unknown configuration key"),
     ("enable = bogus", "unknown detector id"),

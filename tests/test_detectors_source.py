@@ -7,6 +7,7 @@ import pytest
 from soldefect.analyzer import source_facts
 from soldefect.config import DetectorConfig, RunConfig
 from soldefect.detectors import AnalysisContext, run_detectors
+from soldefect.detectors.common import external_call
 from soldefect.parser import parse_source
 
 from conftest import detectors_fired, findings_for, hits, read_listing
@@ -21,6 +22,40 @@ def config_with(**kwargs) -> RunConfig:
     for key, value in kwargs.items():
         setattr(config.detectors, key, value)
     return config
+
+
+# -- the call-chain decoder ----------------------------------------------------
+
+
+@pytest.mark.parametrize("expr,kind,receiver,arguments", [
+    ("x.send(v)", "send", "x", ["v"]),
+    ("x.transfer(v)", "transfer", "x", ["v"]),
+    ("x.call(d)", "call", "x", ["d"]),
+    ("x.call.value(v)()", "callvalue", "x", ["v"]),
+    ("x.call.value(v)", "callvalue", "x", ["v"]),  # the bare builder
+    ("x.call.gas(g).value(v)(d)", "callvalue", "x", ["d", "v", "g"]),
+    ("x.call.value(v).gas(g)()", "callvalue", "x", ["g", "v"]),
+    ("x.delegatecall.gas(g)(d)", "delegatecall", "x", ["d", "g"]),
+    ("x.callcode(d)", "callcode", "x", ["d"]),
+    ("x.send.value(v)()", None, "x", ["v"]),
+    ("x.foo.value(v)()", None, "x.foo", ["v"]),
+    # the receiver walks through calls, the arguments past other members
+    ("f(y).call.value(v)()", "callvalue", "f", ["v", "y"]),
+    ("a.f(y).g.call.value(v)()", "callvalue", "a.f(y).g", ["v", "y"]),
+    ("(x).call.value(v)()", "callvalue", "x", ["v"]),
+])
+def test_external_call_decodes_the_chain(expr, kind, receiver, arguments):
+    text = f"contract C {{ function f() {{ {expr}; }} }}"
+    body = parse_source(text, "t.sol").unit.contracts[0].functions[0].body
+
+    def source(node) -> str:
+        return text[node.span.offset:node.span.offset + node.span.length]
+
+    got_kind, got_receiver, got_arguments = external_call(
+        body.statements[0].expression)
+    assert got_kind == kind
+    assert source(got_receiver) == receiver
+    assert [source(a) for a in got_arguments] == arguments
 
 
 # -- D01 unchecked external calls ---------------------------------------------

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from soldefect.evm.eip55 import (AddressError, checksum_address, is_mixed_case,
+from soldefect.evm.eip55 import (AddressError, checksum_address,
                                  is_valid_address)
 
 # The four canonical mixed-case examples from the checksum standard.
@@ -65,12 +65,6 @@ def test_prefix_optional_for_canonicalization():
     assert checksum_address(body) == OFFICIAL_VECTORS[0]
 
 
-def test_mixed_case_detection():
-    assert is_mixed_case(OFFICIAL_VECTORS[0])
-    assert not is_mixed_case(OFFICIAL_VECTORS[0].lower())
-    assert not is_mixed_case("0x" + "1" * 40)
-
-
 @given(st.integers(min_value=0, max_value=(1 << 160) - 1))
 def test_random_addresses_roundtrip(value):
     body = format(value, "040x")
@@ -86,5 +80,4 @@ def test_listing_owner_address_is_invalid():
     literal = "0xDCaD000000000000000000000000000005D1d3aD"
     intended = literal[:-1].lower() + "f"
     assert checksum_address(intended) == literal[:-1] + "F"
-    assert is_mixed_case(literal)
     assert not is_valid_address(literal)

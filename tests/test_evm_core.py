@@ -8,8 +8,9 @@ from soldefect.evm.disasm import (BytecodeError, disassemble, reassemble)
 from soldefect.evm.loops import detect_loops
 from soldefect.evm.selectors import extract_selectors
 
-from asm import (CALL_BODY, DEAD_CALL_INTO_LOOP, STACK_OVERFLOW, assemble,
-                 counted_loop, dispatcher, storage_bound_loop)
+from asm import (CALL_BODY, DEAD_CALL_INTO_LOOP, JUMP_TO_STOP, JUMPI_TO_STOP,
+                 STACK_OVERFLOW, assemble, counted_loop, dispatcher,
+                 storage_bound_loop)
 
 # -- disassembly --------------------------------------------------------------
 
@@ -77,6 +78,21 @@ def test_unresolved_dynamic_jump_recorded():
     cfg = build_cfg(assemble(["PUSH1 0", "CALLDATALOAD", "JUMP",
                               "JUMPDEST", "STOP"]))
     assert cfg.unresolved_jumps, "dynamic jump target should be edge-to-unknown"
+
+
+@pytest.mark.parametrize("code,successors", [
+    (JUMP_TO_STOP, []),
+    (JUMPI_TO_STOP, [5]),  # only the structural fallthrough
+    (assemble(["PUSH1 0x40", "JUMP"]), []),
+    (assemble(["PUSH1 1", "PUSH1 0x40", "JUMPI", "STOP"]), [5]),
+], ids=["jump to a stop", "jumpi to a stop", "jump past the code",
+        "jumpi past the code"])
+def test_constant_jump_to_no_jumpdest_is_invalid(code, successors):
+    # no edge, and no unresolved jump: the target is known and invalid
+    cfg = build_cfg(code)
+    assert cfg.blocks[0].successors == successors
+    assert cfg.unresolved_jumps == []
+    assert [e.target for e in cfg.jumpi_events] in ([], [None])
 
 
 def test_stack_overflow_halts_the_path():

@@ -273,6 +273,23 @@ def test_contract_cut_before_its_closing_brace_keeps_its_members():
         analyze_input(text.encode(), "l.sol", config).findings
 
 
+def test_function_cut_inside_its_body_keeps_its_statements():
+    # the file ends inside withDraw: the function and its complete statement
+    # are kept, so the cut file has the full file's findings plus one error
+    text = read_listing("listing1.sol")
+    end = "receiver.call.value(amount);"
+    cut = text[:text.index(end) + len(end)]
+    result = parse_source(cut, "t.sol")
+    assert [(d.severity, d.message) for d in result.diagnostics] == \
+        [("error", "expected '}', found 'end of input'")]
+    withdraw = result.unit.contracts[-1].functions[-1]
+    assert withdraw.name == "withDraw" and len(withdraw.body.statements) == 2
+    config = RunConfig()
+    findings = analyze_input(cut.encode(), "l.sol", config).findings
+    assert len(findings) == 13
+    assert findings == analyze_input(text.encode(), "l.sol", config).findings
+
+
 # -- bounded nesting ---------------------------------------------------------
 
 from soldefect.parser import MAX_NESTING

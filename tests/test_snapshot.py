@@ -71,7 +71,7 @@ EVM_FACTS_SNAPSHOT = "e77a15805383b9cadaded325287f7f4be047cd157da52f32e997ea9825
 
 DIAGNOSTICS_SNAPSHOT = "d453c08a4c906a614142149493f0cf455dc9ac56280410590e4e0337f3d575be"
 
-TREE_SNAPSHOT = "5b54ed4a5e83507b49a2b6d1d40b14afc3a0f8a3f903f981cf181187f938ccd8"
+TREE_SNAPSHOT = "3e7749c3408194ed223d895d137614a7a31c296b0dd23c440a5cdc9b3b23dec0"
 
 # transfer(address,uint256) and balanceOf(address): a partial ERC-20
 TRANSFER, BALANCE_OF = 0xa9059cbb, 0x70a08231
