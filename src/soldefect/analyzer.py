@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
 
 from .config import RunConfig
 from .detectors import (AnalysisContext, BytecodeFacts, ContractFacts,
@@ -20,6 +19,7 @@ from .evm.loops import detect_loops
 from .evm.selectors import extract_selectors
 from .lexer import tokenize
 from .parser import ParseResult, parse
+from .records import field, record
 from .report import Finding, InputRecord, Report
 from .semantic import build_call_graph, compute_def_use, flatten_contract
 from .spans import Diagnostic
@@ -28,7 +28,7 @@ SOURCE_EXTENSIONS = (".sol",)
 BYTECODE_EXTENSIONS = (".hex", ".bin")
 
 
-@dataclass
+@record
 class FileOutcome:
     path: str
     digest: str = ""

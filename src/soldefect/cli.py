@@ -14,8 +14,6 @@ from . import __version__
 from .analyzer import analyze_paths
 from .config import (FORMATS, MODES, ConfigError, RunConfig, load_config_file,
                      parse_detector_ids, parse_jobs)
-from .corpus import (ManifestError, load_manifest, render_scorecard_text,
-                     score, scorecard_to_obj)
 from .detectors import REGISTRY
 from .report import IMPACT_LEVELS, filter_by_impact, render
 
@@ -164,8 +162,12 @@ def cmd_fetch(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    from .corpus import (ManifestError, load_manifest, render_scorecard_text,
+                         score, scorecard_to_obj)
     try:
         config = _make_run_config(args)
+        if config.format not in TABLE_FORMATS:  # only a config file sets that
+            raise ConfigError(f"format = {config.format}: not a score card format")
     except (ConfigError, OSError) as exc:
         print(f"soldefect: {exc}", file=sys.stderr)
         return EXIT_USAGE

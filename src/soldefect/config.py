@@ -4,9 +4,9 @@ and the flat INI-style config file loader.
 Config file keys (flags override them; the API key never lives in a file,
 only in the SOLDEFECT_API_KEY environment variable):
 
-    format = text | json | sarif
+    format = text | json | sarif             (score: text | json)
     mode = auto | source | bytecode
-    min_impact = IP1..IP5
+    min_impact = IP1..IP5                    (analyze only)
     jobs = <int, 0 or more>
     enable = detector-id, detector-id, ...   (slugs or D-codes)
     disable = detector-id, ...
@@ -20,9 +20,8 @@ only in the SOLDEFECT_API_KEY environment variable):
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Optional
 
+from .records import field, record
 
 FORMATS = ("text", "json", "sarif")
 MODES = ("auto", "source", "bytecode")
@@ -32,9 +31,9 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@record
 class DetectorConfig:
-    enable: Optional[set[str]] = None  # None = all registered
+    enable: set[str] | None = None  # None = all registered
     disable: set[str] = field(default_factory=set)
     strict_tx_origin_all_uses: bool = False
     strict_balance_neq: bool = False
@@ -48,7 +47,7 @@ class DetectorConfig:
         return True
 
 
-@dataclass
+@record
 class FetchConfig:
     api_base_url: str = ""
     cache_dir: str = ""
@@ -58,12 +57,12 @@ class FetchConfig:
         return os.environ.get("SOLDEFECT_API_KEY", "")
 
 
-@dataclass
+@record
 class RunConfig:
     mode: str = "auto"  # auto | source | bytecode
     format: str = "text"
     min_impact: str = "IP5"
-    output: Optional[str] = None
+    output: str | None = None
     jobs: int = 0  # 0 = number of CPUs
     detectors: DetectorConfig = field(default_factory=DetectorConfig)
     fetch: FetchConfig = field(default_factory=FetchConfig)

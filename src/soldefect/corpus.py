@@ -14,9 +14,9 @@ labeled per contract rather than per line.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 from .detectors import REGISTRY, resolve_detector_id
+from .records import field, record
 from .report import Report
 
 
@@ -24,14 +24,14 @@ class ManifestError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ManifestEntry:
     path: str
     line: int | None  # None = wildcard
     detector_id: str
 
 
-@dataclass
+@record
 class CorpusManifest:
     root: str
     entries: list[ManifestEntry] = field(default_factory=list)
@@ -75,7 +75,7 @@ def load_manifest(path: str, root: str | None = None) -> CorpusManifest:
 # Scoring
 
 
-@dataclass
+@record
 class DetectorScore:
     tp: int = 0
     fp: int = 0
@@ -90,7 +90,7 @@ class DetectorScore:
         return self.tp / (self.tp + self.fn) if (self.tp + self.fn) else 1.0
 
 
-@dataclass
+@record
 class ScoreCard:
     per_detector: dict[str, DetectorScore] = field(default_factory=dict)
     files_total: int = 0

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from ..nodes import (CallExpression, EmitStatement, ExpressionStatement,
                      IfStatement, ThrowStatement)

@@ -2,19 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
 from functools import cached_property
-from typing import Callable, Iterable, Optional
 
 from ..config import DetectorConfig
 from ..nodes import (ContractDefinition, FunctionDefinition,
                      ModifierDefinition, SourceUnit)
+from ..records import field, record
 from ..semantic import CallGraph, DefUseFacts, SymbolTable
 from ..spans import Diagnostic, Span
 from .index import FunctionIndex, NodeIndex
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DetectorDescriptor:
     code: str        # stable short id, D01..D20
     id: str          # stable slug used in reports, manifests and the CLI
@@ -35,7 +35,7 @@ class DetectorDescriptor:
         return frozenset({"source"})
 
 
-@dataclass
+@record
 class ContractFacts:
     contract: ContractDefinition
     table: SymbolTable
@@ -71,7 +71,7 @@ class ContractFacts:
                             + list(self.table.modifiers.values()))
 
 
-@dataclass
+@record
 class SourceFacts:
     file_id: str
     unit: SourceUnit
@@ -85,7 +85,7 @@ class SourceFacts:
             cf.contract.functions + (cf.contract.modifiers if modifiers else []))]
 
 
-@dataclass
+@record
 class BytecodeFacts:
     file_id: str
     code: bytes
@@ -95,12 +95,12 @@ class BytecodeFacts:
     selectors: dict
 
 
-@dataclass
+@record
 class AnalysisContext:
     """Facts a detector may read. Detectors never mutate the context."""
 
-    source: Optional[SourceFacts] = None
-    bytecode: Optional[BytecodeFacts] = None
+    source: SourceFacts | None = None
+    bytecode: BytecodeFacts | None = None
     config: DetectorConfig = field(default_factory=DetectorConfig)
     # errors of detectors that raised, recorded by run_detectors
     diagnostics: list[Diagnostic] = field(default_factory=list)

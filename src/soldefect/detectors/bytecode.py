@@ -7,7 +7,7 @@ visibility) does not survive compilation.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from ..evm.cfg import unwrap_iszero, value_tags
 from .availability import ERC20_SELECTORS, UNMATCHED_ERC20

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..nodes import (BinaryOperation, Block, CallExpression,
                      ElementaryTypeExpression, Expression, ExpressionStatement,
                      HexLiteral, Identifier, IfStatement, IndexAccess,
@@ -32,7 +30,7 @@ _CHAIN_MEMBERS = frozenset({"send", "transfer", "call", "delegatecall",
 _BUILDABLE = frozenset({"call", "delegatecall", "callcode"})
 
 
-def external_call(expr: Expression) -> tuple[Optional[str], Expression,
+def external_call(expr: Expression) -> tuple[str | None, Expression,
                                             list[Expression]]:
     """Decode a call chain such as `x.send(..)`, `x.call(..)`,
     `x.call.value(..)(..)` or `x.delegatecall.gas(..)(..)` in one walk down
@@ -79,7 +77,7 @@ def external_call(expr: Expression) -> tuple[Optional[str], Expression,
     return kind, node if receiver is None else receiver, arguments
 
 
-def builtin_call_name(expr: Expression) -> Optional[str]:
+def builtin_call_name(expr: Expression) -> str | None:
     if isinstance(expr, CallExpression):
         callee = unwrap(expr.callee)
         if isinstance(callee, Identifier):
@@ -95,7 +93,7 @@ def is_guard_call(expr: Expression) -> bool:
 # Loop bounds, stores and other patterns
 
 
-def bound_is_constant(condition: Optional[Expression],
+def bound_is_constant(condition: Expression | None,
                       table: SymbolTable) -> bool:
     """A loop bound is constant when the comparison involves a literal or
     a `constant` state variable with a literal initializer."""
@@ -124,7 +122,7 @@ def _is_compile_time_constant(expr: Expression, table: SymbolTable) -> bool:
     return False
 
 
-def store_base(expr: Expression) -> Optional[Identifier]:
+def store_base(expr: Expression) -> Identifier | None:
     expr = unwrap(expr)
     while isinstance(expr, (IndexAccess, MemberAccess)):
         expr = expr.base if isinstance(expr, IndexAccess) else expr.object
@@ -132,7 +130,7 @@ def store_base(expr: Expression) -> Optional[Identifier]:
     return expr if isinstance(expr, Identifier) else None
 
 
-def global_member(expr: Expression) -> Optional[tuple[str, str]]:
+def global_member(expr: Expression) -> tuple[str, str] | None:
     """(name, member) for a member of a bare name, such as `tx.origin`,
     `msg.sender`, `block.number` or `this.balance`; None otherwise."""
     expr = unwrap(expr)

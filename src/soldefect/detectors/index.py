@@ -4,15 +4,15 @@ contract's nodes in pre-order, and per body its statements in context."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import cached_property
-from typing import Callable, Optional
 
 from ..nodes import (Assignment, Block, CallExpression, Conditional,
                      Expression, ExpressionStatement, ForStatement,
                      FunctionDefinition, Identifier, IfStatement, MemberAccess,
                      ModifierDefinition, Statement, UnaryOperation,
                      VariableDeclarationStatement, WhileStatement, children)
+from ..records import record
 from ..semantic import SymbolTable
 from .common import (bound_is_constant, external_call, is_guard_call,
                      store_base, unwrap)
@@ -73,7 +73,7 @@ class NodeIndex:
         return start <= self.pos[id(inner)] < self.ends[start]
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class StatementFacts:
     node: Statement
     conditions: tuple  # enclosing if/while/for conditions, outermost first
@@ -159,11 +159,11 @@ class FunctionIndex:
         """Body nodes of the given types, in pre-order."""
         return self.tree.select(types, self.start, self.end)
 
-    def kind(self, expr) -> Optional[str]:
+    def kind(self, expr) -> str | None:
         """The kind of ``external_call(expr)``, for a node of this body."""
         return self._calls.get(id(expr), (None,))[0]
 
-    def call(self, expr) -> Optional[tuple]:
+    def call(self, expr) -> tuple | None:
         """``external_call(expr)`` for an external call of this body, or None."""
         return self._calls.get(id(expr))
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from ..evm.eip55 import is_valid_address
 from ..nodes import (Assignment, CallExpression, HexLiteral, Identifier,

@@ -18,9 +18,7 @@ Taint tags: BALANCE, CALLER, BLOCKINFO, CALLDATA, STORAGE, ENV.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
+from ..records import field, record
 from .disasm import Instruction, disassemble
 from .opcodes import (DUP1, DUP16, JUMP, JUMPDEST, JUMPI, MNEMONICS, OPCODES,
                       POP, PUSH1, PUSH32, SWAP1, SWAP16, TERMINATORS)
@@ -79,17 +77,17 @@ def unwrap_iszero(value):
     return value
 
 
-@dataclass
+@record
 class JumpiEvent:
     """One emulated execution of a JUMPI: condition value plus the target."""
 
     block: int
     pc: int
     condition: tuple
-    target: Optional[int]  # resolved jump-taken block id, when concrete
+    target: int | None  # resolved jump-taken block id, when concrete
 
 
-@dataclass
+@record
 class BasicBlock:
     id: int  # pc of the first instruction
     instructions: list[Instruction]
@@ -97,7 +95,7 @@ class BasicBlock:
     terminator: str = "fallthrough"
 
 
-@dataclass
+@record
 class ControlFlowGraph:
     blocks: dict[int, BasicBlock]
     entry: int
@@ -240,7 +238,7 @@ def _emulate(cfg: ControlFlowGraph, edges: set, unresolved: set) -> None:
                 if len(stack) < (1 if op == JUMP else 2):
                     break
                 target = stack.pop()
-                taken: Optional[int] = None
+                taken: int | None = None
                 if target[0] != "const":
                     unresolved.add((bid, ins.pc))
                 elif target[1] in jumpdests:
@@ -269,7 +267,7 @@ def _emulate(cfg: ControlFlowGraph, edges: set, unresolved: set) -> None:
                 worklist.append((fall, tuple(stack)))
 
 
-def _concrete_bool(cond) -> Optional[bool]:
+def _concrete_bool(cond) -> bool | None:
     """Evaluate const and const-comparison conditions to a Python bool."""
     negate = False
     while cond[0] == "iszero":
@@ -410,7 +408,7 @@ def compute_dominators(cfg: ControlFlowGraph) -> dict[int, int]:
         return {}
     order = _reverse_postorder(cfg)
     index = {b: i for i, b in enumerate(order)}
-    idom: dict[int, Optional[int]] = {b: None for b in order}
+    idom: dict[int, int | None] = {b: None for b in order}
     idom[cfg.entry] = cfg.entry
 
     def intersect(a: int, b: int) -> int:

@@ -6,8 +6,7 @@ input bytes, including truncated trailing PUSH data and unknown opcodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..records import record
 from .opcodes import OPCODES, PUSH1, PUSH32
 
 
@@ -15,7 +14,7 @@ class BytecodeError(ValueError):
     """Malformed bytecode input (e.g. odd-length hex)."""
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Instruction:
     pc: int
     opcode: int

@@ -11,17 +11,15 @@ that never fold — is ``unbounded``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
+from ..records import record
 from .cfg import ControlFlowGraph, JumpiEvent, unwrap_iszero
 
 
-@dataclass
+@record
 class Loop:
     header: int
     body: frozenset[int]  # includes the header
-    bound: Optional[int]  # None = unbounded
+    bound: int | None  # None = unbounded
 
     @property
     def is_bounded(self) -> bool:
@@ -60,7 +58,7 @@ def _natural_loop_body(cfg: ControlFlowGraph, header: int,
 
 
 def _classify_bound(cfg: ControlFlowGraph, body: set[int],
-                    events_at: dict[int, list[JumpiEvent]]) -> Optional[int]:
+                    events_at: dict[int, list[JumpiEvent]]) -> int | None:
     exit_pcs = set()
     for bid in body:
         block = cfg.blocks[bid]
@@ -88,7 +86,7 @@ def _classify_bound(cfg: ControlFlowGraph, body: set[int],
     return None
 
 
-def _stable_operand(pairs: list[tuple]) -> Optional[int]:
+def _stable_operand(pairs: list[tuple]) -> int | None:
     """The comparison side that stays fixed while the other one advances."""
     if len(pairs) < 2:
         return None

@@ -19,9 +19,9 @@ import re
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass, field
 
 from .config import FetchConfig
+from .records import field, record
 
 _ADDRESS_RE = re.compile(r"^0x[0-9a-fA-F]{40}$")
 
@@ -40,7 +40,7 @@ class FetchError(RuntimeError):
         self.retry_after = retry_after
 
 
-@dataclass
+@record
 class FetchResult:
     address: str
     source_path: str | None = None
@@ -53,7 +53,7 @@ class FetchResult:
         return [p for p in (self.source_path, self.bytecode_path) if p]
 
 
-@dataclass
+@record
 class HttpResponse:
     status_code: int
     headers: object  # a mapping with .get(name, default)

@@ -1,31 +1,29 @@
 """AST for the Solidity subset.
 
-Every node carries exactly one Span. Nodes are plain dataclasses so two
-parses of the same bytes compare structurally equal.
+Every node carries exactly one Span. Nodes are slotted records (see
+``records.py``) that compare field by field, so two parses of the same bytes
+compare equal; like any mutable record, a node is unhashable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional, Union
-
 from .lexer import ETHER_UNITS
+from .records import field, record
 from .spans import Span
 
 # ---------------------------------------------------------------------------
 # Types
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class TypeName:
     kind: str  # "elementary" | "array" | "mapping" | "user" | "var"
     span: Span
-    name: str = ""                      # elementary or user-defined name
-    element: Optional["TypeName"] = None   # arrays
-    length: Optional["Expression"] = None  # fixed-size arrays
-    key_type: Optional["TypeName"] = None  # mappings
-    value_type: Optional["TypeName"] = None
+    name: str = ""                    # elementary or user-defined name
+    element: TypeName | None = None   # arrays
+    length: Expression | None = None  # fixed-size arrays
+    key_type: TypeName | None = None  # mappings
+    value_type: TypeName | None = None
 
     def canonical(self) -> str:
         """Canonical spelling for ABI-style signature matching."""
@@ -46,7 +44,7 @@ class TypeName:
             return "var"
         return self.name
 
-    def int_bits(self) -> Optional[int]:
+    def int_bits(self) -> int | None:
         """Bit width for uintN/intN (plain uint/int normalize to 256)."""
         if self.kind != "elementary":
             return None
@@ -73,34 +71,34 @@ def _const_text(expr: "Expression") -> str:
 # Expressions
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Identifier:
     name: str
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class MemberAccess:
     object: "Expression"
     member: str
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class IndexAccess:
     base: "Expression"
-    index: Optional["Expression"]
+    index: Expression | None
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class CallExpression:
     callee: "Expression"
     arguments: list["Expression"]
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class BinaryOperation:
     operator: str
     left: "Expression"
@@ -108,7 +106,7 @@ class BinaryOperation:
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class UnaryOperation:
     operator: str
     operand: "Expression"
@@ -116,7 +114,7 @@ class UnaryOperation:
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Assignment:
     operator: str  # "=", "+=", ...
     target: "Expression"
@@ -124,7 +122,7 @@ class Assignment:
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Conditional:
     condition: "Expression"
     true_expression: "Expression"
@@ -132,20 +130,21 @@ class Conditional:
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class NumberLiteral:
-    text: str            # exact source spelling, e.g. "0.1" or "10"
-    unit: Optional[str]  # "ether", "wei", ... or None
+    text: str         # exact source spelling, e.g. "0.1" or "10"
+    unit: str | None  # "ether", "wei", ... or None
     span: Span
 
     @property
-    def value(self) -> Optional[int]:
+    def value(self) -> int | None:
         """Exact integer value (unit applied), or None when non-integral or
         past an exponent of 4096, which no type holds and is costly to build."""
         _, _, exponent = self.text.lower().partition("e")
         try:
             if exponent and abs(int(exponent)) > 4096:
                 return None
+            from fractions import Fraction  # loads decimal: not at start-up
             magnitude = Fraction(self.text)
         except (ValueError, ZeroDivisionError):
             return None
@@ -156,7 +155,7 @@ class NumberLiteral:
         return int(magnitude)
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class HexLiteral:
     text: str  # including the 0x prefix
     span: Span
@@ -170,19 +169,19 @@ class HexLiteral:
         return int(self.text, 16)
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class StringLiteral:
     text: str  # raw source spelling including quotes
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class BoolLiteral:
     value: bool
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class ElementaryTypeExpression:
     """A type name used in expression position, e.g. the cast uint(x)."""
 
@@ -190,132 +189,130 @@ class ElementaryTypeExpression:
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class TupleExpression:
     components: list["Expression"]
     span: Span
 
 
-Expression = Union[
-    Identifier, MemberAccess, IndexAccess, CallExpression, BinaryOperation,
-    UnaryOperation, Assignment, Conditional, NumberLiteral, HexLiteral,
-    StringLiteral, BoolLiteral, ElementaryTypeExpression, TupleExpression,
-]
+Expression = (Identifier, MemberAccess, IndexAccess, CallExpression,
+              BinaryOperation, UnaryOperation, Assignment, Conditional,
+              NumberLiteral, HexLiteral, StringLiteral, BoolLiteral,
+              ElementaryTypeExpression, TupleExpression)
 
 
 # ---------------------------------------------------------------------------
 # Statements
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Block:
     statements: list["Statement"]
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class IfStatement:
     condition: Expression
     then_branch: "Statement"
-    else_branch: Optional["Statement"]
+    else_branch: Statement | None
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class ForStatement:
-    init: Optional["Statement"]       # declaration or expression statement
-    condition: Optional[Expression]
-    post: Optional[Expression]
+    init: Statement | None  # declaration or expression statement
+    condition: Expression | None
+    post: Expression | None
     body: "Statement"
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class WhileStatement:
     condition: Expression
     body: "Statement"
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class ReturnStatement:
-    value: Optional[Expression]
+    value: Expression | None
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class EmitStatement:
     call: CallExpression
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class ThrowStatement:
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class BreakStatement:
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class ContinueStatement:
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class PlaceholderStatement:
     """The `_;` statement inside modifier bodies."""
 
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class VariableDeclarationStatement:
     declaration: "VariableDeclaration"
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class ExpressionStatement:
     expression: Expression
     span: Span
 
 
-Statement = Union[
-    Block, IfStatement, ForStatement, WhileStatement, ReturnStatement,
-    EmitStatement, ThrowStatement, BreakStatement, ContinueStatement,
-    PlaceholderStatement, VariableDeclarationStatement, ExpressionStatement,
-]
+Statement = (Block, IfStatement, ForStatement, WhileStatement,
+             ReturnStatement, EmitStatement, ThrowStatement, BreakStatement,
+             ContinueStatement, PlaceholderStatement,
+             VariableDeclarationStatement, ExpressionStatement)
 
 
 # ---------------------------------------------------------------------------
 # Declarations
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class VariableDeclaration:
     name: str  # "" for unnamed parameters/returns
     type_name: TypeName
     span: Span
     data_location: str = "unspecified"  # "storage" | "memory" | "calldata" | "unspecified"
-    initializer: Optional[Expression] = None
+    initializer: Expression | None = None
     visibility: str = "default"
     is_constant: bool = False
     is_indexed: bool = False
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class FunctionDefinition:
     name: str  # "" for the fallback function
     parameters: list[VariableDeclaration]
     returns_: list[VariableDeclaration]
     visibility: str  # "public" | "external" | "internal" | "private" | "default"
     is_payable: bool
-    mutability: Optional[str]  # "constant" | "view" | "pure" | None
+    mutability: str | None  # "constant" | "view" | "pure" | None
     modifiers_invoked: list[tuple[str, list[Expression]]]
-    body: Optional[Block]
+    body: Block | None
     is_constructor: bool
     span: Span
 
@@ -328,15 +325,15 @@ class FunctionDefinition:
         return f"{self.name}({params})"
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class ModifierDefinition:
     name: str
     parameters: list[VariableDeclaration]
-    body: Optional[Block]
+    body: Block | None
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class EventDefinition:
     name: str
     parameters: list[VariableDeclaration]
@@ -344,7 +341,7 @@ class EventDefinition:
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class ContractDefinition:
     name: str
     kind: str  # "contract" | "interface" | "library"
@@ -356,7 +353,7 @@ class ContractDefinition:
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class PragmaDirective:
     name: str  # "solidity", "experimental", ...
     constraint_kind: str  # "exact" | "caret" | "range" | "other"
@@ -364,7 +361,7 @@ class PragmaDirective:
     span: Span
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SourceUnit:
     pragmas: list[PragmaDirective]
     contracts: list[ContractDefinition]

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from dataclasses import dataclass, field
-from typing import Optional
 
 from . import TOOL_NAME, __version__
+from .records import field, record
 
 IMPACT_LEVELS = ("IP1", "IP2", "IP3", "IP4", "IP5")
 
@@ -25,7 +24,7 @@ def impact_rank(impact: str) -> int:
         raise ValueError(f"unknown impact level {impact!r}") from None
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True, frozen=True)
 class Finding:
     detector: str
     category: str
@@ -33,9 +32,9 @@ class Finding:
     file: str
     message: str
     advice: str
-    line: Optional[int] = None
-    column: Optional[int] = None
-    pc: Optional[int] = None
+    line: int | None = None
+    column: int | None = None
+    pc: int | None = None
 
     @property
     def position(self) -> int:
@@ -49,22 +48,14 @@ class Finding:
         return (self.file, self.position, self.detector,
                 self.column if self.column is not None else 0)
 
-    def __reduce__(self):
-        # A worker pool sends every finding to the main process; rebuilding
-        # one from its field tuple skips the Python-level __getstate__ and
-        # __setstate__ that dataclass(slots=True) generates.
-        return (Finding, (self.detector, self.category, self.impact,
-                          self.file, self.message, self.advice, self.line,
-                          self.column, self.pc))
 
-
-@dataclass(frozen=True, slots=True)
+@record(slots=True, frozen=True)
 class InputRecord:
     path: str
     sha256: str
 
 
-@dataclass
+@record
 class Report:
     inputs: list[InputRecord] = field(default_factory=list)
     findings: list[Finding] = field(default_factory=list)
@@ -151,7 +142,7 @@ _FINDING_JSON = """\
     }"""
 
 
-def _number(value: Optional[int]) -> str:
+def _number(value: int | None) -> str:
     return "null" if value is None else int.__repr__(value)
 
 

@@ -9,8 +9,7 @@ gas detectors free of speculative positives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from .nodes import (Assignment, BinaryOperation, Block, BoolLiteral,
                     CallExpression, Conditional, ContractDefinition,
@@ -22,13 +21,14 @@ from .nodes import (Assignment, BinaryOperation, Block, BoolLiteral,
                     TupleExpression, TypeName, UnaryOperation,
                     VariableDeclaration, VariableDeclarationStatement,
                     WhileStatement, walk)
+from .records import field, record
 from .spans import Diagnostic, Span, position
 
 # ---------------------------------------------------------------------------
 # Inheritance flattening and symbol tables
 
 
-@dataclass
+@record
 class SymbolTable:
     """Flattened member lookup for one contract (inherited members merged,
     derived definitions win)."""
@@ -42,12 +42,12 @@ class SymbolTable:
     def all_functions(self) -> list[FunctionDefinition]:
         return [f for overloads in self.functions.values() for f in overloads]
 
-    def lookup_state(self, name: str) -> Optional[VariableDeclaration]:
+    def lookup_state(self, name: str) -> VariableDeclaration | None:
         return self.state_variables.get(name)
 
 
 def flatten_contract(unit: SourceUnit, contract: ContractDefinition,
-                     diagnostics: Optional[list[Diagnostic]] = None) -> SymbolTable:
+                     diagnostics: list[Diagnostic] | None = None) -> SymbolTable:
     """Merge inherited members, derived-contract overrides winning.
 
     Bases are resolved within the same source unit; a base that appears
@@ -100,7 +100,7 @@ def _absorb(c: ContractDefinition, table: SymbolTable,
 # Call graph
 
 
-@dataclass
+@record
 class CallGraph:
     """Internal call edges of one contract: f calls g by plain name, or f
     invokes modifier g. External member calls are not edges."""
@@ -143,7 +143,7 @@ def build_call_graph(table: SymbolTable) -> CallGraph:
 # Def-use / transitive liveness
 
 
-@dataclass
+@record
 class VarFacts:
     declaration: VariableDeclaration
     is_parameter: bool
@@ -152,7 +152,7 @@ class VarFacts:
     live: bool = False
 
 
-@dataclass
+@record
 class DefUseFacts:
     # one entry per declaration: the parameters, then the locals in order
     variables: list[VarFacts] = field(default_factory=list)
@@ -209,7 +209,7 @@ class _DefUseWalk:
         self.facts = DefUseFacts()
         # name -> position of its declaration in facts.variables, or None
         # for a named return, whose reads are not tracked
-        self.scope: dict[str, Optional[int]] = {}
+        self.scope: dict[str, int | None] = {}
         for param in function.parameters:
             if param.name:
                 self.declare(param, True)
@@ -223,7 +223,7 @@ class _DefUseWalk:
         variables.append(VarFacts(decl, is_parameter))
         return len(variables) - 1
 
-    def reads(self, expr: Optional[Expression]) -> list[int]:
+    def reads(self, expr: Expression | None) -> list[int]:
         """The parameters and locals in scope that `expr` reads."""
         if expr is None:
             return []
@@ -231,7 +231,7 @@ class _DefUseWalk:
         return [v for node in walk(expr) if isinstance(node, Identifier)
                 and (v := scope.get(node.name)) is not None]
 
-    def consume(self, expr: Optional[Expression]) -> None:
+    def consume(self, expr: Expression | None) -> None:
         variables = self.facts.variables
         for v in self.reads(expr):
             variables[v].live = True
@@ -328,8 +328,8 @@ class InferenceError(Exception):
     pass
 
 
-def infer_var_type(initializer: Optional[Expression],
-                   lookup=None) -> Optional[TypeName]:
+def infer_var_type(initializer: Expression | None,
+                   lookup=None) -> TypeName | None:
     """Infer the type a `var` declaration takes from its initializer.
 
     Integer literals get the smallest uintN (intN when negative) whose
@@ -357,7 +357,7 @@ def smallest_int_type(value: int, span: Span) -> TypeName:
 _BOOL_OPERATORS = frozenset({"==", "!=", "<", ">", "<=", ">=", "&&", "||"})
 
 
-def _infer(expr: Expression, lookup) -> Optional[TypeName]:
+def _infer(expr: Expression, lookup) -> TypeName | None:
     if isinstance(expr, NumberLiteral):
         value = expr.value
         if value is None:

@@ -7,24 +7,17 @@ from the file's line starts only where a finding or diagnostic is written.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
-from typing import NamedTuple
 
+from .records import record
 
-class Span(NamedTuple):
-    """The half-open range [offset, offset + length) of `str` indices in a file.
+# The half-open range [offset, offset + length) of `str` indices in a file.
+# A tuple, so it is immutable and hashable and cheap to build: the parser
+# makes one per node.
+Span = namedtuple("Span", ("file_id", "offset", "length"))
 
-    A tuple, so it is immutable and hashable and cheap to build: the parser
-    makes one per node.
-    """
-
-    file_id: str
-    offset: int
-    length: int
-
-
-# Span(...) runs NamedTuple's generated __new__, a Python function; this
+# Span(...) runs the namedtuple's generated __new__, a Python function; this
 # builds the same Span from a tuple of its fields in half the time.
 new_span = tuple.__new__
 
@@ -49,7 +42,7 @@ def position(starts: list[int], offset: int) -> tuple[int, int]:
     return line, offset - starts[line - 1] + 1
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True, frozen=True)
 class Diagnostic:
     """A non-fatal problem (syntax error, unsupported construct, ...) with
     its line and column, worked out in the process that made it."""

@@ -220,6 +220,31 @@ def test_score_rejects_flags_it_cannot_honour(corpus_copy, capsys, flags):
     assert capsys.readouterr().out == ""
 
 
+def test_score_rejects_a_sarif_format_from_its_config_file(corpus_copy, tmp_path,
+                                                          capsys):
+    config = tmp_path / "score.ini"
+    config.write_text("format = sarif\n")
+    manifest = str(corpus_copy / "manifest.txt")
+    assert main(["score", "--manifest", manifest, "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "format = sarif" in err
+    # the flag overrides the file, as for analyze
+    assert main(["score", "--manifest", manifest, "--config", str(config),
+                 "--format", "json"]) == 0
+
+
+def test_score_scores_every_label_whatever_the_config_min_impact(
+        corpus_copy, tmp_path, capsys):
+    # min_impact is an analyze key: a score card counts all 21 labels
+    config = tmp_path / "score.ini"
+    config.write_text("min_impact = IP1\nformat = json\n")
+    assert main(["score", "--manifest", str(corpus_copy / "manifest.txt"),
+                 "--config", str(config)]) == 0
+    overall = json.loads(capsys.readouterr().out)["overall"]
+    assert (overall["tp"], overall["fp"], overall["fn"]) == (21, 0, 0)
+
+
 def test_negative_jobs_is_a_usage_error(corpus_copy, tmp_path, capsys):
     config = tmp_path / "jobs.ini"
     config.write_text("jobs = -3\n")

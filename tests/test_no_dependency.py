@@ -1,7 +1,7 @@
 """The analysis path needs nothing outside the standard library: with
 `requests` unimportable the CLI still analyzes, scores and lists, the
-fetch tests still pass, and importing the CLI loads no HTTP code and no
-process pool."""
+fetch tests still pass, and importing the CLI loads no HTTP code, no
+process pool, and none of the modules that only some runs need."""
 
 from __future__ import annotations
 
@@ -38,11 +38,12 @@ sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[1:]]))
 '''
 
 
-def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+def _python(code: str, *args: str, flags: tuple[str, ...] = ()
+            ) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath(SRC), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+    return subprocess.run([sys.executable, *flags, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=300)
 
 
@@ -71,3 +72,19 @@ def test_cli_import_loads_no_process_pool():
                    " if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# modules every CLI start would pay for but none needs: dataclasses (and the
+# inspect it loads), typing and fractions, and the scorer, which loads with a
+# score run
+NOT_AT_START = ("dataclasses", "inspect", "typing", "fractions",
+                "soldefect.corpus")
+
+
+def test_cli_start_loads_only_what_every_run_needs():
+    proc = _python("import sys, soldefect.cli\n"
+                   "soldefect.cli.build_arg_parser()\n"
+                   "print(*sys.modules)", flags=("-S",))
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert [m for m in NOT_AT_START if m in loaded] == []

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from soldefect.analyzer import FileOutcome
 from soldefect.detectors import REGISTRY
+from soldefect.records import field, record
 from soldefect.report import (IMPACT_LEVELS, Finding, InputRecord, Report,
                               filter_by_impact, impact_rank, render,
                               render_json, render_sarif, render_text)
+
+from soldefect.spans import Diagnostic, Span
 
 from conftest import clean_outcome, findings_for, read_listing
 
@@ -18,6 +23,68 @@ def _finding(detector="reentrancy", impact="IP1", file="a.sol", line=3,
     return Finding(detector=detector, category=category, impact=impact,
                    file=file, message="m", advice="a", line=line, pc=pc,
                    column=1 if line is not None else None)
+
+
+def _diagnostic(message="boom") -> Diagnostic:
+    return Diagnostic("error", message, Span("a.sol", 40, 7), 3, 5)
+
+
+@record(slots=True, frozen=True)
+class Tag:
+    name: str
+
+
+@record
+class Note:
+    text: str = field(compare=False, default="")
+
+
+# the records a worker process sends back, and a frozen record of one field:
+# frozen ones hash by value
+FROZEN_RECORDS = {
+    "finding": lambda: _finding(),
+    "bytecode-finding": lambda: _finding(line=None, pc=17),
+    "input": lambda: InputRecord("a.sol", "ab" * 32),
+    "diagnostic": _diagnostic,
+    "one-field": lambda: Tag("a.sol"),
+}
+
+
+@pytest.mark.parametrize("make", [*FROZEN_RECORDS.values(), lambda: FileOutcome(
+    "a.sol", "ab" * 32, [_finding()], [_diagnostic()])],
+    ids=[*FROZEN_RECORDS, "outcome"])
+def test_records_pickle_round_trip(make):
+    record = make()
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record
+    assert type(copy) is type(record)
+    assert repr(copy) == repr(record)
+
+
+@pytest.mark.parametrize("make", FROZEN_RECORDS.values(), ids=list(FROZEN_RECORDS))
+def test_frozen_records_refuse_assignment_and_hash_by_value(make):
+    record = make()
+    name = type(record).__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, "b.sol")
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    assert record == make()
+    assert hash(record) == hash(make())
+    assert len({record, make()}) == 1
+
+
+def test_frozen_records_differ_by_any_field():
+    assert _finding() != _finding(line=4)
+    assert len({_finding(), _finding(line=4), _finding(file="b.sol")}) == 3
+    assert _diagnostic() != _diagnostic("bang")
+    assert InputRecord("a.sol", "00") != InputRecord("a.sol", "01")
+    assert Tag("a") != Tag("b")
+
+
+def test_record_without_compared_fields():
+    assert Note("a") == Note("b")
+    assert repr(Note()) == "Note(text='')"
 
 
 def test_impact_rank_order():

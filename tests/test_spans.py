@@ -9,7 +9,11 @@ from soldefect.config import DetectorConfig
 from soldefect.detectors import AnalysisContext, run_detectors
 from soldefect.detectors.base import _SOURCE_DETECTORS
 from soldefect.lexer import tokenize
-from soldefect.parser import parse
+from soldefect.nodes import (Assignment, Block, ContractDefinition,
+                             ExpressionStatement, FunctionDefinition,
+                             Identifier, NumberLiteral, PragmaDirective,
+                             SourceUnit, TypeName, VariableDeclaration)
+from soldefect.parser import parse, parse_source
 from soldefect.spans import Diagnostic, Span, join_spans, position
 
 from conftest import LISTINGS, read_listing, span_contains
@@ -111,3 +115,63 @@ def test_positions_match_newline_counting(name, text):
     # listing4.sol is the defect-free listing; a file of no tokens lacks a
     # version pragma, found at the end token's fallback span
     assert bool(found) == (name != "listing4.sol")
+
+
+# -- nodes as records ---------------------------------------------------------
+
+SMALL_SOURCE = "pragma solidity ^0.4.24; contract C { uint x; function f() { x = 1; } }"
+
+# repr(small_tree()), as the dataclass nodes wrote it: the tree snapshot
+# hashes this form, which leaves out SourceUnit.line_starts
+SMALL_TREE_REPR = (
+    "SourceUnit(pragmas=[PragmaDirective(name='solidity', constraint_kind='caret', "
+    "version_text='^0.4.24', span=Span(file_id='t.sol', offset=0, length=24))], "
+    "contracts=[ContractDefinition(name='C', kind='contract', bases=[], "
+    "state_variables=[VariableDeclaration(name='x', type_name=TypeName("
+    "kind='elementary', span=Span(file_id='t.sol', offset=38, length=4), "
+    "name='uint', element=None, length=None, key_type=None, value_type=None), "
+    "span=Span(file_id='t.sol', offset=38, length=7), data_location='unspecified', "
+    "initializer=None, visibility='default', is_constant=False, is_indexed=False)], "
+    "functions=[FunctionDefinition(name='f', parameters=[], returns_=[], "
+    "visibility='default', is_payable=False, mutability=None, modifiers_invoked=[], "
+    "body=Block(statements=[ExpressionStatement(expression=Assignment(operator='=', "
+    "target=Identifier(name='x', span=Span(file_id='t.sol', offset=61, length=1)), "
+    "value=NumberLiteral(text='1', unit=None, span=Span(file_id='t.sol', offset=65, "
+    "length=1)), span=Span(file_id='t.sol', offset=61, length=5)), "
+    "span=Span(file_id='t.sol', offset=61, length=6))], span=Span(file_id='t.sol', "
+    "offset=59, length=10)), is_constructor=False, span=Span(file_id='t.sol', "
+    "offset=46, length=23))], modifiers=[], events=[], span=Span(file_id='t.sol', "
+    "offset=25, length=46))], span=Span(file_id='t.sol', offset=0, length=71))")
+
+
+def small_tree() -> SourceUnit:
+    """The tree of SMALL_SOURCE, built by hand."""
+    def at(offset, length):
+        return Span("t.sol", offset, length)
+    uint = TypeName("elementary", at(38, 4), "uint")
+    x = VariableDeclaration("x", uint, at(38, 7))
+    assign = Assignment("=", Identifier("x", at(61, 1)),
+                        NumberLiteral("1", None, at(65, 1)), at(61, 5))
+    body = Block([ExpressionStatement(assign, at(61, 6))], at(59, 10))
+    f = FunctionDefinition("f", [], [], "default", False, None, [], body,
+                           False, at(46, 23))
+    contract = ContractDefinition("C", "contract", [], [x], [f], [], [], at(25, 46))
+    pragma = PragmaDirective("solidity", "caret", "^0.4.24", at(0, 24))
+    return SourceUnit([pragma], [contract], at(0, 71), [0])
+
+
+def test_node_repr_keeps_the_dataclass_form():
+    assert repr(small_tree()) == SMALL_TREE_REPR
+    assert small_tree() == parse_source(SMALL_SOURCE, "t.sol").unit
+
+
+def test_nodes_compare_by_fields_and_are_unhashable():
+    text = read_listing("listing1.sol")
+    first = parse_source(text, "t.sol").unit
+    assert first == parse_source(text, "t.sol").unit
+    assert first != parse_source(text, "u.sol").unit  # every span differs
+    other = small_tree()
+    other.line_starts = [0, 30]
+    assert other == small_tree()  # line starts are not compared
+    with pytest.raises(TypeError):
+        hash(first.contracts[0])
