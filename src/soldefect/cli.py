@@ -149,7 +149,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     except AddressFormatError as exc:
         print(f"soldefect: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FetchError as exc:
+    except (FetchError, OSError) as exc:  # OSError: writing the cache
         print(f"soldefect: {exc}", file=sys.stderr)
         return EXIT_IO
     for notice in result.notices:

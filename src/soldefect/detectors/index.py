@@ -77,7 +77,6 @@ class NodeIndex:
 class StatementFacts:
     node: Statement
     conditions: tuple  # enclosing if/while/for conditions, outermost first
-    guards: tuple      # conditions, then require/assert arguments so far
     for_init: bool     # the init statement of a for loop
     end: int           # one past this statement's subtree in ``statements``
 
@@ -108,7 +107,6 @@ class FunctionIndex:
         self.statements: list[StatementFacts] = []
         # (assigned local or state name, value), in statement order
         self.assignments: list[tuple[str, Expression]] = []
-        prior: tuple = ()  # require/assert arguments of the statements so far
         stack: list = [(fn.body, (), False)]
         while stack:
             item = stack.pop()
@@ -117,10 +115,7 @@ class FunctionIndex:
                 continue
             stmt, conditions, for_init = item
             k = len(self.statements)
-            if isinstance(stmt, (ExpressionStatement, VariableDeclarationStatement)):
-                prior += self._note(stmt, for_init)
-            self.statements.append(StatementFacts(
-                stmt, conditions, conditions + prior, for_init, k + 1))
+            self.statements.append(StatementFacts(stmt, conditions, for_init, k + 1))
             if isinstance(stmt, Block):
                 pushed = [(s, conditions, False) for s in reversed(stmt.statements)]
             elif isinstance(stmt, IfStatement):
@@ -133,27 +128,21 @@ class FunctionIndex:
                 if stmt.condition is not None:
                     conditions += (stmt.condition,)
                 pushed.append((stmt.body, conditions, False))
-            else:
+            else:  # no nested statements: record its locals and assignments
+                if isinstance(stmt, VariableDeclarationStatement):
+                    decl = stmt.declaration
+                    if decl.name:
+                        self.locals.add(decl.name)
+                        if decl.initializer is not None:
+                            self.assignments.append((decl.name, decl.initializer))
+                elif isinstance(stmt, ExpressionStatement):
+                    expr = unwrap(stmt.expression)
+                    if isinstance(expr, Assignment) \
+                            and isinstance(expr.target, Identifier):
+                        self.assignments.append((expr.target.name, expr.value))
                 continue
             stack.append(k)
             stack += pushed
-
-    def _note(self, stmt, for_init: bool) -> tuple:
-        """Record locals and assignments; return the statement's guards."""
-        if isinstance(stmt, VariableDeclarationStatement):
-            decl = stmt.declaration
-            if decl.name:
-                self.locals.add(decl.name)
-                if decl.initializer is not None:
-                    self.assignments.append((decl.name, decl.initializer))
-            expr = decl.initializer
-        else:
-            expr = unwrap(stmt.expression)
-            if isinstance(expr, Assignment) and isinstance(expr.target, Identifier):
-                self.assignments.append((expr.target.name, expr.value))
-        if not for_init and expr is not None and is_guard_call(unwrap(expr)):
-            return tuple(unwrap(expr).arguments)
-        return ()
 
     def of(self, *types: type) -> list:
         """Body nodes of the given types, in pre-order."""
@@ -222,12 +211,13 @@ class FunctionIndex:
                 and self.table.lookup_state(base.name) is not None]
 
     def propagate(self, sources: Callable[[Expression], list],
-                  locals_only: bool) -> dict[str, list]:
+                  locals_only: bool) -> dict[str, dict]:
         """Assignment propagation, two passes over the statements: each
         assigned name collects ``sources(value)`` plus what the names read in
         the value collected before, skipping assignments to non-locals when
-        ``locals_only``. Returns name -> facts in first-seen order."""
-        facts: dict[str, list] = {}
+        ``locals_only``. Returns name -> facts, as the keys of a dict in
+        first-seen order."""
+        facts: dict[str, dict] = {}
         for _ in range(2):
             for name, value in self.assignments:
                 if locals_only and name not in self.locals:
@@ -237,7 +227,5 @@ class FunctionIndex:
                     for node in self.within(value, Identifier):
                         found += facts.get(node.name, ())
                 if found:
-                    existing = facts.setdefault(name, [])
-                    existing += [item for item in dict.fromkeys(found)
-                                 if item not in existing]
+                    facts.setdefault(name, {}).update(dict.fromkeys(found))
         return facts

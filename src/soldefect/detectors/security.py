@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
 
 from ..nodes import (Assignment, BinaryOperation, CallExpression,
@@ -14,7 +15,7 @@ from ..spans import Span
 from .base import AnalysisContext, DetectorDescriptor, Hit, register
 from .common import (CHECKABLE_CALL_KINDS, ETHER_SENDING_KINDS,
                      builtin_call_name, global_member, is_balance_expression,
-                     is_tx_origin, unwrap)
+                     is_guard_call, is_tx_origin, unwrap)
 from .index import FunctionIndex
 
 # ---------------------------------------------------------------------------
@@ -342,62 +343,64 @@ REENTRANCY = DetectorDescriptor(
 
 @register(REENTRANCY)
 def detect_reentrancy(ctx: AnalysisContext) -> Iterator[Hit]:
+    """A call.value call is guarded by the state its guards read: the
+    enclosing if/while/for conditions, plus, for calls in expression and
+    declaration statements, the require/assert arguments of statements up
+    to and including their own; guards that contain the call are left out.
+    Calls in for-loop init and post expressions, return values and emits
+    are not considered."""
     for index in ctx.source.bodies(modifiers=False):
-        calls = _guarded_value_calls(index)
-        if not calls:
+        if "callvalue" not in map(index.kind, index.of(CallExpression)):
             continue
         # local -> the state variables its value was derived from
         deps = index.propagate(lambda value: _state_reads(index, value),
                                locals_only=True)
-        for call, guards in calls:
-            guarded_state: set[str] = set()
-            for guard in guards:
-                guarded_state.update(_state_reads(index, guard))
-                for node in index.within(guard, Identifier):
-                    guarded_state.update(deps.get(node.name, ()))
-            if not guarded_state:
+        known: dict[int, set[str]] = {}  # id(guard) -> the state it reads
+
+        def reads(guard) -> set[str]:
+            if id(guard) not in known:
+                known[id(guard)] = set(_state_reads(index, guard)).union(
+                    *(deps.get(n.name, ()) for n in index.within(guard, Identifier)))
+            return known[id(guard)]
+
+        writes: dict[str, list[tuple]] = {}  # name -> (offset, position, name)s
+        for k, (name, expr) in enumerate(index.state_writes):
+            writes.setdefault(name, []).append((expr.span.offset, k, name))
+        required: set[str] = set()  # read by the require/assert arguments so far
+        for st in index.statements:
+            stmt, arguments, prior = st.node, (), [required]
+            if isinstance(stmt, (IfStatement, WhileStatement, ForStatement)):
+                expr, prior = stmt.condition, []  # guarded by its conditions only
+            elif isinstance(stmt, ExpressionStatement):
+                expr = stmt.expression
+            elif isinstance(stmt, VariableDeclarationStatement):
+                expr = stmt.declaration.initializer
+            else:
                 continue
-            call_offset = call.span.offset
-            for name, write_expr in index.state_writes:
-                if name in guarded_state and write_expr.span.offset > call_offset:
-                    yield (call.span,
-                           f"external call precedes the update of "
-                           f"{name}, which its guard reads")
-                    break
+            if expr is None or st.for_init:
+                continue
+            if prior and is_guard_call(unwrap(expr)):
+                arguments = unwrap(expr).arguments
+            for call in index.within(expr, CallExpression):
+                if index.kind(call) != "callvalue":
+                    continue
+                guarded = prior + [reads(c) for c in st.conditions] + [
+                    reads(a) for a in arguments if not index.contains(a, call)]
+                after = (call.span.offset + 1,)
+                later = [w[i] for names in guarded for name in names
+                         if (w := writes.get(name))
+                         and (i := bisect_left(w, after)) < len(w)]
+                if later:  # the first write after the call
+                    yield (call.span, f"external call precedes the update of "
+                                      f"{min(later)[2]}, which its guard reads")
+            for argument in arguments:
+                required |= reads(argument)
 
 
 def _state_reads(index: FunctionIndex, expr) -> list[str]:
     return [node.name for node in index.within(expr, Identifier)
             if node.name not in index.locals
             and index.table.lookup_state(node.name) is not None]
-
-
-def _guarded_value_calls(index: FunctionIndex) -> list[tuple]:
-    """(call.value call, guard conditions) for each such call in the body.
-    Guards are the enclosing if/while/for conditions, plus, for calls in
-    expression and declaration statements, the require/assert arguments
-    of statements up to and including their own; guards that contain the
-    call are left out. Calls in for-loop init and post expressions, return
-    values and emits are not considered."""
-    calls: list[tuple] = []
-    for st in index.statements:
-        stmt = st.node
-        guards = st.guards
-        if isinstance(stmt, (IfStatement, WhileStatement, ForStatement)):
-            expr, guards = stmt.condition, st.conditions
-        elif isinstance(stmt, ExpressionStatement):
-            expr = stmt.expression
-        elif isinstance(stmt, VariableDeclarationStatement):
-            expr = stmt.declaration.initializer
-        else:
-            continue
-        if expr is None or st.for_init:
-            continue
-        for node in index.within(expr, CallExpression):
-            if index.kind(node) == "callvalue":
-                calls.append((node, [c for c in guards
-                                     if not index.contains(c, node)]))
-    return calls
 
 
 # ---------------------------------------------------------------------------

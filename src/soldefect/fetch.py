@@ -112,16 +112,16 @@ def fetch_contract(address: str, config: FetchConfig,
     session = session or UrllibSession()
     result = FetchResult(address)
 
-    source_payload = _api_get(session, config, {
+    # both replies are checked before anything is written to the cache
+    source_text = _extract_source(_api_get(session, config, {
         "module": "contract", "action": "getsourcecode", "address": address,
-    })
-    source_text = _extract_source(source_payload)
-
-    code_payload = _api_get(session, config, {
+    }))
+    code_hex = _api_get(session, config, {
         "module": "proxy", "action": "eth_getCode", "address": address,
         "tag": "latest",
-    })
-    code_hex = code_payload.get("result") if isinstance(code_payload, dict) else None
+    }).get("result")
+    if not isinstance(code_hex, str) or not re.fullmatch(r"0x[0-9a-fA-F]*", code_hex):
+        raise FetchError("API returned no 0x-prefixed hex bytecode")
 
     os.makedirs(cache_dir, exist_ok=True)
     if source_text:
@@ -131,7 +131,7 @@ def fetch_contract(address: str, config: FetchConfig,
     else:
         result.notices.append(
             f"{address}: contract source is not verified; bytecode only")
-    if isinstance(code_hex, str) and code_hex not in ("", "0x"):
+    if code_hex != "0x":
         result.bytecode_path = os.path.join(cache_dir, "runtime.hex")
         with open(result.bytecode_path, "w", encoding="ascii") as fh:
             fh.write(code_hex + "\n")
@@ -154,16 +154,23 @@ def _api_get(session, config: FetchConfig, params: dict) -> dict:
     if response.status_code != 200:
         raise FetchError(f"API returned HTTP {response.status_code}")
     try:
-        return response.json()
+        payload = response.json()
     except ValueError as exc:
         raise FetchError(f"API returned invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FetchError("API returned JSON that is not an object")
+    error = payload.get("error")  # JSON-RPC's error form; explorers use status 0
+    if error is not None or payload.get("status") == "0":
+        reason = error.get("message") if isinstance(error, dict) else error
+        raise FetchError(f"API returned an error: {reason or payload.get('result')}")
+    return payload
 
 
 def _extract_source(payload: dict) -> str | None:
+    """The verified source, or None for an unverified contract."""
     result = payload.get("result")
-    if isinstance(result, list) and result:
-        source = result[0].get("SourceCode", "")
-        return source or None
-    if isinstance(result, str):
-        return result or None
-    return None
+    entry = result[0] if isinstance(result, list) and result else None
+    source = entry.get("SourceCode", "") if isinstance(entry, dict) else None
+    if not isinstance(source, str):
+        raise FetchError("API returned no source code entry")
+    return source or None

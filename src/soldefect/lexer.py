@@ -61,10 +61,10 @@ ETHER_UNITS = {
 
 # One compiled pass over the file. Each match is the whitespace before a
 # token and the token. The groups are tried in order, so a comment wins over
-# the `/` operator and a hex literal over the number 0. The last group takes
-# any one character the others do not, which is an error; it takes no
-# whitespace, so whitespace at the end of the file matches nothing. A
-# token's kind is its group's index in _KINDS.
+# the `/` operator and a hex literal over the number 0. The next group takes
+# any one character the others do not, which is an error; the last takes the
+# end of the input, so trailing whitespace is one match, not a rescan from
+# each of its positions. A token's kind is its group's index in _KINDS.
 _TOKEN_RE = re.compile(
     r"""
     [ \t\r\n]*(?:
@@ -75,11 +75,12 @@ _TOKEN_RE = re.compile(
   | (0[xX][0-9a-fA-F]+)
   | ([0-9]+(?:\.[0-9]+)*(?:[eE]-?[0-9]+)?)
   | ("(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
-  | ([^ \t\r\n]))
+  | ([^ \t\r\n])
+  | (\Z))
     """,
     re.VERBOSE,
 )
-_IDENTIFIER, _OP, _OTHER = 1, 4, 8
+_IDENTIFIER, _OP, _OTHER, _END = 1, 4, 8, 9
 _KINDS = (None, None, PUNCT, COMMENT, OP, HEX, NUMBER, STRING)
 
 
@@ -123,6 +124,8 @@ def tokenize(source_text: str, file_id: str) -> Tokens:
         if group == _IDENTIFIER:
             append((KEYWORD if text in keyword_texts else IDENTIFIER,
                     text, start, end - start))
+        elif group == _END:
+            break
         elif group == _OTHER:
             # a `/` always lexes, so only a quote opens an unterminated token
             raise LexerError("unterminated string" if text in "\"'"

@@ -35,12 +35,13 @@ class SymbolTable:
 
     contract: ContractDefinition
     state_variables: dict[str, VariableDeclaration] = field(default_factory=dict)
-    functions: dict[str, list[FunctionDefinition]] = field(default_factory=dict)
+    # name -> signature -> function, each name's overloads in merge order
+    functions: dict[str, dict[str, FunctionDefinition]] = field(default_factory=dict)
     modifiers: dict[str, ModifierDefinition] = field(default_factory=dict)
     events: dict[str, EventDefinition] = field(default_factory=dict)
 
     def all_functions(self) -> list[FunctionDefinition]:
-        return [f for overloads in self.functions.values() for f in overloads]
+        return [f for overloads in self.functions.values() for f in overloads.values()]
 
     def lookup_state(self, name: str) -> VariableDeclaration | None:
         return self.state_variables.get(name)
@@ -56,7 +57,8 @@ def flatten_contract(unit: SourceUnit, contract: ContractDefinition,
     """
     table = SymbolTable(contract)
     repeated: list[str] = []
-    _absorb(contract, table, {c.name: c for c in unit.contracts}, set(), repeated)
+    by_name = {c.name: c for c in unit.contracts} if contract.bases else {}
+    _absorb(contract, table, by_name, set(), repeated)
     if diagnostics is not None:
         diagnostics += [Diagnostic(
             "warning", f"contract {contract.name}: base {name} inherited more "
@@ -86,10 +88,10 @@ def _absorb(c: ContractDefinition, table: SymbolTable,
     for var in c.state_variables:
         table.state_variables[var.name] = var
     for fn in c.functions:
-        overloads = table.functions.setdefault(fn.name, [])
+        overloads = table.functions.setdefault(fn.name, {})
         key = fn.signature()
-        overloads[:] = [f for f in overloads if f.signature() != key]
-        overloads.append(fn)
+        overloads.pop(key, None)  # an override moves to the end
+        overloads[key] = fn
     for mod in c.modifiers:
         table.modifiers[mod.name] = mod
     for event in c.events:
@@ -106,9 +108,6 @@ class CallGraph:
     invokes modifier g. External member calls are not edges."""
 
     edges: set[tuple[str, str]] = field(default_factory=set)
-
-    def callers_of(self, name: str) -> set[str]:
-        return {src for src, dst in self.edges if dst == name}
 
 
 def _node_key(fn: FunctionDefinition | ModifierDefinition) -> str:

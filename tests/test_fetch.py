@@ -125,3 +125,67 @@ def test_api_key_sent_only_when_configured(tmp_path, monkeypatch):
     for root, _dirs, files in os.walk(cache_root):
         for name in files:
             assert "sekrit" not in open(os.path.join(root, name)).read()
+
+
+# -- API error payloads: nothing is cached, and the CLI exits 3 ---------------
+
+RATE_LIMITED = {"status": "0", "message": "NOTOK",
+                "result": "Max rate limit reached, please use API Key"}
+
+
+@pytest.mark.parametrize("action, payload, reason", [
+    (("contract", "getsourcecode"), RATE_LIMITED, "Max rate limit reached"),
+    (("proxy", "eth_getCode"), RATE_LIMITED, "Max rate limit reached"),
+    (("proxy", "eth_getCode"),
+     {"jsonrpc": "2.0", "id": 1, "error": {"code": -32602, "message": "bad address"}},
+     "bad address"),
+    (("contract", "getsourcecode"), [{"SourceCode": VERIFIED_SOURCE}], "not an object"),
+    (("contract", "getsourcecode"), {"status": "1", "result": [5]}, "no source code"),
+    (("contract", "getsourcecode"), {"status": "1", "result": "contract X { }"},
+     "no source code"),
+    (("contract", "getsourcecode"), {"status": "1", "result": []}, "no source code"),
+    (("contract", "getsourcecode"), {"status": "1", "result": [{"SourceCode": 7}]},
+     "no source code"),
+    (("proxy", "eth_getCode"), {"result": "6001600201"}, "hex bytecode"),
+    (("proxy", "eth_getCode"), {"result": "0xzz"}, "hex bytecode"),
+    (("proxy", "eth_getCode"), {"result": ["0x60"]}, "hex bytecode"),
+    (("proxy", "eth_getCode"), {}, "hex bytecode"),
+])
+def test_bad_payload_raises_and_caches_nothing(tmp_path, action, payload, reason):
+    fixtures = dict(FIXTURES)
+    fixtures[action] = payload
+    with pytest.raises(FetchError, match=reason):
+        fetch_contract(ADDRESS, _config(tmp_path), FakeSession(fixtures))
+    assert not (tmp_path / "cache").exists()
+    # the address is fetched again, not served from a cache of the error
+    result = fetch_contract(ADDRESS, _config(tmp_path), FakeSession())
+    assert not result.from_cache
+    assert open(result.source_path).read() == VERIFIED_SOURCE
+
+
+def test_no_code_at_address_writes_no_bytecode(tmp_path):
+    fixtures = dict(FIXTURES)
+    fixtures[("proxy", "eth_getCode")] = {"jsonrpc": "2.0", "id": 1, "result": "0x"}
+    result = fetch_contract(ADDRESS, _config(tmp_path), FakeSession(fixtures))
+    assert result.bytecode_path is None
+    assert open(result.source_path).read() == VERIFIED_SOURCE
+
+
+def test_cli_fetch_of_an_error_payload_exits_3(tmp_path, monkeypatch, capsys):
+    from soldefect import cli, fetch
+    fixtures = {key: RATE_LIMITED for key in FIXTURES}
+    monkeypatch.setattr(fetch, "UrllibSession", lambda: FakeSession(fixtures))
+    code = cli.main(["fetch", ADDRESS, "--api-base", "https://scan.example/api",
+                     "--cache-dir", str(tmp_path / "cache")])
+    assert code == 3
+    assert "Max rate limit reached" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()
+
+
+def test_cli_fetch_that_cannot_write_its_cache_exits_3(tmp_path, monkeypatch):
+    from soldefect import cli, fetch
+    monkeypatch.setattr(fetch, "UrllibSession", FakeSession)
+    (tmp_path / "cache").write_text("a file where the cache directory goes")
+    code = cli.main(["fetch", ADDRESS, "--api-base", "https://scan.example/api",
+                     "--cache-dir", str(tmp_path / "cache")])
+    assert code == 3

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -38,6 +40,8 @@ def test_line_comment_and_spans():
     assert [t[1] for t in tokens] == ["x", "=", "1", ";", "// note", "y"]
     y = tokens[-1]
     assert position(tokens.line_starts, y[2]) == (2, 1)
+    # a comment that ends the file keeps its trailing spaces
+    assert tokenize("x // end   ", "t.sol")[-1] == (COMMENT, "// end   ", 2, 9)
 
 
 def test_scientific_notation_is_one_number():
@@ -45,6 +49,18 @@ def test_scientific_notation_is_one_number():
     assert [t[:2] for t in tokens] == [
         (NUMBER, "1e18"), (NUMBER, "2.5e1"), (NUMBER, "2e-10"), (NUMBER, "1E3"),
         (NUMBER, "1"), (KEYWORD, "ether"), (NUMBER, "2"), (IDENTIFIER, "e")]
+
+
+@pytest.mark.parametrize("tail", ["\n", " ", "\r\n", "\t "])
+def test_trailing_whitespace_lexes_in_linear_time(tail):
+    # the whitespace after the last token must be taken in one match: a
+    # rescan from each of its positions is quadratic in its length
+    start = time.perf_counter()
+    tokens = tokenize("contract C { } // end  \n" + tail * 20_000, "t.sol")
+    blank = tokenize(tail * 20_000, "t.sol")
+    assert time.perf_counter() - start < 1.0
+    assert tokens[-1] == (COMMENT, "// end  ", 15, 8)
+    assert blank == []
 
 
 def test_hex_and_address_literals():

@@ -223,7 +223,7 @@ contract Derived is Base { function shared() { uint y = 1; } }
     assert "x" in table.state_variables
     assert set(table.functions) == {"f", "shared"}
     # the derived override wins
-    shared = table.functions["shared"][0]
+    shared = table.functions["shared"]["shared()"]
     assert len(shared.body.statements) == 1
 
 
