@@ -13,7 +13,7 @@ import os
 from .config import RunConfig
 from .detectors import (AnalysisContext, BytecodeFacts, ContractFacts,
                         SourceFacts, run_detectors)
-from .evm.cfg import build_cfg
+from .evm import cfg as evm_cfg
 from .evm.disasm import BytecodeError, decode_bytecode_input, disassemble
 from .evm.loops import detect_loops
 from .evm.selectors import extract_selectors
@@ -22,7 +22,7 @@ from .parser import ParseResult, parse
 from .records import field, record
 from .report import Finding, InputRecord, Report
 from .semantic import build_call_graph, compute_def_use, flatten_contract
-from .spans import Diagnostic
+from .spans import Diagnostic, Span
 
 SOURCE_EXTENSIONS = (".sol",)
 BYTECODE_EXTENSIONS = (".hex", ".bin")
@@ -51,10 +51,10 @@ def source_facts(result: ParseResult, file_id: str) -> SourceFacts:
 
 
 def build_bytecode_facts(code: bytes, file_id: str) -> BytecodeFacts:
-    instructions = disassemble(code)
-    cfg = build_cfg(instructions)
-    return BytecodeFacts(file_id, code, instructions, cfg, detect_loops(cfg),
-                         extract_selectors(cfg))
+    disassembly = disassemble(code)
+    cfg = evm_cfg.build_cfg(disassembly)
+    return BytecodeFacts(file_id, disassembly.code, disassembly, cfg,
+                         detect_loops(cfg), extract_selectors(cfg))
 
 
 def file_mode(path: str, mode: str) -> str:
@@ -97,9 +97,11 @@ def analyze_input(raw: bytes, path: str, config: RunConfig) -> FileOutcome:
         if file_mode(path, config.mode) == "bytecode":
             code = decode_bytecode_input(_bytecode_input(raw, path))
             phase = "bytecode facts"
-            ctx = AnalysisContext(bytecode=build_bytecode_facts(code, path),
-                                  config=config.detectors)
+            facts = build_bytecode_facts(code, path)
+            ctx = AnalysisContext(bytecode=facts, config=config.detectors)
             diagnostics = []
+            if facts.cfg.out_of_budget:
+                diagnostics.append(_budget_warning(path))
         else:
             text = raw.decode("utf-8")
             phase = "lex"
@@ -117,6 +119,13 @@ def analyze_input(raw: bytes, path: str, config: RunConfig) -> FileOutcome:
         outcome.error = f"{path}: {phase} failed: {type(exc).__name__}: {exc}"
         outcome.phase = phase
     return outcome
+
+
+def _budget_warning(path: str) -> Diagnostic:
+    return Diagnostic("warning", "control-flow recovery stopped after "
+                      f"{evm_cfg.STEP_BUDGET} emulation steps; the CFG and "
+                      "the bytecode findings are incomplete",
+                      Span(path, 0, 0), 1, 1)
 
 
 def _bytecode_input(raw: bytes, path: str) -> bytes | str:

@@ -89,7 +89,7 @@ class SourceFacts:
 class BytecodeFacts:
     file_id: str
     code: bytes
-    instructions: list
+    instructions: object  # the evm.disasm.Disassembly of `code`
     cfg: object
     loops: list
     selectors: dict

@@ -10,10 +10,13 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from ..evm.cfg import unwrap_iszero, value_tags
+from ..evm.opcodes import MNEMONICS
 from .availability import ERC20_SELECTORS, UNMATCHED_ERC20
 from .base import AnalysisContext, Hit, register_bytecode
 from .maintainability import HARD_CODE_ADDRESS
 from .security import NESTED_CALL, STRICT_BALANCE_EQUALITY
+
+_CALL, _PUSH20 = MNEMONICS["CALL"], MNEMONICS["PUSH20"]
 
 
 @register_bytecode(STRICT_BALANCE_EQUALITY.id)
@@ -32,25 +35,27 @@ def detect_strict_balance_equality_bc(ctx: AnalysisContext) -> Iterator[Hit]:
 def detect_nested_call_bc(ctx: AnalysisContext) -> Iterator[Hit]:
     """A loop with no constant bound whose body executes CALL."""
     bc = ctx.bytecode
+    code, starts = bc.instructions.code, bc.instructions.starts
     for loop in bc.loops:
         if loop.is_bounded:
             continue
         for block_id in sorted(loop.body):
             block = bc.cfg.blocks[block_id]
-            call = next((i for i in block.instructions if i.mnemonic == "CALL"),
-                        None)
+            call = next((pc for pc in starts[block.start:block.stop]
+                         if code[pc] == _CALL), None)
             if call is not None:
-                yield (call.pc, f"CALL at {call.pc:#x} inside an unbounded "
-                                f"loop headed at block {loop.header:#x}")
+                yield (call, f"CALL at {call:#x} inside an unbounded "
+                             f"loop headed at block {loop.header:#x}")
                 break
 
 
 @register_bytecode(HARD_CODE_ADDRESS.id)
 def detect_hard_code_address_bc(ctx: AnalysisContext) -> Iterator[Hit]:
-    """PUSH20 of a nonzero constant is an embedded address."""
-    for ins in ctx.bytecode.instructions:
-        if ins.mnemonic == "PUSH20" and ins.valid and ins.push_value != 0:
-            yield ins.pc, f"hard-coded address 0x{ins.push_bytes.hex()}"
+    """PUSH20 of a nonzero constant, not cut short, is an embedded address."""
+    dis = ctx.bytecode.instructions
+    for pc, value in dis.push_values.items():  # in pc order
+        if value and dis.code[pc] == _PUSH20 and not dis.truncated(pc):
+            yield pc, f"hard-coded address 0x{dis.code[pc + 1:pc + 21].hex()}"
 
 
 @register_bytecode(UNMATCHED_ERC20.id)

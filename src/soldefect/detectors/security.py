@@ -363,9 +363,11 @@ def detect_reentrancy(ctx: AnalysisContext) -> Iterator[Hit]:
                     *(deps.get(n.name, ()) for n in index.within(guard, Identifier)))
             return known[id(guard)]
 
-        writes: dict[str, list[tuple]] = {}  # name -> (offset, position, name)s
-        for k, (name, expr) in enumerate(index.state_writes):
-            writes.setdefault(name, []).append((expr.span.offset, k, name))
+        writes = sorted((expr.span.offset, k, name)
+                        for k, (name, expr) in enumerate(index.state_writes))
+        by_name: dict[str, list[tuple]] = {}
+        for write in writes:
+            by_name.setdefault(write[2], []).append(write)
         required: set[str] = set()  # read by the require/assert arguments so far
         for st in index.statements:
             stmt, arguments, prior = st.node, (), [required]
@@ -386,15 +388,31 @@ def detect_reentrancy(ctx: AnalysisContext) -> Iterator[Hit]:
                     continue
                 guarded = prior + [reads(c) for c in st.conditions] + [
                     reads(a) for a in arguments if not index.contains(a, call)]
-                after = (call.span.offset + 1,)
-                later = [w[i] for names in guarded for name in names
-                         if (w := writes.get(name))
-                         and (i := bisect_left(w, after)) < len(w)]
-                if later:  # the first write after the call
+                first = _first_write(writes, by_name, guarded,
+                                     (call.span.offset + 1,))
+                if first is not None:
                     yield (call.span, f"external call precedes the update of "
-                                      f"{min(later)[2]}, which its guard reads")
+                                      f"{first[2]}, which its guard reads")
             for argument in arguments:
                 required |= reads(argument)
+
+
+def _first_write(writes: list[tuple], by_name: dict[str, list[tuple]],
+                 guarded: list[set[str]], after: tuple) -> tuple | None:
+    """The first of the sorted (offset, position, name) ``writes`` at or
+    after ``after`` whose name is in a ``guarded`` set. It scans forward
+    while the scan is shorter than the guarded names, then bisects each
+    name's writes, so a call costs at most the smaller of the two."""
+    start = bisect_left(writes, after)
+    size = sum(map(len, guarded))
+    for write in writes[start:start + size]:
+        if any(write[2] in names for names in guarded):
+            return write
+    if start + size >= len(writes):
+        return None
+    later = [w[i] for names in guarded for name in names if (w := by_name.get(name))
+             and (i := bisect_left(w, after)) < len(w)]
+    return min(later, default=None)
 
 
 def _state_reads(index: FunctionIndex, expr) -> list[str]:

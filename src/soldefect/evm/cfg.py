@@ -1,11 +1,16 @@
-"""Control-flow recovery via forward abstract stack emulation.
+"""Control-flow recovery via forward abstract stack emulation, over the flat
+disassembly: a block is a range of indexes into the instruction starts, and
+the emulator reads each opcode from the code bytes and each PUSH's value
+from the table that `disassemble` decoded once.
 
 Jump targets are resolved by propagating push constants through stack
 shuffles and arithmetic; everything the emulator cannot prove concrete
 becomes a tainted or unknown value. Each block is explored at most
 ``MAX_VISITS_PER_BLOCK`` times per distinct abstract entry stack and the
 whole walk has a step budget, so recovery always terminates without a
-solver; jumps that stay unresolved are recorded as edges-to-unknown.
+solver; jumps that stay unresolved are recorded as edges-to-unknown. A walk
+that runs out of ``STEP_BUDGET`` sets ``out_of_budget``, and the analyzer
+then warns that the input's CFG is incomplete.
 
 Abstract values (hashable tuples):
     ("const", v)                   concrete 256-bit value
@@ -19,7 +24,7 @@ Taint tags: BALANCE, CALLER, BLOCKINFO, CALLDATA, STORAGE, ENV.
 from __future__ import annotations
 
 from ..records import field, record
-from .disasm import Instruction, disassemble
+from .disasm import Disassembly, disassemble
 from .opcodes import (DUP1, DUP16, JUMP, JUMPDEST, JUMPI, MNEMONICS, OPCODES,
                       POP, PUSH1, PUSH32, SWAP1, SWAP16, TERMINATORS)
 
@@ -58,6 +63,9 @@ _FOLDABLE = {MNEMONICS[op]: op for op in (
 _ISZERO = MNEMONICS["ISZERO"]
 _NOT = MNEMONICS["NOT"]
 _PC = MNEMONICS["PC"]
+# opcodes whose result is only the join of their arguments' taints
+_PLAIN = (OPCODES.keys() - _TAINT_SOURCES.keys() - _CMP_OPS.keys()
+          - _FOLDABLE.keys() - {_ISZERO, _NOT, _PC})
 
 
 def value_tags(value) -> frozenset:
@@ -90,7 +98,8 @@ class JumpiEvent:
 @record
 class BasicBlock:
     id: int  # pc of the first instruction
-    instructions: list[Instruction]
+    start: int  # index in the instruction starts of the first instruction
+    stop: int  # index one past the last instruction
     successors: list[int] = field(default_factory=list)
     terminator: str = "fallthrough"
 
@@ -99,6 +108,7 @@ class BasicBlock:
 class ControlFlowGraph:
     blocks: dict[int, BasicBlock]
     entry: int
+    disassembly: Disassembly
     next_block: dict[int, int] = field(default_factory=dict)  # pc order
     predecessors: dict[int, list[int]] = field(default_factory=dict)
     # block -> idom; its keys are exactly the blocks reachable from the entry
@@ -109,6 +119,7 @@ class ControlFlowGraph:
     unresolved_jumps: list[tuple[int, int]] = field(default_factory=list)
     jumpi_events: list[JumpiEvent] = field(default_factory=list)
     capped_blocks: set[int] = field(default_factory=set)
+    out_of_budget: bool = False  # the walk stopped at STEP_BUDGET
 
     def reachable(self) -> set[int]:
         seen = set()
@@ -132,37 +143,37 @@ class ControlFlowGraph:
                 and span_a[0] <= span_b[0] <= span_a[1])
 
 
-def split_blocks(instructions: list[Instruction]) -> dict[int, BasicBlock]:
-    """Partition at JUMPDESTs and after terminators."""
+def split_blocks(disassembly: Disassembly) -> dict[int, BasicBlock]:
+    """Partition at JUMPDESTs and after terminators (a truncated PUSH, which
+    is invalid, can only be the last instruction)."""
+    code, starts = disassembly.code, disassembly.starts
     blocks: dict[int, BasicBlock] = {}
-    current: list[Instruction] = []
-    for ins in instructions:
-        op = ins.opcode
-        if op == JUMPDEST and current:
-            blocks[current[0].pc] = BasicBlock(current[0].pc, current)
-            current = []
-        current.append(ins)
-        if not ins.valid:
-            blocks[current[0].pc] = BasicBlock(current[0].pc, current,
-                                               terminator="invalid")
-            current = []
-        elif op in TERMINATORS:
-            blocks[current[0].pc] = BasicBlock(current[0].pc, current,
+    first = 0  # index of the open block's first instruction
+    for i, pc in enumerate(starts):
+        op = code[pc]
+        if op == JUMPDEST and i > first:
+            blocks[starts[first]] = BasicBlock(starts[first], first, i)
+            first = i
+        if op in TERMINATORS:
+            blocks[starts[first]] = BasicBlock(starts[first], first, i + 1,
                                                terminator=TERMINATORS[op])
-            current = []
-    if current:
-        blocks[current[0].pc] = BasicBlock(current[0].pc, current)
+            first = i + 1
+    if first < len(starts):
+        end = "invalid" if disassembly.truncated(starts[-1]) else "fallthrough"
+        blocks[starts[first]] = BasicBlock(starts[first], first, len(starts),
+                                           terminator=end)
     return blocks
 
 
-def build_cfg(instructions: list[Instruction] | bytes | str) -> ControlFlowGraph:
-    if not isinstance(instructions, list):
-        instructions = disassemble(instructions)
-    blocks = split_blocks(instructions)
+def build_cfg(disassembly: Disassembly | bytes | str) -> ControlFlowGraph:
+    if not isinstance(disassembly, Disassembly):
+        disassembly = disassemble(disassembly)
+    blocks = split_blocks(disassembly)
     if not blocks:
-        return ControlFlowGraph({}, 0)
+        return ControlFlowGraph({}, 0, disassembly)
     order = list(blocks)  # split_blocks fills it in pc order
-    cfg = ControlFlowGraph(blocks, order[0], dict(zip(order, order[1:])),
+    cfg = ControlFlowGraph(blocks, order[0], disassembly,
+                           dict(zip(order, order[1:])),
                            {bid: [] for bid in order})
     # structural fallthrough edges (always valid regardless of stack state)
     edges = {(bid, cfg.next_block[bid]) for bid, block in blocks.items()
@@ -185,16 +196,17 @@ def _emulate(cfg: ControlFlowGraph, edges: set, unresolved: set) -> None:
     """Walk the blocks from the entry over abstract stacks.
 
     `split_blocks` ends a block at every terminator and invalid instruction,
-    so only JUMP and JUMPI need handling here: any other instruction that
-    ends a path is the last of a block that has no fallthrough. Both jumps
-    follow one rule: a target that is not a constant is unresolved, a
-    constant that starts a JUMPDEST block is an edge, and any other constant
-    is an invalid jump, which ends the path (JUMPI still falls through). A
-    path halts, as the EVM does, once an instruction leaves more than
+    so any terminator but JUMP and JUMPI just ends the path: it is the last
+    instruction of a block that has no fallthrough. Both jumps follow one
+    rule: a target that is not a constant is unresolved, a constant that
+    starts a JUMPDEST block is an edge, and any other constant is an
+    invalid jump, which ends the path (JUMPI still falls through). A path
+    halts, as the EVM does, once an instruction leaves more than
     MAX_STACK_DEPTH values on the stack."""
+    dis = cfg.disassembly
+    code, starts, values = dis.code, dis.starts, dis.push_values
     blocks = cfg.blocks
-    jumpdests = {bid for bid, block in blocks.items()
-                 if block.instructions[0].opcode == JUMPDEST}
+    jumpdests = {bid for bid in blocks if code[bid] == JUMPDEST}
     worklist: list[tuple[int, tuple]] = [(cfg.entry, ())]
     seen: dict[int, set[tuple]] = {}
     steps = 0
@@ -211,13 +223,14 @@ def _emulate(cfg: ControlFlowGraph, edges: set, unresolved: set) -> None:
 
         stack = list(entry_stack)
         block = blocks[bid]
-        for ins in block.instructions:
+        for pc in starts[block.start:block.stop]:
             steps += 1
             if steps > STEP_BUDGET:
+                cfg.out_of_budget = True
                 return
-            op = ins.opcode
+            op = code[pc]
             if PUSH1 <= op <= PUSH32:
-                stack.append(("const", ins.push_value))
+                stack.append(("const", values[pc]))
             elif DUP1 <= op <= DUP16:
                 if len(stack) < op - DUP1 + 1:
                     break
@@ -240,7 +253,7 @@ def _emulate(cfg: ControlFlowGraph, edges: set, unresolved: set) -> None:
                 target = stack.pop()
                 taken: int | None = None
                 if target[0] != "const":
-                    unresolved.add((bid, ins.pc))
+                    unresolved.add((bid, pc))
                 elif target[1] in jumpdests:
                     taken = target[1]
                     edges.add((bid, taken))
@@ -249,7 +262,7 @@ def _emulate(cfg: ControlFlowGraph, edges: set, unresolved: set) -> None:
                         worklist.append((taken, tuple(stack)))
                     break
                 cond = stack.pop()
-                cfg.jumpi_events.append(JumpiEvent(bid, ins.pc, cond, taken))
+                cfg.jumpi_events.append(JumpiEvent(bid, pc, cond, taken))
                 concrete = _concrete_bool(cond)
                 fall = cfg.next_block.get(bid)
                 if concrete is not False and taken is not None:
@@ -257,7 +270,9 @@ def _emulate(cfg: ControlFlowGraph, edges: set, unresolved: set) -> None:
                 if concrete is not True and fall is not None:
                     worklist.append((fall, tuple(stack)))
                 break
-            elif not _step(stack, ins):
+            elif op in TERMINATORS:
+                break
+            elif not _step(stack, op, pc):
                 break
             if len(stack) > MAX_STACK_DEPTH:
                 break
@@ -285,15 +300,9 @@ def _to_signed(v: int) -> int:
 
 
 def _eval_cmp(op: str, a: int, b: int) -> bool:
-    if op == "LT":
-        return a < b
-    if op == "GT":
-        return a > b
-    if op == "SLT":
-        return _to_signed(a) < _to_signed(b)
-    if op == "SGT":
-        return _to_signed(a) > _to_signed(b)
-    return a == b
+    if op in ("SLT", "SGT"):
+        a, b, op = _to_signed(a), _to_signed(b), op[1:]
+    return a < b if op == "LT" else a > b if op == "GT" else a == b
 
 
 def _fold(op: str, a: int, b: int) -> int:
@@ -335,14 +344,10 @@ def _fold(op: str, a: int, b: int) -> int:
     raise AssertionError(op)
 
 
-def _step(stack: list, ins: Instruction) -> bool:
-    """Execute one instruction the emulator does not handle inline;
-    False on stack underflow or an unknown opcode."""
-    op = ins.opcode
-    entry = OPCODES.get(op)
-    if entry is None:
-        return False
-    _, pops, pushes = entry
+def _step(stack: list, op: int, pc: int) -> bool:
+    """Execute the instruction ``op`` at ``pc``, one the emulator does not
+    handle inline; False on stack underflow."""
+    _, pops, pushes = OPCODES[op]
     if len(stack) < pops:
         return False
     if pops:
@@ -350,16 +355,20 @@ def _step(stack: list, ins: Instruction) -> bool:
         del stack[-pops:]
     else:
         args = []
-
+    if op in _PLAIN:
+        for _ in range(pushes):
+            stack.append(_join_taints(args))
+        return True
     tags = _TAINT_SOURCES.get(op)
     if tags is not None:
         for a in args:
-            tags |= value_tags(a)
+            if a[0] != "const":
+                tags |= value_tags(a)
         stack.append(("taint", tags))
         return True
     name = _CMP_OPS.get(op)
     if name is not None:
-        stack.append(("cmp", name, ins.pc, args[0], args[1]))
+        stack.append(("cmp", name, pc, args[0], args[1]))
         return True
     if op == _ISZERO:
         a = args[0]
@@ -384,18 +393,15 @@ def _step(stack: list, ins: Instruction) -> bool:
             stack.append(_join_taints(args))
         return True
     if op == _PC:
-        stack.append(("const", ins.pc))
-        return True
-
-    for _ in range(pushes):
-        stack.append(_join_taints(args))
+        stack.append(("const", pc))
     return True
 
 
 def _join_taints(args: list) -> tuple:
     tags = frozenset()
     for a in args:
-        tags |= value_tags(a)
+        if a[0] != "const":  # a constant carries no taint
+            tags |= value_tags(a)
     return ("taint", tags) if tags else UNKNOWN
 
 
@@ -408,33 +414,31 @@ def compute_dominators(cfg: ControlFlowGraph) -> dict[int, int]:
         return {}
     order = _reverse_postorder(cfg)
     index = {b: i for i, b in enumerate(order)}
-    idom: dict[int, int | None] = {b: None for b in order}
-    idom[cfg.entry] = cfg.entry
-
-    def intersect(a: int, b: int) -> int:
-        while a != b:
-            while index[a] > index[b]:
-                a = idom[a]
-            while index[b] > index[a]:
-                b = idom[b]
-        return a
+    # over reverse postorder numbers: a block's dominators all precede it
+    preds = [[index[p] for p in cfg.predecessors[b] if p in index] for b in order]
+    idom: list[int | None] = [0] + [None] * (len(order) - 1)
 
     # a block comes after its DFS parent in reverse postorder, so each pass
     # finds a processed predecessor for every block but the entry
     changed = True
     while changed:
         changed = False
-        for b in order:
-            if b == cfg.entry:
-                continue
-            preds = [p for p in cfg.predecessors[b] if idom.get(p) is not None]
-            new = preds[0]
-            for p in preds[1:]:
-                new = intersect(new, p)
-            if idom[b] != new:
-                idom[b] = new
+        for i in range(1, len(order)):
+            new = None
+            for p in preds[i]:
+                if idom[p] is None:
+                    continue
+                if new is not None:
+                    while p != new:  # the nearest common dominator
+                        while p > new:
+                            p = idom[p]
+                        while new > p:
+                            new = idom[new]
+                new = p
+            if idom[i] != new:
+                idom[i] = new
                 changed = True
-    return idom
+    return {b: order[idom[i]] for i, b in enumerate(order)}
 
 
 def _dominator_spans(idom: dict[int, int],

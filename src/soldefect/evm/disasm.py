@@ -1,13 +1,17 @@
-"""Linear EVM disassembly.
+"""Linear EVM disassembly over flat arrays.
 
-Round-trips exactly: re-serializing the instruction list reproduces the
-input bytes, including truncated trailing PUSH data and unknown opcodes.
+No record is built per instruction. A `Disassembly` holds the code bytes,
+the pc at which each instruction starts, and each PUSH's value, decoded
+once; an instruction's opcode is ``code[pc]``. An unknown opcode is
+invalid, and so is a PUSH whose data the code ends inside: such a
+truncated PUSH can only be the last instruction, and its value is that of
+the bytes that are present.
 """
 
 from __future__ import annotations
 
 from ..records import record
-from .opcodes import OPCODES, PUSH1, PUSH32
+from .opcodes import PUSH1, PUSH32
 
 
 class BytecodeError(ValueError):
@@ -15,13 +19,18 @@ class BytecodeError(ValueError):
 
 
 @record(slots=True)
-class Instruction:
-    pc: int
-    opcode: int
-    mnemonic: str
-    push_bytes: bytes = b""
-    valid: bool = True  # False for unknown opcodes and truncated pushes
-    push_value: int = 0  # push_bytes as a big-endian integer
+class Disassembly:
+    code: bytes
+    starts: list[int]  # the pc of each instruction, ascending
+    push_values: dict[int, int]  # pc -> value, for each PUSH
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def truncated(self, pc: int) -> bool:
+        """Whether the code ends inside the data of the PUSH at ``pc``."""
+        op = self.code[pc]
+        return PUSH1 <= op <= PUSH32 and pc + op - PUSH1 + 2 > len(self.code)
 
 
 def decode_bytecode_input(data: bytes | str) -> bytes:
@@ -40,33 +49,20 @@ def decode_bytecode_input(data: bytes | str) -> bytes:
         raise BytecodeError(f"invalid hex bytecode: {exc}") from exc
 
 
-def disassemble(bytecode: bytes | str) -> list[Instruction]:
+def disassemble(bytecode: bytes | str) -> Disassembly:
     code = decode_bytecode_input(bytecode)
-    out: list[Instruction] = []
-    append = out.append
-    pc = 0
-    n = len(code)
+    starts: list[int] = []
+    values: dict[int, int] = {}
+    append = starts.append
+    from_bytes = int.from_bytes
+    pc, n = 0, len(code)
     while pc < n:
+        append(pc)
         op = code[pc]
-        entry = OPCODES.get(op)
-        if entry is None:
-            append(Instruction(pc, op, "INVALID", valid=False))
-            pc += 1
-        elif PUSH1 <= op <= PUSH32:
-            end = pc + 2 + op - PUSH1
-            data = code[pc + 1:end]
-            append(Instruction(pc, op, entry[0], data, end <= n,
-                               int.from_bytes(data, "big")))
+        if PUSH1 <= op <= PUSH32:
+            end = pc + op - PUSH1 + 2
+            values[pc] = from_bytes(code[pc + 1:end], "big")
             pc = end
         else:
-            append(Instruction(pc, op, entry[0]))
             pc += 1
-    return out
-
-
-def reassemble(instructions: list[Instruction]) -> bytes:
-    out = bytearray()
-    for ins in instructions:
-        out.append(ins.opcode)
-        out += ins.push_bytes
-    return bytes(out)
+    return Disassembly(code, starts, values)

@@ -59,13 +59,10 @@ def _natural_loop_body(cfg: ControlFlowGraph, header: int,
 
 def _classify_bound(cfg: ControlFlowGraph, body: set[int],
                     events_at: dict[int, list[JumpiEvent]]) -> int | None:
-    exit_pcs = set()
-    for bid in body:
-        block = cfg.blocks[bid]
-        if block.terminator != "jumpi":
-            continue
-        if any(succ not in body for succ in block.successors):
-            exit_pcs.add(block.instructions[-1].pc)
+    starts = cfg.disassembly.starts
+    exit_pcs = {starts[block.stop - 1] for block in map(cfg.blocks.get, body)
+                if block.terminator == "jumpi"
+                and any(succ not in body for succ in block.successors)}
 
     observations: dict[int, list[tuple]] = {pc: [] for pc in sorted(exit_pcs)}
     for pc, pairs in observations.items():

@@ -95,8 +95,8 @@ JUMPI = 0x57
 JUMPDEST = 0x5B
 POP = 0x50
 
-# opcodes that end a basic block
-TERMINATORS: dict[int, str] = {
+# opcodes that end a basic block, an unknown one as invalid
+TERMINATORS = dict.fromkeys(range(256) - OPCODES.keys(), "invalid") | {
     0x00: "stop",
     0x56: "jump",
     0x57: "jumpi",
@@ -107,7 +107,3 @@ TERMINATORS: dict[int, str] = {
 }
 
 MNEMONICS = {name: op for op, (name, _, _) in OPCODES.items()}
-
-
-def push_width(opcode: int) -> int:
-    return opcode - PUSH1 + 1 if PUSH1 <= opcode <= PUSH32 else 0

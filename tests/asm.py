@@ -8,11 +8,56 @@ Program lines:
 
 Labels keep the hand-written control-flow programs readable; PUSH widths
 are explicit so the emitted bytes are exactly what the test says.
+
+It also holds what the tests read of a disassembly: `instructions`, a
+record view of the flat arrays, and `reassemble`, its inverse. The
+record-by-record decoder and block splitter that the flat layout replaced
+are kept as `reference_disassemble` and `reference_split_blocks`, the
+oracle that the flat arrays are checked against.
 """
 
 from __future__ import annotations
 
-from soldefect.evm.opcodes import MNEMONICS, push_width
+from collections import namedtuple
+
+from soldefect.evm.opcodes import (MNEMONICS, OPCODES, PUSH1, PUSH32,
+                                   TERMINATORS)
+
+# one instruction as the tests read it
+Instruction = namedtuple("Instruction", "pc opcode mnemonic push_bytes valid")
+
+
+def push_width(opcode: int) -> int:
+    return opcode - PUSH1 + 1 if PUSH1 <= opcode <= PUSH32 else 0
+
+
+def instructions(disassembly) -> list[Instruction]:
+    """The record view of a `Disassembly`: an unknown opcode reads as
+    INVALID, and a PUSH that the code ends inside as not valid."""
+    code = disassembly.code
+    out = []
+    for pc in disassembly.starts:
+        op = code[pc]
+        entry = OPCODES.get(op)
+        data = code[pc + 1:pc + 1 + push_width(op)]
+        valid = entry is not None and len(data) == push_width(op)
+        out.append(Instruction(pc, op, entry[0] if entry else "INVALID", data,
+                               valid))
+    return out
+
+
+def block_instructions(cfg, block_id: int) -> list[Instruction]:
+    """The record view of one block of a CFG."""
+    block = cfg.blocks[block_id]
+    return instructions(cfg.disassembly)[block.start:block.stop]
+
+
+def reassemble(view: list[Instruction]) -> bytes:
+    out = bytearray()
+    for ins in view:
+        out.append(ins.opcode)
+        out += ins.push_bytes
+    return bytes(out)
 
 
 def assemble(program: list[str]) -> bytes:
@@ -39,6 +84,47 @@ def assemble(program: list[str]) -> bytes:
             value = labels[arg[1:]] if arg.startswith("@") else int(arg, 0)
             out += value.to_bytes(width, "big")
     return bytes(out)
+
+
+def reference_disassemble(code: bytes) -> list[tuple]:
+    """The record-by-record decoder: (pc, opcode, push_bytes, valid,
+    push_value) per instruction."""
+    out = []
+    pc = 0
+    while pc < len(code):
+        op = code[pc]
+        if op not in OPCODES:
+            out.append((pc, op, b"", False, 0))
+            pc += 1
+        elif PUSH1 <= op <= PUSH32:
+            end = pc + 2 + op - PUSH1
+            data = code[pc + 1:end]
+            out.append((pc, op, data, end <= len(code),
+                        int.from_bytes(data, "big")))
+            pc = end
+        else:
+            out.append((pc, op, b"", True, 0))
+            pc += 1
+    return out
+
+
+def reference_split_blocks(records: list[tuple]) -> list[tuple]:
+    """Blocks of `reference_disassemble` records, split at JUMPDESTs and
+    after terminators and invalid instructions: (id, pcs, terminator)."""
+    blocks = []
+    current: list[int] = []
+    for pc, op, _data, valid, _value in records:
+        if op == MNEMONICS["JUMPDEST"] and current:
+            blocks.append((current[0], current, "fallthrough"))
+            current = []
+        current.append(pc)
+        if not valid or op in TERMINATORS:
+            blocks.append((current[0], current,
+                           TERMINATORS[op] if valid else "invalid"))
+            current = []
+    if current:
+        blocks.append((current[0], current, "fallthrough"))
+    return blocks
 
 
 def _clean(program: list[str]) -> list[str]:

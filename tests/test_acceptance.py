@@ -16,11 +16,12 @@ from soldefect.cli import main
 from soldefect.config import RunConfig
 from soldefect.corpus import load_manifest, score
 from soldefect.evm.cfg import build_cfg
-from soldefect.evm.disasm import disassemble, reassemble
+from soldefect.evm.disasm import disassemble
 from soldefect.evm.eip55 import checksum_address, is_valid_address
 from soldefect.evm.keccak import function_selector
 from soldefect.evm.loops import detect_loops
-from asm import CALL_BODY, assemble, counted_loop, dispatcher, storage_bound_loop
+from asm import (CALL_BODY, assemble, block_instructions, counted_loop,
+                 dispatcher, instructions, reassemble, storage_bound_loop)
 from conftest import bytecode_findings, findings_for, read_listing
 from test_evm_core import brute_force_dominators
 
@@ -232,19 +233,20 @@ def _program_suite() -> list[bytes]:
 def test_criterion_4_cfg_and_loop_properties():
     programs = _program_suite()
     for code in programs:
-        instructions = disassemble(code)
+        disassembly = disassemble(code)
+        view = instructions(disassembly)
         # byte-exact disassembly round trip
-        assert reassemble(instructions) == code
+        assert reassemble(view) == code
 
-        cfg = build_cfg(instructions)
+        cfg = build_cfg(disassembly)
         # block partition: every pc in exactly one block, strictly increasing
         seen_pcs: set[int] = set()
         for block in cfg.blocks.values():
-            pcs = [i.pc for i in block.instructions]
+            pcs = [i.pc for i in block_instructions(cfg, block.id)]
             assert pcs == sorted(set(pcs))
             assert not (set(pcs) & seen_pcs)
             seen_pcs.update(pcs)
-        assert seen_pcs == {i.pc for i in instructions}
+        assert seen_pcs == {i.pc for i in view}
 
         # loops equal an independent cycle/dominator enumeration
         loops = detect_loops(cfg)

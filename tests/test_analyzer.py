@@ -77,6 +77,19 @@ def test_hex_file_must_hold_hex_text(tmp_path):
         assert analyze_file(str(tmp_path / name), RunConfig()).error is None
 
 
+def test_step_budget_run_out_is_a_warning(monkeypatch):
+    from soldefect.evm import cfg
+    code = "0x" + counted_loop(5).hex()
+    outcome = analyze_input(code.encode(), "loop.hex", RunConfig())
+    assert outcome.diagnostics == []
+    monkeypatch.setattr(cfg, "STEP_BUDGET", 12)
+    outcome = analyze_input(code.encode(), "loop.hex", RunConfig())
+    assert outcome.error is None
+    [warning] = outcome.diagnostics
+    assert (warning.severity, warning.span, warning.line, warning.column) \
+        == ("warning", ("loop.hex", 0, 0), 1, 1)
+
+
 def test_unreadable_file_reports_io_error(tmp_path):
     outcome = analyze_file(str(tmp_path / "nope.sol"), RunConfig())
     assert outcome.error is not None and "cannot read" in outcome.error

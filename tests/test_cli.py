@@ -8,6 +8,7 @@ import pytest
 from soldefect.cli import main
 from soldefect.parser import MAX_NESTING
 
+from asm import counted_loop
 from conftest import DEEP_CONTRACT, read_listing
 
 CLEAN_CONTRACT = """pragma solidity 0.4.25;
@@ -296,6 +297,24 @@ def test_bytecode_mode_by_extension(tmp_path, capsys):
     assert data["findings"][0]["detector"] == "nested-call"
     assert data["findings"][0]["pc"] is not None
     assert data["findings"][0]["line"] is None
+
+
+@pytest.mark.parametrize("fmt", ["json", "sarif"])
+def test_step_budget_warning_goes_to_stderr_only(tmp_path, capsys,
+                                                 monkeypatch, fmt):
+    from soldefect.evm import cfg
+    path = tmp_path / "loop.hex"
+    path.write_text("0x" + counted_loop(5).hex())
+    assert main(["analyze", str(path), "--format", fmt]) == 0
+    full = capsys.readouterr()
+    assert full.err == ""
+    monkeypatch.setattr(cfg, "STEP_BUDGET", 12)
+    assert main(["analyze", str(path), "--format", fmt]) == 0
+    cut = capsys.readouterr()
+    assert cut.err == (f"soldefect: {path}:1:1: warning: control-flow recovery "
+                       "stopped after 12 emulation steps; the CFG and the "
+                       "bytecode findings are incomplete\n")
+    assert cut.out == full.out  # the report does not carry the warning
 
 
 def test_fetch_malformed_address_exits_two(capsys):

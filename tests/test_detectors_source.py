@@ -352,6 +352,27 @@ def test_require_guard_reentrancy_fires():
 }""")
 
 
+@pytest.mark.parametrize("writes,name", [
+    ("b = 1; a = 1;", "b"),  # found by the scan forward from the call
+    ("c = 1; d = 1; e = 1; a = 1; b = 1;", "a"),  # found by bisecting
+    ("c = 1; d = 1; e = 1;", None),
+], ids=["scan", "bisect", "none"])
+def test_reentrancy_names_the_first_guarded_write_after_the_call(writes, name):
+    source = f"""contract C {{
+    uint a; uint b; uint c; uint d; uint e;
+    function f() {{
+        a = 0;
+        require(a > 0 && b > 0);
+        msg.sender.call.value(1)();
+        {writes}
+    }}
+}}"""
+    messages = [f.message for f in findings_for(source)
+                if f.detector == "reentrancy"]
+    assert messages == ([f"external call precedes the update of {name}, "
+                         "which its guard reads"] if name else [])
+
+
 # -- D08 nested call -----------------------------------------------------------------
 
 

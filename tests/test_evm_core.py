@@ -3,46 +3,54 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from soldefect.evm import cfg as cfg_module
 from soldefect.evm.cfg import build_cfg
-from soldefect.evm.disasm import (BytecodeError, disassemble, reassemble)
+from soldefect.evm.disasm import BytecodeError, disassemble
 from soldefect.evm.loops import detect_loops
+from soldefect.evm.opcodes import OPCODES, PUSH1, PUSH32
 from soldefect.evm.selectors import extract_selectors
 
 from asm import (CALL_BODY, DEAD_CALL_INTO_LOOP, JUMP_TO_STOP, JUMPI_TO_STOP,
-                 STACK_OVERFLOW, assemble, counted_loop, dispatcher,
-                 storage_bound_loop)
+                 STACK_OVERFLOW, assemble, block_instructions, counted_loop,
+                 dispatcher, instructions, reassemble, reference_disassemble,
+                 reference_split_blocks, storage_bound_loop)
 
 # -- disassembly --------------------------------------------------------------
 
 
 def test_push_add_disassembly():
-    instructions = disassemble("0x6001600201")
-    assert [(i.pc, i.mnemonic, i.push_value) for i in instructions] == [
-        (0, "PUSH1", 1), (2, "PUSH1", 2), (4, "ADD", 0)]
+    disassembly = disassemble("0x6001600201")
+    assert [(i.pc, i.mnemonic, i.push_bytes)
+            for i in instructions(disassembly)] == [
+        (0, "PUSH1", b"\x01"), (2, "PUSH1", b"\x02"), (4, "ADD", b"")]
+    assert disassembly.push_values == {0: 1, 2: 2}
 
 
 def test_empty_bytecode():
-    assert disassemble(b"") == []
+    assert len(disassemble(b"")) == 0
     assert build_cfg(b"").blocks == {}
 
 
 def test_truncated_push_is_invalid():
-    instructions = disassemble("0x61")
-    assert len(instructions) == 1
-    ins = instructions[0]
+    disassembly = disassemble("0x61")
+    assert len(disassembly) == 1
+    ins = instructions(disassembly)[0]
     assert ins.mnemonic == "PUSH2" and ins.push_bytes == b"" and not ins.valid
+    assert disassembly.push_values == {0: 0}
 
 
 def test_truncated_push_keeps_partial_bytes():
-    instructions = disassemble("0x61aa")
-    assert instructions[0].push_bytes == b"\xaa"
-    assert not instructions[0].valid
+    disassembly = disassemble("0x61aa")
+    assert instructions(disassembly)[0].push_bytes == b"\xaa"
+    assert not instructions(disassembly)[0].valid
+    assert disassembly.push_values == {0: 0xAA}
 
 
 def test_unknown_opcode_is_invalid_class():
-    instructions = disassemble(bytes([0x1B]))  # SHL is post-Constantinople
-    assert instructions[0].mnemonic == "INVALID"
-    assert not instructions[0].valid
+    # SHL is post-Constantinople
+    ins = instructions(disassemble(bytes([0x1B])))[0]
+    assert ins.mnemonic == "INVALID"
+    assert not ins.valid
 
 
 def test_odd_length_hex_rejected():
@@ -52,7 +60,44 @@ def test_odd_length_hex_rejected():
 
 @given(st.binary(min_size=0, max_size=400))
 def test_disassembly_round_trip(code):
-    assert reassemble(disassemble(code)) == code
+    assert reassemble(instructions(disassemble(code))) == code
+
+
+# Random bytes, built from pieces that the flat layout must decode as the
+# record-by-record reference does: unknown opcodes, INVALID (0xFE), runs of
+# JUMPDESTs, jumps and terminators, and a PUSH that the code ends inside.
+_SPECIAL = (0x0C, 0x1B, 0x21, 0x5C, 0xEF, 0xFE, 0x00, 0x56, 0x57, 0x60, 0x7F)
+_pieces = st.one_of(
+    st.binary(max_size=12),
+    st.sampled_from(_SPECIAL).map(lambda op: bytes([op])),
+    st.integers(1, 4).map(lambda k: b"\x5b" * k),
+    st.tuples(st.integers(PUSH1, PUSH32), st.binary(max_size=32)).map(
+        lambda t: bytes([t[0]]) + t[1][:t[0] - PUSH1 + 1]))
+_truncated_push = st.tuples(st.integers(PUSH1, PUSH32),
+                            st.binary(max_size=31)).map(
+    lambda t: bytes([t[0]]) + t[1][:t[0] - PUSH1])
+oracle_programs = st.tuples(st.lists(_pieces, max_size=30),
+                            st.one_of(st.just(b""), _truncated_push)).map(
+    lambda t: b"".join(t[0]) + t[1])
+
+
+@given(oracle_programs)
+def test_flat_layout_matches_the_reference_decoder(code):
+    disassembly = disassemble(code)
+    reference = reference_disassemble(code)
+    assert disassembly.code == code and len(disassembly) == len(reference)
+    assert disassembly.starts == [r[0] for r in reference]
+    assert [code[pc] for pc in disassembly.starts] == [r[1] for r in reference]
+    assert disassembly.push_values == {pc: value for pc, op, _d, _v, value
+                                       in reference if PUSH1 <= op <= PUSH32}
+    assert [code[pc] in OPCODES and not disassembly.truncated(pc)
+            for pc in disassembly.starts] == [r[3] for r in reference]
+    assert [(i.push_bytes, i.valid) for i in instructions(disassembly)] \
+        == [(r[2], r[3]) for r in reference]
+    cfg = build_cfg(disassembly)
+    starts = disassembly.starts
+    assert [(b.id, starts[b.start:b.stop], b.terminator)
+            for b in cfg.blocks.values()] == reference_split_blocks(reference)
 
 
 # -- CFG ----------------------------------------------------------------------
@@ -69,9 +114,9 @@ def test_straight_line_single_block():
 def test_hand_assembled_jump_edge():
     code = assemble(["PUSH2 @dest", "JUMP", "dest:", "JUMPDEST", "STOP"])
     cfg = build_cfg(code)
-    dest = disassemble(code)[-2].pc
+    dest = instructions(disassemble(code))[-2].pc
     assert cfg.blocks[0].successors == [dest]
-    assert cfg.blocks[dest].instructions[0].mnemonic == "JUMPDEST"
+    assert block_instructions(cfg, dest)[0].mnemonic == "JUMPDEST"
 
 
 def test_unresolved_dynamic_jump_recorded():
@@ -95,6 +140,17 @@ def test_constant_jump_to_no_jumpdest_is_invalid(code, successors):
     assert [e.target for e in cfg.jumpi_events] in ([], [None])
 
 
+def test_running_out_of_the_step_budget_is_recorded(monkeypatch):
+    code = counted_loop(5)
+    full = build_cfg(code)
+    assert not full.out_of_budget
+    monkeypatch.setattr(cfg_module, "STEP_BUDGET", 12)
+    cut = build_cfg(code)
+    assert cut.out_of_budget
+    # the walk stopped inside the loop: its first pass is all it saw
+    assert len(cut.jumpi_events) < len(full.jumpi_events)
+
+
 def test_stack_overflow_halts_the_path():
     cfg = build_cfg(STACK_OVERFLOW)
     assert cfg.blocks[cfg.entry].successors == []
@@ -107,11 +163,11 @@ def test_block_partition_invariants():
         cfg = build_cfg(code)
         seen_pcs: set[int] = set()
         for block in cfg.blocks.values():
-            pcs = [i.pc for i in block.instructions]
+            pcs = [i.pc for i in block_instructions(cfg, block.id)]
             assert pcs == sorted(pcs) and len(set(pcs)) == len(pcs)
             assert not (set(pcs) & seen_pcs)
             seen_pcs.update(pcs)
-        assert seen_pcs == {i.pc for i in disassemble(code)}
+        assert seen_pcs == {i.pc for i in instructions(disassemble(code))}
 
 
 def test_edges_target_jumpdest_or_fallthrough():
@@ -121,7 +177,7 @@ def test_edges_target_jumpdest_or_fallthrough():
         next_of = {order[i]: order[i + 1] for i in range(len(order) - 1)}
         for block in cfg.blocks.values():
             for succ in block.successors:
-                starts_jumpdest = (cfg.blocks[succ].instructions[0].mnemonic
+                starts_jumpdest = (block_instructions(cfg, succ)[0].mnemonic
                                    == "JUMPDEST")
                 assert starts_jumpdest or succ == next_of.get(block.id)
 
@@ -284,7 +340,7 @@ def test_dispatcher_selectors_extracted():
     targets = set(table.values())
     assert len(targets) == 2
     for target in targets:
-        assert cfg.blocks[target].instructions[0].mnemonic == "JUMPDEST"
+        assert block_instructions(cfg, target)[0].mnemonic == "JUMPDEST"
 
 
 def test_fallback_only_contract_empty_table():
@@ -306,7 +362,7 @@ def test_dispatcher_blocks_guarded_by_push4_eq():
     jumpi_blocks = [b for b in cfg.blocks.values() if b.terminator == "jumpi"]
     assert len(jumpi_blocks) >= 2
     for block in jumpi_blocks:
-        mnemonics = [i.mnemonic for i in block.instructions]
+        mnemonics = [i.mnemonic for i in block_instructions(cfg, block.id)]
         assert "PUSH4" in mnemonics and "EQ" in mnemonics
 
 
@@ -328,3 +384,18 @@ def test_cmp_values_carry_operand_taints():
                  ("const", 5))
     assert "BALANCE" in value_tags(cmp_value)
     assert "BALANCE" in value_tags(("iszero", cmp_value))
+
+
+_words = st.one_of(st.integers(0, 2**256 - 1),
+                   st.sampled_from([0, 1, 2**255 - 1, 2**255, 2**256 - 1]))
+
+
+@given(st.sampled_from(["LT", "GT", "SLT", "SGT", "EQ"]), _words, _words)
+def test_constant_comparisons_follow_the_evm(op, a, b):
+    from soldefect.evm.cfg import _eval_cmp
+
+    def signed(v):
+        return v - 2**256 if v >= 2**255 else v
+    expected = {"LT": a < b, "GT": a > b, "SLT": signed(a) < signed(b),
+                "SGT": signed(a) > signed(b), "EQ": a == b}[op]
+    assert _eval_cmp(op, a, b) == expected

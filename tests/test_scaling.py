@@ -42,6 +42,11 @@ SHAPES = {
     "call-then-write": (30, lambda n: _function(
         f"require(x > {i}); msg.sender.call.value({i})(); y = {i};"
         for i in range(n)), False),
+    # ... and bisected each guarded state name's writes for each call
+    "guards-over-many-names": (120, lambda n: _function(
+        f"require(v{i} > 0); msg.sender.call.value({i})(); v{i} = 1;"
+        for i in range(n)).replace("uint x;", "".join(
+            f"uint v{i}; " for i in range(n)) + "uint x;"), False),
     # each statement held a tuple of every earlier require argument
     "transfer": (400, lambda n: _function(
         f"require(x > {i}); owner.transfer({i});" for i in range(n)), True),
