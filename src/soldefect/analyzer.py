@@ -1,14 +1,16 @@
 """Drives analysis over files: builds facts, runs detectors, merges reports.
 
-File-level parallelism uses a process pool; results are merged and sorted
-before rendering, so output is byte-identical regardless of the worker
-count.
+File-level parallelism runs on forked worker processes (`workers.py`),
+which stream each file's outcome back as it is done; outcomes are put back
+in input order before the report is built, so output is byte-identical
+regardless of the worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 
 from .config import RunConfig
 from .detectors import (AnalysisContext, BytecodeFacts, ContractFacts,
@@ -147,38 +149,38 @@ def _bytecode_input(raw: bytes, path: str) -> bytes | str:
     raise BytecodeError("a .hex input must hold hex text")
 
 
+# exactly the characters an unprefixed hex text may hold
+_HEX_TEXT = re.compile(r"[0-9a-fA-F \t\r\n]+")
+
+
 def _looks_like_hex_text(text: str) -> bool:
     body = text.strip()
     if body[:2].lower() == "0x":
         return True
-    return bool(body) and all(c in "0123456789abcdefABCDEF \t\r\n" for c in body)
+    return _HEX_TEXT.fullmatch(body) is not None
 
 
-_WORKER_CONFIG: RunConfig | None = None
-
-
-def _init_worker(config: RunConfig) -> None:
-    global _WORKER_CONFIG
-    _WORKER_CONFIG = config
-
-
-def _worker(path: str) -> FileOutcome:
-    return analyze_file(path, _WORKER_CONFIG)
+def worker_count(jobs: int, inputs: int) -> int:
+    """How many processes analyze ``inputs`` files at ``--jobs jobs``: 0
+    means one per CPU this process may run on, and there is never more than
+    one per input."""
+    if jobs == 0:
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+    return min(jobs, inputs)
 
 
 def analyze_paths(paths: list[str], config: RunConfig) -> tuple[Report, list[FileOutcome]]:
     files = collect_inputs(paths, config.mode)
-    jobs = config.jobs if config.jobs > 0 else (os.cpu_count() or 1)
+    workers = worker_count(config.jobs, len(files))
     outcomes: list[FileOutcome]
-    if jobs <= 1 or len(files) <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         outcomes = [analyze_file(path, config) for path in files]
     else:
-        # imported here: concurrent.futures loads multiprocessing and
-        # logging, which a serial run and the CLI's start never need
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                                 initargs=(config,)) as pool:
-            outcomes = list(pool.map(_worker, files, chunksize=8))
+        from .workers import map_forked
+        outcomes = map_forked(lambda path: analyze_file(path, config), files,
+                              workers, [_size(path) for path in files],
+                              _worker_failure)
     findings: list[Finding] = []
     inputs: list[InputRecord] = []
     for outcome in outcomes:
@@ -187,3 +189,15 @@ def analyze_paths(paths: list[str], config: RunConfig) -> tuple[Report, list[Fil
             inputs.append(InputRecord(outcome.path, outcome.digest))
     report = Report(inputs, findings)
     return report, outcomes
+
+
+def _size(path: str) -> int:
+    try:
+        return os.stat(path).st_size
+    except OSError:
+        return 0  # analyze_file records why it cannot read the file
+
+
+def _worker_failure(path: str, why: str) -> FileOutcome:
+    return FileOutcome(path, error=f"{path}: worker failed: the process "
+                                   f"analyzing it {why}", phase="worker")

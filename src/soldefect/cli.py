@@ -71,7 +71,7 @@ def _add_run_flags(cmd: argparse.ArgumentParser, formats: tuple[str, ...]) -> No
     cmd.add_argument("--config", default=None, help="flat INI-style config file")
     cmd.add_argument("--jobs", type=int, default=None,
                      help="worker processes, 0 or more (default and 0: "
-                          "logical CPUs)")
+                          "usable CPUs)")
 
 
 def _make_run_config(args: argparse.Namespace) -> RunConfig:

@@ -63,7 +63,7 @@ class RunConfig:
     format: str = "text"
     min_impact: str = "IP5"
     output: str | None = None
-    jobs: int = 0  # 0 = number of CPUs
+    jobs: int = 0  # 0 = usable CPUs
     detectors: DetectorConfig = field(default_factory=DetectorConfig)
     fetch: FetchConfig = field(default_factory=FetchConfig)
 

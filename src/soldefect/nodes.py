@@ -367,6 +367,12 @@ class SourceUnit:
     contracts: list[ContractDefinition]
     span: Span
     line_starts: list[int] = field(repr=False, compare=False)
+    # name -> contract, the last of a repeated name; built once per file
+    contracts_by_name: dict[str, ContractDefinition] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.contracts_by_name = {c.name: c for c in self.contracts}
 
 
 # ---------------------------------------------------------------------------

@@ -51,14 +51,14 @@ def flatten_contract(unit: SourceUnit, contract: ContractDefinition,
                      diagnostics: list[Diagnostic] | None = None) -> SymbolTable:
     """Merge inherited members, derived-contract overrides winning.
 
-    Bases are resolved within the same source unit; a base that appears
-    more than once through different paths (diamond) is merged once and a
-    warning is recorded.
+    Bases are resolved by name within the same source unit, through the
+    map that the unit builds once (``SourceUnit.contracts_by_name``); a base
+    that appears more than once through different paths (diamond) is merged
+    once and a warning is recorded.
     """
     table = SymbolTable(contract)
     repeated: list[str] = []
-    by_name = {c.name: c for c in unit.contracts} if contract.bases else {}
-    _absorb(contract, table, by_name, set(), repeated)
+    _absorb(contract, table, unit.contracts_by_name, set(), repeated)
     if diagnostics is not None:
         diagnostics += [Diagnostic(
             "warning", f"contract {contract.name}: base {name} inherited more "

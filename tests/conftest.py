@@ -87,3 +87,12 @@ def hits(source: str, config=None) -> set[tuple[str, int]]:
 
 def detectors_fired(source: str, config=None) -> set[str]:
     return {f.detector for f in findings_for(source, config)}
+
+
+def no_child_left() -> bool:
+    """No child process of this one is left, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False

@@ -3,16 +3,21 @@ from __future__ import annotations
 import gc
 import os
 import pathlib
+import selectors
+import signal
 
 import pytest
+from hypothesis import given, strategies as st
 
-from soldefect.analyzer import (analyze_file, analyze_input, analyze_paths,
-                                collect_inputs, file_mode)
+from soldefect import analyzer
+from soldefect.analyzer import (_looks_like_hex_text, analyze_file,
+                                analyze_input, analyze_paths, collect_inputs,
+                                file_mode, worker_count)
 from soldefect.config import RunConfig
 
 from asm import (BALANCE_EQ, CALL_BODY, DEAD_CALL_INTO_LOOP, STACK_OVERFLOW,
                  counted_loop, dispatcher, storage_bound_loop)
-from conftest import CORPUS_DIR, DEEP_CONTRACT, read_listing
+from conftest import CORPUS_DIR, DEEP_CONTRACT, no_child_left, read_listing
 from synth import generate_contract_file
 
 
@@ -77,6 +82,28 @@ def test_hex_file_must_hold_hex_text(tmp_path):
         assert analyze_file(str(tmp_path / name), RunConfig()).error is None
 
 
+def _looks_like_hex_text_by_character(text: str) -> bool:
+    """The check that ``_looks_like_hex_text`` replaced, kept as its oracle."""
+    body = text.strip()
+    if body[:2].lower() == "0x":
+        return True
+    return bool(body) and all(c in "0123456789abcdefABCDEF \t\r\n" for c in body)
+
+
+# the characters that the checks accept, and whitespace that strip() takes
+# but that the checks refuse inside the text
+_HEX_OR_SPACE = "0123456789abcdefABCDEF \t\r\n\x0b\x0c\x1c\x85\xa0"
+
+
+@given(st.sampled_from(["", "0x", "0X", " 0x", "\n0X", "x0"]),
+       st.text(_HEX_OR_SPACE, max_size=40), st.integers(0, 40),
+       st.one_of(st.just(""), st.characters()))
+def test_hex_text_check_matches_the_character_by_character_check(
+        prefix, body, at, stray):
+    text = prefix + body[:at] + stray + body[at:]
+    assert _looks_like_hex_text(text) == _looks_like_hex_text_by_character(text)
+
+
 def test_step_budget_run_out_is_a_warning(monkeypatch):
     from soldefect.evm import cfg
     code = "0x" + counted_loop(5).hex()
@@ -101,6 +128,72 @@ def test_serial_and_parallel_reports_equal(tmp_path):
     serial, _ = analyze_paths([str(tmp_path)], RunConfig(jobs=1))
     parallel, _ = analyze_paths([str(tmp_path)], RunConfig(jobs=4))
     assert serial == parallel
+
+
+def test_a_killed_worker_costs_only_its_file(tmp_path, monkeypatch):
+    # a worker that dies (here by SIGKILL, as from the OOM killer) fails the
+    # file it was analyzing and nothing else; the fork passes the patch on
+    for path in pathlib.Path(CORPUS_DIR).glob("*.sol"):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    (tmp_path / "killer.sol").write_text("contract K { }")
+    serial, serial_outcomes = analyze_paths([str(tmp_path)], RunConfig(jobs=1))
+    real = analyzer.analyze_file
+
+    def kill_on_killer(path, config):
+        if path.endswith("killer.sol"):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(path, config)
+
+    monkeypatch.setattr(analyzer, "analyze_file", kill_on_killer)
+    report, outcomes = analyze_paths([str(tmp_path)], RunConfig(jobs=2))
+    [failed] = [o for o in outcomes if o.error is not None]
+    assert failed.path == str(tmp_path / "killer.sol")
+    assert failed.phase == "worker"
+    assert failed.error.endswith("worker failed: the process analyzing it "
+                                 "was killed by signal 9 (SIGKILL)")
+    assert [o for o in outcomes if o is not failed] \
+        == [o for o in serial_outcomes if o.path != failed.path]
+    assert report.findings == [f for f in serial.findings if f.file != failed.path]
+    assert no_child_left()
+
+
+def test_an_interrupted_run_leaves_no_child(tmp_path, monkeypatch):
+    # the parent kills and reaps every worker when it is interrupted
+    from synth import write_corpus
+    write_corpus(tmp_path, 8)
+
+    class Interrupted(selectors.DefaultSelector):
+        def select(self, timeout=None):
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(selectors, "DefaultSelector", Interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        analyze_paths([str(tmp_path)], RunConfig(jobs=3))
+    assert no_child_left()
+
+
+def test_worker_count_is_the_usable_cpus_and_at_most_one_per_input(monkeypatch):
+    # counted, not forked: --jobs 0 means the CPUs this process may run on
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    assert worker_count(0, 100) == 3
+    assert worker_count(0, 2) == 2
+    assert worker_count(1000, 7) == 7
+    assert worker_count(4, 100) == 4
+    assert worker_count(0, 0) == 0
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert worker_count(0, 100) == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(0, 100) == 1
+
+
+def test_without_fork_jobs_run_serially(tmp_path, monkeypatch):
+    from synth import write_corpus
+    write_corpus(tmp_path, 4)
+    serial, _ = analyze_paths([str(tmp_path)], RunConfig(jobs=1))
+    monkeypatch.delattr(os, "fork")
+    assert analyze_paths([str(tmp_path)], RunConfig(jobs=2))[0] == serial
 
 
 def test_mixed_corpus_source_and_bytecode(tmp_path):

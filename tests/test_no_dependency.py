@@ -1,7 +1,7 @@
 """The analysis path needs nothing outside the standard library: with
 `requests` unimportable the CLI still analyzes, scores and lists, the
-fetch tests still pass, and importing the CLI loads no HTTP code, no
-process pool, and none of the modules that only some runs need."""
+fetch tests still pass, importing the CLI loads no HTTP code and none of
+the modules that only some runs need, and no run loads a process pool."""
 
 from __future__ import annotations
 
@@ -64,14 +64,31 @@ def test_fetch_tests_pass_without_requests():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+POOL_MODULES = "('concurrent.futures', 'multiprocessing')"
+
+
 def test_cli_import_loads_no_process_pool():
-    # only a run with --jobs above 1 starts a pool; every CLI start pays
-    # for what importing the CLI loads
+    # every CLI start pays for what importing the CLI loads, and no run
+    # needs a process pool (see the next test)
     proc = _python("import sys, soldefect.cli\n"
-                   "print([m for m in ('concurrent.futures', 'multiprocessing')"
-                   " if m in sys.modules])")
+                   f"print([m for m in {POOL_MODULES} if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_parallel_run_loads_no_process_pool(tmp_path):
+    # --jobs above 1 forks its own workers (soldefect/workers.py), so a
+    # parallel run does not import concurrent.futures or multiprocessing
+    proc = _python("import sys, soldefect.cli\n"
+                   "code = soldefect.cli.main(['analyze', *sys.argv[1:3], "
+                   "'--jobs', '2', '--output', sys.argv[3]])\n"
+                   f"print(code, [m for m in {POOL_MODULES} if m in sys.modules])",
+                   os.path.join(CORPUS_DIR, "listing1.sol"),
+                   os.path.join(CORPUS_DIR, "listing2.sol"),
+                   str(tmp_path / "report.txt"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1 []"  # findings present, no pool modules
+    assert "reentrancy" in (tmp_path / "report.txt").read_text()
 
 
 # modules every CLI start would pay for but none needs: dataclasses (and the

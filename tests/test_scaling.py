@@ -65,6 +65,10 @@ SHAPES = {
     # each contract built the file's name -> contract map
     "contracts-without-bases": (150, lambda n: "\n".join(
         f"contract C{i} {{ uint x; }}" for i in range(n)) + "\n", False),
+    # ... and each contract that names a base still did
+    "contracts-naming-a-base": (150, lambda n: "contract C0 { uint x; }\n"
+        + "\n".join(f"contract C{i} is C0 {{ uint y; }}" for i in range(1, n))
+        + "\n", False),
 }
 
 
