@@ -5,19 +5,35 @@ from the table that `disassemble` decoded once.
 
 Jump targets are resolved by propagating push constants through stack
 shuffles and arithmetic; everything the emulator cannot prove concrete
-becomes a tainted or unknown value. Each block is explored at most
-``MAX_VISITS_PER_BLOCK`` times per distinct abstract entry stack and the
-whole walk has a step budget, so recovery always terminates without a
-solver; jumps that stay unresolved are recorded as edges-to-unknown. A walk
-that runs out of ``STEP_BUDGET`` sets ``out_of_budget``, and the analyzer
-then warns that the input's CFG is incomplete.
+becomes a tainted or unknown value. Jumps that stay unresolved are
+recorded as edges-to-unknown.
+
+Loops end by widening, not by unrolling. A block's entry stacks fall into
+contexts: two stacks share one when they have the same height and differ
+only in slots that hold ``WIDENED`` or a constant that is not a JUMPDEST of
+the code (a loop counter, say, but not a return address). A stack that
+reaches a block in an explored context is joined with the one explored
+there, every slot in which they differ set to ``WIDENED``, and the block is
+explored again only if the join is new; each slot widens at most once, so
+every loop reaches a fixpoint. Every other difference opens a new context,
+at most ``MAX_VISITS_PER_BLOCK`` per block: ``capped_blocks`` holds the
+blocks where a context was dropped, so where precision was lost. The whole
+walk also has a step budget, so recovery always terminates without a
+solver: ``steps`` counts the instructions of each block explored, once per
+exploration, and a walk that would take it past ``STEP_BUDGET`` stops
+before that block and sets ``out_of_budget``; the analyzer then warns that
+the input's CFG is incomplete.
 
 Abstract values (hashable tuples):
     ("const", v)                   concrete 256-bit value
+    ("widened",)                   an untainted integer that changes
+                                   between visits (``WIDENED``)
     ("taint", frozenset(tags))     value influenced by the tagged sources
     ("cmp", op, pc, a, b)          result of a comparison instruction
     ("iszero", inner)              boolean negation wrapper
     ("unknown",)
+Folding and NOT over constants and ``WIDENED`` give ``WIDENED``; a
+comparison with it is never decided, and a jump to it is unresolved.
 Taint tags: BALANCE, CALLER, BLOCKINFO, CALLDATA, STORAGE, ENV.
 """
 
@@ -35,6 +51,9 @@ STEP_BUDGET = 200_000
 _WORD = (1 << 256) - 1
 
 UNKNOWN = ("unknown",)
+WIDENED = ("widened",)
+# the kinds of value that arithmetic folds: to a constant, or to WIDENED
+INTEGERS = ("const", "widened")
 
 # opcode -> the taint tags of the value it pushes
 _TAINT_SOURCES = {MNEMONICS[op]: frozenset({tag}) for op, tag in {
@@ -118,8 +137,9 @@ class ControlFlowGraph:
     dominator_spans: dict[int, tuple[int, int]] = field(default_factory=dict)
     unresolved_jumps: list[tuple[int, int]] = field(default_factory=list)
     jumpi_events: list[JumpiEvent] = field(default_factory=list)
-    capped_blocks: set[int] = field(default_factory=set)
+    capped_blocks: set[int] = field(default_factory=set)  # dropped a context
     out_of_budget: bool = False  # the walk stopped at STEP_BUDGET
+    steps: int = 0  # instructions emulated, a block's once per exploration
 
     def reachable(self) -> set[int]:
         seen = set()
@@ -144,24 +164,19 @@ class ControlFlowGraph:
 
 
 def split_blocks(disassembly: Disassembly) -> dict[int, BasicBlock]:
-    """Partition at JUMPDESTs and after terminators (a truncated PUSH, which
-    is invalid, can only be the last instruction)."""
+    """One block per end that `disassemble` recorded (a truncated PUSH,
+    which is invalid, can only be the last instruction)."""
     code, starts = disassembly.code, disassembly.starts
     blocks: dict[int, BasicBlock] = {}
-    first = 0  # index of the open block's first instruction
-    for i, pc in enumerate(starts):
-        op = code[pc]
-        if op == JUMPDEST and i > first:
-            blocks[starts[first]] = BasicBlock(starts[first], first, i)
-            first = i
-        if op in TERMINATORS:
-            blocks[starts[first]] = BasicBlock(starts[first], first, i + 1,
-                                               terminator=TERMINATORS[op])
-            first = i + 1
-    if first < len(starts):
-        end = "invalid" if disassembly.truncated(starts[-1]) else "fallthrough"
-        blocks[starts[first]] = BasicBlock(starts[first], first, len(starts),
-                                           terminator=end)
+    first = 0  # index of the block's first instruction
+    block = None
+    for stop in disassembly.ends:
+        end = TERMINATORS.get(code[starts[stop - 1]], "fallthrough")
+        block = BasicBlock(starts[first], first, stop, [], end)
+        blocks[block.id] = block
+        first = stop
+    if block is not None and disassembly.truncated(starts[-1]):
+        block.terminator = "invalid"
     return blocks
 
 
@@ -208,26 +223,38 @@ def _emulate(cfg: ControlFlowGraph, edges: set, unresolved: set) -> None:
     blocks = cfg.blocks
     jumpdests = {bid for bid in blocks if code[bid] == JUMPDEST}
     worklist: list[tuple[int, tuple]] = [(cfg.entry, ())]
-    seen: dict[int, set[tuple]] = {}
+    # block -> the entry stack explored last in each of its contexts
+    explored: dict[int, list[tuple]] = {}
     steps = 0
 
     while worklist:
         bid, entry_stack = worklist.pop()
-        visits = seen.setdefault(bid, set())
-        if entry_stack in visits:
+        stacks = explored.setdefault(bid, [])
+        if entry_stack in stacks:
             continue
-        if len(visits) >= MAX_VISITS_PER_BLOCK:
-            cfg.capped_blocks.add(bid)
+        for i, known in enumerate(stacks):
+            joined = _join(known, entry_stack, jumpdests)
+            if joined is not None:  # the context is explored: widen it
+                if joined is known:
+                    entry_stack = None
+                else:
+                    stacks[i] = entry_stack = joined
+                break
+        else:
+            if len(stacks) >= MAX_VISITS_PER_BLOCK:
+                cfg.capped_blocks.add(bid)
+                continue
+            stacks.append(entry_stack)
+        if entry_stack is None:
             continue
-        visits.add(entry_stack)
 
-        stack = list(entry_stack)
         block = blocks[bid]
+        if steps + block.stop - block.start > STEP_BUDGET:
+            cfg.out_of_budget = True
+            break
+        steps += block.stop - block.start
+        stack = list(entry_stack)
         for pc in starts[block.start:block.stop]:
-            steps += 1
-            if steps > STEP_BUDGET:
-                cfg.out_of_budget = True
-                return
             op = code[pc]
             if PUSH1 <= op <= PUSH32:
                 stack.append(("const", values[pc]))
@@ -280,6 +307,32 @@ def _emulate(cfg: ControlFlowGraph, edges: set, unresolved: set) -> None:
             fall = cfg.next_block.get(bid)
             if block.terminator == "fallthrough" and fall is not None:
                 worklist.append((fall, tuple(stack)))
+    cfg.steps = steps
+
+
+def _join(known: tuple, stack: tuple, jumpdests: set) -> tuple | None:
+    """``known`` with every slot in which ``stack`` differs set to WIDENED,
+    ``known`` itself if that changes nothing, or None if the two stacks are
+    of different contexts."""
+    if len(known) != len(stack):
+        return None
+    joined = []
+    changed = False
+    for a, b in zip(known, stack):
+        if a != b:
+            if not (_may_widen(a, jumpdests) and _may_widen(b, jumpdests)):
+                return None
+            if a[0] != "widened":
+                a, changed = WIDENED, True
+        joined.append(a)
+    return tuple(joined) if changed else known
+
+
+def _may_widen(value, jumpdests: set) -> bool:
+    """Whether a slot holding ``value`` may widen: WIDENED, or a constant
+    that is not a JUMPDEST of the code (so not a return address)."""
+    return value[0] == "widened" or (value[0] == "const"
+                                     and value[1] not in jumpdests)
 
 
 def _concrete_bool(cond) -> bool | None:
@@ -381,6 +434,8 @@ def _step(stack: list, op: int, pc: int) -> bool:
         a = args[0]
         if a[0] == "const":
             stack.append(("const", a[1] ^ _WORD))
+        elif a[0] == "widened":
+            stack.append(WIDENED)
         else:
             stack.append(_join_taints(args))
         return True
@@ -389,6 +444,8 @@ def _step(stack: list, op: int, pc: int) -> bool:
         a, b = args[0], args[1]
         if a[0] == "const" and b[0] == "const":
             stack.append(("const", _fold(name, a[1], b[1])))
+        elif a[0] in INTEGERS and b[0] in INTEGERS:
+            stack.append(WIDENED)
         else:
             stack.append(_join_taints(args))
         return True

@@ -1,17 +1,20 @@
 """Linear EVM disassembly over flat arrays.
 
 No record is built per instruction. A `Disassembly` holds the code bytes,
-the pc at which each instruction starts, and each PUSH's value, decoded
-once; an instruction's opcode is ``code[pc]``. An unknown opcode is
-invalid, and so is a PUSH whose data the code ends inside: such a
-truncated PUSH can only be the last instruction, and its value is that of
-the bytes that are present.
+the pc at which each instruction starts, each PUSH's value and where each
+basic block ends, all found in one decoding pass; an instruction's opcode
+is ``code[pc]``. An unknown opcode is invalid, and so is a PUSH whose data
+the code ends inside: such a truncated PUSH can only be the last
+instruction, and its value is that of the bytes that are present.
 """
 
 from __future__ import annotations
 
 from ..records import record
-from .opcodes import PUSH1, PUSH32
+from .opcodes import JUMPDEST, PUSH1, PUSH32, TERMINATORS
+
+# opcodes that end a block: before a JUMPDEST, after any other
+_BLOCK_ENDS = frozenset(TERMINATORS) | {JUMPDEST}
 
 
 class BytecodeError(ValueError):
@@ -23,6 +26,10 @@ class Disassembly:
     code: bytes
     starts: list[int]  # the pc of each instruction, ascending
     push_values: dict[int, int]  # pc -> value, for each PUSH
+    # the index one past each basic block's last instruction, ascending: a
+    # block ends before a JUMPDEST, after a terminator or invalid opcode,
+    # and at the end of the code
+    ends: list[int]
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -53,9 +60,11 @@ def disassemble(bytecode: bytes | str) -> Disassembly:
     code = decode_bytecode_input(bytecode)
     starts: list[int] = []
     values: dict[int, int] = {}
+    ends: list[int] = []
     append = starts.append
     from_bytes = int.from_bytes
     pc, n = 0, len(code)
+    first = 0  # index of the open block's first instruction
     while pc < n:
         append(pc)
         op = code[pc]
@@ -65,4 +74,14 @@ def disassemble(bytecode: bytes | str) -> Disassembly:
             pc = end
         else:
             pc += 1
-    return Disassembly(code, starts, values)
+            if op in _BLOCK_ENDS:
+                i = len(starts)  # one past this instruction
+                if op != JUMPDEST:
+                    ends.append(i)
+                    first = i
+                elif i - 1 > first:
+                    ends.append(i - 1)
+                    first = i - 1
+    if first < len(starts):
+        ends.append(len(starts))
+    return Disassembly(code, starts, values, ends)

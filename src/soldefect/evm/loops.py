@@ -2,17 +2,18 @@
 
 A back edge is an edge u->h where h dominates u; the loop body is every
 reachable block that reaches u without passing through h. A loop is
-classified ``constant(c)`` only when its exit comparison was observed
-(during stack emulation) with concrete operands on both sides across
-iterations: the operand that stays fixed while the other advances is the
-bound. Anything else — storage- or calldata-derived bounds, conditions
-that never fold — is ``unbounded``.
+classified ``constant(c)`` only when the stack emulation saw its exit
+comparison with an untainted integer on both sides, one of them the same
+constant ``c`` every time and the other a constant on the first pass and
+``WIDENED`` once the emulator joined the passes: ``c`` is the bound.
+Anything else — storage- or calldata-derived bounds, an unknown operand,
+conditions that never fold — is ``unbounded``.
 """
 
 from __future__ import annotations
 
 from ..records import record
-from .cfg import ControlFlowGraph, JumpiEvent, unwrap_iszero
+from .cfg import INTEGERS, ControlFlowGraph, JumpiEvent, unwrap_iszero
 
 
 @record
@@ -71,10 +72,10 @@ def _classify_bound(cfg: ControlFlowGraph, body: set[int],
             if cond[0] != "cmp":
                 return None
             _, _op, _pc, a, b = cond
-            if a[0] != "const" or b[0] != "const":
+            if a[0] not in INTEGERS or b[0] not in INTEGERS:
                 return None  # bound involves storage/calldata/env data
-            if (a[1], b[1]) not in pairs:
-                pairs.append((a[1], b[1]))
+            if (a, b) not in pairs:
+                pairs.append((a, b))
 
     for pairs in observations.values():
         bound = _stable_operand(pairs)
@@ -84,13 +85,13 @@ def _classify_bound(cfg: ControlFlowGraph, body: set[int],
 
 
 def _stable_operand(pairs: list[tuple]) -> int | None:
-    """The comparison side that stays fixed while the other one advances."""
-    if len(pairs) < 2:
-        return None
-    firsts = {p[0] for p in pairs}
-    seconds = {p[1] for p in pairs}
-    if len(firsts) == 1 and len(seconds) > 1:
-        return next(iter(firsts))
-    if len(seconds) == 1 and len(firsts) > 1:
-        return next(iter(seconds))
+    """The comparison side that is the same constant in every event, while
+    the other side is a constant in some events and widened in others."""
+    for fixed, moving in ((0, 1), (1, 0)):
+        bounds = {p[fixed] for p in pairs}
+        counters = {p[moving][0] for p in pairs}
+        if len(bounds) == 1 and len(counters) == 2:
+            (bound,) = bounds
+            if bound[0] == "const":
+                return bound[1]
     return None

@@ -143,13 +143,15 @@ def _size(line: str) -> int:
 
 # Canonical fixtures reused across the CFG/loop/detector tests.
 
-def counted_loop(bound: int = 5, body: list[str] | None = None) -> bytes:
-    """for (i = 0; i < bound; i++) { body }"""
+def counted_loop(bound: int = 5, body: list[str] | None = None,
+                 after: list[str] | None = None) -> bytes:
+    """for (i = 0; i < bound; i++) { body } after, with i left on the stack
+    (``after`` is a STOP unless given)"""
     return assemble([
         "PUSH1 0",
         "header:",
         "JUMPDEST",
-        f"PUSH1 {bound}",
+        f"PUSH{max(1, (bound.bit_length() + 7) // 8)} {bound}",
         "DUP2",
         "LT",
         "ISZERO",
@@ -162,7 +164,7 @@ def counted_loop(bound: int = 5, body: list[str] | None = None) -> bytes:
         "JUMP",
         "exit:",
         "JUMPDEST",
-        "STOP",
+        *(after or ["STOP"]),
     ])
 
 

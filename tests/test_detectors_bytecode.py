@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import soldefect.evm.keccak
 from soldefect.detectors.availability import ERC20_MANDATORY, ERC20_SELECTORS
+from soldefect.evm.disasm import disassemble
 from soldefect.evm.keccak import function_selector
+from soldefect.evm.opcodes import MNEMONICS
 
 from asm import (BALANCE_EQ, CALL_BODY, DEAD_CALL_INTO_LOOP, PUSH20_LITERAL,
                  assemble, counted_loop, dispatcher, storage_bound_loop)
@@ -33,6 +35,18 @@ def test_balance_range_check_quiet():
         "STOP", "yes:", "JUMPDEST", "STOP",
     ])
     assert "strict-balance-equality" not in bc_detectors(code)
+
+
+def test_balance_eq_after_a_constant_loop_fires():
+    # 5 passes, more than MAX_VISITS_PER_BLOCK: the code after the loop is
+    # still emulated
+    code = counted_loop(5, after=[
+        "ADDRESS", "BALANCE", "PUSH1 10", "EQ", "PUSH2 @yes", "JUMPI",
+        "STOP", "yes:", "JUMPDEST", "STOP",
+    ])
+    eq = [pc for pc in disassemble(code).starts if code[pc] == MNEMONICS["EQ"]]
+    assert [f.pc for f in bytecode_findings(code)
+            if f.detector == "strict-balance-equality"] == eq
 
 
 def test_eq_without_balance_quiet():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -94,10 +96,13 @@ def test_flat_layout_matches_the_reference_decoder(code):
             for pc in disassembly.starts] == [r[3] for r in reference]
     assert [(i.push_bytes, i.valid) for i in instructions(disassembly)] \
         == [(r[2], r[3]) for r in reference]
+    reference_blocks = reference_split_blocks(reference)
+    assert disassembly.ends == list(accumulate(len(pcs) for _id, pcs, _end
+                                               in reference_blocks))
     cfg = build_cfg(disassembly)
     starts = disassembly.starts
     assert [(b.id, starts[b.start:b.stop], b.terminator)
-            for b in cfg.blocks.values()] == reference_split_blocks(reference)
+            for b in cfg.blocks.values()] == reference_blocks
 
 
 # -- CFG ----------------------------------------------------------------------
@@ -326,6 +331,122 @@ def test_loop_has_back_edge():
     cfg = build_cfg(counted_loop())
     for loop in detect_loops(cfg):
         assert any(loop.header in cfg.blocks[b].successors for b in loop.body)
+
+
+# -- widening ------------------------------------------------------------------
+
+
+def internal_calls(sites: int) -> bytes:
+    """An internal function ``f(x)`` called from ``sites`` places, each with
+    its own return address and a different constant argument."""
+    program = []
+    for site in range(sites):
+        program += [f"PUSH2 @r{site}", f"PUSH1 {site + 1}", "PUSH2 @f", "JUMP",
+                    f"r{site}:", "JUMPDEST"]
+    return assemble(program + ["STOP", "f:", "JUMPDEST", "POP", "JUMP"])
+
+
+def test_return_addresses_are_never_widened():
+    cfg = build_cfg(internal_calls(3))
+    f = max(cfg.blocks)
+    returns = [bid for bid in cfg.blocks if bid not in (cfg.entry, f)]
+    assert cfg.blocks[f].successors == returns
+    assert cfg.unresolved_jumps == []
+    assert cfg.capped_blocks == set()
+
+
+def test_a_dropped_context_caps_its_block():
+    sites = cfg_module.MAX_VISITS_PER_BLOCK + 1
+    cfg = build_cfg(internal_calls(sites))
+    f = max(cfg.blocks)
+    assert cfg.capped_blocks == {f}
+    assert len(cfg.blocks[f].successors) == sites - 1
+
+
+@pytest.mark.parametrize("bound", [1, 5, 60, 500, 2**255])
+def test_counted_loop_steps_do_not_grow_with_its_bound(bound):
+    cfg = build_cfg(counted_loop(bound, CALL_BODY))
+    assert cfg.steps == build_cfg(counted_loop(5, CALL_BODY)).steps
+    assert cfg.capped_blocks == set()
+    [loop] = detect_loops(cfg)
+    assert loop.bound == bound
+
+
+def test_a_loop_counter_widens_after_one_pass():
+    cfg = build_cfg(counted_loop(5))
+    counters = [e.condition[1][3] for e in cfg.jumpi_events]
+    assert counters == [("const", 0), cfg_module.WIDENED]
+
+
+def test_unknown_increment_keeps_the_loop_unbounded():
+    code = assemble([
+        "PUSH1 0",
+        "head:",
+        "JUMPDEST",
+        "PUSH1 5", "DUP2", "LT", "ISZERO", "PUSH2 @exit", "JUMPI",
+        "PUSH1 0", "MLOAD", "ADD",  # i += memory[0], an unknown value
+        "PUSH2 @head",
+        "JUMP",
+        "exit:",
+        "JUMPDEST",
+        "STOP",
+    ])
+    cfg = build_cfg(code)
+    [loop] = detect_loops(cfg)
+    assert loop.bound is None
+    assert cfg.capped_blocks == set()
+
+
+def test_nested_constant_loops_are_both_bounded():
+    code = assemble([
+        "PUSH1 0",
+        "outer:",
+        "JUMPDEST",
+        "PUSH1 3", "DUP2", "LT", "ISZERO", "PUSH2 @done", "JUMPI",
+        "PUSH1 0",
+        "inner:",
+        "JUMPDEST",
+        "PUSH1 4", "DUP2", "LT", "ISZERO", "PUSH2 @next", "JUMPI",
+        "PUSH1 1", "ADD", "PUSH2 @inner", "JUMP",
+        "next:",
+        "JUMPDEST",
+        "POP",
+        "PUSH1 1", "ADD", "PUSH2 @outer", "JUMP",
+        "done:",
+        "JUMPDEST",
+        "STOP",
+    ])
+    cfg = build_cfg(code)
+    assert [loop.bound for loop in detect_loops(cfg)] == [3, 4]
+    assert cfg.capped_blocks == set()
+
+
+def test_a_jump_to_a_widened_value_is_unresolved():
+    cfg = build_cfg(counted_loop(5, after=["JUMP"]))
+    exit_block = cfg.blocks[max(cfg.blocks)]
+    jump = cfg.disassembly.starts[exit_block.stop - 1]
+    assert cfg.unresolved_jumps == [(exit_block.id, jump)]
+
+
+def test_widened_values_fold_to_widened():
+    from soldefect.evm.cfg import WIDENED, _concrete_bool, _step
+    from soldefect.evm.opcodes import MNEMONICS
+    three = ("const", 3)
+    for name in ("ADD", "SUB", "MUL", "DIV", "EXP", "AND", "BYTE"):
+        for a, b in ((WIDENED, three), (three, WIDENED), (WIDENED, WIDENED)):
+            stack = [b, a]  # a on top
+            assert _step(stack, MNEMONICS[name], 0) and stack == [WIDENED]
+    stack = [WIDENED]
+    _step(stack, MNEMONICS["NOT"], 0)
+    assert stack == [WIDENED]
+    for name in ("LT", "EQ", "ISZERO"):
+        stack = [three, WIDENED]
+        _step(stack, MNEMONICS[name], 0)
+        assert _concrete_bool(stack[-1]) is None
+    balance = ("taint", frozenset({"BALANCE"}))
+    stack = [balance, WIDENED]
+    _step(stack, MNEMONICS["ADD"], 0)
+    assert stack == [balance]
 
 
 # -- selectors -----------------------------------------------------------------

@@ -67,7 +67,7 @@ SARIF_SNAPSHOTS = {
     ("mixed", "strict"): "adad4ba2795ddcf88cacddc8b66ee41cca855b749b245ebf2c0056669890b753",
 }
 
-EVM_FACTS_SNAPSHOT = "e77a15805383b9cadaded325287f7f4be047cd157da52f32e997ea98258aec5c"
+EVM_FACTS_SNAPSHOT = "397b1a565198908dc4131e201fed29edb8dd48d32603b13edc2f9e4053b6651d"
 
 DIAGNOSTICS_SNAPSHOT = "d453c08a4c906a614142149493f0cf455dc9ac56280410590e4e0337f3d575be"
 
@@ -204,6 +204,8 @@ def render_value(value) -> str:
         return f"{op}@{pc}({render_value(a)},{render_value(b)})"
     if kind == "iszero":
         return f"iszero({render_value(value[1])})"
+    if kind == "widened":
+        return "widened"
     return "unknown"
 
 
