@@ -23,7 +23,7 @@ from .lexer import tokenize
 from .parser import ParseResult, parse
 from .records import field, record
 from .report import Finding, InputRecord, Report
-from .semantic import build_call_graph, compute_def_use, flatten_contract
+from .semantic import compute_def_use, flatten_contract
 from .spans import Diagnostic, Span
 
 SOURCE_EXTENSIONS = (".sol",)
@@ -46,9 +46,8 @@ def source_facts(result: ParseResult, file_id: str) -> SourceFacts:
     contracts: list[ContractFacts] = []
     for contract in result.unit.contracts:
         table = flatten_contract(result.unit, contract, diagnostics)
-        graph = build_call_graph(table)
         defuse = [(fn, compute_def_use(fn)) for fn in contract.functions]
-        contracts.append(ContractFacts(contract, table, graph, defuse))
+        contracts.append(ContractFacts(contract, table, None, defuse))
     return SourceFacts(file_id, result.unit, contracts, diagnostics)
 
 

@@ -8,6 +8,7 @@ Exit codes: 0 = clean, 1 = findings present (or imperfect score),
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -224,5 +225,18 @@ def main(argv: list[str] | None = None) -> int:
     return handlers[args.command](args)
 
 
+def run() -> None:
+    """The console entry point: ``main()``, then flush stdout and stderr and
+    exit without interpreter teardown, which only frees what the run built.
+    A flush that fails (a closed pipe) exits through teardown as before."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

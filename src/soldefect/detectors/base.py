@@ -9,7 +9,7 @@ from ..config import DetectorConfig
 from ..nodes import (ContractDefinition, FunctionDefinition,
                      ModifierDefinition, SourceUnit)
 from ..records import field, record
-from ..semantic import CallGraph, DefUseFacts, SymbolTable
+from ..semantic import CallGraph, DefUseFacts, SymbolTable, build_call_graph
 from ..spans import Diagnostic, Span
 from .index import FunctionIndex, NodeIndex
 
@@ -37,12 +37,22 @@ class DetectorDescriptor:
 
 @record
 class ContractFacts:
+    """One contract's facts. The call graph, if None, is built on first read
+    of ``callees``: only D15 needs it, and only for some contracts."""
+
     contract: ContractDefinition
     table: SymbolTable
-    call_graph: CallGraph
+    call_graph: CallGraph | None
     defuse: list[tuple[FunctionDefinition, DefUseFacts]]
     _indexes: dict[int, FunctionIndex] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def callees(self) -> set[str]:
+        """The names that something in this contract calls or invokes."""
+        if self.call_graph is None:
+            self.call_graph = build_call_graph(self.table)
+        return {callee for _, callee in self.call_graph.edges}
 
     @cached_property
     def tree(self) -> NodeIndex:
@@ -77,12 +87,20 @@ class SourceFacts:
     unit: SourceUnit
     contracts: list[ContractFacts]
     diagnostics: list[Diagnostic] = field(default_factory=list)
+    _bodies: dict[bool, list[FunctionIndex]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def bodies(self, modifiers: bool = True) -> list[FunctionIndex]:
         """The indexes of each contract's own functions, then its modifiers
-        unless told not to, that have a body, in source order."""
-        return [index for cf in self.contracts for index in cf.indexes(
-            cf.contract.functions + (cf.contract.modifiers if modifiers else []))]
+        unless told not to, that have a body, in source order; one list per
+        flavour, built on first use."""
+        found = self._bodies.get(modifiers)
+        if found is None:
+            found = self._bodies[modifiers] = [
+                index for cf in self.contracts for index in cf.indexes(
+                    cf.contract.functions
+                    + (cf.contract.modifiers if modifiers else []))]
+        return found
 
 
 @record

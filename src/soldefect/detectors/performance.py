@@ -58,13 +58,12 @@ def _has_array_parameter(fn) -> bool:
 @register(HIGH_GAS_FUNCTION_TYPE)
 def detect_high_gas_function_type(ctx: AnalysisContext) -> Iterator[Hit]:
     for cf in ctx.source.contracts:
-        called = {callee for _, callee in cf.call_graph.edges}
         for fn in cf.contract.functions:
             if fn.body is None or fn.is_constructor or fn.is_fallback:
                 continue
             if fn.visibility not in ("public", "default"):
                 continue
-            if not _has_array_parameter(fn) or fn.name in called:
+            if not _has_array_parameter(fn) or fn.name in cf.callees:
                 continue
             yield (fn.span,
                    f"public function {fn.name} takes array arguments and has "

@@ -140,12 +140,16 @@ class NumberLiteral:
     def value(self) -> int | None:
         """Exact integer value (unit applied), or None when non-integral or
         past an exponent of 4096, which no type holds and is costly to build."""
-        _, _, exponent = self.text.lower().partition("e")
+        text = self.text
         try:
-            if exponent and abs(int(exponent)) > 4096:
-                return None
-            from fractions import Fraction  # loads decimal: not at start-up
-            magnitude = Fraction(self.text)
+            if text.isdigit() and text.isascii():  # digits only: int() will do
+                magnitude = int(text)  # over int's digit limit: ValueError
+            else:
+                _, _, exponent = text.lower().partition("e")
+                if exponent and abs(int(exponent)) > 4096:
+                    return None
+                from fractions import Fraction  # loads decimal: not at start-up
+                magnitude = Fraction(text)
         except (ValueError, ZeroDivisionError):
             return None
         if self.unit:

@@ -88,9 +88,12 @@ class Report:
 
 
 def filter_by_impact(report: Report, min_impact: str) -> Report:
-    """Keep findings at least as severe as ``min_impact`` (IP1 strongest)."""
+    """Keep findings at least as severe as ``min_impact`` (IP1 strongest);
+    ``report`` itself when that keeps them all, as the default IP5 does."""
     cutoff = impact_rank(min_impact)
     kept = [f for f in report.findings if impact_rank(f.impact) <= cutoff]
+    if len(kept) == len(report.findings):
+        return report
     return Report(list(report.inputs), kept, report.tool, report.version)
 
 

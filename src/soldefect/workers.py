@@ -155,7 +155,9 @@ class _Run:
             os.close(key.fd)
             child = self.children.pop(key.fd)
             exited.append((child, os.waitpid(child.pid, 0)[1]))
-        if self.children and not full:
+        # with every unfinished item in a child, see each exit at once
+        if self.children and not full and (
+                self.received + len(self.children) < len(self.items)):
             time.sleep(_DRAIN_INTERVAL_S)
         return exited
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -334,3 +336,92 @@ def test_analyze_never_touches_the_network(corpus_copy, monkeypatch):
     monkeypatch.setattr(socket.socket, "connect", explode)
     monkeypatch.setattr(socket, "create_connection", explode)
     assert main(["analyze", str(corpus_copy / "listing4.sol")]) == 0
+
+
+# -- the console path: a fresh ``python -m soldefect.cli`` process ------------
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
+def _cli_process(args, stdout=subprocess.PIPE, command=("-m", "soldefect.cli")):
+    """Run the CLI in a fresh interpreter. Its stdout is block-buffered, as
+    it is in a pipe, so what reaches the pipe is what it flushed."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *command, *map(str, args)],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          timeout=120)
+
+
+@pytest.fixture()
+def noisy_corpus(corpus_copy):
+    # the listings, a lexer error, 40 parse errors, a too-deep file and a
+    # hex file that is not hex: findings on stdout, diagnostics on stderr
+    (corpus_copy / "crlf.sol").write_bytes(
+        b'contract C {\r\n  string s = "abc;\r\n}\r\n')
+    for k in range(40):
+        (corpus_copy / f"perr{k:02}.sol").write_text(
+            f"contract P{k} {{\n  function f() {{ x = ; }}\n}}\n")
+    (corpus_copy / "deep.sol").write_text(DEEP_CONTRACT)
+    (corpus_copy / "bad.hex").write_text("not hex at all")
+    return corpus_copy
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["json", "sarif"])
+def test_console_run_delivers_the_whole_report_and_every_diagnostic(
+        noisy_corpus, tmp_path, capsys, jobs, fmt):
+    args = ["analyze", noisy_corpus, "--format", fmt, "--jobs", jobs]
+    assert main(list(map(str, args))) == 1
+    expected = capsys.readouterr()
+    assert expected.err.count("\n") == 43  # 1 lex, 40 + 1 parse, 1 decode
+
+    piped = _cli_process(args)
+    assert piped.returncode == 1
+    assert piped.stdout.decode() == expected.out
+    assert piped.stderr.decode() == expected.err
+    assert json.loads(piped.stdout)
+
+    out_path = tmp_path / f"report.{fmt}"
+    written = _cli_process(args + ["--output", out_path])
+    assert written.returncode == 1
+    assert written.stdout == b""
+    assert out_path.read_text() == expected.out
+    assert written.stderr.decode() == expected.err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_console_run_exit_codes(tmp_path, corpus_copy, jobs):
+    (tmp_path / "clean.sol").write_text(CLEAN_CONTRACT)
+    (tmp_path / "bad.sol").write_text('contract C { string s = "unterminated; }')
+    for path, code in ((tmp_path / "clean.sol", 0),
+                       (corpus_copy / "listing1.sol", 1),
+                       (tmp_path / "bad.sol", 2),
+                       (tmp_path / "ghost.sol", 3)):
+        proc = _cli_process(["analyze", path, "--jobs", jobs])
+        assert proc.returncode == code, (path, proc.stderr)
+    assert _cli_process(["analyze"]).returncode == 2
+    # the catalog is printed, not written and flushed as a report is; its
+    # 20 lines wait in stdout's buffer until the exit flush
+    catalog = _cli_process(["detectors"])
+    assert catalog.returncode == 0
+    assert len(catalog.stdout.decode().splitlines()) == 20
+
+
+def test_console_run_to_a_closed_pipe_exits_as_python_does():
+    # the catalog waits in stdout's buffer until the exit flush, which fails:
+    # the process ends as one that returns through interpreter teardown
+    runs = []
+    for command in (("-m", "soldefect.cli"),
+                    ("-c", "import sys, soldefect.cli as c; sys.exit(c.main())")):
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        try:
+            runs.append(_cli_process(["detectors"], stdout=write_fd,
+                                     command=command))
+        finally:
+            os.close(write_fd)
+    assert [run.returncode for run in runs] == [120, 120]
+    assert runs[0].stderr == runs[1].stderr
+    assert b"BrokenPipeError" in runs[0].stderr

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+import soldefect.detectors.base as base
 from soldefect.analyzer import source_facts
 from soldefect.config import DetectorConfig, RunConfig
-from soldefect.detectors import AnalysisContext, run_detectors
+from soldefect.detectors import AnalysisContext, ContractFacts, run_detectors
 from soldefect.detectors.common import external_call
 from soldefect.parser import parse_source
+from soldefect.semantic import CallGraph
 
 from conftest import detectors_fired, findings_for, hits, read_listing
 
@@ -677,6 +679,57 @@ def test_no_array_params_quiet():
     assert "high-gas-function-type" not in detectors_fired("""contract C {
     function f(uint a) public returns (uint) { return a; }
 }""")
+
+
+def _graphs_built(monkeypatch) -> list:
+    """Patch build_call_graph to record each contract it is built for."""
+    built, build = [], base.build_call_graph
+
+    def counted(table):
+        built.append(table.contract.name)
+        return build(table)
+
+    monkeypatch.setattr(base, "build_call_graph", counted)
+    return built
+
+
+def test_a_contract_without_candidates_builds_no_call_graph(monkeypatch):
+    # no public function takes an array, so D15 never reads the call graph
+    # and every finding comes without one
+    expected = findings_for(read_listing("listing1.sol"))
+
+    def refuse(table):
+        raise AssertionError("call graph built")
+
+    monkeypatch.setattr(base, "build_call_graph", refuse)
+    assert findings_for(read_listing("listing1.sol")) == expected
+    assert expected
+
+
+def test_a_candidate_contract_builds_its_call_graph_once(monkeypatch):
+    source = """contract C {
+    function used(uint[20] a) public returns (uint) { return a[0]; }
+    function unused(bytes b) public returns (uint) { return b.length; }
+    function caller() { uint[20] memory v; used(v); }
+}
+contract D {
+    function g(uint a) public returns (uint) { return a; }
+}"""
+    expected = hits(source)
+    built = _graphs_built(monkeypatch)
+    assert hits(source) == expected
+    assert built == ["C"]
+    assert {h for h in expected if h[0] == "high-gas-function-type"} \
+        == {("high-gas-function-type", 3)}
+
+
+def test_a_given_call_graph_is_the_one_read():
+    # a caller that builds the graph itself passes it positionally
+    cf = listing_facts("listing1.sol").contracts[0]
+    given = ContractFacts(cf.contract, cf.table, CallGraph({("f", "g")}),
+                          cf.defuse)
+    assert given.callees == {"g"}
+    assert cf.call_graph is None and cf.callees is cf.callees
 
 
 # -- D16 high gas consumption data type ------------------------------------------------------------

@@ -79,6 +79,23 @@ def test_bodies_cover_functions_and_modifiers():
     assert len(names) > 40
 
 
+def test_bodies_are_built_once_per_flavour():
+    # each call returns the one list: the indexes of each contract's own
+    # functions, then its modifiers if asked for, that have a body
+    for name, text in _sources():
+        facts = source_facts(parse_source(text, name), name)
+        for modifiers in (True, False):
+            first = facts.bodies(modifiers)
+            assert facts.bodies(modifiers=modifiers) is first
+            assert ids(first) == ids(
+                cf.index(fn) for cf in facts.contracts
+                for fn in cf.contract.functions
+                + (cf.contract.modifiers if modifiers else [])
+                if fn.body is not None)
+        assert facts.bodies() is facts.bodies(True)
+        assert len(facts.bodies(False)) <= len(facts.bodies())
+
+
 @pytest.mark.parametrize("name,index", BODIES, ids=[n for n, _ in BODIES])
 def test_index_matches_walk(name, index):
     tree, body = index.tree, index.fn.body

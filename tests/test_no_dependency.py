@@ -1,7 +1,8 @@
 """The analysis path needs nothing outside the standard library: with
 `requests` unimportable the CLI still analyzes, scores and lists, the
 fetch tests still pass, importing the CLI loads no HTTP code and none of
-the modules that only some runs need, and no run loads a process pool."""
+the modules that only some runs need, no run loads a process pool, and
+an integer literal loads no `fractions`."""
 
 from __future__ import annotations
 
@@ -105,3 +106,24 @@ def test_cli_start_loads_only_what_every_run_needs():
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()
     assert [m for m in NOT_AT_START if m in loaded] == []
+
+
+INFER_LITERALS = '''import sys, soldefect.cli
+code = soldefect.cli.main(["analyze", sys.argv[1], "--jobs", "1",
+                           "--format", "json", "--output", sys.argv[2]])
+print(code, "fractions" in sys.modules, "decimal" in sys.modules)
+'''
+
+
+def test_integer_literals_load_no_fractions(tmp_path):
+    # the loop bound 300 is inferred (D04 compares it with uint8), and an
+    # integer spelling needs only int(); a decimal point needs fractions
+    for spelling, loaded in (("300", "False False"), ("300.0", "True True")):
+        path = tmp_path / "ints.sol"
+        path.write_text("contract C {\n    uint x = 0010 ether;\n    function f() "
+                        f"{{ for (uint8 i = 0; i < {spelling}; i++) {{ }} }}\n}}\n")
+        report = tmp_path / "report.json"
+        proc = _python(INFER_LITERALS, str(path), str(report))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", *loaded.split()]
+        assert "unmatched-type-assignment" in report.read_text()

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from soldefect.lexer import ETHER_UNITS
 from soldefect.nodes import (CallExpression, ForStatement, HexLiteral,
                              NumberLiteral, children, walk)
 from soldefect.parser import parse_source
@@ -123,6 +127,45 @@ def test_scientific_notation_literals():
     assert NumberLiteral("1e4097", None, span).value is None
     assert NumberLiteral("1e-4097", None, span).value is None
     assert NumberLiteral("1e" + "9" * 5000, None, span).value is None
+
+
+def _fraction_value(text: str, unit: str | None) -> int | None:
+    """NumberLiteral.value as computed through Fraction for every spelling."""
+    _, _, exponent = text.lower().partition("e")
+    try:
+        if exponent and abs(int(exponent)) > 4096:
+            return None
+        magnitude = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+    if unit:
+        magnitude *= ETHER_UNITS[unit]
+    return int(magnitude) if magnitude.denominator == 1 else None
+
+
+# ASCII digits, and two that str.isdigit() also accepts
+_DIGITS = st.text("0123456789\u0663\u00b2", min_size=1, max_size=12)
+# digit runs around Python's 4,300-digit limit on int(str), with and
+# without leading zeros
+_LONG = st.builds(lambda lead, body, n: lead + body * n,
+                  st.sampled_from(["", "0", "000"]),
+                  st.sampled_from(["1", "9", "07"]), st.integers(2140, 4310))
+_EXPONENT = st.builds(lambda e, sign, d: e + sign + d, st.sampled_from("eE"),
+                      st.sampled_from(["", "-"]),
+                      st.text("0123456789", min_size=1, max_size=4))
+# what the lexer reads as a number: digits, ".digits" parts, an exponent
+_SPELLING = st.one_of(
+    _DIGITS, _LONG,
+    st.builds(lambda whole, parts, exp: whole + "".join("." + p for p in parts)
+              + exp, _DIGITS, st.lists(_DIGITS, max_size=2),
+              st.one_of(st.just(""), _EXPONENT)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPELLING, st.one_of(st.none(), st.sampled_from(sorted(ETHER_UNITS))))
+def test_number_literal_value_matches_fractions(text, unit):
+    literal = NumberLiteral(text, unit, parse_ok("contract C {}").span)
+    assert literal.value == _fraction_value(text, unit)
 
 
 def test_var_for_loop():

@@ -121,6 +121,18 @@ def test_filter_identity_at_ip5():
     assert filter_by_impact(report, "IP5").findings == report.findings
 
 
+def test_filter_that_keeps_every_finding_returns_the_report():
+    # nothing is deduplicated and sorted a second time
+    report = Report([], findings_for(read_listing("listing3.sol")))
+    assert filter_by_impact(report, "IP5") is report
+    weakest = max(impact_rank(f.impact) for f in report.findings)
+    assert filter_by_impact(report, IMPACT_LEVELS[weakest - 1]) is report
+    kept = filter_by_impact(report, IMPACT_LEVELS[weakest - 2])
+    assert kept is not report
+    assert kept.findings == [f for f in report.findings
+                             if impact_rank(f.impact) < weakest] != []
+
+
 def test_filter_listing1_at_ip1_keeps_only_tx_origin():
     report = Report([], findings_for(read_listing("listing1.sol")))
     kept = filter_by_impact(report, "IP1").findings

@@ -5,8 +5,10 @@ itself. Each test forks at most 3 workers at a time."""
 from __future__ import annotations
 
 import os
+import select
 import time
 
+from soldefect import workers
 from soldefect.workers import map_forked
 
 from conftest import no_child_left
@@ -57,4 +59,39 @@ def test_an_exception_in_a_worker_fails_its_item(capfd):
     assert results == [0, 1, ("failed", 2, "exited with status 1"), 3]
     # once in the queue's worker and once alone
     assert capfd.readouterr().err.count("soldefect: worker: ValueError: two") == 2
+    assert no_child_left()
+
+
+def _wait(item):
+    select.select([], [], [], 0.05)  # not time.sleep, which is patched
+    return item
+
+
+def _record_drain_sleeps(monkeypatch) -> list[bool]:
+    """Patch the parent's drain sleep; for each sleep, note whether every
+    item that had no result yet was held by a child at the time."""
+    sleeps, poll = [], workers._Run._poll
+
+    def recorded(run):
+        before = len(sleeps)
+        exited = poll(run)
+        if len(sleeps) > before:
+            sleeps[before:] = [run.received + len(run.children) >= len(run.items)]
+        return exited
+
+    monkeypatch.setattr(workers._Run, "_poll", recorded)
+    monkeypatch.setattr(workers.time, "sleep", lambda s: sleeps.append(None))
+    return sleeps
+
+
+def test_no_drain_sleep_once_every_remaining_item_is_in_flight(monkeypatch):
+    # two items for two workers: both are taken at once, so the parent
+    # never sleeps; six: it sleeps while the queue still holds items, and
+    # never once every item left is in a child
+    sleeps = _record_drain_sleeps(monkeypatch)
+    assert map_forked(_wait, [0, 1], 2, [1, 1], _failed) == [0, 1]
+    assert sleeps == []
+    items = list(range(6))
+    assert map_forked(_wait, items, 2, [1] * 6, _failed) == items
+    assert sleeps and not any(sleeps)
     assert no_child_left()
