@@ -1,10 +1,13 @@
 """Findings snapshot: refactors of the facts, the detectors or the renderers
 must leave the rendered JSON and SARIF reports byte-identical.
 
-Two corpora. The source corpus is 40 synthetic 80-function contracts plus
+Three corpora. The source corpus is 40 synthetic 80-function contracts plus
 the golden listings. The mixed corpus holds the hand-assembled bytecode
 programs of `asm.py` as `.hex` files and one contract whose balance `!=`
 check and unconditioned `tx.origin` only the strict configuration flags.
+The inheritance corpus holds contracts that reach the bodies, modifiers and
+state of their bases: a payable chain, a circuit breaker declared in a base,
+an override, a diamond and a repeated contract name.
 Each hash is the sha256 of the JSON or SARIF report with the corpus
 directory prefix removed from every path, so it does not depend on where the
 temporary directory lives.
@@ -65,6 +68,13 @@ SARIF_SNAPSHOTS = {
     ("source", "strict"): "3eee03d764545f57d466d6cd5d13641d955a7e4de4e0dc04ab55b5aec6b51970",
     ("mixed", "default"): "c026be36b5ca383bbb788fe15031669c86519fdfdb8ba6811bb2535e952bb579",
     ("mixed", "strict"): "adad4ba2795ddcf88cacddc8b66ee41cca855b749b245ebf2c0056669890b753",
+    ("inheritance", "default"): "cde4a25fb577418ee5a844c5a5da01cd2e9e00c28d13555d50fd53c9780dd94f",
+    ("inheritance", "strict"): "40dac5be151916c242698225306ada57b0de607cb2117f40ffd65ddaa356c1b5",
+}
+
+INHERITANCE_SNAPSHOTS = {
+    "default": "68d6695f37c207a29a85658922741e44cdd0930f0ba930c9e1d443c8f32dc56a",
+    "strict": "3cd533027c73756ddffda2eecc943ea67713be75ef60701f8e96c13fa4846238",
 }
 
 EVM_FACTS_SNAPSHOT = "397b1a565198908dc4131e201fed29edb8dd48d32603b13edc2f9e4053b6651d"
@@ -108,6 +118,107 @@ STRICT_ONLY_SOURCE = """contract Vault {
 }
 """
 
+INHERITANCE_SOURCES = {
+    # a payable chain: the way out of the ether is declared in a base
+    "chain.sol": """pragma solidity ^0.4.24;
+contract Bank {
+    address owner;
+    function withdraw() public { owner.transfer(this.balance); }
+}
+contract Vault is Bank {
+    function deposit() public payable { }
+}
+contract Safe is Vault {
+    function top() public payable { deposit(); }
+}
+contract Doomed {
+    function kill() public { selfdestruct(msg.sender); }
+}
+contract Tomb is Doomed {
+    function() public payable { }
+}
+contract Pot {
+    function put() public payable { }
+}
+contract Jar is Pot {
+    function add() public payable { put(); }
+}
+""",
+    # an owner-gated circuit breaker, and the modifier that gates it, in a base
+    "pausable.sol": """pragma solidity ^0.4.24;
+contract Pausable {
+    address owner;
+    bool paused;
+    address constant ADMIN = 0xDCaD000000000000000000000000000005D1d3aD;
+    modifier onlyOwner() { require(msg.sender == owner); _; }
+    function pause() public onlyOwner { paused = true; }
+    function guard() public { require(!paused); }
+}
+contract Kiosk is Pausable {
+    function() public payable { }
+}
+contract Shop is Pausable {
+    byte[] receipts;
+    function buy() public payable { require(!paused); }
+    function close() public onlyOwner { paused = true; }
+}
+contract Stall is Shop {
+    function sell(uint price) public payable onlyOwner returns (uint) { return price; }
+}
+""",
+    # an override, and a diamond over the same base
+    "diamond.sol": """pragma solidity ^0.4.24;
+contract Top {
+    address owner;
+    function pay() public payable { }
+    function drain() public { owner.send(this.balance); }
+    function sweep() public { if (this.balance != 0) { owner.transfer(this.balance); } }
+}
+contract Left is Top {
+    function drain() public { }
+}
+contract Right is Top {
+    function pay() public payable { owner.transfer(msg.value); }
+}
+contract Bottom is Left, Right {
+    function spare(uint x) public returns (uint) { uint y = x; return 1; }
+}
+""",
+    # an unbounded loop over base state, and a public array-parameter
+    # function that only a derived contract calls
+    "registry.sol": """pragma solidity ^0.4.24;
+contract Registry {
+    address[] members;
+    uint[] amounts;
+    function sum(uint[] xs) public returns (uint) {
+        uint total = 0;
+        for (uint i = 0; i < xs.length; i++) { total += xs[i]; }
+        return total;
+    }
+}
+contract Payout is Registry {
+    function pay() public {
+        for (uint i = 0; i < members.length; i++) { members[i].transfer(amounts[i]); }
+    }
+    function total() public returns (uint) { return sum(amounts); }
+}
+""",
+    # a repeated contract name: a base resolves to the last of its name
+    "repeated.sol": """pragma solidity ^0.4.24;
+contract Token {
+    function mint() public payable { }
+}
+contract Token {
+    address owner;
+    function mint() public payable { }
+    function burn() public { selfdestruct(owner); }
+}
+contract Coin is Token {
+    function give() public payable { }
+}
+""",
+}
+
 CONFIGS = {
     "default": DetectorConfig(),
     "strict": DetectorConfig(strict_balance_neq=True,
@@ -134,6 +245,15 @@ def mixed_corpus(tmp_path_factory):
     for name, code in MIXED_PROGRAMS.items():
         (root / name).write_text("0x" + code.hex() + "\n", encoding="ascii")
     (root / "strict.sol").write_text(STRICT_ONLY_SOURCE, encoding="utf-8")
+    return root
+
+
+@pytest.fixture(scope="module")
+def inheritance_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("snapshot") / "inheritance"
+    root.mkdir()
+    for name, text in INHERITANCE_SOURCES.items():
+        (root / name).write_text(text, encoding="utf-8")
     return root
 
 
@@ -166,11 +286,18 @@ def test_mixed_findings_snapshot(mixed_corpus, reports, name):
     assert snapshot_hash(mixed_corpus, name, reports) == MIXED_SNAPSHOTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(INHERITANCE_SNAPSHOTS))
+def test_inheritance_findings_snapshot(inheritance_corpus, reports, name):
+    assert snapshot_hash(inheritance_corpus, name, reports) == \
+        INHERITANCE_SNAPSHOTS[name]
+
+
 @pytest.mark.parametrize("corpus,name", sorted(SARIF_SNAPSHOTS),
                          ids=lambda value: value)
 def test_sarif_snapshot(request, reports, corpus, name):
     root = request.getfixturevalue(
-        {"source": "snapshot_corpus", "mixed": "mixed_corpus"}[corpus])
+        {"source": "snapshot_corpus", "mixed": "mixed_corpus",
+         "inheritance": "inheritance_corpus"}[corpus])
     assert snapshot_hash(root, name, reports, "sarif") == \
         SARIF_SNAPSHOTS[corpus, name]
 
