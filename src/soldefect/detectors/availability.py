@@ -6,8 +6,7 @@ from collections.abc import Iterator
 
 from ..nodes import (CallExpression, EmitStatement, ExpressionStatement,
                      IfStatement, ThrowStatement)
-from .base import (AnalysisContext, ContractFacts, DetectorDescriptor, Hit,
-                   register)
+from .base import AnalysisContext, DetectorDescriptor, Hit, register
 from .common import (ETHER_SENDING_KINDS, builtin_call_name, is_guard_call,
                      is_revert, is_selfdestruct, returns_on_all_paths, unwrap)
 from .index import FunctionIndex
@@ -193,13 +192,13 @@ def detect_greedy_contract(ctx: AnalysisContext) -> Iterator[Hit]:
         functions = cf.table.all_functions()
         if not any(f.is_payable for f in functions):
             continue
-        if _can_move_ether_out(cf):
+        if _can_move_ether_out(ctx.source.callables(cf)):
             continue
         yield (cf.contract.span,
                f"contract {cf.contract.name} can receive ether but has no way "
                f"to send it out")
 
 
-def _can_move_ether_out(cf: ContractFacts) -> bool:
+def _can_move_ether_out(callables: list[FunctionIndex]) -> bool:
     return any(index.kind(node) in ETHER_SENDING_KINDS or is_selfdestruct(node)
-               for index in cf.callables() for node in index.of(CallExpression))
+               for index in callables for node in index.of(CallExpression))

@@ -6,8 +6,7 @@ from collections.abc import Callable, Iterable
 from functools import cached_property
 
 from ..config import DetectorConfig
-from ..nodes import (ContractDefinition, FunctionDefinition,
-                     ModifierDefinition, SourceUnit)
+from ..nodes import ContractDefinition, FunctionDefinition, SourceUnit
 from ..records import field, record
 from ..semantic import CallGraph, DefUseFacts, SymbolTable, build_call_graph
 from ..spans import Diagnostic, Span
@@ -38,14 +37,13 @@ class DetectorDescriptor:
 @record
 class ContractFacts:
     """One contract's facts. The call graph, if None, is built on first read
-    of ``callees``: only D15 needs it, and only for some contracts."""
+    of ``callees``: only D15 needs it, and only for some contracts. The fact
+    indexes of the bodies it can run are the file's (``SourceFacts``)."""
 
     contract: ContractDefinition
     table: SymbolTable
     call_graph: CallGraph | None
     defuse: list[tuple[FunctionDefinition, DefUseFacts]]
-    _indexes: dict[int, FunctionIndex] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def callees(self) -> set[str]:
@@ -54,41 +52,46 @@ class ContractFacts:
             self.call_graph = build_call_graph(self.table)
         return {callee for _, callee in self.call_graph.edges}
 
-    @cached_property
-    def tree(self) -> NodeIndex:
-        """The contract's nodes in pre-order, built on first use."""
-        return NodeIndex(self.contract)
-
-    def index(self, fn: FunctionDefinition | ModifierDefinition) -> FunctionIndex:
-        """The fact index of a function or modifier with a body that this
-        contract can run (its own or an inherited one), built on first use."""
-        index = self._indexes.get(id(fn))
-        if index is None:
-            tree = self.tree
-            if id(fn.body) not in tree.pos:  # inherited from another contract
-                tree = NodeIndex(fn.body)
-            index = self._indexes[id(fn)] = FunctionIndex(fn, self.table, tree)
-        return index
-
-    def indexes(self, fns) -> list[FunctionIndex]:
-        """The indexes of those of fns that have a body, in order."""
-        return [self.index(fn) for fn in fns if fn.body is not None]
-
-    def callables(self) -> list[FunctionIndex]:
-        """The indexes of every function, then every modifier, with a body
-        that this contract can run, inherited ones included."""
-        return self.indexes(self.table.all_functions()
-                            + list(self.table.modifiers.values()))
-
 
 @record
 class SourceFacts:
+    """One file's facts: its contracts, its nodes in pre-order (``tree``),
+    and one fact index per function or modifier body, built on first use
+    with the table of the contract that declares the body and shared by
+    every contract that inherits it."""
+
     file_id: str
     unit: SourceUnit
     contracts: list[ContractFacts]
     diagnostics: list[Diagnostic] = field(default_factory=list)
     _bodies: dict[bool, list[FunctionIndex]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def tree(self) -> NodeIndex:
+        """The file's nodes in pre-order."""
+        return NodeIndex(self.unit)
+
+    @cached_property
+    def _indexes(self) -> dict[int, FunctionIndex]:
+        """id(fn) -> the index of fn, for each contract's own functions, then
+        its modifiers, that have a body, in source order."""
+        tree = self.tree
+        return {id(fn): FunctionIndex(fn, cf.table, tree)
+                for cf in self.contracts
+                for fn in cf.contract.functions + cf.contract.modifiers
+                if fn.body is not None}
+
+    def indexes(self, fns) -> list[FunctionIndex]:
+        """The indexes of those of fns that have a body, in order."""
+        indexes = self._indexes
+        return [indexes[id(fn)] for fn in fns if fn.body is not None]
+
+    def callables(self, cf: ContractFacts) -> list[FunctionIndex]:
+        """The indexes of every function, then every modifier, with a body
+        that cf's contract can run, inherited ones included."""
+        return self.indexes(cf.table.all_functions()
+                            + list(cf.table.modifiers.values()))
 
     def bodies(self, modifiers: bool = True) -> list[FunctionIndex]:
         """The indexes of each contract's own functions, then its modifiers
@@ -97,9 +100,8 @@ class SourceFacts:
         found = self._bodies.get(modifiers)
         if found is None:
             found = self._bodies[modifiers] = [
-                index for cf in self.contracts for index in cf.indexes(
-                    cf.contract.functions
-                    + (cf.contract.modifiers if modifiers else []))]
+                index for index in self._indexes.values()
+                if modifiers or isinstance(index.fn, FunctionDefinition)]
         return found
 
 

@@ -1,5 +1,6 @@
-"""The facts the source detectors query instead of walking the tree: each
-contract's nodes in pre-order, and per body its statements in context."""
+"""The facts the source detectors query instead of walking the tree: the
+file's nodes in pre-order, and one index per function or modifier body of
+its statements in context, shared by every contract that inherits it."""
 
 from __future__ import annotations
 
@@ -58,10 +59,6 @@ class NodeIndex:
             positions.sort()
         nodes = self.nodes
         return [nodes[p] for p in positions]
-
-    def of(self, *types: type) -> list:
-        """Nodes of the given types, in pre-order."""
-        return self.select(types, 0, len(self.nodes))
 
     def within(self, node, *types: type) -> list:
         """Nodes of the given types in node's subtree, node included."""

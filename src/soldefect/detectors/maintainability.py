@@ -8,7 +8,7 @@ from ..evm.eip55 import is_valid_address
 from ..nodes import (Assignment, CallExpression, HexLiteral, Identifier,
                      MemberAccess)
 from .base import (AnalysisContext, ContractFacts, DetectorDescriptor, Hit,
-                   register)
+                   SourceFacts, register)
 from .common import global_member, is_selfdestruct, unwrap
 from .index import FunctionIndex
 
@@ -27,7 +27,7 @@ HARD_CODE_ADDRESS = DetectorDescriptor(
 @register(HARD_CODE_ADDRESS)
 def detect_hard_code_address(ctx: AnalysisContext) -> Iterator[Hit]:
     for cf in ctx.source.contracts:
-        for node in cf.tree.of(HexLiteral):
+        for node in ctx.source.tree.within(cf.contract, HexLiteral):
             if not node.is_address:
                 continue
             if node.value == 0:
@@ -59,21 +59,21 @@ def detect_missing_interrupter(ctx: AnalysisContext) -> Iterator[Hit]:
         functions = cf.table.all_functions()
         if not any(f.is_payable for f in functions):
             continue  # cannot accumulate ether through calls
-        if _has_selfdestruct(cf):
+        if _has_selfdestruct(ctx.source.callables(cf)):
             continue
-        if _has_circuit_breaker(cf):
+        if _has_circuit_breaker(cf, ctx.source):
             continue
         yield (cf.contract.span,
                f"contract {cf.contract.name} can hold ether but has no "
                f"emergency stop mechanism")
 
 
-def _has_selfdestruct(cf: ContractFacts) -> bool:
-    return any(is_selfdestruct(node) for index in cf.callables()
+def _has_selfdestruct(callables: list[FunctionIndex]) -> bool:
+    return any(is_selfdestruct(node) for index in callables
                for node in index.of(CallExpression))
 
 
-def _has_circuit_breaker(cf: ContractFacts) -> bool:
+def _has_circuit_breaker(cf: ContractFacts, source: SourceFacts) -> bool:
     """An owner-gated boolean: a bool state variable checked by require/if
     in at least one externally callable function and written by an
     access-controlled function."""
@@ -85,7 +85,7 @@ def _has_circuit_breaker(cf: ContractFacts) -> bool:
 
     checked: set[str] = set()
     written_controlled: set[str] = set()
-    for index in cf.indexes(cf.table.all_functions()):
+    for index in source.indexes(cf.table.all_functions()):
         unshadowed = bool_states - index.locals
         if index.fn.visibility in ("public", "default", "external"):
             checked.update(node.name for node in index.in_conditions(Identifier)

@@ -93,7 +93,7 @@ def _is_byte_array(type_name) -> bool:
 @register(HIGH_GAS_DATA_TYPE)
 def detect_high_gas_data_type(ctx: AnalysisContext) -> Iterator[Hit]:
     for cf in ctx.source.contracts:
-        for node in cf.tree.of(VariableDeclaration):
+        for node in ctx.source.tree.within(cf.contract, VariableDeclaration):
             if _is_byte_array(node.type_name):
                 yield (node.span,
                        f"declaration {node.name or '<unnamed>'} uses byte[]; "

@@ -44,7 +44,7 @@ def detect_deprecated_apis(ctx: AnalysisContext) -> Iterator[Hit]:
             if fn.mutability == "constant":
                 yield fn.span, _deprecated("`constant` function mutability",
                                            "view or pure")
-        for index in cf.indexes(cf.contract.functions + cf.contract.modifiers):
+        for index in ctx.source.indexes(cf.contract.functions + cf.contract.modifiers):
             for node in index.of(ThrowStatement, CallExpression, MemberAccess):
                 if isinstance(node, ThrowStatement):
                     yield node.span, _deprecated("throw", "revert()")

@@ -82,12 +82,3 @@ def keccak256(data: bytes) -> bytes:
     for lane in lanes[:4]:
         out += lane.to_bytes(8, "little")
     return bytes(out)
-
-
-def keccak256_hex(data: bytes) -> str:
-    return keccak256(data).hex()
-
-
-def function_selector(signature: str) -> bytes:
-    """First 4 bytes of keccak256 of a canonical function signature."""
-    return keccak256(signature.encode("ascii"))[:4]

@@ -40,8 +40,7 @@ syntax error.
 from __future__ import annotations
 
 from .lexer import (COMMENT, ETHER_UNITS, HEX, IDENTIFIER, KEYWORD,
-                    NUMBER, STRING, Token, Tokens, is_elementary_type_name,
-                    tokenize)
+                    NUMBER, STRING, Token, Tokens, is_elementary_type_name)
 from .nodes import (Assignment, BinaryOperation, Block, BoolLiteral,
                     BreakStatement, CallExpression, Conditional,
                     ContinueStatement, ContractDefinition,
@@ -122,14 +121,6 @@ class ParseResult:
     def __init__(self, unit: SourceUnit, diagnostics: list[Diagnostic]):
         self.unit = unit
         self.diagnostics = diagnostics
-
-    @property
-    def has_errors(self) -> bool:
-        return any(d.severity == "error" for d in self.diagnostics)
-
-
-def parse_source(source_text: str, file_id: str) -> ParseResult:
-    return parse(tokenize(source_text, file_id), file_id)
 
 
 def parse(tokens: Tokens, file_id: str = "<input>") -> ParseResult:

@@ -7,6 +7,9 @@ import pytest
 
 from soldefect.analyzer import FileOutcome, analyze_input
 from soldefect.config import RunConfig
+from soldefect.evm.keccak import keccak256
+from soldefect.lexer import tokenize
+from soldefect.parser import ParseResult, parse
 from soldefect.report import Report
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus", "listings")
@@ -19,6 +22,25 @@ DEEP_CONTRACT = ("contract Deep {\n    function f() returns (uint) {\n"
 @pytest.fixture(scope="session")
 def corpus_dir() -> str:
     return os.path.abspath(CORPUS_DIR)
+
+
+def parse_source(source_text: str, file_id: str) -> ParseResult:
+    """Lex and parse a source text; a lexer error raises."""
+    return parse(tokenize(source_text, file_id), file_id)
+
+
+def has_errors(result: ParseResult) -> bool:
+    """Whether parsing reported a syntax error."""
+    return any(d.severity == "error" for d in result.diagnostics)
+
+
+def keccak256_hex(data: bytes) -> str:
+    return keccak256(data).hex()
+
+
+def function_selector(signature: str) -> bytes:
+    """First 4 bytes of keccak256 of a canonical function signature."""
+    return keccak256(signature.encode("ascii"))[:4]
 
 
 def read_listing(name: str) -> str:

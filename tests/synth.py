@@ -105,3 +105,18 @@ def write_corpus(directory, count: int, functions_per_contract: int = 14,
         path.write_text(text)
         total_lines += text.count("\n")
     return count, total_lines
+
+
+def payable_chain(count: int) -> str:
+    """``count`` contracts, each inheriting the one before: every one takes
+    ether through its own payable function, and only the first can send it
+    out. Each derived contract reaches every body above it."""
+    lines = ["pragma solidity 0.4.25;", "contract C0 {", "    address owner;",
+             "    function withdraw() public { owner.transfer(this.balance); }",
+             "}"]
+    for i in range(1, count):
+        lines += [f"contract C{i} is C{i - 1} {{", f"    uint s{i};",
+                  f"    function pay{i}() payable {{ s{i} += msg.value; }}",
+                  f"    function get{i}() view returns (uint) {{ return s{i}; }}",
+                  "}"]
+    return "\n".join(lines) + "\n"

@@ -18,11 +18,11 @@ from soldefect.corpus import load_manifest, score
 from soldefect.evm.cfg import build_cfg
 from soldefect.evm.disasm import disassemble
 from soldefect.evm.eip55 import checksum_address, is_valid_address
-from soldefect.evm.keccak import function_selector
 from soldefect.evm.loops import detect_loops
 from asm import (CALL_BODY, assemble, block_instructions, counted_loop,
                  dispatcher, instructions, reassemble, storage_bound_loop)
-from conftest import bytecode_findings, findings_for, read_listing
+from conftest import (bytecode_findings, findings_for, function_selector,
+                      read_listing)
 from test_evm_core import brute_force_dominators
 
 

@@ -6,12 +6,11 @@ from __future__ import annotations
 import soldefect.evm.keccak
 from soldefect.detectors.availability import ERC20_MANDATORY, ERC20_SELECTORS
 from soldefect.evm.disasm import disassemble
-from soldefect.evm.keccak import function_selector
 from soldefect.evm.opcodes import MNEMONICS
 
 from asm import (BALANCE_EQ, CALL_BODY, DEAD_CALL_INTO_LOOP, PUSH20_LITERAL,
                  assemble, counted_loop, dispatcher, storage_bound_loop)
-from conftest import bytecode_findings, detectors_fired
+from conftest import bytecode_findings, detectors_fired, function_selector
 
 
 def bc_detectors(code: bytes) -> set[str]:

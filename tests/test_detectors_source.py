@@ -9,10 +9,10 @@ from soldefect.analyzer import source_facts
 from soldefect.config import DetectorConfig, RunConfig
 from soldefect.detectors import AnalysisContext, ContractFacts, run_detectors
 from soldefect.detectors.common import external_call
-from soldefect.parser import parse_source
 from soldefect.semantic import CallGraph
 
-from conftest import detectors_fired, findings_for, hits, read_listing
+from conftest import (detectors_fired, findings_for, hits, parse_source,
+                      read_listing)
 
 
 def listing_facts(name: str):

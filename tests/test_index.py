@@ -1,5 +1,6 @@
 """The fact index against plain tree walks: same nodes, same subtrees, same
-statement order."""
+statement order; and each file and body indexed once, however many
+contracts inherit it."""
 
 from __future__ import annotations
 
@@ -9,12 +10,12 @@ import os
 import pytest
 
 from soldefect.analyzer import source_facts
-from soldefect.detectors.index import NodeIndex
+from soldefect.detectors import AnalysisContext, run_detectors
+from soldefect.detectors.index import FunctionIndex, NodeIndex
 from soldefect.nodes import (Block, CallExpression, ForStatement, Identifier,
                              IfStatement, MemberAccess, WhileStatement, walk)
-from soldefect.parser import parse_source
-from conftest import CORPUS_DIR
-from synth import generate_contract_file
+from conftest import CORPUS_DIR, parse_source
+from synth import generate_contract_file, payable_chain
 
 LOOPS = """pragma solidity 0.4.25;
 contract Loops {
@@ -39,10 +40,8 @@ def _sources():
 
 def _bodies():
     for name, text in _sources():
-        for cf in source_facts(parse_source(text, name), name).contracts:
-            for fn in cf.contract.functions + cf.contract.modifiers:
-                if fn.body is not None:
-                    yield f"{name}:{fn.name}", cf.index(fn)
+        for index in source_facts(parse_source(text, name), name).bodies():
+            yield f"{name}:{index.fn.name}", index
 
 
 BODIES = list(_bodies())
@@ -88,10 +87,13 @@ def test_bodies_are_built_once_per_flavour():
             first = facts.bodies(modifiers)
             assert facts.bodies(modifiers=modifiers) is first
             assert ids(first) == ids(
-                cf.index(fn) for cf in facts.contracts
-                for fn in cf.contract.functions
+                index for cf in facts.contracts for index in facts.indexes(
+                    cf.contract.functions
+                    + (cf.contract.modifiers if modifiers else [])))
+            assert [index.fn for index in first] == [
+                fn for cf in facts.contracts for fn in cf.contract.functions
                 + (cf.contract.modifiers if modifiers else [])
-                if fn.body is not None)
+                if fn.body is not None]
         assert facts.bodies() is facts.bodies(True)
         assert len(facts.bodies(False)) <= len(facts.bodies())
 
@@ -126,9 +128,44 @@ def test_statement_ends_and_loop_context():
 def test_node_index_of_a_whole_contract():
     facts = source_facts(parse_source(LOOPS, "loops.sol"), "loops.sol")
     contract = facts.contracts[0].contract
-    tree = NodeIndex(contract)
-    assert ids(tree.nodes) == ids(walk(contract))
-    assert ids(tree.of(Identifier)) == ids(
+    tree = facts.tree
+    assert ids(tree.nodes) == ids(walk(facts.unit))
+    assert ids(tree.within(contract, Identifier)) == ids(
         n for n in walk(contract) if isinstance(n, Identifier))
-    call = tree.of(CallExpression)[0]
+    call = tree.within(contract, CallExpression)[0]
     assert tree.contains(contract, call) and not tree.contains(call, contract)
+
+
+def _count_inits(monkeypatch, cls) -> list:
+    """A list that grows by one each time a ``cls`` is built."""
+    built, init = [], cls.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("count", [25, 100])
+def test_each_file_and_body_is_indexed_once(monkeypatch, count):
+    # every contract of the chain runs every body above it, and D13 and D18
+    # query them all; yet the file has one tree and each body one index,
+    # built with the table of the contract that declares it
+    facts = source_facts(parse_source(payable_chain(count), "chain.sol"),
+                         "chain.sol")
+    trees = _count_inits(monkeypatch, NodeIndex)
+    indexes = _count_inits(monkeypatch, FunctionIndex)
+    assert run_detectors(AnalysisContext(source=facts))
+    assert len(trees) == 1
+    assert len(indexes) == len(facts.bodies()) == 2 * count - 1
+    declared = {id(index.fn): index for index in facts.bodies()}
+    owner = {id(fn): cf for cf in facts.contracts for fn in cf.contract.functions}
+    for depth, cf in enumerate(facts.contracts):
+        callables = facts.callables(cf)
+        assert len(callables) == 2 * depth + 1
+        for index in callables:
+            assert index is declared[id(index.fn)]
+            assert index.table is owner[id(index.fn)].table
+    assert len(trees) == 1 and len(indexes) == 2 * count - 1

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from soldefect.evm.keccak import function_selector, keccak256, keccak256_hex
+from soldefect.evm.keccak import keccak256
+
+from conftest import function_selector, keccak256_hex
 
 # Reference digests computed with the standard Keccak-256 (independent of
 # this code base).

@@ -8,15 +8,14 @@ from hypothesis import given, settings, strategies as st
 from soldefect.lexer import ETHER_UNITS
 from soldefect.nodes import (CallExpression, ForStatement, HexLiteral,
                              NumberLiteral, children, walk)
-from soldefect.parser import parse_source
 
-from conftest import (MUTATIONS, mutate, read_listing, seeded_mutants,
-                      span_contains)
+from conftest import (MUTATIONS, has_errors, mutate, parse_source, read_listing,
+                      seeded_mutants, span_contains)
 
 
 def parse_ok(text: str):
     result = parse_source(text, "t.sol")
-    assert not result.has_errors, [str(d) for d in result.diagnostics]
+    assert not has_errors(result), [str(d) for d in result.diagnostics]
     return result.unit
 
 
@@ -201,7 +200,7 @@ contract C {
     function fine() { uint y = 1; }
 }
 """, "t.sol")
-    assert result.has_errors
+    assert has_errors(result)
     c = result.unit.contracts[0]
     names = [f.name for f in c.functions]
     assert "fine" in names
@@ -216,7 +215,7 @@ contract C {
     function fine() {}
 }
 """, "t.sol")
-    assert result.has_errors
+    assert has_errors(result)
     assert any(f.name == "fine" for f in result.unit.contracts[0].functions)
 
 
@@ -227,7 +226,7 @@ contract C {
     function f() {}
 }
 """, "t.sol")
-    assert not result.has_errors
+    assert not has_errors(result)
     assert any("partial analysis" in d.message for d in result.diagnostics)
     assert [f.name for f in result.unit.contracts[0].functions] == ["f"]
 
@@ -235,7 +234,7 @@ contract C {
 def test_all_listings_parse_without_errors():
     for name in ("listing1.sol", "listing2.sol", "listing3.sol", "listing4.sol"):
         result = parse_source(read_listing(name), name)
-        assert not result.has_errors, (name, [str(d) for d in result.diagnostics])
+        assert not has_errors(result), (name, [str(d) for d in result.diagnostics])
 
 
 # -- robustness: mutated inputs never escape the diagnostic machinery ----------

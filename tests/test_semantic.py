@@ -3,16 +3,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from soldefect.parser import parse_source
 from soldefect.semantic import (build_call_graph, compute_def_use,
                                 flatten_contract, infer_var_type)
 
-from conftest import read_listing
+from conftest import has_errors, parse_source, read_listing
 
 
 def _contract(text: str, index: int = 0):
     result = parse_source(text, "t.sol")
-    assert not result.has_errors, [str(d) for d in result.diagnostics]
+    assert not has_errors(result), [str(d) for d in result.diagnostics]
     return result.unit, result.unit.contracts[index]
 
 

@@ -45,12 +45,12 @@ from soldefect.evm.cfg import build_cfg
 from soldefect.evm.loops import detect_loops
 from soldefect.evm.selectors import extract_selectors
 from soldefect.lexer import LexerError
-from soldefect.parser import parse_source
 from soldefect.report import render
 from soldefect.spans import position
 from asm import (BALANCE_EQ, CALL_BODY, PUSH20_LITERAL, counted_loop,
                  dispatcher, storage_bound_loop)
-from conftest import CORPUS_DIR, LISTINGS, read_listing, seeded_mutants
+from conftest import (CORPUS_DIR, LISTINGS, parse_source, read_listing,
+                      seeded_mutants)
 from synth import generate_contract_file, write_corpus
 
 SNAPSHOTS = {

@@ -13,10 +13,10 @@ from soldefect.nodes import (Assignment, Block, ContractDefinition,
                              ExpressionStatement, FunctionDefinition,
                              Identifier, NumberLiteral, PragmaDirective,
                              SourceUnit, TypeName, VariableDeclaration)
-from soldefect.parser import parse, parse_source
+from soldefect.parser import parse
 from soldefect.spans import Diagnostic, Span, join_spans, position
 
-from conftest import LISTINGS, read_listing, span_contains
+from conftest import LISTINGS, parse_source, read_listing, span_contains
 from synth import generate_contract_file
 
 
