@@ -5,7 +5,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from ..nodes import (CallExpression, EmitStatement, ExpressionStatement,
-                     IfStatement, ThrowStatement)
+                     FunctionDefinition, IfStatement, ThrowStatement)
+from ..semantic import SymbolTable
 from .base import AnalysisContext, DetectorDescriptor, Hit, register
 from .common import (ETHER_SENDING_KINDS, builtin_call_name, is_guard_call,
                      is_revert, is_selfdestruct, returns_on_all_paths, unwrap)
@@ -61,20 +62,14 @@ UNMATCHED_ERC20 = DetectorDescriptor(
 @register(UNMATCHED_ERC20)
 def detect_unmatched_erc20(ctx: AnalysisContext) -> Iterator[Hit]:
     for cf in ctx.source.contracts:
-        functions = [f for f in cf.table.all_functions() if not f.is_constructor]
-        by_sig = {}
-        for fn in functions:
-            params = tuple(p.type_name.canonical() for p in fn.parameters)
-            by_sig[(fn.name, params)] = fn
-        matches_any = any((name, params) in by_sig
-                          for name, params, _r in ERC20_MANDATORY)
-        if not matches_any:
+        if all(_erc20_function(cf.table, name, params) is None
+               for name, params, _r in ERC20_MANDATORY):
             continue
         problems: list[str] = []
         for prefix, entries in (("", ERC20_MANDATORY),
                                 ("optional ", ERC20_OPTIONAL)):
             for name, params, expected_returns in entries:
-                fn = by_sig.get((name, params))
+                fn = _erc20_function(cf.table, name, params)
                 if fn is None:
                     if not prefix:  # only the mandatory ones must exist
                         problems.append(
@@ -98,6 +93,14 @@ def detect_unmatched_erc20(ctx: AnalysisContext) -> Iterator[Hit]:
             yield (cf.contract.span,
                    f"contract {cf.contract.name} deviates from ERC-20: "
                    + "; ".join(sorted(problems)))
+
+
+def _erc20_function(table: SymbolTable, name: str,
+                    params: tuple[str, ...]) -> FunctionDefinition | None:
+    """The function ``name(params)`` that ``table`` holds, unless it is
+    missing or a constructor."""
+    fn = table.functions.get(name, {}).get(f"{name}({','.join(params)})")
+    return None if fn is None or fn.is_constructor else fn
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,9 @@ Abstract values (hashable tuples):
     ("unknown",)
 Folding and NOT over constants and ``WIDENED`` give ``WIDENED``; a
 comparison with it is never decided, and a jump to it is unresolved.
-Taint tags: BALANCE, CALLER, BLOCKINFO, CALLDATA, STORAGE, ENV.
+Taint tags: BALANCE, which strict-balance-equality reads, and CALLDATA,
+which selector extraction reads. Every other source (SLOAD, CALLER, block
+and environment info) is plain: its value joins its arguments' taints.
 """
 
 from __future__ import annotations
@@ -55,23 +57,12 @@ WIDENED = ("widened",)
 # the kinds of value that arithmetic folds: to a constant, or to WIDENED
 INTEGERS = ("const", "widened")
 
-# opcode -> the taint tags of the value it pushes
+# opcode -> the taint tags of the value it pushes: strict-balance-equality
+# reads BALANCE, and selector extraction reads CALLDATA
 _TAINT_SOURCES = {MNEMONICS[op]: frozenset({tag}) for op, tag in {
     "BALANCE": "BALANCE",
-    "CALLER": "CALLER",
-    "ORIGIN": "CALLER",
-    "TIMESTAMP": "BLOCKINFO",
-    "NUMBER": "BLOCKINFO",
-    "DIFFICULTY": "BLOCKINFO",
-    "COINBASE": "BLOCKINFO",
-    "GASLIMIT": "BLOCKINFO",
-    "BLOCKHASH": "BLOCKINFO",
     "CALLDATALOAD": "CALLDATA",
     "CALLDATASIZE": "CALLDATA",
-    "SLOAD": "STORAGE",
-    "CALLVALUE": "ENV",
-    "GASPRICE": "ENV",
-    "GAS": "ENV",
 }.items()}
 
 # opcode -> mnemonic, which comparison values and `_fold` take
@@ -142,15 +133,8 @@ class ControlFlowGraph:
     steps: int = 0  # instructions emulated, a block's once per exploration
 
     def reachable(self) -> set[int]:
-        seen = set()
-        stack = [self.entry] if self.entry in self.blocks else []
-        while stack:
-            b = stack.pop()
-            if b in seen:
-                continue
-            seen.add(b)
-            stack.extend(s for s in self.blocks[b].successors if s not in seen)
-        return seen
+        """The blocks reachable from the entry: the dominator map's keys."""
+        return set(self.dominators)
 
     def dominates(self, a: int, b: int) -> bool:
         """True iff a dominates b; a block dominates itself, and no other
@@ -414,10 +398,7 @@ def _step(stack: list, op: int, pc: int) -> bool:
         return True
     tags = _TAINT_SOURCES.get(op)
     if tags is not None:
-        for a in args:
-            if a[0] != "const":
-                tags |= value_tags(a)
-        stack.append(("taint", tags))
+        stack.append(_join_taints(args, tags))
         return True
     name = _CMP_OPS.get(op)
     if name is not None:
@@ -454,8 +435,7 @@ def _step(stack: list, op: int, pc: int) -> bool:
     return True
 
 
-def _join_taints(args: list) -> tuple:
-    tags = frozenset()
+def _join_taints(args: list, tags: frozenset = frozenset()) -> tuple:
     for a in args:
         if a[0] != "const":  # a constant carries no taint
             tags |= value_tags(a)

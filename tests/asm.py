@@ -297,3 +297,31 @@ PUSH20_LITERAL = assemble([
     "POP",
     "STOP",
 ])
+
+# five paths, chosen by calldata, leave CALLER, ORIGIN, TIMESTAMP, CALLVALUE
+# and SLOAD(4) on the stack and meet at `join`, where
+# if (address(this).balance == 7) { ... } follows; none of the five values
+# is a taint that a detector reads, so the five stacks share one context
+UNREAD_SOURCES_MEET = assemble([
+    "PUSH1 0x00", "CALLDATALOAD", "PUSH2 @caller", "JUMPI",
+    "PUSH1 0x20", "CALLDATALOAD", "PUSH2 @origin", "JUMPI",
+    "PUSH1 0x40", "CALLDATALOAD", "PUSH2 @timestamp", "JUMPI",
+    "PUSH1 0x60", "CALLDATALOAD", "PUSH2 @callvalue", "JUMPI",
+    "PUSH1 4", "SLOAD", "PUSH2 @join", "JUMP",
+    "caller:", "JUMPDEST", "CALLER", "PUSH2 @join", "JUMP",
+    "origin:", "JUMPDEST", "ORIGIN", "PUSH2 @join", "JUMP",
+    "timestamp:", "JUMPDEST", "TIMESTAMP", "PUSH2 @join", "JUMP",
+    "callvalue:", "JUMPDEST", "CALLVALUE", "PUSH2 @join", "JUMP",
+    "join:",
+    "JUMPDEST",
+    "ADDRESS",
+    "BALANCE",
+    "PUSH1 7",
+    "EQ",
+    "PUSH2 @yes",
+    "JUMPI",
+    "STOP",
+    "yes:",
+    "JUMPDEST",
+    "STOP",
+])

@@ -13,9 +13,11 @@ from soldefect.evm.opcodes import OPCODES, PUSH1, PUSH32
 from soldefect.evm.selectors import extract_selectors
 
 from asm import (CALL_BODY, DEAD_CALL_INTO_LOOP, JUMP_TO_STOP, JUMPI_TO_STOP,
-                 STACK_OVERFLOW, assemble, block_instructions, counted_loop,
-                 dispatcher, instructions, reassemble, reference_disassemble,
-                 reference_split_blocks, storage_bound_loop)
+                 STACK_OVERFLOW, UNREAD_SOURCES_MEET, assemble,
+                 block_instructions, counted_loop, dispatcher, instructions,
+                 reassemble, reference_disassemble, reference_split_blocks,
+                 storage_bound_loop)
+from conftest import bytecode_findings
 
 # -- disassembly --------------------------------------------------------------
 
@@ -199,9 +201,22 @@ def test_dominators_form_tree_rooted_at_entry():
         assert node == cfg.entry
 
 
+def reachable_by_search(cfg) -> set[int]:
+    """Independent oracle: the blocks a search over the successor edges
+    reaches from the entry."""
+    seen = set()
+    stack = [cfg.entry] if cfg.entry in cfg.blocks else []
+    while stack:
+        b = stack.pop()
+        if b not in seen:
+            seen.add(b)
+            stack.extend(cfg.blocks[b].successors)
+    return seen
+
+
 def brute_force_dominators(cfg) -> dict[int, set[int]]:
     """Independent oracle: a dominates b iff removing a disconnects entry->b."""
-    reachable = cfg.reachable()
+    reachable = reachable_by_search(cfg)
 
     def reaches_without(avoid: int) -> set[int]:
         seen = set()
@@ -283,7 +298,7 @@ def idom_chain_dominates(cfg, a: int, b: int) -> bool:
 @given(st.one_of(st.binary(max_size=200), jump_heavy_programs))
 def test_graph_facts_are_consistent(code):
     cfg = build_cfg(code)
-    assert set(cfg.dominators) == cfg.reachable()
+    assert cfg.reachable() == set(cfg.dominators) == reachable_by_search(cfg)
     inverse: dict[int, list[int]] = {b: [] for b in cfg.blocks}
     for block in cfg.blocks.values():
         assert block.successors == sorted(set(block.successors))
@@ -447,6 +462,27 @@ def test_widened_values_fold_to_widened():
     stack = [balance, WIDENED]
     _step(stack, MNEMONICS["ADD"], 0)
     assert stack == [balance]
+
+
+def test_unread_sources_share_one_context():
+    # the five paths' values are all unknown, so `join` and what follows it
+    # are explored once, not once per source (46 steps, not 76)
+    cfg = build_cfg(UNREAD_SOURCES_MEET)
+    assert (cfg.steps, len(cfg.jumpi_events)) == (46, 5)
+    assert cfg.capped_blocks == set()
+    assert [f.pc for f in bytecode_findings(UNREAD_SOURCES_MEET)
+            if f.detector == "strict-balance-equality"] == [64]  # the EQ
+
+
+def test_a_plain_source_keeps_only_its_arguments_taints():
+    from soldefect.evm.cfg import UNKNOWN, _step, value_tags
+    from soldefect.evm.opcodes import MNEMONICS
+    stack = [("const", 0)]
+    _step(stack, MNEMONICS["CALLDATALOAD"], 0)
+    _step(stack, MNEMONICS["SLOAD"], 1)
+    assert value_tags(stack[-1]) == {"CALLDATA"}
+    _step(stack, MNEMONICS["CALLER"], 2)
+    assert stack[-1] == UNKNOWN
 
 
 # -- selectors -----------------------------------------------------------------

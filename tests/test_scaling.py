@@ -19,10 +19,13 @@ import tracemalloc
 import pytest
 
 from soldefect.analyzer import source_facts
+from soldefect.config import DetectorConfig
 from soldefect.detectors import run_detectors
 from soldefect.detectors.base import AnalysisContext
 from soldefect.lexer import tokenize
 from soldefect.parser import parse
+
+from synth import payable_chain
 
 GROWTH_BOUND = 6  # for 4 times the input; a quadratic cost gives about 16
 
@@ -85,6 +88,10 @@ def _work(text: str, memory: bool) -> int:
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    return _line_events(lambda: _facts_and_findings(parsed))
+
+
+def _line_events(run) -> int:
     lines = 0
 
     def trace(frame, event, arg):
@@ -95,7 +102,7 @@ def _work(text: str, memory: bool) -> int:
     previous = sys.gettrace()
     sys.settrace(trace)
     try:
-        _facts_and_findings(parsed)
+        run()
     finally:
         sys.settrace(previous)
     return lines
@@ -106,3 +113,21 @@ def test_work_grows_linearly(name):
     n, shape, memory = SHAPES[name]
     small, large = _work(shape(n), memory), _work(shape(4 * n), memory)
     assert large <= GROWTH_BOUND * small, (name, small, large)
+
+
+def _erc20_check(count: int) -> int:
+    """Line events of D10 alone over a chain of ``count`` contracts, the
+    facts built before the count starts."""
+    text = payable_chain(count)
+    facts = source_facts(parse(tokenize(text, "chain.sol"), "chain.sol"),
+                         "chain.sol")
+    ctx = AnalysisContext(source=facts,
+                          config=DetectorConfig(enable={"unmatched-erc20"}))
+    return _line_events(lambda: run_detectors(ctx))
+
+
+def test_erc20_check_grows_linearly_over_an_inheritance_chain():
+    # D10 built a map of every inherited function's signature per contract
+    # before it looked for any ERC-20 name
+    small, large = _erc20_check(25), _erc20_check(100)
+    assert large <= GROWTH_BOUND * small, (small, large)

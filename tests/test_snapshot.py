@@ -77,7 +77,7 @@ INHERITANCE_SNAPSHOTS = {
     "strict": "3cd533027c73756ddffda2eecc943ea67713be75ef60701f8e96c13fa4846238",
 }
 
-EVM_FACTS_SNAPSHOT = "397b1a565198908dc4131e201fed29edb8dd48d32603b13edc2f9e4053b6651d"
+EVM_FACTS_SNAPSHOT = "f62fa8ff2c58d7f9e07bb6f7900b4886bd683e4721f1ccdaeecc245a1a94b0ed"
 
 DIAGNOSTICS_SNAPSHOT = "d453c08a4c906a614142149493f0cf455dc9ac56280410590e4e0337f3d575be"
 
