@@ -99,7 +99,7 @@ def _erc20_function(table: SymbolTable, name: str,
                     params: tuple[str, ...]) -> FunctionDefinition | None:
     """The function ``name(params)`` that ``table`` holds, unless it is
     missing or a constructor."""
-    fn = table.functions.get(name, {}).get(f"{name}({','.join(params)})")
+    fn = table.functions.get(f"{name}({','.join(params)})")
     return None if fn is None or fn.is_constructor else fn
 
 
@@ -192,8 +192,7 @@ GREEDY_CONTRACT = DetectorDescriptor(
 @register(GREEDY_CONTRACT)
 def detect_greedy_contract(ctx: AnalysisContext) -> Iterator[Hit]:
     for cf in ctx.source.contracts:
-        functions = cf.table.all_functions()
-        if not any(f.is_payable for f in functions):
+        if not any(f.is_payable for f in cf.table.functions.values()):
             continue
         if _can_move_ether_out(ctx.source.callables(cf)):
             continue

@@ -8,7 +8,7 @@ from functools import cached_property
 from ..config import DetectorConfig
 from ..nodes import ContractDefinition, FunctionDefinition, SourceUnit
 from ..records import field, record
-from ..semantic import CallGraph, DefUseFacts, SymbolTable, build_call_graph
+from ..semantic import SymbolTable, VarFacts, build_call_graph
 from ..spans import Diagnostic, Span
 from .index import FunctionIndex, NodeIndex
 
@@ -36,21 +36,22 @@ class DetectorDescriptor:
 
 @record
 class ContractFacts:
-    """One contract's facts. The call graph, if None, is built on first read
-    of ``callees``: only D15 needs it, and only for some contracts. The fact
-    indexes of the bodies it can run are the file's (``SourceFacts``)."""
+    """One contract's facts. The callee names, if None, are built on first
+    read of ``callees``: only D15 needs them, and only for some contracts.
+    The fact indexes of the bodies it can run are the file's
+    (``SourceFacts``)."""
 
     contract: ContractDefinition
     table: SymbolTable
-    call_graph: CallGraph | None
-    defuse: list[tuple[FunctionDefinition, DefUseFacts]]
+    call_graph: set[str] | None
+    defuse: list[tuple[FunctionDefinition, list[VarFacts]]]
 
-    @cached_property
+    @property
     def callees(self) -> set[str]:
         """The names that something in this contract calls or invokes."""
         if self.call_graph is None:
             self.call_graph = build_call_graph(self.table)
-        return {callee for _, callee in self.call_graph.edges}
+        return self.call_graph
 
 
 @record
@@ -90,8 +91,9 @@ class SourceFacts:
     def callables(self, cf: ContractFacts) -> list[FunctionIndex]:
         """The indexes of every function, then every modifier, with a body
         that cf's contract can run, inherited ones included."""
-        return self.indexes(cf.table.all_functions()
-                            + list(cf.table.modifiers.values()))
+        table = cf.table
+        return self.indexes([*table.functions.values(),
+                             *table.modifiers.values()])
 
     def bodies(self, modifiers: bool = True) -> list[FunctionIndex]:
         """The indexes of each contract's own functions, then its modifiers

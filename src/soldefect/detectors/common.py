@@ -116,7 +116,7 @@ def _is_compile_time_constant(expr: Expression, table: SymbolTable) -> bool:
                                                        (NumberLiteral, HexLiteral)):
         return True
     if isinstance(expr, Identifier):
-        decl = table.lookup_state(expr.name)
+        decl = table.state_variables.get(expr.name)
         return (decl is not None and decl.is_constant
                 and isinstance(decl.initializer, (NumberLiteral, HexLiteral)))
     return False

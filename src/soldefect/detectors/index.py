@@ -205,7 +205,7 @@ class FunctionIndex:
         return [(base.name, expr) for expr in stores
                 if (base := store_base(expr)) is not None
                 and base.name not in self.locals
-                and self.table.lookup_state(base.name) is not None]
+                and base.name in self.table.state_variables]
 
     def propagate(self, sources: Callable[[Expression], list],
                   locals_only: bool) -> dict[str, dict]:

@@ -56,8 +56,7 @@ MISSING_INTERRUPTER = DetectorDescriptor(
 @register(MISSING_INTERRUPTER)
 def detect_missing_interrupter(ctx: AnalysisContext) -> Iterator[Hit]:
     for cf in ctx.source.contracts:
-        functions = cf.table.all_functions()
-        if not any(f.is_payable for f in functions):
+        if not any(f.is_payable for f in cf.table.functions.values()):
             continue  # cannot accumulate ether through calls
         if _has_selfdestruct(ctx.source.callables(cf)):
             continue
@@ -85,7 +84,7 @@ def _has_circuit_breaker(cf: ContractFacts, source: SourceFacts) -> bool:
 
     checked: set[str] = set()
     written_controlled: set[str] = set()
-    for index in source.indexes(cf.table.all_functions()):
+    for index in source.indexes(cf.table.functions.values()):
         unshadowed = bool_states - index.locals
         if index.fn.visibility in ("public", "default", "external"):
             checked.update(node.name for node in index.in_conditions(Identifier)

@@ -20,10 +20,12 @@ UNUSED_STATEMENT = DetectorDescriptor(
 @register(UNUSED_STATEMENT)
 def detect_unused_statement(ctx: AnalysisContext) -> Iterator[Hit]:
     for cf in ctx.source.contracts:
-        for fn, facts in cf.defuse:
+        for fn, variables in cf.defuse:
             if fn.body is None:
                 continue
-            for var in facts.dead_variables():
+            for var in variables:
+                if var.live:
+                    continue
                 role = "parameter" if var.is_parameter else "local variable"
                 yield (var.declaration.span,
                        f"{role} {var.declaration.name} never affects contract "

@@ -142,10 +142,10 @@ def detect_unmatched_type_assignment(ctx: AnalysisContext) -> Iterator[Hit]:
             counter_name, counter_type = counter
             if counter_type is not None and counter_type.kind == "var":
                 try:
+                    state = index.table.state_variables
                     counter_type = infer_var_type(
                         _counter_initializer(stmt),
-                        lambda name: getattr(index.table.lookup_state(name),
-                                             "type_name", None))
+                        lambda name: getattr(state.get(name), "type_name", None))
                 except InferenceError:
                     counter_type = None
             if counter_type is None:
@@ -214,7 +214,7 @@ def _static_bits(expr, table, fn) -> int | None:
     if isinstance(expr, MemberAccess) and expr.member == "length":
         return 256
     if isinstance(expr, Identifier):
-        decl = table.lookup_state(expr.name)
+        decl = table.state_variables.get(expr.name)
         if decl is None:
             decl = next((p for p in fn.parameters if p.name == expr.name), None)
         if decl is not None:
@@ -418,7 +418,7 @@ def _first_write(writes: list[tuple], by_name: dict[str, list[tuple]],
 def _state_reads(index: FunctionIndex, expr) -> list[str]:
     return [node.name for node in index.within(expr, Identifier)
             if node.name not in index.locals
-            and index.table.lookup_state(node.name) is not None]
+            and node.name in index.table.state_variables]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Semantic facts over the AST: symbol tables, inheritance flattening,
-`var` type inference, the intra-contract call graph, and def-use liveness.
+"""Semantic facts over the AST, each in the form its detectors read: one
+flat symbol table per contract (inherited members merged), `var` type
+inference, the names a contract's code calls, and def-use liveness.
 
 All analyses are intra-procedural and conservative: anything that escapes
 the patterns below (unresolved names, calls, container writes) is treated
@@ -35,16 +36,10 @@ class SymbolTable:
 
     contract: ContractDefinition
     state_variables: dict[str, VariableDeclaration] = field(default_factory=dict)
-    # name -> signature -> function, each name's overloads in merge order
-    functions: dict[str, dict[str, FunctionDefinition]] = field(default_factory=dict)
+    # signature -> function, in merge order
+    functions: dict[str, FunctionDefinition] = field(default_factory=dict)
     modifiers: dict[str, ModifierDefinition] = field(default_factory=dict)
     events: dict[str, EventDefinition] = field(default_factory=dict)
-
-    def all_functions(self) -> list[FunctionDefinition]:
-        return [f for overloads in self.functions.values() for f in overloads.values()]
-
-    def lookup_state(self, name: str) -> VariableDeclaration | None:
-        return self.state_variables.get(name)
 
 
 def flatten_contract(unit: SourceUnit, contract: ContractDefinition,
@@ -88,10 +83,9 @@ def _absorb(c: ContractDefinition, table: SymbolTable,
     for var in c.state_variables:
         table.state_variables[var.name] = var
     for fn in c.functions:
-        overloads = table.functions.setdefault(fn.name, {})
         key = fn.signature()
-        overloads.pop(key, None)  # an override moves to the end
-        overloads[key] = fn
+        table.functions.pop(key, None)  # an override moves to the end
+        table.functions[key] = fn
     for mod in c.modifiers:
         table.modifiers[mod.name] = mod
     for event in c.events:
@@ -99,43 +93,21 @@ def _absorb(c: ContractDefinition, table: SymbolTable,
 
 
 # ---------------------------------------------------------------------------
-# Call graph
+# Callee names
 
 
-@record
-class CallGraph:
-    """Internal call edges of one contract: f calls g by plain name, or f
-    invokes modifier g. External member calls are not edges."""
-
-    edges: set[tuple[str, str]] = field(default_factory=set)
-
-
-def _node_key(fn: FunctionDefinition | ModifierDefinition) -> str:
-    if isinstance(fn, ModifierDefinition):
-        return fn.name
-    return fn.name or "<fallback>"
-
-
-def build_call_graph(table: SymbolTable) -> CallGraph:
-    graph = CallGraph()
-    callables: list[FunctionDefinition | ModifierDefinition] = []
-    callables.extend(table.all_functions())
-    callables.extend(table.modifiers.values())
-    known = {_node_key(c) for c in callables}
-
-    for fn in callables:
-        src = _node_key(fn)
+def build_call_graph(table: SymbolTable) -> set[str]:
+    """Every name that a function or modifier of ``table`` calls by plain
+    name or invokes as a modifier, modifier arguments included. External
+    member calls are not counted."""
+    callees: set[str] = set()
+    for fn in [*table.functions.values(), *table.modifiers.values()]:
         if isinstance(fn, FunctionDefinition):
-            for mod_name, _args in fn.modifiers_invoked:
-                if mod_name in known:
-                    graph.edges.add((src, mod_name))
-        if fn.body is None:
-            continue
-        for node in walk(fn.body):
-            if isinstance(node, CallExpression) and isinstance(node.callee, Identifier) \
-                    and node.callee.name in known:
-                graph.edges.add((src, node.callee.name))
-    return graph
+            callees.update(name for name, _args in fn.modifiers_invoked)
+        callees.update(node.callee.name for node in walk(fn)
+                       if isinstance(node, CallExpression)
+                       and isinstance(node.callee, Identifier))
+    return callees
 
 
 # ---------------------------------------------------------------------------
@@ -146,22 +118,14 @@ def build_call_graph(table: SymbolTable) -> CallGraph:
 class VarFacts:
     declaration: VariableDeclaration
     is_parameter: bool
-    # positions in DefUseFacts.variables of the locals assigned from this one
+    # positions in the function's list of the locals assigned from this one
     flows_into: set[int] = field(default_factory=set)
     live: bool = False
 
 
-@record
-class DefUseFacts:
-    # one entry per declaration: the parameters, then the locals in order
-    variables: list[VarFacts] = field(default_factory=list)
-
-    def dead_variables(self) -> list[VarFacts]:
-        return [v for v in self.variables if not v.live]
-
-
-def compute_def_use(function: FunctionDefinition) -> DefUseFacts:
-    """Transitive liveness of each parameter and local.
+def compute_def_use(function: FunctionDefinition) -> list[VarFacts]:
+    """Transitive liveness of each parameter and local: one entry per
+    declaration, the parameters, then the locals in order.
 
     A variable is live iff some read of it (directly or through a chain
     of local-to-local assignments) reaches anything other than another
@@ -177,7 +141,7 @@ def compute_def_use(function: FunctionDefinition) -> DefUseFacts:
     if function.body is not None:
         for stmt in function.body.statements:
             visitor.statement(stmt)
-    variables = visitor.facts.variables
+    variables = visitor.variables
 
     # liveness fixpoint over local assignment chains
     changed = True
@@ -191,7 +155,7 @@ def compute_def_use(function: FunctionDefinition) -> DefUseFacts:
                     vf.live = True
                     changed = True
                     break
-    return visitor.facts
+    return variables
 
 
 class _DefUseWalk:
@@ -202,11 +166,11 @@ class _DefUseWalk:
     once the facts are dropped.
     """
 
-    __slots__ = ("facts", "scope")
+    __slots__ = ("variables", "scope")
 
     def __init__(self, function: FunctionDefinition) -> None:
-        self.facts = DefUseFacts()
-        # name -> position of its declaration in facts.variables, or None
+        self.variables: list[VarFacts] = []
+        # name -> position of its declaration in variables, or None
         # for a named return, whose reads are not tracked
         self.scope: dict[str, int | None] = {}
         for param in function.parameters:
@@ -217,7 +181,7 @@ class _DefUseWalk:
                 self.scope[ret.name] = None
 
     def declare(self, decl: VariableDeclaration, is_parameter: bool) -> int:
-        variables = self.facts.variables
+        variables = self.variables
         self.scope[decl.name] = len(variables)
         variables.append(VarFacts(decl, is_parameter))
         return len(variables) - 1
@@ -231,12 +195,12 @@ class _DefUseWalk:
                 and (v := scope.get(node.name)) is not None]
 
     def consume(self, expr: Expression | None) -> None:
-        variables = self.facts.variables
+        variables = self.variables
         for v in self.reads(expr):
             variables[v].live = True
 
     def flow(self, sources: list[int], target: int) -> None:
-        variables = self.facts.variables
+        variables = self.variables
         for v in sources:
             variables[v].flows_into.add(target)
 

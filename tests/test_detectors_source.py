@@ -9,7 +9,6 @@ from soldefect.analyzer import source_facts
 from soldefect.config import DetectorConfig, RunConfig
 from soldefect.detectors import AnalysisContext, ContractFacts, run_detectors
 from soldefect.detectors.common import external_call
-from soldefect.semantic import CallGraph
 
 from conftest import (detectors_fired, findings_for, hits, parse_source,
                       read_listing)
@@ -476,6 +475,16 @@ def test_missing_event_fires():
     assert matches and "missing event Approval" in matches[0].message
 
 
+def test_unrelated_overload_does_not_stand_in():
+    # transfer(address) is another function, not a transfer(address,uint256)
+    source = CONFORMANT_TOKEN.replace(
+        "function transfer(address to, uint256 value) public returns (bool)",
+        "function transfer(address to) public returns (bool)")
+    findings = findings_for(source)
+    matches = [f for f in findings if f.detector == "unmatched-erc20"]
+    assert matches and "missing function transfer(address,uint256)" in matches[0].message
+
+
 def test_optional_decimals_wrong_return_fires():
     source = CONFORMANT_TOKEN.replace(
         "}", """    function decimals() public constant returns (uint256) { return 18; }
@@ -681,6 +690,16 @@ def test_no_array_params_quiet():
 }""")
 
 
+def test_call_in_modifier_argument_is_internal():
+    # following the advice would break compilation: allowed is called
+    # from f's modifier argument
+    assert "high-gas-function-type" not in detectors_fired("""contract C {
+    modifier when(bool ok) { require(ok); _; }
+    function allowed(uint[] xs) public returns (bool) { return xs.length > 0; }
+    function f(uint[] xs) external when(allowed(xs)) { }
+}""")
+
+
 def _graphs_built(monkeypatch) -> list:
     """Patch build_call_graph to record each contract it is built for."""
     built, build = [], base.build_call_graph
@@ -724,10 +743,9 @@ contract D {
 
 
 def test_a_given_call_graph_is_the_one_read():
-    # a caller that builds the graph itself passes it positionally
+    # a caller that builds the callee names itself passes them positionally
     cf = listing_facts("listing1.sol").contracts[0]
-    given = ContractFacts(cf.contract, cf.table, CallGraph({("f", "g")}),
-                          cf.defuse)
+    given = ContractFacts(cf.contract, cf.table, {"g"}, cf.defuse)
     assert given.callees == {"g"}
     assert cf.call_graph is None and cf.callees is cf.callees
 

@@ -75,24 +75,23 @@ def test_infer_address_literal():
 def test_listing1_call_graph():
     unit, gamble = _contract(read_listing("listing1.sol"))
     table = flatten_contract(unit, gamble)
-    graph = build_call_graph(table)
-    assert ("<fallback>", "ReceiveEth") in graph.edges
-    assert ("ReceiveEth", "getWinner") in graph.edges
-    # modifier invocation edges
-    assert ("suicide", "onlyOwner") in graph.edges
-    assert ("withDraw", "onlyOwner") in graph.edges
+    callees = build_call_graph(table)
+    # the fallback calls ReceiveEth, which calls getWinner
+    assert {"ReceiveEth", "getWinner"} <= callees
+    # suicide and withDraw invoke the modifier
+    assert "onlyOwner" in callees
 
 
 def test_empty_call_graph():
     unit, c = _contract("contract C { function f() { uint x = 1; } }")
-    graph = build_call_graph(flatten_contract(unit, c))
-    assert graph.edges == set()
+    assert build_call_graph(flatten_contract(unit, c)) == set()
 
 
 def test_unresolved_calls_make_no_edges():
+    # a name the table does not declare is still collected: D15 only asks
+    # about the contract's own functions, whose names are always declared
     unit, c = _contract("contract C { function f() { mystery(); } }")
-    graph = build_call_graph(flatten_contract(unit, c))
-    assert graph.edges == set()
+    assert build_call_graph(flatten_contract(unit, c)) == {"mystery"}
 
 
 # -- def-use ------------------------------------------------------------------
@@ -106,14 +105,14 @@ def _defuse(text: str, fn_name: str):
 
 def _var(facts, name: str):
     """The one declaration of `name` in a function's def-use facts."""
-    [var] = [v for v in facts.variables if v.declaration.name == name]
+    [var] = [v for v in facts if v.declaration.name == name]
     return var
 
 
 def _live(facts) -> set[str]:
     """The live declarations, each as "param NAME" or "local NAME"."""
     return {("param " if v.is_parameter else "local ") + v.declaration.name
-            for v in facts.variables if v.live}
+            for v in facts if v.live}
 
 
 def test_listing3_change_variable():
@@ -165,7 +164,7 @@ def test_call_argument_is_live():
 def test_named_returns_are_exempt():
     facts = _defuse(
         "contract C { function f() returns (bool ok) { ok = true; } }", "f")
-    assert facts.variables == []
+    assert facts == []
 
 
 def test_liveness_is_monotone_under_added_reads():
@@ -173,8 +172,8 @@ def test_liveness_is_monotone_under_added_reads():
     base = "contract C {{ uint s; function f(uint a) {{ uint m = a; {extra} }} }}"
     without = _defuse(base.format(extra=""), "f")
     with_read = _defuse(base.format(extra="s = m;"), "f")
-    assert len(without.variables) == len(with_read.variables)
-    for before, after in zip(without.variables, with_read.variables):
+    assert len(without) == len(with_read)
+    for before, after in zip(without, with_read):
         if before.live:
             assert after.live
 
@@ -215,15 +214,27 @@ def test_liveness_by_statement_kind(function, live):
 
 def test_flatten_inherits_members():
     unit, derived = _contract("""
-contract Base { uint x; function f() {} function shared() { } }
-contract Derived is Base { function shared() { uint y = 1; } }
+contract Base {
+    uint x;
+    function f(uint a) {}
+    function f(address a) {}
+    function shared() { }
+}
+contract Derived is Base {
+    function shared() { uint y = 1; }
+    function f(uint a) { uint z = a; }
+    function f(bool b) {}
+}
 """, index=1)
     table = flatten_contract(unit, derived)
     assert "x" in table.state_variables
-    assert set(table.functions) == {"f", "shared"}
-    # the derived override wins
-    shared = table.functions["shared"]["shared()"]
-    assert len(shared.body.statements) == 1
+    # one entry per signature, in merge order: an override moves to the end
+    assert list(table.functions) == ["f(address)", "shared()", "f(uint256)",
+                                     "f(bool)"]
+    # the derived overrides win
+    for signature in ("shared()", "f(uint256)"):
+        assert table.functions[signature] in derived.functions
+    assert table.functions["f(address)"] not in derived.functions
 
 
 def test_diamond_inheritance_warns():

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import glob
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -45,7 +46,7 @@ from soldefect.evm.cfg import build_cfg
 from soldefect.evm.loops import detect_loops
 from soldefect.evm.selectors import extract_selectors
 from soldefect.lexer import LexerError
-from soldefect.report import render
+from soldefect.report import filter_by_impact, render
 from soldefect.spans import position
 from asm import (BALANCE_EQ, CALL_BODY, PUSH20_LITERAL, counted_loop,
                  dispatcher, storage_bound_loop)
@@ -317,6 +318,43 @@ def test_report_bytes_do_not_depend_on_the_hash_seed(mixed_corpus):
         assert run.returncode == 1, run.stderr.decode()  # 1 = findings present
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def bench_tracing():
+    """bench/tracing.py, the benchmark's traced copy of the per-file
+    pipeline, imported without writing bytecode under bench/."""
+    path = os.path.join(os.path.dirname(__file__), "..", "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.modules.get("tracing")
+    sys.modules["tracing"] = module  # dataclasses look their module up
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        if saved is None:
+            del sys.modules["tracing"]
+        else:
+            sys.modules["tracing"] = saved
+    return module
+
+
+@pytest.mark.parametrize("format", ["json", "sarif"])
+@pytest.mark.parametrize("corpus", ["listings", "mixed", "inheritance"])
+def test_bench_traced_pass_renders_the_serial_report(request, bench_tracing,
+                                                      corpus, format):
+    # the benchmark calls each layer itself, so a change to a call it makes
+    # breaks the benchmark, not the program: its report must stay the same
+    root = CORPUS_DIR if corpus == "listings" else \
+        str(request.getfixturevalue(f"{corpus}_corpus"))
+    run = bench_tracing.traced_pass(root, format, bench_tracing.Tracer())
+    assert run.errors == {}
+    config = RunConfig(jobs=1)
+    report, _outcomes = analyze_paths([root], config)
+    assert run.rendered == render(filter_by_impact(report, config.min_impact),
+                                  format)
 
 
 def render_value(value) -> str:
