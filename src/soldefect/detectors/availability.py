@@ -8,8 +8,9 @@ from ..nodes import (CallExpression, EmitStatement, ExpressionStatement,
                      FunctionDefinition, IfStatement, ThrowStatement)
 from ..semantic import SymbolTable
 from .base import AnalysisContext, DetectorDescriptor, Hit, register
-from .common import (ETHER_SENDING_KINDS, builtin_call_name, is_guard_call,
-                     is_revert, is_selfdestruct, returns_on_all_paths, unwrap)
+from .common import (ETHER_SENDING_KINDS, builtin_call_name,
+                     can_receive_ether, is_guard_call, is_revert,
+                     is_selfdestruct, returns_on_all_paths, unwrap)
 from .index import FunctionIndex
 
 # ---------------------------------------------------------------------------
@@ -192,7 +193,7 @@ GREEDY_CONTRACT = DetectorDescriptor(
 @register(GREEDY_CONTRACT)
 def detect_greedy_contract(ctx: AnalysisContext) -> Iterator[Hit]:
     for cf in ctx.source.contracts:
-        if not any(f.is_payable for f in cf.table.functions.values()):
+        if not can_receive_ether(cf.table):
             continue
         if _can_move_ether_out(ctx.source.callables(cf)):
             continue

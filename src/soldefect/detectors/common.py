@@ -167,6 +167,12 @@ def is_selfdestruct(expr: Expression) -> bool:
     return builtin_call_name(expr) in ("selfdestruct", "suicide")
 
 
+def can_receive_ether(table: SymbolTable) -> bool:
+    """Whether a payable function of ``table`` has a body to take ether."""
+    return any(f.is_payable and f.body is not None
+               for f in table.functions.values())
+
+
 def is_revert(stmt: Statement) -> bool:
     """`throw;` or `revert(...);`."""
     return isinstance(stmt, ThrowStatement) or (

@@ -9,7 +9,7 @@ from ..nodes import (Assignment, CallExpression, HexLiteral, Identifier,
                      MemberAccess)
 from .base import (AnalysisContext, ContractFacts, DetectorDescriptor, Hit,
                    SourceFacts, register)
-from .common import global_member, is_selfdestruct, unwrap
+from .common import can_receive_ether, global_member, is_selfdestruct, unwrap
 from .index import FunctionIndex
 
 HARD_CODE_ADDRESS = DetectorDescriptor(
@@ -56,7 +56,7 @@ MISSING_INTERRUPTER = DetectorDescriptor(
 @register(MISSING_INTERRUPTER)
 def detect_missing_interrupter(ctx: AnalysisContext) -> Iterator[Hit]:
     for cf in ctx.source.contracts:
-        if not any(f.is_payable for f in cf.table.functions.values()):
+        if not can_receive_ether(cf.table):
             continue  # cannot accumulate ether through calls
         if _has_selfdestruct(ctx.source.callables(cf)):
             continue

@@ -10,7 +10,7 @@ from ..nodes import (Assignment, BinaryOperation, CallExpression,
                      IfStatement, IndexAccess, MemberAccess, ModifierDefinition,
                      NumberLiteral, Statement, ThrowStatement, TupleExpression,
                      TypeName, VariableDeclarationStatement, WhileStatement)
-from ..semantic import InferenceError, infer_var_type
+from ..semantic import infer_var_type
 from ..spans import Span
 from .base import AnalysisContext, DetectorDescriptor, Hit, register
 from .common import (CHECKABLE_CALL_KINDS, ETHER_SENDING_KINDS,
@@ -141,13 +141,11 @@ def detect_unmatched_type_assignment(ctx: AnalysisContext) -> Iterator[Hit]:
                 continue
             counter_name, counter_type = counter
             if counter_type is not None and counter_type.kind == "var":
-                try:
-                    state = index.table.state_variables
-                    counter_type = infer_var_type(
-                        _counter_initializer(stmt),
-                        lambda name: getattr(state.get(name), "type_name", None))
-                except InferenceError:
-                    counter_type = None
+                # only a declared counter has a type, `var` among them
+                state = index.table.state_variables
+                counter_type = infer_var_type(
+                    stmt.init.declaration.initializer,
+                    lambda name: getattr(state.get(name), "type_name", None))
             if counter_type is None:
                 continue
             bits = counter_type.int_bits()
@@ -170,13 +168,6 @@ def _loop_counter(stmt: ForStatement) -> tuple[str, TypeName | None] | None:
         expr = unwrap(init.expression)
         if isinstance(expr, Assignment) and isinstance(expr.target, Identifier):
             return expr.target.name, None
-    return None
-
-
-def _counter_initializer(stmt: ForStatement):
-    init = stmt.init
-    if isinstance(init, VariableDeclarationStatement):
-        return init.declaration.initializer
     return None
 
 

@@ -29,8 +29,8 @@ Abstract values (hashable tuples):
     ("widened",)                   an untainted integer that changes
                                    between visits (``WIDENED``)
     ("taint", frozenset(tags))     value influenced by the tagged sources
-    ("cmp", op, pc, a, b)          result of a comparison instruction
-    ("iszero", inner)              boolean negation wrapper
+    ("cmp", op, pc, a, b)          comparison result; a, b are `_leaf`s
+    ("iszero", inner)              boolean negation wrapper, at most two deep
     ("unknown",)
 Folding and NOT over constants and ``WIDENED`` give ``WIDENED``; a
 comparison with it is never decided, and a jump to it is unresolved.
@@ -402,12 +402,14 @@ def _step(stack: list, op: int, pc: int) -> bool:
         return True
     name = _CMP_OPS.get(op)
     if name is not None:
-        stack.append(("cmp", name, pc, args[0], args[1]))
+        stack.append(("cmp", name, pc, _leaf(args[0]), _leaf(args[1])))
         return True
     if op == _ISZERO:
         a = args[0]
         if a[0] == "const":
             stack.append(("const", 0 if a[1] else 1))
+        elif a[0] == "iszero" and a[1][0] == "iszero":
+            stack.append(a[1])  # three negations are one
         else:
             stack.append(("iszero", a))
         return True
@@ -433,6 +435,12 @@ def _step(stack: list, op: int, pc: int) -> bool:
     if op == _PC:
         stack.append(("const", pc))
     return True
+
+
+def _leaf(value) -> tuple:
+    """A comparison's operand as it is kept: a comparison or negation only
+    as its taints, all that any reader takes from such an operand."""
+    return _join_taints([value]) if value[0] in ("cmp", "iszero") else value
 
 
 def _join_taints(args: list, tags: frozenset = frozenset()) -> tuple:

@@ -2,6 +2,10 @@
 flat symbol table per contract (inherited members merged), `var` type
 inference, the names a contract's code calls, and def-use liveness.
 
+Each builder is one pass whose cost grows with the input's size, not its
+depth: bases are merged from one stack, and liveness spreads back from
+the variables read live, taking each variable once.
+
 All analyses are intra-procedural and conservative: anything that escapes
 the patterns below (unresolved names, calls, container writes) is treated
 as live / unknown rather than dead, which keeps the unused-statement and
@@ -43,53 +47,46 @@ class SymbolTable:
 
 
 def flatten_contract(unit: SourceUnit, contract: ContractDefinition,
-                     diagnostics: list[Diagnostic] | None = None) -> SymbolTable:
+                     diagnostics: list[Diagnostic]) -> SymbolTable:
     """Merge inherited members, derived-contract overrides winning.
 
     Bases are resolved by name within the same source unit, through the
-    map that the unit builds once (``SourceUnit.contracts_by_name``); a base
-    that appears more than once through different paths (diamond) is merged
-    once and a warning is recorded.
+    map that the unit builds once (``SourceUnit.contracts_by_name``), and
+    taken depth-first in declared order from one stack, each contract
+    merged after its own bases; a base that appears more than once through
+    different paths (diamond) is merged once and a warning is recorded.
     """
     table = SymbolTable(contract)
+    seen: set[str] = set()
     repeated: list[str] = []
-    _absorb(contract, table, unit.contracts_by_name, set(), repeated)
-    if diagnostics is not None:
-        diagnostics += [Diagnostic(
-            "warning", f"contract {contract.name}: base {name} inherited more "
-                       f"than once; flat-union merge applied", contract.span,
-            *position(unit.line_starts, contract.span.offset)) for name in repeated]
+    stack = [(contract, False)]
+    while stack:
+        c, bases_merged = stack.pop()
+        if bases_merged:
+            for var in c.state_variables:
+                table.state_variables[var.name] = var
+            for fn in c.functions:
+                key = fn.signature()
+                table.functions.pop(key, None)  # an override moves to the end
+                table.functions[key] = fn
+            for mod in c.modifiers:
+                table.modifiers[mod.name] = mod
+            for event in c.events:
+                table.events[event.name] = event
+        elif c.name in seen:
+            repeated.append(c.name)
+        else:
+            seen.add(c.name)
+            stack.append((c, True))
+            # pushed last first, so the first declared base is taken first
+            stack += [(base, False)
+                      for base in map(unit.contracts_by_name.get, reversed(c.bases))
+                      if base is not None]
+    diagnostics += [Diagnostic(
+        "warning", f"contract {contract.name}: base {name} inherited more "
+                   f"than once; flat-union merge applied", contract.span,
+        *position(unit.line_starts, contract.span.offset)) for name in repeated]
     return table
-
-
-def _absorb(c: ContractDefinition, table: SymbolTable,
-            by_name: dict[str, ContractDefinition], seen: set[str],
-            repeated: list[str]) -> None:
-    """Merge ``c``'s bases, then ``c`` itself, into ``table``; a base met
-    again is added to ``repeated`` instead.
-
-    A module-level function, not a closure over the table: a closure that
-    calls itself is a reference cycle, which would keep the file's whole
-    tree alive until the cyclic garbage collector runs.
-    """
-    if c.name in seen:
-        repeated.append(c.name)
-        return
-    seen.add(c.name)
-    for base_name in c.bases:
-        base = by_name.get(base_name)
-        if base is not None:
-            _absorb(base, table, by_name, seen, repeated)
-    for var in c.state_variables:
-        table.state_variables[var.name] = var
-    for fn in c.functions:
-        key = fn.signature()
-        table.functions.pop(key, None)  # an override moves to the end
-        table.functions[key] = fn
-    for mod in c.modifiers:
-        table.modifiers[mod.name] = mod
-    for event in c.events:
-        table.events[event.name] = event
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +115,8 @@ def build_call_graph(table: SymbolTable) -> set[str]:
 class VarFacts:
     declaration: VariableDeclaration
     is_parameter: bool
-    # positions in the function's list of the locals assigned from this one
-    flows_into: set[int] = field(default_factory=set)
+    # positions in the function's list of the variables read into this one
+    sources: list[int] = field(default_factory=list)
     live: bool = False
 
 
@@ -143,18 +140,14 @@ def compute_def_use(function: FunctionDefinition) -> list[VarFacts]:
             visitor.statement(stmt)
     variables = visitor.variables
 
-    # liveness fixpoint over local assignment chains
-    changed = True
-    while changed:
-        changed = False
-        for vf in variables:
-            if vf.live:
-                continue
-            for target in vf.flows_into:
-                if variables[target].live:
-                    vf.live = True
-                    changed = True
-                    break
+    # a variable read into a live one is live: each is pushed at most once
+    work = [vf for vf in variables if vf.live]
+    while work:
+        for v in work.pop().sources:
+            source = variables[v]
+            if not source.live:
+                source.live = True
+                work.append(source)
     return variables
 
 
@@ -200,9 +193,7 @@ class _DefUseWalk:
             variables[v].live = True
 
     def flow(self, sources: list[int], target: int) -> None:
-        variables = self.variables
-        for v in sources:
-            variables[v].flows_into.add(target)
+        self.variables[target].sources += sources
 
     def statement(self, stmt) -> None:
         if isinstance(stmt, VariableDeclarationStatement):
@@ -287,21 +278,17 @@ _MEMBER_TYPES = {
 }
 
 
-class InferenceError(Exception):
-    pass
-
-
 def infer_var_type(initializer: Expression | None,
                    lookup=None) -> TypeName | None:
     """Infer the type a `var` declaration takes from its initializer.
 
     Integer literals get the smallest uintN (intN when negative) whose
     range contains the value; other initializers get their static type
-    when it is derivable, else None (unknown). `lookup(name)` resolves
-    identifiers to declared TypeNames.
+    when it is derivable, else None (unknown), as is a missing
+    initializer. `lookup(name)` resolves identifiers to declared TypeNames.
     """
     if initializer is None:
-        raise InferenceError("var declaration without initializer")
+        return None
     return _infer(initializer, lookup or (lambda name: None))
 
 

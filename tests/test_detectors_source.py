@@ -222,6 +222,25 @@ def test_matching_param_bound_quiet():
 }""")
 
 
+@pytest.mark.parametrize("loop,fires", [
+    # a counter on the right of the comparison
+    ("for (uint8 i = 0; 300 > i; i++) { }", True),
+    # an inclusive bound is reached one step earlier
+    ("for (uint8 i = 0; i <= 255; i++) { }", True),
+    ("for (uint8 i = 0; i <= 254; i++) { }", False),
+    ("for (uint8 i = 0; 255 >= i; i++) { }", True),
+    # a bound name that is neither state nor parameter counts as 256 bits
+    ("for (uint8 i = 0; i < limit; i++) { }", True),
+    # a counter assigned, not declared, has no type to check
+    ("for (j = 0; j < 300; j++) { }", False),
+], ids=["counter-on-right", "inclusive-bound-reached",
+        "inclusive-bound-in-range", "inclusive-counter-on-right",
+        "unresolved-bound", "assigned-counter"])
+def test_loop_bound_forms(loop, fires):
+    source = f"contract C {{ uint8 j; function f() {{ {loop} }} }}"
+    assert ("unmatched-type-assignment" in detectors_fired(source)) is fires
+
+
 # -- D05 transaction state dependency --------------------------------------------
 
 
@@ -609,6 +628,21 @@ def test_payable_with_selfdestruct_quiet():
 def test_no_payable_quiet():
     assert "greedy-contract" not in detectors_fired(
         "contract C { function f(uint x) returns (uint) { return x + 1; } }")
+
+
+@pytest.mark.parametrize("source,reported", [
+    ("interface I { function deposit() external payable; }", set()),
+    ("contract A { function deposit() public payable; }", set()),
+    # a contract that implements the declaration can hold ether
+    ("interface I { function deposit() external payable; }\n"
+     "contract B is I { function deposit() public payable { } }", {"B"}),
+], ids=["interface", "abstract", "implemented"])
+def test_only_a_payable_body_receives_ether(source, reported):
+    # both D13 and D18 ask whether the contract can hold ether
+    for detector in ("greedy-contract", "missing-interrupter"):
+        found = {f.message.split()[1] for f in findings_for(source)
+                 if f.detector == detector}
+        assert found == reported, detector
 
 
 # -- D14 unused statement ------------------------------------------------------------------------

@@ -464,6 +464,77 @@ def test_widened_values_fold_to_widened():
     assert stack == [balance]
 
 
+_WORD = 2**256 - 1
+_NEG = {v: v & _WORD for v in (-1, -2, -3, -7, -2**255)}  # two's complement
+
+
+@pytest.mark.parametrize("op,a,b,result", [
+    ("ADD", _WORD, 1, 0),
+    ("SUB", 1, 2, _WORD),
+    ("SUB", 5, 3, 2),
+    ("MUL", 2**255, 2, 0),
+    ("MUL", 3, 4, 12),
+    ("DIV", 7, 2, 3),
+    ("DIV", 7, 0, 0),
+    ("SDIV", _NEG[-7], 2, _NEG[-3]),  # rounds toward zero
+    ("SDIV", 7, _NEG[-2], _NEG[-3]),
+    ("SDIV", _NEG[-2**255], _NEG[-1], _NEG[-2**255]),  # the one overflow
+    ("SDIV", 5, 0, 0),
+    ("MOD", 7, 3, 1),
+    ("MOD", 7, 0, 0),
+    ("EXP", 2, 255, 2**255),
+    ("EXP", 2, 256, 0),
+    ("EXP", 3, 0, 1),
+    ("EXP", 2**128 + 1, 2, 2**129 + 1),
+    ("AND", 0b1100, 0b1010, 0b1000),
+    ("OR", 0b1100, 0b1010, 0b1110),
+    ("XOR", 0b1100, 0b1010, 0b0110),
+    ("BYTE", 31, 0x1234, 0x34),  # byte 0 is the most significant
+    ("BYTE", 30, 0x1234, 0x12),
+    ("BYTE", 0, 0xAB << 248, 0xAB),
+    ("BYTE", 32, _WORD, 0),
+    ("BYTE", 2**255, _WORD, 0),
+    ("SIGNEXTEND", 0, 0xFF, _WORD),
+    ("SIGNEXTEND", 0, 0x17F, 0x7F),
+    ("SIGNEXTEND", 30, 1 << 247, _WORD ^ (2**247 - 1)),
+    ("SIGNEXTEND", 30, 0xFF << 248 | 1, 1),
+    ("SIGNEXTEND", 31, 0xFF << 248, 0xFF << 248),
+    ("SIGNEXTEND", 32, 1 << 255, 1 << 255),
+])
+def test_constant_folds_follow_the_evm(op, a, b, result):
+    from soldefect.evm.cfg import _step
+    from soldefect.evm.opcodes import MNEMONICS
+    stack = [("const", b), ("const", a)]  # a on top: the first operand
+    assert _step(stack, MNEMONICS[op], 0)
+    assert stack == [("const", result)]
+
+
+def test_comparisons_keep_leaf_operands():
+    # a comparison of comparisons keeps only their taints, and three
+    # negations are one, so no value nests deeper than a few levels
+    from soldefect.evm.cfg import _step, unwrap_iszero, value_tags
+    from soldefect.evm.opcodes import MNEMONICS
+    calldata = ("taint", frozenset({"CALLDATA"}))
+    stack = [calldata]
+    for _ in range(3):
+        stack.append(stack[-1])
+        _step(stack, MNEMONICS["EQ"], 5)
+    assert stack == [("cmp", "EQ", 5, calldata, calldata)]
+    stack = [("const", 1), ("widened",)]
+    _step(stack, MNEMONICS["LT"], 6)
+    _step(stack, MNEMONICS["ISZERO"], 7)
+    assert stack == [("iszero", ("cmp", "LT", 6, ("widened",), ("const", 1)))]
+    negations = [stack[-1]]
+    for _ in range(5):
+        _step(stack, MNEMONICS["ISZERO"], 8)
+        negations.append(stack[-1])
+    assert [value[0] == "iszero" and value[1][0] == "iszero"
+            for value in negations] == [False, True] * 3
+    assert {unwrap_iszero(value) for value in negations} == {
+        ("cmp", "LT", 6, ("widened",), ("const", 1))}
+    assert all(value_tags(value) == frozenset() for value in negations)
+
+
 def test_unread_sources_share_one_context():
     # the five paths' values are all unknown, so `join` and what follows it
     # are explored once, not once per source (46 steps, not 76)

@@ -8,7 +8,8 @@ fires on each loop iteration, comprehension bodies included, so a rescan
 shows as a count that grows with the square of the input. The transfer
 shape cost memory, not time, so it is measured by the tracemalloc peak.
 Lexing and parsing are outside the count (see test_lexer.py for the
-lexer's one such shape).
+lexer's one such shape). For bytecode, the count covers disassembly, the
+CFG, loops, selectors and the bytecode detectors.
 """
 
 from __future__ import annotations
@@ -18,13 +19,15 @@ import tracemalloc
 
 import pytest
 
-from soldefect.analyzer import source_facts
+from soldefect.analyzer import build_bytecode_facts, source_facts
 from soldefect.config import DetectorConfig
 from soldefect.detectors import run_detectors
 from soldefect.detectors.base import AnalysisContext
 from soldefect.lexer import tokenize
 from soldefect.parser import parse
 
+from asm import assemble
+from conftest import bytecode_findings
 from synth import payable_chain
 
 GROWTH_BOUND = 6  # for 4 times the input; a quadratic cost gives about 16
@@ -72,6 +75,11 @@ SHAPES = {
     "contracts-naming-a-base": (150, lambda n: "contract C0 { uint x; }\n"
         + "\n".join(f"contract C{i} is C0 {{ uint y; }}" for i in range(1, n))
         + "\n", False),
+    # liveness took one pass over the function's variables per link of a
+    # local-to-local copy chain
+    "local-copy-chain": (100, lambda n: _function(
+        ["uint a0 = x;"] + [f"uint a{i} = a{i - 1};" for i in range(1, n)]
+        + [f"y = a{n - 1};"]), False),
 }
 
 
@@ -131,3 +139,31 @@ def test_erc20_check_grows_linearly_over_an_inheritance_chain():
     # before it looked for any ERC-20 name
     small, large = _erc20_check(25), _erc20_check(100)
     assert large <= GROWTH_BOUND * small, (small, large)
+
+
+def _self_comparisons(pairs: int) -> bytes:
+    """A calldata word compared with itself ``pairs`` times over, each
+    result compared with itself again, then used in an addition."""
+    return assemble(["PUSH1 0", "CALLDATALOAD"] + ["DUP1", "EQ"] * pairs
+                    + ["PUSH1 1", "ADD", "STOP"])
+
+
+def _bytecode_work(code: bytes) -> int:
+    return _line_events(lambda: run_detectors(AnalysisContext(
+        bytecode=build_bytecode_facts(code, "shape.hex"))))
+
+
+def test_comparison_of_comparisons_grows_linearly():
+    # a comparison kept its operands whole, so the value was a DAG whose
+    # taints were gathered once per path: 2 ** pairs of them
+    small, large = _bytecode_work(_self_comparisons(5)), \
+        _bytecode_work(_self_comparisons(20))
+    assert large <= GROWTH_BOUND * small, (small, large)
+
+
+def test_a_long_negation_chain_is_analyzed():
+    # each ISZERO wrapped the value below it, one nesting level per
+    # instruction, and gathering its taints overflowed the interpreter stack
+    code = assemble(["PUSH1 0", "CALLDATALOAD"] + ["ISZERO"] * 3000
+                    + ["PUSH1 1", "ADD", "STOP"])
+    assert bytecode_findings(code) == []

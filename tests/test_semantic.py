@@ -38,10 +38,8 @@ def test_infer_literals(literal, expected):
     assert inferred.canonical() == expected
 
 
-def test_infer_requires_initializer():
-    from soldefect.semantic import InferenceError
-    with pytest.raises(InferenceError):
-        infer_var_type(None)
+def test_infer_without_initializer_is_unknown():
+    assert infer_var_type(None) is None
 
 
 def _oracle_uint_width(value: int) -> int:
@@ -69,12 +67,47 @@ def test_infer_address_literal():
     assert t.canonical() == "address"
 
 
+TYPED_CONTRACT = ("contract C {{ uint16 a; bool flag; address owner; "
+                  "uint32[] xs; mapping(address => uint64) m; "
+                  "function f() {{ var v = {}; }} }}")
+
+
+@pytest.mark.parametrize("expr,expected", [
+    ('"abc"', "string"),
+    ("0x1234", "uint16"),  # a hex literal too short to be an address
+    ("!flag", "bool"),
+    ("-a", "uint16"),
+    ("(a)", "uint16"),
+    ("nobody", None),
+    ("xs.length", "uint256"),
+    ("msg.value", "uint256"),
+    ("msg.sender", "address"),
+    ("owner.balance", "uint256"),
+    ("owner.code", None),
+    ("xs[0]", "uint32"),
+    ("m[owner]", "uint64"),
+    ("a[0]", None),
+    ("uint16(x)", "uint16"),
+    ("g(x)", None),
+    ("a < 3", "bool"),
+    ("a + xs[0]", "uint32"),  # the wider operand
+    ("nobody + 1", "uint8"),  # an unknown operand gives way
+    ("flag ? a : 3", "uint16"),
+])
+def test_infer_by_expression_kind(expr, expected):
+    unit, c = _contract(TYPED_CONTRACT.format(expr))
+    declared = {var.name: var.type_name for var in c.state_variables}
+    initializer = c.functions[0].body.statements[0].declaration.initializer
+    inferred = infer_var_type(initializer, declared.get)
+    assert (inferred and inferred.canonical()) == expected
+
+
 # -- call graph ---------------------------------------------------------------
 
 
 def test_listing1_call_graph():
     unit, gamble = _contract(read_listing("listing1.sol"))
-    table = flatten_contract(unit, gamble)
+    table = flatten_contract(unit, gamble, [])
     callees = build_call_graph(table)
     # the fallback calls ReceiveEth, which calls getWinner
     assert {"ReceiveEth", "getWinner"} <= callees
@@ -84,14 +117,14 @@ def test_listing1_call_graph():
 
 def test_empty_call_graph():
     unit, c = _contract("contract C { function f() { uint x = 1; } }")
-    assert build_call_graph(flatten_contract(unit, c)) == set()
+    assert build_call_graph(flatten_contract(unit, c, [])) == set()
 
 
 def test_unresolved_calls_make_no_edges():
     # a name the table does not declare is still collected: D15 only asks
     # about the contract's own functions, whose names are always declared
     unit, c = _contract("contract C { function f() { mystery(); } }")
-    assert build_call_graph(flatten_contract(unit, c)) == {"mystery"}
+    assert build_call_graph(flatten_contract(unit, c, [])) == {"mystery"}
 
 
 # -- def-use ------------------------------------------------------------------
@@ -201,9 +234,17 @@ LIVENESS_CONTRACT = "contract C {{ uint s; uint[] xs; event E(uint v); {} }}"
     # declaration keeps its own facts
     ("function f(uint x) { uint x = 1; s = x; }", {"local x"}),
     ("function f(uint x) { s = x; uint x = 1; }", {"param x"}),
+    # liveness runs back along a copy chain, whatever order its links are in
+    ("function f(uint x) { uint a = x; uint b = a; uint c = b; s = c; }",
+     {"param x", "local a", "local b", "local c"}),
+    ("function f(uint x) { uint a; uint b; s = a; a = b; b = x; }",
+     {"param x", "local a", "local b"}),
+    # a cycle of copies that nothing else reads stays dead
+    ("function f(uint x) { uint a = x; uint b = a; a = b; }", set()),
 ], ids=["index-store", "increment", "emit", "for-post-and-condition",
         "for-counter", "delete-element", "delete-local", "state-assignment",
-        "compound-state-assignment", "shadow-read-after", "shadow-read-before"])
+        "compound-state-assignment", "shadow-read-after", "shadow-read-before",
+        "copy-chain", "copy-chain-backward", "copy-cycle"])
 def test_liveness_by_statement_kind(function, live):
     facts = _defuse(LIVENESS_CONTRACT.format(function), "f")
     assert _live(facts) == live
@@ -226,7 +267,7 @@ contract Derived is Base {
     function f(bool b) {}
 }
 """, index=1)
-    table = flatten_contract(unit, derived)
+    table = flatten_contract(unit, derived, [])
     assert "x" in table.state_variables
     # one entry per signature, in merge order: an override moves to the end
     assert list(table.functions) == ["f(address)", "shared()", "f(uint256)",
@@ -247,3 +288,34 @@ contract D is B, C { }
 """, index=3)
     flatten_contract(unit, d, diags)
     assert any("more than once" in item.message for item in diags)
+
+
+def test_merge_order_and_repeated_bases():
+    # bases are taken depth-first in declared order, each contract merged
+    # after its own bases; a base met again is merged once and named in a
+    # warning each time it is met
+    diags = []
+    unit, e = _contract("""
+contract A { function a() {} }
+contract B is A { function b() {} }
+contract C is A { function c() {} }
+contract D is B, C { function d() {} }
+contract E is C, D, A { function e() {} }
+""", index=4)
+    table = flatten_contract(unit, e, diags)
+    assert list(table.functions) == ["a()", "c()", "b()", "d()", "e()"]
+    assert [item.message.split()[3] for item in diags] == ["A", "C", "A"]
+
+
+def test_flatten_a_deep_inheritance_chain():
+    # the merge takes its bases from a stack, so the chain's depth is not
+    # bounded by the interpreter's recursion limit
+    depth = 1500
+    text = "contract C0 { uint v0; }\n" + "".join(
+        f"contract C{i} is C{i - 1} {{ uint v{i}; }}\n"
+        for i in range(1, depth))
+    unit, last = _contract(text, index=depth - 1)
+    diags = []
+    table = flatten_contract(unit, last, diags)
+    assert list(table.state_variables) == [f"v{i}" for i in range(depth)]
+    assert diags == []
