@@ -5,7 +5,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from ..nodes import (CallExpression, EmitStatement, ExpressionStatement,
-                     FunctionDefinition, IfStatement, ThrowStatement)
+                     FunctionDefinition, IfStatement, ModifierDefinition,
+                     ThrowStatement)
 from ..semantic import SymbolTable
 from .base import AnalysisContext, DetectorDescriptor, Hit, register
 from .common import (ETHER_SENDING_KINDS, builtin_call_name,
@@ -120,9 +121,9 @@ MISSING_REMINDER = DetectorDescriptor(
 
 @register(MISSING_REMINDER)
 def detect_missing_reminder(ctx: AnalysisContext) -> Iterator[Hit]:
-    for index in ctx.source.bodies(modifiers=False):
+    for index in ctx.source.bodies():
         fn = index.fn
-        if not fn.is_payable:
+        if isinstance(fn, ModifierDefinition) or not fn.is_payable:
             continue
         if not (index.state_writes or _has_conditional_revert(index)):
             continue

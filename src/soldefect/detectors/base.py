@@ -65,8 +65,6 @@ class SourceFacts:
     unit: SourceUnit
     contracts: list[ContractFacts]
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    _bodies: dict[bool, list[FunctionIndex]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def tree(self) -> NodeIndex:
@@ -95,16 +93,10 @@ class SourceFacts:
         return self.indexes([*table.functions.values(),
                              *table.modifiers.values()])
 
-    def bodies(self, modifiers: bool = True) -> list[FunctionIndex]:
-        """The indexes of each contract's own functions, then its modifiers
-        unless told not to, that have a body, in source order; one list per
-        flavour, built on first use."""
-        found = self._bodies.get(modifiers)
-        if found is None:
-            found = self._bodies[modifiers] = [
-                index for index in self._indexes.values()
-                if modifiers or isinstance(index.fn, FunctionDefinition)]
-        return found
+    def bodies(self) -> Iterable[FunctionIndex]:
+        """The indexes of each contract's own functions, then its modifiers,
+        that have a body, in source order."""
+        return self._indexes.values()
 
 
 @record

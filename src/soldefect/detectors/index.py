@@ -1,6 +1,8 @@
 """The facts the source detectors query instead of walking the tree: the
-file's nodes in pre-order, and one index per function or modifier body of
-its statements in context, shared by every contract that inherits it."""
+file's nodes in pre-order, and one index per function or modifier body,
+shared by every contract that inherits it, over the body's statements in
+context (``nodes.statements``, the list def-use liveness reads too) and
+the declarations its names resolve to."""
 
 from __future__ import annotations
 
@@ -8,12 +10,12 @@ from bisect import bisect_left
 from collections.abc import Callable
 from functools import cached_property
 
-from ..nodes import (Assignment, Block, CallExpression, Conditional,
-                     Expression, ExpressionStatement, ForStatement,
-                     FunctionDefinition, Identifier, IfStatement, MemberAccess,
-                     ModifierDefinition, Statement, UnaryOperation,
-                     VariableDeclarationStatement, WhileStatement, children)
-from ..records import record
+from ..nodes import (Assignment, CallExpression, Conditional, Expression,
+                     ExpressionStatement, ForStatement, FunctionDefinition,
+                     Identifier, IfStatement, MemberAccess, ModifierDefinition,
+                     Statement, StatementFacts, UnaryOperation,
+                     VariableDeclaration, VariableDeclarationStatement,
+                     WhileStatement, children, statements)
 from ..semantic import SymbolTable
 from .common import (bound_is_constant, external_call, is_guard_call,
                      store_base, unwrap)
@@ -70,20 +72,12 @@ class NodeIndex:
         return start <= self.pos[id(inner)] < self.ends[start]
 
 
-@record(slots=True)
-class StatementFacts:
-    node: Statement
-    conditions: tuple  # enclosing if/while/for conditions, outermost first
-    for_init: bool     # the init statement of a for loop
-    end: int           # one past this statement's subtree in ``statements``
-
-
 class FunctionIndex:
     """Facts about one function or modifier body, held in ``tree``.
 
-    ``statements`` lists every statement with its context; a for loop's
-    body comes before its init statement, the order the detectors have
-    always used. Facts that need the symbol table are built on first use.
+    ``statements`` lists every statement with its context, in the order of
+    ``nodes.statements``: a for loop's body comes before its init
+    statement. Facts that need the symbol table are built on first use.
     """
 
     def __init__(self, fn: FunctionDefinition | ModifierDefinition,
@@ -98,48 +92,34 @@ class FunctionIndex:
         # id(call) -> external_call(call), for the low-level external calls
         self._calls = {id(call): decoded for call in self.of(CallExpression)
                        if (decoded := external_call(call))[0] is not None}
-        self.locals: set[str] = {p.name for p in fn.parameters if p.name}
+        self.statements: list[StatementFacts] = statements(fn)
+        # name -> declaration of each parameter, named return and local;
+        # a later declaration of a name replaces an earlier one
+        self.locals: dict[str, VariableDeclaration] = {
+            p.name: p for p in fn.parameters if p.name}
         if isinstance(fn, FunctionDefinition):
-            self.locals |= {r.name for r in fn.returns_ if r.name}
-        self.statements: list[StatementFacts] = []
+            self.locals.update((r.name, r) for r in fn.returns_ if r.name)
         # (assigned local or state name, value), in statement order
         self.assignments: list[tuple[str, Expression]] = []
-        stack: list = [(fn.body, (), False)]
-        while stack:
-            item = stack.pop()
-            if item.__class__ is int:  # every statement of that subtree is listed
-                self.statements[item].end = len(self.statements)
-                continue
-            stmt, conditions, for_init = item
-            k = len(self.statements)
-            self.statements.append(StatementFacts(stmt, conditions, for_init, k + 1))
-            if isinstance(stmt, Block):
-                pushed = [(s, conditions, False) for s in reversed(stmt.statements)]
-            elif isinstance(stmt, IfStatement):
-                inner = conditions + (stmt.condition,)
-                pushed = [(branch, inner, False) for branch
-                          in (stmt.else_branch, stmt.then_branch) if branch is not None]
-            elif isinstance(stmt, (ForStatement, WhileStatement)):
-                init = stmt.init if isinstance(stmt, ForStatement) else None
-                pushed = [(init, conditions, True)] if init is not None else []
-                if stmt.condition is not None:
-                    conditions += (stmt.condition,)
-                pushed.append((stmt.body, conditions, False))
-            else:  # no nested statements: record its locals and assignments
-                if isinstance(stmt, VariableDeclarationStatement):
-                    decl = stmt.declaration
-                    if decl.name:
-                        self.locals.add(decl.name)
-                        if decl.initializer is not None:
-                            self.assignments.append((decl.name, decl.initializer))
-                elif isinstance(stmt, ExpressionStatement):
-                    expr = unwrap(stmt.expression)
-                    if isinstance(expr, Assignment) \
-                            and isinstance(expr.target, Identifier):
-                        self.assignments.append((expr.target.name, expr.value))
-                continue
-            stack.append(k)
-            stack += pushed
+        for st in self.statements:
+            stmt = st.node
+            if isinstance(stmt, VariableDeclarationStatement):
+                decl = stmt.declaration
+                if decl.name:
+                    self.locals[decl.name] = decl
+                    if decl.initializer is not None:
+                        self.assignments.append((decl.name, decl.initializer))
+            elif isinstance(stmt, ExpressionStatement):
+                expr = unwrap(stmt.expression)
+                if isinstance(expr, Assignment) \
+                        and isinstance(expr.target, Identifier):
+                    self.assignments.append((expr.target.name, expr.value))
+
+    def declaration(self, name: str) -> VariableDeclaration | None:
+        """The declaration a name reads here: a parameter, named return or
+        local of this body first, then a state variable."""
+        found = self.locals.get(name)
+        return found if found is not None else self.table.state_variables.get(name)
 
     def of(self, *types: type) -> list:
         """Body nodes of the given types, in pre-order."""

@@ -85,7 +85,7 @@ def _has_circuit_breaker(cf: ContractFacts, source: SourceFacts) -> bool:
     checked: set[str] = set()
     written_controlled: set[str] = set()
     for index in source.indexes(cf.table.functions.values()):
-        unshadowed = bool_states - index.locals
+        unshadowed = bool_states.difference(index.locals)
         if index.fn.visibility in ("public", "default", "external"):
             checked.update(node.name for node in index.in_conditions(Identifier)
                            if node.name in unshadowed)

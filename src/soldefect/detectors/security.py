@@ -142,17 +142,15 @@ def detect_unmatched_type_assignment(ctx: AnalysisContext) -> Iterator[Hit]:
             counter_name, counter_type = counter
             if counter_type is not None and counter_type.kind == "var":
                 # only a declared counter has a type, `var` among them
-                state = index.table.state_variables
                 counter_type = infer_var_type(
                     stmt.init.declaration.initializer,
-                    lambda name: getattr(state.get(name), "type_name", None))
+                    lambda name: getattr(index.declaration(name), "type_name", None))
             if counter_type is None:
                 continue
             bits = counter_type.int_bits()
             if bits is None:
                 continue
-            problem = _bound_exceeds(stmt.condition, counter_name, bits,
-                                     index.table, index.fn)
+            problem = _bound_exceeds(stmt.condition, counter_name, bits, index)
             if problem:
                 yield (stmt.span,
                        f"loop counter {counter_name} is "
@@ -172,7 +170,7 @@ def _loop_counter(stmt: ForStatement) -> tuple[str, TypeName | None] | None:
 
 
 def _bound_exceeds(condition, counter_name: str, counter_bits: int,
-                   table, fn) -> str | None:
+                   index: FunctionIndex) -> str | None:
     condition = unwrap(condition)
     if not isinstance(condition, BinaryOperation) \
             or condition.operator not in ("<", "<=", ">", ">=", "!="):
@@ -195,19 +193,17 @@ def _bound_exceeds(condition, counter_name: str, counter_bits: int,
         if value >= threshold:
             return f"{bound.text} exceeds its {counter_bits}-bit range"
         return None
-    bound_bits = _static_bits(bound, table, fn)
+    bound_bits = _static_bits(bound, index)
     if bound_bits is not None and bound_bits > counter_bits:
         return f"has a {bound_bits}-bit type"
     return None
 
 
-def _static_bits(expr, table, fn) -> int | None:
+def _static_bits(expr, index: FunctionIndex) -> int | None:
     if isinstance(expr, MemberAccess) and expr.member == "length":
         return 256
     if isinstance(expr, Identifier):
-        decl = table.state_variables.get(expr.name)
-        if decl is None:
-            decl = next((p for p in fn.parameters if p.name == expr.name), None)
+        decl = index.declaration(expr.name)
         if decl is not None:
             return decl.type_name.int_bits()
         return 256  # unresolved names: assume full width
@@ -340,8 +336,9 @@ def detect_reentrancy(ctx: AnalysisContext) -> Iterator[Hit]:
     to and including their own; guards that contain the call are left out.
     Calls in for-loop init and post expressions, return values and emits
     are not considered."""
-    for index in ctx.source.bodies(modifiers=False):
-        if "callvalue" not in map(index.kind, index.of(CallExpression)):
+    for index in ctx.source.bodies():
+        if isinstance(index.fn, ModifierDefinition) \
+                or "callvalue" not in map(index.kind, index.of(CallExpression)):
             continue
         # local -> the state variables its value was derived from
         deps = index.propagate(lambda value: _state_reads(index, value),

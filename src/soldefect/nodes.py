@@ -1,4 +1,7 @@
-"""AST for the Solidity subset.
+"""AST for the Solidity subset, and its two walks: ``walk``, every node of
+a subtree in pre-order, and ``statements``, every statement of a body with
+its enclosing conditions, the one list that def-use liveness and the fact
+index both read.
 
 Every node carries exactly one Span. Nodes are slotted records (see
 ``records.py``) that compare field by field, so two parses of the same bytes
@@ -452,3 +455,44 @@ def walk(node):
         current = stack.pop()
         yield current
         stack.extend(reversed(children(current)))
+
+
+@record(slots=True)
+class StatementFacts:
+    node: Statement
+    conditions: tuple  # enclosing if/while/for conditions, outermost first
+    for_init: bool     # the init statement of a for loop
+    end: int           # one past this statement's subtree in the list
+
+
+def statements(fn: FunctionDefinition | ModifierDefinition) -> list[StatementFacts]:
+    """Every statement of fn's body, the body first, depth-first with its
+    context: a then-branch before its else-branch, and a for loop's body
+    before its init statement. Empty for a function without a body."""
+    out: list[StatementFacts] = []
+    stack: list = [] if fn.body is None else [(fn.body, (), False)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is int:  # every statement of that subtree is listed
+            out[item].end = len(out)
+            continue
+        stmt, conditions, for_init = item
+        k = len(out)
+        out.append(StatementFacts(stmt, conditions, for_init, k + 1))
+        if isinstance(stmt, Block):
+            pushed = [(s, conditions, False) for s in reversed(stmt.statements)]
+        elif isinstance(stmt, IfStatement):
+            inner = conditions + (stmt.condition,)
+            pushed = [(branch, inner, False) for branch
+                      in (stmt.else_branch, stmt.then_branch) if branch is not None]
+        elif isinstance(stmt, (ForStatement, WhileStatement)):
+            init = stmt.init if isinstance(stmt, ForStatement) else None
+            pushed = [(init, conditions, True)] if init is not None else []
+            if stmt.condition is not None:
+                conditions += (stmt.condition,)
+            pushed.append((stmt.body, conditions, False))
+        else:
+            continue
+        stack.append(k)
+        stack += pushed
+    return out

@@ -3,8 +3,10 @@ flat symbol table per contract (inherited members merged), `var` type
 inference, the names a contract's code calls, and def-use liveness.
 
 Each builder is one pass whose cost grows with the input's size, not its
-depth: bases are merged from one stack, and liveness spreads back from
-the variables read live, taking each variable once.
+depth: bases are merged from one stack, and liveness takes its reads in
+one loop over the body's statements as ``nodes.statements`` lists them,
+the same list the detectors' fact index reads, then spreads back from the
+variables read live, taking each variable once.
 
 All analyses are intra-procedural and conservative: anything that escapes
 the patterns below (unresolved names, calls, container writes) is treated
@@ -14,9 +16,7 @@ gas detectors free of speculative positives.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
-from .nodes import (Assignment, BinaryOperation, Block, BoolLiteral,
+from .nodes import (Assignment, BinaryOperation, BoolLiteral,
                     CallExpression, Conditional, ContractDefinition,
                     ElementaryTypeExpression, EmitStatement, EventDefinition,
                     Expression, ExpressionStatement, ForStatement,
@@ -25,7 +25,7 @@ from .nodes import (Assignment, BinaryOperation, Block, BoolLiteral,
                     NumberLiteral, ReturnStatement, SourceUnit, StringLiteral,
                     TupleExpression, TypeName, UnaryOperation,
                     VariableDeclaration, VariableDeclarationStatement,
-                    WhileStatement, walk)
+                    WhileStatement, statements, walk)
 from .records import field, record
 from .spans import Diagnostic, Span, position
 
@@ -132,13 +132,89 @@ def compute_def_use(function: FunctionDefinition) -> list[VarFacts]:
 
     Each name read resolves to the declaration in scope at that point: a
     local hides a parameter or an earlier local of its name from its
-    declaration on.
+    declaration on. The reads are taken in one loop over the body's
+    statements (``nodes.statements``), a for loop's init, condition and
+    post expression at the loop, ahead of its body.
     """
-    visitor = _DefUseWalk(function)
-    if function.body is not None:
-        for stmt in function.body.statements:
-            visitor.statement(stmt)
-    variables = visitor.variables
+    variables: list[VarFacts] = []
+    # name -> position of its declaration in variables, or None for a
+    # named return, whose reads are not tracked
+    scope: dict[str, int | None] = {}
+    for param in function.parameters:
+        if param.name:
+            scope[param.name] = len(variables)
+            variables.append(VarFacts(param, True))
+    for ret in function.returns_:
+        if ret.name:
+            scope[ret.name] = None
+
+    # No helper below refers to itself, so none holds a reference cycle
+    # that would keep the tree alive once the facts are dropped.
+    def reads(expr: Expression | None) -> list[int]:
+        """The parameters and locals in scope that `expr` reads."""
+        if expr is None:
+            return []
+        return [v for node in walk(expr) if isinstance(node, Identifier)
+                and (v := scope.get(node.name)) is not None]
+
+    def consume(expr: Expression | None) -> None:
+        for v in reads(expr):
+            variables[v].live = True
+
+    def expression(expr: Expression) -> None:
+        if isinstance(expr, Assignment):
+            target = expr.target
+            if isinstance(target, Identifier):
+                written = scope.get(target.name)
+                if written is not None:  # a parameter or local
+                    variables[written].sources += reads(expr.value)
+                    return
+            # state, member and container stores: everything read stays
+            # conservatively live; the variable written through is not read
+            while isinstance(target, (IndexAccess, MemberAccess)):
+                if isinstance(target, IndexAccess):
+                    consume(target.index)
+                    target = target.base
+                else:
+                    target = target.object
+            consume(expr.value)
+        elif isinstance(expr, UnaryOperation) \
+                and expr.operator in ("++", "--", "delete") \
+                and isinstance(expr.operand, Identifier):
+            pass  # bumping or deleting a variable writes it, not reads it
+        else:
+            consume(expr)
+
+    def simple(stmt) -> None:
+        """A declaration or expression statement."""
+        if isinstance(stmt, VariableDeclarationStatement):
+            decl = stmt.declaration
+            if decl.name:
+                # the initializer reads what was in scope before this name
+                sources = reads(decl.initializer)
+                scope[decl.name] = len(variables)
+                variables.append(VarFacts(decl, False, sources))
+            else:
+                consume(decl.initializer)
+        elif isinstance(stmt, ExpressionStatement):
+            expression(stmt.expression)
+
+    for st in statements(function):
+        stmt = st.node
+        if isinstance(stmt, (IfStatement, WhileStatement)):
+            consume(stmt.condition)
+        elif isinstance(stmt, ForStatement):
+            if stmt.init is not None:
+                simple(stmt.init)
+            consume(stmt.condition)
+            if stmt.post is not None:
+                expression(stmt.post)
+        elif isinstance(stmt, ReturnStatement):
+            consume(stmt.value)
+        elif isinstance(stmt, EmitStatement):
+            consume(stmt.call)
+        elif not st.for_init:  # its loop took the init statement
+            simple(stmt)
 
     # a variable read into a live one is live: each is pushed at most once
     work = [vf for vf in variables if vf.live]
@@ -149,114 +225,6 @@ def compute_def_use(function: FunctionDefinition) -> list[VarFacts]:
                 source.live = True
                 work.append(source)
     return variables
-
-
-class _DefUseWalk:
-    """One pass over a function's statements, recording reads and flows.
-
-    Its methods reach the walk's state through ``self``, and nothing here
-    refers back to the walk, so no reference cycle keeps the tree alive
-    once the facts are dropped.
-    """
-
-    __slots__ = ("variables", "scope")
-
-    def __init__(self, function: FunctionDefinition) -> None:
-        self.variables: list[VarFacts] = []
-        # name -> position of its declaration in variables, or None
-        # for a named return, whose reads are not tracked
-        self.scope: dict[str, int | None] = {}
-        for param in function.parameters:
-            if param.name:
-                self.declare(param, True)
-        for ret in function.returns_:
-            if ret.name:
-                self.scope[ret.name] = None
-
-    def declare(self, decl: VariableDeclaration, is_parameter: bool) -> int:
-        variables = self.variables
-        self.scope[decl.name] = len(variables)
-        variables.append(VarFacts(decl, is_parameter))
-        return len(variables) - 1
-
-    def reads(self, expr: Expression | None) -> list[int]:
-        """The parameters and locals in scope that `expr` reads."""
-        if expr is None:
-            return []
-        scope = self.scope
-        return [v for node in walk(expr) if isinstance(node, Identifier)
-                and (v := scope.get(node.name)) is not None]
-
-    def consume(self, expr: Expression | None) -> None:
-        variables = self.variables
-        for v in self.reads(expr):
-            variables[v].live = True
-
-    def flow(self, sources: list[int], target: int) -> None:
-        self.variables[target].sources += sources
-
-    def statement(self, stmt) -> None:
-        if isinstance(stmt, VariableDeclarationStatement):
-            decl = stmt.declaration
-            if decl.name:
-                # the initializer reads what was in scope before this name
-                sources = self.reads(decl.initializer)
-                self.flow(sources, self.declare(decl, False))
-            else:
-                self.consume(decl.initializer)
-        elif isinstance(stmt, ExpressionStatement):
-            self.expression_statement(stmt.expression)
-        elif isinstance(stmt, Block):
-            for s in stmt.statements:
-                self.statement(s)
-        elif isinstance(stmt, IfStatement):
-            self.consume(stmt.condition)
-            self.statement(stmt.then_branch)
-            if stmt.else_branch is not None:
-                self.statement(stmt.else_branch)
-        elif isinstance(stmt, WhileStatement):
-            self.consume(stmt.condition)
-            self.statement(stmt.body)
-        elif isinstance(stmt, ForStatement):
-            if stmt.init is not None:
-                self.statement(stmt.init)
-            self.consume(stmt.condition)
-            if stmt.post is not None:
-                self.expression_statement(stmt.post)
-            self.statement(stmt.body)
-        elif isinstance(stmt, ReturnStatement):
-            self.consume(stmt.value)
-        elif isinstance(stmt, EmitStatement):
-            self.consume(stmt.call)
-
-    def expression_statement(self, expr: Expression) -> None:
-        if isinstance(expr, Assignment):
-            target = expr.target
-            if isinstance(target, Identifier):
-                written = self.scope.get(target.name)
-                if written is not None:  # a parameter or local
-                    self.flow(self.reads(expr.value), written)
-                    return
-            # state, member and container stores: everything read stays
-            # conservatively live; the variable written through is not read
-            for part in _assignment_reads(target):
-                self.consume(part)
-            self.consume(expr.value)
-        elif isinstance(expr, UnaryOperation) \
-                and expr.operator in ("++", "--", "delete") \
-                and isinstance(expr.operand, Identifier):
-            pass  # bumping or deleting a variable writes it, not reads it
-        else:
-            self.consume(expr)
-
-
-def _assignment_reads(target: Expression) -> Iterable[Expression]:
-    if isinstance(target, IndexAccess):
-        if target.index is not None:
-            yield target.index
-        yield from _assignment_reads(target.base)
-    elif isinstance(target, MemberAccess):
-        yield from _assignment_reads(target.object)
 
 
 # ---------------------------------------------------------------------------

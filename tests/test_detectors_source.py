@@ -241,6 +241,22 @@ def test_loop_bound_forms(loop, fires):
     assert ("unmatched-type-assignment" in detectors_fired(source)) is fires
 
 
+@pytest.mark.parametrize("source,messages", [
+    # a local bound of the counter's width
+    ("contract C { function f() { uint8 n = 10; "
+     "for (uint8 i = 0; i < n; i++) { } } }", []),
+    # a `var` counter takes its type from a parameter
+    ("contract C { function g(uint8 x) { for (var i = x; i < 1000; i++) {} } }",
+     ["loop counter i is uint8 but the loop bound 1000 exceeds its 8-bit range"]),
+    # a parameter hides the state variable of its name
+    ("contract C { uint n; function f(uint8 n) { "
+     "for (uint8 i = 0; i < n; i++) { } } }", []),
+], ids=["local-bound", "var-counter-from-param", "param-shadows-state"])
+def test_loop_bound_names_resolve_in_the_body_first(source, messages):
+    assert [f.message for f in findings_for(source)
+            if f.detector == "unmatched-type-assignment"] == messages
+
+
 # -- D05 transaction state dependency --------------------------------------------
 
 

@@ -79,23 +79,19 @@ def test_bodies_cover_functions_and_modifiers():
 
 
 def test_bodies_are_built_once_per_flavour():
-    # each call returns the one list: the indexes of each contract's own
-    # functions, then its modifiers if asked for, that have a body
+    # every call yields the same indexes: those of each contract's own
+    # functions, then its modifiers, that have a body
     for name, text in _sources():
         facts = source_facts(parse_source(text, name), name)
-        for modifiers in (True, False):
-            first = facts.bodies(modifiers)
-            assert facts.bodies(modifiers=modifiers) is first
-            assert ids(first) == ids(
-                index for cf in facts.contracts for index in facts.indexes(
-                    cf.contract.functions
-                    + (cf.contract.modifiers if modifiers else [])))
-            assert [index.fn for index in first] == [
-                fn for cf in facts.contracts for fn in cf.contract.functions
-                + (cf.contract.modifiers if modifiers else [])
-                if fn.body is not None]
-        assert facts.bodies() is facts.bodies(True)
-        assert len(facts.bodies(False)) <= len(facts.bodies())
+        first = list(facts.bodies())
+        assert ids(facts.bodies()) == ids(first)
+        assert ids(first) == ids(
+            index for cf in facts.contracts for index in facts.indexes(
+                cf.contract.functions + cf.contract.modifiers))
+        assert [index.fn for index in first] == [
+            fn for cf in facts.contracts
+            for fn in cf.contract.functions + cf.contract.modifiers
+            if fn.body is not None]
 
 
 @pytest.mark.parametrize("name,index", BODIES, ids=[n for n, _ in BODIES])

@@ -9,8 +9,8 @@ from soldefect.lexer import ETHER_UNITS
 from soldefect.nodes import (CallExpression, ForStatement, HexLiteral,
                              NumberLiteral, children, walk)
 
-from conftest import (MUTATIONS, has_errors, mutate, parse_source, read_listing,
-                      seeded_mutants, span_contains)
+from conftest import (MUTATIONS, detectors_fired, has_errors, mutate,
+                      parse_source, read_listing, seeded_mutants, span_contains)
 
 
 def parse_ok(text: str):
@@ -229,6 +229,22 @@ contract C {
     assert not has_errors(result)
     assert any("partial analysis" in d.message for d in result.diagnostics)
     assert [f.name for f in result.unit.contracts[0].functions] == ["f"]
+
+
+ORIGIN_CHECK = "address owner; function f() { require(tx.origin == owner); }"
+
+
+@pytest.mark.parametrize("source", [
+    f'import "./a.sol";\ncontract C {{ {ORIGIN_CHECK} }}',
+    f"contract C {{ using SafeMath for uint; {ORIGIN_CHECK} }}",
+], ids=["import", "using-for"])
+def test_skipped_directive_warns_once_and_the_rest_is_analyzed(source):
+    result = parse_source(source, "t.sol")
+    assert not has_errors(result)
+    assert [d.severity for d in result.diagnostics
+            if "partial analysis" in d.message] == ["warning"]
+    assert [f.name for f in result.unit.contracts[0].functions] == ["f"]
+    assert "transaction-state-dependency" in detectors_fired(source)
 
 
 def test_all_listings_parse_without_errors():

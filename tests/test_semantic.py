@@ -241,10 +241,14 @@ LIVENESS_CONTRACT = "contract C {{ uint s; uint[] xs; event E(uint v); {} }}"
      {"param x", "local a", "local b"}),
     # a cycle of copies that nothing else reads stays dead
     ("function f(uint x) { uint a = x; uint b = a; a = b; }", set()),
+    # a for loop's init declares its counter ahead of the body's reads
+    ("function f(uint i) { for (uint i = 0; i < 3; i++) { s += i; } }",
+     {"local i"}),
 ], ids=["index-store", "increment", "emit", "for-post-and-condition",
         "for-counter", "delete-element", "delete-local", "state-assignment",
         "compound-state-assignment", "shadow-read-after", "shadow-read-before",
-        "copy-chain", "copy-chain-backward", "copy-cycle"])
+        "copy-chain", "copy-chain-backward", "copy-cycle",
+        "for-init-shadows-param"])
 def test_liveness_by_statement_kind(function, live):
     facts = _defuse(LIVENESS_CONTRACT.format(function), "f")
     assert _live(facts) == live
