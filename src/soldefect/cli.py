@@ -13,8 +13,8 @@ import sys
 
 from . import __version__
 from .analyzer import analyze_paths
-from .config import (FORMATS, MODES, ConfigError, RunConfig, load_config_file,
-                     parse_detector_ids, parse_jobs)
+from .config import (FORMATS, MODES, ConfigError, RunConfig,
+                     apply_config_values, load_config_file)
 from .detectors import REGISTRY
 from .report import IMPACT_LEVELS, filter_by_impact, render
 
@@ -75,24 +75,27 @@ def _add_run_flags(cmd: argparse.ArgumentParser, formats: tuple[str, ...]) -> No
                           "usable CPUs)")
 
 
+# each flag that sets a run option, by its argparse dest, and the config
+# key it is applied as; --output has no key
+FLAG_KEYS = {"format": "format", "min_impact": "min_impact", "mode": "mode",
+             "jobs": "jobs", "enable": "enable", "disable": "disable",
+             "api_base": "fetch.api_base_url", "cache_dir": "fetch.cache_dir"}
+
+
 def _make_run_config(args: argparse.Namespace) -> RunConfig:
+    """The run's settings: the --config file's keys, then every flag given,
+    applied as its config key through the same validator, so it wins."""
     config = RunConfig()
-    if args.config:
+    if getattr(args, "config", None):
         load_config_file(config, args.config)
-    if args.format:
-        config.format = args.format
-    if getattr(args, "min_impact", None):  # score scores every label
-        config.min_impact = args.min_impact
-    if args.mode:
-        config.mode = args.mode
-    if args.jobs is not None:
-        config.jobs = parse_jobs(args.jobs)
-    if args.output:
+    flags = {}
+    for dest, key in FLAG_KEYS.items():
+        value = getattr(args, dest, None)
+        if value not in (None, ""):  # an empty --api-base or --cache-dir
+            flags[key] = ",".join(value) if isinstance(value, list) else str(value)
+    apply_config_values(config, flags)
+    if getattr(args, "output", None):
         config.output = args.output
-    if args.enable is not None:
-        config.detectors.enable = parse_detector_ids(",".join(args.enable))
-    if args.disable is not None:
-        config.detectors.disable = parse_detector_ids(",".join(args.disable))
     return config
 
 
@@ -105,23 +108,24 @@ def _emit(data: bytes, output: str | None) -> None:
         sys.stdout.flush()
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        config = _make_run_config(args)
-    except (ConfigError, OSError) as exc:
-        print(f"soldefect: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report, outcomes = analyze_paths(args.inputs, config)
-    if not outcomes:
-        print("soldefect: no inputs found", file=sys.stderr)
-        return EXIT_IO
-
+def _analyze(inputs: list[str], config: RunConfig) -> tuple:
+    """``analyze_paths``, then on stderr every failed input and after them
+    every diagnostic. Returns the report, the outcomes and the failed ones."""
+    report, outcomes = analyze_paths(inputs, config)
     failed = [o for o in outcomes if o.error is not None]
     for outcome in failed:
         print(f"soldefect: {outcome.error}", file=sys.stderr)
     for outcome in outcomes:
         for diag in outcome.diagnostics:
             print(f"soldefect: {diag}", file=sys.stderr)
+    return report, outcomes, failed
+
+
+def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
+    report, outcomes, failed = _analyze(args.inputs, config)
+    if not outcomes:
+        print("soldefect: no inputs found", file=sys.stderr)
+        return EXIT_IO
 
     filtered = filter_by_impact(report, config.min_impact)
     _emit(render(filtered, config.format), config.output)
@@ -132,19 +136,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_FINDINGS if filtered.findings else EXIT_CLEAN
 
 
-def cmd_fetch(args: argparse.Namespace) -> int:
+def cmd_fetch(args: argparse.Namespace, config: RunConfig) -> int:
     from .fetch import AddressFormatError, FetchError, fetch_contract
-    config = RunConfig()
-    try:
-        if args.config:
-            load_config_file(config, args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"soldefect: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.api_base:
-        config.fetch.api_base_url = args.api_base
-    if args.cache_dir:
-        config.fetch.cache_dir = args.cache_dir
     try:
         result = fetch_contract(args.address, config.fetch)
     except AddressFormatError as exc:
@@ -162,25 +155,17 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     return EXIT_CLEAN
 
 
-def cmd_score(args: argparse.Namespace) -> int:
+def cmd_score(args: argparse.Namespace, config: RunConfig) -> int:
     from .corpus import (ManifestError, load_manifest, render_scorecard_text,
                          score, scorecard_to_obj)
     try:
-        config = _make_run_config(args)
         if config.format not in TABLE_FORMATS:  # only a config file sets that
             raise ConfigError(f"format = {config.format}: not a score card format")
-    except (ConfigError, OSError) as exc:
-        print(f"soldefect: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         manifest = load_manifest(args.manifest, args.root)
-    except (ManifestError, OSError) as exc:
+    except (ConfigError, ManifestError, OSError) as exc:
         print(f"soldefect: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report, outcomes = analyze_paths([manifest.root], config)
-    for outcome in outcomes:
-        if outcome.error:
-            print(f"soldefect: {outcome.error}", file=sys.stderr)
+    report, _, _ = _analyze([manifest.root], config)
     card = score(report, manifest, force_wildcard=args.wildcard)
     if config.format == "json":
         import json as _json
@@ -191,7 +176,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     return EXIT_CLEAN if card.perfect else EXIT_FINDINGS
 
 
-def cmd_detectors(args: argparse.Namespace) -> int:
+def cmd_detectors(args: argparse.Namespace, config: RunConfig) -> int:
     if args.format == "json":
         import json as _json
         payload = [
@@ -216,13 +201,18 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    try:
+        config = _make_run_config(args)
+    except (ConfigError, OSError) as exc:
+        print(f"soldefect: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     handlers = {
         "analyze": cmd_analyze,
         "fetch": cmd_fetch,
         "score": cmd_score,
         "detectors": cmd_detectors,
     }
-    return handlers[args.command](args)
+    return handlers[args.command](args, config)
 
 
 def run() -> None:

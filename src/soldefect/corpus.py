@@ -192,24 +192,19 @@ def render_scorecard_text(card: ScoreCard) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _score_obj(score: DetectorScore) -> dict:
+    return {"tp": score.tp, "fp": score.fp, "fn": score.fn,
+            "precision": score.precision, "recall": score.recall}
+
+
 def scorecard_to_obj(card: ScoreCard) -> dict:
     distribution = card.distribution()
-    micro = card.micro
     return {
         "per_detector": {
-            desc.id: {
-                "tp": card.per_detector.get(desc.id, DetectorScore()).tp,
-                "fp": card.per_detector.get(desc.id, DetectorScore()).fp,
-                "fn": card.per_detector.get(desc.id, DetectorScore()).fn,
-                "precision": card.per_detector.get(desc.id, DetectorScore()).precision,
-                "recall": card.per_detector.get(desc.id, DetectorScore()).recall,
-                "distribution": distribution[desc.id],
-            }
+            desc.id: {**_score_obj(card.per_detector.get(desc.id, DetectorScore())),
+                      "distribution": distribution[desc.id]}
             for desc in REGISTRY
         },
-        "overall": {
-            "tp": micro.tp, "fp": micro.fp, "fn": micro.fn,
-            "precision": micro.precision, "recall": micro.recall,
-        },
+        "overall": _score_obj(card.micro),
         "files_total": card.files_total,
     }

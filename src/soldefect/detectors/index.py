@@ -93,12 +93,11 @@ class FunctionIndex:
         self._calls = {id(call): decoded for call in self.of(CallExpression)
                        if (decoded := external_call(call))[0] is not None}
         self.statements: list[StatementFacts] = statements(fn)
-        # name -> declaration of each parameter, named return and local;
-        # a later declaration of a name replaces an earlier one
-        self.locals: dict[str, VariableDeclaration] = {
-            p.name: p for p in fn.parameters if p.name}
+        # each named parameter, named return and local of the body
+        self.declared: list[VariableDeclaration] = [
+            p for p in fn.parameters if p.name]
         if isinstance(fn, FunctionDefinition):
-            self.locals.update((r.name, r) for r in fn.returns_ if r.name)
+            self.declared += [r for r in fn.returns_ if r.name]
         # (assigned local or state name, value), in statement order
         self.assignments: list[tuple[str, Expression]] = []
         for st in self.statements:
@@ -106,7 +105,7 @@ class FunctionIndex:
             if isinstance(stmt, VariableDeclarationStatement):
                 decl = stmt.declaration
                 if decl.name:
-                    self.locals[decl.name] = decl
+                    self.declared.append(decl)
                     if decl.initializer is not None:
                         self.assignments.append((decl.name, decl.initializer))
             elif isinstance(stmt, ExpressionStatement):
@@ -114,12 +113,18 @@ class FunctionIndex:
                 if isinstance(expr, Assignment) \
                         and isinstance(expr.target, Identifier):
                     self.assignments.append((expr.target.name, expr.value))
+        # the names of those, anywhere in the body: 0.4's function scoping
+        self.locals: set[str] = {decl.name for decl in self.declared}
 
-    def declaration(self, name: str) -> VariableDeclaration | None:
-        """The declaration a name reads here: a parameter, named return or
-        local of this body first, then a state variable."""
-        found = self.locals.get(name)
-        return found if found is not None else self.table.state_variables.get(name)
+    def declaration(self, name: str, at: int) -> VariableDeclaration | None:
+        """The declaration a name read at source offset ``at`` resolves to,
+        as in ``compute_def_use``: the last parameter, named return or local
+        of this body declared before ``at``, else a state variable."""
+        before = [decl for decl in self.declared
+                  if decl.name == name and decl.span.offset < at]
+        if before:
+            return max(before, key=lambda decl: decl.span.offset)
+        return self.table.state_variables.get(name)
 
     def of(self, *types: type) -> list:
         """Body nodes of the given types, in pre-order."""

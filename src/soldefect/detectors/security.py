@@ -144,13 +144,14 @@ def detect_unmatched_type_assignment(ctx: AnalysisContext) -> Iterator[Hit]:
                 # only a declared counter has a type, `var` among them
                 counter_type = infer_var_type(
                     stmt.init.declaration.initializer,
-                    lambda name: getattr(index.declaration(name), "type_name", None))
+                    lambda name: getattr(index.declaration(name, stmt.span.offset),
+                                         "type_name", None))
             if counter_type is None:
                 continue
             bits = counter_type.int_bits()
             if bits is None:
                 continue
-            problem = _bound_exceeds(stmt.condition, counter_name, bits, index)
+            problem = _bound_exceeds(stmt, counter_name, bits, index)
             if problem:
                 yield (stmt.span,
                        f"loop counter {counter_name} is "
@@ -169,9 +170,9 @@ def _loop_counter(stmt: ForStatement) -> tuple[str, TypeName | None] | None:
     return None
 
 
-def _bound_exceeds(condition, counter_name: str, counter_bits: int,
+def _bound_exceeds(loop: ForStatement, counter_name: str, counter_bits: int,
                    index: FunctionIndex) -> str | None:
-    condition = unwrap(condition)
+    condition = unwrap(loop.condition)
     if not isinstance(condition, BinaryOperation) \
             or condition.operator not in ("<", "<=", ">", ">=", "!="):
         return None
@@ -193,17 +194,17 @@ def _bound_exceeds(condition, counter_name: str, counter_bits: int,
         if value >= threshold:
             return f"{bound.text} exceeds its {counter_bits}-bit range"
         return None
-    bound_bits = _static_bits(bound, index)
+    bound_bits = _static_bits(bound, index, loop.span.offset)
     if bound_bits is not None and bound_bits > counter_bits:
         return f"has a {bound_bits}-bit type"
     return None
 
 
-def _static_bits(expr, index: FunctionIndex) -> int | None:
+def _static_bits(expr, index: FunctionIndex, at: int) -> int | None:
     if isinstance(expr, MemberAccess) and expr.member == "length":
         return 256
     if isinstance(expr, Identifier):
-        decl = index.declaration(expr.name)
+        decl = index.declaration(expr.name, at)
         if decl is not None:
             return decl.type_name.int_bits()
         return 256  # unresolved names: assume full width

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from soldefect.cli import main
+from soldefect.cli import FLAG_KEYS, _make_run_config, build_arg_parser, main
 from soldefect.parser import MAX_NESTING
 
 from asm import counted_loop
@@ -180,6 +180,59 @@ def test_config_enable_accepts_a_d_code(corpus_copy, tmp_path, capsys):
     assert main(["analyze", str(corpus_copy), "--format", "json",
                  "--enable", "D07"]) == 1
     assert capsys.readouterr().out == from_config
+
+
+# (command, flags, config key, the value the flags give, another value)
+FLAG_CASES = [
+    (["analyze", "x.sol"], ["--format", "json"], "format", "json", "sarif"),
+    (["analyze", "x.sol"], ["--min-impact", "IP2"], "min_impact", "IP2", "IP4"),
+    (["analyze", "x.sol"], ["--mode", "bytecode"], "mode", "bytecode", "source"),
+    (["analyze", "x.sol"], ["--jobs", "3"], "jobs", "3", "1"),
+    (["score", "--manifest", "m.txt"], ["--enable", "D07", "--enable", "D08,D10"],
+     "enable", "D07, D08, D10", "reentrancy"),
+    (["score", "--manifest", "m.txt"], ["--disable", "D01,unused-statement"],
+     "disable", "D01, unused-statement", "D20"),
+    (["fetch", "0x0"], ["--api-base", "https://a.example/api"],
+     "fetch.api_base_url", "https://a.example/api", "https://b.example/api"),
+    (["fetch", "0x0"], ["--cache-dir", "cache"], "fetch.cache_dir", "cache",
+     "elsewhere"),
+]
+
+
+def _run_config(argv):
+    return _make_run_config(build_arg_parser().parse_args(argv))
+
+
+def test_flag_cases_cover_every_flag_key():
+    assert {case[2] for case in FLAG_CASES} == set(FLAG_KEYS.values())
+
+
+@pytest.mark.parametrize("command,flags,key,value,other", FLAG_CASES,
+                         ids=[case[2] for case in FLAG_CASES])
+def test_a_flag_applies_as_its_config_key(tmp_path, command, flags, key, value,
+                                          other):
+    same, differing = tmp_path / "same.ini", tmp_path / "other.ini"
+    same.write_text(f"{key} = {value}\n")
+    differing.write_text(f"{key} = {other}\n")
+    from_flags = _run_config(command + flags)
+    assert from_flags == _run_config(command + ["--config", str(same)])
+    assert from_flags != _run_config(command + ["--config", str(differing)])
+    # the flag wins over the file
+    assert from_flags == _run_config(command + ["--config", str(differing)]
+                                     + flags)
+
+
+def test_score_reports_the_diagnostics_analyze_reports(tmp_path, capsys):
+    (tmp_path / "bad.sol").write_text(
+        "contract C { uint x; function f() { x = ; } }\n")
+    (tmp_path / "manifest.txt").write_text("")
+    main(["analyze", str(tmp_path)])
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if ": error: " in line]
+    assert errors == [f"soldefect: {tmp_path / 'bad.sol'}:1:41: error: "
+                      "unexpected ';' in expression"]
+    main(["score", "--manifest", str(tmp_path / "manifest.txt")])
+    assert capsys.readouterr().err.splitlines() == errors
 
 
 def test_bad_config_is_usage_error(corpus_copy, tmp_path):

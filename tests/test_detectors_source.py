@@ -251,7 +251,14 @@ def test_loop_bound_forms(loop, fires):
     # a parameter hides the state variable of its name
     ("contract C { uint n; function f(uint8 n) { "
      "for (uint8 i = 0; i < n; i++) { } } }", []),
-], ids=["local-bound", "var-counter-from-param", "param-shadows-state"])
+    # a name reads its last declaration before the loop, not a later one
+    ("contract C { function f() { uint8 n = 10; "
+     "for (uint8 i = 0; i < n; i++) { } if (true) { uint n = 300; n; } } }", []),
+    ("contract C { function f(uint8 x) { for (var i = x; i < 1000; i++) { } "
+     "if (true) { uint x = 1; x; } } }",
+     ["loop counter i is uint8 but the loop bound 1000 exceeds its 8-bit range"]),
+], ids=["local-bound", "var-counter-from-param", "param-shadows-state",
+        "bound-before-a-later-local", "var-counter-before-a-later-local"])
 def test_loop_bound_names_resolve_in_the_body_first(source, messages):
     assert [f.message for f in findings_for(source)
             if f.detector == "unmatched-type-assignment"] == messages

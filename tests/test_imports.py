@@ -1,12 +1,15 @@
 """Every name a module of the package imports at module level is used in that
 module, unless the module lists it in ``__all__`` or its import line says
-``# noqa: F401``. Read with the stdlib ``ast``, so no linter is needed."""
+``# noqa: F401``; and every module-level function and class of the package
+is referenced from ``src/`` or ``bench/``. Read with the stdlib ``ast``, so
+no linter is needed."""
 
 from __future__ import annotations
 
 import ast
 import glob
 import os
+from collections import Counter
 
 import pytest
 
@@ -75,3 +78,50 @@ def test_an_unused_import_is_caught():
     assert set(_imported(tree)) == {"path", "sep", "json", "dom", "email"}
     assert "path" not in _used(tree) and "dom" in _used(tree)
     assert _exported(tree) == {"sep"}
+
+
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+REGISTERING = ("register", "register_bytecode")  # the detector registries
+
+
+def _unreferenced(trees: dict[str, ast.Module], checked: list[str]) -> list[str]:
+    """The module-level functions and classes of the ``checked`` modules
+    whose name no module of ``trees`` reads, as a name or an attribute,
+    outside their own definition; detectors registered with a decorator of
+    ``REGISTERING`` are read through their registry."""
+    def reads(tree: ast.AST) -> Counter:
+        return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                       for node in ast.walk(tree)
+                       if isinstance(node, (ast.Name, ast.Attribute)))
+
+    everywhere = sum((reads(tree) for tree in trees.values()), Counter())
+    found = []
+    for path in checked:
+        for stmt in trees[path].body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or any(
+                    isinstance(d, ast.Call) and getattr(d.func, "id", None)
+                    in REGISTERING for d in stmt.decorator_list):
+                continue
+            if everywhere[stmt.name] == reads(stmt)[stmt.name]:
+                found.append(f"{os.path.relpath(path, PACKAGE)}: {stmt.name}")
+    return found
+
+
+def test_every_helper_is_referenced():
+    sources = MODULES + sorted(glob.glob(os.path.join(BENCH, "*.py")))
+    trees = {}
+    for path in sources:
+        with open(path, encoding="utf-8") as fh:
+            trees[path] = ast.parse(fh.read(), path)
+    assert _unreferenced(trees, MODULES) == []
+
+
+def test_an_unreferenced_helper_is_caught():
+    trees = {"a.py": ast.parse("def loop(n): return loop(n - 1)\n"
+                               "def used(): pass\n"
+                               "class Kept: pass\n"
+                               "@register(D)\n"
+                               "def detect(ctx): pass\n"),
+             "b.py": ast.parse("import a\nused()\nx: a.Kept\n")}
+    assert _unreferenced(trees, ["a.py"]) == [
+        f"{os.path.relpath('a.py', PACKAGE)}: loop"]
