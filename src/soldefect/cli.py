@@ -2,7 +2,8 @@
 
 Subcommands: analyze, fetch, score, detectors.
 Exit codes: 0 = clean, 1 = findings present (or imperfect score),
-2 = usage/parse error, 3 = I/O or fetch failure.
+2 = usage/parse error, 3 = I/O or fetch failure, or a report that could
+not be written.
 """
 
 from __future__ import annotations
@@ -99,13 +100,21 @@ def _make_run_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _emit(data: bytes, output: str | None) -> None:
+def _emit(data: bytes, output: str | None, code: int) -> int:
+    """Write ``data`` to the file ``output``, or to stdout, and return
+    ``code``: the command's exit code, or EXIT_IO if ``output`` cannot be
+    written."""
     if output:
-        with open(output, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(output, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            print(f"soldefect: {exc}", file=sys.stderr)
+            return EXIT_IO
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.flush()
+    return code
 
 
 def _analyze(inputs: list[str], config: RunConfig) -> tuple:
@@ -128,12 +137,12 @@ def cmd_analyze(args: argparse.Namespace, config: RunConfig) -> int:
         return EXIT_IO
 
     filtered = filter_by_impact(report, config.min_impact)
-    _emit(render(filtered, config.format), config.output)
-
     if len(failed) == len(outcomes):
         all_io = all(o.phase == "read" for o in failed)
-        return EXIT_IO if all_io else EXIT_USAGE
-    return EXIT_FINDINGS if filtered.findings else EXIT_CLEAN
+        code = EXIT_IO if all_io else EXIT_USAGE
+    else:
+        code = EXIT_FINDINGS if filtered.findings else EXIT_CLEAN
+    return _emit(render(filtered, config.format), config.output, code)
 
 
 def cmd_fetch(args: argparse.Namespace, config: RunConfig) -> int:
@@ -169,11 +178,11 @@ def cmd_score(args: argparse.Namespace, config: RunConfig) -> int:
     card = score(report, manifest, force_wildcard=args.wildcard)
     if config.format == "json":
         import json as _json
-        _emit((_json.dumps(scorecard_to_obj(card), indent=2) + "\n").encode(),
-              config.output)
+        data = _json.dumps(scorecard_to_obj(card), indent=2) + "\n"
     else:
-        _emit(render_scorecard_text(card).encode(), config.output)
-    return EXIT_CLEAN if card.perfect else EXIT_FINDINGS
+        data = render_scorecard_text(card)
+    return _emit(data.encode(), config.output,
+                 EXIT_CLEAN if card.perfect else EXIT_FINDINGS)
 
 
 def cmd_detectors(args: argparse.Namespace, config: RunConfig) -> int:

@@ -38,47 +38,47 @@ def run_detectors(ctx: AnalysisContext) -> list[Finding]:
     Each (where, message) hit a detector yields becomes a Finding with the
     detector's catalog entry: a source hit's span gives line and column
     through the file's line starts, a bytecode hit is a program counter.
-    Of a detector's findings with the same ``Finding.identity()``, only the
-    first is kept. A detector that raises contributes no findings, not even
-    the hits it yielded first, and an error in ``ctx.diagnostics`` naming
-    it; the others still run.
+    A context holds the facts of one file, source or bytecode, so within one
+    detector's run only the position can differ: of the findings at one
+    line or pc, only the first is kept. A detector that raises contributes
+    no findings, not even the hits it yielded first, and an error in
+    ``ctx.diagnostics`` naming it; the others still run.
     Pure with respect to the facts: running twice yields identical
     findings in identical order.
     """
-    frontends = []
     if ctx.source is not None:
-        source_id = ctx.source.file_id
-        unit = ctx.source.unit
-        frontends.append((_SOURCE_DETECTORS,
-                          (unit.span, *position(unit.line_starts, unit.span.offset)),
-                          lambda d, span, message: Finding(
-                              d.id, d.category, d.impact, source_id, message,
-                              d.advice, *position(unit.line_starts, span.offset))))
-    if ctx.bytecode is not None:
-        bytecode_id = ctx.bytecode.file_id
-        frontends.append((_BYTECODE_DETECTORS, (Span(bytecode_id, 0, 0), 1, 1),
-                          lambda d, pc, message: Finding(
-                              d.id, d.category, d.impact, bytecode_id, message,
-                              d.advice, pc=pc)))
+        file_id, unit = ctx.source.file_id, ctx.source.unit
+        detectors = _SOURCE_DETECTORS
+        where_failed = (unit.span, *position(unit.line_starts, unit.span.offset))
+
+        def finding(d, span, message):
+            return Finding(d.id, d.category, d.impact, file_id, message,
+                           d.advice, *position(unit.line_starts, span.offset))
+    elif ctx.bytecode is not None:
+        file_id, detectors = ctx.bytecode.file_id, _BYTECODE_DETECTORS
+        where_failed = (Span(file_id, 0, 0), 1, 1)
+
+        def finding(d, pc, message):
+            return Finding(d.id, d.category, d.impact, file_id, message,
+                           d.advice, pc=pc)
+    else:
+        return []
     findings: list[Finding] = []
     for desc in REGISTRY:
-        if not ctx.config.is_enabled(desc.id):
+        fn = detectors.get(desc.id)
+        if fn is None or not ctx.config.is_enabled(desc.id):
             continue
-        for detectors, where_failed, finding in frontends:
-            fn = detectors.get(desc.id)
-            if fn is None:
-                continue
-            try:
-                found: dict[tuple, Finding] = {}
-                for where, message in fn(ctx):
-                    f = finding(desc, where, message)
-                    found.setdefault(f.identity(), f)
-            except Exception as exc:  # one detector's fault must not cost the others
-                ctx.diagnostics.append(Diagnostic(
-                    "error", f"detector {desc.id} ({desc.code}) failed: "
-                             f"{type(exc).__name__}: {exc}", *where_failed))
-            else:
-                findings += found.values()
+        try:
+            found: dict[int, Finding] = {}
+            for where, message in fn(ctx):
+                f = finding(desc, where, message)
+                found.setdefault(f.position, f)
+        except Exception as exc:  # one detector's fault must not cost the others
+            ctx.diagnostics.append(Diagnostic(
+                "error", f"detector {desc.id} ({desc.code}) failed: "
+                         f"{type(exc).__name__}: {exc}", *where_failed))
+        else:
+            findings += found.values()
     return findings
 
 

@@ -17,13 +17,16 @@ from .index import FunctionIndex
 # ---------------------------------------------------------------------------
 # ERC-20 interface tables
 
-ERC20_MANDATORY: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = (
-    ("totalSupply", (), ("uint256",)),
-    ("balanceOf", ("address",), ("uint256",)),
-    ("transfer", ("address", "uint256"), ("bool",)),
-    ("transferFrom", ("address", "address", "uint256"), ("bool",)),
-    ("approve", ("address", "uint256"), ("bool",)),
-    ("allowance", ("address", "address"), ("uint256",)),
+# Each mandatory function: name, parameter types, return types, and its
+# 4-byte selector, the first four bytes of the keccak256 of its signature,
+# written out so that no run has to hash them.
+ERC20_MANDATORY: tuple[tuple[str, tuple[str, ...], tuple[str, ...], int], ...] = (
+    ("totalSupply", (), ("uint256",), 0x18160DDD),
+    ("balanceOf", ("address",), ("uint256",), 0x70A08231),
+    ("transfer", ("address", "uint256"), ("bool",), 0xA9059CBB),
+    ("transferFrom", ("address", "address", "uint256"), ("bool",), 0x23B872DD),
+    ("approve", ("address", "uint256"), ("bool",), 0x095EA7B3),
+    ("allowance", ("address", "address"), ("uint256",), 0xDD62ED3E),
 )
 
 ERC20_OPTIONAL: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = (
@@ -36,18 +39,6 @@ ERC20_EVENTS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("Transfer", ("address", "address", "uint256")),
     ("Approval", ("address", "address", "uint256")),
 )
-
-
-# Mandatory signature -> 4-byte selector hex: the first four bytes of the
-# keccak256 of the signature, written out so that no run has to hash them.
-ERC20_SELECTORS: dict[str, str] = {
-    "totalSupply()": "18160ddd",
-    "balanceOf(address)": "70a08231",
-    "transfer(address,uint256)": "a9059cbb",
-    "transferFrom(address,address,uint256)": "23b872dd",
-    "approve(address,uint256)": "095ea7b3",
-    "allowance(address,address)": "dd62ed3e",
-}
 
 
 UNMATCHED_ERC20 = DetectorDescriptor(
@@ -65,12 +56,12 @@ UNMATCHED_ERC20 = DetectorDescriptor(
 def detect_unmatched_erc20(ctx: AnalysisContext) -> Iterator[Hit]:
     for cf in ctx.source.contracts:
         if all(_erc20_function(cf.table, name, params) is None
-               for name, params, _r in ERC20_MANDATORY):
+               for name, params, *_ in ERC20_MANDATORY):
             continue
         problems: list[str] = []
         for prefix, entries in (("", ERC20_MANDATORY),
                                 ("optional ", ERC20_OPTIONAL)):
-            for name, params, expected_returns in entries:
+            for name, params, expected_returns, *_ in entries:
                 fn = _erc20_function(cf.table, name, params)
                 if fn is None:
                     if not prefix:  # only the mandatory ones must exist

@@ -11,7 +11,7 @@ from collections.abc import Iterator
 
 from ..evm.cfg import unwrap_iszero, value_tags
 from ..evm.opcodes import MNEMONICS
-from .availability import ERC20_SELECTORS, UNMATCHED_ERC20
+from .availability import ERC20_MANDATORY, UNMATCHED_ERC20
 from .base import AnalysisContext, Hit, register_bytecode
 from .maintainability import HARD_CODE_ADDRESS
 from .security import NESTED_CALL, STRICT_BALANCE_EQUALITY
@@ -64,10 +64,10 @@ def detect_unmatched_erc20_bc(ctx: AnalysisContext) -> Iterator[Hit]:
 
     Return types are not visible at this level; only selector presence is
     checked."""
-    table = {f"{sel:08x}" for sel in ctx.bytecode.selectors}
-    present = {sig for sig, sel in ERC20_SELECTORS.items() if sel in table}
-    missing = sorted(sig for sig, sel in ERC20_SELECTORS.items()
+    table = ctx.bytecode.selectors
+    missing = sorted(f"{name}({','.join(params)})"
+                     for name, params, _r, sel in ERC20_MANDATORY
                      if sel not in table)
-    if present and missing:
+    if 0 < len(missing) < len(ERC20_MANDATORY):
         yield 0, ("dispatcher exposes some ERC-20 selectors but is missing "
                   + ", ".join(missing))

@@ -180,10 +180,8 @@ def is_revert(stmt: Statement) -> bool:
         and builtin_call_name(unwrap(stmt.expression)) == "revert")
 
 
-def returns_on_all_paths(stmt: Statement | None) -> bool:
+def returns_on_all_paths(stmt: Statement) -> bool:
     """Conservatively: does every path through stmt end in return/throw/revert?"""
-    if stmt is None:
-        return False
     if isinstance(stmt, ReturnStatement) or is_revert(stmt):
         return True
     if isinstance(stmt, Block):

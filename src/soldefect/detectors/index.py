@@ -104,10 +104,9 @@ class FunctionIndex:
             stmt = st.node
             if isinstance(stmt, VariableDeclarationStatement):
                 decl = stmt.declaration
-                if decl.name:
-                    self.declared.append(decl)
-                    if decl.initializer is not None:
-                        self.assignments.append((decl.name, decl.initializer))
+                self.declared.append(decl)
+                if decl.initializer is not None:
+                    self.assignments.append((decl.name, decl.initializer))
             elif isinstance(stmt, ExpressionStatement):
                 expr = unwrap(stmt.expression)
                 if isinstance(expr, Assignment) \

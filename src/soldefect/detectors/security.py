@@ -459,6 +459,5 @@ def detect_misleading_data_location(ctx: AnalysisContext) -> Iterator[Hit]:
             if decl.data_location == "unspecified" \
                     and decl.type_name.is_reference_type():
                 yield (stmt.span,
-                       f"local {decl.type_name.canonical()} "
-                       f"{decl.name or '<unnamed>'} has no data location and "
-                       f"points at storage")
+                       f"local {decl.type_name.canonical()} {decl.name} "
+                       f"has no data location and points at storage")

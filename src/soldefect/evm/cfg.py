@@ -490,8 +490,6 @@ def _dominator_spans(idom: dict[int, int],
                      entry: int) -> dict[int, tuple[int, int]]:
     """Number the dominator tree in preorder; each block's span runs from its
     own number to the last number in its subtree."""
-    if not idom:
-        return {}
     children: dict[int, list[int]] = {b: [] for b in idom}
     for b, parent in idom.items():
         if b != entry:

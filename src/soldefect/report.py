@@ -1,8 +1,9 @@
 """Findings, reports, impact filtering, and the text/JSON/SARIF renderers.
 
-Reports are deterministic: findings are deduplicated by identity
-(detector, input, line-or-pc), sorted by (input, line-or-pc, detector),
-and rendering the same report twice yields identical bytes.
+Reports are deterministic: findings come deduplicated from
+``run_detectors``, a report sorts them by (input, line-or-pc, detector) and
+its inputs by path, and rendering the same report twice yields identical
+bytes.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ class Finding:
     def position(self) -> int:
         return self.line if self.line is not None else (self.pc or 0)
 
-    def identity(self) -> tuple:
-        return (self.detector, self.file,
-                self.line if self.line is not None else self.pc)
-
     def sort_key(self) -> tuple:
         return (self.file, self.position, self.detector,
                 self.column if self.column is not None else 0)
@@ -59,18 +56,10 @@ class InputRecord:
 class Report:
     inputs: list[InputRecord] = field(default_factory=list)
     findings: list[Finding] = field(default_factory=list)
-    tool: str = TOOL_NAME
-    version: str = __version__
 
     def __post_init__(self) -> None:
-        self.normalize()
-
-    def normalize(self) -> None:
-        unique: dict[tuple, Finding] = {}
-        for f in self.findings:
-            unique.setdefault(f.identity(), f)
-        self.findings = sorted(unique.values(), key=Finding.sort_key)
-        self.inputs = sorted(set(self.inputs), key=lambda i: i.path)
+        self.findings = sorted(self.findings, key=Finding.sort_key)
+        self.inputs = sorted(self.inputs, key=lambda i: i.path)
 
     def summary(self) -> dict:
         by_detector: dict[str, int] = {}
@@ -94,7 +83,7 @@ def filter_by_impact(report: Report, min_impact: str) -> Report:
     kept = [f for f in report.findings if impact_rank(f.impact) <= cutoff]
     if len(kept) == len(report.findings):
         return report
-    return Report(list(report.inputs), kept, report.tool, report.version)
+    return Report(list(report.inputs), kept)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +164,8 @@ def render_json(report: Report) -> bytes:
         for f in report.findings
     ]
     doc = {
-        "tool": report.tool,
-        "version": report.version,
+        "tool": TOOL_NAME,
+        "version": __version__,
         "inputs": [{"path": i.path, "sha256": i.sha256} for i in report.inputs],
         "findings": [],
         "summary": report.summary(),
@@ -247,8 +236,8 @@ def render_sarif(report: Report) -> bytes:
         "version": "2.1.0",
         "runs": [{
             "tool": {"driver": {
-                "name": report.tool,
-                "version": report.version,
+                "name": TOOL_NAME,
+                "version": __version__,
                 "informationUri": "",
                 "rules": rules,
             }},

@@ -189,13 +189,10 @@ def compute_def_use(function: FunctionDefinition) -> list[VarFacts]:
         """A declaration or expression statement."""
         if isinstance(stmt, VariableDeclarationStatement):
             decl = stmt.declaration
-            if decl.name:
-                # the initializer reads what was in scope before this name
-                sources = reads(decl.initializer)
-                scope[decl.name] = len(variables)
-                variables.append(VarFacts(decl, False, sources))
-            else:
-                consume(decl.initializer)
+            # the initializer reads what was in scope before this name
+            sources = reads(decl.initializer)
+            scope[decl.name] = len(variables)
+            variables.append(VarFacts(decl, False, sources))
         elif isinstance(stmt, ExpressionStatement):
             expression(stmt.expression)
 

@@ -92,7 +92,7 @@ def clean_outcome(raw: bytes, name: str, config=None) -> FileOutcome:
 
 
 def findings_for(source: str, config=None) -> list:
-    """Analyze a source snippet and return deduplicated, sorted findings."""
+    """Analyze a source snippet and return its findings, sorted."""
     outcome = clean_outcome(source.encode("utf-8"), "snippet.sol", config)
     return Report([], outcome.findings).findings
 

@@ -213,7 +213,7 @@ def test_findings_have_distinct_identities(name):
     text = (read_listing(name) if name.startswith("listing")
             else generate_contract_file(70_001, 80))
     outcome = analyze_input(text.encode("utf-8"), name, RunConfig())
-    identities = [f.identity() for f in outcome.findings]
+    identities = [(f.detector, f.file, f.position) for f in outcome.findings]
     assert identities and len(identities) == len(set(identities))
 
 

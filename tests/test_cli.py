@@ -151,6 +151,27 @@ def test_output_file(corpus_copy, tmp_path):
     assert data["tool"] == "soldefect"
 
 
+@pytest.mark.parametrize("command", [["analyze", "{dir}"],
+                                     ["score", "--manifest", "{dir}/manifest.txt"]],
+                         ids=["analyze", "score"])
+def test_unwritable_output_is_an_io_error(corpus_copy, tmp_path, capsys, command):
+    missing = tmp_path / "no" / "such" / "dir" / "x.json"
+    argv = [arg.format(dir=corpus_copy) for arg in command]
+    assert main(argv + ["--output", str(missing)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"soldefect: [Errno 2] No such file or directory: '{missing}'"]
+
+
+def test_directory_without_inputs_exits_three(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("no contracts here\n")
+    assert main(["analyze", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "soldefect: no inputs found\n"
+
+
 def test_config_file(corpus_copy, tmp_path, capsys):
     config = tmp_path / "soldefect.ini"
     config.write_text("format = json\ndisable = unspecified-compiler-version\n")

@@ -10,8 +10,8 @@ from soldefect.config import DetectorConfig, RunConfig
 from soldefect.detectors import AnalysisContext, ContractFacts, run_detectors
 from soldefect.detectors.common import external_call
 
-from conftest import (detectors_fired, findings_for, hits, parse_source,
-                      read_listing)
+from conftest import (clean_outcome, detectors_fired, findings_for, hits,
+                      parse_source, read_listing)
 
 
 def listing_facts(name: str):
@@ -124,6 +124,24 @@ def test_constant_bound_loop_quiet():
     assert "dos-under-external-influence" not in detectors_fired("""contract C {
     function f(address x) { for (uint i = 0; i < 5; i++) { x.transfer(1); } }
 }""")
+
+
+def test_loop_bounds_in_one_function():
+    # a `constant` state variable with a literal initializer and a negative
+    # literal are constant bounds; a loop with no condition has none, and
+    # has no bound for a counter to overflow either
+    found = hits("""contract C {
+    uint constant N = 10;
+    function f(address a) {
+        for (uint i = 0; i < N; i++) { a.transfer(1); }
+        for (int j = 10; j > -1; j--) { a.transfer(1); }
+        for (;;) { a.transfer(1); }
+    }
+}""")
+    loops = {"dos-under-external-influence", "nested-call",
+             "unmatched-type-assignment"}
+    assert {hit for hit in found if hit[0] in loops} == {
+        ("dos-under-external-influence", 6), ("nested-call", 6)}
 
 
 def test_boolean_send_with_break_quiet():
@@ -517,6 +535,16 @@ def test_missing_event_fires():
     assert matches and "missing event Approval" in matches[0].message
 
 
+def test_event_with_wrong_parameters_fires():
+    source = CONFORMANT_TOKEN.replace(
+        "event Transfer(address from, address to, uint256 value)",
+        "event Transfer(address from, address to)")
+    matches = [f for f in findings_for(source) if f.detector == "unmatched-erc20"]
+    assert len(matches) == 1
+    assert matches[0].message == ("contract Token deviates from ERC-20: event "
+                                  "Transfer must take (address,address,uint256)")
+
+
 def test_unrelated_overload_does_not_stand_in():
     # transfer(address) is another function, not a transfer(address,uint256)
     source = CONFORMANT_TOKEN.replace(
@@ -842,6 +870,18 @@ def test_lowercase_literal_fires_plain():
     function f() { address r = 0x05f400000000000000000000aaaaaaaaaaaaad27; r.send(1); }
 }""") if f.detector == "hard-code-address"]
     assert findings and "illegal" not in findings[0].message
+
+
+def test_first_hit_on_a_line_wins():
+    # run_detectors keeps a detector's first finding on each line: the
+    # plain literal, not the one with the bad checksum after it
+    outcome = clean_outcome(b"""contract C {
+    function f() { address r = 0x05f400000000000000000000aaaaaaaaaaaaad27; address s = 0xDCaD000000000000000000000000000005D1d3aD; }
+}""", "snippet.sol")
+    found = [(f.line, f.column, f.message) for f in outcome.findings
+             if f.detector == "hard-code-address"]
+    assert found == [
+        (2, 32, "hard-coded address 0x05f400000000000000000000aaaaaaaaaaaaad27")]
 
 
 def test_parameter_address_quiet():

@@ -443,6 +443,29 @@ def test_a_jump_to_a_widened_value_is_unresolved():
     assert cfg.unresolved_jumps == [(exit_block.id, jump)]
 
 
+@pytest.mark.parametrize("program,target", [
+    (["PC", "PUSH1 7", "ADD"], 7),  # PC pushes its own pc, 0
+    (["PUSH1 0", "ISZERO", "PUSH1 7", "ADD"], 8),
+    (["PUSH1 5", "ISZERO", "PUSH1 7", "ADD"], 7),
+    (["PUSH1 2", "NOT", "PUSH1 11", "ADD"], 8),  # 2 ** 256 - 3 + 11 wraps
+], ids=["pc", "iszero-zero", "iszero-nonzero", "not"])
+def test_computed_jump_targets_follow_the_evm(program, target):
+    # JUMPDESTs at pcs 7, 8 and 9; the jump reaches the one the EVM would
+    size = len(assemble(program + ["JUMP"]))
+    code = assemble(program + ["JUMP"] + ["STOP"] * (7 - size)
+                    + ["JUMPDEST"] * 3 + ["STOP"])
+    cfg = build_cfg(code)
+    assert cfg.blocks[0].successors == [target]
+    assert cfg.unresolved_jumps == []
+
+
+def test_not_keeps_the_taint_of_its_operand():
+    cfg = build_cfg(assemble(["PUSH1 0", "CALLDATALOAD", "NOT", "PUSH1 @dest",
+                              "JUMPI", "STOP", "dest:", "JUMPDEST", "STOP"]))
+    assert [e.condition for e in cfg.jumpi_events] == [
+        ("taint", frozenset({"CALLDATA"}))]
+
+
 def test_widened_values_fold_to_widened():
     from soldefect.evm.cfg import WIDENED, _concrete_bool, _step
     from soldefect.evm.opcodes import MNEMONICS

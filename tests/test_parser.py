@@ -308,6 +308,14 @@ def test_file_cut_inside_nested_blocks_is_one_error(text):
     assert result.unit.contracts[0].name == "C"
 
 
+
+def test_nameless_local_is_one_error_and_no_statement():
+    # so every local declaration the detectors see has a name
+    result = parse_source("contract C { function f() { uint; } }", "t.sol")
+    assert [(d.severity, d.message) for d in result.diagnostics] == \
+        [("error", "expected identifier, found ';'")]
+    assert result.unit.contracts[0].functions[0].body.statements == []
+
 @pytest.mark.parametrize("line", range(1, 9))
 def test_stray_brace_in_victim_keeps_attacker(line):
     # listing2's Victim spans lines 2-8; the `}` closes it early

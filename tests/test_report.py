@@ -6,6 +6,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from soldefect import TOOL_NAME, __version__
 from soldefect.analyzer import FileOutcome
 from soldefect.detectors import REGISTRY
 from soldefect.records import field, record
@@ -93,15 +94,6 @@ def test_impact_rank_order():
         impact_rank("IP9")
 
 
-def test_findings_deduplicate_by_identity():
-    f1 = _finding()
-    f2 = Finding(detector="reentrancy", category="security", impact="IP1",
-                 file="a.sol", message="different words", advice="a",
-                 line=3, column=9)
-    report = Report([], [f1, f2])
-    assert len(report.findings) == 1
-
-
 def test_sorted_by_file_position_detector():
     report = Report([], [
         _finding(file="b.sol", line=1),
@@ -122,7 +114,7 @@ def test_filter_identity_at_ip5():
 
 
 def test_filter_that_keeps_every_finding_returns_the_report():
-    # nothing is deduplicated and sorted a second time
+    # nothing is sorted a second time
     report = Report([], findings_for(read_listing("listing3.sol")))
     assert filter_by_impact(report, "IP5") is report
     weakest = max(impact_rank(f.impact) for f in report.findings)
@@ -188,7 +180,7 @@ def test_json_round_trip():
     report = Report([InputRecord("x.sol", "ab" * 32)],
                     findings_for(read_listing("listing3.sol")))
     data = json.loads(render_json(report))
-    assert (data["tool"], data["version"]) == (report.tool, report.version)
+    assert (data["tool"], data["version"]) == (TOOL_NAME, __version__)
     assert [InputRecord(i["path"], i["sha256"])
             for i in data["inputs"]] == report.inputs
     assert [Finding(**f) for f in data["findings"]] == report.findings
@@ -231,8 +223,8 @@ def test_merge_is_order_insensitive_after_sort():
 
 def reference_json(report: Report) -> dict:
     return {
-        "tool": report.tool,
-        "version": report.version,
+        "tool": TOOL_NAME,
+        "version": __version__,
         "inputs": [{"path": i.path, "sha256": i.sha256} for i in report.inputs],
         "findings": [
             {
@@ -295,8 +287,8 @@ def reference_sarif(report: Report) -> dict:
         "version": "2.1.0",
         "runs": [{
             "tool": {"driver": {
-                "name": report.tool,
-                "version": report.version,
+                "name": TOOL_NAME,
+                "version": __version__,
                 "informationUri": "",
                 "rules": rules,
             }},
@@ -335,8 +327,7 @@ reports = st.builds(
     Report,
     inputs=st.lists(st.builds(InputRecord, awkward_text, awkward_text),
                     max_size=3),
-    findings=st.lists(findings, max_size=6),
-    tool=awkward_text, version=awkward_text)
+    findings=st.lists(findings, max_size=6))
 
 
 @settings(max_examples=100, deadline=None)
