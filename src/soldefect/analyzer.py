@@ -8,7 +8,6 @@ regardless of the worker count.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 
@@ -41,14 +40,14 @@ class FileOutcome:
 
 
 def source_facts(result: ParseResult, file_id: str) -> SourceFacts:
-    """Semantic facts over a parsed unit."""
-    diagnostics = list(result.diagnostics)
-    contracts: list[ContractFacts] = []
+    """Semantic facts over a parsed unit, read from its one node index."""
+    facts = SourceFacts(file_id, result.unit, [], list(result.diagnostics))
+    tree = facts.tree
     for contract in result.unit.contracts:
-        table = flatten_contract(result.unit, contract, diagnostics)
-        defuse = [(fn, compute_def_use(fn)) for fn in contract.functions]
-        contracts.append(ContractFacts(contract, table, None, defuse))
-    return SourceFacts(file_id, result.unit, contracts, diagnostics)
+        table = flatten_contract(result.unit, contract, facts.diagnostics)
+        defuse = [(fn, compute_def_use(fn, tree)) for fn in contract.functions]
+        facts.contracts.append(ContractFacts(contract, table, None, defuse))
+    return facts
 
 
 def build_bytecode_facts(code: bytes, file_id: str) -> BytecodeFacts:
@@ -92,6 +91,7 @@ def analyze_file(path: str, config: RunConfig) -> FileOutcome:
 
 def analyze_input(raw: bytes, path: str, config: RunConfig) -> FileOutcome:
     """Analyze one input's bytes; ``path`` names it and picks its frontend."""
+    import hashlib  # loads OpenSSL: only a run that reads an input needs it
     outcome = FileOutcome(path, hashlib.sha256(raw).hexdigest())
     phase = "decode"
     try:

@@ -9,6 +9,7 @@ not be written.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -225,9 +226,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """The console entry point: ``main()``, then flush stdout and stderr and
-    exit without interpreter teardown, which only frees what the run built.
-    A flush that fails (a closed pipe) exits through teardown as before."""
+    """The console entry point: ``main()`` with the cycle collector off,
+    since reference counting frees the analysis (it builds no reference
+    cycles, which tests pin), then flush stdout and stderr and exit without
+    interpreter teardown, which only frees what the run built. A flush that
+    fails (a closed pipe) exits through teardown as before."""
+    gc.disable()
     code = main()
     try:
         sys.stdout.flush()

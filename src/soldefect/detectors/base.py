@@ -6,11 +6,12 @@ from collections.abc import Callable, Iterable
 from functools import cached_property
 
 from ..config import DetectorConfig
-from ..nodes import ContractDefinition, FunctionDefinition, SourceUnit
+from ..nodes import (ContractDefinition, FunctionDefinition, NodeIndex,
+                     SourceUnit)
 from ..records import field, record
 from ..semantic import SymbolTable, VarFacts, build_call_graph
 from ..spans import Diagnostic, Span
-from .index import FunctionIndex, NodeIndex
+from .index import FunctionIndex
 
 
 @record(frozen=True)
@@ -36,22 +37,16 @@ class DetectorDescriptor:
 
 @record
 class ContractFacts:
-    """One contract's facts. The callee names, if None, are built on first
-    read of ``callees``: only D15 needs them, and only for some contracts.
-    The fact indexes of the bodies it can run are the file's
+    """One contract's facts. The callee names, if None, are built from the
+    file's node index on first read of ``SourceFacts.callees``: only D15
+    needs them, and only for some contracts. Def-use reads that index too,
+    and the fact indexes of the bodies the contract can run are the file's
     (``SourceFacts``)."""
 
     contract: ContractDefinition
     table: SymbolTable
     call_graph: set[str] | None
     defuse: list[tuple[FunctionDefinition, list[VarFacts]]]
-
-    @property
-    def callees(self) -> set[str]:
-        """The names that something in this contract calls or invokes."""
-        if self.call_graph is None:
-            self.call_graph = build_call_graph(self.table)
-        return self.call_graph
 
 
 @record
@@ -92,6 +87,12 @@ class SourceFacts:
         table = cf.table
         return self.indexes([*table.functions.values(),
                              *table.modifiers.values()])
+
+    def callees(self, cf: ContractFacts) -> set[str]:
+        """The names that something in cf's contract calls or invokes."""
+        if cf.call_graph is None:
+            cf.call_graph = build_call_graph(cf.table, self.tree)
+        return cf.call_graph
 
     def bodies(self) -> Iterable[FunctionIndex]:
         """The indexes of each contract's own functions, then its modifiers,

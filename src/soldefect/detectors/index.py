@@ -1,75 +1,24 @@
 """The facts the source detectors query instead of walking the tree: the
-file's nodes in pre-order, and one index per function or modifier body,
+file's nodes in pre-order (``nodes.NodeIndex``, which def-use and the
+callee names read too), and one index per function or modifier body,
 shared by every contract that inherits it, over the body's statements in
 context (``nodes.statements``, the list def-use liveness reads too) and
 the declarations its names resolve to."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Callable
 from functools import cached_property
 
 from ..nodes import (Assignment, CallExpression, Conditional, Expression,
                      ExpressionStatement, ForStatement, FunctionDefinition,
                      Identifier, IfStatement, MemberAccess, ModifierDefinition,
-                     Statement, StatementFacts, UnaryOperation,
+                     NodeIndex, Statement, StatementFacts, UnaryOperation,
                      VariableDeclaration, VariableDeclarationStatement,
-                     WhileStatement, children, statements)
+                     WhileStatement, statements)
 from ..semantic import SymbolTable
 from .common import (bound_is_constant, external_call, is_guard_call,
                      store_base, unwrap)
-
-
-class NodeIndex:
-    """The pre-order of a subtree (what ``walk(root)`` yields) and, per
-    position i, ``ends[i]``: one past the end of that node's subtree. So a
-    subtree is a slice, containment a range check, and a subtree's nodes of
-    one type a bisection of that type's positions."""
-
-    def __init__(self, root) -> None:
-        self.nodes: list = []
-        self.ends: list[int] = []
-        self._by_type: dict[type, list[int]] = {}
-        nodes, ends, by_type = self.nodes, self.ends, self._by_type
-        stack: list = [root]
-        while stack:
-            node = stack.pop()
-            if node.__class__ is int:  # every node of that subtree is listed
-                ends[node] = len(nodes)
-                continue
-            i = len(nodes)
-            nodes.append(node)
-            by_type.setdefault(node.__class__, []).append(i)
-            kids = children(node)
-            if kids:
-                ends.append(0)
-                stack.append(i)
-                kids.reverse()
-                stack.extend(kids)
-            else:
-                ends.append(i + 1)
-        self.pos: dict[int, int] = {id(node): i for i, node in enumerate(nodes)}
-
-    def select(self, types: tuple[type, ...], start: int, end: int) -> list:
-        """Nodes of the given types at positions [start, end), in pre-order."""
-        positions: list[int] = []
-        for t in types:
-            found = self._by_type.get(t, ())
-            positions += found[bisect_left(found, start):bisect_left(found, end)]
-        if len(types) > 1:
-            positions.sort()
-        nodes = self.nodes
-        return [nodes[p] for p in positions]
-
-    def within(self, node, *types: type) -> list:
-        """Nodes of the given types in node's subtree, node included."""
-        start = self.pos[id(node)]
-        return self.select(types, start, self.ends[start])
-
-    def contains(self, outer, inner) -> bool:
-        start = self.pos[id(outer)]
-        return start <= self.pos[id(inner)] < self.ends[start]
 
 
 class FunctionIndex:

@@ -65,7 +65,7 @@ def detect_high_gas_function_type(ctx: AnalysisContext) -> Iterator[Hit]:
                 continue
             if fn.visibility not in ("public", "default"):
                 continue
-            if not _has_array_parameter(fn) or fn.name in cf.callees:
+            if not _has_array_parameter(fn) or fn.name in ctx.source.callees(cf):
                 continue
             yield (fn.span,
                    f"public function {fn.name} takes array arguments and has "

@@ -1,5 +1,7 @@
-"""AST for the Solidity subset, and its two walks: ``walk``, every node of
-a subtree in pre-order, and ``statements``, every statement of a body with
+"""AST for the Solidity subset, and its walks: ``walk``, every node of a
+subtree in pre-order; ``NodeIndex``, that pre-order built once per file,
+whose per-type positions def-use, the callee names and the detectors'
+fact index all read; and ``statements``, every statement of a body with
 its enclosing conditions, the one list that def-use liveness and the fact
 index both read.
 
@@ -9,6 +11,8 @@ compare equal; like any mutable record, a node is unhashable.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .lexer import ETHER_UNITS
 from .records import field, record
@@ -455,6 +459,57 @@ def walk(node):
         current = stack.pop()
         yield current
         stack.extend(reversed(children(current)))
+
+
+class NodeIndex:
+    """The pre-order of a subtree (what ``walk(root)`` yields) and, per
+    position i, ``ends[i]``: one past the end of that node's subtree. So a
+    subtree is a slice, containment a range check, and a subtree's nodes of
+    one type a bisection of that type's positions."""
+
+    def __init__(self, root) -> None:
+        self.nodes: list = []
+        self.ends: list[int] = []
+        self._by_type: dict[type, list[int]] = {}
+        nodes, ends, by_type = self.nodes, self.ends, self._by_type
+        stack: list = [root]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is int:  # every node of that subtree is listed
+                ends[node] = len(nodes)
+                continue
+            i = len(nodes)
+            nodes.append(node)
+            by_type.setdefault(node.__class__, []).append(i)
+            kids = children(node)
+            if kids:
+                ends.append(0)
+                stack.append(i)
+                kids.reverse()
+                stack.extend(kids)
+            else:
+                ends.append(i + 1)
+        self.pos: dict[int, int] = {id(node): i for i, node in enumerate(nodes)}
+
+    def select(self, types: tuple[type, ...], start: int, end: int) -> list:
+        """Nodes of the given types at positions [start, end), in pre-order."""
+        positions: list[int] = []
+        for t in types:
+            found = self._by_type.get(t, ())
+            positions += found[bisect_left(found, start):bisect_left(found, end)]
+        if len(types) > 1:
+            positions.sort()
+        nodes = self.nodes
+        return [nodes[p] for p in positions]
+
+    def within(self, node, *types: type) -> list:
+        """Nodes of the given types in node's subtree, node included."""
+        start = self.pos[id(node)]
+        return self.select(types, start, self.ends[start])
+
+    def contains(self, outer, inner) -> bool:
+        start = self.pos[id(outer)]
+        return start <= self.pos[id(inner)] < self.ends[start]
 
 
 @record(slots=True)

@@ -6,7 +6,10 @@ Each builder is one pass whose cost grows with the input's size, not its
 depth: bases are merged from one stack, and liveness takes its reads in
 one loop over the body's statements as ``nodes.statements`` lists them,
 the same list the detectors' fact index reads, then spreads back from the
-variables read live, taking each variable once.
+variables read live, taking each variable once. Liveness and the callee
+names find their identifiers and calls in a ``nodes.NodeIndex``: the
+file's one index when the caller passes it, else one built for the
+function alone.
 
 All analyses are intra-procedural and conservative: anything that escapes
 the patterns below (unresolved names, calls, container writes) is treated
@@ -21,11 +24,11 @@ from .nodes import (Assignment, BinaryOperation, BoolLiteral,
                     ElementaryTypeExpression, EmitStatement, EventDefinition,
                     Expression, ExpressionStatement, ForStatement,
                     FunctionDefinition, HexLiteral, Identifier, IfStatement,
-                    IndexAccess, MemberAccess, ModifierDefinition,
+                    IndexAccess, MemberAccess, ModifierDefinition, NodeIndex,
                     NumberLiteral, ReturnStatement, SourceUnit, StringLiteral,
                     TupleExpression, TypeName, UnaryOperation,
                     VariableDeclaration, VariableDeclarationStatement,
-                    WhileStatement, statements, walk)
+                    WhileStatement, statements)
 from .records import field, record
 from .spans import Diagnostic, Span, position
 
@@ -93,17 +96,19 @@ def flatten_contract(unit: SourceUnit, contract: ContractDefinition,
 # Callee names
 
 
-def build_call_graph(table: SymbolTable) -> set[str]:
+def build_call_graph(table: SymbolTable,
+                     tree: NodeIndex | None = None) -> set[str]:
     """Every name that a function or modifier of ``table`` calls by plain
     name or invokes as a modifier, modifier arguments included. External
-    member calls are not counted."""
+    member calls are not counted. ``tree`` indexes the file that declares
+    them; without it each function is indexed alone."""
     callees: set[str] = set()
     for fn in [*table.functions.values(), *table.modifiers.values()]:
         if isinstance(fn, FunctionDefinition):
             callees.update(name for name, _args in fn.modifiers_invoked)
-        callees.update(node.callee.name for node in walk(fn)
-                       if isinstance(node, CallExpression)
-                       and isinstance(node.callee, Identifier))
+        calls = (tree or NodeIndex(fn)).within(fn, CallExpression)
+        callees.update(node.callee.name for node in calls
+                       if isinstance(node.callee, Identifier))
     return callees
 
 
@@ -120,7 +125,8 @@ class VarFacts:
     live: bool = False
 
 
-def compute_def_use(function: FunctionDefinition) -> list[VarFacts]:
+def compute_def_use(function: FunctionDefinition,
+                    tree: NodeIndex | None = None) -> list[VarFacts]:
     """Transitive liveness of each parameter and local: one entry per
     declaration, the parameters, then the locals in order.
 
@@ -134,8 +140,11 @@ def compute_def_use(function: FunctionDefinition) -> list[VarFacts]:
     local hides a parameter or an earlier local of its name from its
     declaration on. The reads are taken in one loop over the body's
     statements (``nodes.statements``), a for loop's init, condition and
-    post expression at the loop, ahead of its body.
+    post expression at the loop, ahead of its body; the identifiers an
+    expression reads come from ``tree``, the file's index, or without it
+    from an index of ``function`` alone.
     """
+    within = (tree or NodeIndex(function)).within
     variables: list[VarFacts] = []
     # name -> position of its declaration in variables, or None for a
     # named return, whose reads are not tracked
@@ -154,8 +163,8 @@ def compute_def_use(function: FunctionDefinition) -> list[VarFacts]:
         """The parameters and locals in scope that `expr` reads."""
         if expr is None:
             return []
-        return [v for node in walk(expr) if isinstance(node, Identifier)
-                and (v := scope.get(node.name)) is not None]
+        return [v for node in within(expr, Identifier)
+                if (v := scope.get(node.name)) is not None]
 
     def consume(expr: Expression | None) -> None:
         for v in reads(expr):

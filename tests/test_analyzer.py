@@ -14,11 +14,12 @@ from soldefect.analyzer import (_looks_like_hex_text, analyze_file,
                                 analyze_input, analyze_paths, collect_inputs,
                                 file_mode, worker_count)
 from soldefect.config import RunConfig
+from soldefect.report import render
 
 from asm import (BALANCE_EQ, CALL_BODY, DEAD_CALL_INTO_LOOP, STACK_OVERFLOW,
                  counted_loop, dispatcher, storage_bound_loop)
 from conftest import CORPUS_DIR, DEEP_CONTRACT, no_child_left, read_listing
-from synth import generate_contract_file
+from synth import generate_contract_file, write_corpus
 
 
 def test_file_mode_auto_by_extension():
@@ -247,3 +248,45 @@ def test_analysis_leaves_no_reference_cycles(name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_run_over_a_directory_leaves_no_reference_cycles(tmp_path):
+    # the console process runs without the cyclic collector, so a whole run
+    # must be freed by reference counting too: listings, a parse error, a
+    # lex error, a too-deep file and bytecode, merged into one report
+    for name, raw in NO_CYCLE_INPUTS.items():
+        (tmp_path / name).write_bytes(raw)
+    config = RunConfig(jobs=1)
+    analyze_paths([str(tmp_path)], config)
+    gc.collect()
+    gc.disable()
+    try:
+        report, outcomes = analyze_paths([str(tmp_path)], config)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(outcomes) == len(NO_CYCLE_INPUTS)
+    assert report.findings and any(o.error for o in outcomes)
+
+
+def test_rendering_leaves_as_many_cycles_whatever_the_inputs(tmp_path):
+    # json.dumps(indent=2) leaves its encoder's closures in a few cycles,
+    # the same few however large the report; the text report leaves none
+    counts = []
+    for count in (2, 40):
+        directory = tmp_path / str(count)
+        directory.mkdir()
+        write_corpus(directory, count)
+        report, _ = analyze_paths([str(directory)], RunConfig(jobs=1))
+        gc.collect()
+        gc.disable()
+        try:
+            per_format = []
+            for fmt in ("text", "json", "sarif"):
+                render(report, fmt)
+                per_format.append(gc.collect())
+        finally:
+            gc.enable()
+        counts.append(per_format)
+    assert counts[0] == counts[1]
+    assert counts[0][0] == 0

@@ -499,3 +499,16 @@ def test_console_run_to_a_closed_pipe_exits_as_python_does():
     assert [run.returncode for run in runs] == [120, 120]
     assert runs[0].stderr == runs[1].stderr
     assert b"BrokenPipeError" in runs[0].stderr
+
+
+def test_console_run_turns_the_cycle_collector_off():
+    # analysis builds no reference cycles (tests/test_analyzer.py pins it),
+    # so the console process runs main() without the cyclic collector; an
+    # importer of the CLI keeps it
+    probe = ("import gc, soldefect.cli as cli\n"
+             "cli.main = lambda: print(gc.isenabled()) or 0\n"
+             "print(gc.isenabled())\n"
+             "cli.run()\n")
+    proc = _cli_process([], command=("-c", probe))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"True", b"False"]

@@ -789,9 +789,9 @@ def _graphs_built(monkeypatch) -> list:
     """Patch build_call_graph to record each contract it is built for."""
     built, build = [], base.build_call_graph
 
-    def counted(table):
+    def counted(table, tree):
         built.append(table.contract.name)
-        return build(table)
+        return build(table, tree)
 
     monkeypatch.setattr(base, "build_call_graph", counted)
     return built
@@ -802,7 +802,7 @@ def test_a_contract_without_candidates_builds_no_call_graph(monkeypatch):
     # and every finding comes without one
     expected = findings_for(read_listing("listing1.sol"))
 
-    def refuse(table):
+    def refuse(table, tree):
         raise AssertionError("call graph built")
 
     monkeypatch.setattr(base, "build_call_graph", refuse)
@@ -829,10 +829,11 @@ contract D {
 
 def test_a_given_call_graph_is_the_one_read():
     # a caller that builds the callee names itself passes them positionally
-    cf = listing_facts("listing1.sol").contracts[0]
+    facts = listing_facts("listing1.sol")
+    cf = facts.contracts[0]
     given = ContractFacts(cf.contract, cf.table, {"g"}, cf.defuse)
-    assert given.callees == {"g"}
-    assert cf.call_graph is None and cf.callees is cf.callees
+    assert facts.callees(given) == {"g"}
+    assert cf.call_graph is None and facts.callees(cf) is facts.callees(cf)
 
 
 # -- D16 high gas consumption data type ------------------------------------------------------------

@@ -146,13 +146,13 @@ def _count_inits(monkeypatch, cls) -> list:
 
 @pytest.mark.parametrize("count", [25, 100])
 def test_each_file_and_body_is_indexed_once(monkeypatch, count):
-    # every contract of the chain runs every body above it, and D13 and D18
-    # query them all; yet the file has one tree and each body one index,
-    # built with the table of the contract that declares it
-    facts = source_facts(parse_source(payable_chain(count), "chain.sol"),
-                         "chain.sol")
+    # every contract of the chain runs every body above it, and def-use,
+    # D13 and D18 query them all; yet the file has one tree and each body
+    # one index, built with the table of the contract that declares it
     trees = _count_inits(monkeypatch, NodeIndex)
     indexes = _count_inits(monkeypatch, FunctionIndex)
+    facts = source_facts(parse_source(payable_chain(count), "chain.sol"),
+                         "chain.sol")
     assert run_detectors(AnalysisContext(source=facts))
     assert len(trees) == 1
     assert len(indexes) == len(facts.bodies()) == 2 * count - 1

@@ -93,10 +93,10 @@ def test_parallel_run_loads_no_process_pool(tmp_path):
 
 
 # modules every CLI start would pay for but none needs: dataclasses (and the
-# inspect it loads), typing and fractions, and the scorer, which loads with a
-# score run
+# inspect it loads), typing and fractions, the scorer, which loads with a
+# score run, and hashlib with OpenSSL, which loads when an input is read
 NOT_AT_START = ("dataclasses", "inspect", "typing", "fractions",
-                "soldefect.corpus")
+                "soldefect.corpus", "hashlib", "_hashlib")
 
 
 def test_cli_start_loads_only_what_every_run_needs():

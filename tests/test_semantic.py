@@ -3,10 +3,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from soldefect.analyzer import source_facts
 from soldefect.semantic import (build_call_graph, compute_def_use,
                                 flatten_contract, infer_var_type)
 
-from conftest import has_errors, parse_source, read_listing
+from conftest import LISTINGS, has_errors, parse_source, read_listing
+from synth import generate_contract_file, payable_chain
 
 
 def _contract(text: str, index: int = 0):
@@ -323,3 +325,25 @@ def test_flatten_a_deep_inheritance_chain():
     table = flatten_contract(unit, last, diags)
     assert list(table.state_variables) == [f"v{i}" for i in range(depth)]
     assert diags == []
+
+
+# -- the bare and the indexed forms -------------------------------------------
+
+
+def test_the_file_index_and_a_function_alone_give_the_same_facts():
+    # the analyzer passes the file's one node index, a caller without one
+    # indexes each function alone: both must build the same facts
+    sources = {name: read_listing(name) for name in LISTINGS}
+    sources.update((f"synth_{i:02d}.sol", generate_contract_file(70_000 + i))
+                   for i in range(60))
+    sources["chain.sol"] = payable_chain(50)
+    functions = 0
+    for name, text in sources.items():
+        facts = source_facts(parse_source(text, name), name)
+        for cf in facts.contracts:
+            assert build_call_graph(cf.table) \
+                == build_call_graph(cf.table, facts.tree)
+            for fn in cf.contract.functions:
+                assert compute_def_use(fn) == compute_def_use(fn, facts.tree)
+                functions += 1
+    assert functions > 800
