@@ -22,7 +22,7 @@ from .lexer import tokenize
 from .parser import ParseResult, parse
 from .records import field, record
 from .report import Finding, InputRecord, Report
-from .semantic import compute_def_use, flatten_contract
+from .semantic import flatten_contract
 from .spans import Diagnostic, Span
 
 SOURCE_EXTENSIONS = (".sol",)
@@ -40,13 +40,12 @@ class FileOutcome:
 
 
 def source_facts(result: ParseResult, file_id: str) -> SourceFacts:
-    """Semantic facts over a parsed unit, read from its one node index."""
+    """Each contract's flat symbol table, with its merge warnings: the facts
+    every run needs. A detector's first read builds the rest."""
     facts = SourceFacts(file_id, result.unit, [], list(result.diagnostics))
-    tree = facts.tree
     for contract in result.unit.contracts:
         table = flatten_contract(result.unit, contract, facts.diagnostics)
-        defuse = [(fn, compute_def_use(fn, tree)) for fn in contract.functions]
-        facts.contracts.append(ContractFacts(contract, table, None, defuse))
+        facts.contracts.append(ContractFacts(contract, table))
     return facts
 
 

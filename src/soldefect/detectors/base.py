@@ -6,10 +6,9 @@ from collections.abc import Callable, Iterable
 from functools import cached_property
 
 from ..config import DetectorConfig
-from ..nodes import (ContractDefinition, FunctionDefinition, NodeIndex,
-                     SourceUnit)
+from ..nodes import ContractDefinition, NodeIndex, SourceUnit
 from ..records import field, record
-from ..semantic import SymbolTable, VarFacts, build_call_graph
+from ..semantic import SymbolTable, build_call_graph
 from ..spans import Diagnostic, Span
 from .index import FunctionIndex
 
@@ -39,14 +38,15 @@ class DetectorDescriptor:
 class ContractFacts:
     """One contract's facts. The callee names, if None, are built from the
     file's node index on first read of ``SourceFacts.callees``: only D15
-    needs them, and only for some contracts. Def-use reads that index too,
-    and the fact indexes of the bodies the contract can run are the file's
-    (``SourceFacts``)."""
+    needs them. The bodies' fact indexes and their def-use are the file's
+    (``SourceFacts``). Nothing fills or reads ``defuse``: it stays only for
+    ``bench/tracing.py``, which passes four fields, until that runs
+    ``analyze_input``."""
 
     contract: ContractDefinition
     table: SymbolTable
-    call_graph: set[str] | None
-    defuse: list[tuple[FunctionDefinition, list[VarFacts]]]
+    call_graph: set[str] | None = None
+    defuse: list | None = None
 
 
 @record

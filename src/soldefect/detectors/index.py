@@ -1,9 +1,9 @@
 """The facts the source detectors query instead of walking the tree: the
-file's nodes in pre-order (``nodes.NodeIndex``, which def-use and the
-callee names read too), and one index per function or modifier body,
-shared by every contract that inherits it, over the body's statements in
-context (``nodes.statements``, the list def-use liveness reads too) and
-the declarations its names resolve to."""
+file's nodes in pre-order (``nodes.NodeIndex``), and one index per function
+or modifier body, shared by every contract that inherits it, over the
+body's statements in context (``nodes.statements``) and the declarations
+its names resolve to. A fact only some detectors read, such as def-use
+liveness, is built on first use from what the index holds."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from ..nodes import (Assignment, CallExpression, Conditional, Expression,
                      NodeIndex, Statement, StatementFacts, UnaryOperation,
                      VariableDeclaration, VariableDeclarationStatement,
                      WhileStatement, statements)
-from ..semantic import SymbolTable
+from ..semantic import SymbolTable, VarFacts, liveness
 from .common import (bound_is_constant, external_call, is_guard_call,
                      store_base, unwrap)
 
@@ -66,8 +66,8 @@ class FunctionIndex:
 
     def declaration(self, name: str, at: int) -> VariableDeclaration | None:
         """The declaration a name read at source offset ``at`` resolves to,
-        as in ``compute_def_use``: the last parameter, named return or local
-        of this body declared before ``at``, else a state variable."""
+        as in ``def_use``: the last parameter, named return or local of this
+        body declared before ``at``, else a state variable."""
         before = [decl for decl in self.declared
                   if decl.name == name and decl.span.offset < at]
         if before:
@@ -85,6 +85,11 @@ class FunctionIndex:
     def call(self, expr) -> tuple | None:
         """``external_call(expr)`` for an external call of this body, or None."""
         return self._calls.get(id(expr))
+
+    @cached_property
+    def def_use(self) -> list[VarFacts]:
+        """``semantic.liveness`` of this function body."""
+        return liveness(self.fn, self.statements, self.within)
 
     @cached_property
     def conditions(self) -> list[Expression]:

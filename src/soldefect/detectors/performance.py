@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from ..nodes import VariableDeclaration
+from ..nodes import FunctionDefinition, VariableDeclaration
 from .base import AnalysisContext, DetectorDescriptor, Hit, register
 
 UNUSED_STATEMENT = DetectorDescriptor(
@@ -19,17 +19,16 @@ UNUSED_STATEMENT = DetectorDescriptor(
 
 @register(UNUSED_STATEMENT)
 def detect_unused_statement(ctx: AnalysisContext) -> Iterator[Hit]:
-    for cf in ctx.source.contracts:
-        for fn, variables in cf.defuse:
-            if fn.body is None:
+    for index in ctx.source.bodies():
+        if not isinstance(index.fn, FunctionDefinition):
+            continue
+        for var in index.def_use:
+            if var.live:
                 continue
-            for var in variables:
-                if var.live:
-                    continue
-                role = "parameter" if var.is_parameter else "local variable"
-                yield (var.declaration.span,
-                       f"{role} {var.declaration.name} never affects contract "
-                       f"statements or return values")
+            role = "parameter" if var.is_parameter else "local variable"
+            yield (var.declaration.span,
+                   f"{role} {var.declaration.name} never affects contract "
+                   f"statements or return values")
 
 
 # ---------------------------------------------------------------------------

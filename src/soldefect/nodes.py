@@ -1,9 +1,9 @@
 """AST for the Solidity subset, and its walks: ``walk``, every node of a
 subtree in pre-order; ``NodeIndex``, that pre-order built once per file,
-whose per-type positions def-use, the callee names and the detectors'
-fact index all read; and ``statements``, every statement of a body with
-its enclosing conditions, the one list that def-use liveness and the fact
-index both read.
+whose per-type positions the callee names and the detectors' fact index
+read; and ``statements``, every statement of a body with its enclosing
+conditions, listed once per body by the fact index, whose def-use
+liveness reads that list.
 
 Every node carries exactly one Span. Nodes are slotted records (see
 ``records.py``) that compare field by field, so two parses of the same bytes

@@ -12,13 +12,13 @@ any other skip stops at the first `;` outside braces (consumed), at a `}`
 it did not open, at a stop word outside braces, or at the end of input.
 The stop words are `function`/`modifier`/`event`/`constructor` in a
 contract, `pragma`/`contract`/`interface`/`library`/`import` at the top
-level, and none in a block. So an error never hides its sibling
-statements or functions, and a contract or `{...}` block that the file
-ends inside keeps its complete members or statements. An error that
-several levels of recovery see in turn, such as the end of a file cut
-inside nested blocks, is reported once. Unsupported constructs (import,
-struct/enum, using) are skipped by the same rule with a "partial analysis"
-warning instead of failing the file.
+level, `)` in a for header's init, and none in a block. So an error never
+hides its sibling statements or functions, and a contract or `{...}` block
+that the file ends inside keeps its complete members or statements. An
+error that several levels of recovery see in turn, such as the end of a
+file cut inside nested blocks, is reported once. Unsupported constructs
+(import, struct/enum, using) are skipped by the same rule with a "partial
+analysis" warning instead of failing the file.
 
 The parser indexes the lexer's ``(kind, text, offset, length)`` token
 tuples. A node's span ends at the end of the last token it consumed.
@@ -104,6 +104,7 @@ _COMPOUND_STATEMENTS = frozenset({"{", "if", "for", "while"})
 _MEMBER_STOPS = frozenset({"function", "modifier", "event", "constructor"})
 _UNIT_STARTS = frozenset({"pragma", "contract", "interface", "library"})
 _TOP_LEVEL_STOPS = _UNIT_STARTS | {"import"}
+_HEADER_STOPS = frozenset({")"})
 
 
 class ParseError(Exception):
@@ -222,6 +223,13 @@ class _Parser:
             i += 1
         self.pos = i
 
+    def _recover(self, exc: ParseError, depth: int,
+                 stops: frozenset[str] = frozenset()) -> None:
+        """Record ``exc``, back at nesting ``depth``, and ``_skip`` past it."""
+        self.depth = depth
+        self.error(exc.message, exc.token)
+        self._skip(stops)
+
     def _close(self) -> None:
         """Consume the `}` that ends a contract or block. At the end of input
         it is missing: record that, and the caller keeps what it parsed."""
@@ -264,9 +272,7 @@ class _Parser:
                     self.pos += 1
                     self._skip(_TOP_LEVEL_STOPS)
             except ParseError as exc:
-                self.depth = depth
-                self.error(exc.message, exc.token)
-                self._skip(_TOP_LEVEL_STOPS)
+                self._recover(exc, depth, _TOP_LEVEL_STOPS)
         unit = SourceUnit(pragmas, contracts, self._span_from(start), self.line_starts)
         return ParseResult(unit, self.diagnostics)
 
@@ -329,9 +335,7 @@ class _Parser:
                 decl.span = self._span_from(decl.span.offset)
                 contract.state_variables.append(decl)
         except ParseError as exc:
-            self.depth = depth
-            self.error(exc.message, exc.token)
-            self._skip(_MEMBER_STOPS)
+            self._recover(exc, depth, _MEMBER_STOPS)
 
     def parse_function(self) -> FunctionDefinition:
         start = self.peek()[2]
@@ -465,9 +469,7 @@ class _Parser:
             raise ParseError(f"expected a type, found {text!r}", t)
         while self.at("["):
             self.advance()
-            length = None
-            if not self.at("]"):
-                length = self.parse_expression()
+            length = None if self.at("]") else self.parse_expression()
             self.expect("]")
             base = TypeName("array", self._span_from(base.span.offset),
                             element=base, length=length)
@@ -484,9 +486,7 @@ class _Parser:
             try:
                 statements.append(self.parse_statement())
             except ParseError as exc:
-                self.depth = depth
-                self.error(exc.message, exc.token)
-                self._skip()
+                self._recover(exc, depth)
         self._close()
         return Block(statements, self._span_from(start))
 
@@ -508,9 +508,7 @@ class _Parser:
         start = t[2]
         if text == "return":
             self.advance()
-            value = None
-            if not self.at(";"):
-                value = self.parse_expression()
+            value = None if self.at(";") else self.parse_expression()
             self.expect(";")
             return ReturnStatement(value, self._span_from(start))
         if text == "emit":
@@ -524,13 +522,18 @@ class _Parser:
             self.advance()
             self.expect(";")
             return _WORD_STATEMENTS[text](self._span_from(start))
+        statement = self.parse_simple_statement()
+        self.expect(";")
+        statement.span = self._span_from(start)
+        return statement
+
+    def parse_simple_statement(self) -> Statement:
+        """A declaration or an expression statement, without its `;`."""
         if self._looks_like_declaration():
             decl = self.parse_variable(_LOCAL_WORDS)
-            self.expect(";")
-            return VariableDeclarationStatement(decl, self._span_from(decl.span.offset))
+            return VariableDeclarationStatement(decl, decl.span)
         expr = self.parse_expression()
-        self.expect(";")
-        return ExpressionStatement(expr, self._span_from(start))
+        return ExpressionStatement(expr, expr.span)
 
     def _looks_like_declaration(self) -> bool:
         kind, text, _, _ = self.peek()
@@ -574,21 +577,18 @@ class _Parser:
         start = self.expect("for")[2]
         self.expect("(")
         init: Statement | None = None
-        if not self.at(";"):
-            if self._looks_like_declaration():
-                decl = self.parse_variable(_LOCAL_WORDS)
-                init = VariableDeclarationStatement(decl, decl.span)
-            else:
-                expr = self.parse_expression()
-                init = ExpressionStatement(expr, expr.span)
+        depth = self.depth
+        try:
+            if not self.at(";"):
+                init = self.parse_simple_statement()
+            self.expect(";")
+        except ParseError as exc:  # one error, then on after the init's `;`
+            self._recover(exc, depth, _HEADER_STOPS)
+            if self.tokens[self.pos - 1][1] != ";":
+                raise  # no such `;`: the block skips the loop, not repeating it
+        condition = None if self.at(";") else self.parse_expression()
         self.expect(";")
-        condition = None
-        if not self.at(";"):
-            condition = self.parse_expression()
-        self.expect(";")
-        post = None
-        if not self.at(")"):
-            post = self.parse_expression()
+        post = None if self.at(")") else self.parse_expression()
         self.expect(")")
         body = self.parse_statement()
         return ForStatement(init, condition, post, body, self._span_from(start))
@@ -678,9 +678,7 @@ class _Parser:
                 args = self._list(self.parse_expression)
                 expr = CallExpression(expr, args, self._span_from(start))
             elif text == "[":
-                index = None
-                if not self.at("]"):
-                    index = self.parse_expression()
+                index = None if self.at("]") else self.parse_expression()
                 self.expect("]")
                 expr = IndexAccess(expr, index, self._span_from(start))
             else:  # ++ or --

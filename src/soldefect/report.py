@@ -62,18 +62,14 @@ class Report:
         self.inputs = sorted(self.inputs, key=lambda i: i.path)
 
     def summary(self) -> dict:
-        by_detector: dict[str, int] = {}
-        by_impact: dict[str, int] = {}
-        by_category: dict[str, int] = {}
+        counts: dict[str, dict[str, int]] = {
+            "by_detector": {}, "by_impact": {}, "by_category": {}}
         for f in self.findings:
-            by_detector[f.detector] = by_detector.get(f.detector, 0) + 1
-            by_impact[f.impact] = by_impact.get(f.impact, 0) + 1
-            by_category[f.category] = by_category.get(f.category, 0) + 1
-        return {
-            "by_detector": dict(sorted(by_detector.items())),
-            "by_impact": dict(sorted(by_impact.items())),
-            "by_category": dict(sorted(by_category.items())),
-        }
+            for count, key in zip(counts.values(),
+                                  (f.detector, f.impact, f.category)):
+                count[key] = count.get(key, 0) + 1
+        return {name: dict(sorted(count.items()))
+                for name, count in counts.items()}
 
 
 def filter_by_impact(report: Report, min_impact: str) -> Report:

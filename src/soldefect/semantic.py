@@ -5,11 +5,11 @@ inference, the names a contract's code calls, and def-use liveness.
 Each builder is one pass whose cost grows with the input's size, not its
 depth: bases are merged from one stack, and liveness takes its reads in
 one loop over the body's statements as ``nodes.statements`` lists them,
-the same list the detectors' fact index reads, then spreads back from the
-variables read live, taking each variable once. Liveness and the callee
-names find their identifiers and calls in a ``nodes.NodeIndex``: the
-file's one index when the caller passes it, else one built for the
-function alone.
+then spreads back from the variables read live, taking each variable
+once; each body's fact index runs it on its own statement list and the
+file's ``nodes.NodeIndex`` (``FunctionIndex.def_use``), so a run without
+D14 computes none. The callee names find their calls in that node index
+when the caller passes it, else in one built for each function alone.
 
 All analyses are intra-procedural and conservative: anything that escapes
 the patterns below (unresolved names, calls, container writes) is treated
@@ -25,8 +25,8 @@ from .nodes import (Assignment, BinaryOperation, BoolLiteral,
                     Expression, ExpressionStatement, ForStatement,
                     FunctionDefinition, HexLiteral, Identifier, IfStatement,
                     IndexAccess, MemberAccess, ModifierDefinition, NodeIndex,
-                    NumberLiteral, ReturnStatement, SourceUnit, StringLiteral,
-                    TupleExpression, TypeName, UnaryOperation,
+                    NumberLiteral, ReturnStatement, SourceUnit, StatementFacts,
+                    StringLiteral, TupleExpression, TypeName, UnaryOperation,
                     VariableDeclaration, VariableDeclarationStatement,
                     WhileStatement, statements)
 from .records import field, record
@@ -125,8 +125,13 @@ class VarFacts:
     live: bool = False
 
 
-def compute_def_use(function: FunctionDefinition,
-                    tree: NodeIndex | None = None) -> list[VarFacts]:
+def compute_def_use(function: FunctionDefinition) -> list[VarFacts]:
+    """``liveness`` from the function's own statements and node index."""
+    return liveness(function, statements(function), NodeIndex(function).within)
+
+
+def liveness(function: FunctionDefinition, body: list[StatementFacts],
+             within) -> list[VarFacts]:
     """Transitive liveness of each parameter and local: one entry per
     declaration, the parameters, then the locals in order.
 
@@ -138,13 +143,12 @@ def compute_def_use(function: FunctionDefinition,
 
     Each name read resolves to the declaration in scope at that point: a
     local hides a parameter or an earlier local of its name from its
-    declaration on. The reads are taken in one loop over the body's
-    statements (``nodes.statements``), a for loop's init, condition and
-    post expression at the loop, ahead of its body; the identifiers an
-    expression reads come from ``tree``, the file's index, or without it
-    from an index of ``function`` alone.
+    declaration on. The reads are taken in one loop over ``body``, the
+    body's statements as ``nodes.statements`` lists them, a for loop's init,
+    condition and post expression at the loop, ahead of its body; the
+    identifiers an expression reads come from ``within``, a
+    ``NodeIndex.within`` over the function's nodes.
     """
-    within = (tree or NodeIndex(function)).within
     variables: list[VarFacts] = []
     # name -> position of its declaration in variables, or None for a
     # named return, whose reads are not tracked
@@ -170,7 +174,7 @@ def compute_def_use(function: FunctionDefinition,
         for v in reads(expr):
             variables[v].live = True
 
-    def expression(expr: Expression) -> None:
+    def expression(expr: Expression | None) -> None:
         if isinstance(expr, Assignment):
             target = expr.target
             if isinstance(target, Identifier):
@@ -205,16 +209,14 @@ def compute_def_use(function: FunctionDefinition,
         elif isinstance(stmt, ExpressionStatement):
             expression(stmt.expression)
 
-    for st in statements(function):
+    for st in body:
         stmt = st.node
         if isinstance(stmt, (IfStatement, WhileStatement)):
             consume(stmt.condition)
-        elif isinstance(stmt, ForStatement):
-            if stmt.init is not None:
-                simple(stmt.init)
+        elif isinstance(stmt, ForStatement):  # a missing part reads nothing
+            simple(stmt.init)
             consume(stmt.condition)
-            if stmt.post is not None:
-                expression(stmt.post)
+            expression(stmt.post)
         elif isinstance(stmt, ReturnStatement):
             consume(stmt.value)
         elif isinstance(stmt, EmitStatement):

@@ -12,6 +12,7 @@ def test_parse_flat_keys():
 format = json
 jobs = 4
 strict.balance_neq = true
+strict.tx_origin_all_uses = yes
 deprecated.extra = block.blockhash, msg.gas
 enable = reentrancy, nested-call
 """)
@@ -20,6 +21,7 @@ enable = reentrancy, nested-call
     assert config.format == "json"
     assert config.jobs == 4
     assert config.detectors.strict_balance_neq is True
+    assert config.detectors.strict_tx_origin_all_uses is True
     assert config.detectors.deprecated_extra == ("block.blockhash", "msg.gas")
     assert config.detectors.enable == {"reentrancy", "nested-call"}
 
@@ -40,6 +42,7 @@ def test_inline_comment_stripped():
 
 @pytest.mark.parametrize("line,match", [
     ("format = yaml", "format"),
+    ("mode = hybrid", "mode: unknown value"),
     ("min_impact = IP7", "min_impact"),
     ("jobs = many", "jobs"),
     ("jobs = -1", "jobs: expected 0 or more"),

@@ -61,6 +61,13 @@ def test_malformed_line_reports_line_number(tmp_path):
         load_manifest(path)
 
 
+def test_line_that_is_not_a_number_rejected(tmp_path):
+    _write(tmp_path, "a.sol")
+    path = _write(tmp_path, "m.txt", "a.sol:eight:reentrancy\n")
+    with pytest.raises(ManifestError, match="m.txt:1: line must be an integer"):
+        load_manifest(path)
+
+
 def test_unknown_detector_rejected(tmp_path):
     _write(tmp_path, "a.sol", "contract A{}")
     path = _write(tmp_path, "m.txt", "a.sol:1:made-up-detector\n")
@@ -126,6 +133,15 @@ def test_wildcard_matches_any_line(tmp_path):
         tmp_path, "m.txt", "a.sol:*:transaction-state-dependency\n"))
     report = _report(tmp_path, [_finding(str(tmp_path / "a.sol"), 42)])
     assert score(report, manifest).perfect
+
+
+def test_unmatched_wildcard_is_a_miss(tmp_path):
+    _write(tmp_path, "a.sol")
+    manifest = load_manifest(_write(
+        tmp_path, "m.txt", "a.sol:*:transaction-state-dependency\n"))
+    s = score(_report(tmp_path, []), manifest) \
+        .per_detector["transaction-state-dependency"]
+    assert (s.tp, s.fp, s.fn) == (0, 0, 1)
 
 
 def test_force_wildcard_relaxes_lines(tmp_path):

@@ -5,10 +5,14 @@ from __future__ import annotations
 import pytest
 
 import soldefect.detectors.base as base
-from soldefect.analyzer import source_facts
+import soldefect.detectors.index as index
+import soldefect.nodes as nodes
+import soldefect.semantic as semantic
+from soldefect.analyzer import analyze_input, source_facts
 from soldefect.config import DetectorConfig, RunConfig
 from soldefect.detectors import AnalysisContext, ContractFacts, run_detectors
 from soldefect.detectors.common import external_call
+from soldefect.nodes import NodeIndex
 
 from conftest import (clean_outcome, detectors_fired, findings_for, hits,
                       parse_source, read_listing)
@@ -836,6 +840,50 @@ def test_a_given_call_graph_is_the_one_read():
     assert cf.call_graph is None and facts.callees(cf) is facts.callees(cf)
 
 
+def test_a_run_of_one_pragma_detector_builds_no_index(monkeypatch):
+    # D20 reads only the pragmas: the run builds no node index, so no body
+    # index and no def-use either
+    def refuse(*_args):
+        raise AssertionError("fact built")
+
+    monkeypatch.setattr(NodeIndex, "__init__", refuse)
+    monkeypatch.setattr(index, "liveness", refuse)
+    outcome = analyze_input(read_listing("listing1.sol").encode(), "l1.sol",
+                            config_with(enable={"unspecified-compiler-version"}))
+    assert outcome.error is None and outcome.diagnostics == []
+    assert [f.detector for f in outcome.findings] \
+        == ["unspecified-compiler-version"]
+
+
+def test_a_full_run_lists_each_body_once(monkeypatch):
+    # the fact index of each body lists its statements, and def-use reads
+    # that list: one listing per body with code, inherited or not
+    source = """contract A {
+    modifier only(uint k) { require(k > 0); _; }
+    function f(uint a) only(1) { uint unused = a; }
+}
+contract B is A {
+    function g(uint b) public returns (uint) { return b; }
+    function h();
+}"""
+    listed, listing = [], nodes.statements
+
+    def counted(fn):
+        listed.append(fn.span.offset)
+        return listing(fn)
+
+    for module in (nodes, index, semantic):
+        monkeypatch.setattr(module, "statements", counted)
+    outcome = analyze_input(source.encode(), "t.sol", RunConfig())
+    assert outcome.error is None
+    assert {(f.detector, f.line) for f in outcome.findings
+            if f.detector == "unused-statement"} == {("unused-statement", 3)}
+    unit = parse_source(source, "t.sol").unit
+    assert sorted(listed) == sorted(
+        fn.span.offset for c in unit.contracts
+        for fn in c.functions + c.modifiers if fn.body is not None)
+
+
 # -- D16 high gas consumption data type ------------------------------------------------------------
 
 
@@ -983,6 +1031,14 @@ def test_block_blockhash_only_with_extra_config():
     assert "deprecated-apis" not in detectors_fired(source)
     assert "deprecated-apis" in detectors_fired(
         source, config_with(deprecated_extra=("block.blockhash",)))
+
+
+def test_plain_call_only_with_extra_config():
+    source = "contract C { function f(uint x) { ecrecover2(x); } }"
+    assert "deprecated-apis" not in detectors_fired(source)
+    assert [f.message for f in findings_for(
+        source, config_with(deprecated_extra=("ecrecover2",)))
+        if f.detector == "deprecated-apis"] == ["deprecated ecrecover2()"]
 
 
 # -- D20 unspecified compiler version -----------------------------------------------------------------------

@@ -62,6 +62,11 @@ def test_odd_length_hex_rejected():
         disassemble("0x600")
 
 
+def test_non_hex_characters_rejected():
+    with pytest.raises(BytecodeError, match="invalid hex bytecode"):
+        disassemble("0x60zz")
+
+
 @given(st.binary(min_size=0, max_size=400))
 def test_disassembly_round_trip(code):
     assert reassemble(instructions(disassemble(code))) == code

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -180,6 +181,29 @@ def test_cli_fetch_of_an_error_payload_exits_3(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert "Max rate limit reached" in capsys.readouterr().err
     assert not (tmp_path / "cache").exists()
+
+
+def test_cli_fetch_served_from_a_filled_cache(tmp_path, monkeypatch, capsys):
+    # the cache answers, so the session is never built
+    from soldefect import cli, fetch
+
+    def refuse():
+        raise AssertionError("network session built")
+
+    monkeypatch.setattr(fetch, "UrllibSession", refuse)
+    entry = tmp_path / "cache" / normalize_address(ADDRESS)
+    entry.mkdir(parents=True)
+    code_path = str(entry / "runtime.hex")
+    (entry / "runtime.hex").write_text("0x6001600201\n")
+    notice = f"{ADDRESS}: contract source is not verified; bytecode only"
+    (entry / "meta.json").write_text(json.dumps(
+        {"source_path": None, "bytecode_path": code_path, "notices": [notice]}))
+    code = cli.main(["fetch", ADDRESS, "--api-base", "https://scan.example/api",
+                     "--cache-dir", str(tmp_path / "cache")])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert out == code_path + "\n"
+    assert err == f"soldefect: {notice}\nsoldefect: served from cache\n"
 
 
 def test_cli_fetch_that_cannot_write_its_cache_exits_3(tmp_path, monkeypatch):

@@ -68,6 +68,7 @@ contract C {
     constructor() public {}
     modifier onlyOwner { _; }
     event E(address indexed who, uint256 amount);
+    event Quiet(uint256 amount) anonymous;
 }
 """)
     c = unit.contracts[0]
@@ -77,6 +78,18 @@ contract C {
     assert g.modifiers_invoked == [("onlyOwner", [])]
     assert ctor.is_constructor
     assert c.events[0].parameters[0].is_indexed
+    assert [e.anonymous for e in c.events] == [False, True]
+
+
+def test_canonical_type_names():
+    c = parse_ok("""contract C {
+    int a; mapping(address => uint) m; byte[2] b;
+    function f() { var v = 1; }
+}""").contracts[0]
+    assert [v.type_name.canonical() for v in c.state_variables] == \
+        ["int256", "mapping(address=>uint256)", "bytes1[2]"]
+    local = c.functions[0].body.statements[0].declaration
+    assert local.type_name.canonical() == "var"
 
 
 def test_expression_shapes():
@@ -168,10 +181,13 @@ def test_number_literal_value_matches_fractions(text, unit):
 
 
 def test_var_for_loop():
-    unit = parse_ok("contract C { function f() { for(var i = 0; i < 10; i++){} } }")
-    loop = unit.contracts[0].functions[0].body.statements[0]
+    text = "contract C { function f() { for(var i = 0; i < 10; i++){} } }"
+    loop = parse_ok(text).contracts[0].functions[0].body.statements[0]
     assert isinstance(loop, ForStatement)
     assert loop.init.declaration.type_name.kind == "var"
+    # a for-init statement's span ends before its `;`
+    span = loop.init.span
+    assert text[span.offset:span.offset + span.length] == "var i = 0"
 
 
 def test_span_containment():
@@ -315,6 +331,40 @@ def test_nameless_local_is_one_error_and_no_statement():
     assert [(d.severity, d.message) for d in result.diagnostics] == \
         [("error", "expected identifier, found ';'")]
     assert result.unit.contracts[0].functions[0].body.statements == []
+
+
+@pytest.mark.parametrize("loop,message", [
+    ("for (uint; ;) { y = 1; }", "expected identifier, found ';'"),
+    ("for (uint; i < 2; i++) { y = 1; }", "expected identifier, found ';'"),
+    ("for (x = ; ;) { y = 1; }", "unexpected ';' in expression"),
+    ("for (uint) { y = 1; }", "expected identifier, found ')'"),
+    ("for (uint) y = 1;", "expected identifier, found ')'"),
+])
+def test_a_for_init_error_is_one_error(loop, message):
+    # the init statement recovers as a statement does: one error, then the
+    # header goes on after the init's `;`; a header without one is skipped
+    # with the loop
+    result = parse_source("contract C { function f() { " + loop + " } }",
+                          "t.sol")
+    assert [(d.severity, d.message) for d in result.diagnostics] == \
+        [("error", message)]
+    body = result.unit.contracts[0].functions[0].body.statements
+    if "uint)" in loop:
+        assert body == []
+    else:
+        [kept] = body
+        assert kept.init is None and len(kept.body.statements) == 1
+
+
+@pytest.mark.parametrize("source,message", [
+    ("contract C { function f(", "expected a type"),
+    ("contract C { event E(); function f() { emit E; } }",
+     "emit expects an event call"),
+], ids=["type at the end", "emit of a non-call"])
+def test_one_error_names_the_construct(source, message):
+    result = parse_source(source, "t.sol")
+    assert [(d.severity, d.message) for d in result.diagnostics][0] == \
+        ("error", message)
 
 @pytest.mark.parametrize("line", range(1, 9))
 def test_stray_brace_in_victim_keeps_attacker(line):

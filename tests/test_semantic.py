@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from soldefect.analyzer import source_facts
+from soldefect.nodes import FunctionDefinition
 from soldefect.semantic import (build_call_graph, compute_def_use,
                                 flatten_contract, infer_var_type)
 
-from conftest import LISTINGS, has_errors, parse_source, read_listing
-from synth import generate_contract_file, payable_chain
+from conftest import has_errors, parse_source, read_listing
+from test_snapshot import snapshot_sources
 
 
 def _contract(text: str, index: int = 0):
@@ -331,19 +332,17 @@ def test_flatten_a_deep_inheritance_chain():
 
 
 def test_the_file_index_and_a_function_alone_give_the_same_facts():
-    # the analyzer passes the file's one node index, a caller without one
-    # indexes each function alone: both must build the same facts
-    sources = {name: read_listing(name) for name in LISTINGS}
-    sources.update((f"synth_{i:02d}.sol", generate_contract_file(70_000 + i))
-                   for i in range(60))
-    sources["chain.sol"] = payable_chain(50)
+    # the detectors read def-use from each body's index, over the file's one
+    # node index; a caller without one (the benchmark's traced pass) lists
+    # and indexes each function alone: both must build the same facts
     functions = 0
-    for name, text in sources.items():
+    for name, text in snapshot_sources().items():
         facts = source_facts(parse_source(text, name), name)
         for cf in facts.contracts:
             assert build_call_graph(cf.table) \
                 == build_call_graph(cf.table, facts.tree)
-            for fn in cf.contract.functions:
-                assert compute_def_use(fn) == compute_def_use(fn, facts.tree)
+        for index in facts.bodies():
+            if isinstance(index.fn, FunctionDefinition):
+                assert compute_def_use(index.fn) == index.def_use
                 functions += 1
-    assert functions > 800
+    assert functions > 3000

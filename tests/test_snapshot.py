@@ -42,6 +42,7 @@ import soldefect
 
 from soldefect.analyzer import analyze_input, analyze_paths
 from soldefect.config import DetectorConfig, RunConfig
+from soldefect.detectors import REGISTRY
 from soldefect.evm.cfg import build_cfg
 from soldefect.evm.loops import detect_loops
 from soldefect.evm.selectors import extract_selectors
@@ -80,9 +81,9 @@ INHERITANCE_SNAPSHOTS = {
 
 EVM_FACTS_SNAPSHOT = "f62fa8ff2c58d7f9e07bb6f7900b4886bd683e4721f1ccdaeecc245a1a94b0ed"
 
-DIAGNOSTICS_SNAPSHOT = "d453c08a4c906a614142149493f0cf455dc9ac56280410590e4e0337f3d575be"
+DIAGNOSTICS_SNAPSHOT = "09b39f04da0e661b9505c8ca4615c716517b1499ac11a1b40b1621a24a131cb6"
 
-TREE_SNAPSHOT = "3e7749c3408194ed223d895d137614a7a31c296b0dd23c440a5cdc9b3b23dec0"
+TREE_SNAPSHOT = "c61d0948ff995e0023ff3b7e1dfc59fc5558b2dd75fe110eb2474b7c4efc7abb"
 
 # transfer(address,uint256) and balanceOf(address): a partial ERC-20
 TRANSFER, BALANCE_OF = 0xa9059cbb, 0x70a08231
@@ -220,6 +221,20 @@ contract Coin is Token {
 """,
 }
 
+
+def snapshot_sources() -> dict[str, str]:
+    """The source inputs of the three corpora, by file name: the synthetic
+    files of ``snapshot_corpus`` (``write_corpus`` at seed 7 seeds file i
+    with 70,000 + i), the listings, the strict-only contract and the
+    inheritance sources."""
+    sources = {f"synth_{i:04d}.sol": generate_contract_file(70_000 + i, 80)
+               for i in range(40)}
+    sources.update((name, read_listing(name)) for name in LISTINGS)
+    sources["strict.sol"] = STRICT_ONLY_SOURCE
+    sources.update(INHERITANCE_SOURCES)
+    return sources
+
+
 CONFIGS = {
     "default": DetectorConfig(),
     "strict": DetectorConfig(strict_balance_neq=True,
@@ -301,6 +316,28 @@ def test_sarif_snapshot(request, reports, corpus, name):
          "inheritance": "inheritance_corpus"}[corpus])
     assert snapshot_hash(root, name, reports, "sarif") == \
         SARIF_SNAPSHOTS[corpus, name]
+
+
+def test_a_detector_alone_finds_what_it_finds_in_a_full_run():
+    # facts are built when a detector first asks for them: which detectors
+    # run, and so which asks first, must not change any detector's findings
+    inputs = {name: text.encode("utf-8")
+              for name, text in snapshot_sources().items()}
+    inputs.update((name, ("0x" + code.hex()).encode("ascii"))
+                  for name, code in MIXED_PROGRAMS.items())
+    fired = set()
+    for name, raw in inputs.items():
+        full = analyze_input(raw, name, RunConfig())
+        assert full.error is None, name
+        fired.update(f.detector for f in full.findings)
+        for desc in REGISTRY:
+            alone = analyze_input(raw, name, RunConfig(
+                detectors=DetectorConfig(enable={desc.id})))
+            assert alone.error is None and alone.diagnostics \
+                == full.diagnostics, (name, desc.code)
+            assert alone.findings == [f for f in full.findings
+                                      if f.detector == desc.id], (name, desc.code)
+    assert fired == {desc.id for desc in REGISTRY}
 
 
 def test_report_bytes_do_not_depend_on_the_hash_seed(mixed_corpus):
