@@ -3,7 +3,7 @@
 Subcommands: analyze, fetch, score, detectors.
 Exit codes: 0 = clean, 1 = findings present (or imperfect score),
 2 = usage/parse error, 3 = I/O or fetch failure, or a report that could
-not be written.
+not be written, 120 = stdout closed before all was written.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_CLOSED = 120  # what Python exits with when its exit flush fails
 
 # the formats of the score card and the catalog, which have no SARIF form
 TABLE_FORMATS = ("text", "json")
@@ -103,8 +104,9 @@ def _make_run_config(args: argparse.Namespace) -> RunConfig:
 
 def _emit(data: bytes, output: str | None, code: int) -> int:
     """Write ``data`` to the file ``output``, or to stdout, and return
-    ``code``: the command's exit code, or EXIT_IO if ``output`` cannot be
-    written."""
+    ``code``: the command's exit code, EXIT_IO if ``output`` cannot be
+    written, or EXIT_CLOSED if stdout's reader is gone (stdout then goes to
+    the null device, so that no later flush fails)."""
     if output:
         try:
             with open(output, "wb") as fh:
@@ -113,8 +115,14 @@ def _emit(data: bytes, output: str | None, code: int) -> int:
             print(f"soldefect: {exc}", file=sys.stderr)
             return EXIT_IO
     else:
-        sys.stdout.buffer.write(data)
-        sys.stdout.flush()
+        try:
+            sys.stdout.buffer.write(data)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            print(f"soldefect: stdout: {type(exc).__name__}: {exc}", file=sys.stderr)
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            return EXIT_CLOSED
     return code
 
 
@@ -158,11 +166,10 @@ def cmd_fetch(args: argparse.Namespace, config: RunConfig) -> int:
         return EXIT_IO
     for notice in result.notices:
         print(f"soldefect: {notice}", file=sys.stderr)
-    for path in result.paths:
-        print(path)
     if result.from_cache:
         print("soldefect: served from cache", file=sys.stderr)
-    return EXIT_CLEAN
+    return _emit("".join(f"{path}\n" for path in result.paths).encode(), None,
+                 EXIT_CLEAN)
 
 
 def cmd_score(args: argparse.Namespace, config: RunConfig) -> int:
@@ -196,13 +203,12 @@ def cmd_detectors(args: argparse.Namespace, config: RunConfig) -> int:
              "description": d.description, "advice": d.advice}
             for d in REGISTRY
         ]
-        print(_json.dumps(payload, indent=2))
-        return EXIT_CLEAN
-    for d in REGISTRY:
-        frontends = "+".join(sorted(d.frontends))
-        print(f"{d.code}  {d.id:34} {d.impact}  {d.category:15} "
-              f"[{frontends}]  {d.name}")
-    return EXIT_CLEAN
+        text = _json.dumps(payload, indent=2) + "\n"
+    else:
+        text = "".join(f"{d.code}  {d.id:34} {d.impact}  {d.category:15} "
+                       f"[{'+'.join(sorted(d.frontends))}]  {d.name}\n"
+                       for d in REGISTRY)
+    return _emit(text.encode(), None, EXIT_CLEAN)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -123,14 +123,6 @@ class ScoreCard:
         return out
 
 
-def relativize(path: str, root: str) -> str:
-    abs_path = os.path.abspath(path)
-    abs_root = os.path.abspath(root)
-    if abs_path == abs_root or abs_path.startswith(abs_root + os.sep):
-        return os.path.relpath(abs_path, abs_root).replace(os.sep, "/")
-    return path.replace(os.sep, "/")
-
-
 def score(report: Report, manifest: CorpusManifest,
           force_wildcard: bool = False) -> ScoreCard:
     """Match findings against expected entries.
@@ -151,7 +143,8 @@ def score(report: Report, manifest: CorpusManifest,
 
     seen_files: dict[str, set[str]] = {}
     for finding in report.findings:
-        rel = relativize(finding.file, manifest.root)
+        # every input was collected under the root
+        rel = os.path.relpath(finding.file, manifest.root).replace(os.sep, "/")
         seen_files.setdefault(finding.detector, set()).add(rel)
         position = finding.line if finding.line is not None else finding.pc
         exact_key = (rel, position, finding.detector)

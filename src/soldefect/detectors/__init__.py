@@ -33,7 +33,8 @@ def resolve_detector_id(name: str) -> str | None:
 
 
 def run_detectors(ctx: AnalysisContext) -> list[Finding]:
-    """Run every enabled detector whose facts are present; never raises.
+    """Run every enabled detector of the frontend whose facts ``ctx`` holds
+    (a caller sets one of them); never raises.
 
     Each (where, message) hit a detector yields becomes a Finding with the
     detector's catalog entry: a source hit's span gives line and column
@@ -54,15 +55,13 @@ def run_detectors(ctx: AnalysisContext) -> list[Finding]:
         def finding(d, span, message):
             return Finding(d.id, d.category, d.impact, file_id, message,
                            d.advice, *position(unit.line_starts, span.offset))
-    elif ctx.bytecode is not None:
+    else:
         file_id, detectors = ctx.bytecode.file_id, _BYTECODE_DETECTORS
         where_failed = (Span(file_id, 0, 0), 1, 1)
 
         def finding(d, pc, message):
             return Finding(d.id, d.category, d.impact, file_id, message,
                            d.advice, pc=pc)
-    else:
-        return []
     findings: list[Finding] = []
     for desc in REGISTRY:
         fn = detectors.get(desc.id)

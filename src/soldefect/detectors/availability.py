@@ -4,14 +4,12 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from ..nodes import (CallExpression, EmitStatement, ExpressionStatement,
-                     FunctionDefinition, IfStatement, ModifierDefinition,
-                     ThrowStatement)
+from ..nodes import (EmitStatement, ExpressionStatement, FunctionDefinition,
+                     IfStatement, ModifierDefinition, ThrowStatement)
 from ..semantic import SymbolTable
 from .base import AnalysisContext, DetectorDescriptor, Hit, register
-from .common import (ETHER_SENDING_KINDS, builtin_call_name,
-                     can_receive_ether, is_guard_call, is_revert,
-                     is_selfdestruct, returns_on_all_paths, unwrap)
+from .common import (builtin_call_name, can_receive_ether, is_guard_call,
+                     is_revert, returns_on_all_paths, unwrap)
 from .index import FunctionIndex
 
 # ---------------------------------------------------------------------------
@@ -187,13 +185,8 @@ def detect_greedy_contract(ctx: AnalysisContext) -> Iterator[Hit]:
     for cf in ctx.source.contracts:
         if not can_receive_ether(cf.table):
             continue
-        if _can_move_ether_out(ctx.source.callables(cf)):
+        if any(index.ether_exits for index in ctx.source.callables(cf)):
             continue
         yield (cf.contract.span,
                f"contract {cf.contract.name} can receive ether but has no way "
                f"to send it out")
-
-
-def _can_move_ether_out(callables: list[FunctionIndex]) -> bool:
-    return any(index.kind(node) in ETHER_SENDING_KINDS or is_selfdestruct(node)
-               for index in callables for node in index.of(CallExpression))

@@ -17,8 +17,8 @@ from ..nodes import (Assignment, CallExpression, Conditional, Expression,
                      VariableDeclaration, VariableDeclarationStatement,
                      WhileStatement, statements)
 from ..semantic import SymbolTable, VarFacts, liveness
-from .common import (bound_is_constant, external_call, is_guard_call,
-                     store_base, unwrap)
+from .common import (ETHER_SENDING_KINDS, bound_is_constant, external_call,
+                     is_guard_call, is_selfdestruct, store_base, unwrap)
 
 
 class FunctionIndex:
@@ -90,6 +90,18 @@ class FunctionIndex:
     def def_use(self) -> list[VarFacts]:
         """``semantic.liveness`` of this function body."""
         return liveness(self.fn, self.statements, self.within)
+
+    @cached_property
+    def ether_exits(self) -> set[str]:
+        """How ether can leave this body: "call" for a call that sends
+        value, "selfdestruct" for selfdestruct or suicide."""
+        exits = set()
+        for node in self.of(CallExpression):
+            if self.kind(node) in ETHER_SENDING_KINDS:
+                exits.add("call")
+            elif is_selfdestruct(node):
+                exits.add("selfdestruct")
+        return exits
 
     @cached_property
     def conditions(self) -> list[Expression]:

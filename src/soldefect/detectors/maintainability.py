@@ -5,11 +5,10 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from ..evm.eip55 import is_valid_address
-from ..nodes import (Assignment, CallExpression, HexLiteral, Identifier,
-                     MemberAccess)
+from ..nodes import Assignment, HexLiteral, Identifier, MemberAccess
 from .base import (AnalysisContext, ContractFacts, DetectorDescriptor, Hit,
                    SourceFacts, register)
-from .common import can_receive_ether, global_member, is_selfdestruct, unwrap
+from .common import can_receive_ether, global_member, unwrap
 from .index import FunctionIndex
 
 HARD_CODE_ADDRESS = DetectorDescriptor(
@@ -58,18 +57,14 @@ def detect_missing_interrupter(ctx: AnalysisContext) -> Iterator[Hit]:
     for cf in ctx.source.contracts:
         if not can_receive_ether(cf.table):
             continue  # cannot accumulate ether through calls
-        if _has_selfdestruct(ctx.source.callables(cf)):
+        if any("selfdestruct" in index.ether_exits
+               for index in ctx.source.callables(cf)):
             continue
         if _has_circuit_breaker(cf, ctx.source):
             continue
         yield (cf.contract.span,
                f"contract {cf.contract.name} can hold ether but has no "
                f"emergency stop mechanism")
-
-
-def _has_selfdestruct(callables: list[FunctionIndex]) -> bool:
-    return any(is_selfdestruct(node) for index in callables
-               for node in index.of(CallExpression))
 
 
 def _has_circuit_breaker(cf: ContractFacts, source: SourceFacts) -> bool:

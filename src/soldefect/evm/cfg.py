@@ -371,14 +371,13 @@ def _fold(op: str, a: int, b: int) -> int:
         return a ^ b
     if op == "BYTE":
         return (b >> (8 * (31 - a))) & 0xFF if a < 32 else 0
-    if op == "SIGNEXTEND":
-        if a >= 31:
-            return b
-        bit = 8 * (a + 1) - 1
-        if b & (1 << bit):
-            return b | (_WORD ^ ((1 << (bit + 1)) - 1))
-        return b & ((1 << (bit + 1)) - 1)
-    raise AssertionError(op)
+    # SIGNEXTEND, the last name of _FOLDABLE
+    if a >= 31:
+        return b
+    bit = 8 * (a + 1) - 1
+    if b & (1 << bit):
+        return b | (_WORD ^ ((1 << (bit + 1)) - 1))
+    return b & ((1 << (bit + 1)) - 1)
 
 
 def _step(stack: list, op: int, pc: int) -> bool:

@@ -326,14 +326,17 @@ class FunctionDefinition:
     body: Block | None
     is_constructor: bool
     span: Span
+    # "name(canonical parameter types)", set once when the node is built
+    signature: str = field(default_factory=str, init=False, repr=False,
+                           compare=False)
+
+    def __post_init__(self) -> None:
+        params = ",".join(p.type_name.canonical() for p in self.parameters)
+        self.signature = f"{self.name}({params})"
 
     @property
     def is_fallback(self) -> bool:
         return self.name == "" and not self.is_constructor
-
-    def signature(self) -> str:
-        params = ",".join(p.type_name.canonical() for p in self.parameters)
-        return f"{self.name}({params})"
 
 
 @record(slots=True)

@@ -87,13 +87,9 @@ def filter_by_impact(report: Report, min_impact: str) -> Report:
 
 
 def render(report: Report, format: str) -> bytes:
-    if format == "text":
-        return render_text(report)
-    if format == "json":
-        return render_json(report)
-    if format == "sarif":
-        return render_sarif(report)
-    raise ValueError(f"unknown output format {format!r}")
+    """The report in ``format``, one of ``config.FORMATS``."""
+    return {"text": render_text, "json": render_json,
+            "sarif": render_sarif}[format](report)
 
 
 def render_text(report: Report) -> bytes:

@@ -69,7 +69,7 @@ def flatten_contract(unit: SourceUnit, contract: ContractDefinition,
             for var in c.state_variables:
                 table.state_variables[var.name] = var
             for fn in c.functions:
-                key = fn.signature()
+                key = fn.signature
                 table.functions.pop(key, None)  # an override moves to the end
                 table.functions[key] = fn
             for mod in c.modifiers:

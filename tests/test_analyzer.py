@@ -7,18 +7,21 @@ import selectors
 import signal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from soldefect import analyzer
 from soldefect.analyzer import (_looks_like_hex_text, analyze_file,
                                 analyze_input, analyze_paths, collect_inputs,
                                 file_mode, worker_count)
 from soldefect.config import RunConfig
+from soldefect.lexer import tokenize
 from soldefect.report import render
 
+import asm
 from asm import (BALANCE_EQ, CALL_BODY, DEAD_CALL_INTO_LOOP, STACK_OVERFLOW,
                  counted_loop, dispatcher, storage_bound_loop)
-from conftest import CORPUS_DIR, DEEP_CONTRACT, no_child_left, read_listing
+from conftest import (CORPUS_DIR, DEEP_CONTRACT, LISTINGS, no_child_left,
+                      read_listing)
 from synth import generate_contract_file, write_corpus
 
 
@@ -124,11 +127,15 @@ def test_unreadable_file_reports_io_error(tmp_path):
 
 
 def test_serial_and_parallel_reports_equal(tmp_path):
-    from synth import write_corpus
+    # a dangling link has no size to order the queue by: it fails in phase
+    # read, and the run goes on
     write_corpus(tmp_path, 12)
+    os.symlink(tmp_path / "missing.sol", tmp_path / "dangling.sol")
     serial, _ = analyze_paths([str(tmp_path)], RunConfig(jobs=1))
-    parallel, _ = analyze_paths([str(tmp_path)], RunConfig(jobs=4))
+    parallel, outcomes = analyze_paths([str(tmp_path)], RunConfig(jobs=4))
     assert serial == parallel
+    assert [(os.path.basename(o.path), o.phase) for o in outcomes
+            if o.error is not None] == [("dangling.sol", "read")]
 
 
 def test_a_killed_worker_costs_only_its_file(tmp_path, monkeypatch):
@@ -290,3 +297,50 @@ def test_rendering_leaves_as_many_cycles_whatever_the_inputs(tmp_path):
         counts.append(per_format)
     assert counts[0] == counts[1]
     assert counts[0][0] == 0
+
+
+def _pieces(text: str) -> list[str]:
+    """The text as its tokens, each with the whitespace before it."""
+    ends = [offset + length for _kind, _text, offset, length in tokenize(text, "t.sol")]
+    return [text[start:end] for start, end in zip([0] + ends, ends + [len(text)])]
+
+
+_LISTING_PIECES = [_pieces(read_listing(name)) for name in LISTINGS]
+_PROGRAMS = [value for value in vars(asm).values() if isinstance(value, bytes)] + [
+    counted_loop(5, CALL_BODY), storage_bound_loop(CALL_BODY)]
+
+
+@st.composite
+def _mutated_listing(draw) -> tuple[bytes, str]:
+    pieces = list(draw(st.sampled_from(_LISTING_PIECES)))
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, len(pieces) - 2))
+        edit = draw(st.sampled_from(["drop", "duplicate", "swap"]))
+        if edit == "drop":
+            del pieces[k]
+        elif edit == "duplicate":
+            pieces.insert(k, pieces[k])
+        else:
+            pieces[k], pieces[k + 1] = pieces[k + 1], pieces[k]
+    return "".join(pieces).encode(), "mutant.sol"
+
+
+@st.composite
+def _flipped_program(draw) -> tuple[bytes, str]:
+    code = bytearray(draw(st.sampled_from(_PROGRAMS)))
+    for _ in range(draw(st.integers(1, 4))):
+        code[draw(st.integers(0, len(code) - 1))] ^= 1 << draw(st.integers(0, 7))
+    return ("0x" + code.hex()).encode(), "flipped.hex"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(_mutated_listing(), _flipped_program(),
+                 st.tuples(st.binary(max_size=300), st.just("random.bin"))))
+def test_a_damaged_input_fails_only_where_its_input_is_read(case):
+    # tokens dropped, duplicated or swapped in a listing, bits flipped in a
+    # hand-assembled program, random bytes: an input may fail to decode or
+    # to lex, and every later phase and every detector copes with the rest
+    raw, name = case
+    outcome = analyze_input(raw, name, RunConfig())
+    assert outcome.error is None or outcome.phase in ("decode", "lex"), outcome.error
+    assert not [d for d in outcome.diagnostics if d.message.startswith("detector ")]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import io
 import json
 import os
 import subprocess
@@ -7,11 +9,13 @@ import sys
 
 import pytest
 
+from soldefect import cli
 from soldefect.cli import FLAG_KEYS, _make_run_config, build_arg_parser, main
 from soldefect.parser import MAX_NESTING
 
 from asm import counted_loop
 from conftest import DEEP_CONTRACT, read_listing
+from synth import write_corpus
 
 CLEAN_CONTRACT = """pragma solidity 0.4.25;
 contract Clean {
@@ -483,22 +487,60 @@ def test_console_run_exit_codes(tmp_path, corpus_copy, jobs):
     assert len(catalog.stdout.decode().splitlines()) == 20
 
 
-def test_console_run_to_a_closed_pipe_exits_as_python_does():
-    # the catalog waits in stdout's buffer until the exit flush, which fails:
-    # the process ends as one that returns through interpreter teardown
-    runs = []
-    for command in (("-m", "soldefect.cli"),
-                    ("-c", "import sys, soldefect.cli as c; sys.exit(c.main())")):
-        read_fd, write_fd = os.pipe()
-        os.close(read_fd)
-        try:
-            runs.append(_cli_process(["detectors"], stdout=write_fd,
-                                     command=command))
-        finally:
-            os.close(write_fd)
-    assert [run.returncode for run in runs] == [120, 120]
-    assert runs[0].stderr == runs[1].stderr
-    assert b"BrokenPipeError" in runs[0].stderr
+def test_console_run_to_a_closed_pipe_exits_as_python_does(tmp_path):
+    # the text and JSON catalogs, and a report larger than a pipe holds
+    # (91 KB), each to a pipe closed before the process starts: the write
+    # fails, and the process ends as one whose exit flush failed, with one
+    # line on stderr and no traceback
+    write_corpus(tmp_path, 10)
+    for args in (["detectors"], ["detectors", "--format", "json"],
+                 ["analyze", tmp_path, "--format", "json", "--jobs", "1"]):
+        runs = []
+        for command in (("-m", "soldefect.cli"),
+                        ("-c", "import sys, soldefect.cli as c; sys.exit(c.main())")):
+            read_fd, write_fd = os.pipe()
+            os.close(read_fd)
+            try:
+                runs.append(_cli_process(args, stdout=write_fd, command=command))
+            finally:
+                os.close(write_fd)
+        assert [run.returncode for run in runs] == [120, 120], args
+        assert runs[0].stderr == runs[1].stderr
+        assert b"BrokenPipeError" in runs[0].stderr
+        assert b"Traceback" not in runs[0].stderr
+
+
+def test_a_closed_stdout_is_reported_once(monkeypatch, capsys):
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    with open(write_fd, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli._emit(b"x" * 100_000, None, cli.EXIT_FINDINGS) == 120
+        print("more")  # what follows goes to the null device
+        stdout.flush()
+    assert capsys.readouterr().err == (
+        "soldefect: stdout: BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+def test_console_run_in_process(monkeypatch):
+    # run() turns the cycle collector off, runs main() and ends through
+    # os._exit with its code; when the final flush fails, through sys.exit
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: 1)
+    monkeypatch.setattr(gc, "disable", lambda: calls.append("collector off"))
+    monkeypatch.setattr(os, "_exit", calls.append)
+    cli.run()
+    assert calls == ["collector off", 1]
+
+    class ClosedPipe(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(SystemExit) as exited:
+        cli.run()
+    assert exited.value.code == 1
+    assert calls == ["collector off", 1, "collector off"]
 
 
 def test_console_run_turns_the_cycle_collector_off():

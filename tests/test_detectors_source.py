@@ -133,19 +133,24 @@ def test_constant_bound_loop_quiet():
 def test_loop_bounds_in_one_function():
     # a `constant` state variable with a literal initializer and a negative
     # literal are constant bounds; a loop with no condition has none, and
-    # has no bound for a counter to overflow either
+    # has no bound for a counter to overflow either; nor has a condition
+    # that is not a comparison, or not one alone
     found = hits("""contract C {
     uint constant N = 10;
+    bool go;
     function f(address a) {
         for (uint i = 0; i < N; i++) { a.transfer(1); }
         for (int j = 10; j > -1; j--) { a.transfer(1); }
         for (;;) { a.transfer(1); }
+        while (go) { a.transfer(1); }
+        while (go && N > 0) { a.transfer(1); }
     }
 }""")
     loops = {"dos-under-external-influence", "nested-call",
              "unmatched-type-assignment"}
     assert {hit for hit in found if hit[0] in loops} == {
-        ("dos-under-external-influence", 6), ("nested-call", 6)}
+        (detector, line) for line in (7, 8, 9)
+        for detector in ("dos-under-external-influence", "nested-call")}
 
 
 def test_boolean_send_with_break_quiet():
@@ -160,12 +165,14 @@ def test_boolean_send_with_break_quiet():
 
 
 def test_require_in_unbounded_loop_fires():
-    assert "dos-under-external-influence" in detectors_fired("""contract C {
+    # and so does a throw
+    assert {line for detector, line in hits("""contract C {
     address[] members;
     function f() {
         for (uint i = 0; i < members.length; i++) { require(members[i] != 0); }
+        for (uint j = 0; j < members.length; j++) { throw; }
     }
-}""")
+}""") if detector == "dos-under-external-influence"} == {4, 5}
 
 
 # -- D03 strict balance equality -----------------------------------------------
@@ -255,9 +262,20 @@ def test_matching_param_bound_quiet():
     ("for (uint8 i = 0; i < limit; i++) { }", True),
     # a counter assigned, not declared, has no type to check
     ("for (j = 0; j < 300; j++) { }", False),
+    # nor has a counter of a type that is not an integer
+    ("for (Token t = 0; t < 300; t++) { }", False),
+    ("for (bool b = false; b < 300; ) { }", False),
+    ("for (address a = 0; a < 300; a++) { }", False),
+    # a condition that is no comparison, one that does not read the
+    # counter, and a fractional bound bound nothing
+    ("for (uint8 i = 0; j; i++) { }", False),
+    ("for (uint8 i = 0; j < 300; i++) { }", False),
+    ("for (uint8 i = 0; i < 1.5; i++) { }", False),
 ], ids=["counter-on-right", "inclusive-bound-reached",
         "inclusive-bound-in-range", "inclusive-counter-on-right",
-        "unresolved-bound", "assigned-counter"])
+        "unresolved-bound", "assigned-counter", "user-type-counter",
+        "bool-counter", "address-counter", "condition-not-a-comparison",
+        "condition-without-the-counter", "fractional-bound"])
 def test_loop_bound_forms(loop, fires):
     source = f"contract C {{ uint8 j; function f() {{ {loop} }} }}"
     assert ("unmatched-type-assignment" in detectors_fired(source)) is fires

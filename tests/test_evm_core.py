@@ -3,7 +3,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from soldefect.evm import cfg as cfg_module
 from soldefect.evm.cfg import build_cfg
@@ -164,9 +164,13 @@ def test_running_out_of_the_step_budget_is_recorded(monkeypatch):
 
 
 def test_stack_overflow_halts_the_path():
-    cfg = build_cfg(STACK_OVERFLOW)
-    assert cfg.blocks[cfg.entry].successors == []
-    assert set(cfg.dominators) == {cfg.entry}
+    # and so do a JUMP and a POP of an empty stack, and a SWAP1 of one value
+    for code in (STACK_OVERFLOW, assemble(["JUMP", "JUMPDEST", "STOP"]),
+                 assemble(["POP", "PUSH1 @end", "JUMP", "end:", "JUMPDEST", "STOP"]),
+                 assemble(["PUSH1 @end", "SWAP1", "JUMP", "end:", "JUMPDEST", "STOP"])):
+        cfg = build_cfg(code)
+        assert cfg.blocks[cfg.entry].successors == []
+        assert set(cfg.dominators) == {cfg.entry}
 
 
 def test_block_partition_invariants():
@@ -332,19 +336,29 @@ def test_counted_loop_constant_bound():
 
 
 def test_storage_bound_loop_unbounded():
-    cfg = build_cfg(storage_bound_loop())
-    loops = detect_loops(cfg)
-    assert len(loops) == 1
-    assert loops[0].bound is None
+    # and a loop that exits on a calldata word, not on a comparison
+    calldata_exit = assemble(["header:", "JUMPDEST", "PUSH1 0", "CALLDATALOAD",
+                              "PUSH2 @exit", "JUMPI", "PUSH2 @header", "JUMP",
+                              "exit:", "JUMPDEST", "STOP"])
+    for code in (storage_bound_loop(), calldata_exit):
+        loops = detect_loops(build_cfg(code))
+        assert len(loops) == 1
+        assert loops[0].bound is None
 
 
 def test_loop_header_dominates_body():
+    # the last has an `if` in its body: the block after the `if` is reached
+    # from the branch and from the block that skips it
+    if_in_body = counted_loop(3, ["PUSH1 0", "CALLDATALOAD", "PUSH2 @skip",
+                                  "JUMPI", "PUSH1 0", "POP", "skip:", "JUMPDEST"])
     for code in (counted_loop(3), storage_bound_loop(CALL_BODY),
-                 DEAD_CALL_INTO_LOOP):
+                 DEAD_CALL_INTO_LOOP, if_in_body):
         cfg = build_cfg(code)
         for loop in detect_loops(cfg):
             for block in loop.body:
                 assert cfg.dominates(loop.header, block)
+    [loop] = detect_loops(build_cfg(if_in_body))
+    assert len(loop.body) == 4
 
 
 def test_loop_has_back_edge():
@@ -647,6 +661,8 @@ _words = st.one_of(st.integers(0, 2**256 - 1),
 
 
 @given(st.sampled_from(["LT", "GT", "SLT", "SGT", "EQ"]), _words, _words)
+@example("SLT", 2**256 - 1, 0)  # -1 < 0
+@example("SGT", 1, 2**255)  # 1 > -2 ** 255
 def test_constant_comparisons_follow_the_evm(op, a, b):
     from soldefect.evm.cfg import _eval_cmp
 

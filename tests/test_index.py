@@ -9,11 +9,13 @@ import os
 
 import pytest
 
-from soldefect.analyzer import source_facts
+from soldefect.analyzer import analyze_input, source_facts
+from soldefect.config import RunConfig
 from soldefect.detectors import AnalysisContext, run_detectors
 from soldefect.detectors.index import FunctionIndex, NodeIndex
 from soldefect.nodes import (Block, CallExpression, ForStatement, Identifier,
-                             IfStatement, MemberAccess, WhileStatement, walk)
+                             IfStatement, MemberAccess, TypeName,
+                             WhileStatement, walk)
 from conftest import CORPUS_DIR, parse_source
 from synth import generate_contract_file, payable_chain
 
@@ -165,3 +167,28 @@ def test_each_file_and_body_is_indexed_once(monkeypatch, count):
             assert index is declared[id(index.fn)]
             assert index.table is owner[id(index.fn)].table
     assert len(trees) == 1 and len(indexes) == 2 * count - 1
+
+
+def _chain_work(monkeypatch, count: int) -> dict[str, int]:
+    """Calls of ``TypeName.canonical`` and ``NodeIndex.select`` made by
+    analyzing a chain of ``count`` contracts whose payable functions take a
+    parameter."""
+    calls = dict.fromkeys(("canonical", "select"), 0)
+    for cls, name in ((TypeName, "canonical"), (NodeIndex, "select")):
+        def counted(*args, _method=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _method(*args)
+        monkeypatch.setattr(cls, name, counted)
+    text = payable_chain(count).replace("() payable", "(uint amount) payable")
+    assert analyze_input(text.encode(), "chain.sol", RunConfig()).findings
+    monkeypatch.undo()
+    return calls
+
+
+def test_inherited_bodies_are_read_once_per_file(monkeypatch):
+    # each contract's table took the signature of every function it
+    # inherits, and D13 and D18 selected every inherited body's calls for
+    # each contract: both grew with the square of the chain
+    small, large = _chain_work(monkeypatch, 100), _chain_work(monkeypatch, 200)
+    for name in small:
+        assert large[name] <= 2.2 * small[name], (name, small, large)

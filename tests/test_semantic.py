@@ -96,6 +96,11 @@ TYPED_CONTRACT = ("contract C {{ uint16 a; bool flag; address owner; "
     ("a + xs[0]", "uint32"),  # the wider operand
     ("nobody + 1", "uint8"),  # an unknown operand gives way
     ("flag ? a : 3", "uint16"),
+    # a fractional literal has no integer type, nor has its negation
+    ("1.5", None),
+    ("-1.5", None),
+    ("nobody[0]", None),
+    ("(a, flag)", None),
 ])
 def test_infer_by_expression_kind(expr, expected):
     unit, c = _contract(TYPED_CONTRACT.format(expr))
@@ -272,13 +277,15 @@ contract Derived is Base {
     function shared() { uint y = 1; }
     function f(uint a) { uint z = a; }
     function f(bool b) {}
+    function g(uint[N] a, bytes32[2] b) {}
 }
 """, index=1)
     table = flatten_contract(unit, derived, [])
     assert "x" in table.state_variables
     # one entry per signature, in merge order: an override moves to the end
+    # (a length given by a constant's name is not evaluated)
     assert list(table.functions) == ["f(address)", "shared()", "f(uint256)",
-                                     "f(bool)"]
+                                     "f(bool)", "g(uint256[?],bytes32[2])"]
     # the derived overrides win
     for signature in ("shared()", "f(uint256)"):
         assert table.functions[signature] in derived.functions

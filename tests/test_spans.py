@@ -173,5 +173,6 @@ def test_nodes_compare_by_fields_and_are_unhashable():
     other = small_tree()
     other.line_starts = [0, 30]
     assert other == small_tree()  # line starts are not compared
+    assert other != first.contracts[0]  # nodes of two classes
     with pytest.raises(TypeError):
         hash(first.contracts[0])

@@ -4,9 +4,13 @@ itself. Each test forks at most 3 workers at a time."""
 
 from __future__ import annotations
 
+import errno
 import os
 import select
+import signal
 import time
+
+import pytest
 
 from soldefect import workers
 from soldefect.workers import map_forked
@@ -94,4 +98,76 @@ def test_no_drain_sleep_once_every_remaining_item_is_in_flight(monkeypatch):
     items = list(range(6))
     assert map_forked(_wait, items, 2, [1] * 6, _failed) == items
     assert sleeps and not any(sleeps)
+    assert no_child_left()
+
+
+def _slow_after_a_death(x):
+    if x == 0:
+        os._exit(3)
+    select.select([], [], [], 0.1)
+    return x
+
+
+def _record_starts(monkeypatch) -> list:
+    """Patch the parent's fork of a child; note the position each child was
+    given, None for a child of the shared queue."""
+    starts, start = [], workers._Run._start
+
+    def recorded(run, position):
+        starts.append(position)
+        return start(run, position)
+
+    monkeypatch.setattr(workers._Run, "_start", recorded)
+    return starts
+
+
+def test_a_worker_that_dies_while_items_wait_is_replaced(monkeypatch):
+    # the heaviest item kills its worker at once, while five items of 0.1 s
+    # each wait: a third child takes the queue's dead worker's place
+    starts = _record_starts(monkeypatch)
+    results = map_forked(_slow_after_a_death, list(range(6)), 2,
+                         [9, 1, 1, 1, 1, 1], _failed)
+    assert results == [("failed", 0, "exited with status 3"), 1, 2, 3, 4, 5]
+    assert starts == [None, None, None, 0]
+    assert no_child_left()
+
+
+def test_more_lone_retries_than_workers(monkeypatch):
+    # each item kills its worker by a signal that has no name in
+    # signal.Signals: the three are retried alone, two at a time
+    number = signal.SIGRTMIN + 1
+
+    def killed(x):
+        os.kill(os.getpid(), number)
+
+    starts = _record_starts(monkeypatch)
+    results = map_forked(killed, [0, 1, 2], 2, [1, 1, 1], _failed)
+    assert results == [("failed", x, f"was killed by signal {number}")
+                       for x in range(3)]
+    assert starts[-3:] == [0, 1, 2]
+    assert no_child_left()
+
+
+def test_a_result_larger_than_a_pipe_arrives_in_pieces():
+    # the parent reads at most 64 KiB at a time, so each 200 KB result
+    # comes in pieces
+    big = [bytes([x]) * 200_000 for x in range(4)]
+    assert map_forked(big.__getitem__, list(range(4)), 2, [1] * 4, _failed) == big
+    assert no_child_left()
+
+
+def test_a_fork_that_fails_closes_its_pipe_and_leaves_no_child(monkeypatch):
+    fork, forks = os.fork, []
+
+    def second_fork_fails():
+        if forks:
+            raise OSError(errno.EAGAIN, "no more processes")
+        forks.append(None)
+        return fork()
+
+    open_fds = set(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    with pytest.raises(OSError, match="no more processes"):
+        map_forked(_wait, [0, 1, 2], 2, [1, 1, 1], _failed)
+    assert set(os.listdir("/proc/self/fd")) == open_fds
     assert no_child_left()
