@@ -21,7 +21,7 @@ line ran or no longer exists.
 
 A line is executable when ``co_lines()`` lists it for a code object compiled
 from the package, module bodies included. A ledger entry names its line by
-the file, the qualified name of the innermost code object that lists it, and
+the file, the dotted name of the innermost code object that lists it, and
 the line's text, so an edit elsewhere in the file leaves the entry valid::
 
     soldefect/path.py::qualified.name: the line's text
@@ -47,18 +47,21 @@ LEDGER = os.path.join(os.path.dirname(__file__), "UNREACHED.txt")
 
 
 def executable_lines(path: str) -> dict[int, str]:
-    """Each executable line of the file at ``path`` -> the qualified name of
-    the innermost code object that lists it."""
+    """Each executable line of the file at ``path`` -> the dotted name of
+    the innermost code object that lists it, such as ``Class.method``, built
+    from the nesting of code objects (``co_qualname`` is new in 3.11)."""
     with open(path, encoding="utf-8") as fh:
         code = compile(fh.read(), path, "exec")
     owners: dict[int, str] = {}
-    todo = [code]
+    todo = [(code, code.co_name)]
     while todo:  # an enclosing code object comes before those it holds
-        code = todo.pop()
+        code, name = todo.pop()
         for _start, _end, line in code.co_lines():
             if line:  # None, or 0 for a module's first instruction
-                owners[line] = getattr(code, "co_qualname", code.co_name)
-        todo.extend(c for c in code.co_consts if isinstance(c, CodeType))
+                owners[line] = name
+        prefix = "" if code.co_name == "<module>" else name + "."
+        todo.extend((c, prefix + c.co_name) for c in code.co_consts
+                    if isinstance(c, CodeType))
     return owners
 
 
@@ -132,7 +135,8 @@ class LineCount:
             self.hits.clear()
 
     def _exit(self, status: int) -> None:
-        with open(os.path.join(self._spool, str(os.getpid())), "w",
+        # appended to: a pid the session reuses keeps the earlier child's lines
+        with open(os.path.join(self._spool, str(os.getpid())), "a",
                   encoding="utf-8") as fh:
             fh.writelines(f"{path}\t{line}\n" for path, line in self.hits)
         self._previous[2](status)

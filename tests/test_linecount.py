@@ -9,7 +9,8 @@ import os
 
 import pytest
 
-from linecount import LEDGER, SRC, LineCount, compare, missed, read_ledger
+from linecount import (LEDGER, SRC, LineCount, compare, executable_lines,
+                       missed, read_ledger)
 
 MODULE = """\
 def taken(x):
@@ -66,6 +67,16 @@ def test_the_ledger_must_equal_the_lines_that_never_ran(tmp_path):
     assert compare(found, stale, str(package)) == [
         "pkg/mod.py:0: pass  (in the ledger, but no such line)",
         "pkg/mod.py:8: return 3  (in the ledger, but it runs)"]
+
+
+def test_a_line_is_named_by_the_code_objects_that_hold_it(tmp_path):
+    # built from the nesting of code objects, so that the names are the same
+    # on Python versions without co_qualname
+    path = tmp_path / "mod.py"
+    path.write_text("class C:\n    def m(self):\n        def inner():\n"
+                    "            return 1\n        return inner\n")
+    owners = executable_lines(str(path))
+    assert (owners[4], owners[5]) == ("C.m.inner", "C.m")
 
 
 def test_a_ledger_entry_needs_a_reason():
