@@ -3,7 +3,8 @@
 Subcommands: analyze, fetch, score, detectors.
 Exit codes: 0 = clean, 1 = findings present (or imperfect score),
 2 = usage/parse error, 3 = I/O or fetch failure, or a report that could
-not be written, 120 = stdout closed before all was written.
+not be written, 4 = internal error (a fault of soldefect, with its
+traceback), 120 = stdout closed before all was written.
 """
 
 from __future__ import annotations
@@ -24,34 +25,57 @@ EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 EXIT_CLOSED = 120  # what Python exits with when its exit flush fails
 
 # the formats of the score card and the catalog, which have no SARIF form
 TABLE_FORMATS = ("text", "json")
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter at the width it would take from
+    ``shutil.get_terminal_size``, found without loading shutil (and the
+    compression modules it imports) at every start: COLUMNS, else
+    stdout's terminal, else 80 columns, less 2."""
+
+    def __init__(self, prog: str) -> None:
+        try:
+            columns = int(os.environ["COLUMNS"])
+        except (KeyError, ValueError):
+            columns = 0
+        if columns <= 0:
+            try:
+                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+            except (AttributeError, ValueError, OSError):
+                columns = 0
+        super().__init__(prog, width=(columns or 80) - 2)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="soldefect",
+        prog="soldefect", formatter_class=_HelpFormatter,
         description="Detect 20 smart-contract defect kinds in Solidity "
                     "source and EVM bytecode.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="analyze .sol/.hex files or directories")
+    def add_parser(name: str, **kwargs) -> argparse.ArgumentParser:
+        return sub.add_parser(name, formatter_class=_HelpFormatter, **kwargs)
+
+    analyze = add_parser("analyze", help="analyze .sol/.hex files or directories")
     analyze.add_argument("inputs", nargs="+", help="files or directories")
     analyze.add_argument("--min-impact", choices=IMPACT_LEVELS, default=None)
     _add_run_flags(analyze, FORMATS)
 
-    fetch = sub.add_parser("fetch", help="fetch contract source/bytecode by address")
+    fetch = add_parser("fetch", help="fetch contract source/bytecode by address")
     fetch.add_argument("address", help="0x-prefixed 20-byte contract address")
     fetch.add_argument("--api-base", default=None,
                        help="explorer API base URL (or fetch.api_base_url in config)")
     fetch.add_argument("--cache-dir", default=None)
     fetch.add_argument("--config", default=None)
 
-    score_cmd = sub.add_parser("score", help="score analyzer output against a manifest")
+    score_cmd = add_parser("score", help="score analyzer output against a manifest")
     score_cmd.add_argument("--manifest", required=True)
     score_cmd.add_argument("root", nargs="?", default=None,
                            help="corpus root (defaults to the manifest's directory)")
@@ -59,7 +83,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                            help="ignore manifest line numbers (per-contract labels)")
     _add_run_flags(score_cmd, TABLE_FORMATS)
 
-    detectors = sub.add_parser("detectors", help="print the 20-detector catalog")
+    detectors = add_parser("detectors", help="print the 20-detector catalog")
     detectors.add_argument("--format", choices=TABLE_FORMATS, default="text")
     return parser
 
@@ -236,9 +260,19 @@ def run() -> None:
     since reference counting frees the analysis (it builds no reference
     cycles, which tests pin), then flush stdout and stderr and exit without
     interpreter teardown, which only frees what the run built. A flush that
-    fails (a closed pipe) exits through teardown as before."""
+    fails (a closed pipe) exits through teardown as before. An exception
+    out of ``main()`` is soldefect's own fault: its traceback and one line
+    naming it go to stderr, and the exit code is EXIT_INTERNAL, not the 1
+    of findings present."""
     gc.disable()
-    code = main()
+    try:
+        code = main()
+    except Exception as exc:
+        import traceback
+        traceback.print_exc()
+        print(f"soldefect: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        code = EXIT_INTERNAL
     try:
         sys.stdout.flush()
         sys.stderr.flush()

@@ -16,7 +16,7 @@ from .base import AnalysisContext, Hit, register_bytecode
 from .maintainability import HARD_CODE_ADDRESS
 from .security import NESTED_CALL, STRICT_BALANCE_EQUALITY
 
-_CALL, _PUSH20 = MNEMONICS["CALL"], MNEMONICS["PUSH20"]
+_CALL, _PUSH20 = MNEMONICS["CALL"], bytes([MNEMONICS["PUSH20"]])
 
 
 @register_bytecode(STRICT_BALANCE_EQUALITY.id)
@@ -24,11 +24,9 @@ def detect_strict_balance_equality_bc(ctx: AnalysisContext) -> Iterator[Hit]:
     """BALANCE read by EQ, where the comparison feeds a conditional jump."""
     for event in ctx.bytecode.cfg.jumpi_events:
         cond = unwrap_iszero(event.condition)
-        if cond[0] != "cmp" or cond[1] != "EQ":
-            continue
-        _, _op, eq_pc, a, b = cond
-        if "BALANCE" in value_tags(a) or "BALANCE" in value_tags(b):
-            yield eq_pc, "BALANCE compared with EQ feeds a conditional jump"
+        if cond[0] == "cmp" and cond[1] == "EQ" and (
+                "BALANCE" in value_tags(cond[3]) or "BALANCE" in value_tags(cond[4])):
+            yield cond[2], "BALANCE compared with EQ feeds a conditional jump"
 
 
 @register_bytecode(NESTED_CALL.id)
@@ -53,9 +51,12 @@ def detect_nested_call_bc(ctx: AnalysisContext) -> Iterator[Hit]:
 def detect_hard_code_address_bc(ctx: AnalysisContext) -> Iterator[Hit]:
     """PUSH20 of a nonzero constant, not cut short, is an embedded address."""
     dis = ctx.bytecode.instructions
-    for pc, value in dis.push_values.items():  # in pc order
-        if value and dis.code[pc] == _PUSH20 and not dis.truncated(pc):
-            yield pc, f"hard-coded address 0x{dis.code[pc + 1:pc + 21].hex()}"
+    code, values = dis.code, dis.push_values
+    pc = code.find(_PUSH20)
+    while pc != -1:  # a PUSH20 byte is a PUSH20 where an instruction starts
+        if values.get(pc) and not dis.truncated(pc):
+            yield pc, f"hard-coded address 0x{code[pc + 1:pc + 21].hex()}"
+        pc = code.find(_PUSH20, pc + 1)
 
 
 @register_bytecode(UNMATCHED_ERC20.id)

@@ -5,8 +5,13 @@ from the table that `disassemble` decoded once.
 
 Jump targets are resolved by propagating push constants through stack
 shuffles and arithmetic; everything the emulator cannot prove concrete
-becomes a tainted or unknown value. Jumps that stay unresolved are
-recorded as edges-to-unknown.
+becomes a tainted or unknown value. Jumps that stay unresolved are recorded
+as edges-to-unknown. The emulator looks each opcode up in a 256-entry class
+table and runs the frequent classes inline; `_step` runs the rest. A block
+that ends its path (STOP, RETURN, ...) records nothing, so only its steps
+are counted. The dominators are Cooper, Harvey and Kennedy's iteration over
+the reachable blocks numbered in DFS reverse postorder, the order of
+``cfg.dominators``, where a block's dominators all precede it.
 
 Loops end by widening, not by unrolling. A block's entry stacks fall into
 contexts: two stacks share one when they have the same height and differ
@@ -41,10 +46,13 @@ and environment info) is plain: its value joins its arguments' taints.
 
 from __future__ import annotations
 
+from bisect import insort
+from collections import namedtuple
+
 from ..records import field, record
 from .disasm import Disassembly, disassemble
-from .opcodes import (DUP1, DUP16, JUMP, JUMPDEST, JUMPI, MNEMONICS, OPCODES,
-                      POP, PUSH1, PUSH32, SWAP1, SWAP16, TERMINATORS)
+from .opcodes import (DUP1, DUP16, JUMPDEST, MNEMONICS, OPCODES, POP, PUSH1,
+                      PUSH32, SWAP1, SWAP16, TERMINATORS)
 
 MAX_VISITS_PER_BLOCK = 4
 MAX_STACK_DEPTH = 1024
@@ -64,18 +72,36 @@ _TAINT_SOURCES = {MNEMONICS[op]: frozenset({tag}) for op, tag in {
     "CALLDATALOAD": "CALLDATA",
     "CALLDATASIZE": "CALLDATA",
 }.items()}
+_UNTAINTED = frozenset()
 
 # opcode -> mnemonic, which comparison values and `_fold` take
 _CMP_OPS = {MNEMONICS[op]: op for op in ("LT", "GT", "SLT", "SGT", "EQ")}
 _FOLDABLE = {MNEMONICS[op]: op for op in (
     "ADD", "SUB", "MUL", "DIV", "SDIV", "MOD", "EXP", "AND", "OR", "XOR",
     "BYTE", "SIGNEXTEND")}
-_ISZERO = MNEMONICS["ISZERO"]
 _NOT = MNEMONICS["NOT"]
 _PC = MNEMONICS["PC"]
-# opcodes whose result is only the join of their arguments' taints
-_PLAIN = (OPCODES.keys() - _TAINT_SOURCES.keys() - _CMP_OPS.keys()
-          - _FOLDABLE.keys() - {_ISZERO, _NOT, _PC})
+
+# `_run`'s opcode classes, tested in this order; _RARE ones go to `_step`.
+# _UNARY and _SOURCE are the plain opcodes that pop one value or none and
+# push one: the value joins the argument's taints and the opcode's own.
+(_PUSH, _DUP, _NOP, _CMP, _POP, _ISZERO, _FOLD, _UNARY, _SOURCE, _SWAP,
+ _RARE) = range(11)
+_NAMED = {**dict.fromkeys(_CMP_OPS, _CMP), **dict.fromkeys(_FOLDABLE, _FOLD),
+          JUMPDEST: _NOP, POP: _POP, MNEMONICS["ISZERO"]: _ISZERO,
+          _NOT: _RARE, _PC: _RARE}
+
+
+def _opcode_class(op: int) -> int:
+    _, pops, pushes = OPCODES.get(op, ("", 2, 0))
+    if PUSH1 <= op <= SWAP16:  # the PUSHes, then the DUPs, then the SWAPs
+        return _PUSH if op <= PUSH32 else _DUP if op <= DUP16 else _SWAP
+    if op in _NAMED or pushes != 1 or pops > 1:
+        return _NAMED.get(op, _RARE)
+    return _UNARY if pops else _SOURCE
+
+
+_CLASS = bytes(map(_opcode_class, range(256)))
 
 
 def value_tags(value) -> frozenset:
@@ -95,17 +121,12 @@ def unwrap_iszero(value):
     return value
 
 
-@record
-class JumpiEvent:
-    """One emulated execution of a JUMPI: condition value plus the target."""
-
-    block: int
-    pc: int
-    condition: tuple
-    target: int | None  # resolved jump-taken block id, when concrete
+# One emulated execution of a JUMPI: its block and pc, the condition value,
+# and the jump-taken block id when the target is concrete, else None
+JumpiEvent = namedtuple("JumpiEvent", "block pc condition target")
 
 
-@record
+@record(slots=True)
 class BasicBlock:
     id: int  # pc of the first instruction
     start: int  # index in the instruction starts of the first instruction
@@ -121,11 +142,9 @@ class ControlFlowGraph:
     disassembly: Disassembly
     next_block: dict[int, int] = field(default_factory=dict)  # pc order
     predecessors: dict[int, list[int]] = field(default_factory=dict)
-    # block -> idom; its keys are exactly the blocks reachable from the entry
+    # block -> idom; its keys are exactly the blocks reachable from the
+    # entry, in reverse postorder, so a block's dominators all precede it
     dominators: dict[int, int] = field(default_factory=dict)
-    # block -> (preorder number, last preorder number of its subtree) in the
-    # dominator tree: a dominates b iff b's number falls in a's span
-    dominator_spans: dict[int, tuple[int, int]] = field(default_factory=dict)
     unresolved_jumps: list[tuple[int, int]] = field(default_factory=list)
     jumpi_events: list[JumpiEvent] = field(default_factory=list)
     capped_blocks: set[int] = field(default_factory=set)  # dropped a context
@@ -136,30 +155,22 @@ class ControlFlowGraph:
         """The blocks reachable from the entry: the dominator map's keys."""
         return set(self.dominators)
 
-    def dominates(self, a: int, b: int) -> bool:
-        """True iff a dominates b; a block dominates itself, and no other
-        block dominates or is dominated by an unreachable one."""
-        if a == b:
-            return True
-        span_a = self.dominator_spans.get(a)
-        span_b = self.dominator_spans.get(b)
-        return (span_a is not None and span_b is not None
-                and span_a[0] <= span_b[0] <= span_a[1])
-
 
 def split_blocks(disassembly: Disassembly) -> dict[int, BasicBlock]:
     """One block per end that `disassemble` recorded (a truncated PUSH,
-    which is invalid, can only be the last instruction)."""
+    which is invalid, can only be the last instruction), each with its
+    structural fallthrough edge, valid whatever the stack holds."""
     code, starts = disassembly.code, disassembly.starts
     blocks: dict[int, BasicBlock] = {}
     first = 0  # index of the block's first instruction
-    block = None
     for stop in disassembly.ends:
         end = TERMINATORS.get(code[starts[stop - 1]], "fallthrough")
-        block = BasicBlock(starts[first], first, stop, [], end)
+        falls = end in ("fallthrough", "jumpi") and stop < len(starts)
+        block = BasicBlock(starts[first], first, stop,
+                           [starts[stop]] if falls else [], end)
         blocks[block.id] = block
         first = stop
-    if block is not None and disassembly.truncated(starts[-1]):
+    if starts and disassembly.truncated(starts[-1]):
         block.terminator = "invalid"
     return blocks
 
@@ -174,37 +185,33 @@ def build_cfg(disassembly: Disassembly | bytes | str) -> ControlFlowGraph:
     cfg = ControlFlowGraph(blocks, order[0], disassembly,
                            dict(zip(order, order[1:])),
                            {bid: [] for bid in order})
-    # structural fallthrough edges (always valid regardless of stack state)
-    edges = {(bid, cfg.next_block[bid]) for bid, block in blocks.items()
-             if block.terminator in ("fallthrough", "jumpi")
-             and bid in cfg.next_block}
     unresolved: set[tuple[int, int]] = set()
-    _emulate(cfg, edges, unresolved)
+    _emulate(cfg, unresolved)
 
-    # every edge ends at a block: a jump's ends at one that starts with a JUMPDEST
-    for src, dst in sorted(edges):
-        blocks[src].successors.append(dst)
-        cfg.predecessors[dst].append(src)
+    # predecessors in ascending order, as successors are kept
+    predecessors = cfg.predecessors
+    for bid, block in blocks.items():
+        for succ in block.successors:
+            predecessors[succ].append(bid)
     cfg.unresolved_jumps = sorted(unresolved)
     cfg.dominators = compute_dominators(cfg)
-    cfg.dominator_spans = _dominator_spans(cfg.dominators, cfg.entry)
     return cfg
 
 
-def _emulate(cfg: ControlFlowGraph, edges: set, unresolved: set) -> None:
-    """Walk the blocks from the entry over abstract stacks.
+def _emulate(cfg: ControlFlowGraph, unresolved: set) -> None:
+    """Walk the blocks from the entry over abstract stacks, adding each
+    resolved jump's edge to its block's successors, kept in ascending order.
 
     `split_blocks` ends a block at every terminator and invalid instruction,
-    so any terminator but JUMP and JUMPI just ends the path: it is the last
-    instruction of a block that has no fallthrough. Both jumps follow one
+    so any terminator but JUMP and JUMPI ends the path, and its block, of
+    which nothing is recorded or read, is not run. Both jumps follow one
     rule: a target that is not a constant is unresolved, a constant that
     starts a JUMPDEST block is an edge, and any other constant is an
-    invalid jump, which ends the path (JUMPI still falls through). A path
-    halts, as the EVM does, once an instruction leaves more than
-    MAX_STACK_DEPTH values on the stack."""
+    invalid jump, which ends the path (JUMPI still falls through)."""
     dis = cfg.disassembly
     code, starts, values = dis.code, dis.starts, dis.push_values
-    blocks = cfg.blocks
+    blocks, next_block = cfg.blocks, cfg.next_block
+    add_event, new_event = cfg.jumpi_events.append, tuple.__new__
     jumpdests = {bid for bid in blocks if code[bid] == JUMPDEST}
     worklist: list[tuple[int, tuple]] = [(cfg.entry, ())]
     # block -> the entry stack explored last in each of its contexts
@@ -213,85 +220,132 @@ def _emulate(cfg: ControlFlowGraph, edges: set, unresolved: set) -> None:
 
     while worklist:
         bid, entry_stack = worklist.pop()
-        stacks = explored.setdefault(bid, [])
-        if entry_stack in stacks:
+        stacks = explored.get(bid)
+        if stacks is None:
+            explored[bid] = [entry_stack]
+        elif entry_stack in stacks:
             continue
-        for i, known in enumerate(stacks):
-            joined = _join(known, entry_stack, jumpdests)
-            if joined is not None:  # the context is explored: widen it
-                if joined is known:
-                    entry_stack = None
-                else:
-                    stacks[i] = entry_stack = joined
-                break
         else:
-            if len(stacks) >= MAX_VISITS_PER_BLOCK:
-                cfg.capped_blocks.add(bid)
+            for i, known in enumerate(stacks):
+                joined = _join(known, entry_stack, jumpdests)
+                if joined is not None:  # the context is explored: widen it
+                    if joined is known:
+                        entry_stack = None
+                    else:
+                        stacks[i] = entry_stack = joined
+                    break
+            else:
+                if len(stacks) >= MAX_VISITS_PER_BLOCK:
+                    cfg.capped_blocks.add(bid)
+                    continue
+                stacks.append(entry_stack)
+            if entry_stack is None:
                 continue
-            stacks.append(entry_stack)
-        if entry_stack is None:
-            continue
 
         block = blocks[bid]
-        if steps + block.stop - block.start > STEP_BUDGET:
+        start, stop = block.start, block.stop
+        if steps + stop - start > STEP_BUDGET:
             cfg.out_of_budget = True
             break
-        steps += block.stop - block.start
+        steps += stop - start
+        end = block.terminator
+        if end == "fallthrough":
+            fall = next_block.get(bid)
+            stack = list(entry_stack)
+            if fall is not None and _run(stack, starts[start:stop], code, values):
+                worklist.append((fall, tuple(stack)))
+            continue
+        if end != "jump" and end != "jumpi":
+            continue  # the path ends in this block, which records nothing
+        jumpi = end == "jumpi"
         stack = list(entry_stack)
-        for pc in starts[block.start:block.stop]:
+        if (not _run(stack, starts[start:stop - 1], code, values)
+                or len(stack) < 1 + jumpi):
+            continue
+        pc = starts[stop - 1]
+        target = stack.pop()
+        taken: int | None = None
+        if target[0] != "const":
+            unresolved.add((bid, pc))
+        elif target[1] in jumpdests:
+            taken = target[1]
+            if taken not in block.successors:
+                insort(block.successors, taken)
+        if not jumpi:
+            if taken is not None:
+                worklist.append((taken, tuple(stack)))
+            continue
+        cond = stack.pop()
+        add_event(new_event(JumpiEvent, (bid, pc, cond, taken)))
+        concrete = _concrete_bool(cond)
+        fall = next_block.get(bid)
+        after = tuple(stack)
+        if concrete is not False and taken is not None:
+            worklist.append((taken, after))
+        if concrete is not True and fall is not None:
+            worklist.append((fall, after))
+    cfg.steps = steps
+
+
+def _run(stack: list, pcs: list[int], code: bytes, values: dict) -> bool:
+    """Execute the instructions at ``pcs``, none of them a terminator, on
+    ``stack``. False if the path halts, as the EVM does, at an instruction
+    that reads below the bottom of the stack or leaves more than
+    MAX_STACK_DEPTH values on it."""
+    # no instruction leaves more than one value above what it found
+    check = len(stack) + len(pcs) > MAX_STACK_DEPTH
+    try:
+        for pc in pcs:
             op = code[pc]
-            if PUSH1 <= op <= PUSH32:
+            kind = _CLASS[op]
+            if kind == _PUSH:
                 stack.append(("const", values[pc]))
-            elif DUP1 <= op <= DUP16:
-                if len(stack) < op - DUP1 + 1:
-                    break
+            elif kind == _DUP:
                 stack.append(stack[DUP1 - 1 - op])
-            elif SWAP1 <= op <= SWAP16:
-                if len(stack) < op - SWAP1 + 2:
-                    break
-                stack[-1], stack[SWAP1 - 2 - op] = stack[SWAP1 - 2 - op], stack[-1]
+            elif kind == _NOP:
                 continue
-            elif op == JUMPDEST:
+            elif kind == _CMP:
+                a = stack.pop()
+                stack[-1] = ("cmp", _CMP_OPS[op], pc, _leaf(a), _leaf(stack[-1]))
                 continue
-            elif op == POP:
-                if not stack:
-                    break
+            elif kind == _POP:
                 stack.pop()
                 continue
-            elif op == JUMP or op == JUMPI:
-                if len(stack) < (1 if op == JUMP else 2):
-                    break
-                target = stack.pop()
-                taken: int | None = None
-                if target[0] != "const":
-                    unresolved.add((bid, pc))
-                elif target[1] in jumpdests:
-                    taken = target[1]
-                    edges.add((bid, taken))
-                if op == JUMP:
-                    if taken is not None:
-                        worklist.append((taken, tuple(stack)))
-                    break
-                cond = stack.pop()
-                cfg.jumpi_events.append(JumpiEvent(bid, pc, cond, taken))
-                concrete = _concrete_bool(cond)
-                fall = cfg.next_block.get(bid)
-                if concrete is not False and taken is not None:
-                    worklist.append((taken, tuple(stack)))
-                if concrete is not True and fall is not None:
-                    worklist.append((fall, tuple(stack)))
-                break
-            elif op in TERMINATORS:
-                break
-            elif not _step(stack, op, pc):
-                break
-            if len(stack) > MAX_STACK_DEPTH:
-                break
-        else:
-            fall = cfg.next_block.get(bid)
-            if block.terminator == "fallthrough" and fall is not None:
-                worklist.append((fall, tuple(stack)))
-    cfg.steps = steps
+            elif kind == _ISZERO:
+                a = stack[-1]
+                if a[0] == "const":
+                    stack[-1] = ("const", 0 if a[1] else 1)
+                elif a[0] == "iszero" and a[1][0] == "iszero":
+                    stack[-1] = a[1]  # three negations are one
+                else:
+                    stack[-1] = ("iszero", a)
+                continue
+            elif kind == _FOLD:
+                a = stack.pop()
+                b = stack[-1]
+                if a[0] == "const" and b[0] == "const":
+                    stack[-1] = ("const", _fold(_FOLDABLE[op], a[1], b[1]))
+                elif a[0] in INTEGERS and b[0] in INTEGERS:
+                    stack[-1] = WIDENED
+                else:
+                    stack[-1] = _join_taints((a, b))
+                continue
+            elif kind == _UNARY:
+                stack[-1] = _join_taints((stack[-1],),
+                                         _TAINT_SOURCES.get(op, _UNTAINTED))
+                continue
+            elif kind == _SOURCE:
+                stack.append(_join_taints((), _TAINT_SOURCES.get(op, _UNTAINTED)))
+            elif kind == _SWAP:
+                stack[-1], stack[SWAP1 - 2 - op] = stack[SWAP1 - 2 - op], stack[-1]
+                continue
+            else:
+                _step(stack, op, pc)
+            if check and len(stack) > MAX_STACK_DEPTH:
+                return False
+    except IndexError:  # a stack underflow
+        return False
+    return True
 
 
 def _join(known: tuple, stack: tuple, jumpdests: set) -> tuple | None:
@@ -380,72 +434,37 @@ def _fold(op: str, a: int, b: int) -> int:
     return b & ((1 << (bit + 1)) - 1)
 
 
-def _step(stack: list, op: int, pc: int) -> bool:
-    """Execute the instruction ``op`` at ``pc``, one the emulator does not
-    handle inline; False on stack underflow."""
-    _, pops, pushes = OPCODES[op]
-    if len(stack) < pops:
-        return False
-    if pops:
-        args = stack[:-pops - 1:-1]  # the top of the stack first
-        del stack[-pops:]
-    else:
-        args = []
-    if op in _PLAIN:
-        for _ in range(pushes):
-            stack.append(_join_taints(args))
-        return True
-    tags = _TAINT_SOURCES.get(op)
-    if tags is not None:
-        stack.append(_join_taints(args, tags))
-        return True
-    name = _CMP_OPS.get(op)
-    if name is not None:
-        stack.append(("cmp", name, pc, _leaf(args[0]), _leaf(args[1])))
-        return True
-    if op == _ISZERO:
-        a = args[0]
-        if a[0] == "const":
-            stack.append(("const", 0 if a[1] else 1))
-        elif a[0] == "iszero" and a[1][0] == "iszero":
-            stack.append(a[1])  # three negations are one
-        else:
-            stack.append(("iszero", a))
-        return True
-    if op == _NOT:
-        a = args[0]
-        if a[0] == "const":
-            stack.append(("const", a[1] ^ _WORD))
-        elif a[0] == "widened":
-            stack.append(WIDENED)
-        else:
-            stack.append(_join_taints(args))
-        return True
-    name = _FOLDABLE.get(op)
-    if name is not None:
-        a, b = args[0], args[1]
-        if a[0] == "const" and b[0] == "const":
-            stack.append(("const", _fold(name, a[1], b[1])))
-        elif a[0] in INTEGERS and b[0] in INTEGERS:
-            stack.append(WIDENED)
-        else:
-            stack.append(_join_taints(args))
-        return True
+def _step(stack: list, op: int, pc: int) -> None:
+    """Execute ``op`` at ``pc``, one of the opcodes that `_run` hands on:
+    PC, NOT, and the plain ones that pop more than one value. A stack
+    underflow raises IndexError."""
     if op == _PC:
         stack.append(("const", pc))
-    return True
+        return
+    _, pops, pushes = OPCODES[op]
+    if len(stack) < pops:
+        raise IndexError("stack underflow")
+    args = stack[-pops:]
+    del stack[-pops:]
+    a = args[-1]  # the top of the stack
+    if op != _NOT:
+        stack.extend([_join_taints(args)] * pushes)
+    elif a[0] == "const":
+        stack.append(("const", a[1] ^ _WORD))
+    else:
+        stack.append(WIDENED if a[0] == "widened" else _join_taints(args))
 
 
 def _leaf(value) -> tuple:
     """A comparison's operand as it is kept: a comparison or negation only
     as its taints, all that any reader takes from such an operand."""
-    return _join_taints([value]) if value[0] in ("cmp", "iszero") else value
+    return _join_taints((value,)) if value[0] in ("cmp", "iszero") else value
 
 
-def _join_taints(args: list, tags: frozenset = frozenset()) -> tuple:
+def _join_taints(args, tags: frozenset = _UNTAINTED) -> tuple:
     for a in args:
         if a[0] != "const":  # a constant carries no taint
-            tags |= value_tags(a)
+            tags |= a[1] if a[0] == "taint" else value_tags(a)
     return ("taint", tags) if tags else UNKNOWN
 
 
@@ -454,72 +473,50 @@ def _join_taints(args: list, tags: frozenset = frozenset()) -> tuple:
 
 
 def compute_dominators(cfg: ControlFlowGraph) -> dict[int, int]:
+    """Block -> immediate dominator (the entry's is itself), its keys the
+    blocks reachable from the entry in DFS reverse postorder."""
     if not cfg.blocks:
         return {}
-    order = _reverse_postorder(cfg)
-    index = {b: i for i, b in enumerate(order)}
-    # over reverse postorder numbers: a block's dominators all precede it
-    preds = [[index[p] for p in cfg.predecessors[b] if p in index] for b in order]
-    idom: list[int | None] = [0] + [None] * (len(order) - 1)
-
-    # a block comes after its DFS parent in reverse postorder, so each pass
-    # finds a processed predecessor for every block but the entry
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, len(order)):
-            new = None
-            for p in preds[i]:
-                if idom[p] is None:
-                    continue
-                if new is not None:
-                    while p != new:  # the nearest common dominator
-                        while p > new:
-                            p = idom[p]
-                        while new > p:
-                            new = idom[new]
-                new = p
-            if idom[i] != new:
-                idom[i] = new
-                changed = True
-    return {b: order[idom[i]] for i, b in enumerate(order)}
-
-
-def _dominator_spans(idom: dict[int, int],
-                     entry: int) -> dict[int, tuple[int, int]]:
-    """Number the dominator tree in preorder; each block's span runs from its
-    own number to the last number in its subtree."""
-    children: dict[int, list[int]] = {b: [] for b in idom}
-    for b, parent in idom.items():
-        if b != entry:
-            children[parent].append(b)
-    preorder: list[int] = []
-    stack = [entry]
-    while stack:
-        node = stack.pop()
-        preorder.append(node)
-        stack.extend(children[node])
-    size = dict.fromkeys(preorder, 1)
-    for node in reversed(preorder):
-        if node != entry:
-            size[idom[node]] += size[node]
-    return {node: (i, i + size[node] - 1) for i, node in enumerate(preorder)}
-
-
-def _reverse_postorder(cfg: ControlFlowGraph) -> list[int]:
-    """The blocks reachable from the entry, in DFS reverse postorder."""
-    visited = {cfg.entry}
-    post: list[int] = []
-    stack = [(cfg.entry, iter(cfg.blocks[cfg.entry].successors))]
+    blocks, post, visited = cfg.blocks, [], {cfg.entry}
+    stack = [(cfg.entry, iter(blocks[cfg.entry].successors))]
     while stack:
         node, successors = stack[-1]
         for succ in successors:
             if succ not in visited:
                 visited.add(succ)
-                stack.append((succ, iter(cfg.blocks[succ].successors)))
+                stack.append((succ, iter(blocks[succ].successors)))
                 break
         else:
             post.append(node)
             stack.pop()
-    post.reverse()
-    return post
+    order = post[::-1]
+    rank = dict(zip(order, range(len(order))))
+    # a block's dominators all precede it, and so does its first
+    # predecessor: its DFS parent, or one before that
+    preds: list[list[int]] = [[] for _ in order]
+    for i, b in enumerate(order):
+        for succ in blocks[b].successors:
+            preds[rank[succ]].append(i)
+    idom: list[int | None] = [0] + [None] * (len(order) - 1)
+    # after the first pass, only a block with two or more predecessors
+    # can change its immediate dominator
+    joins = [i for i, ps in enumerate(preds) if len(ps) > 1 and i]
+    todo = range(1, len(order))
+    while todo:
+        changed = False
+        for i in todo:
+            ps = preds[i]
+            new = ps[0]
+            for p in ps[1:]:
+                if idom[p] is None:
+                    continue
+                while p != new:  # the nearest common dominator
+                    while p > new:
+                        p = idom[p]
+                    while new > p:
+                        new = idom[new]
+            if idom[i] != new:
+                idom[i] = new
+                changed = True
+        todo = joins if changed else ()
+    return dict(zip(order, map(order.__getitem__, idom)))

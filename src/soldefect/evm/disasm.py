@@ -68,11 +68,7 @@ def disassemble(bytecode: bytes | str) -> Disassembly:
     while pc < n:
         append(pc)
         op = code[pc]
-        if PUSH1 <= op <= PUSH32:
-            end = pc + op - PUSH1 + 2
-            values[pc] = from_bytes(code[pc + 1:end], "big")
-            pc = end
-        else:
+        if op < PUSH1 or op > PUSH32:
             pc += 1
             if op in _BLOCK_ENDS:
                 i = len(starts)  # one past this instruction
@@ -82,6 +78,16 @@ def disassemble(bytecode: bytes | str) -> Disassembly:
                 elif i - 1 > first:
                     ends.append(i - 1)
                     first = i - 1
+        elif op == PUSH1 and pc + 2 <= n:  # the two widths most PUSHes have
+            values[pc] = code[pc + 1]
+            pc += 2
+        elif op == PUSH1 + 1 and pc + 3 <= n:  # PUSH2
+            values[pc] = code[pc + 1] << 8 | code[pc + 2]
+            pc += 3
+        else:
+            end = pc + op - PUSH1 + 2
+            values[pc] = from_bytes(code[pc + 1:end], "big")
+            pc = end
     if first < len(starts):
         ends.append(len(starts))
     return Disassembly(code, starts, values, ends)

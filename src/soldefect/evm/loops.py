@@ -1,11 +1,14 @@
 """Natural-loop detection over the recovered CFG.
 
 A back edge is an edge u->h where h dominates u; the loop body is every
-reachable block that reaches u without passing through h. A loop is
-classified ``constant(c)`` only when the stack emulation saw its exit
-comparison with an untainted integer on both sides, one of them the same
-constant ``c`` every time and the other a constant on the first pass and
-``WIDENED`` once the emulator joined the passes: ``c`` is the bound.
+reachable block that reaches u without passing through h. A dominator
+precedes what it dominates in ``cfg.dominators``, so only an edge that
+does not go forward there is tested, by a walk up u's idom chain whose
+answers each header keeps: no block is walked twice for one header. A
+loop is classified ``constant(c)`` only when the stack emulation saw its
+exit comparison with an untainted integer on both sides, one of them the
+same constant ``c`` every time and the other a constant on the first pass
+and ``WIDENED`` once the emulator joined the passes: ``c`` is the bound.
 Anything else — storage- or calldata-derived bounds, an unknown operand,
 conditions that never fold — is ``unbounded``.
 """
@@ -28,12 +31,19 @@ class Loop:
 
 
 def detect_loops(cfg: ControlFlowGraph) -> list[Loop]:
-    loops: list[Loop] = []
+    idom = cfg.dominators
+    rank = dict(zip(idom, range(len(idom))))
     seen_headers: dict[int, set[int]] = {}
-    for bid in cfg.dominators:  # the reachable blocks
-        for succ in cfg.blocks[bid].successors:
-            if cfg.dominates(succ, bid):
-                seen_headers.setdefault(succ, set()).add(bid)
+    for header, preds in cfg.predecessors.items():
+        i = rank.get(header, -1)
+        # a header but the entry is also entered from outside its loop
+        if i >= 0 and (len(preds) > 1 or header == cfg.entry):
+            answers = {header: True}  # walked block -> dominated by header
+            tails = {u for u in preds if rank.get(u, -1) >= i
+                     and _dominates(idom, rank, header, u, answers)}
+            if tails:
+                seen_headers[header] = tails
+    loops: list[Loop] = []
     events_at: dict[int, list[JumpiEvent]] = {}  # JUMPI pc -> its executions
     for event in cfg.jumpi_events:
         events_at.setdefault(event.pc, []).append(event)
@@ -44,26 +54,37 @@ def detect_loops(cfg: ControlFlowGraph) -> list[Loop]:
     return loops
 
 
+def _dominates(idom: dict[int, int], rank: dict[int, int], header: int,
+               block: int, answers: dict[int, bool]) -> bool:
+    """Whether ``header`` dominates ``block``, which is no earlier in rank;
+    ``answers`` holds the header's answers for the blocks walked so far."""
+    walked = []
+    while block not in answers and rank[block] > rank[header]:
+        walked.append(block)
+        block = idom[block]
+    answers.update(dict.fromkeys(walked, answers.get(block, False)))
+    return answers.get(block, False)
+
+
 def _natural_loop_body(cfg: ControlFlowGraph, header: int,
                        tails: set[int]) -> set[int]:
     body = {header}
     stack = [t for t in tails if t != header]
+    predecessors, reachable = cfg.predecessors, cfg.dominators
     while stack:
         node = stack.pop()
-        if node in body:
-            continue
-        body.add(node)
-        stack.extend(p for p in cfg.predecessors[node]
-                     if p in cfg.dominators and p not in body)
+        if node not in body and node in reachable:
+            body.add(node)
+            stack += predecessors[node]
     return body
 
 
 def _classify_bound(cfg: ControlFlowGraph, body: set[int],
                     events_at: dict[int, list[JumpiEvent]]) -> int | None:
     starts = cfg.disassembly.starts
-    exit_pcs = {starts[block.stop - 1] for block in map(cfg.blocks.get, body)
+    exit_pcs = [starts[block.stop - 1] for block in map(cfg.blocks.get, body)
                 if block.terminator == "jumpi"
-                and any(succ not in body for succ in block.successors)}
+                and not body.issuperset(block.successors)]
 
     observations: dict[int, list[tuple]] = {pc: [] for pc in sorted(exit_pcs)}
     for pc, pairs in observations.items():

@@ -227,6 +227,17 @@ DEAD_CALL_INTO_LOOP = assemble([
 ])
 
 
+# an irreducible cycle: blocks a and b jump to each other, and the entry
+# enters each, so neither dominates the other; the edge that closes the
+# cycle goes back in reverse postorder but is no back edge, and there is
+# no loop
+IRREDUCIBLE_CYCLE = assemble([
+    "PUSH1 0", "CALLDATALOAD", "PUSH1 @b", "JUMPI",
+    "a:", "JUMPDEST", "PUSH1 32", "CALLDATALOAD", "PUSH1 @b", "JUMPI", "STOP",
+    "b:", "JUMPDEST", "PUSH1 64", "CALLDATALOAD", "PUSH1 @a", "JUMPI", "STOP",
+])
+
+
 # 1,025 pushes overflow the EVM's 1,024-slot stack at the last one, so the
 # jump after them must never be taken. The pushes and the jump share a
 # block: a block that starts with a JUMPDEST already halted the old check.

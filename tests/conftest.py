@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
+import sys
 
 import pytest
 
@@ -41,6 +43,26 @@ def keccak256_hex(data: bytes) -> str:
 def function_selector(signature: str) -> bytes:
     """First 4 bytes of keccak256 of a canonical function signature."""
     return keccak256(signature.encode("ascii"))[:4]
+
+
+def bench_module(name: str):
+    """The module ``bench/<name>.py``, imported without writing bytecode
+    under bench/."""
+    path = os.path.join(os.path.dirname(__file__), "..", "bench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.modules.get(name)
+    sys.modules[name] = module  # dataclasses look their module up
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        if saved is None:
+            del sys.modules[name]
+        else:
+            sys.modules[name] = saved
+    return module
 
 
 def read_listing(name: str) -> str:

@@ -19,8 +19,9 @@ from soldefect.evm.cfg import build_cfg
 from soldefect.evm.disasm import disassemble
 from soldefect.evm.eip55 import checksum_address, is_valid_address
 from soldefect.evm.loops import detect_loops
-from asm import (CALL_BODY, assemble, block_instructions, counted_loop,
-                 dispatcher, instructions, reassemble, storage_bound_loop)
+from asm import (CALL_BODY, IRREDUCIBLE_CYCLE, assemble, block_instructions,
+                 counted_loop, dispatcher, instructions, reassemble,
+                 storage_bound_loop)
 from conftest import (bytecode_findings, findings_for, function_selector,
                       read_listing)
 from test_evm_core import brute_force_dominators
@@ -214,6 +215,7 @@ def _program_suite() -> list[bytes]:
         storage_bound_loop(CALL_BODY),
         _calldata_bound_loop(),
         _nested_loops(),
+        IRREDUCIBLE_CYCLE,
         dispatcher({0xA9059CBB: "a"}),
         dispatcher({0xA9059CBB: "a", 0x18160DDD: "b"}),
         dispatcher({int(sel, 16): f"t{i}" for i, sel in

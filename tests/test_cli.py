@@ -543,6 +543,49 @@ def test_console_run_in_process(monkeypatch):
     assert calls == ["collector off", 1, "collector off"]
 
 
+def test_console_run_reports_an_internal_error(monkeypatch, capsys):
+    # an exception out of main() is soldefect's own fault: exit 4, with the
+    # traceback and then one line naming it, not the 1 of findings present
+    def broken(args, config):
+        raise RuntimeError("no such state")
+
+    calls = []
+    monkeypatch.setattr(cli, "cmd_detectors", broken)
+    monkeypatch.setattr(sys, "argv", ["soldefect", "detectors"])
+    monkeypatch.setattr(gc, "disable", lambda: None)
+    monkeypatch.setattr(os, "_exit", calls.append)
+    cli.run()
+    assert calls == [cli.EXIT_INTERNAL] == [4]
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.splitlines()[-2:] == [
+        "RuntimeError: no such state",
+        "soldefect: internal error: RuntimeError: no such state"]
+    with pytest.raises(RuntimeError):  # main() called from Python raises
+        main(["detectors"])
+
+
+@pytest.mark.parametrize("columns", [None, "60", "0", "wide"])
+def test_help_wraps_as_argparse_alone_wraps_it(monkeypatch, capsys, columns):
+    # the parsers find their width without loading shutil, as shutil finds
+    # it: COLUMNS, else stdout's terminal, else 80 columns
+    import argparse
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    texts = []
+    for formatter in (cli._HelpFormatter, argparse.HelpFormatter):
+        monkeypatch.setattr(cli, "_HelpFormatter", formatter)
+        for args in (["--help"], ["analyze", "--help"], ["score", "--help"],
+                     ["analyze"]):
+            with pytest.raises(SystemExit):
+                build_arg_parser().parse_args(args)
+        texts.append(capsys.readouterr())
+    assert texts[0] == texts[1]
+    assert "usage: soldefect analyze" in texts[0].err
+
+
 def test_console_run_turns_the_cycle_collector_off():
     # analysis builds no reference cycles (tests/test_analyzer.py pins it),
     # so the console process runs main() without the cyclic collector; an

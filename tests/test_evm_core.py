@@ -6,18 +6,19 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from soldefect.evm import cfg as cfg_module
-from soldefect.evm.cfg import build_cfg
+from soldefect.evm.cfg import build_cfg, compute_dominators
 from soldefect.evm.disasm import BytecodeError, disassemble
 from soldefect.evm.loops import detect_loops
 from soldefect.evm.opcodes import OPCODES, PUSH1, PUSH32
 from soldefect.evm.selectors import extract_selectors
 
-from asm import (CALL_BODY, DEAD_CALL_INTO_LOOP, JUMP_TO_STOP, JUMPI_TO_STOP,
-                 STACK_OVERFLOW, UNREAD_SOURCES_MEET, assemble,
+from asm import (CALL_BODY, DEAD_CALL_INTO_LOOP, IRREDUCIBLE_CYCLE,
+                 JUMP_TO_STOP, JUMPI_TO_STOP, STACK_OVERFLOW,
+                 UNREAD_SOURCES_MEET, assemble,
                  block_instructions, counted_loop, dispatcher, instructions,
                  reassemble, reference_disassemble, reference_split_blocks,
                  storage_bound_loop)
-from conftest import bytecode_findings
+from conftest import bench_module, bytecode_findings
 
 # -- disassembly --------------------------------------------------------------
 
@@ -32,7 +33,9 @@ def test_push_add_disassembly():
 
 def test_empty_bytecode():
     assert len(disassemble(b"")) == 0
-    assert build_cfg(b"").blocks == {}
+    cfg = build_cfg(b"")
+    assert cfg.blocks == {}
+    assert compute_dominators(cfg) == {} == cfg.dominators
 
 
 def test_truncated_push_is_invalid():
@@ -164,12 +167,16 @@ def test_running_out_of_the_step_budget_is_recorded(monkeypatch):
 
 
 def test_stack_overflow_halts_the_path():
-    # and so do a JUMP and a POP of an empty stack, and a SWAP1 of one value
+    # and so do a JUMP and a POP of an empty stack, a SWAP1 of one value and
+    # a CALL of two, which would leave an unresolved JUMP
     for code in (STACK_OVERFLOW, assemble(["JUMP", "JUMPDEST", "STOP"]),
                  assemble(["POP", "PUSH1 @end", "JUMP", "end:", "JUMPDEST", "STOP"]),
-                 assemble(["PUSH1 @end", "SWAP1", "JUMP", "end:", "JUMPDEST", "STOP"])):
+                 assemble(["PUSH1 @end", "SWAP1", "JUMP", "end:", "JUMPDEST", "STOP"]),
+                 assemble(["PUSH1 @end", "DUP1", "CALL", "JUMP", "end:",
+                           "JUMPDEST", "STOP"])):
         cfg = build_cfg(code)
         assert cfg.blocks[cfg.entry].successors == []
+        assert cfg.unresolved_jumps == []
         assert set(cfg.dominators) == {cfg.entry}
 
 
@@ -250,19 +257,44 @@ def brute_force_dominators(cfg) -> dict[int, set[int]]:
     return doms
 
 
+def idom_chain(cfg, block: int) -> set[int]:
+    """The blocks on ``block``'s immediate-dominator chain, itself included."""
+    chain = {block}
+    while block != cfg.entry:
+        block = cfg.dominators[block]
+        chain.add(block)
+    return chain
+
+
 def test_dominator_tree_matches_brute_force():
+    # the last is the benchmark's seed-1 dispatcher of 20 selectors, whose
+    # bodies hold constant- and storage-bound loops
+    generated = bench_module("gen_bytecode").dispatcher_contract(1, 20)[0]
     for code in (counted_loop(), storage_bound_loop(CALL_BODY),
-                 dispatcher({0xA9059CBB: "a", 0x18160DDD: "b"})):
+                 dispatcher({0xA9059CBB: "a", 0x18160DDD: "b"}),
+                 IRREDUCIBLE_CYCLE, generated):
         cfg = build_cfg(code)
         oracle = brute_force_dominators(cfg)
-        for block in cfg.reachable():
-            # the idom chain must enumerate exactly the oracle's dominator set
-            chain = {block}
-            node = block
-            while node != cfg.entry:
-                node = cfg.dominators[node]
-                chain.add(node)
-            assert chain == oracle[block], f"block {block:#x}"
+        # the idom chain must enumerate exactly the oracle's dominator set
+        assert {b: idom_chain(cfg, b) for b in cfg.reachable()} == oracle
+        headers = {h for u in cfg.reachable() for h in cfg.blocks[u].successors
+                   if h in oracle[u]}
+        assert {loop.header for loop in detect_loops(cfg)} == headers
+    assert len(detect_loops(build_cfg(generated))) >= 5
+
+
+def test_an_irreducible_cycle_is_no_loop():
+    cfg = build_cfg(IRREDUCIBLE_CYCLE)
+    a, b = sorted(bid for bid in cfg.blocks
+                  if block_instructions(cfg, bid)[0].mnemonic == "JUMPDEST")
+    assert b in cfg.blocks[a].successors and a in cfg.blocks[b].successors
+    assert cfg.dominators[a] == cfg.dominators[b] == cfg.entry
+    # the later of the two in reverse postorder jumps back to the earlier,
+    # which does not dominate it
+    first, second = sorted((a, b), key=list(cfg.dominators).index)
+    assert first in cfg.blocks[second].successors
+    assert idom_chain(cfg, second) == {second, cfg.entry}
+    assert detect_loops(cfg) == []
 
 
 _FILLER = (0x80, 0x90, 0x15, 0x14, 0x10, 0x01, 0x50, 0x00, 0xFE)
@@ -314,10 +346,17 @@ def test_graph_facts_are_consistent(code):
         for succ in block.successors:
             inverse[succ].append(block.id)
     assert cfg.predecessors == inverse
-    # every pair, unreachable blocks and a == b included
-    for a in cfg.blocks:
-        for b in cfg.blocks:
-            assert cfg.dominates(a, b) == idom_chain_dominates(cfg, a, b)
+    # the dominator map lists a block after its dominators, and the loops
+    # are headed exactly where an edge reaches a block that dominates its
+    # source, each body dominated by its header
+    rank = {b: i for i, b in enumerate(cfg.dominators)}
+    assert all(rank[idom] <= rank[b] for b, idom in cfg.dominators.items())
+    loops = detect_loops(cfg)
+    assert {loop.header for loop in loops} == {
+        h for u in cfg.reachable() for h in cfg.blocks[u].successors
+        if idom_chain_dominates(cfg, h, u)}
+    for loop in loops:
+        assert all(idom_chain_dominates(cfg, loop.header, b) for b in loop.body)
 
 
 # -- loops ---------------------------------------------------------------------
@@ -356,7 +395,7 @@ def test_loop_header_dominates_body():
         cfg = build_cfg(code)
         for loop in detect_loops(cfg):
             for block in loop.body:
-                assert cfg.dominates(loop.header, block)
+                assert idom_chain_dominates(cfg, loop.header, block)
     [loop] = detect_loops(build_cfg(if_in_body))
     assert len(loop.body) == 4
 
@@ -485,25 +524,26 @@ def test_not_keeps_the_taint_of_its_operand():
         ("taint", frozenset({"CALLDATA"}))]
 
 
+def execute(stack: list, *program: str) -> list:
+    """Run straight-line instructions on an abstract stack, as the emulator
+    runs a block's; the stack after them, the path not halted."""
+    disassembly = disassemble(assemble(list(program)))
+    assert cfg_module._run(stack, disassembly.starts, disassembly.code,
+                           disassembly.push_values)
+    return stack
+
+
 def test_widened_values_fold_to_widened():
-    from soldefect.evm.cfg import WIDENED, _concrete_bool, _step
-    from soldefect.evm.opcodes import MNEMONICS
+    from soldefect.evm.cfg import WIDENED, _concrete_bool
     three = ("const", 3)
     for name in ("ADD", "SUB", "MUL", "DIV", "EXP", "AND", "BYTE"):
         for a, b in ((WIDENED, three), (three, WIDENED), (WIDENED, WIDENED)):
-            stack = [b, a]  # a on top
-            assert _step(stack, MNEMONICS[name], 0) and stack == [WIDENED]
-    stack = [WIDENED]
-    _step(stack, MNEMONICS["NOT"], 0)
-    assert stack == [WIDENED]
+            assert execute([b, a], name) == [WIDENED]  # a on top
+    assert execute([WIDENED], "NOT") == [WIDENED]
     for name in ("LT", "EQ", "ISZERO"):
-        stack = [three, WIDENED]
-        _step(stack, MNEMONICS[name], 0)
-        assert _concrete_bool(stack[-1]) is None
+        assert _concrete_bool(execute([three, WIDENED], name)[-1]) is None
     balance = ("taint", frozenset({"BALANCE"}))
-    stack = [balance, WIDENED]
-    _step(stack, MNEMONICS["ADD"], 0)
-    assert stack == [balance]
+    assert execute([balance, WIDENED], "ADD") == [balance]
 
 
 _WORD = 2**256 - 1
@@ -544,36 +584,28 @@ _NEG = {v: v & _WORD for v in (-1, -2, -3, -7, -2**255)}  # two's complement
     ("SIGNEXTEND", 32, 1 << 255, 1 << 255),
 ])
 def test_constant_folds_follow_the_evm(op, a, b, result):
-    from soldefect.evm.cfg import _step
-    from soldefect.evm.opcodes import MNEMONICS
-    stack = [("const", b), ("const", a)]  # a on top: the first operand
-    assert _step(stack, MNEMONICS[op], 0)
-    assert stack == [("const", result)]
+    # a on top: the first operand
+    assert execute([("const", b), ("const", a)], op) == [("const", result)]
 
 
 def test_comparisons_keep_leaf_operands():
     # a comparison of comparisons keeps only their taints, and three
     # negations are one, so no value nests deeper than a few levels
-    from soldefect.evm.cfg import _step, unwrap_iszero, value_tags
-    from soldefect.evm.opcodes import MNEMONICS
+    from soldefect.evm.cfg import unwrap_iszero, value_tags
     calldata = ("taint", frozenset({"CALLDATA"}))
     stack = [calldata]
     for _ in range(3):
-        stack.append(stack[-1])
-        _step(stack, MNEMONICS["EQ"], 5)
-    assert stack == [("cmp", "EQ", 5, calldata, calldata)]
-    stack = [("const", 1), ("widened",)]
-    _step(stack, MNEMONICS["LT"], 6)
-    _step(stack, MNEMONICS["ISZERO"], 7)
-    assert stack == [("iszero", ("cmp", "LT", 6, ("widened",), ("const", 1)))]
+        execute(stack, "DUP1", "EQ")  # the EQ at pc 1
+    assert stack == [("cmp", "EQ", 1, calldata, calldata)]
+    stack = execute([("const", 1), ("widened",)], "LT", "ISZERO")
+    assert stack == [("iszero", ("cmp", "LT", 0, ("widened",), ("const", 1)))]
     negations = [stack[-1]]
     for _ in range(5):
-        _step(stack, MNEMONICS["ISZERO"], 8)
-        negations.append(stack[-1])
+        negations.append(execute(stack, "ISZERO")[-1])
     assert [value[0] == "iszero" and value[1][0] == "iszero"
             for value in negations] == [False, True] * 3
     assert {unwrap_iszero(value) for value in negations} == {
-        ("cmp", "LT", 6, ("widened",), ("const", 1))}
+        ("cmp", "LT", 0, ("widened",), ("const", 1))}
     assert all(value_tags(value) == frozenset() for value in negations)
 
 
@@ -588,14 +620,10 @@ def test_unread_sources_share_one_context():
 
 
 def test_a_plain_source_keeps_only_its_arguments_taints():
-    from soldefect.evm.cfg import UNKNOWN, _step, value_tags
-    from soldefect.evm.opcodes import MNEMONICS
-    stack = [("const", 0)]
-    _step(stack, MNEMONICS["CALLDATALOAD"], 0)
-    _step(stack, MNEMONICS["SLOAD"], 1)
+    from soldefect.evm.cfg import UNKNOWN, value_tags
+    stack = execute([("const", 0)], "CALLDATALOAD", "SLOAD")
     assert value_tags(stack[-1]) == {"CALLDATA"}
-    _step(stack, MNEMONICS["CALLER"], 2)
-    assert stack[-1] == UNKNOWN
+    assert execute(stack, "CALLER")[-1] == UNKNOWN
 
 
 # -- selectors -----------------------------------------------------------------

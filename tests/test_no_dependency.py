@@ -94,9 +94,12 @@ def test_parallel_run_loads_no_process_pool(tmp_path):
 
 # modules every CLI start would pay for but none needs: dataclasses (and the
 # inspect it loads), typing and fractions, the scorer, which loads with a
-# score run, and hashlib with OpenSSL, which loads when an input is read
+# score run, hashlib with OpenSSL, which loads when an input is read, and
+# shutil (with bz2, lzma and fnmatch), which argparse's formatter loads to
+# find the terminal's width
 NOT_AT_START = ("dataclasses", "inspect", "typing", "fractions",
-                "soldefect.corpus", "hashlib", "_hashlib")
+                "soldefect.corpus", "hashlib", "_hashlib", "shutil", "bz2",
+                "lzma", "fnmatch")
 
 
 def test_cli_start_loads_only_what_every_run_needs():

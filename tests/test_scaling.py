@@ -9,7 +9,8 @@ shows as a count that grows with the square of the input. The transfer
 shape cost memory, not time, so it is measured by the tracemalloc peak.
 Lexing and parsing are outside the count (see test_lexer.py for the
 lexer's one such shape). For bytecode, the count covers disassembly, the
-CFG, loops, selectors and the bytecode detectors.
+CFG, loops, selectors and the bytecode detectors; nested loops, whose
+bodies grow with the square of their count, are measured per body block.
 """
 
 from __future__ import annotations
@@ -159,6 +160,46 @@ def test_comparison_of_comparisons_grows_linearly():
     small, large = _bytecode_work(_self_comparisons(5)), \
         _bytecode_work(_self_comparisons(20))
     assert large <= GROWTH_BOUND * small, (small, large)
+
+
+def back_edges_into_one_header(n: int) -> bytes:
+    """A chain of ``n`` blocks, each with a back edge to the loop header
+    at its head: one loop, whose tails all share the header."""
+    return assemble(["head:", "JUMPDEST"] + [
+        "PUSH1 0", "CALLDATALOAD", "PUSH2 @head", "JUMPI"] * n + ["STOP"])
+
+
+def nested_loops(n: int) -> bytes:
+    """``n`` loops, each nested in the one before: the headers, then the
+    innermost loop's tail and each outer loop's after it."""
+    program = []
+    for k in range(n):
+        program += [f"h{k}:", "JUMPDEST"]
+    for k in reversed(range(n)):
+        program += ["PUSH1 0", "CALLDATALOAD", f"PUSH2 @h{k}", "JUMPI"]
+    return assemble(program + ["STOP"])
+
+
+def test_back_edges_into_one_header_grow_linearly():
+    # a dominance test that walked each tail's immediate-dominator chain up
+    # to the header would cost the square of the chain's length
+    small = _bytecode_work(back_edges_into_one_header(100))
+    large = _bytecode_work(back_edges_into_one_header(400))
+    assert large <= GROWTH_BOUND * small, (small, large)
+
+
+def test_nested_loops_cost_what_their_bodies_hold():
+    # n nested loops hold about n ** 2 blocks in their bodies together,
+    # which the facts keep, so the work cannot grow linearly with n: what
+    # it must not do is grow faster than the bodies
+    def work_per_body_block(n: int) -> float:
+        code = nested_loops(n)
+        loops = build_bytecode_facts(code, "shape.hex").loops
+        assert len(loops) == n
+        return _bytecode_work(code) / sum(len(loop.body) for loop in loops)
+
+    small, large = work_per_body_block(25), work_per_body_block(100)
+    assert large <= GROWTH_BOUND / 4 * small, (small, large)
 
 
 def test_a_long_negation_chain_is_analyzed():

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import glob
 import hashlib
-import importlib.util
 import json
 import os
 import re
@@ -51,8 +50,8 @@ from soldefect.report import filter_by_impact, render
 from soldefect.spans import position
 from asm import (BALANCE_EQ, CALL_BODY, PUSH20_LITERAL, counted_loop,
                  dispatcher, storage_bound_loop)
-from conftest import (CORPUS_DIR, LISTINGS, parse_source, read_listing,
-                      seeded_mutants)
+from conftest import (CORPUS_DIR, LISTINGS, bench_module, parse_source,
+                      read_listing, seeded_mutants)
 from synth import generate_contract_file, write_corpus
 
 SNAPSHOTS = {
@@ -360,22 +359,8 @@ def test_report_bytes_do_not_depend_on_the_hash_seed(mixed_corpus):
 @pytest.fixture(scope="module")
 def bench_tracing():
     """bench/tracing.py, the benchmark's traced copy of the per-file
-    pipeline, imported without writing bytecode under bench/."""
-    path = os.path.join(os.path.dirname(__file__), "..", "bench", "tracing.py")
-    spec = importlib.util.spec_from_file_location("tracing", path)
-    module = importlib.util.module_from_spec(spec)
-    saved = sys.modules.get("tracing")
-    sys.modules["tracing"] = module  # dataclasses look their module up
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-        if saved is None:
-            del sys.modules["tracing"]
-        else:
-            sys.modules["tracing"] = saved
-    return module
+    pipeline."""
+    return bench_module("tracing")
 
 
 @pytest.mark.parametrize("format", ["json", "sarif"])
