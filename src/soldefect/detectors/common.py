@@ -95,8 +95,10 @@ def is_guard_call(expr: Expression) -> bool:
 
 def bound_is_constant(condition: Expression | None,
                       table: SymbolTable) -> bool:
-    """A loop bound is constant when the comparison involves a literal or
-    a `constant` state variable with a literal initializer."""
+    """A loop bound is constant when the comparison sets a literal, or a
+    `constant` state variable with a literal initializer, against a plain
+    name that is not a state variable: `i < 10`, but not
+    `members.length > 0`."""
     if condition is None:
         return False
     condition = unwrap(condition)
@@ -104,8 +106,14 @@ def bound_is_constant(condition: Expression | None,
         return False
     if condition.operator not in ("<", "<=", ">", ">=", "!=", "=="):
         return False
-    return (_is_compile_time_constant(condition.left, table)
-            or _is_compile_time_constant(condition.right, table))
+    left, right = unwrap(condition.left), unwrap(condition.right)
+    return ((_is_counter(left, table) and _is_compile_time_constant(right, table))
+            or (_is_counter(right, table)
+                and _is_compile_time_constant(left, table)))
+
+
+def _is_counter(expr: Expression, table: SymbolTable) -> bool:
+    return isinstance(expr, Identifier) and expr.name not in table.state_variables
 
 
 def _is_compile_time_constant(expr: Expression, table: SymbolTable) -> bool:

@@ -2,15 +2,19 @@
 
 ``map_forked`` forks up to ``workers`` children, which claim items from one
 shared queue, largest first, and stream back each result as it is done.
-The parent computes nothing: it feeds the queue, reads the children's pipes
+The parent computes nothing: it writes the queue, reads the children's pipes
 and puts the results back in item order. An item whose child dies is tried
 again alone in a fresh child, and recorded as failed only if that child dies
 too, so an input that kills a worker costs that input and nothing else.
 
-The queue is a pipe holding each item's position as 4 bytes. The parent
-writes at most ``PIPE_BUF`` bytes at a time (each write is atomic) and every
-child reads exactly 4 bytes at a time (each read is serialized), so no two
-children ever claim one item and no read returns part of a position.
+The queue is a pipe of claims, each a run of consecutive positions in that
+order, named by its number as 4 bytes. There are at most ``PIPE_BUF // 4``
+claims (1,024 on Linux), so one claim per item up to that many items. The
+parent fills the queue with one write of at most ``PIPE_BUF`` bytes into the
+empty pipe, which is atomic and cannot block, and closes the write end before
+the first fork. Every child reads exactly 4 bytes at a time (each read is
+serialized), so no two children ever take one claim, no read returns part of
+one, and a child that finds the queue empty reads EOF and exits.
 A result is a length-prefixed pickle of ``(position, result)``; pickles are
 only read back from the children this module forked.
 """
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import select
 import selectors
 import signal
 import time
@@ -28,8 +33,8 @@ from .records import field, record
 
 # a pipe holds 64 KiB, so a read that fills this left more waiting
 _READ_SIZE = 1 << 16
-# the queue is written in atomic pieces of at most PIPE_BUF (4,096 on Linux)
-_QUEUE_WRITE = 4096
+# the claims that fit one atomic write to the queue: 1,024 on Linux
+_CLAIMS = select.PIPE_BUF // 4
 # the parent drains the pipes at most this often, so that it does not wake,
 # and take a CPU from a worker, for each result
 _DRAIN_INTERVAL_S = 0.005
@@ -73,35 +78,27 @@ class _Run:
         self.deaths: dict[int, str] = {}  # position -> why its lone child died
         self.children: dict[int, _Child] = {}  # read end of its pipe -> child
         self.selector = selectors.DefaultSelector()
+        self.claims: list[list[int]] = []
         self.queue_read: int | None = None
-        self.queue_write: int | None = None
-        self.unsent = memoryview(b"")  # positions not yet in the queue
 
     def queue(self, order: list[int]) -> None:
-        """Run ``order`` through the shared queue. A child that dies while
-        the queue surely still holds items is replaced; what the dead
-        children were computing is left missing from ``results``."""
-        self.queue_read, self.queue_write = os.pipe()
-        os.set_blocking(self.queue_write, False)
-        self.unsent = memoryview(b"".join(i.to_bytes(4, "big") for i in order))
-        self._feed()
-        lost = 0
+        """Run ``order`` through the shared queue, in claims of consecutive
+        positions. A child that dies is replaced; the rest of the claim it
+        was computing is left missing from ``results``."""
+        size = max(1, -(-len(order) // _CLAIMS))  # ceil, and 1 for no items
+        self.claims = [order[k:k + size] for k in range(0, len(order), size)]
+        self.queue_read, queue_write = os.pipe()
+        os.write(queue_write, b"".join(
+            k.to_bytes(4, "big") for k in range(len(self.claims))))
+        os.close(queue_write)
         for _ in range(self.workers):
             self._start(None)
         while self.children:
-            for child, status in self._poll():
-                lost += status != 0
-                # each live child holds at most one item and each dead one
-                # lost at most one: past those, the queue still has items
-                if status != 0 and (len(self.items) - self.received
-                                    - len(self.children) - lost) > 0:
+            for _, status in self._poll():
+                if status != 0:
                     self._start(None)
         os.close(self.queue_read)
         self.queue_read = None
-        if self.queue_write is not None:
-            self.selector.unregister(self.queue_write)
-            os.close(self.queue_write)
-            self.queue_write = None
 
     def alone(self, positions: list[int]) -> None:
         """Run each of ``positions`` in a child of its own, ``workers`` at a
@@ -128,24 +125,20 @@ class _Run:
             os.close(write_fd)
             raise
         if pid == 0:
-            claims = _claims(self.queue_read) if position is None else (position,)
-            inherited = [read_fd, *self.children]
-            if self.queue_write is not None:
-                inherited.append(self.queue_write)
-            _child(self.func, self.items, claims, write_fd, inherited)
+            claims = (_claims(self.queue_read, self.claims) if position is None
+                      else (position,))
+            _child(self.func, self.items, claims, write_fd,
+                   [read_fd, *self.children])
         self.children[read_fd] = child = _Child(pid, position)
         os.close(write_fd)
         self.selector.register(read_fd, selectors.EVENT_READ, child)
 
     def _poll(self) -> list[tuple[_Child, int]]:
-        """Read what the children sent and feed the queue; return each child
-        that has exited, reaped, with its wait status."""
+        """Read what the children sent; return each child that has exited,
+        reaped, with its wait status."""
         exited = []
         full = False
         for key, _events in self.selector.select():
-            if key.data is None:
-                self._feed()
-                continue
             data = os.read(key.fd, _READ_SIZE)
             if data:
                 self._take(key.data, data)
@@ -155,7 +148,8 @@ class _Run:
             os.close(key.fd)
             child = self.children.pop(key.fd)
             exited.append((child, os.waitpid(child.pid, 0)[1]))
-        # with every unfinished item in a child, see each exit at once
+        # with every unfinished item in a child, see each exit at once (this
+        # counts one item a child: exact while each claim holds one item)
         if self.children and not full and (
                 self.received + len(self.children) < len(self.items)):
             time.sleep(_DRAIN_INTERVAL_S)
@@ -176,22 +170,6 @@ class _Run:
             start = end
         del pending[:start]
 
-    def _feed(self) -> None:
-        """Write what the queue has room for; close it once all is sent."""
-        fd = self.queue_write
-        try:
-            while self.unsent:
-                sent = os.write(fd, self.unsent[:_QUEUE_WRITE])
-                self.unsent = self.unsent[sent:]
-        except BlockingIOError:
-            if fd not in self.selector.get_map():
-                self.selector.register(fd, selectors.EVENT_WRITE, None)
-            return
-        if fd in self.selector.get_map():
-            self.selector.unregister(fd)
-        os.close(fd)
-        self.queue_write = None
-
     def close(self) -> None:
         """Kill and reap every child still running, and close every pipe."""
         for fd, child in self.children.items():
@@ -199,17 +177,16 @@ class _Run:
             os.waitpid(child.pid, 0)
             os.close(fd)
         self.children.clear()
-        for fd in (self.queue_read, self.queue_write):
-            if fd is not None:
-                os.close(fd)
+        if self.queue_read is not None:
+            os.close(self.queue_read)
         self.selector.close()
 
 
-def _claims(queue_fd: int) -> Iterator[int]:
-    """The positions this child takes from the shared queue, until it is
-    empty and closed."""
+def _claims(queue_fd: int, claims: list[list[int]]) -> Iterator[int]:
+    """The positions of each claim this child takes from the shared queue,
+    until it is empty."""
     while claim := os.read(queue_fd, 4):
-        yield int.from_bytes(claim, "big")
+        yield from claims[int.from_bytes(claim, "big")]
 
 
 def _child(func: Callable, items: list, claims: Iterable[int], write_fd: int,

@@ -5,6 +5,7 @@ import os
 import pathlib
 import selectors
 import signal
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,9 +334,13 @@ def _flipped_program(draw) -> tuple[bytes, str]:
     return ("0x" + code.hex()).encode(), "flipped.hex"
 
 
+_DAMAGED_INPUT = st.one_of(
+    _mutated_listing(), _flipped_program(),
+    st.tuples(st.binary(max_size=300), st.just("random.bin")))
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.one_of(_mutated_listing(), _flipped_program(),
-                 st.tuples(st.binary(max_size=300), st.just("random.bin"))))
+@given(_DAMAGED_INPUT)
 def test_a_damaged_input_fails_only_where_its_input_is_read(case):
     # tokens dropped, duplicated or swapped in a listing, bits flipped in a
     # hand-assembled program, random bytes: an input may fail to decode or
@@ -344,3 +349,24 @@ def test_a_damaged_input_fails_only_where_its_input_is_read(case):
     outcome = analyze_input(raw, name, RunConfig())
     assert outcome.error is None or outcome.phase in ("decode", "lex"), outcome.error
     assert not [d for d in outcome.diagnostics if d.message.startswith("detector ")]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.lists(_DAMAGED_INPUT, min_size=2, max_size=6))
+def test_damaged_inputs_give_one_report_at_jobs_1_and_2(cases):
+    # the inputs of the property above, a few to a directory with one input
+    # that fails to decode and one that fails to lex, analyzed by the main
+    # process and by two forked workers: the same report, and the same
+    # failure and diagnostics for each input
+    cases = cases + [
+        (b"contract \xff {}", "latin1.sol"),
+        (b'contract C { string s = "abc;\n}\n', "unterminated.sol")]
+    with tempfile.TemporaryDirectory() as directory:
+        for k, (raw, name) in enumerate(cases):
+            pathlib.Path(directory, f"{k}_{name}").write_bytes(raw)
+        (serial, serial_outcomes), (forked, forked_outcomes) = (
+            analyze_paths([directory], RunConfig(jobs=jobs)) for jobs in (1, 2))
+    assert render(forked, "json") == render(serial, "json")
+    assert [(o.error, o.phase, o.diagnostics) for o in forked_outcomes] \
+        == [(o.error, o.phase, o.diagnostics) for o in serial_outcomes]
+    assert no_child_left()

@@ -251,34 +251,47 @@ def test_matching_param_bound_quiet():
 }""")
 
 
-@pytest.mark.parametrize("loop,fires", [
+_D04 = "unmatched-type-assignment"
+_D02 = "dos-under-external-influence"
+
+
+@pytest.mark.parametrize("loop,detector,fires", [
     # a counter on the right of the comparison
-    ("for (uint8 i = 0; 300 > i; i++) { }", True),
+    ("for (uint8 i = 0; 300 > i; i++) { }", _D04, True),
     # an inclusive bound is reached one step earlier
-    ("for (uint8 i = 0; i <= 255; i++) { }", True),
-    ("for (uint8 i = 0; i <= 254; i++) { }", False),
-    ("for (uint8 i = 0; 255 >= i; i++) { }", True),
+    ("for (uint8 i = 0; i <= 255; i++) { }", _D04, True),
+    ("for (uint8 i = 0; i <= 254; i++) { }", _D04, False),
+    ("for (uint8 i = 0; 255 >= i; i++) { }", _D04, True),
     # a bound name that is neither state nor parameter counts as 256 bits
-    ("for (uint8 i = 0; i < limit; i++) { }", True),
+    ("for (uint8 i = 0; i < limit; i++) { }", _D04, True),
     # a counter assigned, not declared, has no type to check
-    ("for (j = 0; j < 300; j++) { }", False),
+    ("for (j = 0; j < 300; j++) { }", _D04, False),
     # nor has a counter of a type that is not an integer
-    ("for (Token t = 0; t < 300; t++) { }", False),
-    ("for (bool b = false; b < 300; ) { }", False),
-    ("for (address a = 0; a < 300; a++) { }", False),
+    ("for (Token t = 0; t < 300; t++) { }", _D04, False),
+    ("for (bool b = false; b < 300; ) { }", _D04, False),
+    ("for (address a = 0; a < 300; a++) { }", _D04, False),
     # a condition that is no comparison, one that does not read the
     # counter, and a fractional bound bound nothing
-    ("for (uint8 i = 0; j; i++) { }", False),
-    ("for (uint8 i = 0; j < 300; i++) { }", False),
-    ("for (uint8 i = 0; i < 1.5; i++) { }", False),
+    ("for (uint8 i = 0; j; i++) { }", _D04, False),
+    ("for (uint8 i = 0; j < 300; i++) { }", _D04, False),
+    ("for (uint8 i = 0; i < 1.5; i++) { }", _D04, False),
+    # a literal bounds a loop only against a plain name that is not state:
+    # storage counted down to a literal is no constant bound
+    ("while (members.length > 0) { throw; }", _D02, True),
+    ("while (j > 0) { throw; }", _D02, True),
+    ("for (uint i = 0; i < 10; i++) { throw; }", _D02, False),
+    ("for (uint i = 10; i > 0; i--) { throw; }", _D02, False),
 ], ids=["counter-on-right", "inclusive-bound-reached",
         "inclusive-bound-in-range", "inclusive-counter-on-right",
         "unresolved-bound", "assigned-counter", "user-type-counter",
         "bool-counter", "address-counter", "condition-not-a-comparison",
-        "condition-without-the-counter", "fractional-bound"])
-def test_loop_bound_forms(loop, fires):
-    source = f"contract C {{ uint8 j; function f() {{ {loop} }} }}"
-    assert ("unmatched-type-assignment" in detectors_fired(source)) is fires
+        "condition-without-the-counter", "fractional-bound",
+        "storage-counted-down", "state-counted-down", "counted-up-to-literal",
+        "counted-down-to-literal"])
+def test_loop_bound_forms(loop, detector, fires):
+    source = (f"contract C {{ uint8 j; address[] members; "
+              f"function f() {{ {loop} }} }}")
+    assert (detector in detectors_fired(source)) is fires
 
 
 @pytest.mark.parametrize("source,messages", [

@@ -1,6 +1,7 @@
 """The forked workers behind --jobs: results in item order, a shared queue
-larger than a pipe, heaviest items first, and a dying item that costs only
-itself. Each test forks at most 3 workers at a time."""
+of claims that hold one item each up to 1,024 items and several past that,
+heaviest items first, and a dying item that costs only itself, in a claim of
+one item or of several. Each test forks at most 3 workers at a time."""
 
 from __future__ import annotations
 
@@ -22,9 +23,9 @@ def _failed(item, why):
     return ("failed", item, why)
 
 
-def test_results_keep_item_order_through_a_queue_larger_than_a_pipe():
-    # 20,000 positions take 80,000 bytes, more than the 64 KiB a pipe holds,
-    # so the parent feeds the queue as the workers drain it
+def test_results_keep_item_order_through_claims_of_many_items():
+    # 20,000 items travel in 1,000 claims of 20 (the queue holds at most
+    # 1,024 claims, PIPE_BUF // 4 on Linux)
     items = list(range(20_000))
     assert map_forked(lambda x: 3 * x, items, 3, items, _failed) \
         == [3 * x for x in items]
@@ -129,6 +130,42 @@ def test_a_worker_that_dies_while_items_wait_is_replaced(monkeypatch):
                          [9, 1, 1, 1, 1, 1], _failed)
     assert results == [("failed", 0, "exited with status 3"), 1, 2, 3, 4, 5]
     assert starts == [None, None, None, 0]
+    assert no_child_left()
+
+
+def test_a_death_inside_a_claim_of_several_items_costs_only_its_item(
+        monkeypatch):
+    # 3,000 items travel in claims of 3: [0, 1, 2], [3, 4, 5], ... Item 4
+    # kills its worker after 3 is sent, so 5 is lost with it; both are
+    # retried alone, and only 4 fails. The queue still holds claims, so the
+    # dead worker is replaced once.
+    def exit_on_four(x):
+        if x == 4:
+            os._exit(3)
+        return x
+
+    starts = _record_starts(monkeypatch)
+    items = list(range(3000))
+    results = map_forked(exit_on_four, items, 2, [1] * 3000, _failed)
+    assert results[4] == ("failed", 4, "exited with status 3")
+    assert results[:4] + results[5:] == [x for x in items if x != 4]
+    assert starts == [None, None, None, 4, 5]
+    assert no_child_left()
+
+
+def test_a_worker_that_takes_the_last_claim_and_dies_is_replaced_once(
+        monkeypatch):
+    # the lightest item kills the worker that takes it, from an empty queue:
+    # its replacement reads EOF and exits 0, and is not replaced in turn
+    def exit_on_two(x):
+        if x == 2:
+            os._exit(3)
+        return x
+
+    starts = _record_starts(monkeypatch)
+    results = map_forked(exit_on_two, [0, 1, 2], 2, [3, 2, 1], _failed)
+    assert results == [0, 1, ("failed", 2, "exited with status 3")]
+    assert starts == [None, None, None, 2]
     assert no_child_left()
 
 
