@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from functools import cached_property
 
 from ..config import DetectorConfig
 from ..nodes import ContractDefinition, NodeIndex, SourceUnit
-from ..records import field, record
+from ..records import field, lazy, record
 from ..semantic import SymbolTable, build_call_graph
 from ..spans import Diagnostic, Span
 from .index import FunctionIndex
@@ -61,12 +60,12 @@ class SourceFacts:
     contracts: list[ContractFacts]
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
-    @cached_property
+    @lazy
     def tree(self) -> NodeIndex:
         """The file's nodes in pre-order."""
         return NodeIndex(self.unit)
 
-    @cached_property
+    @lazy
     def _indexes(self) -> dict[int, FunctionIndex]:
         """id(fn) -> the index of fn, for each contract's own functions, then
         its modifiers, that have a body, in source order."""

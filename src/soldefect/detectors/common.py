@@ -6,14 +6,9 @@ from ..nodes import (BinaryOperation, Block, CallExpression,
                      ElementaryTypeExpression, Expression, ExpressionStatement,
                      HexLiteral, Identifier, IfStatement, IndexAccess,
                      MemberAccess, NumberLiteral, ReturnStatement, Statement,
-                     ThrowStatement, TupleExpression, UnaryOperation)
+                     ThrowStatement, UnaryOperation, builtin_call_name,
+                     global_member, unwrap)
 from ..semantic import SymbolTable
-
-
-def unwrap(expr: Expression) -> Expression:
-    while isinstance(expr, TupleExpression) and len(expr.components) == 1:
-        expr = expr.components[0]
-    return expr
 
 
 # ---------------------------------------------------------------------------
@@ -77,14 +72,6 @@ def external_call(expr: Expression) -> tuple[str | None, Expression,
     return kind, node if receiver is None else receiver, arguments
 
 
-def builtin_call_name(expr: Expression) -> str | None:
-    if isinstance(expr, CallExpression):
-        callee = unwrap(expr.callee)
-        if isinstance(callee, Identifier):
-            return callee.name
-    return None
-
-
 def is_guard_call(expr: Expression) -> bool:
     return builtin_call_name(expr) in ("require", "assert")
 
@@ -138,17 +125,6 @@ def store_base(expr: Expression) -> Identifier | None:
     return expr if isinstance(expr, Identifier) else None
 
 
-def global_member(expr: Expression) -> tuple[str, str] | None:
-    """(name, member) for a member of a bare name, such as `tx.origin`,
-    `msg.sender`, `block.number` or `this.balance`; None otherwise."""
-    expr = unwrap(expr)
-    if isinstance(expr, MemberAccess):
-        obj = unwrap(expr.object)
-        if isinstance(obj, Identifier):
-            return obj.name, expr.member
-    return None
-
-
 def is_balance_expression(expr: Expression) -> bool:
     """Matches this.balance and address(this).balance."""
     if global_member(expr) == ("this", "balance"):
@@ -165,14 +141,6 @@ def is_balance_expression(expr: Expression) -> bool:
             inner = unwrap(obj.arguments[0])
             return isinstance(inner, Identifier) and inner.name == "this"
     return False
-
-
-def is_tx_origin(expr: Expression) -> bool:
-    return global_member(expr) == ("tx", "origin")
-
-
-def is_selfdestruct(expr: Expression) -> bool:
-    return builtin_call_name(expr) in ("selfdestruct", "suicide")
 
 
 def can_receive_ether(table: SymbolTable) -> bool:

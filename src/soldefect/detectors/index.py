@@ -1,14 +1,13 @@
 """The facts the source detectors query instead of walking the tree: the
-file's nodes in pre-order (``nodes.NodeIndex``), and one index per function
-or modifier body, shared by every contract that inherits it, over the
-body's statements in context (``nodes.statements``) and the declarations
-its names resolve to. A fact only some detectors read, such as def-use
-liveness, is built on first use from what the index holds."""
+file's nodes in pre-order (``nodes.NodeIndex``), by type or, for rare ones
+such as ``block.number``, by name; and one index per function or modifier
+body, shared by every contract that inherits it, over its statements in
+context (``nodes.statements``), its declarations, and the identifiers of
+each expression, found once. Facts only some detectors read come on first use."""
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import cached_property
 
 from ..nodes import (Assignment, CallExpression, Conditional, Expression,
                      ExpressionStatement, ForStatement, FunctionDefinition,
@@ -16,9 +15,10 @@ from ..nodes import (Assignment, CallExpression, Conditional, Expression,
                      NodeIndex, Statement, StatementFacts, UnaryOperation,
                      VariableDeclaration, VariableDeclarationStatement,
                      WhileStatement, statements)
+from ..records import lazy
 from ..semantic import SymbolTable, VarFacts, liveness
-from .common import (ETHER_SENDING_KINDS, bound_is_constant, external_call,
-                     is_guard_call, is_selfdestruct, store_base, unwrap)
+from .common import (ETHER_SENDING_KINDS, bound_is_constant,
+                     builtin_call_name, external_call, store_base, unwrap)
 
 
 class FunctionIndex:
@@ -40,29 +40,40 @@ class FunctionIndex:
         self.end = tree.ends[self.start]
         # id(call) -> external_call(call), for the low-level external calls
         self._calls = {id(call): decoded for call in self.of(CallExpression)
-                       if (decoded := external_call(call))[0] is not None}
+                       if builtin_call_name(call) is None
+                       and (decoded := external_call(call))[0] is not None}
+        self.call_kinds: set[str] = {kind for kind, *_ in self._calls.values()}
+        self._identifiers: dict[int, list[Identifier]] = {}
         self.statements: list[StatementFacts] = statements(fn)
-        # each named parameter, named return and local of the body
-        self.declared: list[VariableDeclaration] = [
-            p for p in fn.parameters if p.name]
-        if isinstance(fn, FunctionDefinition):
-            self.declared += [r for r in fn.returns_ if r.name]
-        # (assigned local or state name, value), in statement order
-        self.assignments: list[tuple[str, Expression]] = []
+
+    @lazy
+    def declared(self) -> list[VariableDeclaration]:
+        """Each named parameter, named return and local of the body."""
+        returns = self.fn.returns_ if isinstance(self.fn, FunctionDefinition) else []
+        return [decl for decl in (*self.fn.parameters, *returns) if decl.name] + [
+            st.node.declaration for st in self.statements
+            if isinstance(st.node, VariableDeclarationStatement)]
+
+    @lazy
+    def locals(self) -> set[str]:
+        """The names of those, anywhere in the body: 0.4's function scoping."""
+        return {decl.name for decl in self.declared}
+
+    @lazy
+    def assignments(self) -> list[tuple[str, Expression]]:
+        """(assigned local or state name, value), in statement order."""
+        found = []
         for st in self.statements:
             stmt = st.node
             if isinstance(stmt, VariableDeclarationStatement):
                 decl = stmt.declaration
-                self.declared.append(decl)
                 if decl.initializer is not None:
-                    self.assignments.append((decl.name, decl.initializer))
+                    found.append((decl.name, decl.initializer))
             elif isinstance(stmt, ExpressionStatement):
                 expr = unwrap(stmt.expression)
-                if isinstance(expr, Assignment) \
-                        and isinstance(expr.target, Identifier):
-                    self.assignments.append((expr.target.name, expr.value))
-        # the names of those, anywhere in the body: 0.4's function scoping
-        self.locals: set[str] = {decl.name for decl in self.declared}
+                if isinstance(expr, Assignment) and isinstance(expr.target, Identifier):
+                    found.append((expr.target.name, expr.value))
+        return found
 
     def declaration(self, name: str, at: int) -> VariableDeclaration | None:
         """The declaration a name read at source offset ``at`` resolves to,
@@ -74,9 +85,19 @@ class FunctionIndex:
             return max(before, key=lambda decl: decl.span.offset)
         return self.table.state_variables.get(name)
 
-    def of(self, *types: type) -> list:
-        """Body nodes of the given types, in pre-order."""
-        return self.tree.select(types, self.start, self.end)
+    def of(self, *kinds) -> list:
+        """Body nodes of any of the given kinds (``NodeIndex``), in pre-order."""
+        return self.tree.select(kinds, self.start, self.end)
+
+    def identifiers(self, expr) -> list[Identifier]:
+        """The identifiers in expr's subtree, in pre-order: one answer per
+        expression, kept for every later reader."""
+        if expr.__class__ is Identifier:
+            return [expr]
+        found = self._identifiers.get(id(expr))
+        if found is None:
+            found = self._identifiers[id(expr)] = self.within(expr, Identifier)
+        return found
 
     def kind(self, expr) -> str | None:
         """The kind of ``external_call(expr)``, for a node of this body."""
@@ -86,44 +107,41 @@ class FunctionIndex:
         """``external_call(expr)`` for an external call of this body, or None."""
         return self._calls.get(id(expr))
 
-    @cached_property
+    @lazy
     def def_use(self) -> list[VarFacts]:
         """``semantic.liveness`` of this function body."""
-        return liveness(self.fn, self.statements, self.within)
+        return liveness(self.fn, self.statements, self.identifiers)
 
-    @cached_property
+    @lazy
     def ether_exits(self) -> set[str]:
         """How ether can leave this body: "call" for a call that sends
         value, "selfdestruct" for selfdestruct or suicide."""
-        exits = set()
-        for node in self.of(CallExpression):
-            if self.kind(node) in ETHER_SENDING_KINDS:
-                exits.add("call")
-            elif is_selfdestruct(node):
-                exits.add("selfdestruct")
+        exits = {"call"} if self.call_kinds & ETHER_SENDING_KINDS else set()
+        if self.of((CallExpression, "selfdestruct"), (CallExpression, "suicide")):
+            exits.add("selfdestruct")
         return exits
 
-    @cached_property
+    @lazy
     def conditions(self) -> list[Expression]:
         """Branch conditions: if/while/for conditions in statement order,
         then ternary conditions and require/assert arguments in pre-order."""
         found = [st.node.condition for st in self.statements
                  if isinstance(st.node, (IfStatement, WhileStatement, ForStatement))
                  and st.node.condition is not None]
-        for node in self.of(Conditional, CallExpression):
+        for node in self.of(Conditional, (CallExpression, "require"),
+                            (CallExpression, "assert")):  # is_guard_call
             if isinstance(node, Conditional):
                 found.append(node.condition)
-            elif is_guard_call(node):
+            else:
                 found += node.arguments
         return found
 
-    def in_conditions(self, *types: type) -> list:
-        """Nodes of the given types in the branch conditions, condition by
-        condition, each in pre-order."""
-        within = self.within
-        return [node for cond in self.conditions for node in within(cond, *types)]
+    def in_conditions(self, *kinds) -> list:
+        """Nodes of any of the given kinds in the branch conditions, condition
+        by condition, each in pre-order."""
+        return [node for cond in self.conditions for node in self.within(cond, *kinds)]
 
-    @cached_property
+    @lazy
     def unbounded_loops(self) -> list[tuple[Statement, list[StatementFacts]]]:
         """(loop, statements of its body) for each for/while loop whose bound
         is not a compile-time constant, or that is nested in such a loop."""
@@ -138,7 +156,7 @@ class FunctionIndex:
                 covered = max(covered, body_end)
         return found
 
-    @cached_property
+    @lazy
     def state_writes(self) -> list[tuple[str, Expression]]:
         """(state variable name, written expression) pairs, in pre-order."""
         stores = []
@@ -171,7 +189,7 @@ class FunctionIndex:
                     continue
                 found = list(sources(value))
                 if facts:
-                    for node in self.within(value, Identifier):
+                    for node in self.identifiers(value):
                         found += facts.get(node.name, ())
                 if found:
                     facts.setdefault(name, {}).update(dict.fromkeys(found))

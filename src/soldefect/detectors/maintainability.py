@@ -8,7 +8,7 @@ from ..evm.eip55 import is_valid_address
 from ..nodes import Assignment, HexLiteral, Identifier, MemberAccess
 from .base import (AnalysisContext, ContractFacts, DetectorDescriptor, Hit,
                    SourceFacts, register)
-from .common import can_receive_ether, global_member, unwrap
+from .common import can_receive_ether, unwrap
 from .index import FunctionIndex
 
 HARD_CODE_ADDRESS = DetectorDescriptor(
@@ -92,11 +92,9 @@ def _has_circuit_breaker(cf: ContractFacts, source: SourceFacts) -> bool:
     return bool(checked & written_controlled)
 
 
-_CALLER_READS = frozenset((name, member) for name in ("msg", "tx")
-                          for member in ("sender", "origin"))
+_CALLER_READS = tuple((MemberAccess, name, member) for name in ("msg", "tx")
+                      for member in ("sender", "origin"))
 
 
 def _is_access_controlled(index: FunctionIndex) -> bool:
-    return bool(index.fn.modifiers_invoked) or any(
-        global_member(node) in _CALLER_READS
-        for node in index.in_conditions(MemberAccess))
+    return bool(index.fn.modifiers_invoked or index.in_conditions(*_CALLER_READS))

@@ -47,13 +47,8 @@ HIGH_GAS_FUNCTION_TYPE = DetectorDescriptor(
 
 
 def _has_array_parameter(fn) -> bool:
-    for p in fn.parameters:
-        t = p.type_name
-        if t.kind == "array":
-            return True
-        if t.kind == "elementary" and t.name in ("bytes", "string"):
-            return True
-    return False
+    return any(t.kind == "array" or (t.kind == "elementary" and t.name in ("bytes", "string"))
+               for t in (p.type_name for p in fn.parameters))
 
 
 @register(HIGH_GAS_FUNCTION_TYPE)

@@ -21,13 +21,19 @@ DEPRECATED_APIS = DetectorDescriptor(
 # deliberately not in the default set (it only became deprecated late in the
 # 0.4 line); add it via `deprecated.extra = block.blockhash` when wanted.
 _DEPRECATED_CALLS = {
-    "suicide": "selfdestruct",
-    "sha3": "keccak256",
+    "suicide": "selfdestruct()",
+    "sha3": "keccak256()",
 }
 
 _DEPRECATED_MEMBERS = {
     ("msg", "gas"): "gasleft()",
 }
+
+
+# the nodes the checks below report, found by name, but for the extra names
+_KINDS = (ThrowStatement, (MemberAccess, "callcode"),
+          *((CallExpression, name) for name in _DEPRECATED_CALLS),
+          *((MemberAccess, *pair) for pair in _DEPRECATED_MEMBERS))
 
 
 def _deprecated(old: str, new: str | None) -> str:
@@ -39,31 +45,26 @@ def detect_deprecated_apis(ctx: AnalysisContext) -> Iterator[Hit]:
     extra = set(ctx.config.deprecated_extra)
     extra_members = {tuple(name.split(".", 1)) for name in extra if "." in name}
     extra_calls = {name for name in extra if "." not in name}
+    kinds = (*_KINDS, *((CallExpression, name) for name in sorted(extra_calls)), *(
+        (MemberAccess, *pair) for pair in sorted(extra_members))) if extra else _KINDS
     for cf in ctx.source.contracts:
         for fn in cf.contract.functions:
             if fn.mutability == "constant":
                 yield fn.span, _deprecated("`constant` function mutability",
                                            "view or pure")
         for index in ctx.source.indexes(cf.contract.functions + cf.contract.modifiers):
-            for node in index.of(ThrowStatement, CallExpression, MemberAccess):
+            for node in index.of(*kinds):
                 if isinstance(node, ThrowStatement):
                     yield node.span, _deprecated("throw", "revert()")
                 elif isinstance(node, CallExpression):
                     name = builtin_call_name(node)
-                    if name in _DEPRECATED_CALLS:
-                        yield node.span, _deprecated(
-                            f"{name}()", f"{_DEPRECATED_CALLS[name]}()")
-                    elif name in extra_calls:
-                        yield node.span, _deprecated(f"{name}()", None)
-                else:
-                    pair = global_member(node)
-                    if pair in _DEPRECATED_MEMBERS:
-                        yield node.span, _deprecated(".".join(pair),
-                                                     _DEPRECATED_MEMBERS[pair])
-                    elif pair in extra_members:
-                        yield node.span, _deprecated(".".join(pair), None)
-                    elif node.member == "callcode":
-                        yield node.span, _deprecated(".callcode", "delegatecall")
+                    yield node.span, _deprecated(f"{name}()", _DEPRECATED_CALLS.get(name))
+                elif (pair := global_member(node)) in _DEPRECATED_MEMBERS \
+                        or pair in extra_members:
+                    yield node.span, _deprecated(".".join(pair),
+                                                 _DEPRECATED_MEMBERS.get(pair))
+                else:  # a member named callcode
+                    yield node.span, _deprecated(".callcode", "delegatecall")
 
 
 # ---------------------------------------------------------------------------

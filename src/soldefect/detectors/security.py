@@ -15,7 +15,7 @@ from ..spans import Span
 from .base import AnalysisContext, DetectorDescriptor, Hit, register
 from .common import (CHECKABLE_CALL_KINDS, ETHER_SENDING_KINDS,
                      builtin_call_name, global_member, is_balance_expression,
-                     is_guard_call, is_tx_origin, unwrap)
+                     is_guard_call, unwrap)
 from .index import FunctionIndex
 
 # ---------------------------------------------------------------------------
@@ -35,6 +35,8 @@ UNCHECKED_EXTERNAL_CALLS = DetectorDescriptor(
 @register(UNCHECKED_EXTERNAL_CALLS)
 def detect_unchecked_external_calls(ctx: AnalysisContext) -> Iterator[Hit]:
     for index in ctx.source.bodies():
+        if not index.call_kinds & CHECKABLE_CALL_KINDS:
+            continue
         for st in index.statements:
             stmt = st.node
             if not isinstance(stmt, ExpressionStatement):
@@ -108,6 +110,8 @@ def detect_strict_balance_equality(ctx: AnalysisContext) -> Iterator[Hit]:
     if ctx.config.strict_balance_neq:
         operators.add("!=")
     for index in ctx.source.bodies():
+        if not index.of((MemberAccess, "balance")):
+            continue  # a balance expression is a member named balance
         for node in index.in_conditions(BinaryOperation):
             if (node.operator in operators
                     and (is_balance_expression(node.left)
@@ -225,25 +229,23 @@ TRANSACTION_STATE_DEPENDENCY = DetectorDescriptor(
 )
 
 
-# is_tx_origin holds only for these (a parenthesized tx.origin is a tuple)
-_ORIGIN_TYPES = (MemberAccess, TupleExpression)
+# tx.origin, or in parentheses a tuple: what global_member gives _TX_ORIGIN for
+_TX_ORIGIN = ("tx", "origin")
+_ORIGINS = ((MemberAccess, *_TX_ORIGIN), (TupleExpression, *_TX_ORIGIN))
 
 
 @register(TRANSACTION_STATE_DEPENDENCY)
 def detect_transaction_state_dependency(ctx: AnalysisContext) -> Iterator[Hit]:
     for index in ctx.source.bodies():
-        if ctx.config.strict_tx_origin_all_uses:
-            spots = [node for node in index.of(*_ORIGIN_TYPES)
-                     if is_tx_origin(node)]
-        else:
-            spots = [node for node in index.in_conditions(*_ORIGIN_TYPES)
-                     if is_tx_origin(node)]
+        spots = index.of(*_ORIGINS)
+        if not spots:
+            continue  # every spot is or holds one of them
+        if not ctx.config.strict_tx_origin_all_uses:
+            spots = index.in_conditions(*_ORIGINS)
             if isinstance(index.fn, ModifierDefinition):
-                for node in index.of(BinaryOperation):
-                    if (node.operator in ("==", "!=")
-                            and (is_tx_origin(node.left)
-                                 or is_tx_origin(node.right))):
-                        spots.append(node)
+                spots += [node for node in index.of(BinaryOperation)
+                          if node.operator in ("==", "!=")
+                          and _TX_ORIGIN in map(global_member, (node.left, node.right))]
         for node in spots:
             yield node.span, "tx.origin used in a permission check"
 
@@ -262,32 +264,20 @@ BLOCK_INFO_DEPENDENCY = DetectorDescriptor(
            "block data; use commit-reveal schemes or oracle input.",
 )
 
-_BLOCK_GLOBALS = frozenset(("block", member) for member in (
-    "blockhash", "timestamp", "number", "difficulty", "coinbase"))
-
-
-# _is_block_info holds only for these
-_BLOCK_SOURCE_TYPES = (MemberAccess, Identifier, CallExpression)
-
-
-def _is_block_info(node) -> bool:
-    if isinstance(node, MemberAccess):
-        return global_member(node) in _BLOCK_GLOBALS
-    if isinstance(node, Identifier):
-        return node.name == "now"
-    return builtin_call_name(node) == "blockhash"
+# block info: `now`, blockhash(...) and these members of `block`
+_BLOCK_INFO = ((Identifier, "now"), (CallExpression, "blockhash"), *(
+    (MemberAccess, "block", member) for member in (
+        "blockhash", "timestamp", "number", "difficulty", "coinbase")))
 
 
 def _block_info_sources(index: FunctionIndex, expr) -> list[Span]:
-    return [node.span for node in index.within(expr, *_BLOCK_SOURCE_TYPES)
-            if _is_block_info(node)]
+    return [node.span for node in index.within(expr, *_BLOCK_INFO)]
 
 
 @register(BLOCK_INFO_DEPENDENCY)
 def detect_block_info_dependency(ctx: AnalysisContext) -> Iterator[Hit]:
     for index in ctx.source.bodies():
-        if not any(_is_block_info(node)
-                   for node in index.of(*_BLOCK_SOURCE_TYPES)):
+        if not index.of(*_BLOCK_INFO):
             continue  # every finding starts at some block info
         # local name -> source spans of block info flowing into it
         taint = index.propagate(
@@ -297,7 +287,7 @@ def detect_block_info_dependency(ctx: AnalysisContext) -> Iterator[Hit]:
         def origins(expr) -> list[Span]:
             found = _block_info_sources(index, expr)
             if taint:
-                for node in index.within(expr, Identifier):
+                for node in index.identifiers(expr):
                     if node.name in taint:
                         found.extend(taint[node.name])
             return found
@@ -339,7 +329,7 @@ def detect_reentrancy(ctx: AnalysisContext) -> Iterator[Hit]:
     are not considered."""
     for index in ctx.source.bodies():
         if isinstance(index.fn, ModifierDefinition) \
-                or "callvalue" not in map(index.kind, index.of(CallExpression)):
+                or "callvalue" not in index.call_kinds:
             continue
         # local -> the state variables its value was derived from
         deps = index.propagate(lambda value: _state_reads(index, value),
@@ -349,7 +339,7 @@ def detect_reentrancy(ctx: AnalysisContext) -> Iterator[Hit]:
         def reads(guard) -> set[str]:
             if id(guard) not in known:
                 known[id(guard)] = set(_state_reads(index, guard)).union(
-                    *(deps.get(n.name, ()) for n in index.within(guard, Identifier)))
+                    *(deps.get(n.name, ()) for n in index.identifiers(guard)))
             return known[id(guard)]
 
         writes = sorted((expr.span.offset, k, name)
@@ -405,7 +395,7 @@ def _first_write(writes: list[tuple], by_name: dict[str, list[tuple]],
 
 
 def _state_reads(index: FunctionIndex, expr) -> list[str]:
-    return [node.name for node in index.within(expr, Identifier)
+    return [node.name for node in index.identifiers(expr)
             if node.name not in index.locals
             and node.name in index.table.state_variables]
 

@@ -1,9 +1,9 @@
 """AST for the Solidity subset, and its walks: ``walk``, every node of a
-subtree in pre-order; ``NodeIndex``, that pre-order built once per file,
-whose per-type positions the callee names and the detectors' fact index
-read; and ``statements``, every statement of a body with its enclosing
-conditions, listed once per body by the fact index, whose def-use
-liveness reads that list.
+subtree in pre-order; ``NodeIndex``, that pre-order built once per file
+through one child fetcher per class, whose positions per type, and per name
+for the rare nodes found by name, the callee names and the detectors' fact
+index read; and ``statements``, every statement of a body with its enclosing
+conditions, listed once per body by the fact index for def-use liveness.
 
 Every node carries exactly one Span. Nodes are slotted records (see
 ``records.py``) that compare field by field, so two parses of the same bytes
@@ -13,9 +13,11 @@ compare equal; like any mutable record, a node is unhashable.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
+from operator import attrgetter
 
 from .lexer import ETHER_UNITS
-from .records import field, record
+from .records import field, lazy, record
 from .spans import Span
 
 # ---------------------------------------------------------------------------
@@ -35,13 +37,7 @@ class TypeName:
     def canonical(self) -> str:
         """Canonical spelling for ABI-style signature matching."""
         if self.kind == "elementary":
-            if self.name == "uint":
-                return "uint256"
-            if self.name == "int":
-                return "int256"
-            if self.name == "byte":
-                return "bytes1"
-            return self.name
+            return _ALIASES.get(self.name, self.name)
         if self.kind == "array":
             suffix = "[]" if self.length is None else f"[{_const_text(self.length)}]"
             return self.element.canonical() + suffix
@@ -53,19 +49,18 @@ class TypeName:
 
     def int_bits(self) -> int | None:
         """Bit width for uintN/intN (plain uint/int normalize to 256)."""
-        if self.kind != "elementary":
-            return None
-        name = self.name
-        if name in ("uint", "int"):
-            return 256
-        for prefix in ("uint", "int"):
-            if name.startswith(prefix) and name[len(prefix):].isdigit():
-                return int(name[len(prefix):])
+        if self.kind == "elementary":
+            sign, found, digits = self.name.partition("int")
+            if found and sign in ("", "u") and (not digits or digits.isdigit()):
+                return int(digits or 256)
         return None
 
     def is_reference_type(self) -> bool:
         return (self.kind in ("array", "mapping")
                 or (self.kind == "elementary" and self.name in ("bytes", "string")))
+
+
+_ALIASES = {"uint": "uint256", "int": "int256", "byte": "bytes1"}
 
 
 def _const_text(expr: "Expression") -> str:
@@ -430,29 +425,40 @@ _CHILD_FIELDS = {
 }
 
 
+def _pusher(cls: type, fields: tuple[str, ...]):
+    """A function that pushes the children of a ``cls`` node onto a stack,
+    last first, a missing one as None; built once per class from its child
+    fields, a list of children where the field's annotation says so."""
+    parts = [(attrgetter(name), cls.__annotations__[name].startswith("list"))
+             for name in reversed(fields)]
+    if not any(many for _, many in parts):
+        get = attrgetter(*reversed(fields))  # a tuple for two or more
+        if len(fields) == 1:
+            return lambda node, stack: stack.append(get(node))
+        return lambda node, stack: stack.extend(get(node))
+
+    def push(node, stack) -> None:
+        if cls is FunctionDefinition:  # modifier arguments come last
+            for _, args in reversed(node.modifiers_invoked):
+                stack.extend(reversed(args))
+        for get, many in parts:
+            if many:
+                stack.extend(reversed(get(node)))
+            else:
+                stack.append(get(node))
+    return push
+
+
+_PUSH = {cls: _pusher(cls, fields) for cls, fields in _CHILD_FIELDS.items() if fields}
+
+
 def children(node) -> list:
     """Direct child nodes, in source order; none for a node of any type
     not listed in _CHILD_FIELDS."""
-    cls = node.__class__
-    fields = _CHILD_FIELDS.get(cls)
-    if not fields:
-        return []
-    out = []
-    append = out.append
-    for name in fields:
-        value = getattr(node, name)
-        if value is None:
-            continue
-        if value.__class__ is list:
-            for item in value:
-                if item is not None:
-                    append(item)
-        else:
-            append(value)
-    if cls is FunctionDefinition:
-        for _, args in node.modifiers_invoked:
-            out += args
-    return out
+    kids: list = []
+    if (push := _PUSH.get(node.__class__)) is not None:
+        push(node, kids)
+    return [kid for kid in reversed(kids) if kid is not None]
 
 
 def walk(node):
@@ -464,51 +470,107 @@ def walk(node):
         stack.extend(reversed(children(current)))
 
 
+def unwrap(expr: Expression) -> Expression:
+    while isinstance(expr, TupleExpression) and len(expr.components) == 1:
+        expr = expr.components[0]
+    return expr
+
+
+def _bare_name(expr: Expression) -> str | None:
+    """The name, if expr is one, parenthesized or not."""
+    if expr.__class__ is TupleExpression:
+        expr = unwrap(expr)
+    return expr.name if expr.__class__ is Identifier else None
+
+
+def global_member(expr: Expression) -> tuple[str, str] | None:
+    """(name, member) for a member of a bare name, such as `tx.origin`,
+    `msg.sender`, `block.number` or `this.balance`; None otherwise."""
+    expr = unwrap(expr)
+    name = _bare_name(expr.object) if isinstance(expr, MemberAccess) else None
+    return None if name is None else (name, expr.member)
+
+
+def builtin_call_name(expr: Expression) -> str | None:
+    return _bare_name(expr.callee) if isinstance(expr, CallExpression) else None
+
+
 class NodeIndex:
     """The pre-order of a subtree (what ``walk(root)`` yields) and, per
     position i, ``ends[i]``: one past the end of that node's subtree. So a
     subtree is a slice, containment a range check, and a subtree's nodes of
-    one type a bisection of that type's positions."""
+    some kinds (node types or keys of ``names``) a bisection, once filed."""
 
     def __init__(self, root) -> None:
         self.nodes: list = []
         self.ends: list[int] = []
-        self._by_type: dict[type, list[int]] = {}
-        nodes, ends, by_type = self.nodes, self.ends, self._by_type
+        self._by_type: dict[type, list[int]] = defaultdict(list)
+        # kinds -> (their positions, sorted; the nodes there)
+        self._filed: dict[tuple, tuple[list[int], list]] = {}
+        nodes, ends, by_type, pushers = self.nodes, self.ends, self._by_type, _PUSH
         stack: list = [root]
         while stack:
             node = stack.pop()
-            if node.__class__ is int:  # every node of that subtree is listed
+            cls = node.__class__
+            if cls is int:  # every node of that subtree is listed
                 ends[node] = len(nodes)
+                continue
+            if node is None:  # a missing child
                 continue
             i = len(nodes)
             nodes.append(node)
-            by_type.setdefault(node.__class__, []).append(i)
-            kids = children(node)
-            if kids:
+            by_type[cls].append(i)
+            push = pushers.get(cls)
+            if push is None:
+                ends.append(i + 1)
+            else:
                 ends.append(0)
                 stack.append(i)
-                kids.reverse()
-                stack.extend(kids)
-            else:
-                ends.append(i + 1)
-        self.pos: dict[int, int] = {id(node): i for i, node in enumerate(nodes)}
+                push(node, stack)
+        self.pos: dict[int, int] = dict(zip(map(id, nodes), range(len(nodes))))
 
-    def select(self, types: tuple[type, ...], start: int, end: int) -> list:
-        """Nodes of the given types at positions [start, end), in pre-order."""
-        positions: list[int] = []
-        for t in types:
-            found = self._by_type.get(t, ())
-            positions += found[bisect_left(found, start):bisect_left(found, end)]
-        if len(types) > 1:
-            positions.sort()
-        nodes = self.nodes
-        return [nodes[p] for p in positions]
+    @lazy
+    def names(self) -> dict[tuple, list[int]]:
+        """Positions of the nodes found by name: ``(Identifier, name)``,
+        ``(MemberAccess, member)``, ``(MemberAccess or TupleExpression, name,
+        member)`` by ``global_member``, ``(CallExpression, builtin_call_name)``."""
+        names: dict[tuple, list[int]] = defaultdict(list)
+        nodes, by_type = self.nodes, self._by_type
+        for p in by_type[Identifier]:
+            names[Identifier, nodes[p].name].append(p)
+        for p in by_type[MemberAccess]:
+            node = nodes[p]
+            names[MemberAccess, node.member].append(p)
+            if (name := _bare_name(node.object)) is not None:
+                names[MemberAccess, name, node.member].append(p)
+        for p in by_type[TupleExpression]:
+            if (pair := global_member(nodes[p])) is not None:
+                names[(TupleExpression, *pair)].append(p)
+        for p in by_type[CallExpression]:
+            if (name := _bare_name(nodes[p].callee)) is not None:
+                names[CallExpression, name].append(p)
+        return names
 
-    def within(self, node, *types: type) -> list:
-        """Nodes of the given types in node's subtree, node included."""
+    def select(self, kinds: tuple, start: int, end: int) -> list:
+        """Nodes of any of the given kinds at positions [start, end), in
+        pre-order."""
+        at, found = self._filed.get(kinds) or self._file(kinds)
+        return found[bisect_left(at, start):bisect_left(at, end)]
+
+    def _file(self, kinds: tuple) -> tuple[list[int], list]:
+        if len(kinds) == 1 and kinds[0].__class__ is not tuple:  # one type
+            at = self._by_type.get(kinds[0], ())
+        else:
+            found = [at for kind in kinds if (at := (
+                self.names if kind.__class__ is tuple else self._by_type).get(kind))]
+            at = found[0] if len(found) == 1 else sorted(set().union(*found))
+        filed = self._filed[kinds] = (at, list(map(self.nodes.__getitem__, at)))
+        return filed
+
+    def within(self, node, *kinds) -> list:
+        """Nodes of any of the given kinds in node's subtree, node included."""
         start = self.pos[id(node)]
-        return self.select(types, start, self.ends[start])
+        return self.select(kinds, start, self.ends[start])
 
     def contains(self, outer, inner) -> bool:
         start = self.pos[id(outer)]
@@ -528,29 +590,33 @@ def statements(fn: FunctionDefinition | ModifierDefinition) -> list[StatementFac
     context: a then-branch before its else-branch, and a for loop's body
     before its init statement. Empty for a function without a body."""
     out: list[StatementFacts] = []
-    stack: list = [] if fn.body is None else [(fn.body, (), False)]
+    stack: list = [] if fn.body is None else [fn.body]
+    conditions: tuple = ()
     while stack:
-        item = stack.pop()
-        if item.__class__ is int:  # every statement of that subtree is listed
-            out[item].end = len(out)
+        stmt = stack.pop()
+        cls = stmt.__class__
+        if cls is int:  # every statement of that subtree is listed
+            out[stmt].end = len(out)
+            conditions = out[stmt].conditions  # its siblings' context
             continue
-        stmt, conditions, for_init = item
+        for_init = cls is tuple  # a for loop's init, in the loop's context
+        if for_init:
+            stmt, conditions = stmt
+            cls = stmt.__class__
         k = len(out)
         out.append(StatementFacts(stmt, conditions, for_init, k + 1))
-        if isinstance(stmt, Block):
-            pushed = [(s, conditions, False) for s in reversed(stmt.statements)]
-        elif isinstance(stmt, IfStatement):
-            inner = conditions + (stmt.condition,)
-            pushed = [(branch, inner, False) for branch
-                      in (stmt.else_branch, stmt.then_branch) if branch is not None]
-        elif isinstance(stmt, (ForStatement, WhileStatement)):
-            init = stmt.init if isinstance(stmt, ForStatement) else None
-            pushed = [(init, conditions, True)] if init is not None else []
+        if cls is Block:
+            stack.append(k)
+            stack += reversed(stmt.statements)
+        elif cls is IfStatement:
+            stack.append(k)
+            stack += [b for b in (stmt.else_branch, stmt.then_branch) if b is not None]
+            conditions += (stmt.condition,)
+        elif cls is ForStatement or cls is WhileStatement:
+            stack.append(k)
+            if cls is ForStatement and stmt.init is not None:
+                stack.append((stmt.init, conditions))
             if stmt.condition is not None:
                 conditions += (stmt.condition,)
-            pushed.append((stmt.body, conditions, False))
-        else:
-            continue
-        stack.append(k)
-        stack += pushed
+            stack.append(stmt.body)
     return out

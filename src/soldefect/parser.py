@@ -578,20 +578,35 @@ class _Parser:
         self.expect("(")
         init: Statement | None = None
         depth = self.depth
+        rest = None  # (condition, post), once parsed
         try:
             if not self.at(";"):
                 init = self.parse_simple_statement()
             self.expect(";")
-        except ParseError as exc:  # one error, then on after the init's `;`
-            self._recover(exc, depth, _HEADER_STOPS)
-            if self.tokens[self.pos - 1][1] != ";":
-                raise  # no such `;`: the block skips the loop, not repeating it
+        except ParseError as exc:
+            mark = self.pos
+            if init is not None:  # only the init's `;` is missing, if the rest parses
+                try:
+                    rest = self._for_rest()
+                except ParseError:
+                    self.pos, self.depth = mark, depth
+            if rest is not None:
+                self.error(exc.message, exc.token)
+            else:  # one error, then on after the init's `;`
+                self._recover(exc, depth, _HEADER_STOPS)
+                if self.tokens[self.pos - 1][1] != ";":
+                    raise  # no such `;`: the block skips the loop, not repeating it
+        condition, post = rest or self._for_rest()
+        body = self.parse_statement()
+        return ForStatement(init, condition, post, body, self._span_from(start))
+
+    def _for_rest(self) -> tuple[Expression | None, Expression | None]:
+        """A for header's condition and post expression, through its `)`."""
         condition = None if self.at(";") else self.parse_expression()
         self.expect(";")
         post = None if self.at(")") else self.parse_expression()
         self.expect(")")
-        body = self.parse_statement()
-        return ForStatement(init, condition, post, body, self._span_from(start))
+        return condition, post
 
     def parse_while(self) -> WhileStatement:
         start = self.expect("while")[2]

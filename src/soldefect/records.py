@@ -1,6 +1,7 @@
 """``@record``: what the program used of ``@dataclass``, without importing
 ``dataclasses`` (which loads ``inspect``, ``ast`` and ``dis``) or paying for
-its slow decorator at every start. See ``record`` for what a class gets."""
+its slow decorator at every start. See ``record`` for what a class gets.
+And ``lazy``, a fact computed on first read."""
 
 from collections import namedtuple
 from operator import attrgetter
@@ -47,8 +48,12 @@ def record(cls=None, *, slots=False, frozen=False):
             value = f"_f_{name}() if {name} is _F else {name}"
         else:
             params.append(name if spec.default is _REQUIRED else f"{name}=_d_{name}")
-        sets.append(f"_set(self, {name!r}, {value})" if frozen
-                    else f"self.{name} = {value}")
+        if not frozen:
+            sets.append(f"self.{name} = {value}")
+        elif slots:  # the slot's own setter, filled in below: no __setattr__
+            sets.append(f"_s_{name}(self, {value})")
+        else:
+            sets.append(f"_set(self, {name!r}, {value})")
     if "__post_init__" in body:
         sets.append("self.__post_init__()")
     exec(f"def __init__(self, {', '.join(params)}):\n " + "\n ".join(sets), env)
@@ -72,4 +77,25 @@ def record(cls=None, *, slots=False, frozen=False):
                     __reduce__=lambda self: (self.__class__, args(self)))
     if slots:
         body["__slots__"] = tuple(fields)
-    return type(cls)(cls.__name__, cls.__bases__, body)
+    made = type(cls)(cls.__name__, cls.__bases__, body)
+    if frozen and slots:
+        env.update((f"_s_{name}", made.__dict__[name].__set__) for name in fields)
+    return made
+
+
+class lazy:
+    """``functools.cached_property`` without the lock that it takes on each
+    first read before Python 3.12: facts are read in one thread."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value

@@ -127,11 +127,13 @@ class VarFacts:
 
 def compute_def_use(function: FunctionDefinition) -> list[VarFacts]:
     """``liveness`` from the function's own statements and node index."""
-    return liveness(function, statements(function), NodeIndex(function).within)
+    tree = NodeIndex(function)
+    return liveness(function, statements(function),
+                    lambda expr: tree.within(expr, Identifier))
 
 
 def liveness(function: FunctionDefinition, body: list[StatementFacts],
-             within) -> list[VarFacts]:
+             identifiers) -> list[VarFacts]:
     """Transitive liveness of each parameter and local: one entry per
     declaration, the parameters, then the locals in order.
 
@@ -146,8 +148,9 @@ def liveness(function: FunctionDefinition, body: list[StatementFacts],
     declaration on. The reads are taken in one loop over ``body``, the
     body's statements as ``nodes.statements`` lists them, a for loop's init,
     condition and post expression at the loop, ahead of its body; the
-    identifiers an expression reads come from ``within``, a
-    ``NodeIndex.within`` over the function's nodes.
+    identifiers an expression reads, in pre-order, from
+    ``identifiers(expr)``, which the body's fact index answers once per
+    expression for every detector that asks (``FunctionIndex.identifiers``).
     """
     variables: list[VarFacts] = []
     # name -> position of its declaration in variables, or None for a
@@ -165,9 +168,9 @@ def liveness(function: FunctionDefinition, body: list[StatementFacts],
     # that would keep the tree alive once the facts are dropped.
     def reads(expr: Expression | None) -> list[int]:
         """The parameters and locals in scope that `expr` reads."""
-        if expr is None:
+        if expr is None or not variables:
             return []
-        return [v for node in within(expr, Identifier)
+        return [v for node in identifiers(expr)
                 if (v := scope.get(node.name)) is not None]
 
     def consume(expr: Expression | None) -> None:
@@ -211,18 +214,20 @@ def liveness(function: FunctionDefinition, body: list[StatementFacts],
 
     for st in body:
         stmt = st.node
-        if isinstance(stmt, (IfStatement, WhileStatement)):
+        cls = stmt.__class__
+        if cls is IfStatement or cls is WhileStatement:
             consume(stmt.condition)
-        elif isinstance(stmt, ForStatement):  # a missing part reads nothing
+        elif cls is ForStatement:  # a missing part reads nothing
             simple(stmt.init)
             consume(stmt.condition)
             expression(stmt.post)
-        elif isinstance(stmt, ReturnStatement):
+        elif cls is ReturnStatement:
             consume(stmt.value)
-        elif isinstance(stmt, EmitStatement):
+        elif cls is EmitStatement:
             consume(stmt.call)
-        elif not st.for_init:  # its loop took the init statement
-            simple(stmt)
+        elif cls is VariableDeclarationStatement or cls is ExpressionStatement:
+            if not st.for_init:  # its loop took the init statement
+                simple(stmt)
 
     # a variable read into a live one is live: each is pushed at most once
     work = [vf for vf in variables if vf.live]

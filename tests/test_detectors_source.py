@@ -1072,6 +1072,32 @@ def test_plain_call_only_with_extra_config():
         if f.detector == "deprecated-apis"] == ["deprecated ecrecover2()"]
 
 
+def test_deprecated_names_with_both_kinds_of_extra_name():
+    # each deprecated node is found by name, extra calls and extra members
+    # alike, parenthesized or not; a member that is both an extra name and
+    # callcode gets the extra name's message
+    source = """contract C { function f(address x) {
+    block.blockhash(1);
+    foo(2);
+    sha3(1);
+    uint g = msg.gas;
+    (foo)(3);
+    x.callcode();
+    ((tx)).origin;
+    suicide(x);
+    throw; } }"""
+    found = [(f.line, f.message) for f in findings_for(source, config_with(
+        deprecated_extra=("block.blockhash", "foo", "sha3", "x.callcode",
+                          "tx.origin"))) if f.detector == "deprecated-apis"]
+    assert found == [
+        (2, "deprecated block.blockhash"), (3, "deprecated foo()"),
+        (4, "deprecated sha3(); use keccak256()"),
+        (5, "deprecated msg.gas; use gasleft()"), (6, "deprecated foo()"),
+        (7, "deprecated x.callcode"), (8, "deprecated tx.origin"),
+        (9, "deprecated suicide(); use selfdestruct()"),
+        (10, "deprecated throw; use revert()")]
+
+
 # -- D20 unspecified compiler version -----------------------------------------------------------------------
 
 

@@ -8,15 +8,23 @@ import glob
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soldefect.analyzer import analyze_input, source_facts
 from soldefect.config import RunConfig
 from soldefect.detectors import AnalysisContext, run_detectors
+from soldefect.detectors import maintainability, security
+from soldefect.detectors.common import (ETHER_SENDING_KINDS, builtin_call_name,
+                                        global_member, is_guard_call)
 from soldefect.detectors.index import FunctionIndex, NodeIndex
-from soldefect.nodes import (Block, CallExpression, ForStatement, Identifier,
-                             IfStatement, MemberAccess, TypeName,
+from soldefect.lexer import LexerError
+from soldefect.nodes import (Block, CallExpression, Conditional, ForStatement,
+                             FunctionDefinition, Identifier, IfStatement,
+                             MemberAccess, ThrowStatement, TypeName,
                              WhileStatement, walk)
-from conftest import CORPUS_DIR, parse_source
+from soldefect.semantic import compute_def_use
+from conftest import (CORPUS_DIR, LISTINGS, parse_source, read_listing,
+                      seeded_mutants)
 from synth import generate_contract_file, payable_chain
 
 LOOPS = """pragma solidity 0.4.25;
@@ -192,3 +200,105 @@ def test_inherited_bodies_are_read_once_per_file(monkeypatch):
     small, large = _chain_work(monkeypatch, 100), _chain_work(monkeypatch, 200)
     for name in small:
         assert large[name] <= 2.2 * small[name], (name, small, large)
+
+
+# -- nodes found by name, and one identifier answer per expression ---------
+
+def _filed_by_scan(body) -> dict[tuple, list]:
+    """What ``NodeIndex.names`` files under each key, found instead by a
+    walk of ``body`` with the detectors' own predicates, in walk order."""
+    expected: dict[tuple, list] = {}
+    for node in walk(body):
+        keys = []
+        if isinstance(node, Identifier):
+            keys.append((Identifier, node.name))
+        if isinstance(node, MemberAccess):
+            keys.append((MemberAccess, node.member))
+        if (pair := global_member(node)) is not None:
+            keys.append((node.__class__, *pair))
+        if (name := builtin_call_name(node)) is not None:
+            keys.append((CallExpression, name))
+        for key in keys:
+            expected.setdefault(key, []).append(node)
+    return expected
+
+
+# the kinds that the detectors ask for together
+_ASKED_TOGETHER = (security._BLOCK_INFO, security._ORIGINS,
+                   maintainability._CALLER_READS,
+                   ((CallExpression, "selfdestruct"), (CallExpression, "suicide")),
+                   (Conditional, (CallExpression, "require"),
+                    (CallExpression, "assert")),
+                   (ThrowStatement, (MemberAccess, "callcode"),
+                    (CallExpression, "sha3"), (MemberAccess, "msg", "gas")))
+
+
+def _check_named_facts(text: str) -> int:
+    """Check every body of ``text`` and return how many there were."""
+    facts = source_facts(parse_source(text, "named.sol"), "named.sol")
+    for index in facts.bodies():
+        body = index.fn.body
+        order = {id(node): k for k, node in enumerate(walk(body))}
+        expected = _filed_by_scan(body)
+        for key, found in expected.items():
+            assert ids(index.of(key)) == ids(found), key
+        for kinds in _ASKED_TOGETHER:
+            merged = {id(node): node for kind in kinds for node in (
+                expected.get(kind, ()) if kind.__class__ is tuple else
+                [n for n in walk(body) if n.__class__ is kind])}
+            assert ids(index.of(*kinds)) == sorted(merged, key=order.get), kinds
+        assert index.of((Identifier, "no such name")) == []
+        # the branch conditions and ether exits, read through the names, are
+        # those of the scans over every call
+        calls = [n for n in walk(body) if isinstance(n, CallExpression)]
+        assert ids(index.conditions) == ids(
+            [st.node.condition for st in index.statements if isinstance(
+                st.node, (IfStatement, WhileStatement, ForStatement))
+             and st.node.condition is not None]
+            + [c for n in walk(body) for c in ([n.condition] if isinstance(
+                n, Conditional) else n.arguments if is_guard_call(n) else [])])
+        assert index.ether_exits == {
+            "call" for n in calls if index.kind(n) in ETHER_SENDING_KINDS} | {
+            "selfdestruct" for n in calls
+            if builtin_call_name(n) in ("selfdestruct", "suicide")}
+        for node in walk(body):
+            answer = index.identifiers(node)
+            assert ids(answer) == ids(
+                n for n in walk(node) if isinstance(n, Identifier))
+            assert index.identifiers(node) == answer
+        if isinstance(index.fn, FunctionDefinition):
+            assert [(v.declaration, v.live, v.sources) for v in index.def_use] \
+                == [(v.declaration, v.live, v.sources)
+                    for v in compute_def_use(index.fn)]
+    return len(facts.bodies())
+
+
+_NAMED_INPUTS = {
+    **{name: read_listing(name) for name in LISTINGS},
+    **{f"synth{k}": generate_contract_file(35_000 + k) for k in range(60)},
+    "parenthesized": """contract P { bool b; address o;
+    function f(address a) public { require((tx.origin) == a); require(((tx).origin) != o);
+        if ((block.number) > 2 || (now) > 1) { (sha3)(a); (a).callcode(); throw; }
+        b = (msg.sender) == o ? now > 3 : (selfdestruct)(a) == 0; } }""",
+}
+
+
+@pytest.mark.parametrize("name", _NAMED_INPUTS)
+def test_names_and_identifiers_equal_the_scans(name):
+    # a body's nodes found by name, and the identifiers of each of its
+    # expressions, are those a walk with the detectors' predicates finds,
+    # in the same order; the identifier answer is kept, and liveness read
+    # through it equals liveness over a body indexed alone
+    assert _check_named_facts(_NAMED_INPUTS[name])
+
+
+_MUTANTS = [text for _, _, text in seeded_mutants()]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(_MUTANTS))
+def test_names_and_identifiers_equal_the_scans_on_mutants(text):
+    try:
+        _check_named_facts(text)
+    except LexerError:
+        pass  # fatal per file, before any fact

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soldefect.lexer import ETHER_UNITS
-from soldefect.nodes import (CallExpression, ForStatement, HexLiteral,
-                             NumberLiteral, children, walk)
+from soldefect.lexer import _ELEMENTARY, ETHER_UNITS
+from soldefect.nodes import (CallExpression, ExpressionStatement, ForStatement,
+                             HexLiteral, NumberLiteral,
+                             VariableDeclarationStatement, children, walk)
 
 from conftest import (MUTATIONS, detectors_fired, has_errors, mutate,
                       parse_source, read_listing, seeded_mutants, span_contains)
@@ -58,6 +59,19 @@ def test_pragma_classification():
     assert parse_ok("pragma solidity 0.4.25;").pragmas[0].constraint_kind == "exact"
     assert parse_ok("pragma solidity >=0.4.0 <0.6.0;").pragmas[0].constraint_kind == "range"
     assert parse_ok("pragma experimental ABIEncoderV2;").pragmas[0].constraint_kind == "other"
+
+
+def test_elementary_type_widths_and_spellings():
+    # every elementary type name the lexer knows: uintN/intN have N bits
+    # (plain uint/int 256), other types none; uint, int and byte are spelled
+    # in full in signatures
+    for name in sorted(_ELEMENTARY):
+        t = parse_ok(f"contract C {{ {name} v; }}").contracts[0].state_variables[0].type_name
+        digits = name.removeprefix("u").removeprefix("int")
+        integer = name.startswith(("int", "uint"))
+        assert t.int_bits() == ((int(digits) if digits else 256) if integer else None), name
+        assert t.canonical() == {"uint": "uint256", "int": "int256",
+                                 "byte": "bytes1"}.get(name, name)
 
 
 def test_function_header_forms():
@@ -354,6 +368,36 @@ def test_a_for_init_error_is_one_error(loop, message):
     else:
         [kept] = body
         assert kept.init is None and len(kept.body.statements) == 1
+
+
+@pytest.mark.parametrize("init,parsed", [
+    ("uint i = 0", VariableDeclarationStatement),
+    ("i = 0", ExpressionStatement),
+], ids=["declaration", "assignment"])
+def test_a_for_init_missing_its_semicolon_is_one_error(init, parsed):
+    # the init parsed, and only its `;` is missing: one error, and the loop
+    # keeps its condition, post expression and body
+    result = parse_source("contract C { function f() { for (" + init
+                          + " i < 3; i++) { x = 1; } } }", "t.sol")
+    assert [(d.severity, d.message) for d in result.diagnostics] == \
+        [("error", "expected ';', found 'i'")]
+    [loop] = result.unit.contracts[0].functions[0].body.statements
+    assert isinstance(loop, ForStatement) and isinstance(loop.init, parsed)
+    assert loop.condition.operator == "<" and loop.post.operator == "++"
+    assert len(loop.body.statements) == 1
+
+
+@pytest.mark.parametrize("loop", [
+    "for (uint i = 0 ) { x = 1; }",
+    "for (uint i = 0 i < 3 i++) { x = 1; }",
+], ids=["no condition", "no semicolon after the condition"])
+def test_a_for_init_with_a_broken_rest_is_skipped_with_its_loop(loop):
+    # when the rest of the header does not parse either, the init's error
+    # stands alone and the loop goes, as before
+    result = parse_source("contract C { function f() { " + loop + " } }",
+                          "t.sol")
+    assert len(result.diagnostics) == 1
+    assert result.unit.contracts[0].functions[0].body.statements == []
 
 
 @pytest.mark.parametrize("source,message", [

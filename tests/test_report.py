@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from soldefect import TOOL_NAME, __version__
 from soldefect.analyzer import FileOutcome
 from soldefect.detectors import REGISTRY
-from soldefect.records import field, record
+from soldefect.records import field, lazy, record
 from soldefect.report import (IMPACT_LEVELS, Finding, InputRecord, Report,
                               filter_by_impact, impact_rank, render,
                               render_json, render_sarif, render_text)
@@ -86,6 +86,22 @@ def test_frozen_records_differ_by_any_field():
 def test_record_without_compared_fields():
     assert Note("a") == Note("b")
     assert repr(Note()) == "Note(text='')"
+
+
+def test_a_lazy_fact_is_built_once_on_first_read():
+    built = []
+
+    class Facts:
+        @lazy
+        def answer(self) -> int:
+            """Built on first read."""
+            built.append(self)
+            return 42
+
+    facts = Facts()
+    assert Facts.answer.__doc__ == "Built on first read."  # read from the class
+    assert built == [] and facts.answer == 42 and facts.answer == 42
+    assert built == [facts]
 
 
 def test_impact_rank_order():

@@ -81,6 +81,13 @@ SHAPES = {
     "local-copy-chain": (100, lambda n: _function(
         ["uint a0 = x;"] + [f"uint a{i} = a{i - 1};" for i in range(1, n)]
         + [f"y = a{n - 1};"]), False),
+    # block info and deprecated calls are found by name, once per file, and
+    # each body bisects what was found
+    "block-info-and-sha3": (100, lambda n: _function(
+        f"y = block.number + {i}; x = uint(sha3({i}));" for i in range(n)), False),
+    "one-line-functions": (100, lambda n: "contract C {\n    uint x;\n" + "".join(
+        f"    function f{i}() public {{ x = now + {i}; }}\n" for i in range(n))
+        + "}\n", False),
 }
 
 
