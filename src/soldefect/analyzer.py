@@ -4,20 +4,21 @@ File-level parallelism runs on forked worker processes (`workers.py`),
 which stream each file's outcome back as it is done; outcomes are put back
 in input order before the report is built, so output is byte-identical
 regardless of the worker count.
+
+The EVM frontend and the bytecode detectors load with the first bytecode
+input: ``analyze_paths`` loads them, and OpenSSL's ``hashlib``, before it
+forks, so that no worker loads a module of its own.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 
 from .config import RunConfig
 from .detectors import (AnalysisContext, BytecodeFacts, ContractFacts,
                         SourceFacts, run_detectors)
-from .evm import cfg as evm_cfg
-from .evm.disasm import BytecodeError, decode_bytecode_input, disassemble
-from .evm.loops import detect_loops
-from .evm.selectors import extract_selectors
 from .lexer import tokenize
 from .parser import ParseResult, parse
 from .records import field, record
@@ -50,10 +51,12 @@ def source_facts(result: ParseResult, file_id: str) -> SourceFacts:
 
 
 def build_bytecode_facts(code: bytes, file_id: str) -> BytecodeFacts:
-    disassembly = disassemble(code)
-    cfg = evm_cfg.build_cfg(disassembly)
-    return BytecodeFacts(file_id, disassembly.code, disassembly, cfg,
-                         detect_loops(cfg), extract_selectors(cfg))
+    from .evm import cfg, disasm, loops, selectors
+    disassembly = disasm.disassemble(code)
+    graph = cfg.build_cfg(disassembly)
+    return BytecodeFacts(file_id, disassembly.code, disassembly, graph,
+                         loops.detect_loops(graph),
+                         selectors.extract_selectors(graph))
 
 
 def file_mode(path: str, mode: str) -> str:
@@ -90,11 +93,11 @@ def analyze_file(path: str, config: RunConfig) -> FileOutcome:
 
 def analyze_input(raw: bytes, path: str, config: RunConfig) -> FileOutcome:
     """Analyze one input's bytes; ``path`` names it and picks its frontend."""
-    import hashlib  # loads OpenSSL: only a run that reads an input needs it
     outcome = FileOutcome(path, hashlib.sha256(raw).hexdigest())
     phase = "decode"
     try:
         if file_mode(path, config.mode) == "bytecode":
+            from .evm.disasm import decode_bytecode_input
             code = decode_bytecode_input(_bytecode_input(raw, path))
             phase = "bytecode facts"
             facts = build_bytecode_facts(code, path)
@@ -122,8 +125,9 @@ def analyze_input(raw: bytes, path: str, config: RunConfig) -> FileOutcome:
 
 
 def _budget_warning(path: str) -> Diagnostic:
+    from .evm.cfg import STEP_BUDGET
     return Diagnostic("warning", "control-flow recovery stopped after "
-                      f"{evm_cfg.STEP_BUDGET} emulation steps; the CFG and "
+                      f"{STEP_BUDGET} emulation steps; the CFG and "
                       "the bytecode findings are incomplete",
                       Span(path, 0, 0), 1, 1)
 
@@ -144,6 +148,7 @@ def _bytecode_input(raw: bytes, path: str) -> bytes | str:
         return raw
     if text is not None and not text.strip():
         return ""  # an empty .hex file holds no code
+    from .evm.disasm import BytecodeError
     raise BytecodeError("a .hex input must hold hex text")
 
 
@@ -170,6 +175,10 @@ def worker_count(jobs: int, inputs: int) -> int:
 
 def analyze_paths(paths: list[str], config: RunConfig) -> tuple[Report, list[FileOutcome]]:
     files = collect_inputs(paths, config.mode)
+    if any(file_mode(path, config.mode) == "bytecode" for path in files):
+        # the EVM frontend, loaded here once rather than once per worker
+        from .detectors import bytecode  # noqa: F401
+        from .evm import loops, selectors  # noqa: F401
     workers = worker_count(config.jobs, len(files))
     outcomes: list[FileOutcome]
     if workers <= 1 or not hasattr(os, "fork"):

@@ -15,10 +15,9 @@ import os
 import sys
 
 from . import __version__
-from .analyzer import analyze_paths
+from .catalog import REGISTRY
 from .config import (FORMATS, MODES, ConfigError, RunConfig,
                      apply_config_values, load_config_file)
-from .detectors import REGISTRY
 from .report import IMPACT_LEVELS, filter_by_impact, render
 
 EXIT_CLEAN = 0
@@ -152,7 +151,10 @@ def _emit(data: bytes, output: str | None, code: int) -> int:
 
 def _analyze(inputs: list[str], config: RunConfig) -> tuple:
     """``analyze_paths``, then on stderr every failed input and after them
-    every diagnostic. Returns the report, the outcomes and the failed ones."""
+    every diagnostic. Returns the report, the outcomes and the failed ones.
+    Only the commands that analyze load the analyzer, the detectors and the
+    parser."""
+    from .analyzer import analyze_paths
     report, outcomes = analyze_paths(inputs, config)
     failed = [o for o in outcomes if o.error is not None]
     for outcome in failed:

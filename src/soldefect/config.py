@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 
+from .catalog import resolve_detector_id
 from .records import field, record
 
 FORMATS = ("text", "json", "sarif")
@@ -96,7 +97,6 @@ def parse_jobs(value: str | int) -> int:
 
 def parse_detector_ids(value: str) -> set[str]:
     """Comma-separated detector slugs or D-codes, resolved to slugs."""
-    from .detectors import resolve_detector_id
     ids = set()
     for name in _parse_list(value):
         resolved = resolve_detector_id(name)

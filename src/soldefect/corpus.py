@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 
-from .detectors import REGISTRY, resolve_detector_id
+from .catalog import REGISTRY, resolve_detector_id
 from .records import field, record
 from .report import Report
 

@@ -1,35 +1,20 @@
-"""The 20-defect detector catalog.
+"""The detectors of the 20-defect catalog.
 
-Importing this package registers every detector; REGISTRY holds the
-descriptors in catalog order (9 security, 4 availability, 3 performance,
-2 maintainability, 2 reusability).
+Importing this package registers every source reader; the four bytecode
+readers (``bytecode``, which loads the EVM frontend) register on the first
+bytecode context that ``run_detectors`` sees. ``REGISTRY`` is the
+catalog's (``soldefect.catalog``).
 """
 
 from __future__ import annotations
 
-from ..config import DetectorConfig
+from ..catalog import REGISTRY
 from ..report import Finding
 from ..spans import Diagnostic, Span, position
-from . import availability, bytecode, maintainability, performance  # noqa: F401
+from . import availability, maintainability, performance  # noqa: F401
 from . import reusability, security  # noqa: F401
-from .base import (AnalysisContext, BytecodeFacts, ContractFacts,
-                   DetectorDescriptor, SourceFacts, _BYTECODE_DETECTORS,
-                   _DESCRIPTORS, _SOURCE_DETECTORS)
-
-REGISTRY: list[DetectorDescriptor] = sorted(_DESCRIPTORS.values(),
-                                            key=lambda d: d.code)
-
-BY_ID: dict[str, DetectorDescriptor] = {d.id: d for d in REGISTRY}
-BY_CODE: dict[str, DetectorDescriptor] = {d.code: d for d in REGISTRY}
-
-
-def resolve_detector_id(name: str) -> str | None:
-    """Accept either the slug id or the short D-code."""
-    if name in BY_ID:
-        return name
-    if name in BY_CODE:
-        return BY_CODE[name].id
-    return None
+from .base import (_BYTECODE_DETECTORS, _SOURCE_DETECTORS, AnalysisContext,
+                   BytecodeFacts, ContractFacts, SourceFacts)
 
 
 def run_detectors(ctx: AnalysisContext) -> list[Finding]:
@@ -56,6 +41,7 @@ def run_detectors(ctx: AnalysisContext) -> list[Finding]:
             return Finding(d.id, d.category, d.impact, file_id, message,
                            d.advice, *position(unit.line_starts, span.offset))
     else:
+        from . import bytecode  # noqa: F401  registers the bytecode readers
         file_id, detectors = ctx.bytecode.file_id, _BYTECODE_DETECTORS
         where_failed = (Span(file_id, 0, 0), 1, 1)
 
@@ -81,8 +67,5 @@ def run_detectors(ctx: AnalysisContext) -> list[Finding]:
     return findings
 
 
-__all__ = [
-    "AnalysisContext", "BytecodeFacts", "ContractFacts", "DetectorConfig",
-    "DetectorDescriptor", "REGISTRY", "BY_ID", "BY_CODE", "SourceFacts",
-    "resolve_detector_id", "run_detectors",
-]
+__all__ = ["AnalysisContext", "BytecodeFacts", "ContractFacts", "REGISTRY",
+           "SourceFacts", "run_detectors"]

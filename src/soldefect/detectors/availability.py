@@ -7,7 +7,7 @@ from collections.abc import Iterator
 from ..nodes import (EmitStatement, ExpressionStatement, FunctionDefinition,
                      IfStatement, ModifierDefinition, ThrowStatement)
 from ..semantic import SymbolTable
-from .base import AnalysisContext, DetectorDescriptor, Hit, register
+from .base import AnalysisContext, Hit, register
 from .common import (builtin_call_name, can_receive_ether, is_guard_call,
                      is_revert, returns_on_all_paths, unwrap)
 from .index import FunctionIndex
@@ -39,18 +39,7 @@ ERC20_EVENTS: tuple[tuple[str, tuple[str, ...]], ...] = (
 )
 
 
-UNMATCHED_ERC20 = DetectorDescriptor(
-    code="D10", id="unmatched-erc20", name="Unmatched ERC-20 Standard",
-    category="availability", impact="IP4",
-    description="A token-like contract deviates from the ERC-20 interface: "
-                "missing mandatory functions, wrong return types, or missing "
-                "Transfer/Approval events.",
-    advice="Match the ERC-20 interface exactly: the six mandatory functions, "
-           "their bool/uint256 return types, and the Transfer/Approval events.",
-)
-
-
-@register(UNMATCHED_ERC20)
+@register("unmatched-erc20")
 def detect_unmatched_erc20(ctx: AnalysisContext) -> Iterator[Hit]:
     for cf in ctx.source.contracts:
         if all(_erc20_function(cf.table, name, params) is None
@@ -97,18 +86,7 @@ def _erc20_function(table: SymbolTable, name: str,
 # ---------------------------------------------------------------------------
 
 
-MISSING_REMINDER = DetectorDescriptor(
-    code="D11", id="missing-reminder", name="Missing Reminder",
-    category="availability", impact="IP4",
-    description="A payable function changes state or conditionally reverts "
-                "but never emits an event, so callers cannot observe the "
-                "outcome.",
-    advice="Emit an event so callers can observe whether the function "
-           "succeeded.",
-)
-
-
-@register(MISSING_REMINDER)
+@register("missing-reminder")
 def detect_missing_reminder(ctx: AnalysisContext) -> Iterator[Hit]:
     for index in ctx.source.bodies():
         fn = index.fn
@@ -140,17 +118,7 @@ def _emits_event(index: FunctionIndex) -> bool:
 # ---------------------------------------------------------------------------
 
 
-MISSING_RETURN_STATEMENT = DetectorDescriptor(
-    code="D12", id="missing-return-statement", name="Missing Return Statement",
-    category="availability", impact="IP4",
-    description="A function declares return values but some path reaches the "
-                "end without returning, so callers observe the zero default.",
-    advice="Return an explicit value on every path; callers otherwise "
-           "observe the zero default.",
-)
-
-
-@register(MISSING_RETURN_STATEMENT)
+@register("missing-return-statement")
 def detect_missing_return_statement(ctx: AnalysisContext) -> Iterator[Hit]:
     for cf in ctx.source.contracts:
         for fn in cf.contract.functions:
@@ -168,19 +136,7 @@ def detect_missing_return_statement(ctx: AnalysisContext) -> Iterator[Hit]:
 # ---------------------------------------------------------------------------
 
 
-GREEDY_CONTRACT = DetectorDescriptor(
-    code="D13", id="greedy-contract", name="Greedy Contract",
-    category="availability", impact="IP3",
-    impact_note="IP3 type 1: critical unwanted behavior, not externally "
-                "triggerable",
-    description="The contract can receive ether (payable function) but has "
-                "no transfer/send/call.value/selfdestruct to move it out.",
-    advice="Add a withdrawal path (transfer/send/call.value or selfdestruct) "
-           "to any contract that can receive ether.",
-)
-
-
-@register(GREEDY_CONTRACT)
+@register("greedy-contract")
 def detect_greedy_contract(ctx: AnalysisContext) -> Iterator[Hit]:
     for cf in ctx.source.contracts:
         if not can_receive_ether(cf.table):

@@ -1,4 +1,5 @@
-"""Detector registry plumbing: descriptors, analysis context, registration."""
+"""Detector plumbing: the facts a detector reads, and the registries of
+its readers, by slug (the catalog itself is ``soldefect.catalog``)."""
 
 from __future__ import annotations
 
@@ -10,27 +11,6 @@ from ..records import field, lazy, record
 from ..semantic import SymbolTable, build_call_graph
 from ..spans import Diagnostic, Span
 from .index import FunctionIndex
-
-
-@record(frozen=True)
-class DetectorDescriptor:
-    code: str        # stable short id, D01..D20
-    id: str          # stable slug used in reports, manifests and the CLI
-    name: str
-    category: str    # security | availability | performance | maintainability | reusability
-    impact: str      # IP1..IP5
-    description: str
-    advice: str
-    # IP3 splits into two informational sub-types (critical-but-internal vs
-    # major-and-triggerable); carried as a note, never as a distinct level.
-    impact_note: str = ""
-
-    @property
-    def frontends(self) -> frozenset[str]:
-        """{"source"}, plus "bytecode" if register_bytecode gave it one."""
-        if self.id in _BYTECODE_DETECTORS:
-            return frozenset({"source", "bytecode"})
-        return frozenset({"source"})
 
 
 @record
@@ -128,25 +108,21 @@ DetectorFn = Callable[[AnalysisContext], Iterable[Hit]]
 
 _SOURCE_DETECTORS: dict[str, DetectorFn] = {}
 _BYTECODE_DETECTORS: dict[str, DetectorFn] = {}
-_DESCRIPTORS: dict[str, DetectorDescriptor] = {}
 
 
-def register(desc: DetectorDescriptor) -> Callable[[DetectorFn], DetectorFn]:
-    """Register the source-mode implementation for a descriptor."""
-    _DESCRIPTORS[desc.id] = desc
+def _registrar(readers: dict[str, DetectorFn]):
+    """A decorator that files a detector in ``readers`` under the catalog
+    slug it is given."""
 
-    def wrap(fn: DetectorFn) -> DetectorFn:
-        _SOURCE_DETECTORS[desc.id] = fn
-        return fn
+    def register(detector_id: str) -> Callable[[DetectorFn], DetectorFn]:
+        def wrap(fn: DetectorFn) -> DetectorFn:
+            readers[detector_id] = fn
+            return fn
 
-    return wrap
+        return wrap
+
+    return register
 
 
-def register_bytecode(detector_id: str) -> Callable[[DetectorFn], DetectorFn]:
-    """Attach a bytecode-mode implementation to an existing descriptor."""
-
-    def wrap(fn: DetectorFn) -> DetectorFn:
-        _BYTECODE_DETECTORS[detector_id] = fn
-        return fn
-
-    return wrap
+register = _registrar(_SOURCE_DETECTORS)
+register_bytecode = _registrar(_BYTECODE_DETECTORS)

@@ -1,4 +1,5 @@
-"""Bytecode-mode implementations for the four dual-mode detectors.
+"""Bytecode-mode implementations for the four dual-mode detectors, loaded
+with the EVM frontend by a run with a bytecode input.
 
 Locations are program counters, not lines. The remaining sixteen defects
 are source-only: their distinguishing information (names, types,
@@ -11,15 +12,13 @@ from collections.abc import Iterator
 
 from ..evm.cfg import unwrap_iszero, value_tags
 from ..evm.opcodes import MNEMONICS
-from .availability import ERC20_MANDATORY, UNMATCHED_ERC20
+from .availability import ERC20_MANDATORY
 from .base import AnalysisContext, Hit, register_bytecode
-from .maintainability import HARD_CODE_ADDRESS
-from .security import NESTED_CALL, STRICT_BALANCE_EQUALITY
 
 _CALL, _PUSH20 = MNEMONICS["CALL"], bytes([MNEMONICS["PUSH20"]])
 
 
-@register_bytecode(STRICT_BALANCE_EQUALITY.id)
+@register_bytecode("strict-balance-equality")
 def detect_strict_balance_equality_bc(ctx: AnalysisContext) -> Iterator[Hit]:
     """BALANCE read by EQ, where the comparison feeds a conditional jump."""
     for event in ctx.bytecode.cfg.jumpi_events:
@@ -29,7 +28,7 @@ def detect_strict_balance_equality_bc(ctx: AnalysisContext) -> Iterator[Hit]:
             yield cond[2], "BALANCE compared with EQ feeds a conditional jump"
 
 
-@register_bytecode(NESTED_CALL.id)
+@register_bytecode("nested-call")
 def detect_nested_call_bc(ctx: AnalysisContext) -> Iterator[Hit]:
     """A loop with no constant bound whose body executes CALL."""
     bc = ctx.bytecode
@@ -47,7 +46,7 @@ def detect_nested_call_bc(ctx: AnalysisContext) -> Iterator[Hit]:
                 break
 
 
-@register_bytecode(HARD_CODE_ADDRESS.id)
+@register_bytecode("hard-code-address")
 def detect_hard_code_address_bc(ctx: AnalysisContext) -> Iterator[Hit]:
     """PUSH20 of a nonzero constant, not cut short, is an embedded address."""
     dis = ctx.bytecode.instructions
@@ -59,7 +58,7 @@ def detect_hard_code_address_bc(ctx: AnalysisContext) -> Iterator[Hit]:
         pc = code.find(_PUSH20, pc + 1)
 
 
-@register_bytecode(UNMATCHED_ERC20.id)
+@register_bytecode("unmatched-erc20")
 def detect_unmatched_erc20_bc(ctx: AnalysisContext) -> Iterator[Hit]:
     """Dispatcher carries some mandatory ERC-20 selectors but not all six.
 

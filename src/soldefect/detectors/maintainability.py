@@ -4,26 +4,14 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from ..evm.eip55 import is_valid_address
+from ..eip55 import is_valid_address
 from ..nodes import Assignment, HexLiteral, Identifier, MemberAccess
-from .base import (AnalysisContext, ContractFacts, DetectorDescriptor, Hit,
-                   SourceFacts, register)
+from .base import AnalysisContext, ContractFacts, Hit, SourceFacts, register
 from .common import can_receive_ether, unwrap
 from .index import FunctionIndex
 
-HARD_CODE_ADDRESS = DetectorDescriptor(
-    code="D17", id="hard-code-address", name="Hard Code Address",
-    category="maintainability", impact="IP3",
-    impact_note="IP3 type 2: major unwanted behavior (partial ether loss)",
-    description="An address literal is baked into the code; it cannot be "
-                "corrected after deployment and may not even pass the "
-                "EIP-55 checksum.",
-    advice="Pass addresses as parameters or configuration instead of "
-           "hard-coding them; validate the EIP-55 checksum.",
-)
 
-
-@register(HARD_CODE_ADDRESS)
+@register("hard-code-address")
 def detect_hard_code_address(ctx: AnalysisContext) -> Iterator[Hit]:
     for cf in ctx.source.contracts:
         for node in ctx.source.tree.within(cf.contract, HexLiteral):
@@ -41,18 +29,7 @@ def detect_hard_code_address(ctx: AnalysisContext) -> Iterator[Hit]:
 # ---------------------------------------------------------------------------
 
 
-MISSING_INTERRUPTER = DetectorDescriptor(
-    code="D18", id="missing-interrupter", name="Missing Interrupter",
-    category="maintainability", impact="IP4",
-    description="A contract that can hold ether has neither a selfdestruct "
-                "escape hatch nor an owner-gated circuit breaker to stop it "
-                "in an emergency.",
-    advice="Provide an emergency stop: a selfdestruct escape hatch or an "
-           "owner-controlled circuit breaker.",
-)
-
-
-@register(MISSING_INTERRUPTER)
+@register("missing-interrupter")
 def detect_missing_interrupter(ctx: AnalysisContext) -> Iterator[Hit]:
     for cf in ctx.source.contracts:
         if not can_receive_ether(cf.table):

@@ -5,19 +5,10 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from ..nodes import FunctionDefinition, VariableDeclaration
-from .base import AnalysisContext, DetectorDescriptor, Hit, register
-
-UNUSED_STATEMENT = DetectorDescriptor(
-    code="D14", id="unused-statement", name="Unused Statement",
-    category="performance", impact="IP5",
-    description="A parameter or local variable never affects contract state, "
-                "conditions, or return values.",
-    advice="Remove parameters and locals that never affect state or return "
-           "values.",
-)
+from .base import AnalysisContext, Hit, register
 
 
-@register(UNUSED_STATEMENT)
+@register("unused-statement")
 def detect_unused_statement(ctx: AnalysisContext) -> Iterator[Hit]:
     for index in ctx.source.bodies():
         if not isinstance(index.fn, FunctionDefinition):
@@ -34,24 +25,12 @@ def detect_unused_statement(ctx: AnalysisContext) -> Iterator[Hit]:
 # ---------------------------------------------------------------------------
 
 
-HIGH_GAS_FUNCTION_TYPE = DetectorDescriptor(
-    code="D15", id="high-gas-function-type",
-    name="High Gas Consumption Function Type",
-    category="performance", impact="IP5",
-    description="A public function with array parameters is never called "
-                "internally; external would read calldata instead of copying "
-                "to memory.",
-    advice="Declare externally-used functions with array parameters as "
-           "external; calldata access is cheaper than copying to memory.",
-)
-
-
 def _has_array_parameter(fn) -> bool:
     return any(t.kind == "array" or (t.kind == "elementary" and t.name in ("bytes", "string"))
                for t in (p.type_name for p in fn.parameters))
 
 
-@register(HIGH_GAS_FUNCTION_TYPE)
+@register("high-gas-function-type")
 def detect_high_gas_function_type(ctx: AnalysisContext) -> Iterator[Hit]:
     for cf in ctx.source.contracts:
         for fn in cf.contract.functions:
@@ -69,16 +48,6 @@ def detect_high_gas_function_type(ctx: AnalysisContext) -> Iterator[Hit]:
 # ---------------------------------------------------------------------------
 
 
-HIGH_GAS_DATA_TYPE = DetectorDescriptor(
-    code="D16", id="high-gas-data-type", name="High Gas Consumption Data Type",
-    category="performance", impact="IP5",
-    description="byte[] pads every element to a 32-byte slot; bytes packs "
-                "tightly and is cheaper.",
-    advice="Use bytes instead of byte[]; byte[] wastes 31 bytes of storage "
-           "per element.",
-)
-
-
 def _is_byte_array(type_name) -> bool:
     return (type_name.kind == "array" and type_name.length is None
             and type_name.element is not None
@@ -86,7 +55,7 @@ def _is_byte_array(type_name) -> bool:
             and type_name.element.canonical() == "bytes1")
 
 
-@register(HIGH_GAS_DATA_TYPE)
+@register("high-gas-data-type")
 def detect_high_gas_data_type(ctx: AnalysisContext) -> Iterator[Hit]:
     for cf in ctx.source.contracts:
         for node in ctx.source.tree.within(cf.contract, VariableDeclaration):

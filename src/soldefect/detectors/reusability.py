@@ -5,17 +5,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from ..nodes import CallExpression, MemberAccess, ThrowStatement
-from .base import AnalysisContext, DetectorDescriptor, Hit, register
+from .base import AnalysisContext, Hit, register
 from .common import builtin_call_name, global_member
-
-DEPRECATED_APIS = DetectorDescriptor(
-    code="D19", id="deprecated-apis", name="Deprecated APIs",
-    category="reusability", impact="IP5",
-    description="The code uses constructs the language has replaced (throw, "
-                "suicide, sha3, callcode, msg.gas, constant mutability).",
-    advice="Replace deprecated constructs (throw, suicide, sha3, callcode, "
-           "msg.gas, constant) with their modern equivalents.",
-)
 
 # Free-standing calls that have modern replacements. `block.blockhash` is
 # deliberately not in the default set (it only became deprecated late in the
@@ -40,7 +31,7 @@ def _deprecated(old: str, new: str | None) -> str:
     return f"deprecated {old}; use {new}" if new else f"deprecated {old}"
 
 
-@register(DEPRECATED_APIS)
+@register("deprecated-apis")
 def detect_deprecated_apis(ctx: AnalysisContext) -> Iterator[Hit]:
     extra = set(ctx.config.deprecated_extra)
     extra_members = {tuple(name.split(".", 1)) for name in extra if "." in name}
@@ -70,18 +61,7 @@ def detect_deprecated_apis(ctx: AnalysisContext) -> Iterator[Hit]:
 # ---------------------------------------------------------------------------
 
 
-UNSPECIFIED_COMPILER_VERSION = DetectorDescriptor(
-    code="D20", id="unspecified-compiler-version",
-    name="Unspecified Compiler Version",
-    category="reusability", impact="IP5",
-    description="The file has no solidity pragma, or the pragma accepts a "
-                "range of compiler versions instead of pinning one.",
-    advice="Pin the pragma to one compiler version (pragma solidity 0.4.25;) "
-           "so future compilers cannot change behavior.",
-)
-
-
-@register(UNSPECIFIED_COMPILER_VERSION)
+@register("unspecified-compiler-version")
 def detect_unspecified_compiler_version(ctx: AnalysisContext) -> Iterator[Hit]:
     unit = ctx.source.unit
     solidity_pragmas = [p for p in unit.pragmas if p.name == "solidity"]

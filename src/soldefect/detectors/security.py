@@ -12,27 +12,14 @@ from ..nodes import (Assignment, BinaryOperation, CallExpression,
                      TypeName, VariableDeclarationStatement, WhileStatement)
 from ..semantic import infer_var_type
 from ..spans import Span
-from .base import AnalysisContext, DetectorDescriptor, Hit, register
+from .base import AnalysisContext, Hit, register
 from .common import (CHECKABLE_CALL_KINDS, ETHER_SENDING_KINDS,
                      builtin_call_name, global_member, is_balance_expression,
                      is_guard_call, unwrap)
 from .index import FunctionIndex
 
-# ---------------------------------------------------------------------------
 
-
-UNCHECKED_EXTERNAL_CALLS = DetectorDescriptor(
-    code="D01", id="unchecked-external-calls", name="Unchecked External Calls",
-    category="security", impact="IP3",
-    impact_note="IP3 type 2: major unwanted behavior (partial ether loss)",
-    description="The boolean result of a low-level external call "
-                "(send/call/call.value/delegatecall) is ignored.",
-    advice="Check the boolean result of send/call/delegatecall, or use "
-           "transfer so a failed send reverts.",
-)
-
-
-@register(UNCHECKED_EXTERNAL_CALLS)
+@register("unchecked-external-calls")
 def detect_unchecked_external_calls(ctx: AnalysisContext) -> Iterator[Hit]:
     for index in ctx.source.bodies():
         if not index.call_kinds & CHECKABLE_CALL_KINDS:
@@ -54,18 +41,7 @@ def _kind_spelling(kind: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-DOS_UNDER_EXTERNAL_INFLUENCE = DetectorDescriptor(
-    code="D02", id="dos-under-external-influence",
-    name="DoS Under External Influence",
-    category="security", impact="IP2",
-    description="A statement that can revert the whole transaction sits "
-                "inside a loop whose bound is not a compile-time constant.",
-    advice="Avoid statements that can revert inside unbounded loops; check a "
-           "boolean send result and continue instead of reverting.",
-)
-
-
-@register(DOS_UNDER_EXTERNAL_INFLUENCE)
+@register("dos-under-external-influence")
 def detect_dos_under_external_influence(ctx: AnalysisContext) -> Iterator[Hit]:
     for index in ctx.source.bodies():
         for _loop, body in index.unbounded_loops:
@@ -94,17 +70,7 @@ def _reverting_statement(stmt: Statement, index: FunctionIndex) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-STRICT_BALANCE_EQUALITY = DetectorDescriptor(
-    code="D03", id="strict-balance-equality", name="Strict Balance Equality",
-    category="security", impact="IP2",
-    description="The contract balance is compared with == in a branch "
-                "condition; forced ether transfers break exact checks.",
-    advice="Compare the balance with a range (>= and <) instead of strict "
-           "equality; anyone can force ether into a contract.",
-)
-
-
-@register(STRICT_BALANCE_EQUALITY)
+@register("strict-balance-equality")
 def detect_strict_balance_equality(ctx: AnalysisContext) -> Iterator[Hit]:
     operators = {"=="}
     if ctx.config.strict_balance_neq:
@@ -124,17 +90,7 @@ def detect_strict_balance_equality(ctx: AnalysisContext) -> Iterator[Hit]:
 # ---------------------------------------------------------------------------
 
 
-UNMATCHED_TYPE_ASSIGNMENT = DetectorDescriptor(
-    code="D04", id="unmatched-type-assignment", name="Unmatched Type Assignment",
-    category="security", impact="IP2",
-    description="A loop counter is narrower than its bound, so incrementing "
-                "it can overflow and the loop never terminates.",
-    advice="Declare the loop counter as uint256 (or match the bound's type) "
-           "so the counter cannot wrap around.",
-)
-
-
-@register(UNMATCHED_TYPE_ASSIGNMENT)
+@register("unmatched-type-assignment")
 def detect_unmatched_type_assignment(ctx: AnalysisContext) -> Iterator[Hit]:
     for index in ctx.source.bodies():
         for stmt in index.of(ForStatement):
@@ -218,23 +174,12 @@ def _static_bits(expr, index: FunctionIndex, at: int) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-TRANSACTION_STATE_DEPENDENCY = DetectorDescriptor(
-    code="D05", id="transaction-state-dependency",
-    name="Transaction State Dependency",
-    category="security", impact="IP1",
-    description="tx.origin is used for a permission check; intermediary "
-                "contracts can make the check pass for an attacker.",
-    advice="Use msg.sender for permission checks; tx.origin names the "
-           "transaction originator, not the immediate caller.",
-)
-
-
 # tx.origin, or in parentheses a tuple: what global_member gives _TX_ORIGIN for
 _TX_ORIGIN = ("tx", "origin")
 _ORIGINS = ((MemberAccess, *_TX_ORIGIN), (TupleExpression, *_TX_ORIGIN))
 
 
-@register(TRANSACTION_STATE_DEPENDENCY)
+@register("transaction-state-dependency")
 def detect_transaction_state_dependency(ctx: AnalysisContext) -> Iterator[Hit]:
     for index in ctx.source.bodies():
         spots = index.of(*_ORIGINS)
@@ -253,17 +198,6 @@ def detect_transaction_state_dependency(ctx: AnalysisContext) -> Iterator[Hit]:
 # ---------------------------------------------------------------------------
 
 
-BLOCK_INFO_DEPENDENCY = DetectorDescriptor(
-    code="D06", id="block-info-dependency", name="Block Info Dependency",
-    category="security", impact="IP3",
-    impact_note="IP3 type 2: major unwanted behavior, externally triggerable",
-    description="Miner-controllable block data (blockhash, timestamp, "
-                "number, ...) flows into a branch condition, array index, "
-                "or ether transfer.",
-    advice="Do not derive control flow or randomness from miner-influenced "
-           "block data; use commit-reveal schemes or oracle input.",
-)
-
 # block info: `now`, blockhash(...) and these members of `block`
 _BLOCK_INFO = ((Identifier, "now"), (CallExpression, "blockhash"), *(
     (MemberAccess, "block", member) for member in (
@@ -274,7 +208,7 @@ def _block_info_sources(index: FunctionIndex, expr) -> list[Span]:
     return [node.span for node in index.within(expr, *_BLOCK_INFO)]
 
 
-@register(BLOCK_INFO_DEPENDENCY)
+@register("block-info-dependency")
 def detect_block_info_dependency(ctx: AnalysisContext) -> Iterator[Hit]:
     for index in ctx.source.bodies():
         if not index.of(*_BLOCK_INFO):
@@ -309,17 +243,7 @@ def detect_block_info_dependency(ctx: AnalysisContext) -> Iterator[Hit]:
 # ---------------------------------------------------------------------------
 
 
-REENTRANCY = DetectorDescriptor(
-    code="D07", id="reentrancy", name="Reentrancy",
-    category="security", impact="IP1",
-    description="A call.value external call runs before the storage the "
-                "call was guarded by is updated, so the callee can re-enter.",
-    advice="Update state before making the external call, or use "
-           "transfer/send whose gas stipend prevents re-entrant calls.",
-)
-
-
-@register(REENTRANCY)
+@register("reentrancy")
 def detect_reentrancy(ctx: AnalysisContext) -> Iterator[Hit]:
     """A call.value call is guarded by the state its guards read: the
     enclosing if/while/for conditions, plus, for calls in expression and
@@ -403,17 +327,7 @@ def _state_reads(index: FunctionIndex, expr) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-NESTED_CALL = DetectorDescriptor(
-    code="D08", id="nested-call", name="Nested Call",
-    category="security", impact="IP2",
-    description="An external call executes inside a loop whose iteration "
-                "count is not bounded by a constant; gas use is unbounded.",
-    advice="Bound the number of loop iterations before performing external "
-           "calls inside the loop.",
-)
-
-
-@register(NESTED_CALL)
+@register("nested-call")
 def detect_nested_call(ctx: AnalysisContext) -> Iterator[Hit]:
     for index in ctx.source.bodies():
         for loop, _body in index.unbounded_loops:
@@ -428,17 +342,7 @@ def detect_nested_call(ctx: AnalysisContext) -> Iterator[Hit]:
 # ---------------------------------------------------------------------------
 
 
-MISLEADING_DATA_LOCATION = DetectorDescriptor(
-    code="D09", id="misleading-data-location", name="Misleading Data Location",
-    category="security", impact="IP2",
-    description="A reference-typed local (array/mapping/bytes/string) has no "
-                "explicit data location and silently aliases storage slot 0.",
-    advice="Declare the data location (memory) explicitly for array, struct "
-           "and mapping locals; they default to storage pointers.",
-)
-
-
-@register(MISLEADING_DATA_LOCATION)
+@register("misleading-data-location")
 def detect_misleading_data_location(ctx: AnalysisContext) -> Iterator[Hit]:
     for index in ctx.source.bodies():
         for st in index.statements:

@@ -1,2 +1,2 @@
-"""EVM bytecode analysis: disassembly, CFG recovery, loops, selectors,
-Keccak-256 and EIP-55 primitives, one submodule each."""
+"""EVM bytecode analysis: disassembly, CFG recovery, loops and selectors,
+one submodule each. Loaded only by a run with a bytecode input."""

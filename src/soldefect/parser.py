@@ -12,13 +12,15 @@ any other skip stops at the first `;` outside braces (consumed), at a `}`
 it did not open, at a stop word outside braces, or at the end of input.
 The stop words are `function`/`modifier`/`event`/`constructor` in a
 contract, `pragma`/`contract`/`interface`/`library`/`import` at the top
-level, `)` in a for header's init, and none in a block. So an error never
-hides its sibling statements or functions, and a contract or `{...}` block
-that the file ends inside keeps its complete members or statements. An
-error that several levels of recovery see in turn, such as the end of a
-file cut inside nested blocks, is reported once. Unsupported constructs
-(import, struct/enum, using) are skipped by the same rule with a "partial
-analysis" warning instead of failing the file.
+level, `)` in a for header's init, and none in a block; a for header with
+no `;` after its init goes on from its own `)`, so that the block's skip
+takes the loop's body as one statement. So an error never hides its
+sibling statements or functions, and a contract or `{...}` block that the
+file ends inside keeps its complete members or statements. An error that
+several levels of recovery see in turn, such as the end of a file cut
+inside nested blocks, is reported once. Unsupported constructs (import,
+struct/enum, using) are skipped by the same rule with a "partial analysis"
+warning instead of failing the file.
 
 The parser indexes the lexer's ``(kind, text, offset, length)`` token
 tuples. A node's span ends at the end of the last token it consumed.
@@ -105,6 +107,8 @@ _MEMBER_STOPS = frozenset({"function", "modifier", "event", "constructor"})
 _UNIT_STARTS = frozenset({"pragma", "contract", "interface", "library"})
 _TOP_LEVEL_STOPS = _UNIT_STARTS | {"import"}
 _HEADER_STOPS = frozenset({")"})
+_HEADER_ENDS = frozenset({"{", "}", ";"})  # what a `for` header cannot hold
+_PARENS = {"(": 1, ")": -1}
 
 
 class ParseError(Exception):
@@ -575,6 +579,7 @@ class _Parser:
 
     def parse_for(self) -> ForStatement:
         start = self.expect("for")[2]
+        header = self.pos
         self.expect("(")
         init: Statement | None = None
         depth = self.depth
@@ -595,10 +600,24 @@ class _Parser:
             else:  # one error, then on after the init's `;`
                 self._recover(exc, depth, _HEADER_STOPS)
                 if self.tokens[self.pos - 1][1] != ";":
-                    raise  # no such `;`: the block skips the loop, not repeating it
+                    # no such `;`: on after the header's `)`, if it has one,
+                    # and the block skips the body as one statement
+                    self.pos = self._header_end(header) or self.pos
+                    raise
         condition, post = rest or self._for_rest()
         body = self.parse_statement()
         return ForStatement(init, condition, post, body, self._span_from(start))
+
+    def _header_end(self, i: int) -> int | None:
+        """The position after the `)` that closes the `(` at ``i``, if one
+        does before a `{`, `}` or `;`."""
+        depth, tokens = 0, self.tokens
+        while tokens[i][0] != _END and tokens[i][1] not in _HEADER_ENDS:
+            depth += _PARENS.get(tokens[i][1], 0)
+            i += 1
+            if depth == 0:
+                return i
+        return None
 
     def _for_rest(self) -> tuple[Expression | None, Expression | None]:
         """A for header's condition and post expression, through its `)`."""

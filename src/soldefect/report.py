@@ -12,6 +12,7 @@ import json
 from json.encoder import encode_basestring_ascii
 
 from . import TOOL_NAME, __version__
+from .catalog import REGISTRY
 from .records import field, record
 
 IMPACT_LEVELS = ("IP1", "IP2", "IP3", "IP4", "IP5")
@@ -203,7 +204,6 @@ def _sarif_region(f: Finding) -> str:
 
 def render_sarif(report: Report) -> bytes:
     """SARIF 2.1.0 with one rule per detector and one result per finding."""
-    from .detectors import REGISTRY  # late import to avoid a cycle
     rules = [
         {
             "id": d.id,

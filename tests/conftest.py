@@ -9,7 +9,7 @@ import pytest
 
 from soldefect.analyzer import FileOutcome, analyze_input
 from soldefect.config import RunConfig
-from soldefect.evm.keccak import keccak256
+from soldefect.keccak import keccak256
 from soldefect.lexer import tokenize
 from soldefect.parser import ParseResult, parse
 from soldefect.report import Report

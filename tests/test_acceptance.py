@@ -17,7 +17,7 @@ from soldefect.config import RunConfig
 from soldefect.corpus import load_manifest, score
 from soldefect.evm.cfg import build_cfg
 from soldefect.evm.disasm import disassemble
-from soldefect.evm.eip55 import checksum_address, is_valid_address
+from soldefect.eip55 import checksum_address, is_valid_address
 from soldefect.evm.loops import detect_loops
 from asm import (CALL_BODY, IRREDUCIBLE_CYCLE, assemble, block_instructions,
                  counted_loop, dispatcher, instructions, reassemble,

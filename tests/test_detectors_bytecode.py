@@ -3,7 +3,7 @@ dual-mode defects (hand-assembled bytecode standing in for compiled probes)."""
 
 from __future__ import annotations
 
-import soldefect.evm.keccak
+import soldefect.keccak
 from soldefect.detectors.availability import ERC20_MANDATORY
 from soldefect.evm.disasm import disassemble
 from soldefect.evm.opcodes import MNEMONICS
@@ -141,8 +141,8 @@ def test_bytecode_path_computes_no_keccak(monkeypatch):
     def refuse(*_args):
         raise AssertionError("keccak on the bytecode path")
 
-    monkeypatch.setattr(soldefect.evm.keccak, "keccak256", refuse)
-    monkeypatch.setattr(soldefect.evm.keccak, "_keccak_f", refuse)
+    monkeypatch.setattr(soldefect.keccak, "keccak256", refuse)
+    monkeypatch.setattr(soldefect.keccak, "_keccak_f", refuse)
     partial = dispatcher({_SELECTORS["transfer"]: "t1",
                           _SELECTORS["balanceOf"]: "t2"})
     assert "unmatched-erc20" in bc_detectors(partial)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from soldefect.evm.eip55 import (AddressError, checksum_address,
+from soldefect.eip55 import (AddressError, checksum_address,
                                  is_valid_address)
 
 # The four canonical mixed-case examples from the checksum standard.

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from soldefect.evm.keccak import keccak256
+from soldefect.keccak import keccak256
 
 from conftest import function_selector, keccak256_hex
 

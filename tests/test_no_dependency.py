@@ -1,8 +1,10 @@
 """The analysis path needs nothing outside the standard library: with
 `requests` unimportable the CLI still analyzes, scores and lists, the
 fetch tests still pass, importing the CLI loads no HTTP code and none of
-the modules that only some runs need, no run loads a process pool, and
-an integer literal loads no `fractions`."""
+the modules that only some runs need, a command that does not analyze loads
+no analysis, a source-only run no EVM frontend, and a parallel run loads
+each module once, in the parent; no run loads a process pool, and an
+integer literal loads no `fractions`."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import os
 import subprocess
 import sys
 
+from asm import counted_loop
 from conftest import CORPUS_DIR
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -94,7 +97,7 @@ def test_parallel_run_loads_no_process_pool(tmp_path):
 
 # modules every CLI start would pay for but none needs: dataclasses (and the
 # inspect it loads), typing and fractions, the scorer, which loads with a
-# score run, hashlib with OpenSSL, which loads when an input is read, and
+# score run, hashlib with OpenSSL, which loads with the analyzer, and
 # shutil (with bz2, lzma and fnmatch), which argparse's formatter loads to
 # find the terminal's width
 NOT_AT_START = ("dataclasses", "inspect", "typing", "fractions",
@@ -109,6 +112,64 @@ def test_cli_start_loads_only_what_every_run_needs():
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()
     assert [m for m in NOT_AT_START if m in loaded] == []
+
+
+# what a run loads, printed after its exit code on stderr's last line
+MODULES_OF_RUN = """import sys, soldefect.cli
+code = soldefect.cli.main(sys.argv[1:])
+print(code, *sys.modules, file=sys.stderr)
+"""
+
+# the modules that only a command that analyzes needs
+ANALYSIS = ("soldefect.analyzer", "soldefect.parser", "soldefect.detectors",
+            "soldefect.evm")
+
+
+def _modules_of_run(*args: str) -> tuple[int, list[str]]:
+    proc = _python(MODULES_OF_RUN, *args)
+    code, *loaded = proc.stderr.splitlines()[-1].split()
+    return int(code), loaded
+
+
+def test_commands_that_do_not_analyze_load_no_analysis():
+    for args, expected in ((["--help"], 0), (["detectors"], 0),
+                           (["detectors", "--format", "json"], 0),
+                           (["fetch", "not-an-address"], 2),
+                           (["analyze", "--min-impact", "IP9", "x.sol"], 2)):
+        code, loaded = _modules_of_run(*args)
+        assert code == expected, args
+        assert [m for m in loaded if m.startswith(ANALYSIS)] == [], args
+
+
+def test_a_source_only_run_loads_no_evm(tmp_path):
+    code, loaded = _modules_of_run(
+        "analyze", os.path.join(CORPUS_DIR, "listing1.sol"), "--jobs", "1",
+        "--output", str(tmp_path / "report.txt"))
+    assert code == 1  # findings, among them listing1's hard-coded addresses
+    assert "soldefect.detectors.security" in loaded
+    assert [m for m in loaded if m.startswith("soldefect.evm")
+            or m == "soldefect.detectors.bytecode"] == []
+    assert "hard-code-address" in (tmp_path / "report.txt").read_text()
+
+
+def test_a_parallel_run_loads_each_module_once(tmp_path):
+    # the EVM frontend and OpenSSL's hashlib load in the parent, before the
+    # first fork, so no worker imports a module of its own: under
+    # -X importtime each module is imported once, by the parent
+    hexfile = tmp_path / "loop.hex"
+    hexfile.write_text("0x" + counted_loop(5).hex())
+    args = ["analyze", os.path.join(CORPUS_DIR, "listing1.sol"), str(hexfile),
+            "--jobs", "2", "--output", str(tmp_path / "report.txt")]
+    code, loaded = _modules_of_run(*args)
+    assert code == 1
+    assert {"soldefect.evm.cfg", "soldefect.detectors.bytecode", "hashlib",
+            "_hashlib"} <= set(loaded)
+    proc = _python(MODULES_OF_RUN, *args, flags=("-S", "-X", "importtime"))
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line]
+    assert "soldefect.evm.cfg" in imported and "_hashlib" in imported
+    assert len(imported) == len(set(imported)), sorted(
+        {m for m in imported if imported.count(m) > 1})
 
 
 INFER_LITERALS = '''import sys, soldefect.cli

@@ -387,17 +387,25 @@ def test_a_for_init_missing_its_semicolon_is_one_error(init, parsed):
     assert len(loop.body.statements) == 1
 
 
-@pytest.mark.parametrize("loop", [
-    "for (uint i = 0 ) { x = 1; }",
-    "for (uint i = 0 i < 3 i++) { x = 1; }",
-], ids=["no condition", "no semicolon after the condition"])
-def test_a_for_init_with_a_broken_rest_is_skipped_with_its_loop(loop):
+@pytest.mark.parametrize("loop,kept", [
+    ("for (uint i = 0 ) { x = 1; }", ["y", "z"]),
+    ("for (uint i = 0 i < 3 i++) { x = 1; }", ["y", "z"]),
+    ("for (uint i = 0 ) x = 1;", ["y", "z"]),
+    ("for (uint i = f(a b) ) { x = 1; }", ["y", "z"]),
+    ("for (uint i = 0 { x = 1; }", ["z"]),
+], ids=["no condition", "no semicolon after the condition", "statement body",
+        "nested parentheses", "no closing parenthesis"])
+def test_a_for_init_with_a_broken_rest_is_skipped_with_its_loop(loop, kept):
     # when the rest of the header does not parse either, the init's error
-    # stands alone and the loop goes, as before
-    result = parse_source("contract C { function f() { " + loop + " } }",
-                          "t.sol")
+    # stands alone and the loop goes. The skip goes on from the header's own
+    # `)` and passes the body as one statement, so the statements after the
+    # loop stay; with no `)`, the skip from the `{` passes the body and the
+    # block's skip then takes the next statement as well
+    result = parse_source("contract C { function f() { " + loop
+                          + " y = 2; z = 3; } }", "t.sol")
     assert len(result.diagnostics) == 1
-    assert result.unit.contracts[0].functions[0].body.statements == []
+    body = result.unit.contracts[0].functions[0].body.statements
+    assert [s.expression.target.name for s in body] == kept
 
 
 @pytest.mark.parametrize("source,message", [
